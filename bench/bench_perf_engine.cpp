@@ -116,36 +116,24 @@ std::string variant_json(const VariantResult& v, std::size_t chunk_size) {
   std::vector<std::string> cells;
   for (std::size_t i = 0; i < v.report.cells.size(); ++i) {
     const auto& cell = v.report.cells[i];
-    // `detected` stays the total (older tooling reads it); the split tells
-    // the two detection channels apart — reported syscall errors vs the
-    // block device's scrub rejecting a sector checksum.
+    // `detected` stays the total (older tooling reads it); detected_io_error
+    // and the table's detected_crc split it by detection channel — reported
+    // syscall errors vs the block device's scrub rejecting a sector checksum.
     const std::uint64_t detected_total = cell.tally.count(ffis::core::Outcome::Detected);
-    const std::uint64_t detected_crc =
-        std::min(cell.detected_crc, detected_total);
     ffis::bench::JsonObject obj;
     obj.str("label", cell.cell.label)
         .num("stage", static_cast<std::uint64_t>(cell.cell.stage))
         .num("runs", cell.runs_completed)
         .num("benign", cell.tally.count(ffis::core::Outcome::Benign))
         .num("detected", detected_total)
-        .num("detected_io_error", detected_total - detected_crc)
-        .num("detected_crc", detected_crc)
+        .num("detected_io_error", detected_total - std::min(cell.detected_crc, detected_total))
         .num("sdc", cell.tally.count(ffis::core::Outcome::Sdc))
         .num("crash", cell.tally.count(ffis::core::Outcome::Crash))
-        .num("sectors_faulted", cell.sectors_faulted)
-        .num("crc_detected", cell.crc_detected)
         .num("wall_ms_at_completion",
              i < v.cell_completion_ms.size() ? v.cell_completion_ms[i] : 0.0)
         .num("chunk_size", static_cast<std::uint64_t>(chunk_size))
-        .num("chunks_allocated", cell.chunks_allocated)
-        .num("chunk_detaches", cell.chunk_detaches)
-        .num("cow_bytes_copied", cell.cow_bytes_copied)
-        .num("arena_slabs_allocated", cell.arena_slabs_allocated)
-        .num("arena_bytes_recycled", cell.arena_bytes_recycled)
-        .num("execute_ms", cell.execute_ms)
-        .num("analyze_ms", cell.analyze_ms)
-        .num("analyze_skipped", cell.analyze_skipped)
         .raw("checkpointed", cell.checkpointed ? "true" : "false");
+    cell.for_each_counter([&](const char* name, const auto& value) { obj.num(name, value); });
     cells.push_back(obj.render());
   }
   ffis::bench::JsonObject obj;
@@ -157,7 +145,7 @@ std::string variant_json(const VariantResult& v, std::size_t chunk_size) {
       .num("checkpoint_cache_hits", v.report.checkpoint_cache_hits)
       .num("checkpoint_bytes", v.report.checkpoint_bytes)
       .num("checkpoint_chunks", v.report.checkpoint_chunks)
-      .num("analyses_skipped", v.report.analyses_skipped)
+      .num("analyses_skipped", v.report.analyze_skipped)
       .num("arena_slabs_allocated", v.report.arena_slabs_allocated)
       .num("arena_bytes_recycled", v.report.arena_bytes_recycled)
       .raw("cells", ffis::bench::json_array(cells));
@@ -298,7 +286,7 @@ int main(int argc, char** argv) {
               checkpointed.report.checkpoint_cache_hits == 1 ? "" : "s");
   std::printf("diff-class:   %8.1f runs/sec  (%.0f ms, %llu of %llu analyses skipped)\n",
               diffclass.runs_per_sec, diffclass.wall_ms,
-              static_cast<unsigned long long>(diffclass.report.analyses_skipped),
+              static_cast<unsigned long long>(diffclass.report.analyze_skipped),
               static_cast<unsigned long long>(diffclass.report.total_runs));
   std::printf("speedup:      %8.2fx (checkpoint vs baseline), %.2fx more from "
               "diff classification\n", speedup, diff_speedup);

@@ -21,7 +21,9 @@ using util::ByteSpan;
 using util::ByteWriter;
 
 constexpr std::string_view kSignature = "FFISJRNL";
-constexpr std::uint32_t kFormatVersion = 1;
+/// 2: records hold protocol-v5 RunRows.  A journal of another format fails
+/// the header comparison and the campaign starts over.
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8;
 /// Far above any real record (a 16 Ki-run unit is ~1.5 MiB) while still
 /// rejecting a garbage length field before it sizes an allocation.

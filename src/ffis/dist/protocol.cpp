@@ -57,12 +57,8 @@ util::Bytes encode(const Hello& m) {
   w.u32(m.magic);
   w.u32(m.version);
   w.str(m.worker_name);
-  // The v2 fields are versioned by m.version so tests can fabricate genuine
-  // v1 Hellos; a v1 peer would reject trailing bytes via expect_end anyway.
-  if (m.version >= 2) {
-    w.str(m.auth_token);
-    w.u8(m.reconnect ? 1 : 0);
-  }
+  w.str(m.auth_token);
+  w.u8(m.reconnect ? 1 : 0);
   return out;
 }
 
@@ -71,11 +67,10 @@ Hello decode_hello(util::ByteSpan payload) {
   Hello m;
   m.magic = r.u32();
   m.version = r.u32();
+  if (m.magic != kProtocolMagic || m.version != kProtocolVersion) return m;
   m.worker_name = r.str_bounded(kMaxNameBytes, "worker_name");
-  if (m.version >= 2) {
-    m.auth_token = r.str_bounded(kMaxTokenBytes, "auth_token");
-    m.reconnect = (r.u8() & 1) != 0;
-  }
+  m.auth_token = r.str_bounded(kMaxTokenBytes, "auth_token");
+  m.reconnect = (r.u8() & 1) != 0;
   r.expect_end();
   return m;
 }
@@ -107,9 +102,7 @@ HelloAck decode_hello_ack(util::ByteSpan payload) {
   const auto flags = r.u8();
   m.use_checkpoints = (flags & 1) != 0;
   m.use_diff_classification = (flags & 2) != 0;
-  // v1 acks end here; the heartbeat interval is a v2 trailer (decode-compat
-  // with journals/captures of v1 conversations).
-  if (r.remaining() > 0) m.heartbeat_interval_ms = r.u64();
+  m.heartbeat_interval_ms = r.u64();
   r.expect_end();
   return m;
 }
@@ -222,17 +215,10 @@ util::Bytes encode(const RunRow& m) {
   w.u64(m.run_index);
   w.u8(static_cast<std::uint8_t>(m.outcome));
   w.u8(static_cast<std::uint8_t>((m.fault_fired ? 1 : 0) | (m.analyze_skipped ? 2 : 0)));
-  w.u64(m.fs_stats.chunks_allocated);
-  w.u64(m.fs_stats.chunk_detaches);
-  w.u64(m.fs_stats.cow_bytes_copied);
-  w.u64(m.fs_stats.pread_calls);
-  w.u64(m.fs_stats.bytes_read);
   w.f64(m.execute_ms);
   w.f64(m.analyze_ms);
-  w.u64(m.fs_stats.arena_slabs_allocated);
-  w.u64(m.fs_stats.arena_bytes_recycled);
-  w.u64(m.fs_stats.sectors_faulted);
-  w.u64(m.fs_stats.crc_detected);
+  w.u32(static_cast<std::uint32_t>(vfs::FsStats::kCount));
+  m.fs_stats.for_each([&](const char*, std::uint64_t v) { w.u64(v); });
   return out;
 }
 
@@ -251,26 +237,39 @@ RunRow decode_run_row(util::ByteSpan payload) {
   const auto flags = r.u8();
   m.fault_fired = (flags & 1) != 0;
   m.analyze_skipped = (flags & 2) != 0;
-  m.fs_stats.chunks_allocated = r.u64();
-  m.fs_stats.chunk_detaches = r.u64();
-  m.fs_stats.cow_bytes_copied = r.u64();
-  m.fs_stats.pread_calls = r.u64();
-  m.fs_stats.bytes_read = r.u64();
   m.execute_ms = r.f64();
   m.analyze_ms = r.f64();
-  // v2 rows end here; the arena counters are a v3 trailer and the media
-  // counters a v4 trailer (older campaign journals replay through this
-  // decoder and read the absent trailers as 0).
-  if (r.remaining() > 0) {
-    m.fs_stats.arena_slabs_allocated = r.u64();
-    m.fs_stats.arena_bytes_recycled = r.u64();
+  const std::uint32_t count = r.u32();
+  if (count > r.remaining() / 8) {
+    throw std::out_of_range("malformed RunRow: counter count " + std::to_string(count) +
+                            " exceeds what " + std::to_string(r.remaining()) +
+                            " payload bytes could hold");
   }
-  if (r.remaining() > 0) {
-    m.fs_stats.sectors_faulted = r.u64();
-    m.fs_stats.crc_detected = r.u64();
-  }
+  std::uint32_t i = 0;
+  m.fs_stats.for_each([&](const char*, std::uint64_t& v) { v = i++ < count ? r.u64() : 0; });
+  for (; i < count; ++i) (void)r.u64();  // counters a newer table appended
   r.expect_end();
   return m;
+}
+
+RunRow to_run_row(const core::RunResult& run) {
+  return {.outcome = run.outcome,
+          .fault_fired = run.fault_fired,
+          .analyze_skipped = run.analyze_skipped,
+          .fs_stats = run.fs_stats,
+          .execute_ms = run.execute_ms,
+          .analyze_ms = run.analyze_ms};
+}
+
+core::RunResult to_run_result(const RunRow& row) {
+  core::RunResult run;
+  run.outcome = row.outcome;
+  run.fault_fired = row.fault_fired;
+  run.fs_stats = row.fs_stats;
+  run.execute_ms = row.execute_ms;
+  run.analyze_ms = row.analyze_ms;
+  run.analyze_skipped = row.analyze_skipped;
+  return run;
 }
 
 // --- RunBatch ----------------------------------------------------------------
@@ -281,7 +280,7 @@ util::Bytes encode(const RunBatch& m) {
   w.u32(static_cast<std::uint32_t>(m.rows.size()));
   // Each row rides as a length-prefixed blob of its own RunRow frame, so the
   // batch decoder reuses decode_run_row verbatim — strictness, outcome range
-  // checks and the v2 arena trailer included.
+  // checks and the counter list included.
   for (const RunRow& row : m.rows) w.blob(encode(row));
   return out;
 }

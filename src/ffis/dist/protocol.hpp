@@ -16,7 +16,7 @@
 //                                Shutdown {}              (plan complete)
 //   CellInfo {cell, prep facts}  — once per cell per worker, before its rows
 //   RunRow {unit, cell, run, outcome, counters}  — one per executed run
-//   RunBatch {rows}              — v3: many RunRows in one frame
+//   RunBatch {rows}              — many RunRows in one frame
 //   UnitDone {unit}
 //
 // The worker never receives unsolicited messages: after Hello it strictly
@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "ffis/core/fault_injector.hpp"
 #include "ffis/core/outcome.hpp"
 #include "ffis/exp/plan.hpp"
 #include "ffis/util/bytes.hpp"
@@ -37,21 +38,11 @@
 
 namespace ffis::dist {
 
-/// Bump on any wire-format change; a Hello with a newer version than the
-/// coordinator speaks is rejected during the handshake (version-skewed
-/// workers must not compute).  v2 added liveness (Ping/Pong), the Hello auth
-/// token + reconnect flag, and the HelloAck heartbeat interval.  v3 added
-/// RunBatch (workers flush rows in batches instead of one frame per run) and
-/// the RunRow arena-counter trailer.  v4 added the RunRow media-counter
-/// trailer (sectors_faulted / crc_detected, after the arena counters).
-/// Older frames still decode (decode-compat tests and old campaign journals
-/// rely on it — a v2 RunRow reads its arena AND media counters as 0, a v3
-/// row its media counters as 0) but older Hellos are rejected at handshake
-/// time.
-inline constexpr std::uint32_t kProtocolVersion = 4;
-inline constexpr std::uint32_t kProtocolVersionV3 = 3;
-inline constexpr std::uint32_t kProtocolVersionV2 = 2;
-inline constexpr std::uint32_t kProtocolVersionV1 = 1;
+/// Bump on any wire-format change; a Hello of any other version is rejected
+/// during the handshake (version-skewed workers must not compute).  v5 sends
+/// RunRow's storage counters as a counted list in run-counter table order
+/// (FFIS_RUN_COUNTERS), so appending a counter needs no bump.
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /// First field of every Hello; guards against a stray client that speaks
 /// some other protocol entirely.
@@ -76,13 +67,13 @@ struct Hello {
   std::uint32_t magic = kProtocolMagic;
   std::uint32_t version = kProtocolVersion;
   std::string worker_name;
-  /// Shared-secret fleet token (v2+).  Checked with a constant-time compare
+  /// Shared-secret fleet token.  Checked with a constant-time compare
   /// before any plan text leaves the coordinator; empty on both sides
   /// disables auth.
   std::string auth_token;
   /// True when this connection replaces an earlier one from the same worker
   /// process (retry after a transport fault or a coordinator restart); feeds
-  /// the coordinator's worker_reconnects counter (v2+).
+  /// the coordinator's worker_reconnects counter.
   bool reconnect = false;
 };
 
@@ -106,8 +97,8 @@ struct HelloAck {
   std::uint64_t chunk_size = 0;
   bool use_checkpoints = true;
   bool use_diff_classification = true;
-  /// Interval at which the worker must send Ping frames (v2+); 0 disables
-  /// heartbeats.  A v1 ack lacks the field — the decoder defaults it to 0.
+  /// Interval at which the worker must send Ping frames; 0 disables
+  /// heartbeats.
   std::uint64_t heartbeat_interval_ms = 0;
 };
 
@@ -140,7 +131,8 @@ struct CellInfo {
 /// One executed injection run — exactly the fields the coordinator needs to
 /// rebuild CellResult tallies and sink rows bit-identically.  Deliberately
 /// excludes the analysis blob and crash text (only keep_details consumers
-/// would see them, and they can be MiB-sized).
+/// would see them, and they can be MiB-sized).  fs_stats travels as a counted
+/// u64 list in table order; missing counters decode as 0, unknown ones skip.
 struct RunRow {
   std::uint64_t unit_id = 0;
   std::uint32_t cell_index = 0;
@@ -153,7 +145,7 @@ struct RunRow {
   double analyze_ms = 0.0;
 };
 
-/// Many RunRows in one frame (v3+).  Workers accumulate a unit's rows and
+/// Many RunRows in one frame.  Workers accumulate a unit's rows and
 /// flush one RunBatch per kRunBatchRows rows (or per flush interval, or at
 /// unit end), cutting per-run framing and syscall traffic on the result
 /// path.  The coordinator lands each contained row through the exact same
@@ -175,7 +167,7 @@ struct UnitDone {
 
 struct Shutdown {};
 
-/// Liveness heartbeat (v2+).  The worker's heartbeat thread sends Ping on
+/// Liveness heartbeat.  The worker's heartbeat thread sends Ping on
 /// the shared connection (under the worker's send lock); the coordinator
 /// refreshes the staleness clock of that worker's granted units and answers
 /// Pong.  The worker's reply loop skips Pongs, so heartbeats piggyback on
@@ -204,6 +196,8 @@ struct Pong {};
 // Strict decoders: the payload must carry the matching tag and nothing but
 // the message's fields.  Throw std::out_of_range (truncation / forged length
 // prefixes) or std::invalid_argument (wrong tag, out-of-range enum).
+// decode_hello stops after magic + version when either differs from this
+// build's, so the coordinator can reject any peer version by name.
 [[nodiscard]] Hello decode_hello(util::ByteSpan payload);
 [[nodiscard]] HelloAck decode_hello_ack(util::ByteSpan payload);
 [[nodiscard]] HelloReject decode_hello_reject(util::ByteSpan payload);
@@ -212,6 +206,12 @@ struct Pong {};
 [[nodiscard]] RunRow decode_run_row(util::ByteSpan payload);
 [[nodiscard]] RunBatch decode_run_batch(util::ByteSpan payload);
 [[nodiscard]] UnitDone decode_unit_done(util::ByteSpan payload);
+
+/// A run's wire form and back.  The worker sends to_run_row (plus the unit,
+/// cell and run indices); the coordinator folds to_run_result through
+/// exp::CellResult::add_run, exactly like a local engine.
+[[nodiscard]] RunRow to_run_row(const core::RunResult& run);
+[[nodiscard]] core::RunResult to_run_result(const RunRow& row);
 
 /// Constant-time equality for shared secrets: examines every byte of both
 /// strings regardless of where they first differ, so response timing leaks

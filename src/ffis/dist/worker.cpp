@@ -193,16 +193,10 @@ CellExec& ensure_cell(WorkerContext& ctx, std::uint32_t cell_index) {
 
 RunRow row_from(const core::RunResult& rr, const WorkGrant& grant,
                 std::uint64_t run_index) {
-  RunRow row;
+  RunRow row = to_run_row(rr);
   row.unit_id = grant.unit_id;
   row.cell_index = grant.cell_index;
   row.run_index = run_index;
-  row.outcome = rr.outcome;
-  row.fault_fired = rr.fault_fired;
-  row.analyze_skipped = rr.analyze_skipped;
-  row.fs_stats = rr.fs_stats;
-  row.execute_ms = rr.execute_ms;
-  row.analyze_ms = rr.analyze_ms;
   return row;
 }
 

@@ -8,50 +8,73 @@
 #include "ffis/core/fault_injector.hpp"
 #include "ffis/core/outcome.hpp"
 #include "ffis/exp/plan.hpp"
+#include "ffis/vfs/run_counters.hpp"
 
 namespace ffis::exp {
+
+/// Every counter of the run-counter table (FFIS_RUN_COUNTERS), aggregated
+/// over one cell's runs (CellResult, SinkRow) or over a whole plan
+/// (ExperimentReport).  For a checkpointed cell the per-run MemFs is a fork,
+/// so cow_bytes_copied is exactly the copy-on-write cost of resuming.
+struct RunCounters {
+#define FFIS_FIELD_FS(name) std::uint64_t name = 0;
+#define FFIS_FIELD_RUN(name, type, aggregation, value) type name = 0;
+  FFIS_RUN_COUNTERS(FFIS_FIELD_FS, FFIS_FIELD_RUN)
+#undef FFIS_FIELD_FS
+#undef FFIS_FIELD_RUN
+
+  /// Adds another block entry by entry (cell totals into plan totals).
+  void add(const RunCounters& other) {
+#define FFIS_ADD(name, ...) name += other.name;
+    FFIS_RUN_COUNTERS(FFIS_ADD, FFIS_ADD)
+#undef FFIS_ADD
+  }
+
+  /// Calls f(name, counter) for every entry in table order; `counter` is a
+  /// std::uint64_t or double lvalue.
+  template <class F>
+  void for_each_counter(F&& f) {
+#define FFIS_VISIT(name, ...) f(#name, name);
+    FFIS_RUN_COUNTERS(FFIS_VISIT, FFIS_VISIT)
+  }
+  template <class F>
+  void for_each_counter(F&& f) const {
+    FFIS_RUN_COUNTERS(FFIS_VISIT, FFIS_VISIT)
+#undef FFIS_VISIT
+  }
+
+ protected:
+  /// Folds one run in, following each entry's aggregation (CellResult's
+  /// fold adds the tally around it).
+  void add_run(const core::RunResult& run) {
+#define FFIS_FOLD_FS(name) name += run.fs_stats.name;
+#define FFIS_FOLD_RUN(name, type, aggregation, value) fold_##aggregation(name, value);
+    FFIS_RUN_COUNTERS(FFIS_FOLD_FS, FFIS_FOLD_RUN)
+#undef FFIS_FOLD_FS
+#undef FFIS_FOLD_RUN
+  }
+
+ private:
+  template <class T, class V>
+  static void fold_Sum(T& total, V value) {
+    total += value;
+  }
+  template <class T, class V>
+  static void fold_CountNonzero(T& count, V value) {
+    if (value != V{}) ++count;
+  }
+};
 
 /// Outcome of one plan cell.  Tallies are deterministic for a given cell
 /// spec: runs land in per-index slots and are tallied in run order, so the
 /// result is independent of the engine's thread count.
-struct CellResult {
+struct CellResult : RunCounters {
   std::size_t index = 0;  ///< position in the plan (and in every sink stream)
   Cell cell;
   core::OutcomeTally tally;
   std::uint64_t runs_completed = 0;  ///< < cell.runs only when cancelled
   std::uint64_t primitive_count = 0;
   std::uint64_t faults_not_fired = 0;
-  /// Storage-layer traffic summed over the cell's runs (vfs::FsStats per
-  /// run).  For a checkpointed cell the per-run MemFs is a fork, so
-  /// cow_bytes_copied is exactly the copy-on-write cost of resuming — the
-  /// number the extent store is designed to shrink.
-  std::uint64_t chunks_allocated = 0;
-  std::uint64_t chunk_detaches = 0;
-  std::uint64_t cow_bytes_copied = 0;
-  /// Arena traffic (run recycling, EngineOptions::use_arena): fresh slabs
-  /// actually malloc'd vs bytes served from rewound slabs.  A warm hot loop
-  /// shows slab allocations frozen while bytes_recycled grows with every
-  /// run — the per-chunk heap traffic the arena exists to kill.
-  std::uint64_t arena_slabs_allocated = 0;
-  std::uint64_t arena_bytes_recycled = 0;
-  /// Media-layer traffic (vfs::BlockDevice, media-model cells): sectors
-  /// corrupted by the armed device and scrub rejections (CRC-mismatch or
-  /// latent-sector-error reads), summed over the cell's runs.
-  std::uint64_t sectors_faulted = 0;
-  std::uint64_t crc_detected = 0;
-  /// Runs whose scrub rejected at least one read (per-run crc_detected > 0)
-  /// — exactly the runs the injector's detection override classified
-  /// Detected, so the cell's Detected tally splits as
-  /// detected_io_error = tally(Detected) - detected_crc.
-  std::uint64_t detected_crc = 0;
-  /// Wall time summed over the cell's runs, split at the execute/classify
-  /// boundary (RunResult::execute_ms / analyze_ms).  Thread time, not
-  /// elapsed time: runs execute concurrently.
-  double execute_ms = 0.0;
-  double analyze_ms = 0.0;
-  /// Runs whose extent diff was empty — classified Benign with no analysis
-  /// (and no analysis-phase reads) at all.
-  std::uint64_t analyze_skipped = 0;
   bool golden_cached = false;  ///< golden run came from the engine's cache
   /// Injection runs forked a pre-fault checkpoint (stage-instrumented cell of
   /// a stage-resumable application) instead of re-running the whole workload.
@@ -74,9 +97,21 @@ struct CellResult {
   std::string error;
   /// Per-run detail in run order (EngineOptions::keep_details only).
   std::vector<core::RunResult> details;
+
+  /// The one RunResult -> CellResult fold, shared by exp::Engine and
+  /// dist::Coordinator: callers feed executed runs in run order, which keeps
+  /// tallies independent of scheduling.
+  void add_run(const core::RunResult& run) {
+    ++runs_completed;
+    tally.add(run.outcome);
+    if (!run.fault_fired && run.outcome != core::Outcome::Crash) ++faults_not_fired;
+    RunCounters::add_run(run);
+  }
 };
 
-struct ExperimentReport {
+/// Plan-wide results.  The inherited RunCounters hold the sums of the
+/// per-cell counters.
+struct ExperimentReport : RunCounters {
   std::vector<CellResult> cells;  ///< plan order
   std::uint64_t total_runs = 0;   ///< runs actually executed
   std::uint64_t golden_executions = 0;
@@ -105,16 +140,6 @@ struct ExperimentReport {
   /// footprint, not logical file sizes (sparse payloads store less).
   std::uint64_t checkpoint_bytes = 0;
   std::uint64_t checkpoint_chunks = 0;
-  /// Runs classified Benign straight from the extent diff, plan-wide.
-  std::uint64_t analyses_skipped = 0;
-  /// Plan-wide arena traffic (sums of the per-cell counters).
-  std::uint64_t arena_slabs_allocated = 0;
-  std::uint64_t arena_bytes_recycled = 0;
-  /// Plan-wide media-layer traffic (sums of the per-cell counters); see
-  /// CellResult for the detected_crc / detected_io_error split.
-  std::uint64_t sectors_faulted = 0;
-  std::uint64_t crc_detected = 0;
-  std::uint64_t detected_crc = 0;
   // Distributed execution (dist::Coordinator; both 0 for local runs).  The
   // golden/checkpoint counters above stay 0 in distributed reports: each
   // worker maintains its own caches and the coordinator never executes the
@@ -131,6 +156,12 @@ struct ExperimentReport {
   /// *and* liveness heartbeats past the unit timeout.
   std::uint64_t heartbeat_timeouts = 0;
   bool cancelled = false;
+
+  /// Adds a finished cell to the plan-wide totals.
+  void add_cell(const CellResult& cell) {
+    total_runs += cell.runs_completed;
+    add(cell);
+  }
 };
 
 }  // namespace ffis::exp

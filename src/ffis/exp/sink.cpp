@@ -1,10 +1,13 @@
 #include "ffis/exp/sink.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <istream>
+#include <map>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "ffis/analysis/stats.hpp"
 #include "ffis/util/strfmt.hpp"
@@ -12,61 +15,6 @@
 namespace ffis::exp {
 
 namespace {
-
-constexpr const char* kCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,arena_slabs_allocated,arena_bytes_recycled,"
-    "sectors_faulted,crc_detected,"
-    "execute_ms,analyze_ms,analyze_skipped,"
-    "golden_cached,checkpointed,checkpoint_loaded,worker_id,error";
-
-/// Earlier on-disk generations, still readable so archived campaign grids
-/// stay loadable for comparison.  The document's header picks the layout;
-/// absent columns default to zero.
-///
-/// Arena era (no media-layer columns):
-constexpr const char* kArenaCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,arena_slabs_allocated,arena_bytes_recycled,"
-    "execute_ms,analyze_ms,analyze_skipped,"
-    "golden_cached,checkpointed,checkpoint_loaded,worker_id,error";
-
-/// Distributed era (no arena-traffic columns either):
-constexpr const char* kDistCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,execute_ms,analyze_ms,analyze_skipped,"
-    "golden_cached,checkpointed,checkpoint_loaded,worker_id,error";
-
-/// Persistent-checkpoint era (no worker_id column either):
-constexpr const char* kPersistCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,execute_ms,analyze_ms,analyze_skipped,"
-    "golden_cached,checkpointed,checkpoint_loaded,error";
-
-/// Diff-classification era (phase timers, no checkpoint_loaded column):
-constexpr const char* kTimedCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,execute_ms,analyze_ms,analyze_skipped,"
-    "golden_cached,checkpointed,error";
-
-/// Extent-store era (storage-traffic columns, no phase timers):
-constexpr const char* kExtentCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,chunks_allocated,chunk_detaches,"
-    "cow_bytes_copied,golden_cached,checkpointed,error";
-
-/// Pre-extent-store era (no storage-traffic columns either):
-constexpr const char* kLegacyCsvHeader =
-    "index,label,application,fault,stage,runs,seed,primitive_count,"
-    "benign,detected,sdc,crash,faults_not_fired,golden_cached,checkpointed,error";
-
-/// Which column set a document uses (decided by its header).
-enum class CsvGeneration { Legacy16, Extent19, Timed22, Persist23, Dist24, Arena26, Media28 };
 
 std::string csv_escape(const std::string& field) {
   if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
@@ -134,41 +82,125 @@ std::vector<std::string> split_csv_record(const std::string& line) {
   return fields;
 }
 
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  const auto v = util::parse_u64(s);
-  if (!v) throw std::invalid_argument(std::string("bad ") + what + " value: '" + s + "'");
-  return *v;
-}
-
-int parse_i32(const std::string& s, const char* what) {
-  const auto v = util::parse_int(s);
-  if (!v) throw std::invalid_argument(std::string("bad ") + what + " value: '" + s + "'");
-  return *v;
-}
-
-double parse_ms(const std::string& s, const char* what) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(s, &consumed);
-    if (consumed != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("bad ") + what + " value: '" + s + "'");
+/// Visits every column of a result record in file order: f(name, field,
+/// required).  `field` is a typed lvalue (text, integer, ms or flag); the
+/// counter columns come from the run-counter table.  Required columns
+/// (index..crash, error) must be in every file; any other column — each run
+/// counter included — reads as 0/false/empty when a file lacks it, which is
+/// what keeps files written before a column existed loadable.
+template <class Row, class F>
+void visit_columns(Row& row, F&& f) {
+  f("index", row.index, true);
+  f("label", row.label, true);
+  f("application", row.application, true);
+  f("fault", row.fault, true);
+  f("stage", row.stage, true);
+  f("runs", row.runs, true);
+  f("seed", row.seed, true);
+  f("primitive_count", row.primitive_count, true);
+  for (std::size_t o = 0; o < core::kOutcomeCount; ++o) {
+    const auto outcome = static_cast<core::Outcome>(o);
+    std::uint64_t count = row.tally.count(outcome);
+    f(std::string(core::outcome_name(outcome)).c_str(), count, true);
+    // Readers visit a fresh row, whose tally starts empty.
+    if constexpr (!std::is_const_v<Row>) row.tally.add(outcome, count);
   }
+  f("faults_not_fired", row.faults_not_fired, false);
+  row.for_each_counter([&](const char* name, auto& value) { f(name, value, false); });
+  f("golden_cached", row.golden_cached, false);
+  f("checkpointed", row.checkpointed, false);
+  f("checkpoint_loaded", row.checkpoint_loaded, false);
+  f("worker_id", row.worker_id, false);
+  f("error", row.error, true);
 }
 
+std::string json_quote(const std::string& s) { return '"' + json_escape(s) + '"'; }
+
+/// How a file format spells text and flags; numbers read and write alike.
+struct Format {
+  std::string (*quote)(const std::string&);
+  const char* yes;
+  const char* no;
+};
+constexpr Format kCsv{csv_escape, "1", "0"};
+constexpr Format kJsonl{json_quote, "true", "false"};
+
+std::string field_text(const std::string& v, const Format& f) { return f.quote(v); }
+std::string field_text(bool v, const Format& f) { return v ? f.yes : f.no; }
+std::string field_text(std::uint64_t v, const Format&) { return std::to_string(v); }
+std::string field_text(int v, const Format&) { return std::to_string(v); }
 /// Milliseconds with fixed sub-microsecond precision — enough for phase
-/// timers, stable across locales and round-trippable by parse_ms.
-std::string format_ms(double ms) {
+/// timers, stable across locales and round-trippable by parse_field.
+std::string field_text(double ms, const Format&) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.4f", ms);
   return buf;
+}
+
+[[noreturn]] void bad_value(const char* name, const std::string& text) {
+  throw std::invalid_argument(std::string("bad ") + name + " value: '" + text + "'");
+}
+
+void parse_field(const std::string& text, std::string& value, const char*, const Format&) {
+  value = text;
+}
+void parse_field(const std::string& text, bool& value, const char* name, const Format& f) {
+  if (text != f.yes && text != f.no) bad_value(name, text);
+  value = text == f.yes;
+}
+void parse_field(const std::string& text, std::uint64_t& value, const char* name,
+                 const Format&) {
+  const auto v = util::parse_u64(text);
+  if (!v) bad_value(name, text);
+  value = *v;
+}
+void parse_field(const std::string& text, int& value, const char* name, const Format&) {
+  const auto v = util::parse_int(text);
+  if (!v) bad_value(name, text);
+  value = *v;
+}
+void parse_field(const std::string& text, double& value, const char* name, const Format&) {
+  std::size_t consumed = 0;
+  try {
+    value = std::stod(text, &consumed);
+  } catch (const std::exception&) {
+    bad_value(name, text);
+  }
+  if (consumed != text.size()) bad_value(name, text);
+}
+
+/// Every column name, in file order.
+const std::vector<std::string>& column_names() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    const SinkRow row;
+    visit_columns(row, [&](const char* name, const auto&, bool) { out.emplace_back(name); });
+    return out;
+  }();
+  return names;
+}
+
+/// One record's column texts, by column name.
+using Record = std::map<std::string, std::string>;
+
+SinkRow row_from(const Record& record, const Format& format) {
+  SinkRow row;
+  visit_columns(row, [&](const char* name, auto& value, bool required) {
+    if (const auto it = record.find(name); it != record.end()) {
+      parse_field(it->second, value, name, format);
+    } else if (required) {
+      throw std::invalid_argument(std::string("result record lacks the '") + name +
+                                  "' column");
+    }
+  });
+  return row;
 }
 
 }  // namespace
 
 SinkRow to_sink_row(const CellResult& result) {
   SinkRow row;
+  static_cast<RunCounters&>(row) = result;
   row.index = result.index;
   row.label = result.cell.label;
   row.application = result.cell.app != nullptr ? result.cell.app->name() : "";
@@ -179,16 +211,6 @@ SinkRow to_sink_row(const CellResult& result) {
   row.primitive_count = result.primitive_count;
   row.tally = result.tally;
   row.faults_not_fired = result.faults_not_fired;
-  row.chunks_allocated = result.chunks_allocated;
-  row.chunk_detaches = result.chunk_detaches;
-  row.cow_bytes_copied = result.cow_bytes_copied;
-  row.arena_slabs_allocated = result.arena_slabs_allocated;
-  row.arena_bytes_recycled = result.arena_bytes_recycled;
-  row.sectors_faulted = result.sectors_faulted;
-  row.crc_detected = result.crc_detected;
-  row.execute_ms = result.execute_ms;
-  row.analyze_ms = result.analyze_ms;
-  row.analyze_skipped = result.analyze_skipped;
   row.golden_cached = result.golden_cached;
   row.checkpointed = result.checkpointed;
   row.checkpoint_loaded = result.checkpoint_loaded;
@@ -235,8 +257,8 @@ void ConsoleTableSink::end(const ExperimentReport& report) {
                report.checkpoint_builds == 1 ? "" : "s",
                static_cast<double>(report.checkpoint_bytes) / (1024.0 * 1024.0),
                static_cast<unsigned long long>(report.checkpoint_cache_hits),
-               static_cast<unsigned long long>(report.analyses_skipped),
-               report.analyses_skipped == 1 ? "is" : "es",
+               static_cast<unsigned long long>(report.analyze_skipped),
+               report.analyze_skipped == 1 ? "is" : "es",
                report.cancelled ? "; CANCELLED" : "");
   // Media-layer summary, only when a block device actually corrupted or
   // rejected something.  Splits the Detected tally by *how* the failure
@@ -304,30 +326,28 @@ void ConsoleTableSink::end(const ExperimentReport& report) {
 
 // --- CsvSink -----------------------------------------------------------------
 
-const char* CsvSink::header() { return kCsvHeader; }
+const char* CsvSink::header() {
+  static const std::string header = [] {
+    std::string out;
+    for (const std::string& name : column_names()) out += (out.empty() ? "" : ",") + name;
+    return out;
+  }();
+  return header.c_str();
+}
 
 void CsvSink::begin(const ExperimentPlan& plan) {
   (void)plan;
-  out_ << kCsvHeader << '\n';
+  out_ << header() << '\n';
 }
 
 void CsvSink::cell(const CellResult& result) {
   const SinkRow row = to_sink_row(result);
-  out_ << row.index << ',' << csv_escape(row.label) << ','
-       << csv_escape(row.application) << ',' << csv_escape(row.fault) << ','
-       << row.stage << ',' << row.runs << ',' << row.seed << ','
-       << row.primitive_count << ',' << row.tally.count(core::Outcome::Benign) << ','
-       << row.tally.count(core::Outcome::Detected) << ','
-       << row.tally.count(core::Outcome::Sdc) << ','
-       << row.tally.count(core::Outcome::Crash) << ',' << row.faults_not_fired << ','
-       << row.chunks_allocated << ',' << row.chunk_detaches << ','
-       << row.cow_bytes_copied << ',' << row.arena_slabs_allocated << ','
-       << row.arena_bytes_recycled << ',' << row.sectors_faulted << ','
-       << row.crc_detected << ',' << format_ms(row.execute_ms) << ','
-       << format_ms(row.analyze_ms) << ',' << row.analyze_skipped << ','
-       << (row.golden_cached ? 1 : 0) << ',' << (row.checkpointed ? 1 : 0) << ','
-       << (row.checkpoint_loaded ? 1 : 0) << ',' << csv_escape(row.worker_id) << ','
-       << csv_escape(row.error) << '\n';
+  const char* sep = "";
+  visit_columns(row, [&](const char*, const auto& value, bool) {
+    out_ << sep << field_text(value, kCsv);
+    sep = ",";
+  });
+  out_ << '\n';
 }
 
 void CsvSink::end(const ExperimentReport& report) {
@@ -339,28 +359,12 @@ void CsvSink::end(const ExperimentReport& report) {
 
 void JsonlSink::cell(const CellResult& result) {
   const SinkRow row = to_sink_row(result);
-  out_ << "{\"index\":" << row.index << ",\"label\":\"" << json_escape(row.label)
-       << "\",\"application\":\"" << json_escape(row.application) << "\",\"fault\":\""
-       << json_escape(row.fault) << "\",\"stage\":" << row.stage << ",\"runs\":"
-       << row.runs << ",\"seed\":" << row.seed << ",\"primitive_count\":"
-       << row.primitive_count << ",\"benign\":" << row.tally.count(core::Outcome::Benign)
-       << ",\"detected\":" << row.tally.count(core::Outcome::Detected) << ",\"sdc\":"
-       << row.tally.count(core::Outcome::Sdc) << ",\"crash\":"
-       << row.tally.count(core::Outcome::Crash) << ",\"faults_not_fired\":"
-       << row.faults_not_fired << ",\"chunks_allocated\":" << row.chunks_allocated
-       << ",\"chunk_detaches\":" << row.chunk_detaches << ",\"cow_bytes_copied\":"
-       << row.cow_bytes_copied << ",\"arena_slabs_allocated\":" << row.arena_slabs_allocated
-       << ",\"arena_bytes_recycled\":" << row.arena_bytes_recycled
-       << ",\"sectors_faulted\":" << row.sectors_faulted
-       << ",\"crc_detected\":" << row.crc_detected
-       << ",\"execute_ms\":" << format_ms(row.execute_ms)
-       << ",\"analyze_ms\":" << format_ms(row.analyze_ms)
-       << ",\"analyze_skipped\":" << row.analyze_skipped << ",\"golden_cached\":"
-       << (row.golden_cached ? "true" : "false") << ",\"checkpointed\":"
-       << (row.checkpointed ? "true" : "false") << ",\"checkpoint_loaded\":"
-       << (row.checkpoint_loaded ? "true" : "false") << ",\"worker_id\":\""
-       << json_escape(row.worker_id) << "\",\"error\":\""
-       << json_escape(row.error) << "\"}\n";
+  char sep = '{';
+  visit_columns(row, [&](const char* name, const auto& value, bool) {
+    out_ << sep << '"' << name << "\":" << field_text(value, kJsonl);
+    sep = ',';
+  });
+  out_ << "}\n";
 }
 
 void JsonlSink::end(const ExperimentReport& report) {
@@ -386,75 +390,9 @@ void MultiSink::end(const ExperimentReport& report) {
 
 namespace {
 
-SinkRow row_from_fields(const std::vector<std::string>& f, CsvGeneration gen) {
-  // 28 fields is the current layout; 26 the arena era (no media-layer
-  // columns); 24 the distributed era (no arena columns either); 23 the
-  // persistent-checkpoint era (no worker_id column); 22 the
-  // diff-classification era (no checkpoint_loaded column); 19 the
-  // extent-store era (no phase timers); 16 the pre-extent-store era (no
-  // storage-traffic columns) — absent columns default to 0/empty.  The
-  // document's header decides which applies: a row whose count disagrees
-  // with its own header is truncation/corruption, never another layout.
-  const std::size_t expected = gen == CsvGeneration::Legacy16   ? 16
-                               : gen == CsvGeneration::Extent19 ? 19
-                               : gen == CsvGeneration::Timed22  ? 22
-                               : gen == CsvGeneration::Persist23 ? 23
-                               : gen == CsvGeneration::Dist24   ? 24
-                               : gen == CsvGeneration::Arena26  ? 26
-                                                                 : 28;
-  if (f.size() != expected) {
-    throw std::invalid_argument("CSV record has " + std::to_string(f.size()) +
-                                " fields, expected " + std::to_string(expected));
-  }
-  SinkRow row;
-  row.index = static_cast<std::size_t>(parse_u64(f[0], "index"));
-  row.label = f[1];
-  row.application = f[2];
-  row.fault = f[3];
-  row.stage = parse_i32(f[4], "stage");
-  row.runs = parse_u64(f[5], "runs");
-  row.seed = parse_u64(f[6], "seed");
-  row.primitive_count = parse_u64(f[7], "primitive_count");
-  row.tally.add(core::Outcome::Benign, parse_u64(f[8], "benign"));
-  row.tally.add(core::Outcome::Detected, parse_u64(f[9], "detected"));
-  row.tally.add(core::Outcome::Sdc, parse_u64(f[10], "sdc"));
-  row.tally.add(core::Outcome::Crash, parse_u64(f[11], "crash"));
-  row.faults_not_fired = parse_u64(f[12], "faults_not_fired");
-  std::size_t i = 13;
-  if (gen != CsvGeneration::Legacy16) {
-    row.chunks_allocated = parse_u64(f[i++], "chunks_allocated");
-    row.chunk_detaches = parse_u64(f[i++], "chunk_detaches");
-    row.cow_bytes_copied = parse_u64(f[i++], "cow_bytes_copied");
-  }
-  if (gen == CsvGeneration::Arena26 || gen == CsvGeneration::Media28) {
-    row.arena_slabs_allocated = parse_u64(f[i++], "arena_slabs_allocated");
-    row.arena_bytes_recycled = parse_u64(f[i++], "arena_bytes_recycled");
-  }
-  if (gen == CsvGeneration::Media28) {
-    row.sectors_faulted = parse_u64(f[i++], "sectors_faulted");
-    row.crc_detected = parse_u64(f[i++], "crc_detected");
-  }
-  if (gen != CsvGeneration::Legacy16 && gen != CsvGeneration::Extent19) {
-    row.execute_ms = parse_ms(f[i++], "execute_ms");
-    row.analyze_ms = parse_ms(f[i++], "analyze_ms");
-    row.analyze_skipped = parse_u64(f[i++], "analyze_skipped");
-  }
-  row.golden_cached = parse_u64(f[i++], "golden_cached") != 0;
-  row.checkpointed = parse_u64(f[i++], "checkpointed") != 0;
-  if (gen != CsvGeneration::Legacy16 && gen != CsvGeneration::Extent19 &&
-      gen != CsvGeneration::Timed22) {
-    row.checkpoint_loaded = parse_u64(f[i++], "checkpoint_loaded") != 0;
-  }
-  if (gen == CsvGeneration::Dist24 || gen == CsvGeneration::Arena26 ||
-      gen == CsvGeneration::Media28) {
-    row.worker_id = f[i++];
-  }
-  row.error = f[i];
-  return row;
-}
-
-/// Minimal parser for the flat JSON objects JsonlSink emits: string, integer
-/// and boolean values only, no nesting.
+/// Minimal parser for the flat JSON objects JsonlSink emits: string, number
+/// and boolean values only, no nesting.  Values are kept as text and checked
+/// when row_from reads them by key.
 class FlatJsonObject {
  public:
   explicit FlatJsonObject(const std::string& line) {
@@ -465,11 +403,11 @@ class FlatJsonObject {
     if (i < line.size() && line[i] == '}') return;
     for (;;) {
       skip_ws(line, i);
-      const std::string key = parse_string(line, i);
+      const std::string key = parse_string(line, i, "");
       skip_ws(line, i);
       expect(line, i, ':');
       skip_ws(line, i);
-      values_[key] = parse_value(line, i);
+      values_[key] = parse_value(line, i, key);
       skip_ws(line, i);
       if (i >= line.size()) throw std::invalid_argument("unterminated JSON object");
       if (line[i] == ',') {
@@ -481,37 +419,9 @@ class FlatJsonObject {
     }
   }
 
-  [[nodiscard]] const std::string& str(const std::string& key) const { return at(key); }
-  /// Missing key tolerated (legacy records predating the column): "".
-  [[nodiscard]] std::string str_or_empty(const std::string& key) const {
-    return values_.contains(key) ? at(key) : std::string();
-  }
-  [[nodiscard]] std::uint64_t u64(const std::string& key) const {
-    return parse_u64(at(key), key.c_str());
-  }
-  /// Missing key tolerated (legacy records predating the column): 0.
-  [[nodiscard]] std::uint64_t u64_or_zero(const std::string& key) const {
-    return values_.contains(key) ? u64(key) : 0;
-  }
-  [[nodiscard]] double ms_or_zero(const std::string& key) const {
-    return values_.contains(key) ? parse_ms(at(key), key.c_str()) : 0.0;
-  }
-  [[nodiscard]] int i32(const std::string& key) const {
-    return parse_i32(at(key), key.c_str());
-  }
-  [[nodiscard]] bool boolean(const std::string& key) const { return at(key) == "true"; }
-  /// Missing key tolerated (legacy records predating the column): false.
-  [[nodiscard]] bool boolean_or_false(const std::string& key) const {
-    return values_.contains(key) && at(key) == "true";
-  }
+  [[nodiscard]] const Record& record() const { return values_; }
 
  private:
-  [[nodiscard]] const std::string& at(const std::string& key) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) throw std::invalid_argument("JSONL record missing key: " + key);
-    return it->second;
-  }
-
   static void skip_ws(const std::string& s, std::size_t& i) {
     while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
   }
@@ -521,7 +431,10 @@ class FlatJsonObject {
     }
     ++i;
   }
-  static std::string parse_string(const std::string& s, std::size_t& i) {
+  /// `key` names the value being parsed (empty while parsing a key itself),
+  /// for error messages.
+  static std::string parse_string(const std::string& s, std::size_t& i,
+                                  const std::string& key) {
     expect(s, i, '"');
     std::string out;
     while (i < s.size() && s[i] != '"') {
@@ -533,8 +446,14 @@ class FlatJsonObject {
           case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
           case 'u': {
-            if (i + 4 >= s.size()) throw std::invalid_argument("bad \\u escape");
-            out += static_cast<char>(std::stoi(s.substr(i + 1, 4), nullptr, 16));
+            unsigned code = 0;
+            const char* hex = s.data() + i + 1;
+            if (s.size() - i <= 4 || std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+              throw std::invalid_argument(key.empty()
+                                              ? std::string("bad \\u escape in a JSONL key")
+                                              : "bad \\u escape in JSONL key '" + key + "'");
+            }
+            out += static_cast<char>(code);
             i += 4;
             break;
           }
@@ -548,20 +467,17 @@ class FlatJsonObject {
     expect(s, i, '"');
     return out;
   }
-  static std::string parse_value(const std::string& s, std::size_t& i) {
-    if (i < s.size() && s[i] == '"') return parse_string(s, i);
+  static std::string parse_value(const std::string& s, std::size_t& i,
+                                 const std::string& key) {
+    if (i < s.size() && s[i] == '"') return parse_string(s, i, key);
     std::string out;
     while (i < s.size() && s[i] != ',' && s[i] != '}') out += s[i++];
     while (!out.empty() && (out.back() == ' ' || out.back() == '\t')) out.pop_back();
     return out;
   }
 
-  std::map<std::string, std::string> values_;
+  Record values_;
 };
-
-}  // namespace
-
-namespace {
 
 /// True when `record` ends inside an open RFC-4180 quote — i.e. the logical
 /// record continues on the next physical line (quoted fields may contain
@@ -585,8 +501,7 @@ std::vector<SinkRow> read_csv_results(std::istream& in) {
   std::vector<SinkRow> rows;
   std::string line;
   std::string record;
-  bool saw_header = false;
-  CsvGeneration gen = CsvGeneration::Media28;
+  std::vector<std::string> header;
   while (std::getline(in, line)) {
     if (record.empty()) {
       if (line.empty() || line == "\r") continue;
@@ -599,34 +514,39 @@ std::vector<SinkRow> read_csv_results(std::istream& in) {
     // CRLF tolerance: strip the line ending only at a record boundary, so a
     // quoted field containing "\r\n" keeps its carriage return.
     if (record.back() == '\r') record.pop_back();
-    if (!saw_header) {
-      if (record == kCsvHeader) {
-        gen = CsvGeneration::Media28;
-      } else if (record == kArenaCsvHeader) {
-        gen = CsvGeneration::Arena26;
-      } else if (record == kDistCsvHeader) {
-        gen = CsvGeneration::Dist24;
-      } else if (record == kPersistCsvHeader) {
-        gen = CsvGeneration::Persist23;
-      } else if (record == kTimedCsvHeader) {
-        gen = CsvGeneration::Timed22;
-      } else if (record == kExtentCsvHeader) {
-        gen = CsvGeneration::Extent19;
-      } else if (record == kLegacyCsvHeader) {
-        gen = CsvGeneration::Legacy16;
-      } else {
-        throw std::invalid_argument("CSV document does not start with the CsvSink header");
+    if (header.empty()) {
+      // The header names the columns, in any order and from any sink
+      // generation; columns it lacks read as 0 (see visit_columns).
+      header = split_csv_record(record);
+      const auto& known = column_names();
+      Record zeros;
+      for (const std::string& name : header) {
+        if (std::find(known.begin(), known.end(), name) == known.end()) {
+          throw std::invalid_argument("CSV header has an unknown column '" + name + "'");
+        }
+        if (!zeros.emplace(name, "0").second) {
+          throw std::invalid_argument("CSV header repeats the column '" + name + "'");
+        }
       }
-      saw_header = true;
+      (void)row_from(zeros, kCsv);  // a header lacking a required column throws here
     } else {
-      rows.push_back(row_from_fields(split_csv_record(record), gen));
+      const std::vector<std::string> fields = split_csv_record(record);
+      // A record whose field count disagrees with its own header is
+      // truncation or corruption, never another layout.
+      if (fields.size() != header.size()) {
+        throw std::invalid_argument("CSV record has " + std::to_string(fields.size()) +
+                                    " fields, expected " + std::to_string(header.size()));
+      }
+      Record columns;
+      for (std::size_t i = 0; i < fields.size(); ++i) columns.emplace(header[i], fields[i]);
+      rows.push_back(row_from(columns, kCsv));
     }
     record.clear();
   }
   if (!record.empty()) {
     throw std::invalid_argument("CSV document ends inside a quoted field");
   }
-  if (!saw_header) throw std::invalid_argument("empty CSV document");
+  if (header.empty()) throw std::invalid_argument("empty CSV document");
   return rows;
 }
 
@@ -636,37 +556,7 @@ std::vector<SinkRow> read_jsonl_results(std::istream& in) {
   while (std::getline(in, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    const FlatJsonObject obj(line);
-    SinkRow row;
-    row.index = static_cast<std::size_t>(obj.u64("index"));
-    row.label = obj.str("label");
-    row.application = obj.str("application");
-    row.fault = obj.str("fault");
-    row.stage = obj.i32("stage");
-    row.runs = obj.u64("runs");
-    row.seed = obj.u64("seed");
-    row.primitive_count = obj.u64("primitive_count");
-    row.tally.add(core::Outcome::Benign, obj.u64("benign"));
-    row.tally.add(core::Outcome::Detected, obj.u64("detected"));
-    row.tally.add(core::Outcome::Sdc, obj.u64("sdc"));
-    row.tally.add(core::Outcome::Crash, obj.u64("crash"));
-    row.faults_not_fired = obj.u64("faults_not_fired");
-    row.chunks_allocated = obj.u64_or_zero("chunks_allocated");
-    row.chunk_detaches = obj.u64_or_zero("chunk_detaches");
-    row.cow_bytes_copied = obj.u64_or_zero("cow_bytes_copied");
-    row.arena_slabs_allocated = obj.u64_or_zero("arena_slabs_allocated");
-    row.arena_bytes_recycled = obj.u64_or_zero("arena_bytes_recycled");
-    row.sectors_faulted = obj.u64_or_zero("sectors_faulted");
-    row.crc_detected = obj.u64_or_zero("crc_detected");
-    row.execute_ms = obj.ms_or_zero("execute_ms");
-    row.analyze_ms = obj.ms_or_zero("analyze_ms");
-    row.analyze_skipped = obj.u64_or_zero("analyze_skipped");
-    row.golden_cached = obj.boolean("golden_cached");
-    row.checkpointed = obj.boolean("checkpointed");
-    row.checkpoint_loaded = obj.boolean_or_false("checkpoint_loaded");
-    row.worker_id = obj.str_or_empty("worker_id");
-    row.error = obj.str("error");
-    rows.push_back(std::move(row));
+    rows.push_back(row_from(FlatJsonObject(line).record(), kJsonl));
   }
   return rows;
 }

@@ -98,8 +98,9 @@ class MultiSink final : public ResultSink {
 };
 
 /// What the file sinks persist about one cell (the parts of CellResult that
-/// survive serialization).
-struct SinkRow {
+/// survive serialization): its identity and tally, every run counter, and
+/// the preparation facts.
+struct SinkRow : RunCounters {
   std::size_t index = 0;
   std::string label;
   std::string application;
@@ -110,16 +111,6 @@ struct SinkRow {
   std::uint64_t primitive_count = 0;
   core::OutcomeTally tally;
   std::uint64_t faults_not_fired = 0;
-  std::uint64_t chunks_allocated = 0;  ///< extents created, summed over runs
-  std::uint64_t chunk_detaches = 0;    ///< COW detaches, summed over runs
-  std::uint64_t cow_bytes_copied = 0;  ///< bytes copied by COW, summed over runs
-  std::uint64_t arena_slabs_allocated = 0;  ///< fresh arena slabs, summed over runs
-  std::uint64_t arena_bytes_recycled = 0;   ///< bytes from rewound slabs, summed
-  std::uint64_t sectors_faulted = 0;  ///< sectors corrupted by the block device
-  std::uint64_t crc_detected = 0;     ///< scrub rejections (CRC/LSE), summed
-  double execute_ms = 0.0;             ///< workload thread-time, summed over runs
-  double analyze_ms = 0.0;             ///< classification thread-time, summed
-  std::uint64_t analyze_skipped = 0;   ///< runs Benign straight from the extent diff
   bool golden_cached = false;
   bool checkpointed = false;
   /// Checkpoint served from the persistent store: this cell ran no
@@ -133,11 +124,16 @@ struct SinkRow {
 
 [[nodiscard]] SinkRow to_sink_row(const CellResult& result);
 
-/// Parses a document produced by CsvSink (header required).  Throws
-/// std::invalid_argument on malformed input.
+/// Parses a document produced by CsvSink.  The header maps columns by name,
+/// so any column order and any sink generation reads; a column the header
+/// lacks reads as 0/false/empty, except index..crash and error, which are
+/// required.  Throws std::invalid_argument on malformed input: an unknown or
+/// repeated column, a missing required one, or a record whose field count
+/// differs from the header's.
 [[nodiscard]] std::vector<SinkRow> read_csv_results(std::istream& in);
 
-/// Parses a document produced by JsonlSink (one object per line).
+/// Parses a document produced by JsonlSink (one object per line), with the
+/// same missing-column rules as read_csv_results; unknown keys are ignored.
 [[nodiscard]] std::vector<SinkRow> read_jsonl_results(std::istream& in);
 
 }  // namespace ffis::exp

@@ -69,26 +69,12 @@
 
 #include "ffis/util/bytes.hpp"
 #include "ffis/vfs/fs_diff.hpp"
+#include "ffis/vfs/run_counters.hpp"
 
 namespace ffis::vfs {
 
 class ExtentArena;
 class SnapshotCodec;
-
-/// Cumulative storage-layer counters.  MemFs owns one per instance (forks
-/// start from zero) and threads it through every mutating ExtentStore call;
-/// MemFs::stats() exposes it for tests, benches and the experiment engine.
-struct FsStats {
-  std::uint64_t chunks_allocated = 0;   ///< fresh extents created by writes
-  std::uint64_t chunk_detaches = 0;     ///< shared extents privatized (COW)
-  std::uint64_t cow_bytes_copied = 0;   ///< bytes memcpy'd by those detaches
-  std::uint64_t pread_calls = 0;        ///< MemFs::pread invocations
-  std::uint64_t bytes_read = 0;         ///< bytes returned by those preads
-  std::uint64_t arena_slabs_allocated = 0;  ///< fresh ExtentArena slabs malloc'd
-  std::uint64_t arena_bytes_recycled = 0;   ///< bytes served from recycled slabs
-  std::uint64_t sectors_faulted = 0;  ///< sectors corrupted by vfs::BlockDevice
-  std::uint64_t crc_detected = 0;     ///< scrub-on-read CRC/LSE rejections
-};
 
 class ExtentStore {
  public:

@@ -318,7 +318,7 @@ TEST(EngineCheckpoint, DiffClassificationOffSkipsGoldenTreeContinuations) {
   options.use_diff_classification = false;
   const auto report = exp::Engine(options).run(builder.build());
   for (const auto& cell : report.cells) ASSERT_TRUE(cell.error.empty()) << cell.error;
-  EXPECT_EQ(report.analyses_skipped, 0u);
+  EXPECT_EQ(report.analyze_skipped, 0u);
   // Resumes: 3 folded profiling passes + 3 x 6 injections, no extras.
   EXPECT_EQ(app.resume_runs(), 3u + 18u);
 }
@@ -493,7 +493,7 @@ TEST(DiffClassification, BenignRunPerformsZeroAnalysisPhaseReads) {
   // no analysis and not a single read (the workload only writes).
   EXPECT_EQ(with_diff.cells[0].tally.count(Outcome::Benign), kRuns);
   EXPECT_EQ(with_diff.cells[0].analyze_skipped, kRuns);
-  EXPECT_EQ(with_diff.analyses_skipped, kRuns);
+  EXPECT_EQ(with_diff.analyze_skipped, kRuns);
   ASSERT_EQ(with_diff.cells[0].details.size(), kRuns);
   for (const auto& run : with_diff.cells[0].details) {
     EXPECT_TRUE(run.fault_fired);
@@ -530,7 +530,7 @@ TEST(DiffClassification, TalliesBitIdenticalOnVsOffAcrossThreadCounts) {
     builder.cell(qmc_app, "SHORN_WRITE@pwrite", 2);
     builder.cell(nyx_app, "BF", 1);
     builder.cell(toy_app, "DW", 2);
-    builder.cell(scratch_app, "BF", 2);  // guarantees analyses_skipped > 0
+    builder.cell(scratch_app, "BF", 2);  // guarantees analyze_skipped > 0
     builder.cell(montage_app, "BF", -1);
     builder.cell(qmc_app, "BF", -1);
     builder.cell(nyx_app, "DW", -1);
@@ -565,7 +565,7 @@ TEST(DiffClassification, TalliesBitIdenticalOnVsOffAcrossThreadCounts) {
     }
     // The fast path genuinely fired (at minimum the scratch-stage cell skips
     // all of its analyses), without perturbing a single outcome above.
-    EXPECT_GE(report.analyses_skipped, kRuns);
+    EXPECT_GE(report.analyze_skipped, kRuns);
   }
 }
 

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ffis/core/application.hpp"
@@ -36,6 +37,7 @@
 #include "ffis/util/serialize.hpp"
 #include "ffis/vfs/file_system.hpp"
 #include "ffis/vfs/mem_fs.hpp"
+#include "counter_testing.hpp"
 
 namespace {
 
@@ -213,14 +215,25 @@ DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_worke
   return out;
 }
 
+/// Counter values that legitimately differ between two executions of one
+/// plan are dropped: the wall-time timers, and arena traffic (per-thread
+/// arenas warm up differently).  Every other table counter is compared.
+std::vector<std::pair<std::string, double>> deterministic_counters(
+    const exp::RunCounters& counters) {
+  auto values = test_support::counter_values(counters);
+  std::erase_if(values, [](const auto& entry) {
+    return entry.first == "execute_ms" || entry.first == "analyze_ms" ||
+           entry.first.rfind("arena_", 0) == 0;
+  });
+  return values;
+}
+
 /// Tally-level bit-identity between a distributed report and a local engine
-/// report of the same plan.  Timers are excluded (wall time is not
-/// deterministic); every deterministic field must match exactly.
+/// report of the same plan: every deterministic field must match exactly.
 void expect_reports_identical(const exp::ExperimentReport& dist_report,
                               const exp::ExperimentReport& engine_report) {
   ASSERT_EQ(dist_report.cells.size(), engine_report.cells.size());
   EXPECT_EQ(dist_report.total_runs, engine_report.total_runs);
-  EXPECT_EQ(dist_report.analyses_skipped, engine_report.analyses_skipped);
   for (std::size_t i = 0; i < dist_report.cells.size(); ++i) {
     const auto& d = dist_report.cells[i];
     const auto& e = engine_report.cells[i];
@@ -233,18 +246,10 @@ void expect_reports_identical(const exp::ExperimentReport& dist_report,
     EXPECT_EQ(d.runs_completed, e.runs_completed);
     EXPECT_EQ(d.primitive_count, e.primitive_count);
     EXPECT_EQ(d.faults_not_fired, e.faults_not_fired);
-    EXPECT_EQ(d.analyze_skipped, e.analyze_skipped);
-    EXPECT_EQ(d.chunks_allocated, e.chunks_allocated);
-    EXPECT_EQ(d.chunk_detaches, e.chunk_detaches);
-    EXPECT_EQ(d.cow_bytes_copied, e.cow_bytes_copied);
-    EXPECT_EQ(d.sectors_faulted, e.sectors_faulted);
-    EXPECT_EQ(d.crc_detected, e.crc_detected);
-    EXPECT_EQ(d.detected_crc, e.detected_crc);
+    EXPECT_EQ(deterministic_counters(d), deterministic_counters(e));
     EXPECT_EQ(d.error, e.error);
   }
-  EXPECT_EQ(dist_report.sectors_faulted, engine_report.sectors_faulted);
-  EXPECT_EQ(dist_report.crc_detected, engine_report.crc_detected);
-  EXPECT_EQ(dist_report.detected_crc, engine_report.detected_crc);
+  EXPECT_EQ(deterministic_counters(dist_report), deterministic_counters(engine_report));
 }
 
 // --- shard_plan --------------------------------------------------------------
@@ -443,6 +448,20 @@ TEST(Handshake, VersionSkewIsRejected) {
     EXPECT_NE(reject.reason.find("version"), std::string::npos);
   }
   {
+    // A worker one protocol generation back gets the same named reject.
+    auto socket = net::Socket::connect("127.0.0.1", port);
+    dist::Hello hello;
+    hello.version = 4;
+    hello.worker_name = "last-release";
+    net::send_frame(socket, dist::encode(hello));
+    const auto reply = net::recv_frame(socket);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(dist::peek_type(*reply), dist::MsgType::HelloReject);
+    const auto reject = dist::decode_hello_reject(*reply);
+    EXPECT_NE(reject.reason.find("protocol version mismatch"), std::string::npos);
+    EXPECT_NE(reject.reason.find("worker speaks v4"), std::string::npos);
+  }
+  {
     auto socket = net::Socket::connect("127.0.0.1", port);
     dist::Hello hello;
     hello.magic = 0x1badf00d;
@@ -533,10 +552,10 @@ TEST(DistE2E, TwoWorkersMatchEngineTalliesBitForBit) {
 }
 
 TEST(DistE2E, MediaFaultCellsTallyBitIdenticallyAcrossTheFleet) {
-  // A grid mixing syscall-level and media-level cells: the v4 RunRow media
-  // trailer must carry sectors_faulted / crc_detected so the coordinator
-  // rebuilds the Detected-split counters bit-identically to a local engine
-  // run — including detected_crc, which it recomputes per row.
+  // A grid mixing syscall-level and media-level cells: RunRow's counter list
+  // must carry sectors_faulted / crc_detected so the coordinator rebuilds
+  // the Detected-split counters bit-identically to a local engine run —
+  // including detected_crc, which its fold recomputes per row.
   ToyApp a;
   const auto plan = exp::PlanBuilder()
                         .runs(24)
@@ -933,14 +952,99 @@ TEST(Journal, BumpedFormatVersionStartsOverCleanly) {
     // format must read as "not my header", not as garbled records.
     std::fstream f(journal, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.is_open());
-    const char two = 2;
+    const char future = 3;
     f.seekp(8);
-    f.write(&two, 1);
+    f.write(&future, 1);
   }
 
   const auto resumed = resume_with_journal(plan, journal);
   expect_reports_identical(resumed.report, expected);
   EXPECT_EQ(resumed.report.units_replayed_from_journal, 0u);
+}
+
+TEST(Journal, FormatOneJournalStartsOverCleanly) {
+  // A journal written by a build before the counted-list RunRow: its header
+  // is intact and checksummed, but names format 1, so none of its records
+  // (v4 rows) may replay.
+  ToyApp a;
+  const auto plan = make_journal_plan(a);
+  const auto expected = exp::Engine().run(plan);
+  StoreDir dir("journal-format1");
+  stdfs::create_directories(dir.path());
+  const std::string journal = dir.path() + "/campaign.jrnl";
+  (void)run_partial_with_journal(plan, journal, 3);
+  {
+    util::Bytes header;
+    util::ByteWriter w(header);
+    w.raw(util::to_bytes(std::string_view("FFISJRNL")));
+    w.u32(1);
+    w.u64(dist::plan_fingerprint(plan));
+    w.u64(4);  // unit_runs
+    w.u64(util::fnv1a64(header));
+    std::fstream f(journal, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.is_open());
+    f.write(reinterpret_cast<const char*>(header.data()),
+            static_cast<std::streamsize>(header.size()));
+  }
+  const auto resumed = resume_with_journal(plan, journal);
+  expect_reports_identical(resumed.report, expected);
+  EXPECT_EQ(resumed.report.units_replayed_from_journal, 0u);
+}
+
+TEST(Journal, ReplaysEveryTableCounterOfAJournaledRow) {
+  StoreDir dir("journal-counters");
+  stdfs::create_directories(dir.path());
+  const std::string path = dir.path() + "/j.jrnl";
+  dist::RunRow row;
+  row.cell_index = 1;
+  row.run_index = 3;
+  row.outcome = Outcome::Detected;
+  test_support::set_distinct_counters(row.fs_stats);
+  {
+    dist::CampaignJournal j(path, /*plan_fingerprint=*/0x5eed, /*unit_runs=*/4);
+    j.append_unit(0, {{7u, row}});
+  }
+  dist::CampaignJournal j(path, 0x5eed, 4);
+  ASSERT_EQ(j.replayed().units.size(), 1u);
+  ASSERT_EQ(j.replayed().units[0].rows.size(), 1u);
+  const auto& [worker_id, replayed] = j.replayed().units[0].rows[0];
+  EXPECT_EQ(worker_id, 7u);
+  EXPECT_EQ(replayed.outcome, Outcome::Detected);
+  std::vector<std::uint64_t> want, got;
+  row.fs_stats.for_each([&](const char*, std::uint64_t v) { want.push_back(v); });
+  replayed.fs_stats.for_each([&](const char*, std::uint64_t v) { got.push_back(v); });
+  EXPECT_EQ(got, want);
+}
+
+TEST(RunCounterTable, CoordinatorFoldOverTheWireMatchesTheEngineFold) {
+  // The engine folds RunResults directly; the coordinator folds what
+  // survives to_run_row -> encode -> decode -> to_run_result.  With every
+  // counter distinct per run, both cells must agree entry for entry.
+  exp::CellResult engine_cell, coordinator_cell;
+  for (std::uint64_t r = 0; r < 4; ++r) {
+    core::RunResult run;
+    run.outcome = static_cast<Outcome>(r % core::kOutcomeCount);
+    run.fault_fired = r != 0;
+    run.analyze_skipped = r % 2 == 0;
+    run.execute_ms = 1.5 * static_cast<double>(r + 1);
+    run.analyze_ms = 0.25 * static_cast<double>(r);
+    test_support::set_distinct_counters(run.fs_stats, /*base=*/100 * r);
+    engine_cell.add_run(run);
+    coordinator_cell.add_run(
+        dist::to_run_result(dist::decode_run_row(dist::encode(dist::to_run_row(run)))));
+  }
+  EXPECT_EQ(coordinator_cell.runs_completed, engine_cell.runs_completed);
+  EXPECT_EQ(coordinator_cell.faults_not_fired, engine_cell.faults_not_fired);
+  for (std::size_t o = 0; o < core::kOutcomeCount; ++o) {
+    EXPECT_EQ(coordinator_cell.tally.count(static_cast<Outcome>(o)),
+              engine_cell.tally.count(static_cast<Outcome>(o)));
+  }
+  EXPECT_EQ(test_support::counter_values(coordinator_cell),
+            test_support::counter_values(engine_cell));
+  // Every run's crc_detected is non-zero (its base + table position), and
+  // runs 0 and 2 skipped analysis.
+  EXPECT_EQ(engine_cell.detected_crc, 4u);
+  EXPECT_EQ(engine_cell.analyze_skipped, 2u);
 }
 
 TEST(Journal, GarbageFileStartsOverCleanly) {

@@ -19,6 +19,7 @@
 #include "ffis/faults/fault_generator.hpp"
 #include "ffis/util/rng.hpp"
 #include "ffis/vfs/mem_fs.hpp"
+#include "counter_testing.hpp"
 
 namespace {
 
@@ -674,7 +675,7 @@ TEST(Sinks, ReadersAcceptLegacyFilesWithoutStorageColumns) {
   EXPECT_EQ(jsonl_rows[0].chunk_detaches, 0u);
 
   // The layout is decided by the document's header: a 16-field row under the
-  // current 22-column header is truncation, not a legacy record.
+  // current header is truncation, not a legacy record.
   const std::string truncated_csv =
       std::string(exp::CsvSink::header()) + "\n" +
       "0,OLD-BF,nyx,BF,-1,10,42,7,8,1,1,0,2,1,0,\n";
@@ -701,7 +702,7 @@ TEST(Sinks, ReadersAcceptExtentEraFilesWithoutTimerColumns) {
   EXPECT_EQ(csv_rows[0].analyze_ms, 0.0);
   EXPECT_EQ(csv_rows[0].analyze_skipped, 0u);
 
-  // A 19-field row under the 22-column header is truncation, not extent-era.
+  // A 19-field row under the current header is truncation, not extent-era.
   const std::string truncated_csv =
       std::string(exp::CsvSink::header()) + "\n" +
       "0,PR3-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,1,1,\n";
@@ -740,7 +741,7 @@ TEST(Sinks, ReadersAcceptTimedEraFilesWithoutCheckpointLoadedColumn) {
   EXPECT_TRUE(csv_rows[0].checkpointed);
   EXPECT_FALSE(csv_rows[0].checkpoint_loaded);
 
-  // A 22-field row under the current 23-column header is truncation.
+  // A 22-field row under the current header is truncation.
   const std::string truncated_csv =
       std::string(exp::CsvSink::header()) + "\n" +
       "0,PR4-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,12.5000,3.2500,6,1,1,\n";
@@ -810,8 +811,8 @@ TEST(Sinks, ReadersAcceptPersistDistAndArenaEraFiles) {
   EXPECT_EQ(arena_rows[0].sectors_faulted, 0u);
   EXPECT_EQ(arena_rows[0].crc_detected, 0u);
 
-  // An arena-era (26-field) row under the current 28-column header is
-  // truncation, not a legacy record.
+  // An arena-era (26-field) row under the current header is truncation, not
+  // a legacy record.
   const std::string truncated_csv =
       std::string(exp::CsvSink::header()) + "\n" +
       "0,PR8-BF,nyx,BF,2,10,42,7,8,1,1,0,2,33,4,4096,5,65536,12.5000,3.2500,6,"
@@ -820,45 +821,148 @@ TEST(Sinks, ReadersAcceptPersistDistAndArenaEraFiles) {
   EXPECT_THROW((void)exp::read_csv_results(truncated_in), std::invalid_argument);
 }
 
-TEST(Sinks, MediaColumnsSurviveCsvAndJsonlRoundTrip) {
+TEST(RunCounterTable, EveryCounterSurvivesCsvAndJsonl) {
   ToyApp app;
   auto builder = exp::PlanBuilder().runs(1);
-  builder.cell(app, "BF", -1, "MEDIA-BR");
+  builder.cell(app, "BF", -1, "TABLE");
   const auto plan = builder.build();
   auto report = exp::Engine().run(plan);
   ASSERT_EQ(report.cells.size(), 1u);
-  // Pin known media-counter values onto the executed cell; the sinks must
-  // carry them through both serializations untouched.
   exp::CellResult& result = report.cells[0];
-  result.sectors_faulted = 9;
-  result.crc_detected = 12;  // one run can reject several reads
-  result.detected_crc = 9;
+  test_support::set_distinct_counters(result);
 
   std::ostringstream csv_out;
-  {
-    exp::CsvSink sink(csv_out);
-    sink.begin(plan);
-    sink.cell(result);
-    sink.end(report);
-  }
+  exp::CsvSink csv(csv_out);
+  csv.begin(plan);
+  csv.cell(result);
+  csv.end(report);
   std::istringstream csv_in(csv_out.str());
   const auto csv_rows = exp::read_csv_results(csv_in);
   ASSERT_EQ(csv_rows.size(), 1u);
-  EXPECT_EQ(csv_rows[0].sectors_faulted, 9u);
-  EXPECT_EQ(csv_rows[0].crc_detected, 12u);
+  EXPECT_EQ(test_support::counter_values(csv_rows[0]), test_support::counter_values(result));
 
   std::ostringstream jsonl_out;
-  {
-    exp::JsonlSink sink(jsonl_out);
-    sink.begin(plan);
-    sink.cell(result);
-    sink.end(report);
-  }
+  exp::JsonlSink jsonl(jsonl_out);
+  jsonl.cell(result);
   std::istringstream jsonl_in(jsonl_out.str());
   const auto jsonl_rows = exp::read_jsonl_results(jsonl_in);
   ASSERT_EQ(jsonl_rows.size(), 1u);
-  EXPECT_EQ(jsonl_rows[0].sectors_faulted, 9u);
-  EXPECT_EQ(jsonl_rows[0].crc_detected, 12u);
+  EXPECT_EQ(test_support::counter_values(jsonl_rows[0]), test_support::counter_values(result));
+}
+
+TEST(Sinks, ScrubbedBitRotCellKeepsItsDetectedSplitOnDisk) {
+  // Every Detected of a scrubbed single-bit rot comes from the CRC scrub;
+  // the files must keep that split, not only the console trailer.
+  SectorApp app;
+  exp::PlanBuilder builder;
+  builder.runs(24).seed(77);
+  builder.cell(app, "BIT_ROT@pwrite{sector=512,scrub=on,width=1}");
+  std::ostringstream csv_out, jsonl_out;
+  exp::CsvSink csv(csv_out);
+  exp::JsonlSink jsonl(jsonl_out);
+  exp::MultiSink sinks;
+  sinks.add(csv).add(jsonl);
+  const auto report = exp::Engine().run(builder.build(), sinks);
+  ASSERT_EQ(report.cells.size(), 1u);
+  ASSERT_EQ(report.cells[0].detected_crc, 24u);
+
+  std::istringstream csv_in(csv_out.str()), jsonl_in(jsonl_out.str());
+  for (const auto& rows : {exp::read_csv_results(csv_in), exp::read_jsonl_results(jsonl_in)}) {
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].detected_crc, 24u);
+    EXPECT_EQ(rows[0].tally.count(Outcome::Detected), rows[0].detected_crc);
+  }
+}
+
+/// Message of the std::invalid_argument `parse` throws ("" if none).
+template <class F>
+std::string invalid_argument_message(F&& parse) {
+  try {
+    parse();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string csv_error(const std::string& doc) {
+  return invalid_argument_message([&] {
+    std::istringstream in(doc);
+    (void)exp::read_csv_results(in);
+  });
+}
+
+std::string jsonl_error(const std::string& doc) {
+  return invalid_argument_message([&] {
+    std::istringstream in(doc);
+    (void)exp::read_jsonl_results(in);
+  });
+}
+
+TEST(CsvReader, MapsPermutedColumnsByName) {
+  const std::string doc =
+      "detected_crc,error,crash,sdc,detected,benign,primitive_count,seed,runs,stage,"
+      "fault,application,label,index,checkpointed\n"
+      "2,boom,0,1,2,3,7,42,6,2,BF,nyx,PERMUTED,5,1\n";
+  std::istringstream in(doc);
+  const auto rows = exp::read_csv_results(in);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].index, 5u);
+  EXPECT_EQ(rows[0].label, "PERMUTED");
+  EXPECT_EQ(rows[0].application, "nyx");
+  EXPECT_EQ(rows[0].fault, "BF");
+  EXPECT_EQ(rows[0].stage, 2);
+  EXPECT_EQ(rows[0].runs, 6u);
+  EXPECT_EQ(rows[0].seed, 42u);
+  EXPECT_EQ(rows[0].primitive_count, 7u);
+  EXPECT_EQ(rows[0].tally.count(Outcome::Benign), 3u);
+  EXPECT_EQ(rows[0].tally.count(Outcome::Detected), 2u);
+  EXPECT_EQ(rows[0].tally.count(Outcome::Sdc), 1u);
+  EXPECT_EQ(rows[0].tally.count(Outcome::Crash), 0u);
+  EXPECT_EQ(rows[0].detected_crc, 2u);
+  EXPECT_TRUE(rows[0].checkpointed);
+  EXPECT_EQ(rows[0].error, "boom");
+  EXPECT_EQ(rows[0].sectors_faulted, 0u);  // absent counter reads as 0
+}
+
+TEST(CsvReader, RejectsUnknownRepeatedAndMissingColumns) {
+  const std::string header = exp::CsvSink::header();
+  EXPECT_NE(csv_error(header + ",bogus_counter\n").find("bogus_counter"), std::string::npos);
+  EXPECT_NE(csv_error(header + ",label\n").find("label"), std::string::npos);
+  // Drop an identity column (crash) and, separately, the error column.
+  const auto without = [&](const std::string& column) {
+    std::string h = header;
+    h.erase(h.find(column + ","), column.size() + 1);
+    return h;
+  };
+  EXPECT_NE(csv_error(without("crash") + "\n").find("crash"), std::string::npos);
+  const std::string no_error = header.substr(0, header.rfind(','));
+  EXPECT_NE(csv_error(no_error + "\n").find("error"), std::string::npos);
+  // A missing optional column is fine.
+  EXPECT_EQ(csv_error(without("worker_id") + "\n"), "");
+}
+
+TEST(CsvReader, RejectsRecordWhoseFieldCountDiffersFromItsHeader) {
+  const std::string doc =
+      "index,label,application,fault,stage,runs,seed,primitive_count,"
+      "benign,detected,sdc,crash,error\n"
+      "0,SHORT,nyx,BF,-1,10,42,7,8,1,1,0\n";
+  EXPECT_NE(csv_error(doc).find("fields"), std::string::npos);
+}
+
+TEST(JsonlReader, RejectsMalformedBooleansAndEscapesNamingTheKey) {
+  const std::string prefix =
+      "{\"index\":0,\"label\":\"L\",\"application\":\"nyx\",\"fault\":\"BF\","
+      "\"stage\":-1,\"runs\":1,\"seed\":1,\"primitive_count\":1,\"benign\":1,"
+      "\"detected\":0,\"sdc\":0,\"crash\":0,\"error\":\"\"";
+  EXPECT_EQ(jsonl_error(prefix + ",\"golden_cached\":true}\n"), "");
+  EXPECT_NE(jsonl_error(prefix + ",\"golden_cached\":1}\n").find("golden_cached"),
+            std::string::npos);
+  EXPECT_NE(jsonl_error(prefix + ",\"checkpointed\":tru}\n").find("checkpointed"),
+            std::string::npos);
+  EXPECT_NE(jsonl_error(prefix + ",\"worker_id\":\"\\u00zz\"}\n").find("worker_id"),
+            std::string::npos);
+  EXPECT_EQ(jsonl_error(prefix + ",\"worker_id\":\"\\u0041\"}\n"), "");
 }
 
 TEST(Sinks, MixedGenerationJsonlStreamsLoadTogether) {

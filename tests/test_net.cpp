@@ -10,10 +10,10 @@
 #include <array>
 #include <cstring>
 #include <functional>
-#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ffis/dist/protocol.hpp"
@@ -23,6 +23,8 @@
 #include "ffis/util/bytes.hpp"
 #include "ffis/util/rng.hpp"
 #include "ffis/util/serialize.hpp"
+#include "ffis/vfs/run_counters.hpp"
+#include "counter_testing.hpp"
 
 namespace {
 
@@ -236,7 +238,14 @@ TEST(Protocol, CellInfoRoundTrip) {
   EXPECT_EQ(decoded.error, m.error);
 }
 
-TEST(Protocol, RunRowRoundTrip) {
+/// (name, value) of every FsStats counter, in table order.
+std::vector<std::pair<std::string, std::uint64_t>> fs_values(const vfs::FsStats& stats) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  stats.for_each([&](const char* name, std::uint64_t v) { out.emplace_back(name, v); });
+  return out;
+}
+
+TEST(Protocol, RunRowRoundTripsEveryTableCounter) {
   dist::RunRow m;
   m.unit_id = 9;
   m.cell_index = 1;
@@ -244,15 +253,7 @@ TEST(Protocol, RunRowRoundTrip) {
   m.outcome = core::Outcome::Sdc;
   m.fault_fired = true;
   m.analyze_skipped = false;
-  m.fs_stats.chunks_allocated = 11;
-  m.fs_stats.chunk_detaches = 22;
-  m.fs_stats.cow_bytes_copied = 33;
-  m.fs_stats.pread_calls = 44;
-  m.fs_stats.bytes_read = 55;
-  m.fs_stats.arena_slabs_allocated = 2;
-  m.fs_stats.arena_bytes_recycled = 66;
-  m.fs_stats.sectors_faulted = 3;
-  m.fs_stats.crc_detected = 4;
+  test_support::set_distinct_counters(m.fs_stats);
   m.execute_ms = 1.25;
   m.analyze_ms = 0.5;
   const auto decoded = dist::decode_run_row(dist::encode(m));
@@ -262,55 +263,82 @@ TEST(Protocol, RunRowRoundTrip) {
   EXPECT_EQ(decoded.outcome, core::Outcome::Sdc);
   EXPECT_TRUE(decoded.fault_fired);
   EXPECT_FALSE(decoded.analyze_skipped);
-  EXPECT_EQ(decoded.fs_stats.chunks_allocated, 11u);
-  EXPECT_EQ(decoded.fs_stats.bytes_read, 55u);
-  EXPECT_EQ(decoded.fs_stats.arena_slabs_allocated, 2u);
-  EXPECT_EQ(decoded.fs_stats.arena_bytes_recycled, 66u);
-  EXPECT_EQ(decoded.fs_stats.sectors_faulted, 3u);
-  EXPECT_EQ(decoded.fs_stats.crc_detected, 4u);
+  EXPECT_EQ(fs_values(decoded.fs_stats), fs_values(m.fs_stats));
   // Phase timers must round-trip bit-exactly (IEEE-754 pattern on the wire).
   EXPECT_EQ(decoded.execute_ms, 1.25);
   EXPECT_EQ(decoded.analyze_ms, 0.5);
 }
 
-TEST(Protocol, V3RunRowWithoutMediaTrailerStillDecodes) {
-  // v3 campaign journals replay rows without the 16-byte media trailer; the
-  // decoder must read them with sectors_faulted / crc_detected defaulted
-  // to 0 (and the arena counters intact).
-  dist::RunRow m;
-  m.run_index = 5;
-  m.fs_stats.arena_slabs_allocated = 9;
-  m.fs_stats.sectors_faulted = 7;  // encoded, then truncated away
-  const auto encoded = dist::encode(m);
-  const util::ByteSpan v3(encoded.data(), encoded.size() - 16);
-  const auto decoded = dist::decode_run_row(v3);
-  EXPECT_EQ(decoded.run_index, 5u);
-  EXPECT_EQ(decoded.fs_stats.arena_slabs_allocated, 9u);
-  EXPECT_EQ(decoded.fs_stats.sectors_faulted, 0u);
-  EXPECT_EQ(decoded.fs_stats.crc_detected, 0u);
-  // A half-truncated trailer is corruption, not a legacy length.
-  const util::ByteSpan torn(encoded.data(), encoded.size() - 8);
-  EXPECT_THROW((void)dist::decode_run_row(torn), std::out_of_range);
+std::string hex(util::ByteSpan bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::byte b : bytes) {
+    out += kDigits[std::to_integer<unsigned>(b) >> 4];
+    out += kDigits[std::to_integer<unsigned>(b) & 0xf];
+  }
+  return out;
 }
 
-TEST(Protocol, V2RunRowWithoutArenaTrailerStillDecodes) {
-  // v2 rows predate both trailers: truncating 32 bytes leaves a valid row
-  // with every late counter defaulted to 0.
+TEST(Protocol, RunRowV5EncodingIsPinned) {
   dist::RunRow m;
-  m.run_index = 5;
-  m.fs_stats.arena_slabs_allocated = 9;  // encoded, then truncated away
-  m.fs_stats.crc_detected = 3;           // likewise
-  const auto encoded = dist::encode(m);
-  const util::ByteSpan v2(encoded.data(), encoded.size() - 32);
-  const auto decoded = dist::decode_run_row(v2);
-  EXPECT_EQ(decoded.run_index, 5u);
-  EXPECT_EQ(decoded.fs_stats.arena_slabs_allocated, 0u);
-  EXPECT_EQ(decoded.fs_stats.arena_bytes_recycled, 0u);
-  EXPECT_EQ(decoded.fs_stats.sectors_faulted, 0u);
-  EXPECT_EQ(decoded.fs_stats.crc_detected, 0u);
-  // A half-truncated trailer is corruption, not a legacy length.
-  const util::ByteSpan torn(encoded.data(), encoded.size() - 24);
-  EXPECT_THROW((void)dist::decode_run_row(torn), std::out_of_range);
+  m.unit_id = 9;
+  m.cell_index = 1;
+  m.run_index = 77;
+  m.outcome = core::Outcome::Sdc;
+  m.fault_fired = true;
+  m.analyze_skipped = true;
+  m.execute_ms = 1.25;
+  m.analyze_ms = 0.5;
+  test_support::set_distinct_counters(m.fs_stats, /*base=*/1);
+  std::string counters;
+  for (std::uint64_t i = 1; i <= vfs::FsStats::kCount; ++i) {
+    util::Bytes le;
+    util::ByteWriter(le).u64(i);
+    counters += hex(le);
+  }
+  util::Bytes count;
+  util::ByteWriter(count).u32(static_cast<std::uint32_t>(vfs::FsStats::kCount));
+  EXPECT_EQ(hex(dist::encode(m)),
+            "07"                  // tag
+            "0900000000000000"    // unit_id
+            "01000000"            // cell_index
+            "4d00000000000000"    // run_index
+            "02"                  // outcome (Sdc)
+            "03"                  // fault_fired | analyze_skipped
+            "000000000000f43f"    // execute_ms = 1.25
+            "000000000000e03f" +  // analyze_ms = 0.5
+                hex(count) + counters);
+  EXPECT_EQ(hex(count), "09000000");  // today's table: nine FsStats counters
+}
+
+TEST(Protocol, RunRowCounterListToleratesLengthSkewButNotForgedCounts) {
+  dist::RunRow m;
+  test_support::set_distinct_counters(m.fs_stats, /*base=*/1);
+  const util::Bytes full = dist::encode(m);
+  const std::size_t count_at = full.size() - 8 * vfs::FsStats::kCount - 4;
+
+  // A list shorter than this build's table (an older peer): the missing
+  // tail counters read as 0.
+  util::Bytes shorter(full.begin(), full.end() - 16);
+  shorter[count_at] = static_cast<std::byte>(vfs::FsStats::kCount - 2);
+  const auto short_row = dist::decode_run_row(shorter);
+  std::uint64_t expected = 1;
+  short_row.fs_stats.for_each([&](const char* name, std::uint64_t v) {
+    EXPECT_EQ(v, expected <= vfs::FsStats::kCount - 2 ? expected : 0u) << name;
+    ++expected;
+  });
+
+  // A longer list (a newer table): the extra counters are skipped.
+  util::Bytes longer = full;
+  util::ByteWriter(longer).u64(0xfeed);
+  longer[count_at] = static_cast<std::byte>(vfs::FsStats::kCount + 1);
+  EXPECT_EQ(fs_values(dist::decode_run_row(longer).fs_stats), fs_values(m.fs_stats));
+
+  // A count promising more counters than the payload holds is rejected
+  // before a single counter is read.
+  util::Bytes forged = full;
+  forged[count_at + 3] = std::byte{0x7f};
+  EXPECT_THROW((void)dist::decode_run_row(forged), std::out_of_range);
 }
 
 TEST(Protocol, RunBatchRoundTripsEveryRowThroughTheRowDecoder) {
@@ -370,7 +398,7 @@ TEST(Protocol, UnitDoneRoundTrip) {
   EXPECT_EQ(dist::decode_unit_done(dist::encode(dist::UnitDone{41})).unit_id, 41u);
 }
 
-TEST(Protocol, HelloV2CarriesAuthTokenAndReconnect) {
+TEST(Protocol, HelloCarriesAuthTokenAndReconnect) {
   dist::Hello m;
   m.worker_name = "node-9";
   m.auth_token = "fleet-secret";
@@ -381,33 +409,34 @@ TEST(Protocol, HelloV2CarriesAuthTokenAndReconnect) {
   EXPECT_TRUE(decoded.reconnect);
 }
 
-TEST(Protocol, GenuineV1HelloStillDecodes) {
-  // A v1 Hello has no auth token / reconnect flag; the decoder must accept
-  // it (decode-compat) even though the coordinator rejects v1 at handshake.
-  dist::Hello m;
-  m.version = dist::kProtocolVersionV1;
-  m.worker_name = "old-node";
-  const auto encoded = dist::encode(m);
-  const auto decoded = dist::decode_hello(encoded);
-  EXPECT_EQ(decoded.version, dist::kProtocolVersionV1);
-  EXPECT_EQ(decoded.worker_name, "old-node");
-  EXPECT_TRUE(decoded.auth_token.empty());
-  EXPECT_FALSE(decoded.reconnect);
-  // A v1 Hello with v2 trailing fields is malformed, not silently ignored.
-  auto padded = encoded;
+TEST(Protocol, OtherVersionHelloDecodesOnlyItsPrefix) {
+  // Whatever an old worker put after magic + version (a v1 Hello had no
+  // auth token), the coordinator must still learn the version to reject it
+  // by name.
+  util::Bytes v1;
+  util::ByteWriter w(v1);
+  w.u8(static_cast<std::uint8_t>(dist::MsgType::Hello));
+  w.u32(dist::kProtocolMagic);
+  w.u32(1);
+  w.str("old-node");
+  const auto decoded = dist::decode_hello(v1);
+  EXPECT_EQ(decoded.magic, dist::kProtocolMagic);
+  EXPECT_EQ(decoded.version, 1u);
+  EXPECT_TRUE(decoded.worker_name.empty());
+  // This build's Hello with trailing bytes is still malformed.
+  auto padded = dist::encode(dist::Hello{});
   padded.push_back(std::byte{0});
   EXPECT_THROW((void)dist::decode_hello(padded), std::out_of_range);
 }
 
-TEST(Protocol, HelloAckHeartbeatTrailerRoundTripsAndV1LengthDecodes) {
+TEST(Protocol, HelloAckCarriesHeartbeatInterval) {
   dist::HelloAck m;
   m.worker_id = 2;
   m.heartbeat_interval_ms = 750;
   const auto encoded = dist::encode(m);
   EXPECT_EQ(dist::decode_hello_ack(encoded).heartbeat_interval_ms, 750u);
-  // Dropping the 8-byte trailer yields a v1 ack: decodes with heartbeats off.
-  const util::ByteSpan v1(encoded.data(), encoded.size() - 8);
-  EXPECT_EQ(dist::decode_hello_ack(v1).heartbeat_interval_ms, 0u);
+  const util::ByteSpan truncated(encoded.data(), encoded.size() - 8);
+  EXPECT_THROW((void)dist::decode_hello_ack(truncated), std::out_of_range);
 }
 
 TEST(Protocol, PingPongRoundTripAsTagOnly) {
@@ -541,22 +570,12 @@ TEST(FaultySocket, FromSeedIsDeterministicAndCoversEveryKind) {
 
 /// Every decoder must respond to arbitrary corruption with an exception (or
 /// a successful parse of coincidentally-valid bytes) — never a crash, hang,
-/// or giant allocation.  `allowed_shorts` lists truncation lengths that are
-/// valid older-version encodings and therefore may parse successfully
-/// (e.g. a v2 HelloAck minus its trailing heartbeat field is a v1 ack; a
-/// RunRow has two such lengths — v3 without the media trailer, v2 without
-/// the arena trailer either).
+/// or giant allocation.
 void fuzz_decoder(const util::Bytes& valid,
-                  const std::function<void(util::ByteSpan)>& decode,
-                  std::initializer_list<std::size_t> allowed_shorts = {}) {
+                  const std::function<void(util::ByteSpan)>& decode) {
   // Truncation at every length below the full message.
   for (std::size_t n = 0; n < valid.size(); ++n) {
     const util::ByteSpan prefix(valid.data(), n);
-    if (std::find(allowed_shorts.begin(), allowed_shorts.end(), n) !=
-        allowed_shorts.end()) {
-      EXPECT_NO_THROW(decode(prefix)) << "legacy-length prefix of " << n << " bytes";
-      continue;
-    }
     EXPECT_THROW(decode(prefix), std::exception) << "truncated to " << n << " bytes";
   }
   // Seeded random single-byte corruption.
@@ -583,9 +602,8 @@ TEST(ProtocolFuzz, MalformedFramesThrowNeverCrash) {
   ack.worker_id = 1;
   ack.plan_text = "runs = 4\n[cell]\nfault = BF\n";
   ack.checkpoint_dir = "/tmp/ffis-store";
-  const auto ack_bytes = dist::encode(ack);
-  fuzz_decoder(ack_bytes, [](util::ByteSpan b) { (void)dist::decode_hello_ack(b); },
-               /*allowed_shorts=*/{ack_bytes.size() - 8});  // v1 ack: no heartbeat trailer
+  fuzz_decoder(dist::encode(ack),
+               [](util::ByteSpan b) { (void)dist::decode_hello_ack(b); });
 
   dist::WorkGrant grant;
   grant.unit_id = 3;
@@ -604,10 +622,8 @@ TEST(ProtocolFuzz, MalformedFramesThrowNeverCrash) {
   dist::RunRow row;
   row.outcome = core::Outcome::Crash;
   row.execute_ms = 3.5;
-  const auto row_bytes = dist::encode(row);
-  fuzz_decoder(row_bytes, [](util::ByteSpan b) { (void)dist::decode_run_row(b); },
-               // v3 row: no media trailer; v2 row: no arena trailer either.
-               /*allowed_shorts=*/{row_bytes.size() - 16, row_bytes.size() - 32});
+  fuzz_decoder(dist::encode(row),
+               [](util::ByteSpan b) { (void)dist::decode_run_row(b); });
 
   dist::RunBatch batch;
   batch.rows.push_back(row);
