@@ -81,7 +81,8 @@ void NyxApp::update_slab(const core::RunContext& ctx, const DensityField& f, int
   const double factor = slab_factor(z, t);
   for (double& v : slab) v *= factor;
 
-  const util::Bytes raw = h5::encode_array(slab, h5::FloatFormat{});
+  util::Bytes scratch;
+  const util::ByteSpan raw = h5::raw_view(slab, h5::FloatFormat{}, scratch);
   const std::uint64_t address =
       plot_data_address() + static_cast<std::uint64_t>(z * plane) * sizeof(double);
 
@@ -212,10 +213,9 @@ core::AnalysisResult NyxApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDif
     if (file.pread(raw, art->data_begin + first * element) != raw.size()) {
       return analyze(fs);  // short read despite matching sizes — be faithful
     }
-    const std::vector<double> decoded =
-        h5::decode_array(raw, last - first, art->dataset.format);
-    std::copy(decoded.begin(), decoded.end(),
-              values.begin() + static_cast<std::ptrdiff_t>(first));
+    h5::decode_into(raw, art->dataset.format,
+                    std::span(values).subspan(static_cast<std::size_t>(first),
+                                              static_cast<std::size_t>(last - first)));
   }
   const DensityField reconstructed(config_.field.n, std::move(values));
   return analysis_from_catalog(find_halos(reconstructed, config_.halo));
@@ -262,7 +262,8 @@ util::Bytes NyxApp::serialize_state(std::uint64_t app_seed) const {
   w.str(kStateTag);
   w.u64(app_seed);
   w.u64(f->n());
-  w.blob(h5::encode_array(f->data(), h5::FloatFormat{}));
+  util::Bytes scratch;
+  w.blob(h5::raw_view(f->data(), h5::FloatFormat{}, scratch));
   return out;
 }
 

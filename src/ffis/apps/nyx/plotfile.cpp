@@ -11,23 +11,23 @@ namespace {
 /// The plotfile's single dataset, shape only.  The one definition both the
 /// writer and the layout planner build from, so in-place slab updates can
 /// never desynchronize from the written layout.
-h5::Dataset density_dataset_shape(std::size_t n) {
+h5::H5File plotfile_shape(std::size_t n) {
   h5::Dataset ds;
   ds.name = kDensityDatasetName;
   const auto dim = static_cast<std::uint64_t>(n);
   ds.dims = {dim, dim, dim};
-  return ds;
+  h5::H5File file;
+  file.datasets.push_back(std::move(ds));
+  return file;
 }
 
 }  // namespace
 
 h5::WriteInfo write_plotfile(vfs::FileSystem& fs, const std::string& path,
                              const DensityField& field, const h5::WriteOptions& options) {
-  h5::H5File file;
-  h5::Dataset ds = density_dataset_shape(field.n());
-  ds.data = field.data();
-  file.datasets.push_back(std::move(ds));
-  return h5::write_h5(fs, path, file, options);
+  // The field's values go to pwrite as they are: no copy into a Dataset.
+  const std::span<const double> values[] = {field.data()};
+  return h5::write_h5(fs, path, plotfile_shape(field.n()), values, options);
 }
 
 DensityField read_plotfile(vfs::FileSystem& fs, const std::string& path) {
@@ -40,9 +40,7 @@ DensityField read_plotfile(vfs::FileSystem& fs, const std::string& path) {
 }
 
 h5::WriteInfo plan_plotfile_layout(std::size_t n, const h5::WriteOptions& options) {
-  h5::H5File file;
-  file.datasets.push_back(density_dataset_shape(n));
-  return h5::plan_layout(file, options);
+  return h5::plan_layout(plotfile_shape(n), options);
 }
 
 }  // namespace ffis::nyx

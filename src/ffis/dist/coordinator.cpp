@@ -158,13 +158,17 @@ bool Coordinator::drained_locked() const {
 
 void Coordinator::accept_loop() {
   for (;;) {
-    net::Socket socket;
+    auto socket = std::make_unique<net::Socket>();
     try {
-      socket = listener_.accept();
+      *socket = listener_.accept();
     } catch (const net::NetError&) {
       return;  // listener_.shutdown() — run() is winding down
     }
+    // Registered before its handler is scheduled: a peer accepted just as the
+    // plan finishes must still be half-closed by run()'s teardown, or a
+    // handler that starts late could park in recv with run() joining it.
     std::lock_guard lock(mutex_);
+    live_sockets_.insert(socket.get());
     handlers_.emplace_back(&Coordinator::handle_connection, this, std::move(socket));
   }
 }
@@ -212,21 +216,20 @@ bool Coordinator::handshake(net::Socket& socket, std::uint32_t worker_id) {
   return true;
 }
 
-void Coordinator::handle_connection(net::Socket socket) {
+void Coordinator::handle_connection(std::unique_ptr<net::Socket> socket) {
   std::uint32_t worker_id = 0;
   {
     std::lock_guard lock(mutex_);
     worker_id = next_worker_id_++;
-    live_sockets_.insert(&socket);
   }
   try {
-    serve_connection(socket, worker_id);
+    serve_connection(*socket, worker_id);
   } catch (const std::exception&) {
     // Malformed frame or a peer that died mid-message: treat exactly like a
     // disconnect — the worker's granted units are re-queued below.
   }
   std::lock_guard lock(mutex_);
-  live_sockets_.erase(&socket);
+  live_sockets_.erase(socket.get());
   // Unconditional: run()'s teardown grace-waits on live_sockets_ draining,
   // and a lost worker's re-queued units (or a finished/drained plan) must
   // wake parked handlers either way.

@@ -123,7 +123,7 @@ class Coordinator {
   };
 
   void accept_loop();
-  void handle_connection(net::Socket socket);
+  void handle_connection(std::unique_ptr<net::Socket> socket);
   void serve_connection(net::Socket& socket, std::uint32_t worker_id);
   /// True when the handshake succeeded (worker admitted to the fleet).
   bool handshake(net::Socket& socket, std::uint32_t worker_id);
@@ -155,8 +155,9 @@ class Coordinator {
   bool draining_ = false;
   bool serving_ = false;
   std::unique_ptr<CampaignJournal> journal_;
-  /// Sockets of live handler threads; teardown half-closes them so a hung
-  /// peer cannot pin a handler (and therefore run()) in recv forever.
+  /// Sockets of live handler threads, registered at accept; teardown
+  /// half-closes them so a hung peer cannot pin a handler (and therefore
+  /// run()) in recv forever.
   std::set<net::Socket*> live_sockets_;
 
   std::vector<std::thread> handlers_;

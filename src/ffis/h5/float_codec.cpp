@@ -31,31 +31,42 @@ void validate(const FloatFormat& f) {
   }
 }
 
-}  // namespace
+/// The field geometry of a validated format, clamped to the element width:
+/// computed once per array, not once per element.
+struct Geometry {
+  unsigned width = 0;      ///< element width in bits
+  unsigned exp_nbits = 0;  ///< exponent bits that fit in the word
+  unsigned man_nbits = 0;  ///< mantissa bits that fit in the word
+  std::uint64_t exp_max = 0;
+};
 
-double decode_element(std::uint64_t raw, const FloatFormat& f) {
-  validate(f);
-  const unsigned width = f.size_bytes * 8;
+Geometry geometry(const FloatFormat& f) {
+  Geometry g;
+  g.width = f.size_bytes * 8;
+  g.exp_nbits = (f.exponent_location >= g.width)
+                    ? 0
+                    : std::min<unsigned>(f.exponent_size, g.width - f.exponent_location);
+  g.man_nbits = (f.mantissa_location >= g.width)
+                    ? 0
+                    : std::min<unsigned>(f.mantissa_size, g.width - f.mantissa_location);
+  g.exp_max = (g.exp_nbits == 0) ? 0 : ((1ULL << g.exp_nbits) - 1);
+  return g;
+}
 
-  // Fast path: bit-exact for the canonical type (also covers inf/nan/subnormal).
-  if (f.is_ieee_binary64()) return std::bit_cast<double>(raw);
+/// `v << pos`, defined as 0 once `pos` leaves the 64-bit word (a corrupted
+/// location field may hold any byte value).
+std::uint64_t shifted(std::uint64_t v, unsigned pos) { return pos >= 64 ? 0 : v << pos; }
 
-  const unsigned exp_nbits = (f.exponent_location >= width)
-                                 ? 0
-                                 : std::min<unsigned>(f.exponent_size, width - f.exponent_location);
-  const std::uint64_t exp_field = field(raw, f.exponent_location, f.exponent_size, width);
-  const std::uint64_t man_field = field(raw, f.mantissa_location, f.mantissa_size, width);
-  const unsigned man_nbits =
-      (f.mantissa_location >= width)
-          ? 0
-          : std::min<unsigned>(f.mantissa_size, width - f.mantissa_location);
-  const bool negative = f.sign_location < width && ((raw >> f.sign_location) & 1u);
-
-  const std::uint64_t exp_max = (exp_nbits == 0) ? 0 : ((1ULL << exp_nbits) - 1);
+/// The generic (non-canonical) decode of one element.
+double decode_generic(std::uint64_t raw, const FloatFormat& f, const Geometry& g) {
+  const std::uint64_t exp_field = field(raw, f.exponent_location, f.exponent_size, g.width);
+  const std::uint64_t man_field = field(raw, f.mantissa_location, f.mantissa_size, g.width);
+  const unsigned man_nbits = g.man_nbits;
+  const bool negative = f.sign_location < g.width && ((raw >> f.sign_location) & 1u);
   const auto bias = static_cast<std::int64_t>(f.exponent_bias);
 
   double magnitude;
-  if (exp_nbits > 0 && exp_field == exp_max && exp_max > 1) {
+  if (g.exp_nbits > 0 && exp_field == g.exp_max && g.exp_max > 1) {
     // All-ones exponent: infinity (zero mantissa) or NaN.
     magnitude = (man_field == 0) ? std::numeric_limits<double>::infinity()
                                  : std::numeric_limits<double>::quiet_NaN();
@@ -89,19 +100,11 @@ double decode_element(std::uint64_t raw, const FloatFormat& f) {
   return negative ? -magnitude : magnitude;
 }
 
-std::uint64_t encode_element(double value, const FloatFormat& f) {
-  validate(f);
-  if (f.is_ieee_binary64()) return std::bit_cast<std::uint64_t>(value);
-
-  const unsigned width = f.size_bytes * 8;
-  const unsigned man_nbits =
-      (f.mantissa_location >= width)
-          ? 0
-          : std::min<unsigned>(f.mantissa_size, width - f.mantissa_location);
-  const unsigned exp_nbits = (f.exponent_location >= width)
-                                 ? 0
-                                 : std::min<unsigned>(f.exponent_size, width - f.exponent_location);
-  const std::uint64_t exp_max = (exp_nbits == 0) ? 0 : ((1ULL << exp_nbits) - 1);
+/// The generic (non-canonical) encode of one element.
+std::uint64_t encode_generic(double value, const FloatFormat& f, const Geometry& g) {
+  const unsigned width = g.width;
+  const unsigned man_nbits = g.man_nbits;
+  const std::uint64_t exp_max = g.exp_max;
 
   std::uint64_t raw = 0;
   const bool negative = std::signbit(value);
@@ -109,12 +112,12 @@ std::uint64_t encode_element(double value, const FloatFormat& f) {
   const double mag = std::fabs(value);
 
   if (std::isnan(mag)) {
-    raw |= exp_max << f.exponent_location;
-    raw |= 1ULL << f.mantissa_location;  // any non-zero mantissa
+    raw |= shifted(exp_max, f.exponent_location);
+    raw |= shifted(1, f.mantissa_location);  // any non-zero mantissa
     return raw;
   }
   if (std::isinf(mag)) {
-    raw |= exp_max << f.exponent_location;
+    raw |= shifted(exp_max, f.exponent_location);
     return raw;
   }
   if (mag == 0.0) return raw;
@@ -125,7 +128,7 @@ std::uint64_t encode_element(double value, const FloatFormat& f) {
   std::int64_t exp_field = (e2 - 1) + static_cast<std::int64_t>(f.exponent_bias);
   if (exp_field >= static_cast<std::int64_t>(exp_max)) {
     // Overflow: clamp to infinity.
-    raw |= exp_max << f.exponent_location;
+    raw |= shifted(exp_max, f.exponent_location);
     return raw;
   }
   if (exp_field <= 0) {
@@ -135,7 +138,7 @@ std::uint64_t encode_element(double value, const FloatFormat& f) {
                                          static_cast<std::int64_t>(f.exponent_bias) - 1));
     auto man = static_cast<std::uint64_t>(std::llround(scaled));
     const std::uint64_t man_mask = (man_nbits >= 64) ? ~0ULL : ((1ULL << man_nbits) - 1);
-    raw |= (man & man_mask) << f.mantissa_location;
+    raw |= shifted(man & man_mask, f.mantissa_location);
     return raw;
   }
 
@@ -149,7 +152,7 @@ std::uint64_t encode_element(double value, const FloatFormat& f) {
         man = 0;
         ++exp_field;
         if (exp_field >= static_cast<std::int64_t>(exp_max)) {
-          raw |= exp_max << f.exponent_location;
+          raw |= shifted(exp_max, f.exponent_location);
           return raw;
         }
       }
@@ -177,53 +180,101 @@ std::uint64_t encode_element(double value, const FloatFormat& f) {
       throw H5FormatError("unreachable normalization mode");
   }
   const std::uint64_t man_mask = (man_nbits >= 64) ? ~0ULL : ((1ULL << man_nbits) - 1);
-  raw |= (man & man_mask) << f.mantissa_location;
-  raw |= (static_cast<std::uint64_t>(exp_field) & exp_max) << f.exponent_location;
+  raw |= shifted(man & man_mask, f.mantissa_location);
+  raw |= shifted(static_cast<std::uint64_t>(exp_field) & exp_max, f.exponent_location);
   return raw;
 }
 
-std::vector<double> decode_array(util::ByteSpan raw, std::uint64_t count,
-                                 const FloatFormat& format) {
+/// Reads one `stride`-byte element word in the given byte order.
+std::uint64_t load_word(const std::byte* p, std::size_t stride, bool big_endian) {
+  std::uint64_t bits = 0;
+  for (std::size_t b = 0; b < stride; ++b) {
+    const std::size_t shift = 8 * (big_endian ? stride - 1 - b : b);
+    bits |= std::to_integer<std::uint64_t>(p[b]) << shift;
+  }
+  return bits;
+}
+
+/// Writes the low `stride` bytes of `bits` in the given byte order.
+void store_word(std::uint64_t bits, std::byte* p, std::size_t stride, bool big_endian) {
+  for (std::size_t b = 0; b < stride; ++b) {
+    const std::size_t shift = 8 * (big_endian ? stride - 1 - b : b);
+    p[b] = static_cast<std::byte>((bits >> shift) & 0xff);
+  }
+}
+
+/// Validates `format`, then checks that `raw` holds `count` elements.
+void require_raw(util::ByteSpan raw, std::uint64_t count, const FloatFormat& format) {
   validate(format);
   const std::size_t stride = format.size_bytes;
-  if (raw.size() < count * stride) {
+  if (count > raw.size() / stride) {
     throw H5BoundsError("raw data region too small: need " +
                         std::to_string(count * stride) + " bytes, have " +
                         std::to_string(raw.size()));
   }
-  std::vector<double> out;
-  out.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t bits = 0;
-    const std::size_t base = i * stride;
-    if (format.big_endian) {
-      for (std::size_t b = 0; b < stride; ++b) {
-        bits = (bits << 8) | std::to_integer<std::uint64_t>(raw[base + b]);
-      }
-    } else {
-      bits = util::get_le(raw, base, stride);
-    }
-    out.push_back(decode_element(bits, format));
+}
+
+}  // namespace
+
+double decode_element(std::uint64_t raw, const FloatFormat& f) {
+  validate(f);
+  // Fast path: bit-exact for the canonical type (also covers inf/nan/subnormal).
+  if (f.is_ieee_binary64()) return std::bit_cast<double>(raw);
+  return decode_generic(raw, f, geometry(f));
+}
+
+std::uint64_t encode_element(double value, const FloatFormat& f) {
+  validate(f);
+  if (f.is_ieee_binary64()) return std::bit_cast<std::uint64_t>(value);
+  return encode_generic(value, f, geometry(f));
+}
+
+void decode_into(util::ByteSpan raw, const FloatFormat& format, std::span<double> out) {
+  require_raw(raw, out.size(), format);
+  if (format.is_ieee_binary64()) {
+    util::load_f64s(raw, out, std::endian::little);
+    return;
+  }
+  const Geometry g = geometry(format);
+  const std::size_t stride = format.size_bytes;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = decode_generic(load_word(raw.data() + i * stride, stride, format.big_endian),
+                            format, g);
+  }
+}
+
+std::vector<double> decode_array(util::ByteSpan raw, std::uint64_t count,
+                                 const FloatFormat& format) {
+  // Checked before allocating: `count` may come from a corrupted dataspace.
+  require_raw(raw, count, format);
+  std::vector<double> out(static_cast<std::size_t>(count));
+  decode_into(raw, format, out);
+  return out;
+}
+
+util::Bytes encode_array(std::span<const double> values, const FloatFormat& format) {
+  validate(format);
+  const std::size_t stride = format.size_bytes;
+  util::Bytes out(values.size() * stride);
+  if (format.is_ieee_binary64()) {
+    util::store_f64s(values, out, std::endian::little);
+    return out;
+  }
+  const Geometry g = geometry(format);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    store_word(encode_generic(values[i], format, g), out.data() + i * stride, stride,
+               format.big_endian);
   }
   return out;
 }
 
-util::Bytes encode_array(const std::vector<double>& values, const FloatFormat& format) {
-  validate(format);
-  const std::size_t stride = format.size_bytes;
-  util::Bytes out;
-  out.reserve(values.size() * stride);
-  for (const double v : values) {
-    const std::uint64_t bits = encode_element(v, format);
-    if (format.big_endian) {
-      for (std::size_t b = stride; b-- > 0;) {
-        out.push_back(static_cast<std::byte>((bits >> (8 * b)) & 0xff));
-      }
-    } else {
-      util::put_le(out, bits, stride);
-    }
+util::ByteSpan raw_view(std::span<const double> values, const FloatFormat& format,
+                        util::Bytes& scratch) {
+  if (std::endian::native == std::endian::little && format.is_ieee_binary64()) {
+    return std::as_bytes(values);
   }
-  return out;
+  scratch = encode_array(values, format);
+  return scratch;
 }
 
 }  // namespace ffis::h5

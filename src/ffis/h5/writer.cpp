@@ -341,17 +341,21 @@ WriteInfo plan_layout(const H5File& file, const WriteOptions& options) {
   return info;
 }
 
-WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path, const H5File& file,
+WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path, const H5File& shape,
+                   std::span<const std::span<const double>> values,
                    const WriteOptions& options) {
-  // The layout depends only on names/dims/options; the values are consumed
-  // here, so only the write path requires them (plan_layout accepts
-  // shape-only files).
-  for (const auto& ds : file.datasets) {
-    if (ds.element_count() != ds.data.size()) {
-      throw H5FormatError("dataset dims/data mismatch: " + ds.name);
+  // The layout depends only on names/dims/options, so `shape`'s own `data`
+  // is never consulted; the values come from `values`.
+  if (values.size() != shape.datasets.size()) {
+    throw H5FormatError("write_h5: " + std::to_string(values.size()) + " value arrays for " +
+                        std::to_string(shape.datasets.size()) + " datasets");
+  }
+  for (std::size_t i = 0; i < shape.datasets.size(); ++i) {
+    if (shape.datasets[i].element_count() != values[i].size()) {
+      throw H5FormatError("dataset dims/data mismatch: " + shape.datasets[i].name);
     }
   }
-  PackResult packed = pack(file, options);
+  PackResult packed = pack(shape, options);
 
   const std::string lock_path = path + ".lock";
   if (options.lock_file) fs.mknod(lock_path, 0600);
@@ -359,10 +363,11 @@ WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path, const H5File& f
   {
     vfs::File out(fs, path, vfs::OpenMode::Write);
 
-    // 1. Raw data, chunk by chunk.
-    for (std::size_t i = 0; i < file.datasets.size(); ++i) {
-      const auto& ds = file.datasets[i];
-      const util::Bytes raw = encode_array(ds.data, ds.format);
+    // 1. Raw data, chunk by chunk — straight from the values' own bytes
+    // when the dataset's format is canonical (raw_view).
+    util::Bytes scratch;
+    for (std::size_t i = 0; i < shape.datasets.size(); ++i) {
+      const util::ByteSpan raw = raw_view(values[i], shape.datasets[i].format, scratch);
       if (!vfs::pwrite_all(out, raw, packed.data_addresses[i], options.data_chunk_bytes)) {
         throw H5Exception("short write of raw data");
       }
@@ -386,6 +391,14 @@ WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path, const H5File& f
   info.data_addresses = std::move(packed.data_addresses);
   info.field_map = std::move(packed.map);
   return info;
+}
+
+WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path, const H5File& file,
+                   const WriteOptions& options) {
+  std::vector<std::span<const double>> values;
+  values.reserve(file.datasets.size());
+  for (const auto& ds : file.datasets) values.emplace_back(ds.data);
+  return write_h5(fs, path, file, values, options);
 }
 
 }  // namespace ffis::h5

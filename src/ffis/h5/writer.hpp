@@ -10,6 +10,7 @@
 // size — the invariant the ARD auto-correction uses.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,17 @@ struct WriteInfo {
 /// Writes `file` to `path` through `fs` using the paper's write protocol.
 [[nodiscard]] WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path,
                                  const H5File& file, const WriteOptions& options = {});
+
+/// The same write with the raw data supplied apart from the layout: `shape`
+/// names the datasets (names, dims, formats; each `data` is ignored, as in
+/// plan_layout) and `values[i]` holds dataset i's elements.  A canonical
+/// dataset is written straight from `values[i]`'s bytes, so callers holding
+/// their data elsewhere never copy it into a Dataset.  Issues exactly the
+/// pwrites of the overload above.
+[[nodiscard]] WriteInfo write_h5(vfs::FileSystem& fs, const std::string& path,
+                                 const H5File& shape,
+                                 std::span<const std::span<const double>> values,
+                                 const WriteOptions& options = {});
 
 /// Computes the metadata layout (field map, metadata size, per-dataset ARD)
 /// without performing any I/O.  Deterministic for a given file structure —

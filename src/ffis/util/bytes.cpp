@@ -3,9 +3,21 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 
 namespace ffis::util {
+
+namespace {
+
+/// std::byteswap is C++23; compilers lower this pattern to one bswap.
+constexpr std::uint64_t byteswap64(std::uint64_t v) noexcept {
+  v = ((v & 0x00ff00ff00ff00ffULL) << 8) | ((v >> 8) & 0x00ff00ff00ff00ffULL);
+  v = ((v & 0x0000ffff0000ffffULL) << 16) | ((v >> 16) & 0x0000ffff0000ffffULL);
+  return (v << 32) | (v >> 32);
+}
+
+}  // namespace
 
 void put_le(Bytes& out, std::uint64_t value, std::size_t width) {
   if (width == 0 || width > 8) throw std::invalid_argument("put_le: width must be 1..8");
@@ -31,6 +43,41 @@ std::uint64_t get_le(ByteSpan buf, std::size_t offset, std::size_t width) {
     value |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(buf[offset + i])) << (8 * i);
   }
   return value;
+}
+
+void load_f64s(ByteSpan raw, std::span<double> out, std::endian order) {
+  if (raw.size() < out.size_bytes()) {
+    throw std::out_of_range("load_f64s: read past end of buffer");
+  }
+  if (out.empty()) return;
+  if (order == std::endian::native) {
+    std::memcpy(out.data(), raw.data(), out.size_bytes());
+    return;
+  }
+  // Swap as integers: the bits never pass through a floating-point register.
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, raw.data() + 8 * i, 8);
+    bits = byteswap64(bits);
+    std::memcpy(&out[i], &bits, 8);
+  }
+}
+
+void store_f64s(std::span<const double> values, MutableByteSpan out, std::endian order) {
+  if (out.size() < values.size_bytes()) {
+    throw std::out_of_range("store_f64s: write past end of buffer");
+  }
+  if (values.empty()) return;
+  if (order == std::endian::native) {
+    std::memcpy(out.data(), values.data(), values.size_bytes());
+    return;
+  }
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &values[i], 8);
+    bits = byteswap64(bits);
+    std::memcpy(out.data() + 8 * i, &bits, 8);
+  }
 }
 
 void put_bytes(Bytes& out, ByteSpan data) {

@@ -1,8 +1,10 @@
 #pragma once
 // Byte-level helpers shared by the VFS, the fault models and the mini-HDF5
-// format code: little-endian scalar encode/decode, bit manipulation on byte
-// buffers, and hexdump rendering for diagnostics.
+// format code: little-endian scalar encode/decode, the bulk binary64 array
+// kernel, bit manipulation on byte buffers, and hexdump rendering for
+// diagnostics.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -27,6 +29,16 @@ void put_le_at(MutableByteSpan buf, std::size_t offset, std::uint64_t value,
 /// Throws std::out_of_range if the read would exceed the span.
 [[nodiscard]] std::uint64_t get_le(ByteSpan buf, std::size_t offset,
                                    std::size_t width);
+
+/// Bulk binary64 kernel: reads `out.size()` IEEE-754 doubles stored in
+/// `order` from the front of `raw` — one memcpy when `order` is the host's,
+/// a byte swap per element otherwise.  Bit patterns (NaN payloads included)
+/// pass through unchanged.  Throws std::out_of_range if `raw` is too short.
+void load_f64s(ByteSpan raw, std::span<double> out, std::endian order);
+
+/// The inverse of load_f64s: stores `values` in `order` at the front of
+/// `out`.  Throws std::out_of_range if `out` is too short.
+void store_f64s(std::span<const double> values, MutableByteSpan out, std::endian order);
 
 /// Appends raw bytes.
 void put_bytes(Bytes& out, ByteSpan data);

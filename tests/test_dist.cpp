@@ -540,11 +540,11 @@ TEST(DistE2E, TwoWorkersMatchEngineTalliesBitForBit) {
   EXPECT_EQ(dist_run.report.units_regranted, 0u);
   EXPECT_FALSE(dist_run.report.cancelled);
 
-  // Both workers actually contributed, and together they executed the plan
-  // exactly once.
+  // Together the workers executed the plan exactly once.  How the runs split
+  // between them is a race: one worker may drain the plan before the other
+  // is granted a unit, so no per-worker share is asserted.
   std::uint64_t fleet_runs = 0;
   for (const auto& w : dist_run.workers) {
-    EXPECT_GT(w.runs_executed, 0u);
     EXPECT_TRUE(w.reject_reason.empty());
     fleet_runs += w.runs_executed;
   }

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "ffis/h5/field_map.hpp"
 #include "ffis/h5/float_codec.hpp"
@@ -14,6 +16,7 @@
 #include "ffis/util/rng.hpp"
 #include "ffis/vfs/counting_fs.hpp"
 #include "ffis/vfs/mem_fs.hpp"
+#include "write_recording.hpp"
 
 namespace {
 
@@ -170,9 +173,170 @@ TEST(FloatCodec, ArrayRoundtripAndEndianness) {
   EXPECT_EQ(h5::decode_array(be_bytes, values.size(), be), values);
 }
 
-TEST(FloatCodec, ArrayBoundsChecked) {
-  const auto bytes = h5::encode_array({1.0, 2.0}, FloatFormat{});
-  EXPECT_THROW((void)h5::decode_array(bytes, 3, FloatFormat{}), h5::H5BoundsError);
+// --- bulk codec vs the per-element reference -------------------------------------
+// The array functions may take a bulk copy for the canonical format and hoist
+// validation and field geometry out of the loop otherwise; either way they
+// must reproduce a plain per-element decode_element / encode_element loop
+// bit for bit.
+
+std::vector<double> reference_decode(util::ByteSpan raw, std::size_t count,
+                                     const FloatFormat& f) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint64_t bits = 0;
+    for (std::size_t b = 0; b < f.size_bytes; ++b) {
+      const std::size_t shift = 8 * (f.big_endian ? f.size_bytes - 1 - b : b);
+      bits |= std::to_integer<std::uint64_t>(raw[i * f.size_bytes + b]) << shift;
+    }
+    out.push_back(h5::decode_element(bits, f));
+  }
+  return out;
+}
+
+util::Bytes reference_encode(const std::vector<double>& values, const FloatFormat& f) {
+  util::Bytes out;
+  for (const double v : values) {
+    const std::uint64_t bits = h5::encode_element(v, f);
+    for (std::size_t b = 0; b < f.size_bytes; ++b) {
+      const std::size_t shift = 8 * (f.big_endian ? f.size_bytes - 1 - b : b);
+      out.push_back(static_cast<std::byte>((bits >> shift) & 0xff));
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& values) {
+  std::vector<std::uint64_t> out;
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// Seeded random words with the special patterns planted at the front: NaN
+/// payloads (quiet and signalling, both signs), +-0, subnormals, +-inf.
+std::vector<std::uint64_t> codec_words(std::size_t count, std::uint64_t seed) {
+  static constexpr std::uint64_t kSpecial[] = {
+      0x7ff0000000000001ULL, 0x7ff8000000000123ULL,  // NaNs
+      0xfff4000000abcdefULL, 0xffffffffffffffffULL,
+      0x0000000000000000ULL, 0x8000000000000000ULL,  // +-0
+      0x0000000000000001ULL, 0x800fffffffffffffULL,  // subnormals
+      0x7ff0000000000000ULL, 0xfff0000000000000ULL}; // +-inf
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> out(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = i < std::size(kSpecial) ? kSpecial[i] : rng();
+  }
+  return out;
+}
+
+/// The canonical format plus every single-field perturbation of it.
+std::vector<FloatFormat> perturbed_formats() {
+  std::vector<FloatFormat> out{FloatFormat{}};
+  const auto plus_minus_one = [&](auto FloatFormat::*member) {
+    for (const int delta : {-1, +1}) {
+      FloatFormat f{};
+      using T = std::remove_reference_t<decltype(f.*member)>;
+      f.*member = static_cast<T>(f.*member + delta);
+      out.push_back(f);
+    }
+  };
+  plus_minus_one(&FloatFormat::size_bytes);
+  plus_minus_one(&FloatFormat::bit_offset);
+  plus_minus_one(&FloatFormat::bit_precision);
+  plus_minus_one(&FloatFormat::exponent_location);
+  plus_minus_one(&FloatFormat::exponent_size);
+  plus_minus_one(&FloatFormat::mantissa_location);
+  plus_minus_one(&FloatFormat::mantissa_size);
+  plus_minus_one(&FloatFormat::exponent_bias);
+  plus_minus_one(&FloatFormat::sign_location);
+  for (const MantissaNorm norm : {MantissaNorm::None, MantissaNorm::MsbSet}) {
+    FloatFormat f{};
+    f.normalization = norm;
+    out.push_back(f);
+  }
+  FloatFormat flipped{};
+  flipped.big_endian = true;
+  out.push_back(flipped);
+  return out;
+}
+
+bool format_is_valid(const FloatFormat& f) {
+  try {
+    (void)h5::decode_element(0, f);
+    return true;
+  } catch (const h5::H5FormatError&) {
+    return false;
+  }
+}
+
+TEST(FloatCodecDifferential, BulkDecodeMatchesPerElementLoop) {
+  std::uint64_t seed = 100;
+  for (const FloatFormat& f : perturbed_formats()) {
+    for (const std::size_t count : {0u, 1u, 4097u}) {
+      // Raw bytes: the planted words' low size_bytes bytes, element by element.
+      util::Bytes raw;
+      for (const std::uint64_t w : codec_words(count, ++seed)) {
+        for (std::size_t b = 0; b < std::min<std::size_t>(f.size_bytes, 8); ++b) {
+          raw.push_back(static_cast<std::byte>((w >> (8 * b)) & 0xff));
+        }
+      }
+      if (!format_is_valid(f)) {
+        // Validated before any branch: an empty array still throws.
+        EXPECT_THROW((void)h5::decode_array(raw, count, f), h5::H5FormatError);
+        continue;
+      }
+      const auto expected = bit_patterns(reference_decode(raw, count, f));
+      EXPECT_EQ(bit_patterns(h5::decode_array(raw, count, f)), expected)
+          << "size " << f.size_bytes << " count " << count;
+      std::vector<double> into(count, -1.0);
+      h5::decode_into(raw, f, into);
+      EXPECT_EQ(bit_patterns(into), expected);
+    }
+  }
+}
+
+TEST(FloatCodecDifferential, BulkEncodeMatchesPerElementLoop) {
+  std::uint64_t seed = 200;
+  for (const FloatFormat& f : perturbed_formats()) {
+    for (const std::size_t count : {0u, 1u, 4097u}) {
+      std::vector<double> values;
+      for (const std::uint64_t w : codec_words(count, ++seed)) {
+        values.push_back(std::bit_cast<double>(w));
+      }
+      if (!format_is_valid(f)) {
+        EXPECT_THROW((void)h5::encode_array(values, f), h5::H5FormatError);
+        continue;
+      }
+      EXPECT_EQ(h5::encode_array(values, f), reference_encode(values, f))
+          << "size " << f.size_bytes << " count " << count;
+      util::Bytes scratch;
+      const util::ByteSpan view = h5::raw_view(values, f, scratch);
+      const util::Bytes viewed(view.begin(), view.end());
+      EXPECT_EQ(viewed, reference_encode(values, f));
+    }
+  }
+}
+
+TEST(FloatCodecDifferential, ErrorsSurviveTheBulkPath) {
+  const util::Bytes raw(8 * 3);
+  // Too short for the count: a bounds error, canonical format or not.
+  EXPECT_THROW((void)h5::decode_array(raw, 4, FloatFormat{}), h5::H5BoundsError);
+  std::vector<double> four(4);
+  EXPECT_THROW(h5::decode_into(raw, FloatFormat{}, four), h5::H5BoundsError);
+  FloatFormat flipped{};
+  flipped.big_endian = true;
+  EXPECT_THROW((void)h5::decode_array(raw, 4, flipped), h5::H5BoundsError);
+
+  // Structurally impossible formats throw before any length is considered.
+  FloatFormat reserved_norm{};
+  reserved_norm.normalization = static_cast<MantissaNorm>(3);
+  FloatFormat zero_size{};
+  zero_size.size_bytes = 0;
+  for (const FloatFormat& f : {reserved_norm, zero_size}) {
+    EXPECT_THROW((void)h5::decode_array(raw, 0, f), h5::H5FormatError);
+    EXPECT_THROW((void)h5::decode_array(raw, 2, f), h5::H5FormatError);
+    EXPECT_THROW(h5::decode_into(raw, f, std::span<double>{}), h5::H5FormatError);
+    EXPECT_THROW((void)h5::encode_array(std::vector<double>{}, f), h5::H5FormatError);
+  }
 }
 
 // --- writer / reader round trip -----------------------------------------------------
@@ -277,6 +441,71 @@ TEST(Writer, RejectsInvalidStructures) {
   ds.name.clear();
   unnamed.datasets.push_back(ds);
   EXPECT_THROW((void)h5::write_h5(fs, "/f.h5", unnamed), h5::H5FormatError);
+}
+
+TEST(WriterSequence, MixedFormatWritesArePinned) {
+  // One canonical dataset (written from the values' own bytes), one with the
+  // byte-order bit flipped and one binary32-shaped (both encoded per element),
+  // in 1000-byte slices that straddle element boundaries.
+  h5::H5File file;
+  h5::Dataset canonical;
+  canonical.name = "canonical";
+  canonical.dims = {30, 20};
+  h5::Dataset flipped = canonical;
+  flipped.name = "flipped";
+  flipped.format.big_endian = true;
+  h5::Dataset narrow;
+  narrow.name = "binary32";
+  narrow.dims = {250};
+  narrow.format.size_bytes = 4;
+  narrow.format.bit_precision = 32;
+  narrow.format.exponent_location = 23;
+  narrow.format.exponent_size = 8;
+  narrow.format.mantissa_size = 23;
+  narrow.format.exponent_bias = 127;
+  narrow.format.sign_location = 31;
+  util::Rng rng(21);
+  for (h5::Dataset* ds : {&canonical, &flipped, &narrow}) {
+    ds->data.resize(ds->element_count());
+    for (auto& v : ds->data) v = rng.gaussian(0.0, 1e3);
+    ds->data[0] = -0.0;
+    file.datasets.push_back(*ds);
+  }
+  vfs::MemFs backing;
+  test_support::RecordingFs recording(backing);
+  h5::WriteOptions options;
+  options.data_chunk_bytes = 1000;
+  (void)h5::write_h5(recording, "/f.h5", file, options);
+  // Five slices per 4800-byte dataset, one for the 1000-byte one, then the
+  // metadata block and the EOF update.
+  const std::vector<test_support::WriteRecord> expected = {
+      {2672, 1000, 0x8801bfbce0902b3aULL},  {3672, 1000, 0xa611e37027fb3946ULL},
+      {4672, 1000, 0xf598a5eccbeff33ULL},   {5672, 1000, 0xd045ea02bce02d1eULL},
+      {6672, 800, 0xbaa350a771062193ULL},   {7472, 1000, 0xf4d4238dcfa23262ULL},
+      {8472, 1000, 0x20158f70a4b6540aULL},  {9472, 1000, 0xce0c2ba7b63f30ecULL},
+      {10472, 1000, 0x173334dfee4683ccULL}, {11472, 800, 0x46d93dc02bd75a89ULL},
+      {12272, 1000, 0x7e6457b9292740b9ULL}, {0, 2672, 0x4f2b5e6ef2a1839fULL},
+      {40, 8, 0x2740bc8f4f481f5cULL},
+  };
+  EXPECT_EQ(recording.writes(), expected);
+}
+
+TEST(Writer, ShapeAndValuesOverloadIssuesTheSameWrites) {
+  const auto file = small_file();
+  h5::H5File shape = file;
+  shape.datasets[0].data.clear();  // shape only: the values travel apart
+  const std::span<const double> values[] = {file.datasets[0].data};
+  vfs::MemFs fs_a, fs_b;
+  test_support::RecordingFs a(fs_a), b(fs_b);
+  (void)h5::write_h5(a, "/f.h5", file);
+  (void)h5::write_h5(b, "/f.h5", shape, values);
+  EXPECT_EQ(a.writes(), b.writes());
+  EXPECT_EQ(vfs::read_file(fs_a, "/f.h5"), vfs::read_file(fs_b, "/f.h5"));
+
+  const std::span<const std::span<const double>> no_values;
+  EXPECT_THROW((void)h5::write_h5(b, "/g.h5", shape, no_values), h5::H5FormatError);
+  const std::span<const double> short_values[] = {std::span(file.datasets[0].data).first(7)};
+  EXPECT_THROW((void)h5::write_h5(b, "/g.h5", shape, short_values), h5::H5FormatError);
 }
 
 // --- field map ---------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "ffis/util/rng.hpp"
 #include "ffis/vfs/counting_fs.hpp"
 #include "ffis/vfs/mem_fs.hpp"
+#include "write_recording.hpp"
 
 namespace {
 
@@ -348,6 +349,66 @@ TEST(MontageApp, ClassifyRules) {
   EXPECT_EQ(app.classify(golden, faulty), core::Outcome::Detected);
   faulty.metrics["min"] = std::nan("");
   EXPECT_EQ(app.classify(golden, faulty), core::Outcome::Detected);
+}
+
+// --- write-sequence pins -------------------------------------------------------------
+// Pinned against the per-byte FITS loops: the bulk byte-swapping kernel must
+// lay down the identical pwrite stream and the stages' profiled primitive
+// counts must not move.
+
+TEST(MontageWriteSequence, FitsWritesArePinned) {
+  Image img(12, 7, 37.0, 41.5);
+  util::Rng rng(5);
+  for (auto& p : img.pixels) p = rng.gaussian(80.0, 3.0);
+  img.at(3, 2) = montage::kBlank;
+  img.at(4, 2) = -0.0;
+
+  vfs::MemFs backing;
+  test_support::RecordingFs recording(backing);
+  montage::write_fits(recording, "/img.fits", img,
+                      montage::FitsIoOptions{.data_chunk_bytes = 1000});
+  // The header block, then one zero-padded data block in 1000-byte slices.
+  const std::vector<test_support::WriteRecord> expected = {
+      {0, 2880, 0x240df37944d9c5fbULL},
+      {2880, 1000, 0x75ad92a4b49084afULL},
+      {3880, 1000, 0x12633b178b17a745ULL},
+      {4880, 880, 0x64bd2022b6d37e5ULL},
+  };
+  EXPECT_EQ(recording.writes(), expected);
+}
+
+TEST(MontageWriteSequence, RunWriteStreamIsPinned) {
+  // Every pwrite of a full golden run, folded into one digest.
+  const montage::MontageApp app;
+  vfs::MemFs backing;
+  test_support::RecordingFs recording(backing);
+  app.run(core::RunContext{.fs = recording, .app_seed = 1, .instrumented_stage = -1,
+                           .instrument = nullptr});
+  std::uint64_t digest = util::fnv1a64({});
+  for (const auto& w : recording.writes()) {
+    for (const std::uint64_t v : {w.offset, w.length, w.fnv}) {
+      digest = util::fnv1a64(std::as_bytes(std::span(&v, 1)), digest);
+    }
+  }
+  EXPECT_EQ(recording.writes().size(), 280u);
+  EXPECT_EQ(digest, 0x86985ac382dc1f95ULL);
+}
+
+TEST(MontageWriteSequence, ProfiledPrimitiveCountsArePinned) {
+  montage::MontageApp app;
+  std::vector<std::uint64_t> writes, bytes, reads;
+  for (const int stage : {-1, 1, 2, 3, 4}) {
+    const auto w = core::IoProfiler::profile(app, faults::parse_fault_signature("BF"), 1, stage);
+    writes.push_back(w.primitive_count);
+    bytes.push_back(w.bytes_written);
+    reads.push_back(
+        core::IoProfiler::profile(app, faults::parse_fault_signature("BF@pread"), 1, stage)
+            .primitive_count);
+  }
+  // Whole run, then stages 1-4; bytes_written always counts the whole run.
+  EXPECT_EQ(writes, (std::vector<std::uint64_t>{280, 80, 27, 80, 53}));
+  EXPECT_EQ(bytes, (std::vector<std::uint64_t>{1678803, 1678803, 1678803, 1678803, 1678803}));
+  EXPECT_EQ(reads, (std::vector<std::uint64_t>{95, 10, 23, 21, 41}));
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 #include "ffis/apps/nyx/nyx_app.hpp"
 #include "ffis/core/application.hpp"
 #include "ffis/apps/nyx/plotfile.hpp"
+#include "ffis/core/io_profiler.hpp"
 #include "ffis/vfs/counting_fs.hpp"
 #include "ffis/vfs/mem_fs.hpp"
+#include "write_recording.hpp"
 
 namespace {
 
@@ -356,6 +358,71 @@ TEST(NyxApp, AverageValueDetectorFlagsMeanShift) {
   EXPECT_EQ(app.classify(golden, faulty), core::Outcome::Detected);
   faulty.metrics["mean_density"] = 1.0000001;
   EXPECT_EQ(app.classify(golden, faulty), core::Outcome::Sdc);
+}
+
+// --- write-sequence pins -------------------------------------------------------------
+// Pinned against the per-element codec: however the raw data is encoded or
+// handed to pwrite, stage 1 and the slab updates must lay down the identical
+// pwrite stream (offsets, slicing and bytes), so instance selection and every
+// FsStats counter stay the same.
+
+using test_support::RecordingFs;
+using test_support::WriteRecord;
+
+nyx::NyxConfig pinned_config(std::size_t chunk_bytes) {
+  nyx::NyxConfig config;
+  config.field.n = 16;  // 32 KiB of raw data, 2 KiB per slab
+  config.timesteps = 3;
+  config.h5_options.data_chunk_bytes = chunk_bytes;
+  return config;
+}
+
+core::RunContext plain_context(vfs::FileSystem& fs) {
+  return core::RunContext{.fs = fs, .app_seed = 7, .instrumented_stage = -1,
+                          .instrument = nullptr};
+}
+
+TEST(NyxWriteSequence, Stage1PlotfileWritesArePinned) {
+  const nyx::NyxApp app(pinned_config(8192));
+  vfs::MemFs backing;
+  RecordingFs recording(backing);
+  app.run_prefix(plain_context(recording), 2);  // stage 1 only
+  // Four 8 KiB raw-data slices, then the metadata block and the EOF update.
+  const std::vector<WriteRecord> expected = {
+      {2424, 8192, 0x4d9ed51bd5317d36ULL}, {10616, 8192, 0x3f1ffc080918ce4fULL},
+      {18808, 8192, 0xbd25977b25b98031ULL}, {27000, 8192, 0x5633731c02444daULL},
+      {0, 2424, 0x2c59fff0050174deULL},     {40, 8, 0x7e22a81db326a27aULL},
+  };
+  EXPECT_EQ(recording.writes(), expected);
+}
+
+TEST(NyxWriteSequence, SlabUpdateWritesArePinned) {
+  // 1536-byte slices split each 2 KiB slab unevenly (1536 + 512).
+  const nyx::NyxApp app(pinned_config(1536));
+  vfs::MemFs backing;
+  app.run_prefix(plain_context(backing), 2);
+  RecordingFs recording(backing);
+  app.run_from(plain_context(recording), 2);  // stages 2 and 3
+  const std::vector<WriteRecord> expected = {
+      {2424, 1536, 0xe2c0cc5670b23dcbULL}, {3960, 512, 0xef12ef316cadf192ULL},
+      {4472, 1536, 0x8a5b124e0c99b399ULL}, {6008, 512, 0x4971378413f081ddULL},
+  };
+  EXPECT_EQ(recording.writes(), expected);
+}
+
+TEST(NyxWriteSequence, ProfiledPrimitiveCountsArePinned) {
+  const nyx::NyxApp app(pinned_config(4096));
+  const auto bf = faults::parse_fault_signature("BF");
+  std::vector<std::uint64_t> counts, bytes;
+  for (const int stage : {-1, 1, 2, 3}) {
+    const auto profile = core::IoProfiler::profile(app, bf, 7, stage);
+    counts.push_back(profile.primitive_count);
+    bytes.push_back(profile.bytes_written);
+  }
+  // Whole run, then stages 1-3: 8 data slices + metadata + EOF, one slab each.
+  EXPECT_EQ(counts, (std::vector<std::uint64_t>{12, 10, 1, 1}));
+  // bytes_written counts the whole run whichever stage is instrumented.
+  EXPECT_EQ(bytes, (std::vector<std::uint64_t>{39296, 39296, 39296, 39296}));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
@@ -172,6 +173,41 @@ TEST(Bytes, LittleEndianByteOrder) {
   put_le(buf, 0x0102, 2);
   EXPECT_EQ(std::to_integer<int>(buf[0]), 0x02);
   EXPECT_EQ(std::to_integer<int>(buf[1]), 0x01);
+}
+
+TEST(Bytes, BulkF64MatchesScalarCodecInBothOrders) {
+  // Signalling-NaN and subnormal payloads must pass through bit for bit.
+  const std::vector<std::uint64_t> words = {0x3ff0000000000000ULL, 0x7ff0000000000001ULL,
+                                            0x8000000000000001ULL, 0x0123456789abcdefULL};
+  std::vector<double> values;
+  for (const std::uint64_t w : words) values.push_back(std::bit_cast<double>(w));
+  for (const std::endian order : {std::endian::little, std::endian::big}) {
+    Bytes raw(values.size() * 8 + 3, std::byte{0xee});  // trailing bytes stay untouched
+    store_f64s(values, raw, order);
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      std::uint64_t stored = get_le(raw, 8 * i, 8);
+      if (order == std::endian::big) {
+        std::uint64_t swapped = 0;
+        for (int b = 0; b < 8; ++b) swapped = (swapped << 8) | ((stored >> (8 * b)) & 0xff);
+        stored = swapped;
+      }
+      EXPECT_EQ(stored, words[i]);
+    }
+    EXPECT_EQ(raw.back(), std::byte{0xee});
+    std::vector<double> back(values.size());
+    load_f64s(raw, back, order);
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]), words[i]);
+    }
+  }
+}
+
+TEST(Bytes, BulkF64BoundsChecked) {
+  Bytes raw(15);
+  std::vector<double> two(2);
+  EXPECT_THROW(load_f64s(raw, two, std::endian::big), std::out_of_range);
+  EXPECT_THROW(store_f64s(two, raw, std::endian::little), std::out_of_range);
+  EXPECT_NO_THROW(load_f64s(raw, std::span(two).first(1), std::endian::little));
 }
 
 class FlipBits : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>> {};
