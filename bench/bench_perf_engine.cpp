@@ -22,14 +22,13 @@
 // buys once checkpointing has removed execution cost: a 3-dump Nyx cell on a
 // 96^3 field, where the classic path re-reads and re-decodes a ~7 MiB
 // plotfile per run while the diff path splices only the dirty slab into the
-// cached golden field.  The same cell also demonstrates adaptive per-file
-// extent sizing (MemFs::Options::chunk_size_for): large extents for the bulk
-// plotfile shrink chunk bookkeeping without changing semantics.
+// cached golden field.
 //
-// An *arena* section re-runs the main plan with EngineOptions::use_arena
-// off, isolating the slab-arena run-store recycling (one refcounted epoch
-// per run vs one heap allocation per chunk); CI asserts the section exists
-// and that runs_per_sec does not regress against the committed baseline.
+// An *arena* section reads the diff-class run's slab-arena run-store
+// recycling (one refcounted epoch per run instead of one heap allocation per
+// chunk): the montage cells' fresh slabs must be at least 10x fewer than
+// their chunk allocations, and CI holds runs_per_sec against the committed
+// baseline.
 //
 // Results — including per-cell execute/analyze phase times, skipped-analysis
 // counts, storage counters and the checkpoint cache's memory — are persisted
@@ -47,8 +46,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,6 +62,8 @@
 #include "ffis/core/outcome.hpp"
 #include "ffis/dist/coordinator.hpp"
 #include "ffis/dist/worker.hpp"
+#include "ffis/util/mapped_file.hpp"
+#include "ffis/vfs/snapshot_codec.hpp"
 
 namespace {
 
@@ -334,88 +336,35 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(analysis_diff.report.cells[0].analyze_skipped));
   std::printf("analysis speedup: %8.2fx\n", analysis_speedup);
 
-  // --- Adaptive per-file extent sizing ---------------------------------------
+  // --- Arena-backed run stores ----------------------------------------------
   //
-  // The 2-dump Nyx cell again, but the bulk plotfile gets 128 KiB extents
-  // while everything else keeps the default.  Chunk bookkeeping (extent
-  // table entries per fork, checkpoint-cache chunks) shrinks ~2x at flat
-  // throughput.  128 KiB and not 256: stage 2 rewrites a ~50 KiB slab, and
-  // at 256 KiB each COW detach used to copy 4-5x the dirty bytes — the
-  // detach-cost inversion where "fewer chunks" silently became "more bytes
-  // copied than the uniform geometry".  Partial-copy detach (the store only
-  // copies the untouched remainder of a written extent) fixes the bulk of
-  // it; capping the extent at ~2x the write keeps that remainder small.
-  // Extent size stays a per-file knob, not a bigger global default.
-  constexpr std::size_t kPlotfileChunk = 128 * 1024;
-  const std::uint64_t adaptive_runs = std::max<std::uint64_t>(runs / 3, 20);
-  auto adaptive_builder = bench::plan(adaptive_runs);
-  adaptive_builder.cell(nyx, "BF", 2, "NYX2-ADAPTIVE");
-  const auto adaptive_plan = adaptive_builder.build();
-
-  exp::EngineOptions adaptive_options = diff_options;
-  adaptive_options.fs_options.chunk_size_for =
-      [](const std::string& path) -> std::size_t {
-    return path.ends_with(".h5") ? kPlotfileChunk : 0;
-  };
-  std::printf("\n-- adaptive extents (nyx plotfile at 128 KiB, default 64 KiB) --\n");
-  const VariantResult uniform = run_variant(adaptive_plan, diff_options);
-  const VariantResult adaptive = run_variant(adaptive_plan, adaptive_options);
-  assert_identical_tallies(uniform, adaptive, "adaptive extent sizing");
-  std::printf("chunks: %llu (uniform) -> %llu (adaptive); cow/run %.0f -> %.0f KiB; "
-              "%.1f -> %.1f runs/sec\n",
-              static_cast<unsigned long long>(uniform.report.checkpoint_chunks +
-                                              uniform.report.cells[0].chunks_allocated),
-              static_cast<unsigned long long>(adaptive.report.checkpoint_chunks +
-                                              adaptive.report.cells[0].chunks_allocated),
-              static_cast<double>(uniform.report.cells[0].cow_bytes_copied) / 1024.0 /
-                  static_cast<double>(adaptive_runs),
-              static_cast<double>(adaptive.report.cells[0].cow_bytes_copied) / 1024.0 /
-                  static_cast<double>(adaptive_runs),
-              uniform.runs_per_sec, adaptive.runs_per_sec);
-
-  // --- Arena-backed run stores: the allocation path A/B ----------------------
-  //
-  // Every variant above ran with EngineOptions::use_arena on (the default):
-  // each injection run leases a pooled MemFs whose chunk payloads are carved
+  // Every injection run leases a pooled MemFs whose chunk payloads are carved
   // from a thread-local slab arena and reclaimed by a cursor rewind once the
-  // run's diff is consumed — one refcounted epoch per run instead of one
-  // heap allocation + atomic refcount per chunk.  Re-running the identical
-  // plan with the arena off isolates what that buys.  The switch must change
-  // nothing but allocation traffic: tallies asserted here, every non-arena
-  // storage counter asserted bit-identical in tests/test_exp.cpp.
-  std::printf("\n-- arena-backed run stores (use_arena off vs on, main plan) --\n");
-  exp::EngineOptions no_arena_options = diff_options;
-  no_arena_options.use_arena = false;
-  const VariantResult no_arena = run_variant(experiment_plan, no_arena_options);
-  assert_identical_tallies(no_arena, diffclass, "the arena allocation path");
-
-  // Heap-allocation accounting on the montage cells — the chunk-heaviest in
-  // the plan.  Without the arena, every chunks_allocated is a heap buffer
-  // with its own control block; with it, the only heap traffic per cell is
-  // the fresh slabs it mapped (warm-up only, then rewinds).  The run hot
-  // loop's allocation count must drop at least 10x.
+  // run's diff is consumed — one refcounted epoch per run instead of one heap
+  // allocation + atomic refcount per chunk.  Heap-allocation accounting on
+  // the diff-class run's montage cells, the chunk-heaviest in the plan:
+  // chunks_allocated counts every chunk a run stores (a heap buffer each,
+  // were there no arena), while the arena's heap traffic is only the fresh
+  // slabs it mapped (warm-up only, then rewinds).  The run hot loop's
+  // allocation count must be at least 10x below the chunk count.
+  std::printf("\n-- arena-backed run stores (diff-class run) --\n");
   std::uint64_t montage_heap_chunks = 0;
   std::uint64_t montage_arena_slabs = 0;
-  for (const auto& cell : no_arena.report.cells) {
-    if (cell.cell.label.rfind("MONTAGE", 0) == 0) montage_heap_chunks += cell.chunks_allocated;
-  }
   for (const auto& cell : diffclass.report.cells) {
-    if (cell.cell.label.rfind("MONTAGE", 0) == 0) montage_arena_slabs += cell.arena_slabs_allocated;
+    if (cell.cell.label.rfind("MONTAGE", 0) == 0) {
+      montage_heap_chunks += cell.chunks_allocated;
+      montage_arena_slabs += cell.arena_slabs_allocated;
+    }
   }
-  const double arena_speedup = diffclass.runs_per_sec / no_arena.runs_per_sec;
-  std::printf("arena off: %8.1f runs/sec   montage heap chunk allocations: %llu\n",
-              no_arena.runs_per_sec,
-              static_cast<unsigned long long>(montage_heap_chunks));
-  std::printf("arena on:  %8.1f runs/sec   montage equivalent heap allocations "
-              "(fresh slabs): %llu\n",
-              diffclass.runs_per_sec,
-              static_cast<unsigned long long>(montage_arena_slabs));
-  std::printf("arena speedup: %5.2fx; %.1f MiB recycled plan-wide\n", arena_speedup,
+  std::printf("%8.1f runs/sec   montage chunk allocations: %llu   fresh slabs: %llu   "
+              "%.1f MiB recycled plan-wide\n",
+              diffclass.runs_per_sec, static_cast<unsigned long long>(montage_heap_chunks),
+              static_cast<unsigned long long>(montage_arena_slabs),
               static_cast<double>(diffclass.report.arena_bytes_recycled) /
                   (1024.0 * 1024.0));
   if (montage_arena_slabs * 10 > montage_heap_chunks) {
     std::fprintf(stderr, "FATAL: arena did not cut montage chunk allocations 10x "
-                         "(%llu heap chunks vs %llu slabs)\n",
+                         "(%llu chunks vs %llu slabs)\n",
                  static_cast<unsigned long long>(montage_heap_chunks),
                  static_cast<unsigned long long>(montage_arena_slabs));
     return 1;
@@ -546,11 +495,12 @@ int main(int argc, char** argv) {
 
   // --- Store cache tier: mmap zero-copy decode + bounded-budget churn --------
   //
-  // Two halves.  (1) A micro A/B on the load path itself: one multi-MiB nyx
-  // checkpoint entry, loaded repeatedly with mmap_decode on vs off.  Both
-  // paths verify the whole-file checksum; the buffered path then heap-copies
-  // every chunk payload while the zero-copy path aliases the mapping, so
-  // mmap loads must not be slower (CI gates the ratio at >= 1.0x).  (2) An
+  // Two halves.  (1) A codec-level A/B on one multi-MiB nyx checkpoint blob
+  // (checkpoint + golden tree, as a store entry carries them), decoded
+  // repeatedly two ways: util::MappedFile plus the aliasing
+  // SnapshotCodec::decode — the store's load path — against a buffered file
+  // read plus the copying decode, which heap-copies every chunk payload.
+  // Mapped loads must not be slower (CI gates the ratio at >= 1.0x).  (2) An
   // eviction-churn engine run: two campaigns with disjoint store keys under
   // a budget smaller than a single entry, so the store is continuously
   // evicting — and the tallies must still be bit-identical to the storeless
@@ -560,6 +510,8 @@ int main(int argc, char** argv) {
       std::filesystem::temp_directory_path() /
       ("ffis-bench-store-cache-" + std::to_string(::getpid()));
   std::filesystem::remove_all(cache_store_dir);
+  const auto blob_path = std::filesystem::temp_directory_path() /
+                         ("ffis-bench-blob-" + std::to_string(::getpid()));
 
   double memcpy_loads_per_sec = 0.0;
   double mmap_loads_per_sec = 0.0;
@@ -576,23 +528,40 @@ int main(int argc, char** argv) {
     }
     store_entry_bytes = std::filesystem::file_size(writer.entry_path(cache_key));
 
-    const auto time_loads = [&](bool mmap_decode) {
-      const core::CheckpointStore store(
-          cache_store_dir.string(),
-          core::CheckpointStore::Options{.budget_bytes = 0, .mmap_decode = mmap_decode});
-      constexpr int kLoads = 12;
-      (void)store.load_checkpoint(cache_key, {});  // warm the page cache
-      const auto start = Clock::now();
-      for (int i = 0; i < kLoads; ++i) {
-        if (!store.load_checkpoint(cache_key, {}).has_value()) {
-          std::fprintf(stderr, "FATAL: store-cache bench entry failed to load\n");
-          std::exit(1);
+    const vfs::MemFs* cache_trees[] = {&cache_checkpoint->fs(), cache_golden.get()};
+    {
+      const util::Bytes blob = vfs::SnapshotCodec::encode(cache_trees);
+      std::ofstream out(blob_path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(blob.data()),
+                static_cast<std::streamsize>(blob.size()));
+    }
+    const auto time_loads = [&](bool mapped) {
+      const auto load = [&] {
+        vfs::MemFs checkpoint_fs, golden_fs;
+        vfs::MemFs* targets[] = {&checkpoint_fs, &golden_fs};
+        if (mapped) {
+          const auto file = util::MappedFile::map(blob_path.string());
+          if (file == nullptr) {
+            std::fprintf(stderr, "FATAL: could not map the store-cache bench blob\n");
+            std::exit(1);
+          }
+          vfs::SnapshotCodec::decode(file->bytes(), targets, file);
+        } else {
+          std::ifstream in(blob_path, std::ios::binary);
+          util::Bytes blob(static_cast<std::size_t>(std::filesystem::file_size(blob_path)));
+          in.read(reinterpret_cast<char*>(blob.data()), static_cast<std::streamsize>(blob.size()));
+          vfs::SnapshotCodec::decode(blob, targets);
         }
-      }
+      };
+      constexpr int kLoads = 12;
+      load();  // warm the page cache
+      const auto start = Clock::now();
+      for (int i = 0; i < kLoads; ++i) load();
       return static_cast<double>(kLoads) / (ms_since(start) / 1000.0);
     };
     memcpy_loads_per_sec = time_loads(false);
     mmap_loads_per_sec = time_loads(true);
+    std::filesystem::remove(blob_path);
   }
   const double mmap_vs_memcpy = mmap_loads_per_sec / memcpy_loads_per_sec;
   std::printf("entry: %.1f MiB   memcpy decode: %8.1f loads/sec   mmap decode: "
@@ -717,13 +686,10 @@ int main(int argc, char** argv) {
       .num("heartbeat_timeouts", dist2.report.heartbeat_timeouts);
   ffis::bench::JsonObject arena_doc;
   arena_doc.num("runs_per_sec", diffclass.runs_per_sec)
-      .num("no_arena_runs_per_sec", no_arena.runs_per_sec)
-      .num("speedup", arena_speedup)
       .num("arena_slabs_allocated", diffclass.report.arena_slabs_allocated)
       .num("arena_bytes_recycled", diffclass.report.arena_bytes_recycled)
       .num("montage_heap_chunk_allocations", montage_heap_chunks)
-      .num("montage_equivalent_heap_allocations", montage_arena_slabs)
-      .raw("no_arena", variant_json(no_arena, vfs::ExtentStore::kDefaultChunkSize));
+      .num("montage_equivalent_heap_allocations", montage_arena_slabs);
   ffis::bench::JsonObject block_doc;
   block_doc.num("runs_per_sec", forced_block.runs_per_sec)
       .num("baseline_runs_per_sec", diffclass.runs_per_sec)
@@ -751,17 +717,6 @@ int main(int argc, char** argv) {
       .num("store_gc_runs", churn_gc_runs)
       .num("churn_runs_per_sec", churn_b.runs_per_sec)
       .num("storeless_runs_per_sec", churn_ref_b.runs_per_sec);
-  ffis::bench::JsonObject adaptive_doc;
-  adaptive_doc.str("label", "NYX2-ADAPTIVE")
-      .num("plotfile_chunk_size", static_cast<std::uint64_t>(kPlotfileChunk))
-      .num("uniform_chunks", uniform.report.checkpoint_chunks +
-                                 uniform.report.cells[0].chunks_allocated)
-      .num("adaptive_chunks",
-           adaptive.report.checkpoint_chunks + adaptive.report.cells[0].chunks_allocated)
-      .num("uniform_cow_bytes", uniform.report.cells[0].cow_bytes_copied)
-      .num("adaptive_cow_bytes", adaptive.report.cells[0].cow_bytes_copied)
-      .num("uniform_runs_per_sec", uniform.runs_per_sec)
-      .num("adaptive_runs_per_sec", adaptive.runs_per_sec);
   bench::JsonObject doc;
   doc.str("bench", "perf_engine")
       .str("applications", "montage, nyx, qmcpack")
@@ -779,7 +734,6 @@ int main(int argc, char** argv) {
       .raw("arena", arena_doc.render())
       .raw("block_device", block_doc.render())
       .raw("media", media_doc.render())
-      .raw("adaptive_extents", adaptive_doc.render())
       .raw("store_cache", store_cache_doc.render())
       .raw("distributed", dist_doc.render());
   if (!persistent_json.empty()) doc.raw("persistent_store", persistent_json);

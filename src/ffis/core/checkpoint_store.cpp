@@ -9,6 +9,7 @@
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -277,44 +278,44 @@ EntryLayout parse_entry_layout(util::ByteSpan payload) {
 
 // -- checked file IO ---------------------------------------------------------
 
-/// A verified entry payload plus whatever owns its bytes: `buffer` for the
-/// buffered path, `backing` (the file mapping) for the zero-copy path.
+/// A verified entry payload plus whatever owns its bytes: `backing` (the
+/// file mapping) for the zero-copy path, `buffer` for the buffered fallback.
 struct CheckedData {
   util::ByteSpan payload;
   std::shared_ptr<const void> backing;  ///< non-null iff mmap'd
   util::Bytes buffer;
 };
 
-/// Reads (or maps) a whole entry file and verifies its trailing checksum.
+/// Splits `bytes` into payload and 8-byte FNV-1a trailer and verifies the
+/// checksum — the one check both ways of reading share.
+util::ByteSpan verify_trailer(const std::string& path, util::ByteSpan bytes) {
+  if (bytes.size() < 8) {
+    throw std::runtime_error(path + ": " + std::to_string(bytes.size()) +
+                             " bytes, shorter than the 8-byte checksum trailer");
+  }
+  const std::size_t payload = bytes.size() - 8;
+  if (util::get_le(bytes, payload, 8) != util::fnv1a64(bytes.first(payload))) {
+    throw std::runtime_error(path + ": checksum mismatch over " + std::to_string(payload) +
+                             " payload bytes");
+  }
+  return bytes.first(payload);
+}
+
+/// Maps a whole entry file and verifies its trailing checksum before
+/// anything downstream sees a byte.  Falls back to a buffered read when the
+/// file cannot be mapped (empty, special, or mmap-hostile filesystem).
 /// Returns nullopt for missing files; throws std::runtime_error — naming the
 /// path and the byte offset involved — for unreadable, truncated or corrupt
-/// ones.  The mmap path verifies the checksum over the mapping before
-/// anything downstream sees a byte, so a torn entry is rejected exactly as
-/// in the buffered path; it falls back to a buffered read when the file
-/// cannot be mapped (empty, special, or mmap-hostile filesystem).
-std::optional<CheckedData> read_checked(const std::string& path, bool mmap_decode) {
-  if (mmap_decode) {
-    if (auto mapped = util::MappedFile::map(path)) {
-      const util::ByteSpan bytes = mapped->bytes();
-      if (bytes.size() < 8) {
-        throw std::runtime_error(path + ": " + std::to_string(bytes.size()) +
-                                 " bytes, shorter than the 8-byte checksum trailer");
-      }
-      const std::size_t payload = bytes.size() - 8;
-      const std::uint64_t want = util::get_le(bytes, payload, 8);
-      const std::uint64_t got = util::fnv1a64(bytes.first(payload));
-      if (want != got) {
-        throw std::runtime_error(path + ": checksum mismatch over " +
-                                 std::to_string(payload) + " payload bytes");
-      }
-      CheckedData out;
-      out.payload = bytes.first(payload);
-      out.backing = std::shared_ptr<const void>(std::move(mapped));
-      return out;
-    }
-    // Unmappable (or vanished) — fall through to the buffered read, which
-    // distinguishes a plain miss from an IO error.
+/// ones.
+std::optional<CheckedData> read_checked(const std::string& path) {
+  CheckedData out;
+  if (auto mapped = util::MappedFile::map(path)) {
+    out.payload = verify_trailer(path, mapped->bytes());
+    out.backing = std::shared_ptr<const void>(std::move(mapped));
+    return out;
   }
+  // Unmappable (or vanished): the buffered read distinguishes a plain miss
+  // from an IO error.
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;  // plain miss
   in.seekg(0, std::ios::end);
@@ -323,7 +324,6 @@ std::optional<CheckedData> read_checked(const std::string& path, bool mmap_decod
   if (size < 0 || !in) {
     throw std::runtime_error(path + ": cannot determine file size");
   }
-  CheckedData out;
   out.buffer.resize(static_cast<std::size_t>(size));
   if (size > 0) {
     in.read(reinterpret_cast<char*>(out.buffer.data()), size);
@@ -334,19 +334,19 @@ std::optional<CheckedData> read_checked(const std::string& path, bool mmap_decod
                                std::to_string(size));
     }
   }
-  if (out.buffer.size() < 8) {
-    throw std::runtime_error(path + ": " + std::to_string(out.buffer.size()) +
-                             " bytes, shorter than the 8-byte checksum trailer");
-  }
-  const std::size_t payload = out.buffer.size() - 8;
-  const std::uint64_t want = util::get_le(out.buffer, payload, 8);
-  const std::uint64_t got = util::fnv1a64(util::ByteSpan(out.buffer).first(payload));
-  if (want != got) {
-    throw std::runtime_error(path + ": checksum mismatch over " +
-                             std::to_string(payload) + " payload bytes");
-  }
-  out.payload = util::ByteSpan(out.buffer).first(payload);
+  out.payload = verify_trailer(path, out.buffer);
   return out;
+}
+
+/// Decodes a snapshot blob read out of `data`: aliasing the mapping when
+/// there is one, copying out of the buffer otherwise.
+void decode_snapshot(const CheckedData& data, util::ByteSpan snapshot,
+                     std::span<vfs::MemFs* const> targets) {
+  if (data.backing != nullptr) {
+    vfs::SnapshotCodec::decode(snapshot, targets, data.backing);
+  } else {
+    vfs::SnapshotCodec::decode(snapshot, targets);
+  }
 }
 
 /// Atomically publishes `data` (plus its checksum trailer) at `path` via a
@@ -512,10 +512,10 @@ CheckpointStore::GcResult gc_locked(CheckpointStoreState& st, const std::string&
     }
     if (!is_entry_name(name)) continue;
     try {
-      auto data = read_checked(path, /*mmap_decode=*/false);
+      const auto data = read_checked(path);
       if (!data) continue;  // vanished underneath us
       const EntryLayout layout = parse_entry_layout(data->payload);
-      const std::uint64_t old_file_bytes = data->buffer.size();
+      const std::uint64_t old_file_bytes = data->payload.size() + 8;
       if (layout.has_blob) {
         if (const auto compacted = vfs::SnapshotCodec::compact(layout.blob)) {
           util::Bytes rebuilt(data->payload.begin(),
@@ -673,7 +673,7 @@ std::optional<CheckpointStore::LoadedCheckpoint> CheckpointStore::load_checkpoin
   if (key.app_fingerprint.empty() || key.stage < 0) return std::nullopt;
   const std::string path = entry_path(key);
   try {
-    const auto data = read_checked(path, options_.mmap_decode);
+    const auto data = read_checked(path);
     if (!data) {
       std::scoped_lock lock(state_->mutex);
       stats_.misses += 1;
@@ -703,12 +703,7 @@ std::optional<CheckpointStore::LoadedCheckpoint> CheckpointStore::load_checkpoin
       }
       targets.push_back(golden_tree.get());
     }
-    const std::span<vfs::MemFs* const> target_span(targets.data(), targets.size());
-    if (data->backing != nullptr) {
-      vfs::SnapshotCodec::decode(snapshot, target_span, data->backing);
-    } else {
-      vfs::SnapshotCodec::decode(snapshot, target_span);
-    }
+    decode_snapshot(*data, snapshot, targets);
     out.checkpoint = std::move(checkpoint);
     out.golden_tree = std::move(golden_tree);
     {
@@ -758,7 +753,7 @@ std::optional<CheckpointStore::LoadedGolden> CheckpointStore::load_golden(
   golden_key.stage = -1;
   const std::string path = entry_path(golden_key);
   try {
-    const auto data = read_checked(path, options_.mmap_decode);
+    const auto data = read_checked(path);
     if (!data) {
       std::scoped_lock lock(state_->mutex);
       stats_.misses += 1;
@@ -779,12 +774,7 @@ std::optional<CheckpointStore::LoadedGolden> CheckpointStore::load_golden(
         auto tree =
             std::shared_ptr<vfs::MemFs>(new vfs::MemFs(frozen_options(fs_options)));
         vfs::MemFs* target = tree.get();
-        const std::span<vfs::MemFs* const> target_span(&target, 1);
-        if (data->backing != nullptr) {
-          vfs::SnapshotCodec::decode(snapshot, target_span, data->backing);
-        } else {
-          vfs::SnapshotCodec::decode(snapshot, target_span);
-        }
+        decode_snapshot(*data, snapshot, std::span<vfs::MemFs* const>(&target, 1));
         out.tree = std::move(tree);
       }
     } else {

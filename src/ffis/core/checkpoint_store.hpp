@@ -20,10 +20,9 @@
 // Application::state_fingerprint(), app_seed, stage, base extent size, the
 // store format version AND the snapshot codec version all match.  An
 // application with an empty fingerprint is never persisted (there is no way
-// to detect a config change, so caching would be unsound).  Per-file extent
-// overrides (MemFs::Options::chunk_size_for) are validated path-by-path at
-// decode time — a mismatch is reported by the codec naming the file, and the
-// store treats it as a miss.
+// to detect a config change, so caching would be unsound).  The codec also
+// checks every file's recorded extent size at decode time — a mismatch names
+// the file, and the store treats it as a miss.
 //
 // Robustness: every entry is one file, written to a temp name and renamed
 // into place (atomic on POSIX — concurrent engines sharing a directory
@@ -47,15 +46,15 @@
 // shared by *other processes* is enforced approximately: each process
 // evicts based on what it has observed (its scan plus its own traffic).
 //
-// Zero-copy decode (Options::mmap_decode, default on): entries load
-// through a read-only mmap and decoded extents alias the mapping
-// (ExtentStore::kMappedOwner — immutable-by-construction, COW detach on
-// first write), so a warm start materializes trees without allocating or
-// copying payload bytes.  The whole-file checksum is still verified over
-// the mapping before anything is decoded — a torn or corrupt entry is
-// rejected exactly as in the buffered path, never served.  The mapping
-// stays valid after GC or eviction unlinks the file (POSIX), so live runs
-// keep their chunks.
+// Zero-copy decode: entries load through a read-only mmap and decoded
+// extents alias the mapping (ExtentStore::kMappedOwner —
+// immutable-by-construction, COW detach on first write), so a warm start
+// materializes trees without allocating or copying payload bytes.  A file
+// that cannot be mapped (empty, special, mmap-hostile filesystem) is read
+// buffered and decoded by copy instead.  Either way the whole-file checksum
+// is verified before anything is decoded — a torn or corrupt entry is
+// rejected, never served.  The mapping stays valid after GC or eviction
+// unlinks the file (POSIX), so live runs keep their chunks.
 
 #include <cstdint>
 #include <functional>
@@ -88,11 +87,6 @@ class CheckpointStore {
     /// write).  If eviction alone cannot get under the budget (everything
     /// left is leased), a GC/compaction pass runs automatically.
     std::uint64_t budget_bytes = 0;
-    /// Decode entries through a read-only mmap so loaded extents alias the
-    /// file (zero-copy warm start).  Off = buffered read + per-chunk
-    /// memcpy, the pre-mmap behavior.  Either way the checksum is verified
-    /// before decoding.
-    bool mmap_decode = true;
   };
 
   /// Per-instance cache-traffic counters (each engine reports the traffic
@@ -147,9 +141,8 @@ class CheckpointStore {
   explicit CheckpointStore(std::string dir) : CheckpointStore(std::move(dir), Options{}) {}
 
   /// What identifies an entry.  `stage` is ignored for golden entries (the
-  /// golden run is stage-independent).  `chunk_size` is the base extent
-  /// size of the MemFs options the trees were built with; per-file
-  /// overrides are validated structurally at decode instead.
+  /// golden run is stage-independent).  `chunk_size` is the extent size of
+  /// the MemFs options the trees were built with.
   struct Key {
     std::string app_name;
     std::string app_fingerprint;  ///< Application::state_fingerprint(); empty = unpersistable

@@ -47,20 +47,9 @@ void FaultInjector::set_fs_options(vfs::MemFs::Options options) {
   fs_options_ = std::move(options);
 }
 
-void FaultInjector::set_run_recycling(bool on) {
-  require_unprepared("run recycling");
-  run_recycling_ = on;
-}
-
 void FaultInjector::set_force_block_device(bool on) {
   require_unprepared("force_block_device");
   force_block_device_ = on;
-}
-
-std::unique_ptr<vfs::MemFs> FaultInjector::make_backing() const {
-  vfs::MemFs::Options options = fs_options_;
-  options.concurrency = vfs::MemFs::Concurrency::SingleThread;  // run-private
-  return std::make_unique<vfs::MemFs>(std::move(options));
 }
 
 AnalysisResult FaultInjector::run_golden(const Application& app, std::uint64_t app_seed) {
@@ -140,8 +129,7 @@ void FaultInjector::prepare_with_checkpoint(std::shared_ptr<const AnalysisResult
   }
   if (diff_classification_ && checkpoint->fs().chunk_size() != fs_options_.chunk_size) {
     // Surfaced here, at configuration time, rather than as a diff_tree
-    // throw on the first run.  (Per-file chunk_size_for hooks cannot be
-    // compared; mismatches there still surface via diff_tree.)
+    // throw on the first run.
     throw std::invalid_argument(
         "FaultInjector: checkpoint captured with chunk size " +
         std::to_string(checkpoint->fs().chunk_size()) + " but injector fs options use " +
@@ -199,25 +187,17 @@ RunResult FaultInjector::execute_at(std::uint64_t target_instance,
   RunResult result;
 
   // "In each run, FFISFS would be mounted and unmounted": a fresh backing
-  // store and a fresh instrumentation layer per run.  With a checkpoint the
-  // fresh store is a copy-on-write fork of the fault-free prefix; either
-  // way this run owns it exclusively, so locking is off.  Recycling leases
-  // the store from the thread's RunScratch (arena extents, pooled node
-  // tables); the fallback heap-allocates a fresh one.  The lease lives to
-  // the end of this call — fs_stats is copied out before every return.
+  // store and a fresh instrumentation layer per run.  The store is leased
+  // from the thread's RunScratch (arena extents, pooled node tables): with a
+  // checkpoint it is a copy-on-write fork of the fault-free prefix,
+  // otherwise an empty tree.  Either way this run owns it exclusively, so
+  // locking is off.  The lease lives to the end of this call — fs_stats is
+  // copied out before every return.
   const auto execute_start = Clock::now();
-  std::optional<RunScratch::Lease> lease;
-  std::unique_ptr<vfs::MemFs> owned;
-  if (run_recycling_) {
-    lease.emplace(RunScratch::current().acquire(
-        checkpoint_ ? static_cast<const void*>(checkpoint_.get())
-                    : static_cast<const void*>(this),
-        checkpoint_ ? &checkpoint_->fs() : nullptr, fs_options_));
-  } else {
-    owned = checkpoint_ ? checkpoint_->fs().fork_unique(vfs::MemFs::Concurrency::SingleThread)
-                        : make_backing();
-  }
-  vfs::MemFs& backing = lease.has_value() ? lease->fs() : *owned;
+  RunScratch::Lease lease = RunScratch::current().acquire(
+      checkpoint_ ? static_cast<const void*>(checkpoint_.get()) : static_cast<const void*>(this),
+      checkpoint_ ? &checkpoint_->fs() : nullptr, fs_options_);
+  vfs::MemFs& backing = lease.fs();
   // Media-level cells mount a BlockDevice beneath the store and arm *it*
   // (target_instance then indexes sector writes); the FaultingFs stays
   // configured-but-unarmed, counting primitives and sharing its stage gate.

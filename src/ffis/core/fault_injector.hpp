@@ -111,14 +111,10 @@ class FaultInjector {
   /// and diff_tree rejects mismatched chunk sizes).
   void set_fs_options(vfs::MemFs::Options options);
 
-  /// Run-store recycling (default on): execute() leases its backing store
-  /// from the calling thread's core::RunScratch — arena-backed extents plus
-  /// an in-place reset of a pooled MemFs — instead of heap-forking a fresh
-  /// one per run.  Purely an allocation-path switch: outcomes, tallies and
-  /// FsStats counters other than the arena_* pair are bit-identical either
-  /// way.  Must be set before prepare_*.
-  void set_run_recycling(bool on);
-  [[nodiscard]] bool run_recycling() const noexcept { return run_recycling_; }
+  /// No-op: every run leases its backing store from the calling thread's
+  /// core::RunScratch.  Kept only because the benchmark suite (bench/suite)
+  /// calls it; delete it together with those calls.
+  void set_run_recycling(bool /*on*/) noexcept {}
 
   /// A/B probe for the media layer (default off): when on, syscall-level
   /// cells also mount a passive vfs::BlockDevice under every run's store —
@@ -163,9 +159,6 @@ class FaultInjector {
   void require_unprepared(const char* what) const;
   /// Derives golden_artifacts_ from golden_tree_ (forked for read access).
   void derive_artifacts();
-  /// Fresh heap-owned per-run backing store honoring fs_options_
-  /// (SingleThread); the non-recycling fallback.
-  [[nodiscard]] std::unique_ptr<vfs::MemFs> make_backing() const;
 
   const Application& app_;
   faults::FaultSignature signature_;
@@ -173,7 +166,6 @@ class FaultInjector {
   int instrumented_stage_;
   bool prepared_ = false;
   bool diff_classification_ = true;
-  bool run_recycling_ = true;
   bool force_block_device_ = false;
   vfs::MemFs::Options fs_options_{};
   /// Shared so exp::Engine's golden cache can hand one analysis to many

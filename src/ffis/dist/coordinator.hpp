@@ -71,10 +71,7 @@ struct CoordinatorOptions {
   std::uint64_t heartbeat_interval_ms = 0;
   /// Execution options forwarded to workers (checkpoint_dir, use_checkpoints,
   /// use_diff_classification, fs geometry).  `threads` and `progress` apply
-  /// to nothing here — workers choose their own thread counts.  Note that
-  /// only a uniform chunk_size is forwarded, not chunk_size_for: callbacks do
-  /// not serialize, and mixed geometry would split the shared checkpoint
-  /// store's keyspace anyway.
+  /// to nothing here — workers choose their own thread counts.
   exp::EngineOptions engine;
 };
 

@@ -75,7 +75,6 @@ ExperimentReport Engine::run(const ExperimentPlan& plan, ResultSink& sink) {
   if (!options_.checkpoint_dir.empty()) {
     core::CheckpointStore::Options store_options;
     store_options.budget_bytes = options_.checkpoint_budget;
-    store_options.mmap_decode = options_.checkpoint_mmap;
     store = std::make_unique<core::CheckpointStore>(options_.checkpoint_dir,
                                                     store_options);
   }
@@ -344,7 +343,6 @@ ExperimentReport Engine::run(const ExperimentPlan& plan, ResultSink& sink) {
           cells[i].stage);
       injectors[i]->set_diff_classification(options_.use_diff_classification);
       injectors[i]->set_fs_options(options_.fs_options);
-      injectors[i]->set_run_recycling(options_.use_arena);
       injectors[i]->set_force_block_device(options_.force_block_device);
       const std::size_t cp = cell_checkpoint[i];
       if (cp != kNoCheckpoint && checkpoints[cp].captured) {

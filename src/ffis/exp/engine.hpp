@@ -1,7 +1,7 @@
 #pragma once
 // Experiment engine: executes a whole ExperimentPlan on ONE shared thread
-// pool.  Compared to running one core::Campaign per cell this changes three
-// things:
+// pool.  Compared to running one FaultInjector campaign per cell this
+// changes five things:
 //
 //  * Shared scheduling — every injection run from every cell is queued on a
 //    single util::ThreadPool, so cores never idle at cell boundaries and a
@@ -24,11 +24,12 @@
 //    The resolution order per cell is: in-process cache -> disk store ->
 //    full execution; every tier preserves bit-identical tallies.
 //
-// Determinism: per-run seeds are derived exactly as core::Campaign derives
-// them (faults::FaultGenerator::run_seed over the cell seed), results land
-// in per-index slots, and tallies are folded in run order — so tallies are
-// bit-identical to a sequential per-cell Campaign::run at the same seeds,
-// regardless of the thread count.
+// Determinism: every run of a cell uses the application seed
+// `seed ^ 0x5eed` (Cell::app_seed) and the per-run seed
+// faults::FaultGenerator::run_seed(r) over the cell seed; results land in
+// per-index slots, and tallies are folded in run order — so tallies are
+// bit-identical to executing the runs sequentially on one FaultInjector at
+// the same seeds, regardless of the thread count.
 
 #include <atomic>
 #include <cstdint>
@@ -66,10 +67,6 @@ struct EngineOptions {
   /// tight budget only costs rebuild work (ExperimentReport::store_*
   /// counters show the traffic).
   std::uint64_t checkpoint_budget = 0;
-  /// Decode store entries through a read-only mmap so loaded trees alias the
-  /// entry file (zero-copy warm start; extents COW-detach on first write).
-  /// Off = buffered read + per-chunk memcpy.  A/B knob; tallies identical.
-  bool checkpoint_mmap = true;
   /// Checkpoint reuse: for a stage-instrumented cell of a stage-resumable
   /// application, capture the fault-free prefix (stages < instrumented
   /// stage) once per (app, app_seed, stage), then fork the copy-on-write
@@ -85,15 +82,6 @@ struct EngineOptions {
   /// checkpoint the runs fork, so the prefix diffs by pointer equality.
   /// Tallies are bit-identical with the flag on or off; off for A/B.
   bool use_diff_classification = true;
-  /// Run-store recycling (core::RunScratch): every injection run leases a
-  /// pooled, arena-backed MemFs from its worker thread instead of
-  /// heap-forking a fresh one — fresh/detached extents become bump-pointer
-  /// carves from a per-thread vfs::ExtentArena whose slabs are rewound
-  /// between runs, and the node table is reset in place.  Purely an
-  /// allocation-path switch: tallies and every non-arena FsStats counter
-  /// are bit-identical with the flag on or off; off exists for A/B
-  /// benchmarks (see bench_perf_engine's arena section).
-  bool use_arena = true;
   /// Mount a passive vfs::BlockDevice under syscall-level cells too
   /// (media-model cells always mount one).  The passive device is never
   /// armed, so it registers nothing: outcomes, diffs and tallies are
@@ -101,8 +89,7 @@ struct EngineOptions {
   /// the clean-sector fast path (bench_perf_engine's block-device section).
   bool force_block_device = false;
   /// Backing-store options for golden runs, checkpoints and per-run stores
-  /// (extent sizing — see MemFs::Options::chunk_size_for; concurrency is
-  /// managed by the engine).  One plan-wide value keeps every tree on the
+  /// (the uniform extent size; concurrency is managed by the engine).  One plan-wide value keeps every tree on the
   /// same extent geometry, which diff classification requires.
   vfs::MemFs::Options fs_options{};
   /// Invoked with (completed_runs, total_runnable_runs) from worker threads;

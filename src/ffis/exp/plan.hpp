@@ -26,10 +26,9 @@
 namespace ffis::exp {
 
 /// One campaign cell: `runs` injections of `fault` into `app`, scoped to
-/// `stage` (-1 = whole run), seeded by `seed`.  Seed semantics match
-/// core::Campaign exactly: the application seed is `seed ^ 0x5eed` and
-/// per-run seeds come from faults::FaultGenerator::run_seed, so a plan cell
-/// reproduces a legacy Campaign bit-for-bit.
+/// `stage` (-1 = whole run), seeded by `seed`: the application seed is
+/// `seed ^ 0x5eed` and the seed of run r is faults::FaultGenerator::run_seed(r)
+/// over `seed`.
 struct Cell {
   const core::Application* app = nullptr;  ///< non-owning; must outlive the run
   std::string fault;                       ///< fault signature text ("BF", "BIT_FLIP@pwrite{width=2}", ...)

@@ -53,9 +53,8 @@
 //    — by the allocator or by arena recycling — after its last handle is
 //    gone, so two live handles with one address are one allocation.)
 //  * pointer identity is only meaningful between stores on the same chunk
-//    grid — diff() rejects mismatched chunk sizes (and MemFs guarantees
-//    fork-derived and same-options trees agree per file, see
-//    MemFs::Options::chunk_size_for);
+//    grid — diff() rejects mismatched chunk sizes (and every file of a
+//    MemFs uses its Options::chunk_size, which forks inherit);
 //  * sharing is observational, never load-bearing for correctness: a chunk
 //    rewritten with identical bytes loses its shared pointer but still
 //    memcmp-compares equal in diff().  vfs::SnapshotCodec preserves sharing

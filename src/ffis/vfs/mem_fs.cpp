@@ -11,7 +11,6 @@ namespace ffis::vfs {
 MemFs::MemFs(Options options)
     : locking_(options.concurrency == Concurrency::MultiThread),
       chunk_size_(options.chunk_size),
-      chunk_size_for_(std::move(options.chunk_size_for)),
       arena_(std::move(options.arena)) {
   // Deliberately pre-empts ExtentStore's own std::invalid_argument checks so
   // VFS misuse surfaces in the VFS error domain.
@@ -28,7 +27,6 @@ MemFs::MemFs(Options options)
 MemFs::MemFs(ForkTag, const MemFs& parent, Concurrency mode, std::shared_ptr<ExtentArena> arena)
     : locking_(mode == Concurrency::MultiThread),
       chunk_size_(parent.chunk_size_),
-      chunk_size_for_(parent.chunk_size_for_),
       arena_(std::move(arena)) {
   Guard lock(parent.maybe_mutex());
   for (const auto& [path, node] : parent.nodes_) {
@@ -50,7 +48,6 @@ std::unique_ptr<MemFs> MemFs::fork_unique(Concurrency mode,
 void MemFs::reset_from(const MemFs& base) {
   Guard lock(base.maybe_mutex());  // *this is owned exclusively by the caller
   chunk_size_ = base.chunk_size_;
-  chunk_size_for_ = base.chunk_size_for_;
   handles_.clear();
   stats_ = FsStats{};
   media_.reset();  // a block device is strictly per-run state
@@ -137,7 +134,7 @@ FileHandle MemFs::open(const std::string& raw_path, OpenMode mode) {
     }
     check_parent(path);
     if (it == nodes_.end()) {
-      it = nodes_.emplace(path, make_node(path)).first;
+      it = nodes_.emplace(path, std::make_shared<Node>(chunk_size_)).first;
     } else if (mode == OpenMode::Write) {
       it->second->data.clear();  // truncate; dropping the extent refs is COW-free
       if (media_ != nullptr && media_->has_faulted_sectors()) {
@@ -197,7 +194,7 @@ void MemFs::mknod(const std::string& raw_path, std::uint32_t mode) {
   Guard lock(maybe_mutex());
   if (nodes_.contains(path)) throw VfsError(VfsError::Code::AlreadyExists, path + " exists");
   check_parent(path);
-  auto node = make_node(path);
+  auto node = std::make_shared<Node>(chunk_size_);
   node->mode = mode;
   nodes_.emplace(path, std::move(node));
 }

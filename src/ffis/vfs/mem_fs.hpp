@@ -29,11 +29,10 @@
 //
 // Frozen trees (checkpoint snapshots, golden output trees) can be
 // serialized to a versioned binary blob and back by vfs::SnapshotCodec —
-// including per-file extent geometry and cross-tree chunk sharing — which
+// including each file's extent size and cross-tree chunk sharing — which
 // is what core::CheckpointStore persists across processes.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,14 +60,6 @@ class MemFs final : public FileSystem {
     /// Extent size for every payload.  Smaller chunks copy less per detach
     /// but cost more bookkeeping; must be > 0.
     std::size_t chunk_size = ExtentStore::kDefaultChunkSize;
-    /// Optional per-file extent sizing: called with the normalized absolute
-    /// path when a regular file node is created; a positive return overrides
-    /// `chunk_size` for that file (metadata-churn files want small extents,
-    /// bulk plotfiles large ones), 0 keeps the default.  A file keeps its
-    /// extent size for life (renames included) and forks inherit both the
-    /// per-file geometry and this hook, so two trees built from the same
-    /// options always agree per file — which diff_tree requires.
-    std::function<std::size_t(const std::string& path)> chunk_size_for;
     /// Optional bump arena backing every fresh or detached extent this fs
     /// writes (see vfs::ExtentArena).  Run-private filesystems on the
     /// engine hot path use the owning thread's arena; long-lived trees
@@ -107,8 +98,7 @@ class MemFs final : public FileSystem {
   /// allocations (and the map's interior nodes) for every path the two
   /// trees share.  Extents are shared copy-on-write exactly as fork();
   /// open handles are invalidated, stats() restart from zero, and the
-  /// chunk geometry (chunk_size / chunk_size_for) is re-inherited from
-  /// `base`.  Concurrency mode and the attached arena are kept.  This is
+  /// chunk size is re-inherited from `base`.  Concurrency mode and the attached arena are kept.  This is
   /// the run-recycling primitive: a pooled run fs resets from the cell
   /// checkpoint in O(#files) with zero map-node churn in steady state.
   /// The caller must own *this exclusively (no concurrent ops); `base`
@@ -222,7 +212,7 @@ class MemFs final : public FileSystem {
   };
 
   /// The snapshot codec enumerates and rebuilds the node table directly:
-  /// serialization must record per-file extent geometry and chunk sharing,
+  /// serialization must record each file's extent size and chunk sharing,
   /// neither of which the FileSystem surface exposes.
   friend class SnapshotCodec;
 
@@ -240,22 +230,12 @@ class MemFs final : public FileSystem {
   [[nodiscard]] std::mutex* maybe_mutex() const noexcept {
     return locking_ ? &mutex_ : nullptr;
   }
-  /// Node factory honoring the per-file extent-size hook (`path` is already
-  /// normalized; directories always use the default size).
-  [[nodiscard]] std::shared_ptr<Node> make_node(const std::string& path) const {
-    std::size_t size = chunk_size_;
-    if (chunk_size_for_) {
-      if (const std::size_t s = chunk_size_for_(path); s > 0) size = s;
-    }
-    return std::make_shared<Node>(size);
-  }
   Node& node_at(const std::string& path);  // throws NotFound
   OpenFile& handle_at(FileHandle fh, const char* op);  // throws BadHandle
   void check_parent(const std::string& path) const;
 
   bool locking_ = true;
   std::size_t chunk_size_ = ExtentStore::kDefaultChunkSize;
-  std::function<std::size_t(const std::string&)> chunk_size_for_;
   std::shared_ptr<ExtentArena> arena_;
   std::shared_ptr<BlockDevice> media_;  ///< run-private; see set_media()
   mutable std::mutex mutex_;

@@ -247,20 +247,15 @@ void SnapshotCodec::decode_impl(util::ByteSpan blob, std::span<MemFs* const> tar
         if (chunk_size == 0 || chunk_size > (std::uint64_t{1} << 40)) {
           bad("implausible extent size for " + path);
         }
-        // The satellite geometry check: a snapshot only loads into options
-        // that reproduce its per-file extent sizes, and a mismatch names
-        // the file instead of surfacing later as a diff_tree failure.
-        std::uint64_t expected = target->chunk_size_;
-        if (target->chunk_size_for_) {
-          if (const std::size_t s = target->chunk_size_for_(path); s > 0) expected = s;
-        }
-        if (chunk_size != expected) {
+        // A snapshot only loads into options with the same extent size, and
+        // a mismatch names the file instead of surfacing later as a
+        // diff_tree failure.
+        if (chunk_size != target->chunk_size_) {
           throw VfsError(VfsError::Code::InvalidArgument,
                          "snapshot codec: " + path + " was serialized with " +
                              std::to_string(chunk_size) +
-                             "-byte extents but the current options (chunk_size / "
-                             "chunk_size_for) assign " +
-                             std::to_string(expected) +
+                             "-byte extents but the current chunk_size is " +
+                             std::to_string(target->chunk_size_) +
                              "; the snapshot predates a geometry change — recapture it");
         }
         if (slots > util::chunk_count(size, static_cast<std::size_t>(chunk_size)) ||

@@ -17,10 +17,10 @@
 //    exactly where the serialized trees did, and vfs::MemFs::diff_tree keeps
 //    its pointer-equality fast path on loaded snapshots.
 //  * Geometry is validated on decode.  The blob records each file's extent
-//    size; decode checks it against what the target's Options (chunk_size /
-//    chunk_size_for) would assign that path and throws a VfsError naming the
-//    path on mismatch — so a changed per-file sizing hook surfaces at load
-//    time with a clear message, not as a mid-plan diff_tree failure.
+//    size; decode checks it against the target's chunk_size and throws a
+//    VfsError naming the path on mismatch — so a snapshot captured under
+//    another extent size surfaces at load time with a clear message, not
+//    as a mid-plan diff_tree failure.
 //
 // The format is little-endian, fixed-width, and versioned (kFormatVersion in
 // the header; decode rejects unknown versions).  The codec itself carries no
@@ -63,9 +63,9 @@ class SnapshotCodec {
   ///  * InvalidArgument when the blob is malformed, its version is unknown,
   ///    its tree count differs from targets.size(), or a target is not empty;
   ///  * InvalidArgument naming the offending path when a file's recorded
-  ///    extent size disagrees with what the target's chunk_size /
-  ///    chunk_size_for would assign it (the snapshot was captured under
-  ///    different geometry — recapture instead of loading).
+  ///    extent size disagrees with the target's chunk_size (the snapshot
+  ///    was captured under different geometry — recapture instead of
+  ///    loading).
   static void decode(util::ByteSpan blob, std::span<MemFs* const> targets);
 
   /// Convenience single-tree overload.
@@ -94,8 +94,7 @@ class SnapshotCodec {
   /// the rewritten blob — or nullopt when every chunk is referenced (the
   /// blob is already compact).  A pure byte-level transform: no MemFs is
   /// materialized and no Options are consulted, so the checkpoint store's
-  /// GC can compact entries whose per-file extent geometry it knows nothing
-  /// about.  Throws VfsError(InvalidArgument) on malformed input.
+  /// GC can compact entries whose extent geometry it knows nothing about.  Throws VfsError(InvalidArgument) on malformed input.
   [[nodiscard]] static std::optional<util::Bytes> compact(util::ByteSpan blob);
 
   /// Number of trees in an encoded blob (header peek; full validation

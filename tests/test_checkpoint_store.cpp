@@ -1,5 +1,5 @@
 // Persistent checkpoint store tests: snapshot-codec round-trip bit-identity
-// (including chunk sharing, per-file geometry validation, zero-copy decode
+// (including chunk sharing, geometry validation, zero-copy decode
 // aliasing and structural compaction), store entry integrity (checksum /
 // truncation / version-bump rejection with silent rebuild), the bounded
 // cache tier (LRU eviction order, lease pinning, GC/compaction, kill-point
@@ -125,14 +125,11 @@ class PersistableToyApp final : public core::Application {
 };
 
 /// A representative tree: directories, an empty file, a sparse file with a
-/// hole and a short tail, a mid-chunk-sized file, and one file on a custom
-/// extent size via chunk_size_for.
+/// hole and a short tail, a mid-chunk-sized file, and a file spanning ten
+/// 64-byte extents.
 vfs::MemFs::Options tree_options() {
   vfs::MemFs::Options options;
   options.chunk_size = 64;
-  options.chunk_size_for = [](const std::string& path) -> std::size_t {
-    return path.ends_with(".big") ? 256 : 0;
-  };
   return options;
 }
 
@@ -188,7 +185,7 @@ TEST(SnapshotCodec, SharingSurvivesRoundTrip) {
   {
     vfs::File f(child, "/file.big", vfs::OpenMode::ReadWrite);
     const util::Bytes patch(8, std::byte{0xff});
-    (void)f.pwrite(patch, 300);  // detaches one 256-byte extent
+    (void)f.pwrite(patch, 300);  // detaches one 64-byte extent
   }
 
   const vfs::MemFs* trees[] = {&parent, &child};
@@ -241,16 +238,17 @@ TEST(SnapshotCodec, GeometryMismatchNamesThePath) {
   populate_tree(original);
   const util::Bytes blob = vfs::SnapshotCodec::encode(original);
 
-  // Same base chunk size, but the per-file override hook is gone: /file.big
-  // would be rebuilt on the wrong grid.  The error must say which file.
-  vfs::MemFs::Options no_hook;
-  no_hook.chunk_size = 64;
-  vfs::MemFs target(no_hook);
+  // A target on another extent size would rebuild every file on the wrong
+  // grid.  The error must say which file: the first one in path order.
+  vfs::MemFs::Options other_geometry;
+  other_geometry.chunk_size = 128;
+  vfs::MemFs target(other_geometry);
   try {
     vfs::SnapshotCodec::decode(blob, target);
-    FAIL() << "decode accepted mismatched per-file geometry";
+    FAIL() << "decode accepted mismatched geometry";
   } catch (const vfs::VfsError& e) {
-    EXPECT_NE(std::string(e.what()).find("/file.big"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("/dir/hello"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("64-byte extents"), std::string::npos) << e.what();
   }
 }
 
@@ -587,28 +585,6 @@ TEST_F(CheckpointStoreCorruption, VersionBumpIsRejectedAndRebuilt) {
   expect_rejected_then_rebuilt();
 }
 
-TEST(CheckpointStore, PerFileGeometryChangeIsAMiss) {
-  const StoreDir dir("geometry");
-  const core::CheckpointStore store(dir.path());
-  const PersistableToyApp app;
-
-  vfs::MemFs::Options saved_options;
-  saved_options.chunk_size_for = [](const std::string& path) -> std::size_t {
-    return path == "/stage1" ? 32 : 0;
-  };
-  const auto checkpoint = core::Checkpoint::capture(app, 3, 2, saved_options);
-  ASSERT_TRUE(store.save_checkpoint(toy_key(app, 3, 2, saved_options), *checkpoint,
-                                    nullptr, {}));
-
-  // Same base chunk size (same store key), different per-file override: the
-  // codec rejects the entry at load and the store reports a miss.
-  vfs::MemFs::Options hookless;
-  EXPECT_FALSE(store.load_checkpoint(toy_key(app, 3, 2, hookless), hookless).has_value());
-  // With the original hook it loads fine.
-  EXPECT_TRUE(
-      store.load_checkpoint(toy_key(app, 3, 2, saved_options), saved_options).has_value());
-}
-
 // --- bounded cache tier: mmap decode, LRU eviction, leases, GC ---------------
 
 /// Saves one toy checkpoint entry (no golden tree) and returns its path.
@@ -652,49 +628,6 @@ std::string write_compactable_golden_entry(const core::CheckpointStore& store,
   out.write(reinterpret_cast<const char*>(payload.data()),
             static_cast<std::streamsize>(payload.size()));
   return path;
-}
-
-TEST(CheckpointStore, MmapAndBufferedLoadsAgree) {
-  const StoreDir dir("mmap-vs-buffered");
-  const PersistableToyApp app;
-  const std::uint64_t seed = 77;
-  {
-    const core::CheckpointStore writer(dir.path());
-    const auto checkpoint = core::Checkpoint::capture(app, seed, 2);
-    const auto golden_tree = checkpoint->grow_golden_tree(app, seed);
-    ASSERT_TRUE(writer.save_checkpoint(toy_key(app, seed, 2), *checkpoint,
-                                       golden_tree.get(), app.serialize_state(seed)));
-  }
-
-  const core::CheckpointStore mmapped(dir.path(), {});
-  const core::CheckpointStore buffered(
-      dir.path(), core::CheckpointStore::Options{.budget_bytes = 0, .mmap_decode = false});
-  const auto via_map = mmapped.load_checkpoint(toy_key(app, seed, 2), {});
-  const auto via_buf = buffered.load_checkpoint(toy_key(app, seed, 2), {});
-  ASSERT_TRUE(via_map.has_value());
-  ASSERT_TRUE(via_buf.has_value());
-  expect_trees_identical(via_map->checkpoint->fs(), via_buf->checkpoint->fs());
-  ASSERT_NE(via_map->golden_tree, nullptr);
-  ASSERT_NE(via_buf->golden_tree, nullptr);
-  expect_trees_identical(*via_map->golden_tree, *via_buf->golden_tree);
-  EXPECT_EQ(via_map->app_state, via_buf->app_state);
-  // Chunk sharing between checkpoint and golden tree (diff_tree's pointer
-  // fast path) holds on the zero-copy path too.
-  EXPECT_GT(via_map->checkpoint->cow_shared_bytes(), 0u);
-  EXPECT_EQ(mmapped.stats().hits, 1u);
-  EXPECT_EQ(buffered.stats().hits, 1u);
-}
-
-TEST_F(CheckpointStoreCorruption, BufferedPathRejectsCorruptionToo) {
-  // The default store decodes through mmap; the sibling fixtures cover that
-  // path.  The buffered path must reject the same corruption.
-  util::Bytes data = read_entry();
-  data[data.size() / 2] ^= std::byte{0x40};
-  write_entry(data);
-  const core::CheckpointStore buffered(
-      dir_->path(), core::CheckpointStore::Options{.budget_bytes = 0, .mmap_decode = false});
-  EXPECT_FALSE(buffered.load_checkpoint(key(), {}).has_value());
-  EXPECT_EQ(buffered.stats().misses, 1u);
 }
 
 TEST(CheckpointStore, EvictionAndGcNeverInvalidateALoadedEntry) {
@@ -803,8 +736,11 @@ TEST(CheckpointStore, GcCompactsEntriesWithUnreferencedChunks) {
   EXPECT_EQ(gc.invalid_entries_removed, 0u);
   EXPECT_EQ(gc.entries_compacted, 1u);
   EXPECT_EQ(gc.entries_kept, 1u);
-  EXPECT_GT(gc.bytes_reclaimed, 0u);
-  EXPECT_LT(stdfs::file_size(path), before);
+  const std::uint64_t after = stdfs::file_size(path);
+  EXPECT_LT(after, before);
+  // GC reads entries through the mapping; its accounting must still be
+  // exactly the file shrinkage.
+  EXPECT_EQ(gc.bytes_reclaimed, before - after);
   EXPECT_EQ(store.stats().gc_runs, 1u);
 
   // The rewritten entry still loads, bit-identical to the bloated one.

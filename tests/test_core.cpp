@@ -1,13 +1,11 @@
-// Unit tests for ffis::core — outcomes, profiler, injector and campaign,
-// exercised against a small deterministic toy application.
+// Unit tests for ffis::core — outcomes, profiler and injector, exercised
+// against a small deterministic toy application.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 
 #include "ffis/core/application.hpp"
-#include "ffis/core/campaign.hpp"
 #include "ffis/core/fault_injector.hpp"
 #include "ffis/core/io_profiler.hpp"
 #include "ffis/core/outcome.hpp"
@@ -205,68 +203,6 @@ TEST(FaultInjector, InstanceBeyondCountNeverFires) {
   const auto result = injector.execute_at(injector.primitive_count() + 10, 1);
   EXPECT_FALSE(result.fault_fired);
   EXPECT_EQ(result.outcome, Outcome::Benign);
-}
-
-// --- Campaign ----------------------------------------------------------------------
-
-TEST(Campaign, TallyTotalsMatchRuns) {
-  ToyApp app;
-  faults::CampaignConfig config;
-  config.fault = "BF";
-  config.runs = 40;
-  config.seed = 9;
-  core::Campaign campaign(app, faults::FaultGenerator(config));
-  const auto result = campaign.run();
-  EXPECT_EQ(result.tally.total(), 40u);
-  EXPECT_EQ(result.runs, 40u);
-  EXPECT_EQ(result.faults_not_fired, 0u);
-  EXPECT_EQ(result.primitive_count, 9u);
-}
-
-TEST(Campaign, SerialAndParallelAgree) {
-  ToyApp app;
-  faults::CampaignConfig config;
-  config.fault = "DW";
-  config.runs = 30;
-  config.seed = 21;
-  core::Campaign serial(app, faults::FaultGenerator(config));
-  core::Campaign parallel(app, faults::FaultGenerator(config));
-  const auto a = serial.run(/*threads=*/1);
-  const auto b = parallel.run(/*threads=*/4);
-  for (std::size_t i = 0; i < core::kOutcomeCount; ++i) {
-    const auto o = static_cast<Outcome>(i);
-    EXPECT_EQ(a.tally.count(o), b.tally.count(o)) << core::outcome_name(o);
-  }
-}
-
-TEST(Campaign, KeepDetailsRecordsEveryRun) {
-  ToyApp app;
-  faults::CampaignConfig config;
-  config.fault = "BF";
-  config.runs = 10;
-  core::Campaign campaign(app, faults::FaultGenerator(config), /*keep_details=*/true);
-  const auto result = campaign.run();
-  ASSERT_EQ(result.details.size(), 10u);
-  for (const auto& run : result.details) {
-    EXPECT_TRUE(run.fault_fired || run.outcome == Outcome::Crash);
-  }
-}
-
-TEST(Campaign, ProgressCallbackReachesTotal) {
-  ToyApp app;
-  faults::CampaignConfig config;
-  config.fault = "BF";
-  config.runs = 12;
-  core::Campaign campaign(app, faults::FaultGenerator(config));
-  std::atomic<std::uint64_t> last{0};
-  campaign.set_progress([&](std::uint64_t done, std::uint64_t total) {
-    EXPECT_LE(done, total);
-    std::uint64_t prev = last.load();
-    while (done > prev && !last.compare_exchange_weak(prev, done)) {
-    }
-  });
-  (void)campaign.run();
-  EXPECT_EQ(last.load(), 12u);
 }
 
 }  // namespace

@@ -271,31 +271,6 @@ TEST(TreeDiff, DifferingChunkSizesRejectedWithClearError) {
   }
 }
 
-TEST(TreeDiff, PerFileChunkSizingAgreesAcrossForks) {
-  // chunk_size_for gives /big.h5 large extents and everything else small
-  // ones; forks inherit the geometry, so diffs keep working per file.
-  MemFs::Options options;
-  options.chunk_size = 16;
-  options.chunk_size_for = [](const std::string& path) -> std::size_t {
-    return path.ends_with(".h5") ? 4096 : 0;
-  };
-  MemFs base(options);
-  vfs::write_text_file(base, "/big.h5", std::string(9000, 'h'));
-  vfs::write_text_file(base, "/small.log", std::string(100, 'l'));
-  // 9000 bytes at 4 KiB extents -> 3 chunks; at 16 B it would be ~563.
-  EXPECT_LE(base.allocated_chunks(), 3u + 7u + 1u);
-
-  MemFs fork = base.fork();
-  EXPECT_TRUE(fork.diff_tree(base).empty());
-  vfs::File f(fork, "/big.h5", vfs::OpenMode::ReadWrite);
-  f.pwrite(bytes_of("X"), 5000);
-  f.reset();
-  const FsDiff diff = fork.diff_tree(base);
-  ASSERT_EQ(diff.changed.size(), 1u);
-  ASSERT_EQ(diff.changed[0].ranges.size(), 1u);
-  EXPECT_EQ(diff.changed[0].ranges[0], (ByteRange{4096, 4096}));
-}
-
 TEST(TreeDiff, UnrelatedTreesStillDiffCorrectlyByContent) {
   // No shared extents at all (independent trees): everything falls back to
   // memcmp, which must still prove equal trees clean.

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+
 #include "ffis/analysis/field_injector.hpp"
 #include "ffis/analysis/hdf5_doctor.hpp"
 #include "ffis/analysis/metadata_sweep.hpp"
@@ -11,7 +14,8 @@
 #include "ffis/apps/nyx/nyx_app.hpp"
 #include "ffis/apps/nyx/plotfile.hpp"
 #include "ffis/apps/qmc/qmc_app.hpp"
-#include "ffis/core/campaign.hpp"
+#include "ffis/exp/engine.hpp"
+#include "ffis/exp/plan.hpp"
 #include "ffis/h5/writer.hpp"
 #include "ffis/vfs/mem_fs.hpp"
 
@@ -20,15 +24,33 @@ namespace {
 using namespace ffis;
 using core::Outcome;
 
-core::CampaignResult run_campaign(const core::Application& app, const std::string& fault,
-                                  std::uint64_t runs, int stage = -1) {
-  faults::CampaignConfig config;
-  config.fault = fault;
-  config.runs = runs;
-  config.seed = 42;
-  config.stage = stage;
-  core::Campaign campaign(app, faults::FaultGenerator(config));
-  return campaign.run();
+exp::CellResult run_campaign(const core::Application& app, const std::string& fault,
+                             std::uint64_t runs, int stage = -1) {
+  exp::PlanBuilder builder;
+  builder.runs(runs).seed(42);
+  builder.cell(app, fault, stage, "campaign");
+  exp::CellResult cell = std::move(exp::Engine().run(builder.build()).cells.front());
+  EXPECT_EQ(cell.error, "");
+  return cell;
+}
+
+// Exact outcome counts {benign, detected, sdc, crash} at seed 42.  These pin
+// the paper-level results so a refactor cannot drift them silently; the
+// fraction checks beside each pin state the shape the paper reports.
+using Counts = std::array<std::uint64_t, core::kOutcomeCount>;
+
+void expect_tally(const core::OutcomeTally& tally, const Counts& expected) {
+  for (std::size_t i = 0; i < core::kOutcomeCount; ++i) {
+    const auto o = static_cast<Outcome>(i);
+    EXPECT_EQ(tally.count(o), expected[i]) << core::outcome_name(o);
+  }
+}
+
+void expect_pinned(const exp::CellResult& cell, const Counts& expected,
+                   std::uint64_t primitive_count) {
+  expect_tally(cell.tally, expected);
+  EXPECT_EQ(cell.primitive_count, primitive_count);
+  EXPECT_EQ(cell.faults_not_fired, 0u);
 }
 
 nyx::NyxConfig small_nyx_config() {
@@ -42,7 +64,7 @@ nyx::NyxConfig small_nyx_config() {
 TEST(NyxCampaigns, BitFlipIsMostlyBenign) {
   nyx::NyxApp app(small_nyx_config());
   const auto result = run_campaign(app, "BF", 80);
-  EXPECT_EQ(result.faults_not_fired, 0u);
+  expect_pinned(result, {69, 1, 4, 6}, 18);
   // Paper: 91.1% benign, SDC 0.8% (lowest of the three apps).
   EXPECT_GT(result.tally.fraction(Outcome::Benign), 0.6);
   EXPECT_LT(result.tally.fraction(Outcome::Sdc), 0.25);
@@ -51,6 +73,7 @@ TEST(NyxCampaigns, BitFlipIsMostlyBenign) {
 TEST(NyxCampaigns, DroppedWriteIsAlmostAllSdc) {
   nyx::NyxApp app(small_nyx_config());
   const auto result = run_campaign(app, "DW", 80);
+  expect_pinned(result, {5, 0, 65, 10}, 18);
   // Paper: 1000/1000 SDC.
   EXPECT_GT(result.tally.fraction(Outcome::Sdc), 0.8);
 }
@@ -59,6 +82,8 @@ TEST(NyxCampaigns, ShornWriteIsTheMostBenignFault) {
   nyx::NyxApp app(small_nyx_config());
   const auto sw = run_campaign(app, "SW", 80);
   const auto dw = run_campaign(app, "DW", 80);
+  expect_pinned(sw, {50, 0, 19, 11}, 18);
+  expect_pinned(dw, {5, 0, 65, 10}, 18);
   // Paper: SW all benign; at minimum it must be far more benign than DW.
   EXPECT_GT(sw.tally.fraction(Outcome::Benign),
             dw.tally.fraction(Outcome::Benign) + 0.4);
@@ -71,6 +96,7 @@ TEST(NyxCampaigns, AverageValueDetectorConvertsDwSdcToDetected) {
   config.use_average_value_detector = true;
   nyx::NyxApp protected_app(config);
   const auto result = run_campaign(protected_app, "DW", 60);
+  expect_pinned(result, {4, 49, 0, 7}, 18);
   EXPECT_EQ(result.tally.count(Outcome::Sdc), 0u);
   EXPECT_GT(result.tally.fraction(Outcome::Detected), 0.8);
 }
@@ -80,6 +106,7 @@ TEST(NyxCampaigns, AverageValueDetectorConvertsDwSdcToDetected) {
 TEST(QmcCampaigns, BitFlipIsSdcHeavy) {
   qmc::QmcApp app;
   const auto result = run_campaign(app, "BF", 60);
+  expect_pinned(result, {24, 1, 35, 0}, 40);
   // Paper: ~60% SDC, ~0.8% detected — SDC dominates the corrupted runs.
   EXPECT_GT(result.tally.fraction(Outcome::Sdc), 0.3);
   EXPECT_GT(result.tally.fraction(Outcome::Sdc),
@@ -89,6 +116,7 @@ TEST(QmcCampaigns, BitFlipIsSdcHeavy) {
 TEST(QmcCampaigns, DroppedWriteIsDetectedHeavy) {
   qmc::QmcApp app;
   const auto result = run_campaign(app, "DW", 60);
+  expect_pinned(result, {24, 33, 1, 2}, 40);
   // Paper: detected 43% >> SDC 8% — the NUL holes are visible corruption.
   EXPECT_GT(result.tally.fraction(Outcome::Detected),
             result.tally.fraction(Outcome::Sdc));
@@ -98,6 +126,7 @@ TEST(QmcCampaigns, DroppedWriteIsDetectedHeavy) {
 TEST(QmcCampaigns, ShornWriteHasNoDetected) {
   qmc::QmcApp app;
   const auto result = run_campaign(app, "SW", 60);
+  expect_pinned(result, {24, 0, 34, 2}, 40);
   // Paper: all SHORN_WRITE faults are benign or SDC (none detected).
   EXPECT_LE(result.tally.fraction(Outcome::Detected), 0.05);
   EXPECT_GT(result.tally.fraction(Outcome::Sdc), 0.3);
@@ -109,6 +138,7 @@ TEST(QmcCampaigns, FaultsInVmcSeriesAreBenign) {
   // attributes to multi-file output).
   qmc::QmcApp app;
   const auto result = run_campaign(app, "BF", 60);
+  expect_pinned(result, {24, 1, 35, 0}, 40);
   EXPECT_GT(result.tally.fraction(Outcome::Benign), 0.25);
   EXPECT_LT(result.tally.fraction(Outcome::Benign), 0.6);
 }
@@ -121,6 +151,8 @@ TEST(MontageCampaigns, StageTwoIsTheMostResilient) {
   montage::MontageApp app;
   const auto mt1 = run_campaign(app, "BF", 60, 1);
   const auto mt2 = run_campaign(app, "BF", 60, 2);
+  expect_pinned(mt1, {51, 2, 7, 0}, 80);
+  expect_pinned(mt2, {56, 0, 4, 0}, 27);
   EXPECT_LE(mt2.tally.fraction(Outcome::Sdc), mt1.tally.fraction(Outcome::Sdc));
   EXPECT_GT(mt2.tally.fraction(Outcome::Benign), 0.7);
 }
@@ -128,8 +160,13 @@ TEST(MontageCampaigns, StageTwoIsTheMostResilient) {
 TEST(MontageCampaigns, BitFlipSdcRatesAreStableAcrossStages) {
   // Paper: BF SDC rates stay in a narrow band (12.8 / 8 / 9 / 6.8 %).
   montage::MontageApp app;
+  const std::array<Counts, 4> pinned = {
+      {{51, 2, 7, 0}, {56, 0, 4, 0}, {53, 2, 5, 0}, {56, 0, 4, 0}}};
+  const std::array<std::uint64_t, 4> primitives = {80, 27, 80, 53};
   for (int stage = 1; stage <= 4; ++stage) {
+    SCOPED_TRACE("stage " + std::to_string(stage));
     const auto result = run_campaign(app, "BF", 60, stage);
+    expect_pinned(result, pinned[stage - 1], primitives[stage - 1]);
     EXPECT_LT(result.tally.fraction(Outcome::Sdc), 0.35) << "stage " << stage;
     EXPECT_GT(result.tally.fraction(Outcome::Benign), 0.5) << "stage " << stage;
   }
@@ -138,6 +175,7 @@ TEST(MontageCampaigns, BitFlipSdcRatesAreStableAcrossStages) {
 TEST(MontageCampaigns, DroppedWritesAreNeverBenignInStageThree) {
   montage::MontageApp app;
   const auto result = run_campaign(app, "DW", 60, 3);
+  expect_pinned(result, {0, 21, 39, 0}, 80);
   // Paper: 98.3% SDC in stage 3 — nothing is benign, little crashes.
   EXPECT_EQ(result.tally.count(Outcome::Benign), 0u);
   EXPECT_GT(result.tally.fraction(Outcome::Sdc), 0.4);
@@ -172,6 +210,9 @@ TEST_F(MetadataEndToEnd, SweepReproducesTableThreeShape) {
   sweep_config.target_path = config_.plotfile_path;
   sweep_config.metadata_bytes = layout_.metadata_size;
   const auto sweep = analysis::metadata_sweep(*app_, 1, sweep_config);
+  // Pinned at seed 1 before the A/B retirements: 2424 metadata bytes.
+  ASSERT_EQ(sweep.cases.size(), 2424u);
+  expect_tally(sweep.tally, {2229, 5, 3, 187});
 
   // Table III: benign 85.7%, crash 14.1%, SDC 0.2%.
   EXPECT_GT(sweep.tally.fraction(Outcome::Benign), 0.75);

@@ -668,27 +668,6 @@ TEST(VfsFuzz, ArenaResetMidLifeNeverInvalidatesSurvivingStores) {
   }
 }
 
-TEST(VfsFuzz, PerFileChunkSizeOverrides) {
-  // chunk_size_for changes only the storage geometry, never semantics: the
-  // flat-payload reference model has no chunk concept, so the differential
-  // driver catches any override-induced divergence for free.
-  vfs::MemFs::Options options;
-  options.concurrency = Concurrency::SingleThread;
-  options.chunk_size = 5;
-  options.chunk_size_for = [](const std::string& path) -> std::size_t {
-    if (path.size() % 3 == 0) return 11;  // arbitrary per-path split
-    if (path.size() % 3 == 1) return 64;
-    return 0;  // default
-  };
-  for (std::uint32_t seed = 500; seed < 515; ++seed) {
-    Differ differ(seed, options);
-    differ.run(700);
-    if (::testing::Test::HasFatalFailure()) {
-      FAIL() << "divergence at seed " << seed << " (per-file chunk sizes)";
-    }
-  }
-}
-
 // --- concurrent smoke --------------------------------------------------------
 
 TEST(VfsFuzz, ConcurrentHandleOpsSmoke) {

@@ -63,6 +63,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -75,7 +76,6 @@
 #include "ffis/analysis/stats.hpp"
 #include "ffis/apps/app_factory.hpp"
 #include "ffis/apps/nyx/plotfile.hpp"
-#include "ffis/core/campaign.hpp"
 #include "ffis/core/checkpoint_store.hpp"
 #include "ffis/core/io_profiler.hpp"
 #include "ffis/exp/engine.hpp"
@@ -92,8 +92,8 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: ffis plan <config-file> [--checkpoint-dir DIR] [--serve PORT]\n"
-               "                 [--checkpoint-budget BYTES] [--checkpoint-no-mmap]\n"
-               "                 [--workers N] [--unit-runs N] [--unit-timeout MS]\n"
+               "                 [--checkpoint-budget BYTES] [--workers N]\n"
+               "                 [--unit-runs N] [--unit-timeout MS]\n"
                "                 [--journal PATH] [--auth-token TOK] [--block-device]\n"
                "                 [--dry-run]\n"
                "       ffis worker <host:port> [--threads N] [--checkpoint-dir DIR]\n"
@@ -114,7 +114,7 @@ int usage() {
                "bounds the store: over budget, least-recently-used entries\n"
                "are evicted (never ones a running plan holds); tallies stay\n"
                "bit-identical under any budget.  Warm entries decode through\n"
-               "a zero-copy read-only mmap unless --checkpoint-no-mmap.\n"
+               "a zero-copy read-only mmap.\n"
                "`ffis store gc <dir>` runs an offline GC/compaction pass.\n"
                "\n"
                "--serve and/or --workers switch plan to distributed execution:\n"
@@ -166,10 +166,33 @@ void print_run_progress(std::uint64_t done, std::uint64_t total) {
   }
 }
 
+/// A campaign config as a one-cell plan.  The plan builder rejects
+/// runs == 0 with a named error.
+exp::ExperimentPlan one_cell_plan(const core::Application& app,
+                                  const faults::CampaignConfig& config) {
+  exp::PlanBuilder builder;
+  builder.runs(config.runs).seed(config.seed);
+  builder.cell(app, config.fault, config.stage, "campaign");
+  return builder.build();
+}
+
+/// Runs a one-cell plan; a cell that could not run is printed and yields
+/// nullopt (the command then exits 1).
+std::optional<exp::CellResult> run_one_cell(const exp::ExperimentPlan& plan,
+                                            exp::EngineOptions options = {}) {
+  exp::CellResult cell = std::move(exp::Engine(std::move(options)).run(plan).cells.front());
+  if (!cell.error.empty()) {
+    std::fprintf(stderr, "ffis: %s\n", cell.error.c_str());
+    return std::nullopt;
+  }
+  return cell;
+}
+
 int cmd_campaign(const std::string& config_path) {
   const auto config = faults::parse_campaign_config(slurp(config_path));
   const auto app = apps::make_application(config);
-  faults::FaultGenerator generator(config);
+  const exp::ExperimentPlan plan = one_cell_plan(*app, config);
+  const faults::FaultGenerator generator(config);
 
   std::printf("application : %s\n", app->name().c_str());
   std::printf("fault       : %s\n", generator.signature().to_string().c_str());
@@ -177,18 +200,18 @@ int cmd_campaign(const std::string& config_path) {
               static_cast<unsigned long long>(config.runs),
               static_cast<unsigned long long>(config.seed), config.stage);
 
-  // A campaign is a one-cell experiment plan; the Campaign wrapper builds it.
-  core::Campaign campaign(*app, generator);
-  campaign.set_progress(print_run_progress);
-  const auto result = campaign.run();
+  exp::EngineOptions options;
+  options.progress = print_run_progress;
+  const auto result = run_one_cell(plan, std::move(options));
+  if (!result) return 1;
 
   std::printf("profiled %llu dynamic executions of the target primitive\n",
-              static_cast<unsigned long long>(result.primitive_count));
+              static_cast<unsigned long long>(result->primitive_count));
   std::printf("%s\n%s\n", analysis::outcome_row_header().c_str(),
-              analysis::format_outcome_row(app->name(), result.tally).c_str());
-  if (result.faults_not_fired > 0) {
+              analysis::format_outcome_row(app->name(), result->tally).c_str());
+  if (result->faults_not_fired > 0) {
     std::printf("warning: %llu faults never fired\n",
-                static_cast<unsigned long long>(result.faults_not_fired));
+                static_cast<unsigned long long>(result->faults_not_fired));
   }
   return 0;
 }
@@ -197,10 +220,6 @@ struct PlanFlags {
   std::string checkpoint_dir;  ///< overrides the config's checkpoint_dir
   std::uint64_t checkpoint_budget = 0;  ///< --checkpoint-budget BYTES
   bool checkpoint_budget_set = false;   ///< flag overrides the config key
-  /// --checkpoint-no-mmap: buffered store decode instead of the zero-copy
-  /// mmap path; tallies are bit-identical — an A/B and escape hatch for
-  /// mmap-hostile filesystems.
-  bool checkpoint_no_mmap = false;
   bool serve = false;          ///< act as a distributed coordinator
   std::uint16_t port = 0;      ///< --serve PORT (0 = ephemeral)
   std::size_t workers = 0;     ///< local worker processes to fork
@@ -359,7 +378,6 @@ int cmd_plan(const std::string& config_path, const PlanFlags& flags) {
     options.engine.checkpoint_budget = flags.checkpoint_budget_set
                                            ? flags.checkpoint_budget
                                            : plan_config.checkpoint_budget;
-    options.engine.checkpoint_mmap = !flags.checkpoint_no_mmap;
     dist::Coordinator coordinator(plan, options);
     SigintDrain drain(coordinator);
     std::printf("coordinator listening on port %u (%zu local workers)\n",
@@ -398,7 +416,6 @@ int cmd_plan(const std::string& config_path, const PlanFlags& flags) {
     options.checkpoint_budget = flags.checkpoint_budget_set
                                     ? flags.checkpoint_budget
                                     : plan_config.checkpoint_budget;
-    options.checkpoint_mmap = !flags.checkpoint_no_mmap;
     options.force_block_device = flags.block_device;
     options.progress = print_run_progress;
     exp::Engine engine(options);
@@ -545,10 +562,10 @@ int cmd_demo() {
   config.runs = 50;
   config.extra["grid"] = "32";
   const auto app = apps::make_application(config);
-  core::Campaign campaign(*app, faults::FaultGenerator(config));
-  const auto result = campaign.run();
+  const auto result = run_one_cell(one_cell_plan(*app, config));
+  if (!result) return 1;
   std::printf("demo: 50 DROPPED_WRITE injections into mini-Nyx (32^3 grid)\n%s\n",
-              result.tally.to_string().c_str());
+              result->tally.to_string().c_str());
   return 0;
 }
 
@@ -591,8 +608,6 @@ int main(int argc, char** argv) {
         } else if (arg == "--checkpoint-budget" && i + 1 < argc) {
           flags.checkpoint_budget = std::stoull(argv[++i]);
           flags.checkpoint_budget_set = true;
-        } else if (arg == "--checkpoint-no-mmap") {
-          flags.checkpoint_no_mmap = true;
         } else if (arg == "--serve" && i + 1 < argc) {
           const int port = std::stoi(argv[++i]);
           if (port < 0 || port > 65535) return usage();
