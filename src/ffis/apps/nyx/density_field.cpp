@@ -13,12 +13,14 @@ DensityField::DensityField(std::size_t n, std::vector<double> data)
   }
 }
 
+long double accumulate_density(long double sum, std::span<const double> values) noexcept {
+  for (const double v : values) sum += v;
+  return sum;
+}
+
 double DensityField::mean() const noexcept {
-  // Pairwise-ish accumulation in long double keeps the normalized mean at 1
-  // to ~1e-16 even for large grids.
-  long double sum = 0.0L;
-  for (const double v : data_) sum += v;
-  return static_cast<double>(sum / static_cast<long double>(data_.size()));
+  return static_cast<double>(accumulate_density(0.0L, data_) /
+                             static_cast<long double>(data_.size()));
 }
 
 double DensityField::max() const noexcept {

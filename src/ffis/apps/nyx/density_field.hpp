@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ffis/util/rng.hpp"
@@ -52,6 +53,7 @@ class DensityField {
     return (z * n_ + y) * n_ + x;
   }
 
+  /// accumulate_density over the whole field, divided by size().
   [[nodiscard]] double mean() const noexcept;
   [[nodiscard]] double max() const noexcept;
 
@@ -59,6 +61,15 @@ class DensityField {
   std::size_t n_;
   std::vector<double> data_;
 };
+
+/// Adds `values` onto `sum` strictly left to right in long double: a
+/// sequential fold, not a pairwise one.  The long-double accumulator keeps a
+/// normalized mean at 1 to ~1e-16 even for large grids.  Folding consecutive
+/// pieces of a field through one running sum gives the whole-field sum bit
+/// for bit; find_halos relies on that to take the mean of a field whose
+/// dirty elements are spliced in from patches.
+[[nodiscard]] long double accumulate_density(long double sum,
+                                             std::span<const double> values) noexcept;
 
 /// Generates the field: lognormal background + halos, normalized so that
 /// mean() == 1 to within floating-point rounding.

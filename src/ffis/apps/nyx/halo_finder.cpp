@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <stdexcept>
 
 #include "ffis/util/strfmt.hpp"
 
@@ -26,62 +30,157 @@ std::string HaloCatalog::to_text() const {
   return out;
 }
 
-HaloCatalog find_halos(const DensityField& field, const HaloFinderConfig& config) {
-  const std::size_t n = field.n();
-  const std::size_t total = field.size();
+namespace {
+
+/// Calls fn(first_index, values) for each consecutive piece of the patched
+/// field, in index order: base, patch, base, ..., base (pieces may be empty).
+template <typename Fn>
+void for_each_piece(std::span<const double> base, std::span<const FieldPatch> patches,
+                    Fn&& fn) {
+  std::size_t at = 0;
+  for (const FieldPatch& p : patches) {
+    fn(at, base.subspan(at, p.first - at));
+    fn(p.first, p.values);
+    at = p.first + p.values.size();
+  }
+  fn(at, base.subspan(at));
+}
+
+// Per-cell state of the component growth.
+constexpr std::uint8_t kCandidate = 1;
+constexpr std::uint8_t kVisited = 2;
+
+/// Sets marks[i] = kCandidate for each values[i] above `threshold` and below
+/// +inf (NaN fails both comparisons); returns how many it marked.  Candidates
+/// are rare, so blocks of 16 values are first tested two lanes at a time with
+/// the GCC/Clang vector extension (SSE2 on x86-64, plain scalar code on a
+/// target without vectors), and only a block with a hit is marked one by one
+/// with the same comparisons.
+std::uint64_t mark_candidates(std::span<const double> values, double threshold,
+                              std::uint8_t* marks) noexcept {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  using f64x2 = double __attribute__((vector_size(16)));
+  using mask2 = decltype(f64x2{} > f64x2{});  // two 64-bit lanes, all ones = true
+  constexpr std::size_t kBlock = 16;
+  const double* const v = values.data();
+  std::uint64_t count = 0;
+  const auto mark = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      if (v[i] > threshold && v[i] < kInf) {
+        marks[i] = kCandidate;
+        ++count;
+      }
+    }
+  };
+
+  const f64x2 low = {threshold, threshold};
+  const f64x2 high = {kInf, kInf};
+  std::size_t block = 0;
+  for (; block + kBlock <= values.size(); block += kBlock) {
+    mask2 hit = {0, 0};
+    for (std::size_t i = 0; i < kBlock; i += 2) {
+      f64x2 pair;
+      std::memcpy(&pair, v + block + i, sizeof pair);
+      hit |= (pair > low) & (pair < high);
+    }
+    if ((hit[0] | hit[1]) != 0) mark(block, block + kBlock);
+  }
+  mark(block, values.size());
+  return count;
+}
+
+}  // namespace
+
+HaloCatalog find_halos(std::size_t n, std::span<const double> base,
+                       std::span<const FieldPatch> patches, const HaloFinderConfig& config) {
+  const std::size_t total = base.size();
+  if (total != n * n * n) {
+    throw std::invalid_argument("find_halos: base size does not match n^3");
+  }
+  std::size_t next_free = 0;
+  for (const FieldPatch& p : patches) {
+    if (p.first < next_free || p.first > total || p.values.size() > total - p.first) {
+      throw std::invalid_argument("find_halos: patches overlap or leave the field");
+    }
+    next_free = p.first + p.values.size();
+  }
 
   HaloCatalog catalog;
-  catalog.mean_density = field.mean();
+  long double sum = 0.0L;
+  for_each_piece(base, patches, [&](std::size_t, std::span<const double> values) {
+    sum = accumulate_density(sum, values);
+  });
+  catalog.mean_density = static_cast<double>(sum / static_cast<long double>(total));
   catalog.threshold = config.threshold_factor * catalog.mean_density;
   // A non-finite mean (overflowed or NaN-poisoned data) yields a threshold no
   // cell can satisfy; the catalog comes out empty, which the application
   // classifies as Detected ("no halo found").
   if (!std::isfinite(catalog.threshold)) return catalog;
 
-  std::vector<std::uint8_t> candidate(total, 0);
-  for (std::size_t i = 0; i < total; ++i) {
-    const double v = field.data()[i];
-    if (std::isfinite(v) && v > catalog.threshold) {
-      candidate[i] = 1;
-      ++catalog.candidate_cells;
-    }
-  }
+  // One threshold scan marks the candidates: finite and above the threshold.
+  const double threshold = catalog.threshold;
+  std::vector<std::uint8_t> state(total, 0);
+  for_each_piece(base, patches, [&](std::size_t first, std::span<const double> values) {
+    catalog.candidate_cells += mark_candidates(values, threshold, state.data() + first);
+  });
 
-  // 6-connected component growth (friends-of-friends at linking length 1).
-  std::vector<std::uint8_t> visited(total, 0);
-  std::vector<std::size_t> stack;
+  const auto value_at = [&](std::size_t idx) {
+    const auto after = std::upper_bound(
+        patches.begin(), patches.end(), idx,
+        [](std::size_t i, const FieldPatch& p) { return i < p.first; });
+    if (after != patches.begin()) {
+      const FieldPatch& p = *std::prev(after);
+      if (idx - p.first < p.values.size()) return p.values[idx - p.first];
+    }
+    return base[idx];
+  };
+
+  // 6-connected component growth (friends-of-friends at linking length 1),
+  // seeded from the unvisited candidates in ascending index order.  memchr
+  // finds the next seed, so the non-candidate cells cost a byte compare each.
+  // Stack entries carry their coordinates, so a cell costs no index division.
+  struct Cell {
+    std::uint32_t x, y, z;
+  };
+  const std::size_t plane = n * n;
+  const std::uint8_t* const state_begin = state.data();
+  // Each candidate is pushed at most once, so the stack never reallocates.
+  std::vector<Cell> stack;
+  stack.reserve(static_cast<std::size_t>(catalog.candidate_cells));
   for (std::size_t start = 0; start < total; ++start) {
-    if (!candidate[start] || visited[start]) continue;
-    stack.assign(1, start);
-    visited[start] = 1;
+    const void* seed = std::memchr(state_begin + start, kCandidate, total - start);
+    if (seed == nullptr) break;
+    start = static_cast<std::size_t>(static_cast<const std::uint8_t*>(seed) - state_begin);
+    state[start] = kVisited;
+    stack.assign(1, Cell{static_cast<std::uint32_t>(start % n),
+                         static_cast<std::uint32_t>(start / n % n),
+                         static_cast<std::uint32_t>(start / plane)});
 
     double sx = 0.0, sy = 0.0, sz = 0.0, mass = 0.0;
     std::uint64_t cells = 0;
     while (!stack.empty()) {
-      const std::size_t idx = stack.back();
+      const auto [x, y, z] = stack.back();
       stack.pop_back();
-      const std::size_t x = idx % n;
-      const std::size_t y = (idx / n) % n;
-      const std::size_t z = idx / (n * n);
+      const std::size_t idx = (z * n + y) * n + x;
       sx += static_cast<double>(x);
       sy += static_cast<double>(y);
       sz += static_cast<double>(z);
-      mass += field.data()[idx];
+      mass += value_at(idx);
       ++cells;
 
-      const auto visit = [&](std::size_t nx, std::size_t ny, std::size_t nz) {
-        const std::size_t nidx = (nz * n + ny) * n + nx;
-        if (candidate[nidx] && !visited[nidx]) {
-          visited[nidx] = 1;
-          stack.push_back(nidx);
+      const auto visit = [&](std::size_t nidx, std::uint32_t nx, std::uint32_t ny,
+                             std::uint32_t nz) {
+        if (state[nidx] == kCandidate) {
+          state[nidx] = kVisited;
+          stack.push_back({nx, ny, nz});
         }
       };
-      if (x > 0) visit(x - 1, y, z);
-      if (x + 1 < n) visit(x + 1, y, z);
-      if (y > 0) visit(x, y - 1, z);
-      if (y + 1 < n) visit(x, y + 1, z);
-      if (z > 0) visit(x, y, z - 1);
-      if (z + 1 < n) visit(x, y, z + 1);
+      if (x > 0) visit(idx - 1, x - 1, y, z);
+      if (x + 1 < n) visit(idx + 1, x + 1, y, z);
+      if (y > 0) visit(idx - n, x, y - 1, z);
+      if (y + 1 < n) visit(idx + n, x, y + 1, z);
+      if (z > 0) visit(idx - plane, x, y, z - 1);
+      if (z + 1 < n) visit(idx + plane, x, y, z + 1);
     }
 
     if (cells >= config.min_cells) {
@@ -102,6 +201,10 @@ HaloCatalog find_halos(const DensityField& field, const HaloFinderConfig& config
     return a.cx < b.cx;
   });
   return catalog;
+}
+
+HaloCatalog find_halos(const DensityField& field, const HaloFinderConfig& config) {
+  return find_halos(field.n(), field.data(), {}, config);
 }
 
 }  // namespace ffis::nyx

@@ -8,7 +8,9 @@
 // mass (sum of member densities) — the NVB_integral-style output whose
 // bit-wise comparison defines the Benign class.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +42,29 @@ struct HaloCatalog {
   [[nodiscard]] double total_mass() const noexcept;
 };
 
+/// Replacement values for the field elements [first, first + values.size()).
+struct FieldPatch {
+  std::size_t first = 0;
+  std::span<const double> values;
+};
+
+/// Finds the halos of the n^3 field that is `base` (row-major, as in
+/// DensityField) with `patches` spliced over it.  Patches must be sorted by
+/// `first`, non-overlapping and inside the field; otherwise this throws
+/// std::invalid_argument.  The catalog is bit-identical to find_halos on
+/// the materialized field: the mean and every halo mass are summed in the
+/// same element order, so a caller can splice a few re-read elements over a
+/// cached field without copying it.
+///
+/// Cost: two streaming passes over the field (the long-double mean, then
+/// one threshold scan that marks the candidates in a one-byte-per-cell state
+/// array), a memchr over that array for the component seeds, and component
+/// growth proportional to the number of candidates.
+[[nodiscard]] HaloCatalog find_halos(std::size_t n, std::span<const double> base,
+                                     std::span<const FieldPatch> patches,
+                                     const HaloFinderConfig& config = {});
+
+/// find_halos over `field` with no patches.
 [[nodiscard]] HaloCatalog find_halos(const DensityField& field,
                                      const HaloFinderConfig& config = {});
 

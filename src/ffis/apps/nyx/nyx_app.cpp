@@ -151,14 +151,41 @@ core::AnalysisResult NyxApp::analyze(vfs::FileSystem& fs) const {
 namespace {
 
 /// Golden-run artifacts for diff-driven re-analysis: the decoded dataset
-/// (values AND the float format the clean metadata implies) plus the planned
-/// raw-data placement.  One instance per campaign cell, shared by all runs.
+/// (values AND the float format the clean metadata implies), the planned
+/// raw-data placement, and the golden bytes around the raw data.  One
+/// instance per campaign cell, shared by all runs.
 struct NyxGoldenArtifacts final : core::GoldenArtifacts {
   h5::Dataset dataset;          ///< golden values + format, as the reader saw them
   std::uint64_t data_begin = 0; ///< raw-data byte range within the plotfile
   std::uint64_t data_end = 0;
   std::uint64_t file_size = 0;  ///< planned (== golden) total file size
+  util::Bytes head;             ///< golden bytes [0, data_begin)
+  util::Bytes tail;             ///< golden bytes [data_end, file_size)
 };
+
+/// True when the bytes of `window` (file offsets [begin, begin + size))
+/// that lie outside [data_begin, data_end) equal the golden bytes there.
+bool outside_data_matches(const NyxGoldenArtifacts& art, std::uint64_t begin,
+                          util::ByteSpan window) {
+  const std::uint64_t end = begin + window.size();
+  if (begin < art.data_begin) {
+    const std::uint64_t stop = std::min(end, art.data_begin);
+    const util::ByteSpan got = window.first(static_cast<std::size_t>(stop - begin));
+    if (!std::equal(got.begin(), got.end(),
+                    art.head.begin() + static_cast<std::ptrdiff_t>(begin))) {
+      return false;
+    }
+  }
+  if (end > art.data_end) {
+    const std::uint64_t from = std::max(begin, art.data_end);
+    const util::ByteSpan got = window.subspan(static_cast<std::size_t>(from - begin));
+    if (!std::equal(got.begin(), got.end(),
+                    art.tail.begin() + static_cast<std::ptrdiff_t>(from - art.data_end))) {
+      return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -172,6 +199,13 @@ std::shared_ptr<const core::GoldenArtifacts> NyxApp::golden_artifacts(
   artifacts->data_begin = range.begin;
   artifacts->data_end = range.end;
   artifacts->file_size = info.file_size;
+  artifacts->head.resize(static_cast<std::size_t>(range.begin));
+  artifacts->tail.resize(static_cast<std::size_t>(info.file_size - range.end));
+  vfs::File file(golden_fs, config_.plotfile_path, vfs::OpenMode::Read);
+  if (file.pread(artifacts->head, 0) != artifacts->head.size() ||
+      file.pread(artifacts->tail, range.end) != artifacts->tail.size()) {
+    throw h5::H5Exception("golden plotfile is shorter than its planned layout");
+  }
   return artifacts;
 }
 
@@ -186,39 +220,62 @@ core::AnalysisResult NyxApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDif
   const auto* art = dynamic_cast<const NyxGoldenArtifacts*>(artifacts);
   const vfs::FileDiff* fd = diff.find(path);
   // Splicing is provably equivalent only for a pure in-place content change
-  // whose dirty ranges sit entirely inside the dataset's raw data: metadata
-  // corruption must go through the real parser (crashes, ARD shifts, format
-  // re-interpretation), and size changes shift what reads return.
+  // that leaves every byte outside the dataset's raw data as the golden run
+  // wrote it: metadata corruption must go through the real parser (crashes,
+  // ARD shifts, format re-interpretation), and size changes shift what reads
+  // return.
   if (art == nullptr || fd == nullptr || fd->metadata_changed ||
       fd->size != fd->base_size || fd->size != art->file_size) {
     return analyze(fs);
   }
-  for (const vfs::ByteRange& r : fd->ranges) {
-    if (r.offset < art->data_begin || r.end() > art->data_end) return analyze(fs);
-  }
 
-  // Reconstruct the faulty field: golden values everywhere, re-read and
-  // re-decoded values over (only) the dirty ranges, widened to element
-  // boundaries.  Element decode is positionally independent, so the splice
-  // is bit-identical to a full read — find_halos then sees exactly the
-  // field analyze() would have built, at O(dirty bytes) I/O.
+  // Re-read each dirty range once, widened to whole elements where it
+  // overlaps the raw data.  Its bytes outside the raw data (a dirty extent
+  // shared with the header, say) must equal the golden bytes; its elements
+  // are decoded into this run's patch buffer.  Element decode is positionally
+  // independent, so the golden field with these patches spliced over it is
+  // bit-identical to a full read — at O(dirty bytes) I/O and no field copy.
   const std::size_t element = art->dataset.format.size_bytes;
-  std::vector<double> values = art->dataset.data;
-  vfs::File file(fs, path, vfs::OpenMode::Read);
+  std::size_t bound = 0;  // elements the ranges can touch: `decoded` never reallocates
   for (const vfs::ByteRange& r : fd->ranges) {
-    const std::uint64_t first = (r.offset - art->data_begin) / element;
-    const std::uint64_t last =
-        (r.end() - art->data_begin + element - 1) / element;  // exclusive, ceil
-    util::Bytes raw(static_cast<std::size_t>((last - first) * element));
-    if (file.pread(raw, art->data_begin + first * element) != raw.size()) {
+    bound += static_cast<std::size_t>(r.length / element) + 2;
+  }
+  std::vector<double> decoded;
+  decoded.reserve(bound);
+  std::vector<FieldPatch> patches;
+  std::size_t next_free = 0;  // a straddled element is decoded only once
+  vfs::File file(fs, path, vfs::OpenMode::Read);
+  util::Bytes raw;
+  for (const vfs::ByteRange& r : fd->ranges) {
+    std::uint64_t begin = r.offset, end = r.end();
+    std::size_t first = 0, last = 0;  // elements [first, last) overlap the range
+    if (r.overlaps(art->data_begin, art->data_end)) {
+      first = static_cast<std::size_t>(
+          (std::max(begin, art->data_begin) - art->data_begin) / element);
+      last = static_cast<std::size_t>(
+          (std::min(end, art->data_end) - art->data_begin + element - 1) / element);
+      begin = std::min(begin, art->data_begin + first * element);
+      end = std::max(end, art->data_begin + last * element);
+    }
+    raw.resize(static_cast<std::size_t>(end - begin));
+    if (file.pread(raw, begin) != raw.size()) {
       return analyze(fs);  // short read despite matching sizes — be faithful
     }
-    h5::decode_into(raw, art->dataset.format,
-                    std::span(values).subspan(static_cast<std::size_t>(first),
-                                              static_cast<std::size_t>(last - first)));
+    if (!outside_data_matches(*art, begin, raw)) return analyze(fs);
+
+    first = std::max(first, next_free);
+    if (first >= last) continue;
+    const std::size_t count = last - first;
+    const auto skip = static_cast<std::size_t>(art->data_begin + first * element - begin);
+    decoded.resize(decoded.size() + count);
+    const std::span<double> values = std::span(decoded).last(count);
+    h5::decode_into(util::ByteSpan(raw).subspan(skip, count * element), art->dataset.format,
+                    values);
+    patches.push_back({first, values});
+    next_free = last;
   }
-  const DensityField reconstructed(config_.field.n, std::move(values));
-  return analysis_from_catalog(find_halos(reconstructed, config_.halo));
+  return analysis_from_catalog(
+      find_halos(config_.field.n, art->dataset.data, patches, config_.halo));
 }
 
 core::Outcome NyxApp::classify(const core::AnalysisResult& /*golden*/,

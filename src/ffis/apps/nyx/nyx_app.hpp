@@ -57,22 +57,26 @@ class NyxApp final : public core::Application {
   void run_prefix(const core::RunContext& ctx, int stage) const override;
   void run_from(const core::RunContext& ctx, int stage) const override;
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem& fs) const override;
-  /// Caches the decoded golden plotfile dataset (values + float format) and
-  /// the planned layout addresses, so analyze_dirty can splice instead of
-  /// re-reading.  Per-chunk/per-slab *partial sums* are deliberately not
-  /// cached: updating a golden sum by the dirty slabs' delta changes the
-  /// floating-point summation order, which would break the bit-identical
-  /// outcome guarantee — caching the data itself is both safe and strictly
-  /// more useful.
+  /// Caches the decoded golden plotfile dataset (values + float format), the
+  /// planned layout addresses, and the golden bytes outside the raw data (the
+  /// HDF5 header and anything after the data), so analyze_dirty can splice
+  /// instead of re-reading.  Per-chunk/per-slab *partial sums* are
+  /// deliberately not cached: updating a golden sum by the dirty slabs' delta
+  /// changes the floating-point summation order, which would break the
+  /// bit-identical outcome guarantee — caching the data itself is both safe
+  /// and strictly more useful.
   [[nodiscard]] std::shared_ptr<const core::GoldenArtifacts> golden_artifacts(
       vfs::FileSystem& golden_fs, const core::AnalysisResult& golden) const override;
   /// Diff-driven analysis: plotfile untouched → the golden analysis verbatim
-  /// (zero reads); dirty ranges confined to the dataset's raw-data region
-  /// (located via the cached h5::plan_layout addresses) → pread and decode
-  /// only the affected slabs, splice them into the cached golden field, and
-  /// re-run the halo finder on the reconstruction; anything touching
-  /// metadata, the file size, or the path itself → full analyze(), so
-  /// corrupted-metadata crashes and ARD shifts behave identically.
+  /// (zero reads).  Same size, same metadata → one pread per dirty range
+  /// (widened to whole elements); the part of a range outside the raw data
+  /// must equal the cached golden bytes (extents are coarser than the header,
+  /// so a rewritten first slab shares its dirty extent with it), and the
+  /// decoded elements are spliced over the cached golden field as
+  /// find_halos patches — no copy of the field.  A differing byte outside
+  /// the raw data, a size change, or a metadata/path change → full
+  /// analyze(), so corrupted-metadata crashes and ARD shifts behave
+  /// identically.
   [[nodiscard]] core::AnalysisResult analyze_dirty(
       vfs::FileSystem& fs, const vfs::FsDiff& diff, const core::AnalysisResult& golden,
       const core::GoldenArtifacts* artifacts) const override;

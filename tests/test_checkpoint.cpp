@@ -633,6 +633,83 @@ TEST(DiffClassification, NyxDirtySlabSplicePreservesTalliesAndReadsLess) {
   EXPECT_LT(diff_reads * 4, full_reads);
 }
 
+TEST(DiffClassification, NyxSpliceTakesTheHeaderExtentAndMatchesFullAnalysisPerRun) {
+  // 2-dump Nyx instrumented at stage 2 rewrites slab z=0, whose 8 KiB of
+  // raw data follow the HDF5 header inside 64 KiB extent 0: every dirty
+  // range starts at byte 0.  analyze_dirty must find the header part equal
+  // to the golden bytes and splice (one read of that extent, never the whole
+  // plotfile).  The stage-1 cells fault the whole plotfile write, header
+  // included, so some runs corrupt metadata and must still take the full
+  // analysis, crashing exactly as the reference does.
+  nyx::NyxConfig config;
+  config.field.n = 32;
+  config.timesteps = 2;
+  const nyx::NyxApp app(config);
+
+  constexpr std::uint64_t kRuns = 48;
+  auto make_plan = [&] {
+    exp::PlanBuilder builder;
+    builder.runs(kRuns).seed(2024);
+    builder.app(app).faults({"BF", "SHORN_WRITE@pwrite"}).stage(2).product();
+    builder.app(app).faults({"BF", "DW"}).stage(1).product();
+    return builder.build();
+  };
+  constexpr std::size_t kStageTwoCells = 2;
+
+  exp::EngineOptions reference_options;
+  reference_options.threads = 1;
+  reference_options.keep_details = true;
+  reference_options.use_diff_classification = false;
+  const auto reference = exp::Engine(reference_options).run(make_plan());
+  std::uint64_t spliced_changes = 0, reference_crashes = 0;
+  for (std::size_t c = 0; c < reference.cells.size(); ++c) {
+    const auto& cell = reference.cells[c];
+    ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
+    ASSERT_EQ(cell.details.size(), kRuns);
+    if (c < kStageTwoCells) spliced_changes += kRuns - cell.tally.count(Outcome::Benign);
+    reference_crashes += cell.tally.count(Outcome::Crash);
+  }
+  ASSERT_GT(spliced_changes, 0u);    // some spliced runs change the catalog
+  ASSERT_GT(reference_crashes, 0u);  // the stage-1 cells really hit metadata
+
+  const std::uint64_t file_size = reference.cells[0].details[0].fs_stats.bytes_read;
+  ASSERT_GT(file_size, vfs::ExtentStore::kDefaultChunkSize);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    exp::EngineOptions options;
+    options.threads = threads;
+    options.keep_details = true;
+    const auto report = exp::Engine(options).run(make_plan());
+    ASSERT_EQ(report.cells.size(), reference.cells.size());
+    for (std::size_t c = 0; c < report.cells.size(); ++c) {
+      const auto& cell = report.cells[c];
+      const auto& want = reference.cells[c];
+      ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
+      ASSERT_EQ(cell.details.size(), kRuns);
+      EXPECT_EQ(cell.tally.count(Outcome::Crash), want.tally.count(Outcome::Crash))
+          << cell.cell.label << " at " << threads << " threads";
+      for (std::size_t r = 0; r < kRuns; ++r) {
+        const core::RunResult& run = cell.details[r];
+        const core::RunResult& ref = want.details[r];
+        EXPECT_EQ(run.outcome, ref.outcome)
+            << cell.cell.label << " run " << r << " at " << threads << " threads";
+        EXPECT_EQ(run.crash_reason, ref.crash_reason) << cell.cell.label << " run " << r;
+        if (run.analysis && ref.analysis) {
+          EXPECT_EQ(run.analysis->report, ref.analysis->report)
+              << cell.cell.label << " run " << r;
+        }
+        if (c < kStageTwoCells) {
+          // Spliced: at most the one dirty extent is read, not the file.
+          EXPECT_LE(run.fs_stats.bytes_read, vfs::ExtentStore::kDefaultChunkSize)
+              << cell.cell.label << " run " << r;
+          EXPECT_LE(run.fs_stats.pread_calls, 1u) << cell.cell.label << " run " << r;
+          EXPECT_EQ(ref.fs_stats.bytes_read, file_size) << cell.cell.label << " run " << r;
+        }
+      }
+    }
+  }
+}
+
 TEST(EngineCheckpoint, CowTrafficIsOChunkPerResumedRun) {
   // A 2-dump Nyx cell instrumented at stage 2: every checkpointed run forks
   // the multi-chunk plotfile and rewrites one slab in place.  The extent

@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "ffis/apps/nyx/density_field.hpp"
 #include "ffis/apps/nyx/halo_finder.hpp"
@@ -12,6 +19,7 @@
 #include "ffis/core/application.hpp"
 #include "ffis/apps/nyx/plotfile.hpp"
 #include "ffis/core/io_profiler.hpp"
+#include "ffis/util/rng.hpp"
 #include "ffis/vfs/counting_fs.hpp"
 #include "ffis/vfs/mem_fs.hpp"
 #include "write_recording.hpp"
@@ -179,6 +187,211 @@ TEST(HaloFinder, CatalogTextIsStableAndParsable) {
   const auto b = nyx::find_halos(field).to_text();
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("total_halos="), std::string::npos);
+}
+
+// --- halo finder: differential check against the dense reference --------------
+
+/// The dense halo finder the sparse one replaced, kept only as the reference
+/// it must match bit for bit: a candidate array and a visited array of one
+/// byte per cell, seeds found by rescanning every index, and an index stack
+/// whose entries are decoded back into coordinates.
+nyx::HaloCatalog dense_find_halos(const DensityField& field,
+                                  const HaloFinderConfig& config = {}) {
+  const std::size_t n = field.n();
+  const std::size_t total = field.size();
+
+  nyx::HaloCatalog catalog;
+  catalog.mean_density = field.mean();
+  catalog.threshold = config.threshold_factor * catalog.mean_density;
+  if (!std::isfinite(catalog.threshold)) return catalog;
+
+  std::vector<std::uint8_t> candidate(total, 0);
+  for (std::size_t i = 0; i < total; ++i) {
+    const double v = field.data()[i];
+    if (std::isfinite(v) && v > catalog.threshold) {
+      candidate[i] = 1;
+      ++catalog.candidate_cells;
+    }
+  }
+
+  std::vector<std::uint8_t> visited(total, 0);
+  std::vector<std::size_t> stack;
+  for (std::size_t start = 0; start < total; ++start) {
+    if (!candidate[start] || visited[start]) continue;
+    stack.assign(1, start);
+    visited[start] = 1;
+
+    double sx = 0.0, sy = 0.0, sz = 0.0, mass = 0.0;
+    std::uint64_t cells = 0;
+    while (!stack.empty()) {
+      const std::size_t idx = stack.back();
+      stack.pop_back();
+      const std::size_t x = idx % n;
+      const std::size_t y = (idx / n) % n;
+      const std::size_t z = idx / (n * n);
+      sx += static_cast<double>(x);
+      sy += static_cast<double>(y);
+      sz += static_cast<double>(z);
+      mass += field.data()[idx];
+      ++cells;
+
+      const auto visit = [&](std::size_t nx, std::size_t ny, std::size_t nz) {
+        const std::size_t nidx = (nz * n + ny) * n + nx;
+        if (candidate[nidx] && !visited[nidx]) {
+          visited[nidx] = 1;
+          stack.push_back(nidx);
+        }
+      };
+      if (x > 0) visit(x - 1, y, z);
+      if (x + 1 < n) visit(x + 1, y, z);
+      if (y > 0) visit(x, y - 1, z);
+      if (y + 1 < n) visit(x, y + 1, z);
+      if (z > 0) visit(x, y, z - 1);
+      if (z + 1 < n) visit(x, y, z + 1);
+    }
+
+    if (cells >= config.min_cells) {
+      nyx::Halo halo;
+      halo.cells = cells;
+      halo.mass = mass;
+      halo.cx = sx / static_cast<double>(cells);
+      halo.cy = sy / static_cast<double>(cells);
+      halo.cz = sz / static_cast<double>(cells);
+      catalog.halos.push_back(halo);
+    }
+  }
+
+  std::sort(catalog.halos.begin(), catalog.halos.end(),
+            [](const nyx::Halo& a, const nyx::Halo& b) {
+              if (a.mass != b.mass) return a.mass > b.mass;
+              if (a.cz != b.cz) return a.cz < b.cz;
+              if (a.cy != b.cy) return a.cy < b.cy;
+              return a.cx < b.cx;
+            });
+  return catalog;
+}
+
+/// One seeded storage-style corruption: a special value, a sign or exponent
+/// flip, a random bit flip, or a run of elements zeroed (a dropped write) or
+/// rescaled (a corrupted exponent bias).  Returns the corrupted index range.
+std::pair<std::size_t, std::size_t> corrupt(std::vector<double>& values, std::size_t n,
+                                            util::Rng& rng) {
+  const std::size_t i = static_cast<std::size_t>(rng.uniform(values.size()));
+  const auto flip = [&](unsigned bit) {
+    values[i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(values[i]) ^
+                                      (std::uint64_t{1} << bit));
+  };
+  switch (rng.uniform(10)) {
+    case 0: values[i] = std::numeric_limits<double>::quiet_NaN(); break;
+    case 1: values[i] = std::numeric_limits<double>::infinity(); break;
+    case 2: values[i] = -std::numeric_limits<double>::infinity(); break;
+    case 3: values[i] = 1e6; break;
+    case 4: values[i] = -1e6; break;  // drives the mean negative
+    case 5: values[i] = -values[i]; break;
+    case 6: flip(52 + static_cast<unsigned>(rng.uniform(11))); break;
+    case 7: flip(static_cast<unsigned>(rng.uniform(64))); break;
+    default: {
+      const std::size_t end =
+          std::min(values.size(), i + 1 + static_cast<std::size_t>(rng.uniform(2 * n * n)));
+      const double scale = rng.bernoulli(0.5) ? 0.0 : 4096.0;
+      for (std::size_t k = i; k < end; ++k) values[k] *= scale;
+      return {i, end};
+    }
+  }
+  return {i, i + 1};
+}
+
+void expect_same_catalog(const nyx::HaloCatalog& got, const nyx::HaloCatalog& want,
+                         std::uint64_t seed) {
+  EXPECT_EQ(got.to_text(), want.to_text()) << "seed " << seed;
+  EXPECT_EQ(got.candidate_cells, want.candidate_cells) << "seed " << seed;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean_density),
+            std::bit_cast<std::uint64_t>(want.mean_density))
+      << "seed " << seed;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.threshold),
+            std::bit_cast<std::uint64_t>(want.threshold))
+      << "seed " << seed;
+  // to_text rounds masses to 7 digits; the summation order shows only in
+  // the last bits, so compare each halo bit for bit too.
+  ASSERT_EQ(got.halos.size(), want.halos.size()) << "seed " << seed;
+  for (std::size_t h = 0; h < got.halos.size(); ++h) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.halos[h].mass),
+              std::bit_cast<std::uint64_t>(want.halos[h].mass))
+        << "seed " << seed << " halo " << h;
+    EXPECT_EQ(got.halos[h].cells, want.halos[h].cells) << "seed " << seed << " halo " << h;
+  }
+}
+
+TEST(HaloFinderDifferential, SparseFinderMatchesDenseReferenceOnCorruptedFields) {
+  // Seeded corruptions of generated fields at n = 8, 16 and 33 (odd, so no
+  // power-of-two index arithmetic hides a face bug).  The finder runs on
+  // each corrupted field and, as the copy-free splice does, on the clean
+  // field with randomly widened patches carrying the corrupted elements.
+  std::size_t negative_means = 0;
+  for (const std::size_t n : {std::size_t{8}, std::size_t{16}, std::size_t{33}}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      FieldConfig config;
+      config.n = n;
+      config.seed = seed;
+      const DensityField clean = nyx::generate_density_field(config);
+      util::Rng rng(seed * 1000 + n);
+      DensityField faulty = clean;
+      std::vector<std::pair<std::size_t, std::size_t>> dirty;
+      const std::size_t corruptions = 1 + static_cast<std::size_t>(rng.uniform(4));
+      for (std::size_t c = 0; c < corruptions; ++c) {
+        dirty.push_back(corrupt(faulty.data(), n, rng));
+      }
+
+      const nyx::HaloCatalog want = dense_find_halos(faulty);
+      expect_same_catalog(nyx::find_halos(faulty), want, seed);
+      // A negative mean puts the threshold below every cell but the
+      // corrupted ones: one component spans the grid, faces included.
+      const std::size_t total = clean.size();
+      if (want.mean_density < 0.0 && want.candidate_cells + corruptions >= total) {
+        ++negative_means;
+      }
+
+      // Patches: each dirty run widened by up to 2n elements on either side
+      // (clipped to the field), sorted, overlaps merged, adjacent kept apart.
+      for (auto& [begin, end] : dirty) {
+        begin -= std::min(begin, static_cast<std::size_t>(rng.uniform(2 * n)));
+        end = std::min(total, end + static_cast<std::size_t>(rng.uniform(2 * n)));
+      }
+      std::sort(dirty.begin(), dirty.end());
+      std::vector<std::pair<std::size_t, std::size_t>> merged;
+      for (const auto& range : dirty) {
+        if (!merged.empty() && range.first < merged.back().second) {
+          merged.back().second = std::max(merged.back().second, range.second);
+        } else {
+          merged.push_back(range);
+        }
+      }
+      std::vector<nyx::FieldPatch> patches;
+      for (const auto& [begin, end] : merged) {
+        patches.push_back(
+            {begin, std::span<const double>(faulty.data()).subspan(begin, end - begin)});
+      }
+      expect_same_catalog(nyx::find_halos(n, clean.data(), patches), want, seed);
+    }
+  }
+  // The sweep reached the regime where (nearly) every cell is a candidate.
+  EXPECT_GT(negative_means, 0u);
+}
+
+TEST(HaloFinderDifferential, PatchesMustBeSortedDisjointAndInside) {
+  const DensityField field = uniform_field(8);
+  const std::vector<double> values(4, 1.0);
+  const std::span<const double> four(values);
+  const std::vector<nyx::FieldPatch> overlapping = {{0, four}, {3, four}};
+  const std::vector<nyx::FieldPatch> overhanging = {{510, four}};
+  const std::vector<nyx::FieldPatch> beyond = {{600, {}}};
+  EXPECT_THROW((void)nyx::find_halos(8, field.data(), overlapping), std::invalid_argument);
+  EXPECT_THROW((void)nyx::find_halos(8, field.data(), overhanging), std::invalid_argument);
+  EXPECT_THROW((void)nyx::find_halos(8, field.data(), beyond), std::invalid_argument);
+  EXPECT_THROW((void)nyx::find_halos(7, field.data(), {}), std::invalid_argument);
+  const std::vector<nyx::FieldPatch> touching = {{0, four}, {4, four}, {508, four}};
+  EXPECT_EQ(nyx::find_halos(8, field.data(), touching).to_text(),
+            nyx::find_halos(field).to_text());
 }
 
 // --- plotfile I/O -----------------------------------------------------------------
