@@ -69,9 +69,13 @@ struct CoordinatorOptions {
   /// A heartbeat restamps the grant clock of the worker's units, so a slow
   /// worker keeps its grant while a hung one trips unit_timeout_ms.
   std::uint64_t heartbeat_interval_ms = 0;
-  /// Execution options forwarded to workers (checkpoint_dir, use_checkpoints,
-  /// use_diff_classification, fs geometry).  `threads` and `progress` apply
-  /// to nothing here — workers choose their own thread counts.
+  /// Execution options forwarded to workers: checkpoint_dir,
+  /// checkpoint_budget, use_checkpoints, use_diff_classification and the fs
+  /// geometry, from which each worker builds the engine's exp::CellPreparer.
+  /// keep_details applies to the merged report.  `threads` and `progress`
+  /// apply to nothing here — workers choose their own thread counts — and
+  /// force_block_device stays engine-only: it is an inert A/B probe whose
+  /// tallies are bit-identical either way.
   exp::EngineOptions engine;
 };
 

@@ -85,6 +85,7 @@ util::Bytes encode(const HelloAck& m) {
   w.str(m.plan_text);
   w.str(m.checkpoint_dir);
   w.u64(m.chunk_size);
+  w.u64(m.checkpoint_budget);
   w.u8(static_cast<std::uint8_t>((m.use_checkpoints ? 1 : 0) |
                                  (m.use_diff_classification ? 2 : 0)));
   w.u64(m.heartbeat_interval_ms);
@@ -99,6 +100,7 @@ HelloAck decode_hello_ack(util::ByteSpan payload) {
   m.plan_text = r.str_bounded(kMaxPlanTextBytes, "plan_text");
   m.checkpoint_dir = r.str_bounded(kMaxPathBytes, "checkpoint_dir");
   m.chunk_size = r.u64();
+  m.checkpoint_budget = r.u64();
   const auto flags = r.u8();
   m.use_checkpoints = (flags & 1) != 0;
   m.use_diff_classification = (flags & 2) != 0;

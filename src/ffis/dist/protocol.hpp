@@ -39,10 +39,11 @@
 namespace ffis::dist {
 
 /// Bump on any wire-format change; a Hello of any other version is rejected
-/// during the handshake (version-skewed workers must not compute).  v5 sends
-/// RunRow's storage counters as a counted list in run-counter table order
-/// (FFIS_RUN_COUNTERS), so appending a counter needs no bump.
-inline constexpr std::uint32_t kProtocolVersion = 5;
+/// during the handshake (version-skewed workers must not compute).  RunRow's
+/// storage counters travel as a counted list in run-counter table order
+/// (FFIS_RUN_COUNTERS), so appending a counter needs no bump.  v6 added
+/// HelloAck::checkpoint_budget.
+inline constexpr std::uint32_t kProtocolVersion = 6;
 
 /// First field of every Hello; guards against a stray client that speaks
 /// some other protocol entirely.
@@ -95,6 +96,9 @@ struct HelloAck {
   /// Uniform geometry keeps store entries shareable and fs-stats columns
   /// comparable across the fleet.
   std::uint64_t chunk_size = 0;
+  /// Size budget of every worker's store (EngineOptions::checkpoint_budget;
+  /// 0 = unbounded): workers evict under the budget a local engine would.
+  std::uint64_t checkpoint_budget = 0;
   bool use_checkpoints = true;
   bool use_diff_classification = true;
   /// Interval at which the worker must send Ping frames; 0 disables

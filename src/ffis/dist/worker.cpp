@@ -9,16 +9,12 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "ffis/core/checkpoint.hpp"
-#include "ffis/core/checkpoint_store.hpp"
-#include "ffis/core/fault_injector.hpp"
 #include "ffis/dist/protocol.hpp"
 #include "ffis/exp/plan_config.hpp"
-#include "ffis/faults/fault_generator.hpp"
+#include "ffis/exp/prepare.hpp"
 #include "ffis/net/framing.hpp"
 #include "ffis/net/socket.hpp"
 #include "ffis/util/thread_pool.hpp"
@@ -27,168 +23,46 @@ namespace ffis::dist {
 
 namespace {
 
-// Same cache keys as exp::Engine: goldens depend only on (app, app_seed),
-// checkpoints additionally on the instrumented stage.
-using GoldenKey = std::pair<const core::Application*, std::uint64_t>;
-using CheckpointKey = std::tuple<const core::Application*, std::uint64_t, int>;
-
-struct GoldenSlot {
-  std::shared_ptr<const core::AnalysisResult> result;
-  std::shared_ptr<const vfs::MemFs> tree;
-  bool cached = false;  ///< served from this worker's in-process cache
-};
-
-struct CheckpointSlot {
-  std::shared_ptr<const core::Checkpoint> checkpoint;
-  std::shared_ptr<const vfs::MemFs> golden_tree;
-  bool loaded = false;  ///< served from the persistent store
-};
-
-/// Everything a worker keeps per plan cell, built lazily on the cell's first
-/// granted unit and reused for every later unit of the cell.
-struct CellExec {
-  std::unique_ptr<faults::FaultGenerator> generator;
-  std::unique_ptr<core::FaultInjector> injector;
-  CellInfo info;
-  bool prepared = false;
-  bool info_sent = false;
-};
-
-/// The worker's whole execution context: plan, stores, caches, pool.
+/// The worker's whole execution context: plan, cell preparer, pool.
 struct WorkerContext {
   const exp::ExperimentPlan* plan = nullptr;
   /// Built from plan_text for remote workers (ExperimentPlan's default
   /// constructor is builder-private, hence the optional).
   std::optional<exp::ExperimentPlan> owned_plan;
-  std::unique_ptr<core::CheckpointStore> store;
-  vfs::MemFs::Options fs_options;
-  bool use_checkpoints = true;
-  bool use_diff_classification = true;
+  /// The engine's own preparation path, built from the HelloAck's options.
+  std::optional<exp::CellPreparer> preparer;
   util::ThreadPool pool;
-  std::map<GoldenKey, GoldenSlot> goldens;
-  std::map<CheckpointKey, CheckpointSlot> checkpoints;
-  std::map<std::uint32_t, CellExec> cells;
+  /// Prepared lazily on a cell's first granted unit, reused for every later
+  /// unit of the cell.
+  std::map<std::uint32_t, exp::PreparedCell> cells;
 
   explicit WorkerContext(std::size_t threads) : pool(threads) {}
 };
 
-GoldenSlot& ensure_golden(WorkerContext& ctx, const core::Application& app,
-                          std::uint64_t app_seed, bool want_tree) {
-  const GoldenKey key{&app, app_seed};
-  auto it = ctx.goldens.find(key);
-  if (it != ctx.goldens.end() && (!want_tree || it->second.tree != nullptr)) {
-    it->second.cached = true;
-    return it->second;
+/// The EngineOptions the coordinator forwarded in its HelloAck.
+exp::EngineOptions engine_options_of(const HelloAck& ack, const WorkerOptions& options) {
+  exp::EngineOptions engine;
+  engine.checkpoint_dir = !options.checkpoint_dir_override.empty()
+                              ? options.checkpoint_dir_override
+                              : ack.checkpoint_dir;
+  engine.checkpoint_budget = ack.checkpoint_budget;
+  engine.use_checkpoints = ack.use_checkpoints;
+  engine.use_diff_classification = ack.use_diff_classification;
+  if (ack.chunk_size > 0) {
+    engine.fs_options.chunk_size = static_cast<std::size_t>(ack.chunk_size);
   }
-  GoldenSlot slot;
-  const auto store_key =
-      ctx.store ? core::CheckpointStore::Key::of(app, app_seed, -1, ctx.fs_options)
-                : core::CheckpointStore::Key{};
-  if (ctx.store) {
-    if (auto loaded = ctx.store->load_golden(store_key, ctx.fs_options, want_tree)) {
-      if (!want_tree || loaded->tree != nullptr) {
-        slot.result = std::move(loaded->analysis);
-        slot.tree = std::move(loaded->tree);
-      }
-    }
-  }
-  if (slot.result == nullptr) {
-    // Retain the tree whenever a store is active: publishing it is what lets
-    // the rest of the fleet diff-classify without running the workload.
-    const bool retain = want_tree ||
-                        (ctx.store != nullptr && !store_key.app_fingerprint.empty());
-    slot.result = std::make_shared<const core::AnalysisResult>(
-        core::FaultInjector::run_golden(app, app_seed, retain ? &slot.tree : nullptr,
-                                        ctx.fs_options));
-    if (ctx.store) ctx.store->save_golden(store_key, *slot.result, slot.tree.get());
-    if (!want_tree) slot.tree.reset();
-  }
-  auto [pos, inserted] = ctx.goldens.insert_or_assign(key, std::move(slot));
-  pos->second.cached = !inserted;  // an upgrade re-used the key, not the work
-  return pos->second;
+  return engine;
 }
 
-CheckpointSlot& ensure_checkpoint(WorkerContext& ctx, const core::Application& app,
-                                  std::uint64_t app_seed, int stage) {
-  const CheckpointKey key{&app, app_seed, stage};
-  auto it = ctx.checkpoints.find(key);
-  if (it != ctx.checkpoints.end()) return it->second;
-  CheckpointSlot slot;
-  const auto store_key =
-      ctx.store ? core::CheckpointStore::Key::of(app, app_seed, stage, ctx.fs_options)
-                : core::CheckpointStore::Key{};
-  if (ctx.store) {
-    if (auto loaded = ctx.store->load_checkpoint(store_key, ctx.fs_options,
-                                                 ctx.use_diff_classification)) {
-      if (!loaded->app_state.empty()) {
-        (void)app.restore_state(app_seed, loaded->app_state);
-      }
-      if (!ctx.use_diff_classification || loaded->golden_tree != nullptr) {
-        slot.checkpoint = std::move(loaded->checkpoint);
-        slot.golden_tree = std::move(loaded->golden_tree);
-        slot.loaded = true;
-      }
-    }
-  }
-  if (slot.checkpoint == nullptr) {
-    slot.checkpoint = core::Checkpoint::capture(app, app_seed, stage, ctx.fs_options);
-    if (ctx.use_diff_classification) {
-      slot.golden_tree = slot.checkpoint->grow_golden_tree(app, app_seed);
-    }
-    if (ctx.store) {
-      ctx.store->save_checkpoint(store_key, *slot.checkpoint, slot.golden_tree.get(),
-                                 app.serialize_state(app_seed));
-    }
-  }
-  return ctx.checkpoints.emplace(key, std::move(slot)).first->second;
-}
-
-/// Builds (once) the cell's generator + prepared injector, mirroring the
-/// engine's phase 1/2 per cell.  A preparation failure lands in info.error —
-/// deterministic, so the coordinator abandons the cell fleet-wide.
-CellExec& ensure_cell(WorkerContext& ctx, std::uint32_t cell_index) {
-  auto it = ctx.cells.find(cell_index);
-  if (it != ctx.cells.end()) return it->second;
-  CellExec& exec = ctx.cells[cell_index];
-  exec.info.cell_index = cell_index;
-  const exp::Cell& cell = ctx.plan->cells()[cell_index];
-  try {
-    const bool checkpoint_eligible = ctx.use_checkpoints && cell.stage >= 1 &&
-                                     cell.app->stage_count() >= cell.stage;
-    const bool want_golden_tree =
-        ctx.use_diff_classification && !checkpoint_eligible;
-    GoldenSlot& golden =
-        ensure_golden(ctx, *cell.app, cell.app_seed(), want_golden_tree);
-    exec.info.golden_cached = golden.cached;
-
-    faults::CampaignConfig config;
-    config.application = cell.app->name();
-    config.fault = cell.fault;
-    config.runs = cell.runs;
-    config.seed = cell.seed;
-    config.stage = cell.stage;
-    exec.generator = std::make_unique<faults::FaultGenerator>(std::move(config));
-    exec.injector = std::make_unique<core::FaultInjector>(
-        *cell.app, exec.generator->signature(), cell.app_seed(), cell.stage);
-    exec.injector->set_diff_classification(ctx.use_diff_classification);
-    exec.injector->set_fs_options(ctx.fs_options);
-    if (checkpoint_eligible) {
-      CheckpointSlot& cp = ensure_checkpoint(ctx, *cell.app, cell.app_seed(), cell.stage);
-      exec.injector->prepare_with_checkpoint(golden.result, cp.checkpoint,
-                                             cp.golden_tree);
-      exec.info.checkpointed = true;
-      exec.info.checkpoint_loaded = cp.loaded;
-    } else {
-      exec.injector->prepare_with_golden(golden.result, golden.tree);
-    }
-    exec.info.primitive_count = exec.injector->primitive_count();
-    exec.prepared = true;
-  } catch (const std::exception& e) {
-    exec.info.error = e.what();
-    exec.generator.reset();
-    exec.injector.reset();
-  }
-  return exec;
+CellInfo info_of(const exp::PreparedCell& prepared, std::uint32_t cell_index) {
+  CellInfo info;
+  info.cell_index = cell_index;
+  info.primitive_count = prepared.primitive_count;
+  info.golden_cached = prepared.golden_cached;
+  info.checkpointed = prepared.checkpointed;
+  info.checkpoint_loaded = prepared.checkpoint_loaded;
+  info.error = prepared.error;
+  return info;
 }
 
 RunRow row_from(const core::RunResult& rr, const WorkGrant& grant,
@@ -323,17 +197,7 @@ void run_session(const std::string& host, std::uint16_t port,
     }
     ctx.plan = &*ctx.owned_plan;
   }
-  ctx.use_checkpoints = ack.use_checkpoints;
-  ctx.use_diff_classification = ack.use_diff_classification;
-  if (ack.chunk_size > 0) {
-    ctx.fs_options.chunk_size = static_cast<std::size_t>(ack.chunk_size);
-  }
-  const std::string checkpoint_dir = !options.checkpoint_dir_override.empty()
-                                         ? options.checkpoint_dir_override
-                                         : ack.checkpoint_dir;
-  if (!checkpoint_dir.empty()) {
-    ctx.store = std::make_unique<core::CheckpointStore>(checkpoint_dir);
-  }
+  ctx.preparer.emplace(*ctx.plan, engine_options_of(ack, options));
 
   // Heartbeats start only after the plan checks passed: a worker that is
   // about to bail on a fingerprint mismatch must not keep grants alive.
@@ -353,13 +217,16 @@ void run_session(const std::string& host, std::uint16_t port,
                                std::to_string(grant.cell_index));
     }
 
-    CellExec& exec = ensure_cell(ctx, grant.cell_index);
-    if (!exec.info_sent) {
-      const auto info = encode(exec.info);
+    auto [it, first_unit] = ctx.cells.try_emplace(grant.cell_index);
+    exp::PreparedCell& cell = it->second;
+    if (first_unit) {
+      cell = ctx.preparer->prepare(grant.cell_index);
+      // A preparation error is deterministic, so the coordinator abandons
+      // the cell fleet-wide.
+      const auto info = encode(info_of(cell, grant.cell_index));
       io.send(info);
-      exec.info_sent = true;
     }
-    if (!exec.prepared) continue;  // cell abandoned fleet-wide; just ask again
+    if (cell.injector == nullptr) continue;  // abandoned; just ask again
 
     // Execute the whole range into per-run slots, then stream in run order.
     // Seeds come from the generator exactly as the engine derives them, so
@@ -368,12 +235,12 @@ void run_session(const std::string& host, std::uint16_t port,
     std::vector<core::RunResult> results(n);
     util::parallel_for(ctx.pool, static_cast<std::size_t>(n), [&](std::size_t i) {
       const std::uint64_t r = grant.run_begin + i;
-      results[i] = exec.injector->execute(exec.generator->run_seed(r));
+      results[i] = cell.injector->execute(cell.generator->run_seed(r));
     });
 
     const bool abort_now = stats.units_completed == options.abort_after_units;
     const std::uint64_t send_count = abort_now ? n / 2 : n;
-    // Rows leave in RunBatch frames (v3): one frame per kRunBatchRows rows
+    // Rows leave in RunBatch frames: one frame per kRunBatchRows rows
     // instead of one per run, which is most of the result path's framing and
     // syscall cost on a fast unit.  The age threshold backstops slow row
     // production (an encode stall, a preempted worker) so the coordinator's

@@ -3,12 +3,14 @@
 //
 // run_worker connects to a coordinator, performs the versioned handshake,
 // then loops "request a unit, execute it, stream its rows" until the
-// coordinator replies Shutdown.  The execution path per cell is exactly the
-// engine's: golden run (persistent store first, then a real execution),
-// optional pre-fault checkpoint (same store key discipline), then a
-// core::FaultInjector prepared once per cell and reused across all of the
-// cell's units — so per-run outcomes at a given seed are bit-identical to
-// exp::Engine's, which is the whole contract of the merge on the other end.
+// coordinator replies Shutdown.  Cells are prepared by the engine's own
+// exp::CellPreparer, built from the HelloAck's options: golden run and
+// optional pre-fault checkpoint (in-process cache, then the leased store
+// entry, then a real execution), then a core::FaultInjector prepared once
+// per cell and reused across all of the cell's units — so per-run outcomes
+// at a given seed are bit-identical to exp::Engine's, which is the whole
+// contract of the merge on the other end, and so are the cells'
+// golden_cached / checkpointed flags.
 //
 // Artifact transfer rides the shared checkpoint store (HelloAck names the
 // directory): the first worker to need a golden/checkpoint publishes it,

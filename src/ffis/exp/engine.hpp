@@ -21,8 +21,12 @@
 //    and checkpoint captures can additionally be served from an on-disk
 //    core::CheckpointStore shared across processes, so a repeated CLI
 //    invocation of the same plan skips the fault-free prefix entirely.
-//    The resolution order per cell is: in-process cache -> disk store ->
-//    full execution; every tier preserves bit-identical tallies.
+//
+// Golden runs, checkpoints and the per-cell profiling pass are one
+// preparation path, exp::CellPreparer (prepare.hpp), which dist::Worker
+// shares: the engine prepares every cell on the pool (one task per cell,
+// each key resolved once: in-process cache -> store -> execution), then
+// queues all injection runs.  Every tier preserves bit-identical tallies.
 //
 // Determinism: every run of a cell uses the application seed
 // `seed ^ 0x5eed` (Cell::app_seed) and the per-run seed
@@ -102,10 +106,11 @@ class Engine {
  public:
   explicit Engine(EngineOptions options = {}) : options_(std::move(options)) {}
 
-  /// Executes the plan: golden runs (cached per application x app_seed),
-  /// profiling passes, then all injection runs interleaved on the shared
-  /// pool.  Per-cell failures (e.g. the application never executes the
-  /// target primitive) are captured in CellResult::error, not thrown.
+  /// Executes the plan: cell preparation (golden runs cached per
+  /// application x app_seed, checkpoints, profiling passes), then all
+  /// injection runs interleaved on the shared pool.  Per-cell failures
+  /// (e.g. the application never executes the target primitive) are
+  /// captured in CellResult::error, not thrown.
   ExperimentReport run(const ExperimentPlan& plan, ResultSink& sink);
 
   /// Convenience overload discarding the stream (the report has everything).

@@ -75,7 +75,10 @@ struct CellResult : RunCounters {
   std::uint64_t runs_completed = 0;  ///< < cell.runs only when cancelled
   std::uint64_t primitive_count = 0;
   std::uint64_t faults_not_fired = 0;
-  bool golden_cached = false;  ///< golden run came from the engine's cache
+  /// An earlier plan cell owns this cell's golden run, which succeeded and
+  /// was reused here (plan order, so identical under any thread count and
+  /// across a fleet).
+  bool golden_cached = false;
   /// Injection runs forked a pre-fault checkpoint (stage-instrumented cell of
   /// a stage-resumable application) instead of re-running the whole workload.
   bool checkpointed = false;

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -162,6 +163,20 @@ class SilentApp final : public core::Application {
   }
 };
 
+/// Its run() throws, so its golden run fails on every execution path.
+class BoomApp final : public core::Application {
+ public:
+  [[nodiscard]] std::string name() const override { return "boom"; }
+  void run(const core::RunContext&) const override { throw std::runtime_error("boom"); }
+  [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem&) const override {
+    return {};
+  }
+  [[nodiscard]] Outcome classify(const core::AnalysisResult&,
+                                 const core::AnalysisResult&) const override {
+    return Outcome::Benign;
+  }
+};
+
 /// Unique scratch directory per test, removed on teardown.
 class StoreDir {
  public:
@@ -181,14 +196,29 @@ class StoreDir {
   std::string path_;
 };
 
+/// Total size of the regular files under `dir`.
+std::uint64_t directory_bytes(const std::string& dir) {
+  std::uint64_t total = 0;
+  for (const auto& entry : stdfs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) total += entry.file_size();
+  }
+  return total;
+}
+
 struct DistOutcome {
   exp::ExperimentReport report;
   std::vector<dist::WorkerStats> workers;
+  /// what() of the exception a worker threw; empty when it returned.
+  std::vector<std::string> worker_errors;
 };
 
 /// Runs `plan` on an in-process coordinator with `n_workers` worker threads
 /// sharing the plan by address; returns the merged report and per-worker
-/// stats.
+/// stats.  Coordinator::run starts only after every worker's connect has
+/// completed: the listener is bound at construction, so the connects wait in
+/// its backlog, and no worker can arrive after a tiny plan has finished and
+/// the listener is closed.  A worker's exception is recorded and reported as
+/// a test failure instead of escaping its thread.
 DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_workers,
                             dist::CoordinatorOptions options = {},
                             exp::ResultSink* sink = nullptr) {
@@ -197,21 +227,40 @@ DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_worke
 
   DistOutcome out;
   out.workers.resize(n_workers);
-  std::thread serve([&] {
-    out.report = (sink != nullptr) ? coordinator.run(*sink) : coordinator.run();
-  });
+  out.worker_errors.resize(n_workers);
+  std::latch connected(static_cast<std::ptrdiff_t>(n_workers));
   std::vector<std::thread> fleet;
   fleet.reserve(n_workers);
   for (std::size_t i = 0; i < n_workers; ++i) {
     fleet.emplace_back([&, i] {
+      bool arrived = false;
+      const auto arrive = [&] {
+        if (!arrived) connected.count_down();
+        arrived = true;
+      };
       dist::WorkerOptions wo;
       wo.name = "test-worker-" + std::to_string(i);
       wo.plan = &plan;
-      out.workers[i] = dist::run_worker("127.0.0.1", port, wo);
+      wo.transport = [&arrive](net::Socket socket) -> std::unique_ptr<net::Stream> {
+        arrive();
+        return std::make_unique<net::Socket>(std::move(socket));
+      };
+      try {
+        out.workers[i] = dist::run_worker("127.0.0.1", port, wo);
+      } catch (const std::exception& e) {
+        out.worker_errors[i] = e.what();
+      }
+      arrive();  // a worker that never connected must not stall run()
     });
   }
+  connected.wait();
+  out.report = (sink != nullptr) ? coordinator.run(*sink) : coordinator.run();
   for (auto& t : fleet) t.join();
-  serve.join();
+  for (std::size_t i = 0; i < n_workers; ++i) {
+    if (!out.worker_errors[i].empty()) {
+      ADD_FAILURE() << "worker " << i << " threw: " << out.worker_errors[i];
+    }
+  }
   return out;
 }
 
@@ -246,6 +295,8 @@ void expect_reports_identical(const exp::ExperimentReport& dist_report,
     EXPECT_EQ(d.runs_completed, e.runs_completed);
     EXPECT_EQ(d.primitive_count, e.primitive_count);
     EXPECT_EQ(d.faults_not_fired, e.faults_not_fired);
+    EXPECT_EQ(d.golden_cached, e.golden_cached);
+    EXPECT_EQ(d.checkpointed, e.checkpointed);
     EXPECT_EQ(deterministic_counters(d), deterministic_counters(e));
     EXPECT_EQ(d.error, e.error);
   }
@@ -688,6 +739,88 @@ TEST(DistE2E, DeterministicPrepareFailureAbandonsCellFleetWide) {
   EXPECT_FALSE(dist_run.report.cells[0].error.empty());
   EXPECT_EQ(dist_run.report.cells[0].tally.total(), 0u);
   EXPECT_EQ(dist_run.report.cells[1].tally.total(), 12u);
+}
+
+TEST(DistE2E, GoldenFailureReportsTheEngineError) {
+  BoomApp boom;
+  ToyApp toy;
+  const auto plan = exp::PlanBuilder()
+                        .runs(8)
+                        .seed(4)
+                        .apps({&boom, &toy})
+                        .faults({"BF"})
+                        .build();
+  const auto expected = exp::Engine().run(plan);
+  ASSERT_EQ(expected.cells[0].error, "golden run failed: boom");
+
+  dist::CoordinatorOptions options;
+  options.unit_runs = 4;
+  const auto dist_run = run_distributed(plan, /*n_workers=*/2, options);
+
+  expect_reports_identical(dist_run.report, expected);
+  EXPECT_EQ(dist_run.report.cells[1].tally.total(), 8u);
+}
+
+TEST(DistE2E, FleetUpgradesTreelessCheckpointEntries) {
+  // A store filled with diff classification off holds checkpoint entries
+  // without golden trees.  A diff-on fleet must load them and grow each tree
+  // from the loaded snapshot, as the engine does, instead of treating the
+  // entry as a miss and re-running the prefix.
+  StoreDir store("upgrade");
+  StagedToyApp app;
+  auto builder = exp::PlanBuilder().runs(24).seed(19);
+  builder.app(app).faults({"BF", "DW"}).stages(1, 2).product();
+  const auto plan = builder.build();
+
+  exp::EngineOptions fill;
+  fill.checkpoint_dir = store.path();
+  fill.use_diff_classification = false;
+  const auto filled = exp::Engine(fill).run(plan);
+  ASSERT_GT(filled.checkpoints_persisted, 0u);
+
+  const auto expected = exp::Engine().run(plan);
+  dist::CoordinatorOptions options;
+  options.unit_runs = 6;
+  options.engine.checkpoint_dir = store.path();
+  const auto dist_run = run_distributed(plan, /*n_workers=*/2, options);
+
+  expect_reports_identical(dist_run.report, expected);
+  for (const auto& cell : dist_run.report.cells) {
+    if (cell.cell.stage < 1) continue;
+    SCOPED_TRACE(cell.cell.label);
+    EXPECT_TRUE(cell.checkpointed);
+    EXPECT_TRUE(cell.checkpoint_loaded);
+  }
+}
+
+TEST(DistE2E, FleetStoresHonorTheCheckpointBudget) {
+  // A first campaign fills the store unbounded.  A second one with disjoint
+  // keys runs on a fleet whose budget holds its own entries but not both
+  // campaigns', so the workers' saves must evict the first campaign's.
+  StoreDir store("budget");
+  StagedToyApp app;
+  const auto plan_at = [&](std::uint64_t seed) {
+    auto builder = exp::PlanBuilder().runs(12).seed(seed);
+    builder.app(app).faults({"BF", "DW"}).stages(1, 2).product();
+    return builder.build();
+  };
+  exp::EngineOptions fill;
+  fill.checkpoint_dir = store.path();
+  (void)exp::Engine(fill).run(plan_at(1));
+  const std::uint64_t one_campaign = directory_bytes(store.path());
+  ASSERT_GT(one_campaign, 0u);
+
+  const auto plan = plan_at(2);
+  const auto expected = exp::Engine().run(plan);
+  const std::uint64_t budget = one_campaign + one_campaign / 2;
+  dist::CoordinatorOptions options;
+  options.unit_runs = 4;
+  options.engine.checkpoint_dir = store.path();
+  options.engine.checkpoint_budget = budget;
+  const auto dist_run = run_distributed(plan, /*n_workers=*/2, options);
+
+  expect_reports_identical(dist_run.report, expected);
+  EXPECT_LE(directory_bytes(store.path()), budget);
 }
 
 // --- worker_id sink column ---------------------------------------------------
@@ -1159,6 +1292,34 @@ TEST(Retry, ExhaustedAttemptsAgainstADeadPortThrowNetError) {
   // Two backoff sleeps happened (not three): the budget bounds the attempts.
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+TEST(Retry, WorkerArrivingAfterRunReturnedThrowsNetErrorPromptly) {
+  // Once Coordinator::run has returned, the listener is closed: a late
+  // worker with its retries spent must throw net::NetError at once, not hang
+  // in a handshake nobody will answer.
+  ToyApp a;
+  const auto plan = exp::PlanBuilder().runs(4).seed(3).apps({&a}).faults({"BF"}).build();
+  dist::Coordinator coordinator(plan, dist::CoordinatorOptions{});
+  exp::ExperimentReport report;
+  std::thread serve([&] { report = coordinator.run(); });
+  dist::WorkerOptions wo;
+  wo.plan = &plan;
+  std::string first_error;
+  try {
+    (void)dist::run_worker("127.0.0.1", coordinator.port(), wo);
+  } catch (const std::exception& e) {
+    first_error = e.what();
+    coordinator.request_cancel();
+  }
+  serve.join();
+  ASSERT_TRUE(first_error.empty()) << first_error;
+  EXPECT_EQ(report.total_runs, plan.total_runs());
+
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)dist::run_worker("127.0.0.1", coordinator.port(), wo),
+               net::NetError);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
 }
 
 TEST(Retry, SeededTransportFaultSweepNeverCorruptsTallies) {

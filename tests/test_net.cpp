@@ -172,6 +172,7 @@ TEST(Protocol, HelloAckRoundTrip) {
   m.plan_text = "runs = 10\n[cell]\nfault = BF\n";
   m.checkpoint_dir = "/tmp/store";
   m.chunk_size = 4096;
+  m.checkpoint_budget = 0x123456789aULL;
   m.use_checkpoints = false;
   m.use_diff_classification = true;
   const auto encoded = dist::encode(m);
@@ -182,6 +183,7 @@ TEST(Protocol, HelloAckRoundTrip) {
   EXPECT_EQ(decoded.plan_text, m.plan_text);
   EXPECT_EQ(decoded.checkpoint_dir, "/tmp/store");
   EXPECT_EQ(decoded.chunk_size, 4096u);
+  EXPECT_EQ(decoded.checkpoint_budget, 0x123456789aULL);
   EXPECT_FALSE(decoded.use_checkpoints);
   EXPECT_TRUE(decoded.use_diff_classification);
 }
