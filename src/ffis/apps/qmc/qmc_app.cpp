@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -23,10 +24,16 @@ std::shared_ptr<const QmcApp::Trace> QmcApp::trace(std::uint64_t seed) const {
     t->vmc_rows = std::move(vmc.rows);
     t->dmc_rows = std::move(dmc.rows);
     t->dmc_mean_energy = dmc.mean_energy;
+    render(*t);
     cached_trace_ = std::move(t);
     cached_seed_ = seed;
   }
   return cached_trace_;
+}
+
+void QmcApp::render(Trace& t) const {
+  t.vmc_text = render_scalar_file(t.vmc_rows, config_.io);
+  t.dmc_text = render_scalar_file(t.dmc_rows, config_.io);
 }
 
 void QmcApp::run_range(const core::RunContext& ctx, bool ingest, int first,
@@ -48,12 +55,12 @@ void QmcApp::run_range(const core::RunContext& ctx, bool ingest, int first,
 
   if (first <= 1 && 1 <= last) {
     ctx.enter_stage(1);
-    write_scalar_file(ctx.fs, vmc_path(), t->vmc_rows, config_.io);
+    write_scalar_text(ctx.fs, vmc_path(), t->vmc_text);
     ctx.leave_stage(1);
   }
   if (first <= 2 && 2 <= last) {
     ctx.enter_stage(2);
-    write_scalar_file(ctx.fs, dmc_path(), t->dmc_rows, config_.io);
+    write_scalar_text(ctx.fs, dmc_path(), t->dmc_text);
     ctx.leave_stage(2);
   }
 }
@@ -74,13 +81,16 @@ void QmcApp::run_from(const core::RunContext& ctx, int stage) const {
   run_range(ctx, false, stage, stage_count());
 }
 
-core::AnalysisResult QmcApp::analyze(vfs::FileSystem& fs) const {
-  // The paper compares He.s001.scalar.dat bit-wise and then post-analyzes it.
-  const util::Bytes s001 = vfs::read_file(fs, dmc_path());
-  const QmcaResult qmca = analyze_scalar_text(util::to_string(s001), config_.qmca);
+namespace {
 
+std::string_view as_text(const util::Bytes& bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+/// The paper compares He.s001.scalar.dat bit-wise and then post-analyzes it.
+core::AnalysisResult analysis_from(util::Bytes s001, const QmcaResult& qmca) {
   core::AnalysisResult result;
-  result.comparison_blob = s001;
+  result.comparison_blob = std::move(s001);
   result.report = util::fmt("He series 001: E = {:.6f} +/- {:.6f} Ha ({} rows, {} skipped{})\n",
                             qmca.mean_energy, qmca.error_bar, qmca.rows_used,
                             qmca.rows_skipped,
@@ -93,11 +103,41 @@ core::AnalysisResult QmcApp::analyze(vfs::FileSystem& fs) const {
   return result;
 }
 
+/// The golden s001 series, indexed for splicing.  One per campaign cell.
+struct QmcGoldenArtifacts final : core::GoldenArtifacts {
+  ScalarIndex series;
+};
+
+}  // namespace
+
+core::AnalysisResult QmcApp::analyze(vfs::FileSystem& fs) const {
+  util::Bytes s001 = vfs::read_file(fs, dmc_path());
+  const QmcaResult qmca = analyze_scalar_text(as_text(s001), config_.qmca);
+  return analysis_from(std::move(s001), qmca);
+}
+
+std::shared_ptr<const core::GoldenArtifacts> QmcApp::golden_artifacts(
+    vfs::FileSystem& golden_fs, const core::AnalysisResult& /*golden*/) const {
+  std::optional<ScalarIndex> series = index_scalar_text(vfs::read_text_file(golden_fs, dmc_path()));
+  if (!series) return nullptr;
+  auto artifacts = std::make_shared<QmcGoldenArtifacts>();
+  artifacts->series = std::move(*series);
+  return artifacts;
+}
+
 core::AnalysisResult QmcApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDiff& diff,
                                            const core::AnalysisResult& golden,
-                                           const core::GoldenArtifacts* /*artifacts*/) const {
+                                           const core::GoldenArtifacts* artifacts) const {
   if (!diff.touches(dmc_path())) return golden;
-  return analyze(fs);
+  util::Bytes s001 = vfs::read_file(fs, dmc_path());
+  const auto* art = dynamic_cast<const QmcGoldenArtifacts*>(artifacts);
+  const vfs::FileDiff* fd = diff.find(dmc_path());
+  std::optional<QmcaResult> qmca;
+  if (art != nullptr && fd != nullptr && !fd->metadata_changed) {
+    qmca = splice_scalar_text(art->series, as_text(s001), fd->ranges, config_.qmca);
+  }
+  if (!qmca) qmca = analyze_scalar_text(as_text(s001), config_.qmca);
+  return analysis_from(std::move(s001), *qmca);
 }
 
 core::Outcome QmcApp::classify(const core::AnalysisResult& /*golden*/,
@@ -190,6 +230,7 @@ bool QmcApp::restore_state(std::uint64_t app_seed, util::ByteSpan state) const {
     t->dmc_rows = read_rows(r, config_.dmc.steps);
     t->dmc_mean_energy = r.f64();
     r.expect_end();
+    render(*t);
     std::lock_guard lock(cache_mutex_);
     cached_trace_ = std::move(t);
     cached_seed_ = app_seed;

@@ -10,10 +10,14 @@
 //  * individual unparseable rows are skipped and counted.
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "ffis/vfs/file_system.hpp"
+#include "ffis/vfs/fs_diff.hpp"
 
 namespace ffis::qmc {
 
@@ -36,11 +40,35 @@ struct QmcaResult {
 
 /// Analyzes the text content of a scalar.dat file.  Throws QmcaError when
 /// the header is unusable or no data rows survive.
-[[nodiscard]] QmcaResult analyze_scalar_text(const std::string& text,
+[[nodiscard]] QmcaResult analyze_scalar_text(std::string_view text,
                                              const QmcaOptions& options = {});
 
-/// Convenience: read + analyze through the VFS.
-[[nodiscard]] QmcaResult analyze_scalar_file(vfs::FileSystem& fs, const std::string& path,
-                                             const QmcaOptions& options = {});
+/// A parsed series indexed by data line (every line after the header), so
+/// a later copy of it that differs in a few bytes can be re-analyzed by
+/// parsing only the lines holding those bytes.
+struct ScalarIndex {
+  std::string text;                      ///< the series bytes
+  std::size_t header_end = 0;            ///< offset of the header line's '\n'
+  std::vector<std::size_t> line_starts;  ///< data line starts, then text.size()
+  std::vector<double> energies;          ///< parsed energies, in file order
+  /// Per entry of line_starts: energies and skipped rows in the lines before.
+  std::vector<std::size_t> energies_before;
+  std::vector<std::size_t> skipped_before;
+};
+
+/// Indexes `text`.  Returns nullopt when it cannot anchor a splice: its
+/// header is unusable (analyze_scalar_text throws) or it holds a NUL byte.
+[[nodiscard]] std::optional<ScalarIndex> index_scalar_text(std::string text);
+
+/// analyze_scalar_text(text, options), bit for bit, thrown errors included,
+/// from `golden` plus a parse of only the lines that changed.  `dirty` must
+/// cover every byte where `text` differs from golden.text, in ascending
+/// order (vfs::FileDiff::ranges).  The sum still runs over every energy in
+/// file order; only the parse is spliced.  Returns nullopt when the splice
+/// cannot prove equivalence — a size change or a changed byte inside the
+/// header line — and the caller must run the full parse.
+[[nodiscard]] std::optional<QmcaResult> splice_scalar_text(
+    const ScalarIndex& golden, std::string_view text, std::span<const vfs::ByteRange> dirty,
+    const QmcaOptions& options = {});
 
 }  // namespace ffis::qmc

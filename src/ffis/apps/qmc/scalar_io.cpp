@@ -1,6 +1,8 @@
 #include "ffis/apps/qmc/scalar_io.hpp"
 
+#include <cstdint>
 #include <cstdio>
+#include <span>
 
 namespace ffis::qmc {
 
@@ -16,26 +18,30 @@ std::string format_row(const ScalarRow& row) {
   return line;
 }
 
-void write_scalar_file(vfs::FileSystem& fs, const std::string& path,
-                       const std::vector<ScalarRow>& rows, const ScalarIoOptions& options) {
-  vfs::File out(fs, path, vfs::OpenMode::Write);
-  std::uint64_t offset = 0;
-
-  const std::string header = scalar_header();
-  offset += out.pwrite(util::to_bytes(header), offset);
-
-  std::string buffer;
-  buffer.reserve(options.flush_bytes + 128);
-  const auto flush = [&] {
-    if (buffer.empty()) return;
-    offset += out.pwrite(util::to_bytes(buffer), offset);
-    buffer.clear();
-  };
+ScalarText render_scalar_file(const std::vector<ScalarRow>& rows,
+                              const ScalarIoOptions& options) {
+  ScalarText out;
+  out.text = scalar_header();
+  out.chunk_ends.push_back(out.text.size());
   for (const auto& row : rows) {
-    buffer += format_row(row);
-    if (buffer.size() >= options.flush_bytes) flush();
+    out.text += format_row(row);
+    if (out.text.size() - out.chunk_ends.back() >= options.flush_bytes) {
+      out.chunk_ends.push_back(out.text.size());
+    }
   }
-  flush();
+  if (out.text.size() > out.chunk_ends.back()) out.chunk_ends.push_back(out.text.size());
+  return out;
+}
+
+void write_scalar_text(vfs::FileSystem& fs, const std::string& path, const ScalarText& text) {
+  vfs::File out(fs, path, vfs::OpenMode::Write);
+  const auto bytes = std::as_bytes(std::span(text.text.data(), text.text.size()));
+  std::uint64_t offset = 0;
+  std::size_t begin = 0;
+  for (const std::size_t end : text.chunk_ends) {
+    offset += out.pwrite(bytes.subspan(begin, end - begin), offset);
+    begin = end;
+  }
 }
 
 }  // namespace ffis::qmc

@@ -710,6 +710,65 @@ TEST(DiffClassification, NyxSpliceTakesTheHeaderExtentAndMatchesFullAnalysisPerR
   }
 }
 
+TEST(DiffClassification, QmcSpliceMatchesFullAnalysisPerRun) {
+  // QMC stage 2 writes the DMC series s001 (~97 KiB, two 64 KiB extents).
+  // A bit flip or shorn chunk changes a few bytes of it in place, so
+  // analyze_dirty re-parses only the lines holding them over the golden
+  // index; a dropped chunk leaves a NUL hole (flagged, also spliced) and a
+  // dropped header write takes the full parse and crashes.  Every run must
+  // match the full analysis of the diff-off reference.
+  const qmc::QmcApp app;
+
+  constexpr std::uint64_t kRuns = 48;
+  auto make_plan = [&] {
+    exp::PlanBuilder builder;
+    builder.runs(kRuns).seed(2024);
+    builder.app(app).faults({"BF", "SHORN_WRITE@pwrite", "DROPPED_WRITE"}).stage(2).product();
+    return builder.build();
+  };
+
+  exp::EngineOptions reference_options;
+  reference_options.threads = 1;
+  reference_options.keep_details = true;
+  reference_options.use_diff_classification = false;
+  const auto reference = exp::Engine(reference_options).run(make_plan());
+  std::uint64_t changed = 0;
+  for (const auto& cell : reference.cells) {
+    ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
+    ASSERT_EQ(cell.details.size(), kRuns);
+    changed += kRuns - cell.tally.count(Outcome::Benign);
+  }
+  ASSERT_GT(changed, 0u);  // the faults really change s001
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    exp::EngineOptions options;
+    options.threads = threads;
+    options.keep_details = true;
+    const auto report = exp::Engine(options).run(make_plan());
+    ASSERT_EQ(report.cells.size(), reference.cells.size());
+    for (std::size_t c = 0; c < report.cells.size(); ++c) {
+      const auto& cell = report.cells[c];
+      const auto& want = reference.cells[c];
+      ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
+      ASSERT_EQ(cell.details.size(), kRuns);
+      for (std::size_t r = 0; r < kRuns; ++r) {
+        const core::RunResult& run = cell.details[r];
+        const core::RunResult& ref = want.details[r];
+        EXPECT_EQ(run.outcome, ref.outcome)
+            << cell.cell.label << " run " << r << " at " << threads << " threads";
+        EXPECT_EQ(run.crash_reason, ref.crash_reason) << cell.cell.label << " run " << r;
+        ASSERT_EQ(run.analysis.has_value(), ref.analysis.has_value())
+            << cell.cell.label << " run " << r;
+        if (run.analysis) {
+          EXPECT_EQ(run.analysis->report, ref.analysis->report) << cell.cell.label << " run " << r;
+          EXPECT_EQ(run.analysis->metrics, ref.analysis->metrics)
+              << cell.cell.label << " run " << r;
+        }
+      }
+    }
+  }
+}
+
 TEST(EngineCheckpoint, CowTrafficIsOChunkPerResumedRun) {
   // A 2-dump Nyx cell instrumented at stage 2: every checkpointed run forks
   // the multi-chunk plotfile and rewrites one slab in place.  The extent

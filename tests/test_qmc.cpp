@@ -1,9 +1,15 @@
 // Unit tests for the mini-QMCPACK application: wavefunction analytics (vs
-// numerical derivatives), VMC/DMC physics, scalar I/O and QMCA parsing.
+// numerical derivatives), VMC/DMC physics, scalar I/O and QMCA parsing,
+// the pinned pwrite streams of both scalar series, and the spliced QMCA
+// against the full parse on corrupted series.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <optional>
+#include <span>
 
 #include "ffis/apps/qmc/dmc.hpp"
 #include "ffis/apps/qmc/qmc_app.hpp"
@@ -11,8 +17,12 @@
 #include "ffis/apps/qmc/scalar_io.hpp"
 #include "ffis/apps/qmc/vmc.hpp"
 #include "ffis/apps/qmc/wavefunction.hpp"
+#include "ffis/faults/fault_signature.hpp"
+#include "ffis/faults/faulting_fs.hpp"
+#include "ffis/util/rng.hpp"
 #include "ffis/vfs/counting_fs.hpp"
 #include "ffis/vfs/mem_fs.hpp"
+#include "write_recording.hpp"
 
 namespace {
 
@@ -219,7 +229,7 @@ TEST(ScalarIo, WriteProducesHeaderPlusFlushes) {
   }
   vfs::MemFs backing;
   vfs::CountingFs counting(backing);
-  qmc::write_scalar_file(counting, "/s.dat", rows);
+  qmc::write_scalar_text(counting, "/s.dat", qmc::render_scalar_file(rows));
   // Header write + ceil(200*65/4096)-ish buffered flushes.
   EXPECT_GE(counting.count(vfs::Primitive::Pwrite), 4u);
   const std::string text = vfs::read_text_file(backing, "/s.dat");
@@ -344,6 +354,340 @@ TEST(QmcApp, ClassifyRules) {
   faulty.metrics["energy"] = -2.905;
   faulty.metrics["nul_detected"] = 1.0;
   EXPECT_EQ(app.classify(golden, faulty), core::Outcome::Detected);  // NULs flagged
+}
+
+// --- write-sequence pins ----------------------------------------------------------------
+//
+// Every run reissues the pwrite chunks of its trace's rendered text.  The
+// lists below were recorded from the per-run formatting writer that text
+// replaced; instance selection and every FsStats counter depend on them.
+
+using test_support::RecordingFs;
+using test_support::WriteRecord;
+
+/// One app for every pin, so the seed-42 trace is simulated once.
+const qmc::QmcApp& pinned_app() {
+  static const qmc::QmcApp app;
+  return app;
+}
+
+core::RunContext seed42(vfs::FileSystem& fs) {
+  return core::RunContext{.fs = fs, .app_seed = 42, .instrumented_stage = -1,
+                          .instrument = nullptr};
+}
+
+/// The pwrites of a fault-free seed-42 run, one list per scalar series: the
+/// run writes s000, then s001, each starting with its header at offset 0.
+std::vector<std::vector<WriteRecord>> series_writes(const qmc::QmcApp& app) {
+  vfs::MemFs backing;
+  app.run_prefix(seed42(backing), 1);  // the input echo
+  RecordingFs recording(backing);
+  app.run_from(seed42(recording), 1);
+  std::vector<std::vector<WriteRecord>> series;
+  for (const WriteRecord& w : recording.writes()) {
+    if (w.offset == 0) series.emplace_back();
+    series.back().push_back(w);
+  }
+  return series;
+}
+
+std::uint64_t digest(const std::vector<WriteRecord>& writes) {
+  std::uint64_t d = util::fnv1a64({});
+  for (const WriteRecord& w : writes) {
+    for (const std::uint64_t v : {w.offset, w.length, w.fnv}) {
+      d = util::fnv1a64(std::as_bytes(std::span(&v, 1)), d);
+    }
+  }
+  return d;
+}
+
+/// Lets the `target`-th pwrite (0-based) land only its first half and
+/// reports that, as a device accepting a partial write does.
+class ShortWriteFs : public vfs::PassthroughFs {
+ public:
+  ShortWriteFs(vfs::FileSystem& inner, std::size_t target)
+      : PassthroughFs(inner), target_(target) {}
+
+  std::size_t pwrite(vfs::FileHandle fh, util::ByteSpan buf, std::uint64_t offset) override {
+    const util::ByteSpan forward = returned_.size() == target_ ? buf.first(buf.size() / 2) : buf;
+    returned_.push_back(PassthroughFs::pwrite(fh, forward, offset));
+    return returned_.back();
+  }
+
+  [[nodiscard]] const std::vector<std::size_t>& returned() const noexcept { return returned_; }
+
+ private:
+  std::size_t target_;
+  std::vector<std::size_t> returned_;
+};
+
+TEST(QmcWriteSequence, SeriesWriteStreamsArePinned) {
+  const auto series = series_writes(pinned_app());
+  ASSERT_EQ(series.size(), 2u);
+  // s000: the header, then 4,160-byte flushes (64 rows of 65 bytes).
+  const std::vector<WriteRecord> vmc = {
+      {0, 65, 0xec81e51a24500e18ULL},      {65, 4160, 0x2515bf2fbe2b16a1ULL},
+      {4225, 4160, 0x7eb81822a59e385eULL},  {8385, 4160, 0x18d17e64e35b43cbULL},
+      {12545, 4160, 0x77a1d22944177af0ULL}, {16705, 4160, 0xe6a2c29a883f6ffaULL},
+      {20865, 4160, 0xbb94f40a94d74d1eULL}, {25025, 4160, 0xf051352ec93dd81bULL},
+      {29185, 4160, 0x71c0f9543f0d9526ULL}, {33345, 4160, 0xabde01434789ce2ULL},
+      {37505, 4160, 0x3fdd7622b4c16211ULL}, {41665, 4160, 0x7b22e3171b438b14ULL},
+      {45825, 4160, 0x3678331ed53b5690ULL}, {49985, 2080, 0xb37f959b69354359ULL},
+  };
+  const std::vector<WriteRecord> dmc = {
+      {0, 65, 0xec81e51a24500e18ULL},      {65, 4160, 0xaffa7549e3af2e13ULL},
+      {4225, 4160, 0xd1636776741653ecULL},  {8385, 4160, 0xc814e0c0d74ec6f7ULL},
+      {12545, 4160, 0x9b3fe5bc7c36242fULL}, {16705, 4160, 0x803d2d8b3273d60ULL},
+      {20865, 4160, 0x45c93622b37aa825ULL}, {25025, 4160, 0x259c736af4d96f73ULL},
+      {29185, 4160, 0xa8f5b7f488b10c05ULL}, {33345, 4160, 0x26b0d112e8634d6dULL},
+      {37505, 4160, 0xa20cd83fbc4d9e04ULL}, {41665, 4160, 0xbdd7e4b6363df6c9ULL},
+      {45825, 4160, 0x259fc3cf71081b55ULL}, {49985, 4160, 0xea18cb9dd9096904ULL},
+      {54145, 4160, 0x4f80804c16186502ULL}, {58305, 4160, 0x94840f9445394b02ULL},
+      {62465, 4160, 0x9c0237b9dc469c2cULL}, {66625, 4160, 0xf2967b5f6825d139ULL},
+      {70785, 4160, 0x72e4f46030289663ULL}, {74945, 4160, 0xeba6ff5afae54a4eULL},
+      {79105, 4160, 0xaad540b7d1e91634ULL}, {83265, 4160, 0xe3aa0554dee07817ULL},
+      {87425, 4160, 0xb1706fc5499224aeULL}, {91585, 4160, 0x35c0264f2ce956d6ULL},
+      {95745, 1820, 0x9380fb1325f90e84ULL},
+  };
+  EXPECT_EQ(series[0], vmc);
+  EXPECT_EQ(series[1], dmc);
+}
+
+TEST(QmcWriteSequence, ShortWriteAdvancesLaterChunksByTheReturnedSize) {
+  const qmc::QmcApp& app = pinned_app();
+  vfs::MemFs backing;
+  app.run_prefix(seed42(backing), 2);
+  ShortWriteFs shortening(backing, 3);
+  RecordingFs recording(shortening);
+  app.run_from(seed42(recording), 2);
+
+  const auto& writes = recording.writes();
+  const auto& returned = shortening.returned();
+  ASSERT_EQ(writes.size(), 25u);
+  ASSERT_EQ(returned.size(), writes.size());
+  EXPECT_EQ(returned[3], writes[3].length / 2);
+  for (std::size_t i = 1; i < writes.size(); ++i) {
+    EXPECT_EQ(writes[i].offset, writes[i - 1].offset + returned[i - 1]) << "pwrite " << i;
+  }
+  EXPECT_EQ(digest(writes), 0xed9894ecf5ed1347ULL);
+  EXPECT_EQ(util::fnv1a64(vfs::read_file(backing, app.dmc_path())), 0x77a6ca76f22ef383ULL);
+}
+
+TEST(QmcWriteSequence, ShornAndDroppedChunksKeepTheWriteStream) {
+  // FaultingFs reports the full size for a shorn or dropped write, so the
+  // writer's stream is the clean one; only what reaches the device differs.
+  struct Case {
+    const char* fault;
+    std::size_t device_writes;
+    std::uint64_t device_digest;
+    std::uint64_t file_fnv;
+  };
+  const Case cases[] = {
+      {"SHORN_WRITE", 25, 0x24ee1d2a161342f2ULL, 0xbd506c69c6b94e84ULL},
+      {"DROPPED_WRITE", 24, 0xef9918232a56d07bULL, 0x8c8bff6df77d598cULL},
+  };
+  const qmc::QmcApp& app = pinned_app();
+  for (const Case& c : cases) {
+    vfs::MemFs backing;
+    app.run_prefix(seed42(backing), 2);
+    RecordingFs device(backing);
+    faults::FaultingFs faulting(device);
+    faulting.arm(faults::parse_fault_signature(c.fault), 3, 7);
+    RecordingFs recording(faulting);
+    app.run_from(seed42(recording), 2);
+    EXPECT_EQ(recording.writes().size(), 25u) << c.fault;
+    EXPECT_EQ(digest(recording.writes()), 0x11d269e0593d64cULL) << c.fault;
+    EXPECT_EQ(device.writes().size(), c.device_writes) << c.fault;
+    EXPECT_EQ(digest(device.writes()), c.device_digest) << c.fault;
+    EXPECT_EQ(util::fnv1a64(vfs::read_file(backing, app.dmc_path())), c.file_fnv) << c.fault;
+  }
+}
+
+TEST(QmcWriteSequence, RestoredTraceRendersTheSimulatedText) {
+  const qmc::QmcApp& simulated = pinned_app();
+  const qmc::QmcApp restored;
+  ASSERT_TRUE(restored.restore_state(42, simulated.serialize_state(42)));
+  const auto want = simulated.trace(42);
+  const auto got = restored.trace(42);
+  EXPECT_EQ(got->vmc_text.text, want->vmc_text.text);
+  EXPECT_EQ(got->vmc_text.chunk_ends, want->vmc_text.chunk_ends);
+  EXPECT_EQ(got->dmc_text.text, want->dmc_text.text);
+  EXPECT_EQ(got->dmc_text.chunk_ends, want->dmc_text.chunk_ends);
+  EXPECT_EQ(series_writes(restored), series_writes(simulated));
+}
+
+// --- spliced QMCA vs the full parse -----------------------------------------------------
+
+/// A QMCA verdict: the result, or the text of the QmcaError it threw.
+struct Verdict {
+  std::optional<qmc::QmcaResult> result;
+  std::string error;
+};
+
+template <class Analyze>
+Verdict verdict_of(Analyze&& analyze) {
+  try {
+    return {analyze(), {}};
+  } catch (const qmc::QmcaError& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+void expect_same_verdict(const Verdict& got, const Verdict& want, const std::string& what) {
+  ASSERT_EQ(got.result.has_value(), want.result.has_value()) << what;
+  EXPECT_EQ(got.error, want.error) << what;
+  if (!want.result) return;
+  const qmc::QmcaResult& g = *got.result;
+  const qmc::QmcaResult& w = *want.result;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(bits(g.mean_energy), bits(w.mean_energy)) << what;
+  EXPECT_EQ(bits(g.error_bar), bits(w.error_bar)) << what;
+  EXPECT_EQ(g.rows_used, w.rows_used) << what;
+  EXPECT_EQ(g.rows_skipped, w.rows_skipped) << what;
+  EXPECT_EQ(g.nul_bytes_found, w.nul_bytes_found) << what;
+}
+
+/// A golden series of 60-2,000 rows around the DMC energy, with the odd
+/// comment, blank or garbage line so the index's skipped counts matter.
+std::string golden_series(util::Rng& rng) {
+  std::vector<qmc::ScalarRow> rows(static_cast<std::size_t>(rng.uniform(std::int64_t{60}, 2000)));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = {.index = i, .local_energy = rng.gaussian(-2.9037, 0.05),
+               .variance = rng.uniform(0.0, 2.0), .weight = rng.uniform(900.0, 1100.0)};
+  }
+  const std::string rendered = qmc::render_scalar_file(rows).text;
+  const std::size_t header = qmc::scalar_header().size();
+  std::string text = rendered.substr(0, header);
+  const char* extras[] = {"# restart\n", "\n", "xxxx not a row\n", "   \n", "7 nan 0 0\n"};
+  for (std::size_t pos = header; pos < rendered.size();) {
+    const std::size_t end = rendered.find('\n', pos) + 1;
+    text.append(rendered, pos, end - pos);
+    if (rng.bernoulli(0.02)) text += extras[rng.uniform(std::size(extras))];
+    pos = end;
+  }
+  return text;
+}
+
+/// Corrupts `text` in place, leaving its size unchanged, in one of six ways.
+void corrupt(std::string& text, util::Rng& rng, int kind) {
+  static constexpr char kAlphabet[] = "\n#+-eE. \t0123456789xinfa\0";
+  const auto at = [&] { return static_cast<std::size_t>(rng.uniform(text.size())); };
+  const auto run = [&](std::size_t begin) {
+    const auto length = static_cast<std::size_t>(rng.uniform(std::int64_t{1}, 5000));
+    return std::min(length, text.size() - begin);
+  };
+  switch (kind) {
+    case 0: {  // bit flips, anywhere
+      const auto flips = rng.uniform(std::int64_t{1}, 8);
+      for (std::int64_t i = 0; i < flips; ++i) {
+        text[at()] ^= static_cast<char>(1u << rng.uniform(8));
+      }
+      break;
+    }
+    case 1: {  // a NUL run: a dropped write's hole
+      const std::size_t begin = at();
+      std::fill_n(text.begin() + static_cast<std::ptrdiff_t>(begin), run(begin), '\0');
+      break;
+    }
+    case 2: {  // a run of bytes the parser treats specially
+      const std::size_t begin = at();
+      const std::size_t length = run(begin);
+      for (std::size_t i = 0; i < length; ++i) {
+        text[begin + i] = kAlphabet[rng.uniform(sizeof kAlphabet - 1)];
+      }
+      break;
+    }
+    case 3: {  // fully random bytes
+      const std::size_t begin = at();
+      const std::size_t length = run(begin);
+      for (std::size_t i = 0; i < length; ++i) text[begin + i] = static_cast<char>(rng());
+      break;
+    }
+    case 4: {  // one byte inside the header line or just after it
+      const std::uint64_t pos = rng.uniform(std::min<std::size_t>(text.size(), 80));
+      text[pos] = kAlphabet[rng.uniform(sizeof kAlphabet - 1)];
+      break;
+    }
+    default: {  // a few far-apart single-byte changes
+      for (int i = 0; i < 3; ++i) text[at()] = kAlphabet[rng.uniform(sizeof kAlphabet - 1)];
+      break;
+    }
+  }
+}
+
+/// Dirty ranges covering every byte where `text` differs from `golden`, at
+/// a random extent granularity, sometimes widened, merged when adjacent.
+std::vector<vfs::ByteRange> dirty_ranges(const std::string& golden, const std::string& text,
+                                         util::Rng& rng) {
+  const std::uint64_t grains[] = {1, 64, 4096, 65536};
+  const std::uint64_t grain = grains[rng.uniform(std::size(grains))];
+  const std::uint64_t size = text.size();
+  std::vector<vfs::ByteRange> ranges;
+  for (std::uint64_t i = 0; i < size; ++i) {
+    if (text[i] == golden[i]) continue;
+    std::uint64_t begin = i / grain * grain;
+    std::uint64_t end = std::min(size, begin + grain);
+    if (rng.bernoulli(0.3)) {
+      begin -= std::min(begin, rng.uniform(300));
+      end = std::min(size, end + rng.uniform(300));
+    }
+    if (!ranges.empty() && begin <= ranges.back().end()) {
+      ranges.back().length = std::max(ranges.back().end(), end) - ranges.back().offset;
+    } else {
+      ranges.push_back({begin, end - begin});
+    }
+    i = end - 1;
+  }
+  if (ranges.empty() || rng.bernoulli(0.1)) ranges = {{0, size}};  // one whole-file range
+  return ranges;
+}
+
+TEST(QmcaDifferential, SpliceMatchesFullParseOnCorruptedSeries) {
+  constexpr int kSeeds = 48;
+  constexpr int kCasesPerSeed = 60;
+  std::size_t spliced = 0, fallbacks = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    util::Rng rng(static_cast<std::uint64_t>(seed));
+    const std::string golden = golden_series(rng);
+    const std::optional<qmc::ScalarIndex> index = qmc::index_scalar_text(golden);
+    ASSERT_TRUE(index.has_value()) << "seed " << seed;
+    for (int c = 0; c < kCasesPerSeed; ++c) {
+      const std::uint64_t equilibration[] = {0, 100, 1000};
+      const qmc::QmcaOptions options{.equilibration_rows = equilibration[rng.uniform(3)]};
+      std::string text = golden;
+      corrupt(text, rng, c % 6);
+      const std::vector<vfs::ByteRange> ranges = dirty_ranges(golden, text, rng);
+
+      bool fell_back = false;
+      const Verdict got = verdict_of([&] {
+        const std::optional<qmc::QmcaResult> result =
+            qmc::splice_scalar_text(*index, text, ranges, options);
+        fell_back = !result;
+        return result ? *result : qmc::analyze_scalar_text(text, options);
+      });
+      const Verdict want = verdict_of([&] { return qmc::analyze_scalar_text(text, options); });
+      ++(fell_back ? fallbacks : spliced);
+      expect_same_verdict(got, want, "seed " + std::to_string(seed) + " case " + std::to_string(c));
+    }
+  }
+  // Most cases splice; the header-line and identical-bytes cases fall back.
+  EXPECT_GT(spliced, fallbacks);
+  EXPECT_GT(fallbacks, 0u);
+}
+
+TEST(QmcaDifferential, IndexRefusesWhatCannotAnchorASplice) {
+  std::string text = qmc::scalar_header() + qmc::format_row({});
+  EXPECT_TRUE(qmc::index_scalar_text(text).has_value());
+  EXPECT_FALSE(qmc::index_scalar_text("# wrong columns\n1 -2.9\n").has_value());
+  text.back() = '\0';
+  EXPECT_FALSE(qmc::index_scalar_text(text).has_value());
+
+  // A size change is never spliced.
+  const std::optional<qmc::ScalarIndex> index =
+      qmc::index_scalar_text(qmc::scalar_header() + qmc::format_row({}));
+  ASSERT_TRUE(index.has_value());
+  const vfs::ByteRange all{0, index->text.size() + 1};
+  EXPECT_FALSE(qmc::splice_scalar_text(*index, index->text + "\n", std::span(&all, 1)));
 }
 
 }  // namespace
