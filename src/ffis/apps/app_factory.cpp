@@ -5,6 +5,7 @@
 #include "ffis/apps/montage/montage_app.hpp"
 #include "ffis/apps/nyx/nyx_app.hpp"
 #include "ffis/apps/qmc/qmc_app.hpp"
+#include "ffis/util/strfmt.hpp"
 
 namespace ffis::apps {
 
@@ -14,7 +15,12 @@ std::uint64_t extra_int(const faults::CampaignConfig& config, const std::string&
                         std::uint64_t fallback) {
   const auto it = config.extra.find(key);
   if (it == config.extra.end()) return fallback;
-  return std::stoull(it->second);
+  const auto parsed = util::parse_u64(it->second);
+  if (!parsed) {
+    throw std::invalid_argument(config.application + " " + key +
+                                " must be a non-negative integer, got '" + it->second + "'");
+  }
+  return *parsed;
 }
 
 }  // namespace

@@ -15,7 +15,8 @@ namespace ffis::apps {
 ///   nyx:      grid (n, default 64), halos, average_value_detector (0/1)
 ///   qmc:      dmc_steps, vmc_steps, walkers
 ///   montage:  tile_size
-/// Throws std::invalid_argument for unknown applications or bad values.
+/// Throws std::invalid_argument for unknown applications, or for an extra
+/// that is not a plain decimal number (naming the key and the value).
 [[nodiscard]] std::unique_ptr<core::Application> make_application(
     const faults::CampaignConfig& config);
 

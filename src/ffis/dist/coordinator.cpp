@@ -23,16 +23,7 @@ Coordinator::Coordinator(const exp::ExperimentPlan& plan, CoordinatorOptions opt
       options_(std::move(options)),
       fingerprint_(plan_fingerprint(plan)),
       listener_(net::Listener::listen(options_.port)),
-      scheduler_(shard_plan(plan, options_.unit_runs)),
-      cells_(plan.size()) {
-  report_.cells.resize(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    const std::uint64_t runs = plan.cells()[i].runs;
-    cells_[i].rows.resize(runs);
-    cells_[i].executed.assign(runs, 0);
-    cells_[i].row_worker.assign(runs, 0);
-  }
-}
+      scheduler_(shard_plan(plan, options_.unit_runs)) {}
 
 Coordinator::~Coordinator() {
   listener_.shutdown();
@@ -55,12 +46,8 @@ exp::ExperimentReport Coordinator::run(exp::ResultSink& sink) {
   sink.begin(plan_);
   {
     std::lock_guard lock(mutex_);
-    sink_ = &sink;
+    collector_.emplace(plan_, sink, options_.engine.keep_details);
     serving_ = true;
-    // Zero-run cells produce no units and no rows; they are final already.
-    for (std::size_t i = 0; i < plan_.size(); ++i) {
-      if (plan_.cells()[i].runs == 0) finalize_cell_locked(i);
-    }
     // Restore landed work before the listener serves anyone, so a replayed
     // unit can never race a fresh grant of itself.
     if (!options_.journal_path.empty()) {
@@ -68,7 +55,6 @@ exp::ExperimentReport Coordinator::run(exp::ResultSink& sink) {
                                                    fingerprint_, options_.unit_runs);
       replay_journal_locked();
     }
-    emit_in_order_locked();
   }
 
   acceptor_ = std::thread([this] { accept_loop(); });
@@ -84,7 +70,7 @@ exp::ExperimentReport Coordinator::run(exp::ResultSink& sink) {
         const std::size_t stale =
             scheduler_.requeue_stale(now_ms(), options_.unit_timeout_ms);
         if (stale > 0) {
-          report_.heartbeat_timeouts += stale;
+          collector_->report().heartbeat_timeouts += stale;
           work_cv_.notify_all();
         }
       } else {
@@ -119,17 +105,12 @@ exp::ExperimentReport Coordinator::run(exp::ResultSink& sink) {
   exp::ExperimentReport report;
   {
     std::lock_guard lock(mutex_);
-    // Cancellation can leave cells partially executed; finalize them with
-    // whatever rows arrived (the engine reports partial tallies the same way).
-    for (std::size_t i = 0; i < plan_.size(); ++i) {
-      if (!cells_[i].ready) finalize_cell_locked(i);
-    }
-    emit_in_order_locked();
-    for (const auto& cell : report_.cells) report_.add_cell(cell);
-    report_.units_regranted = scheduler_.regranted();
-    report_.cancelled = cancelled_ || !scheduler_.all_done();
-    report = std::move(report_);
-    sink_ = nullptr;
+    // Cancellation can leave cells partially executed; finish() finalizes
+    // them with whatever rows arrived, as the engine does.
+    report = collector_->finish();
+    collector_.reset();
+    report.units_regranted = scheduler_.regranted();
+    report.cancelled = cancelled_ || !scheduler_.all_done();
     journal_.reset();  // flushed record-by-record; close the descriptor
   }
   sink.end(report);
@@ -200,7 +181,7 @@ bool Coordinator::handshake(net::Socket& socket, std::uint32_t worker_id) {
   }
   if (hello.reconnect) {
     std::lock_guard lock(mutex_);
-    ++report_.worker_reconnects;
+    ++collector_->report().worker_reconnects;
   }
   HelloAck ack;
   ack.worker_id = worker_id;
@@ -242,7 +223,7 @@ void Coordinator::serve_connection(net::Socket& socket, std::uint32_t worker_id)
   if (!handshake(socket, worker_id)) return;
   {
     std::lock_guard lock(mutex_);
-    ++report_.workers_connected;
+    ++collector_->report().workers_connected;
   }
 
   bool shutdown_sent = false;
@@ -281,14 +262,16 @@ void Coordinator::serve_connection(net::Socket& socket, std::uint32_t worker_id)
       case MsgType::CellInfo:
         on_cell_info(decode_cell_info(*frame), worker_id);
         break;
-      case MsgType::RunRow:
-        on_run_row(decode_run_row(*frame), worker_id);
-        break;
       case MsgType::RunBatch: {
-        // Batching changes packaging only: every contained row lands through
-        // the same per-row logic (first-wins dedup included) as a bare RunRow.
         const RunBatch batch = decode_run_batch(*frame);
-        for (const RunRow& row : batch.rows) on_run_row(row, worker_id);
+        std::lock_guard lock(mutex_);
+        for (const RunRow& row : batch.rows) {
+          if (!land_row_locked(row, worker_id)) {
+            throw net::NetError("RunRow for out-of-plan run " +
+                                std::to_string(row.run_index) + " of cell " +
+                                std::to_string(row.cell_index));
+          }
+        }
         break;
       }
       case MsgType::UnitDone: {
@@ -316,6 +299,28 @@ void Coordinator::serve_connection(net::Socket& socket, std::uint32_t worker_id)
   }
 }
 
+bool Coordinator::land_info_locked(const CellInfo& info, std::uint32_t worker_id) {
+  if (!collector_->set_facts(info.cell_index, info, worker_id)) return false;
+  // Preparation is deterministic, so an error cell fails on every worker:
+  // abandon its remaining units (the collector finalized it with an empty
+  // tally, as the engine reports prepare failures).
+  if (!info.error.empty()) scheduler_.abandon_cell(info.cell_index);
+  return true;
+}
+
+bool Coordinator::land_row_locked(const RunRow& row, std::uint32_t worker_id) {
+  if (row.cell_index >= plan_.size() ||
+      row.run_index >= plan_.cells()[row.cell_index].runs) {
+    return false;
+  }
+  // First wins: a re-granted unit reproduces byte-identical rows (seeds are
+  // pure functions of run index), so dropping duplicates loses nothing.
+  core::RunResult run = to_run_result(row);
+  run.worker_id = worker_id;
+  collector_->land(row.cell_index, row.run_index, std::move(run));
+  return true;
+}
+
 void Coordinator::replay_journal_locked() {
   const JournalReplay& replay = journal_->replayed();
   // Cell facts first (error cells must abandon their units before any unit
@@ -325,154 +330,44 @@ void Coordinator::replay_journal_locked() {
   // occupied slots and non-Pending units reject duplicates exactly like the
   // network path does.
   for (const CellInfo& info : replay.cell_infos) {
-    if (info.cell_index >= cells_.size()) continue;
-    CellState& st = cells_[info.cell_index];
-    if (!st.has_info) {
-      st.info = info;
-      st.has_info = true;
-    }
-    if (!info.error.empty() && st.error.empty()) {
-      st.error = info.error;
-      scheduler_.abandon_cell(info.cell_index);
-      maybe_finalize_locked(info.cell_index);
-    }
+    if (info.cell_index < plan_.size()) (void)land_info_locked(info, 0);
   }
   for (const JournalReplay::Unit& unit : replay.units) {
     if (!scheduler_.mark_done(unit.unit_id)) continue;
-    ++report_.units_replayed_from_journal;
-    for (const auto& [worker_id, row] : unit.rows) {
-      if (row.cell_index >= cells_.size()) continue;
-      CellState& st = cells_[row.cell_index];
-      if (row.run_index >= st.rows.size() || st.executed[row.run_index] != 0) {
-        continue;
-      }
-      st.rows[row.run_index] = row;
-      st.executed[row.run_index] = 1;
-      st.row_worker[row.run_index] = worker_id;
-      st.worker_ids.insert(worker_id);
-      ++st.executed_count;
-      maybe_finalize_locked(row.cell_index);
-    }
+    ++collector_->report().units_replayed_from_journal;
+    for (const auto& [worker_id, row] : unit.rows) (void)land_row_locked(row, worker_id);
   }
 }
 
 void Coordinator::journal_unit_locked(std::uint64_t unit_id) {
   const WorkUnit& unit = scheduler_.units()[unit_id];
-  const CellState& st = cells_[unit.cell_index];
   std::vector<std::pair<std::uint32_t, RunRow>> rows;
   rows.reserve(static_cast<std::size_t>(unit.runs()));
   for (std::uint64_t r = unit.run_begin; r < unit.run_end; ++r) {
-    if (st.executed[r] == 0) continue;  // lost races leave no trace to journal
-    rows.emplace_back(st.row_worker[r], st.rows[r]);
+    // Lost races leave no trace to journal.  A finalized cell keeps its
+    // slots: its last UnitDone arrives after the row that finalized it.
+    const core::RunResult* run = collector_->landed(unit.cell_index, r);
+    if (run == nullptr) continue;
+    rows.emplace_back(run->worker_id, to_run_row(*run, unit_id, unit.cell_index, r));
   }
   journal_->append_unit(unit_id, rows);
 }
 
 void Coordinator::on_cell_info(const CellInfo& info, std::uint32_t worker_id) {
   std::lock_guard lock(mutex_);
-  if (info.cell_index >= cells_.size()) {
+  if (info.cell_index >= plan_.size()) {
     throw net::NetError("CellInfo for out-of-plan cell " +
                         std::to_string(info.cell_index));
   }
-  CellState& st = cells_[info.cell_index];
-  bool journaled = false;
-  if (!st.has_info) {
-    st.info = info;
-    st.has_info = true;
-    if (journal_ != nullptr) {
-      journal_->append_cell_info(info);
-      journaled = true;
-    }
+  // Journaled when it changed the cell: its first facts, or the error that
+  // must keep a resumed campaign's cell abandoned even when another worker's
+  // clean facts came first.
+  if (land_info_locked(info, worker_id)) {
+    if (journal_ != nullptr) journal_->append_cell_info(info);
+    if (!info.error.empty()) work_cv_.notify_all();  // abandoning units can finish the plan
   }
-  if (!info.error.empty() && st.error.empty()) {
-    // Preparation is deterministic, so this cell fails on every worker:
-    // abandon its remaining units and finalize it with an empty tally (the
-    // engine reports prepare failures the same way).  The error must reach
-    // the journal even when another worker's clean info won the first-wins
-    // slot — a resumed campaign has to keep the cell abandoned.
-    if (journal_ != nullptr && !journaled) journal_->append_cell_info(info);
-    st.error = info.error;
-    st.worker_ids.insert(worker_id);
-    scheduler_.abandon_cell(info.cell_index);
-    maybe_finalize_locked(info.cell_index);
-    work_cv_.notify_all();  // abandoning units can finish the plan
-  }
-}
-
-void Coordinator::on_run_row(const RunRow& row, std::uint32_t worker_id) {
-  std::lock_guard lock(mutex_);
-  if (row.cell_index >= cells_.size()) {
-    throw net::NetError("RunRow for out-of-plan cell " +
-                        std::to_string(row.cell_index));
-  }
-  CellState& st = cells_[row.cell_index];
-  if (row.run_index >= st.rows.size()) {
-    throw net::NetError("RunRow for out-of-range run " +
-                        std::to_string(row.run_index) + " of cell " +
-                        std::to_string(row.cell_index));
-  }
-  // First wins: a re-granted unit reproduces byte-identical rows (seeds are
-  // pure functions of run index), so dropping duplicates loses nothing.
-  if (st.executed[row.run_index] != 0) return;
-  st.rows[row.run_index] = row;
-  st.executed[row.run_index] = 1;
-  st.row_worker[row.run_index] = worker_id;
-  st.worker_ids.insert(worker_id);
-  ++st.executed_count;
-  maybe_finalize_locked(row.cell_index);
 }
 
 bool Coordinator::plan_finished_locked() const { return scheduler_.all_done(); }
-
-void Coordinator::maybe_finalize_locked(std::size_t i) {
-  CellState& st = cells_[i];
-  if (st.ready) return;
-  const std::uint64_t runs = plan_.cells()[i].runs;
-  if (!st.error.empty() || st.executed_count == runs) {
-    finalize_cell_locked(i);
-    emit_in_order_locked();
-  }
-}
-
-void Coordinator::finalize_cell_locked(std::size_t i) {
-  CellState& st = cells_[i];
-  exp::CellResult& out = report_.cells[i];
-  out.index = i;
-  out.cell = plan_.cells()[i];
-  out.error = st.error;
-  if (st.has_info) {
-    out.primitive_count = st.info.primitive_count;
-    out.golden_cached = st.info.golden_cached;
-    out.checkpointed = st.info.checkpointed;
-    out.checkpoint_loaded = st.info.checkpoint_loaded;
-  }
-  out.worker_ids.assign(st.worker_ids.begin(), st.worker_ids.end());
-  // Fold in run order through the engine's own fold — the reason
-  // distributed tallies are bit-identical to single-process ones.
-  for (std::size_t r = 0; r < st.rows.size(); ++r) {
-    if (st.executed[r] == 0) continue;
-    core::RunResult run = to_run_result(st.rows[r]);
-    run.worker_id = st.row_worker[r];
-    out.add_run(run);
-    if (options_.engine.keep_details) out.details.push_back(std::move(run));
-  }
-  // A journaling coordinator keeps the slots: the cell's final UnitDone
-  // arrives after the final RunRow (which triggered this finalize), and
-  // journaling that unit still needs its rows.
-  if (journal_ == nullptr) {
-    st.rows.clear();
-    st.rows.shrink_to_fit();
-    st.executed.clear();
-    st.executed.shrink_to_fit();
-  }
-  st.ready = true;
-}
-
-void Coordinator::emit_in_order_locked() {
-  while (next_emit_ < cells_.size() && cells_[next_emit_].ready) {
-    if (sink_ != nullptr) sink_->cell(report_.cells[next_emit_]);
-    ++next_emit_;
-  }
-}
 
 }  // namespace ffis::dist

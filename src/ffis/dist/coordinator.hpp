@@ -4,11 +4,12 @@
 // The coordinator owns the plan.  It shards every cell into (cell, run-range)
 // work units (dist::shard_plan), listens on a TCP port, and hands units to
 // whichever worker asks next; workers stream back one RunRow per executed
-// injection run plus per-cell preparation facts (CellInfo).  Results land in
-// per-(cell, run) slots and are tallied in run order — exactly the engine's
-// finalize discipline — so the merged report is bit-identical to a
-// single-process exp::Engine run of the same plan at the same seeds,
-// regardless of worker count, scheduling, or mid-campaign worker loss.
+// injection run (in RunBatch frames) plus per-cell preparation facts
+// (CellInfo).  Rows and facts land in the engine's own exp::CellCollector,
+// live or replayed from the journal alike, so the merged report is
+// bit-identical to a single-process exp::Engine run of the same plan at the
+// same seeds, regardless of worker count, scheduling, or mid-campaign worker
+// loss.
 //
 // Fault tolerance: a worker that disconnects (or exceeds
 // CoordinatorOptions::unit_timeout_ms on a unit) has its granted units
@@ -18,14 +19,14 @@
 // first-wins on the (cell, run) slot.
 //
 // Threading: one acceptor thread plus one handler thread per connection, all
-// sharing one mutex + condvar; handlers park in the condvar while no unit is
-// pending.  Completed cells are finalized the moment their last run arrives
-// and streamed to the ResultSink in plan order.
+// sharing one mutex + condvar (which also serializes the collector);
+// handlers park in the condvar while no unit is pending.
 
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -34,6 +35,7 @@
 #include "ffis/dist/journal.hpp"
 #include "ffis/dist/protocol.hpp"
 #include "ffis/dist/scheduler.hpp"
+#include "ffis/exp/collector.hpp"
 #include "ffis/exp/engine.hpp"
 #include "ffis/exp/plan.hpp"
 #include "ffis/exp/result.hpp"
@@ -111,31 +113,20 @@ class Coordinator {
   void request_drain() noexcept;
 
  private:
-  struct CellState {
-    std::vector<RunRow> rows;             ///< per-run slots (first wins)
-    std::vector<char> executed;           ///< slot filled?
-    std::vector<std::uint32_t> row_worker;  ///< who filled it
-    std::uint64_t executed_count = 0;
-    CellInfo info;
-    bool has_info = false;
-    std::string error;
-    std::set<std::uint32_t> worker_ids;   ///< contributors, sorted
-    bool ready = false;                   ///< finalized, awaiting in-order emit
-  };
-
   void accept_loop();
   void handle_connection(std::unique_ptr<net::Socket> socket);
   void serve_connection(net::Socket& socket, std::uint32_t worker_id);
   /// True when the handshake succeeded (worker admitted to the fleet).
   bool handshake(net::Socket& socket, std::uint32_t worker_id);
   void on_cell_info(const CellInfo& info, std::uint32_t worker_id);
-  void on_run_row(const RunRow& row, std::uint32_t worker_id);
-  /// Locked helpers.
+  /// Locked helpers.  The two land_* calls serve live frames and journal
+  /// replay alike.  land_info_locked takes an in-plan cell and returns true
+  /// when the facts changed it; land_row_locked returns false for a row
+  /// outside the plan.
+  bool land_info_locked(const CellInfo& info, std::uint32_t worker_id);
+  bool land_row_locked(const RunRow& row, std::uint32_t worker_id);
   void replay_journal_locked();
   void journal_unit_locked(std::uint64_t unit_id);
-  void finalize_cell_locked(std::size_t i);
-  void emit_in_order_locked();
-  void maybe_finalize_locked(std::size_t i);
   [[nodiscard]] bool plan_finished_locked() const;
   [[nodiscard]] bool drained_locked() const;
 
@@ -147,10 +138,9 @@ class Coordinator {
   std::mutex mutex_;
   std::condition_variable work_cv_;  ///< pending unit appeared / plan finished
   UnitScheduler scheduler_;
-  std::vector<CellState> cells_;
-  exp::ExperimentReport report_;
-  exp::ResultSink* sink_ = nullptr;
-  std::size_t next_emit_ = 0;
+  /// Built by run(), which is handed the sink; its report also gathers the
+  /// distributed-only counters.
+  std::optional<exp::CellCollector> collector_;
   std::uint32_t next_worker_id_ = 1;  ///< 0 is reserved for "local / none"
   bool cancelled_ = false;
   bool draining_ = false;

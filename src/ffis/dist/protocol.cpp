@@ -254,8 +254,12 @@ RunRow decode_run_row(util::ByteSpan payload) {
   return m;
 }
 
-RunRow to_run_row(const core::RunResult& run) {
-  return {.outcome = run.outcome,
+RunRow to_run_row(const core::RunResult& run, std::uint64_t unit_id,
+                  std::uint32_t cell_index, std::uint64_t run_index) {
+  return {.unit_id = unit_id,
+          .cell_index = cell_index,
+          .run_index = run_index,
+          .outcome = run.outcome,
           .fault_fired = run.fault_fired,
           .analyze_skipped = run.analyze_skipped,
           .fs_stats = run.fs_stats,

@@ -15,13 +15,16 @@
 //   WorkRequest {}               WorkGrant {unit, cell, run range}
 //                                Shutdown {}              (plan complete)
 //   CellInfo {cell, prep facts}  — once per cell per worker, before its rows
-//   RunRow {unit, cell, run, outcome, counters}  — one per executed run
-//   RunBatch {rows}              — many RunRows in one frame
+//   RunBatch {rows}              — a unit's RunRows, many per frame
 //   UnitDone {unit}
+//
+// RunRow {unit, cell, run, outcome, counters} is not a message of its own:
+// it is the encoding each executed run takes inside a RunBatch and inside a
+// journal record (dist::CampaignJournal), and keeps its type tag for that.
 //
 // The worker never receives unsolicited messages: after Hello it strictly
 // alternates "send WorkRequest, read one reply", and everything it sends in
-// between (CellInfo/RunRow/UnitDone) needs no reply.  That keeps both ends
+// between (CellInfo/RunBatch/UnitDone) needs no reply.  That keeps both ends
 // single-threaded per connection with blocking sockets and no state machine
 // beyond "current unit".
 
@@ -33,6 +36,7 @@
 #include "ffis/core/fault_injector.hpp"
 #include "ffis/core/outcome.hpp"
 #include "ffis/exp/plan.hpp"
+#include "ffis/exp/result.hpp"
 #include "ffis/util/bytes.hpp"
 #include "ffis/vfs/extent_store.hpp"
 
@@ -123,13 +127,8 @@ struct WorkGrant {
 /// cell's first RunRow.  The coordinator keeps the first arrival; a non-empty
 /// `error` means the cell cannot run anywhere (prepare is deterministic) and
 /// its units are abandoned.
-struct CellInfo {
+struct CellInfo : exp::CellFacts {
   std::uint32_t cell_index = 0;
-  std::uint64_t primitive_count = 0;
-  bool golden_cached = false;
-  bool checkpointed = false;
-  bool checkpoint_loaded = false;
-  std::string error;
 };
 
 /// One executed injection run — exactly the fields the coordinator needs to
@@ -152,9 +151,9 @@ struct RunRow {
 /// Many RunRows in one frame.  Workers accumulate a unit's rows and
 /// flush one RunBatch per kRunBatchRows rows (or per flush interval, or at
 /// unit end), cutting per-run framing and syscall traffic on the result
-/// path.  The coordinator lands each contained row through the exact same
-/// per-row logic as a bare RunRow — first-wins dedup included — so batching
-/// changes packaging only, never tallies.
+/// path.  The coordinator lands each contained row first-wins, exactly like
+/// a replayed journal row, so batching changes packaging only, never
+/// tallies.
 struct RunBatch {
   std::vector<RunRow> rows;
 };
@@ -211,10 +210,11 @@ struct Pong {};
 [[nodiscard]] RunBatch decode_run_batch(util::ByteSpan payload);
 [[nodiscard]] UnitDone decode_unit_done(util::ByteSpan payload);
 
-/// A run's wire form and back.  The worker sends to_run_row (plus the unit,
-/// cell and run indices); the coordinator folds to_run_result through
-/// exp::CellResult::add_run, exactly like a local engine.
-[[nodiscard]] RunRow to_run_row(const core::RunResult& run);
+/// A run's wire form and back.  The worker sends to_run_row; the coordinator
+/// lands to_run_result in its exp::CellCollector, exactly like a local
+/// engine, and journals a landed run through to_run_row again.
+[[nodiscard]] RunRow to_run_row(const core::RunResult& run, std::uint64_t unit_id = 0,
+                                std::uint32_t cell_index = 0, std::uint64_t run_index = 0);
 [[nodiscard]] core::RunResult to_run_result(const RunRow& row);
 
 /// Constant-time equality for shared secrets: examines every byte of both

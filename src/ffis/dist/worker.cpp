@@ -54,26 +54,6 @@ exp::EngineOptions engine_options_of(const HelloAck& ack, const WorkerOptions& o
   return engine;
 }
 
-CellInfo info_of(const exp::PreparedCell& prepared, std::uint32_t cell_index) {
-  CellInfo info;
-  info.cell_index = cell_index;
-  info.primitive_count = prepared.primitive_count;
-  info.golden_cached = prepared.golden_cached;
-  info.checkpointed = prepared.checkpointed;
-  info.checkpoint_loaded = prepared.checkpoint_loaded;
-  info.error = prepared.error;
-  return info;
-}
-
-RunRow row_from(const core::RunResult& rr, const WorkGrant& grant,
-                std::uint64_t run_index) {
-  RunRow row = to_run_row(rr);
-  row.unit_id = grant.unit_id;
-  row.cell_index = grant.cell_index;
-  row.run_index = run_index;
-  return row;
-}
-
 /// One connection's I/O: the main thread and the heartbeat thread share the
 /// stream, so sends are serialized behind a mutex; only the main thread
 /// receives, skipping the Pongs the coordinator interleaves with replies.
@@ -223,7 +203,7 @@ void run_session(const std::string& host, std::uint16_t port,
       cell = ctx.preparer->prepare(grant.cell_index);
       // A preparation error is deterministic, so the coordinator abandons
       // the cell fleet-wide.
-      const auto info = encode(info_of(cell, grant.cell_index));
+      const auto info = encode(CellInfo{cell, grant.cell_index});
       io.send(info);
     }
     if (cell.injector == nullptr) continue;  // abandoned; just ask again
@@ -255,7 +235,8 @@ void run_session(const std::string& host, std::uint16_t port,
     };
     for (std::uint64_t i = 0; i < send_count; ++i) {
       if (batch.rows.empty()) batch_started = std::chrono::steady_clock::now();
-      batch.rows.push_back(row_from(results[i], grant, grant.run_begin + i));
+      batch.rows.push_back(
+          to_run_row(results[i], grant.unit_id, grant.cell_index, grant.run_begin + i));
       ++stats.runs_executed;
       if (batch.rows.size() >= kRunBatchRows ||
           std::chrono::steady_clock::now() - batch_started >=

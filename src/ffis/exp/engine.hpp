@@ -16,7 +16,8 @@
 //    instrumented stage.  The profiling pass rides the same capture.
 //  * Streaming sinks — finished cells are emitted to a ResultSink in plan
 //    order as they complete (not after the whole plan), with progress and
-//    cancellation hooks.
+//    cancellation hooks.  Landing, folding and emission are
+//    exp::CellCollector (collector.hpp), which dist::Coordinator shares.
 //  * Persistent checkpoints (EngineOptions::checkpoint_dir) — golden runs
 //    and checkpoint captures can additionally be served from an on-disk
 //    core::CheckpointStore shared across processes, so a repeated CLI
@@ -31,9 +32,9 @@
 // Determinism: every run of a cell uses the application seed
 // `seed ^ 0x5eed` (Cell::app_seed) and the per-run seed
 // faults::FaultGenerator::run_seed(r) over the cell seed; results land in
-// per-index slots, and tallies are folded in run order — so tallies are
-// bit-identical to executing the runs sequentially on one FaultInjector at
-// the same seeds, regardless of the thread count.
+// the collector's per-run slots and are folded in run order — so tallies
+// are bit-identical to executing the runs sequentially on one FaultInjector
+// at the same seeds, regardless of the thread count.
 
 #include <atomic>
 #include <cstdint>
@@ -49,7 +50,8 @@ namespace ffis::exp {
 struct EngineOptions {
   /// Worker threads for the shared pool; 0 = all hardware threads.
   std::size_t threads = 0;
-  /// Retain every RunResult in CellResult::details (memory ~ total runs).
+  /// Retain every RunResult in CellResult::details (memory ~ total runs);
+  /// without it a landed run drops its analysis blob at once.
   bool keep_details = false;
   /// Persistent checkpoint store directory (created if missing); empty (the
   /// default) keeps all caching in-process.  When set, golden runs and

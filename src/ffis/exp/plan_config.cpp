@@ -13,42 +13,29 @@ namespace {
 
 using util::trim;
 
-int parse_int(const std::string& value, const std::string& key, int line_number) {
-  const auto parsed = util::parse_int(value);
-  if (!parsed) {
-    throw std::invalid_argument("plan config line " + std::to_string(line_number) +
-                                ": " + key + " must be an integer, got '" + value + "'");
-  }
-  return *parsed;
-}
-
-std::uint64_t parse_positive(const std::string& value, const std::string& key,
-                             int line_number) {
+std::uint64_t parse_u64(const std::string& key, const std::string& value) {
   const auto parsed = util::parse_u64(value);
   if (!parsed) {
-    throw std::invalid_argument("plan config line " + std::to_string(line_number) +
-                                ": " + key + " must be a non-negative integer, got '" +
-                                value + "'");
+    throw std::invalid_argument(key + " must be a non-negative integer, got '" + value + "'");
   }
   return *parsed;
 }
 
 void apply_kv(faults::CampaignConfig& config, const std::string& key,
-              const std::string& value, int line_number) {
+              const std::string& value) {
   if (key == "application") {
     config.application = value;
   } else if (key == "fault") {
     config.fault = value;
   } else if (key == "runs") {
-    config.runs = parse_positive(value, key, line_number);
-    if (config.runs == 0) {
-      throw std::invalid_argument("plan config line " + std::to_string(line_number) +
-                                  ": runs must be positive");
-    }
+    config.runs = parse_u64(key, value);
+    if (config.runs == 0) throw std::invalid_argument("runs must be positive");
   } else if (key == "seed") {
-    config.seed = parse_positive(value, key, line_number);
+    config.seed = parse_u64(key, value);
   } else if (key == "stage") {
-    config.stage = parse_int(value, key, line_number);
+    const auto parsed = util::parse_int(value);
+    if (!parsed) throw std::invalid_argument("stage must be an integer, got '" + value + "'");
+    config.stage = *parsed;
   } else {
     config.extra[key] = value;
   }
@@ -65,79 +52,86 @@ std::string app_identity(const faults::CampaignConfig& config) {
   return key;
 }
 
-}  // namespace
+/// Applies one non-blank line of a document whose current block is
+/// `*current` (&plan.defaults until the first [cell]).
+void apply_line(PlanConfig& plan, faults::CampaignConfig*& current, bool cells,
+                const std::string& line) {
+  const bool in_defaults = current == &plan.defaults;
+  if (line == "[cell]" && cells) {
+    plan.cells.push_back(plan.defaults);  // cells inherit every default
+    current = &plan.cells.back();
+    return;
+  }
+  if (line.front() == '[') {
+    throw std::invalid_argument("unknown section '" + line + "'" +
+                                (cells ? " (expected [cell])" : ""));
+  }
+  const auto eq = line.find('=');
+  if (eq == std::string::npos) {
+    throw std::invalid_argument("expected key = value, got: " + line);
+  }
+  const std::string key = trim(line.substr(0, eq));
+  const std::string value = trim(line.substr(eq + 1));
 
-PlanConfig parse_plan_config(const std::string& text) {
+  if (in_defaults && key == "label") {
+    // A label shared by every cell would make the rows indistinguishable.
+    throw std::invalid_argument("'label' belongs in a [cell] block, not in the defaults");
+  }
+  const bool engine_key = (key == "threads" || key == "csv" || key == "jsonl" ||
+                           key == "checkpoint_dir" || key == "checkpoint_budget" ||
+                           key == "unit_timeout_ms");
+  if (!engine_key) {
+    apply_kv(*current, key, value);
+  } else if (!in_defaults) {
+    throw std::invalid_argument("'" + key + "' belongs in the defaults block, not in a [cell]");
+  } else if (key == "threads") {
+    plan.threads = static_cast<std::size_t>(parse_u64(key, value));
+  } else if (key == "csv") {
+    plan.csv_path = value;
+  } else if (key == "jsonl") {
+    plan.jsonl_path = value;
+  } else if (key == "unit_timeout_ms") {
+    plan.unit_timeout_ms = parse_u64(key, value);
+  } else if (key == "checkpoint_budget") {
+    plan.checkpoint_budget = parse_u64(key, value);
+  } else {
+    plan.checkpoint_dir = value;
+  }
+}
+
+/// The one reader of the `key = value` dialect.  `cells` = false reads a
+/// single-campaign config: a defaults block with no [cell] blocks.
+PlanConfig parse_document(const std::string& text, bool cells) {
   PlanConfig plan;
+  faults::CampaignConfig* current = &plan.defaults;
   std::istringstream in(text);
   std::string line;
-  int line_number = 0;
-  bool in_defaults = true;
-  faults::CampaignConfig* current = &plan.defaults;
-
-  while (std::getline(in, line)) {
-    ++line_number;
+  for (int line_number = 1; std::getline(in, line); ++line_number) {
     if (const auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
     line = trim(line);
     if (line.empty()) continue;
-
-    if (line == "[cell]") {
-      in_defaults = false;
-      plan.cells.push_back(plan.defaults);  // cells inherit every default
-      current = &plan.cells.back();
-      continue;
+    try {
+      apply_line(plan, current, cells, line);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string(cells ? "plan config" : "config") + " line " +
+                                  std::to_string(line_number) + ": " + e.what());
     }
-    if (line.front() == '[') {
-      throw std::invalid_argument("plan config line " + std::to_string(line_number) +
-                                  ": unknown section '" + line + "' (expected [cell])");
-    }
-
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("plan config line " + std::to_string(line_number) +
-                                  ": expected key = value, got: " + line);
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-
-    if (in_defaults && key == "label") {
-      // A label shared by every cell would make the rows indistinguishable.
-      throw std::invalid_argument("plan config line " + std::to_string(line_number) +
-                                  ": 'label' belongs in a [cell] block, not in the "
-                                  "defaults");
-    }
-
-    const bool engine_key = (key == "threads" || key == "csv" || key == "jsonl" ||
-                             key == "checkpoint_dir" || key == "checkpoint_budget" ||
-                             key == "unit_timeout_ms");
-    if (engine_key) {
-      if (!in_defaults) {
-        throw std::invalid_argument("plan config line " + std::to_string(line_number) +
-                                    ": '" + key + "' belongs in the defaults block, "
-                                    "not in a [cell]");
-      }
-      if (key == "threads") {
-        plan.threads = static_cast<std::size_t>(parse_positive(value, key, line_number));
-      } else if (key == "csv") {
-        plan.csv_path = value;
-      } else if (key == "jsonl") {
-        plan.jsonl_path = value;
-      } else if (key == "unit_timeout_ms") {
-        plan.unit_timeout_ms = parse_positive(value, key, line_number);
-      } else if (key == "checkpoint_budget") {
-        plan.checkpoint_budget = parse_positive(value, key, line_number);
-      } else {
-        plan.checkpoint_dir = value;
-      }
-      continue;
-    }
-    apply_kv(*current, key, value, line_number);
   }
+  return plan;
+}
 
+}  // namespace
+
+PlanConfig parse_plan_config(const std::string& text) {
+  PlanConfig plan = parse_document(text, /*cells=*/true);
   if (plan.cells.empty()) {
     throw std::invalid_argument("plan config has no [cell] blocks");
   }
   return plan;
+}
+
+faults::CampaignConfig parse_campaign_config(const std::string& text) {
+  return parse_document(text, /*cells=*/false).defaults;
 }
 
 ExperimentPlan build_plan(const PlanConfig& config) {

@@ -65,9 +65,16 @@ struct PlanConfig {
   std::uint64_t unit_timeout_ms = 0;
 };
 
-/// Parses a plan document.  Throws std::invalid_argument on syntax errors,
-/// non-positive runs, negative seeds, or engine keys inside [cell] blocks.
+/// Parses a plan document.  Throws std::invalid_argument naming the line on
+/// syntax errors, a number that is not plain decimal (e.g. `runs = -5`,
+/// `runs = 12abc`, `stage = 2x`), runs = 0, or engine keys inside [cell]
+/// blocks.
 [[nodiscard]] PlanConfig parse_plan_config(const std::string& text);
+
+/// Parses a single-campaign config (`ffis campaign | sweep | profile`): a
+/// plan document's defaults block on its own, read by the same code with
+/// the same checks; a [cell] header is an error.
+[[nodiscard]] faults::CampaignConfig parse_campaign_config(const std::string& text);
 
 /// Instantiates applications via apps::make_application (deduplicating
 /// identical ones so goldens are shared) and assembles the immutable plan.

@@ -39,19 +39,11 @@ namespace ffis::exp {
 
 /// One prepared cell: its fault generator and injector (both null when
 /// `error` is set) plus the preparation facts a CellResult reports.
-struct PreparedCell {
+struct PreparedCell : CellFacts {
   std::unique_ptr<faults::FaultGenerator> generator;
   std::unique_ptr<core::FaultInjector> injector;
-  std::uint64_t primitive_count = 0;
-  /// An earlier plan cell owns this cell's golden key, which resolved.
-  bool golden_cached = false;
-  /// The injector resumes from a pre-fault checkpoint.
-  bool checkpointed = false;
   /// An earlier plan cell owns this cell's checkpoint key, which resolved.
   bool checkpoint_cached = false;
-  /// The checkpoint was loaded from the persistent store, not captured.
-  bool checkpoint_loaded = false;
-  std::string error;
 };
 
 class CellPreparer {

@@ -65,16 +65,11 @@ struct RunCounters {
   }
 };
 
-/// Outcome of one plan cell.  Tallies are deterministic for a given cell
-/// spec: runs land in per-index slots and are tallied in run order, so the
-/// result is independent of the engine's thread count.
-struct CellResult : RunCounters {
-  std::size_t index = 0;  ///< position in the plan (and in every sink stream)
-  Cell cell;
-  core::OutcomeTally tally;
-  std::uint64_t runs_completed = 0;  ///< < cell.runs only when cancelled
+/// What preparing a cell established, declared once: exp::PreparedCell,
+/// dist::CellInfo, CellResult and SinkRow all carry it as a base.
+struct CellFacts {
+  /// Dynamic executions of the target primitive (the profiling pass).
   std::uint64_t primitive_count = 0;
-  std::uint64_t faults_not_fired = 0;
   /// An earlier plan cell owns this cell's golden run, which succeeded and
   /// was reused here (plan order, so identical under any thread count and
   /// across a fleet).
@@ -82,28 +77,38 @@ struct CellResult : RunCounters {
   /// Injection runs forked a pre-fault checkpoint (stage-instrumented cell of
   /// a stage-resumable application) instead of re-running the whole workload.
   bool checkpointed = false;
-  /// The checkpoint itself was captured for an earlier cell of the same
-  /// (app, app_seed, stage) and reused here.
-  bool checkpoint_cached = false;
   /// The checkpoint came from the persistent on-disk store
   /// (EngineOptions::checkpoint_dir) instead of being captured this process
   /// — i.e. this cell executed no fault-free prefix stages at all.
   bool checkpoint_loaded = false;
-  /// Sorted ids of the workers that contributed runs to this cell under a
-  /// dist::Coordinator; empty for single-process execution.  A re-granted
-  /// cell legitimately lists several contributors.
-  std::vector<std::uint32_t> worker_ids;
   /// Non-empty when the cell could not run at all (golden run threw, or the
   /// application never executes the target primitive — tally is empty then),
   /// or when harness infrastructure failed mid-cell (tally covers only the
   /// runs that completed; application crashes are tallied, never put here).
   std::string error;
+};
+
+/// Outcome of one plan cell.  Tallies are deterministic for a given cell
+/// spec: runs land in per-index slots and are tallied in run order, so the
+/// result is independent of the engine's thread count.
+struct CellResult : RunCounters, CellFacts {
+  std::size_t index = 0;  ///< position in the plan (and in every sink stream)
+  Cell cell;
+  core::OutcomeTally tally;
+  std::uint64_t runs_completed = 0;  ///< < cell.runs only when cancelled
+  std::uint64_t faults_not_fired = 0;
+  /// The checkpoint itself was captured for an earlier cell of the same
+  /// (app, app_seed, stage) and reused here.
+  bool checkpoint_cached = false;
+  /// Sorted ids of the workers that contributed runs to this cell under a
+  /// dist::Coordinator; empty for single-process execution.  A re-granted
+  /// cell legitimately lists several contributors.
+  std::vector<std::uint32_t> worker_ids;
   /// Per-run detail in run order (EngineOptions::keep_details only).
   std::vector<core::RunResult> details;
 
-  /// The one RunResult -> CellResult fold, shared by exp::Engine and
-  /// dist::Coordinator: callers feed executed runs in run order, which keeps
-  /// tallies independent of scheduling.
+  /// The one RunResult -> CellResult fold (exp::CellCollector feeds it every
+  /// landed run in run order, which keeps tallies independent of scheduling).
   void add_run(const core::RunResult& run) {
     ++runs_completed;
     tally.add(run.outcome);

@@ -201,6 +201,7 @@ SinkRow row_from(const Record& record, const Format& format) {
 SinkRow to_sink_row(const CellResult& result) {
   SinkRow row;
   static_cast<RunCounters&>(row) = result;
+  static_cast<CellFacts&>(row) = result;
   row.index = result.index;
   row.label = result.cell.label;
   row.application = result.cell.app != nullptr ? result.cell.app->name() : "";
@@ -208,17 +209,12 @@ SinkRow to_sink_row(const CellResult& result) {
   row.stage = result.cell.stage;
   row.runs = result.runs_completed;
   row.seed = result.cell.seed;
-  row.primitive_count = result.primitive_count;
   row.tally = result.tally;
   row.faults_not_fired = result.faults_not_fired;
-  row.golden_cached = result.golden_cached;
-  row.checkpointed = result.checkpointed;
-  row.checkpoint_loaded = result.checkpoint_loaded;
   for (const std::uint32_t id : result.worker_ids) {
     if (!row.worker_id.empty()) row.worker_id += '+';
     row.worker_id += std::to_string(id);
   }
-  row.error = result.error;
   return row;
 }
 

@@ -100,7 +100,7 @@ class MultiSink final : public ResultSink {
 /// What the file sinks persist about one cell (the parts of CellResult that
 /// survive serialization): its identity and tally, every run counter, and
 /// the preparation facts.
-struct SinkRow : RunCounters {
+struct SinkRow : RunCounters, CellFacts {
   std::size_t index = 0;
   std::string label;
   std::string application;
@@ -108,18 +108,11 @@ struct SinkRow : RunCounters {
   int stage = -1;
   std::uint64_t runs = 0;
   std::uint64_t seed = 0;
-  std::uint64_t primitive_count = 0;
   core::OutcomeTally tally;
   std::uint64_t faults_not_fired = 0;
-  bool golden_cached = false;
-  bool checkpointed = false;
-  /// Checkpoint served from the persistent store: this cell ran no
-  /// fault-free prefix stages at all (EngineOptions::checkpoint_dir).
-  bool checkpoint_loaded = false;
   /// Fleet members that contributed runs under a dist::Coordinator, as their
   /// sorted ids joined with '+' (e.g. "1+3"); empty for local execution.
   std::string worker_id;
-  std::string error;
 };
 
 [[nodiscard]] SinkRow to_sink_row(const CellResult& result);

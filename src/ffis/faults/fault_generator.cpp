@@ -1,41 +1,8 @@
 #include "ffis/faults/fault_generator.hpp"
 
-#include <sstream>
-#include <stdexcept>
-
 #include "ffis/util/rng.hpp"
-#include "ffis/util/strfmt.hpp"
 
 namespace ffis::faults {
-
-using util::trim;
-
-CampaignConfig parse_campaign_config(const std::string& text) {
-  CampaignConfig config;
-  std::istringstream in(text);
-  std::string line;
-  int line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (const auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("config line " + std::to_string(line_number) +
-                                  ": expected key = value, got: " + line);
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key == "application") config.application = value;
-    else if (key == "fault") config.fault = value;
-    else if (key == "runs") config.runs = std::stoull(value);
-    else if (key == "seed") config.seed = std::stoull(value);
-    else if (key == "stage") config.stage = std::stoi(value);
-    else config.extra[key] = value;
-  }
-  return config;
-}
 
 FaultGenerator::FaultGenerator(CampaignConfig config)
     : config_(std::move(config)), signature_(parse_fault_signature(config_.fault)) {}

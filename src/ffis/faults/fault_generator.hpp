@@ -13,8 +13,8 @@
 namespace ffis::faults {
 
 /// User configuration for one fault-injection campaign.  Parsed from simple
-/// "key = value" text (comments start with '#'), so campaigns are scriptable
-/// without recompiling — the "uniform interface" requirement R2.
+/// "key = value" text (exp::parse_campaign_config), so campaigns are
+/// scriptable without recompiling — the "uniform interface" requirement R2.
 struct CampaignConfig {
   std::string application = "nyx";   ///< nyx | qmc | montage
   std::string fault = "BIT_FLIP";    ///< fault signature text (see parse_fault_signature)
@@ -23,9 +23,6 @@ struct CampaignConfig {
   int stage = -1;                    ///< Montage stage (1..4), -1 = whole run
   std::map<std::string, std::string> extra;  ///< application-specific knobs
 };
-
-/// Parses a config document; unknown keys land in `extra`.
-[[nodiscard]] CampaignConfig parse_campaign_config(const std::string& text);
 
 class FaultGenerator {
  public:

@@ -1,16 +1,19 @@
 // Unit tests for ffis::exp — plan building and validation, the shared-pool
 // engine (golden caching, determinism across thread counts, equivalence
-// with sequential per-cell injection, cancellation, error capture), and the
+// with sequential per-cell injection, cancellation, error capture), the cell
+// collector (run-order folds, first-wins landing, plan-order emission), and the
 // result sinks (console/CSV/JSONL round-trips, MultiSink fan-out).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <sstream>
 
 #include "ffis/core/application.hpp"
 #include "ffis/core/fault_injector.hpp"
+#include "ffis/exp/collector.hpp"
 #include "ffis/exp/engine.hpp"
 #include "ffis/exp/plan.hpp"
 #include "ffis/exp/plan_config.hpp"
@@ -525,6 +528,141 @@ TEST(Engine, CancellationProducesPartialCancelledReport) {
   std::uint64_t completed = 0;
   for (const auto& cell : report.cells) completed += cell.runs_completed;
   EXPECT_EQ(completed, report.total_runs);
+}
+
+// --- CellCollector -----------------------------------------------------------
+
+/// Records every emitted cell, in emission order.
+struct RecordingSink final : exp::ResultSink {
+  std::vector<exp::CellResult> cells;
+  void cell(const exp::CellResult& result) override { cells.push_back(result); }
+};
+
+exp::ExperimentPlan two_cell_plan(const core::Application& app, std::uint64_t runs) {
+  auto builder = exp::PlanBuilder().runs(runs).seed(5);
+  builder.cell(app, "BF");
+  builder.cell(app, "DW");
+  return builder.build();
+}
+
+/// A synthetic run whose execute_ms makes the Sum fold order-sensitive:
+/// (1e16 + 1.0) - 1e16 == 0, but (1e16 - 1e16) + 1.0 == 1.
+core::RunResult synthetic_run(std::uint64_t r) {
+  static constexpr double kMs[] = {1e16, 1.0, -1e16};
+  core::RunResult run;
+  run.outcome = static_cast<Outcome>(r % core::kOutcomeCount);
+  run.fault_fired = r % 3 != 0;
+  run.analyze_skipped = r % 2 == 0;
+  run.execute_ms = kMs[r % 3];
+  run.analyze_ms = 0.1 * static_cast<double>(r);
+  run.fs_stats.pread_calls = 100 + r;
+  run.analysis.emplace();
+  return run;
+}
+
+void expect_same_tally(const core::OutcomeTally& a, const core::OutcomeTally& b) {
+  for (std::size_t o = 0; o < core::kOutcomeCount; ++o) {
+    EXPECT_EQ(a.count(static_cast<Outcome>(o)), b.count(static_cast<Outcome>(o)));
+  }
+}
+
+TEST(CellCollector, ShuffledLandingFoldsBitwiseLikeRunOrder) {
+  ToyApp app;
+  const auto plan = two_cell_plan(app, 9);
+  std::vector<std::uint64_t> order(9);
+  for (std::uint64_t r = 0; r < 9; ++r) order[r] = r;
+
+  const auto collect = [&](const std::vector<std::uint64_t>& runs) {
+    RecordingSink sink;
+    exp::CellCollector collector(plan, sink, /*keep_details=*/false);
+    for (std::size_t c = 0; c < 2; ++c) {
+      collector.set_facts(c, exp::CellFacts{});
+      for (const std::uint64_t r : runs) EXPECT_TRUE(collector.land(c, r, synthetic_run(r)));
+    }
+    EXPECT_EQ(sink.cells.size(), 2u);  // both finalized on their last landing
+    return collector.finish();
+  };
+  const exp::ExperimentReport in_order = collect(order);
+  // Summed in this landing order, execute_ms would be 1.0; in run order 0.0.
+  const exp::ExperimentReport shuffled = collect({2, 0, 8, 5, 3, 7, 1, 6, 4});
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(in_order.cells[0].execute_ms),
+            std::bit_cast<std::uint64_t>(0.0));
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(test_support::counter_values(shuffled.cells[c]),
+              test_support::counter_values(in_order.cells[c]));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(shuffled.cells[c].execute_ms),
+              std::bit_cast<std::uint64_t>(in_order.cells[c].execute_ms));
+    expect_same_tally(shuffled.cells[c].tally, in_order.cells[c].tally);
+    EXPECT_EQ(shuffled.cells[c].faults_not_fired, in_order.cells[c].faults_not_fired);
+    EXPECT_EQ(shuffled.cells[c].runs_completed, 9u);
+  }
+  EXPECT_EQ(test_support::counter_values(shuffled), test_support::counter_values(in_order));
+  EXPECT_EQ(shuffled.total_runs, 18u);
+}
+
+TEST(CellCollector, DuplicateLandingIsRejectedAndCountedOnce) {
+  ToyApp app;
+  const auto plan = two_cell_plan(app, 3);
+  RecordingSink sink;
+  exp::CellCollector collector(plan, sink, /*keep_details=*/true);
+  core::RunResult first = synthetic_run(1);
+  first.worker_id = 4;
+  core::RunResult second = synthetic_run(2);
+  second.worker_id = 9;
+  EXPECT_TRUE(collector.land(0, 1, first));
+  EXPECT_FALSE(collector.land(0, 1, second));
+  ASSERT_NE(collector.landed(0, 1), nullptr);
+  EXPECT_EQ(collector.landed(0, 1)->worker_id, 4u);
+  EXPECT_TRUE(collector.landed(0, 1)->analysis.has_value());  // keep_details
+  EXPECT_EQ(collector.landed(0, 0), nullptr);
+  const exp::ExperimentReport report = collector.finish();
+  EXPECT_EQ(report.cells[0].runs_completed, 1u);
+  EXPECT_EQ(report.cells[0].tally.count(first.outcome), 1u);
+  EXPECT_EQ(report.cells[0].details.size(), 1u);
+  EXPECT_EQ(report.cells[0].worker_ids, (std::vector<std::uint32_t>{4}));
+  EXPECT_EQ(report.total_runs, 1u);
+}
+
+TEST(CellCollector, ErrorFactsFinalizeAtOnceButEmitInPlanOrder) {
+  ToyApp app;
+  const auto plan = two_cell_plan(app, 4);
+  RecordingSink sink;
+  exp::CellCollector collector(plan, sink, /*keep_details=*/false);
+  exp::CellFacts broken;
+  broken.error = "never executes the target primitive";
+  EXPECT_TRUE(collector.set_facts(1, broken, /*worker_id=*/7));
+  EXPECT_FALSE(collector.land(1, 0, synthetic_run(0)));  // final: nothing lands
+  EXPECT_TRUE(sink.cells.empty());  // cell 0 is still open
+  for (std::uint64_t r = 0; r < 4; ++r) {
+    EXPECT_TRUE(sink.cells.empty());
+    EXPECT_TRUE(collector.land(0, r, synthetic_run(r)));
+  }
+  ASSERT_EQ(sink.cells.size(), 2u);
+  EXPECT_EQ(sink.cells[0].index, 0u);
+  EXPECT_EQ(sink.cells[1].index, 1u);
+  EXPECT_EQ(sink.cells[1].error, broken.error);
+  EXPECT_EQ(sink.cells[1].runs_completed, 0u);
+  EXPECT_EQ(sink.cells[1].worker_ids, (std::vector<std::uint32_t>{7}));
+  EXPECT_EQ(collector.finish().total_runs, 4u);
+}
+
+TEST(CellCollector, FinishAfterPartialLandingKeepsTheLandedRuns) {
+  ToyApp app;
+  const auto plan = two_cell_plan(app, 8);
+  RecordingSink sink;
+  exp::CellCollector collector(plan, sink, /*keep_details=*/false);
+  for (const std::uint64_t r : {6, 1, 3}) EXPECT_TRUE(collector.land(0, r, synthetic_run(r)));
+  collector.retire(0, 2);
+  EXPECT_FALSE(collector.landed(0, 6)->analysis.has_value());  // no details: dropped
+  EXPECT_EQ(collector.landed(0, 2), nullptr);
+  EXPECT_TRUE(collector.land(1, 5, synthetic_run(5)));
+  EXPECT_TRUE(sink.cells.empty());
+  const exp::ExperimentReport report = collector.finish();
+  ASSERT_EQ(sink.cells.size(), 2u);
+  EXPECT_EQ(report.cells[0].runs_completed, 3u);
+  EXPECT_EQ(report.cells[1].runs_completed, 1u);
+  EXPECT_EQ(report.total_runs, 4u);
+  EXPECT_TRUE(report.cells[0].error.empty());
 }
 
 // --- Sinks -------------------------------------------------------------------
@@ -1105,6 +1243,56 @@ TEST(PlanConfig, RejectsBadInput) {
   EXPECT_THROW((void)exp::parse_plan_config("[weird]\n"), std::invalid_argument);
   EXPECT_THROW((void)exp::parse_plan_config("[cell]\nno equals sign\n"),
                std::invalid_argument);
+}
+
+// --- CampaignConfig ----------------------------------------------------------
+
+TEST(CampaignConfig, ParsesKeysAndComments) {
+  const auto cfg = exp::parse_campaign_config(
+      "# campaign file\n"
+      "application = qmc\n"
+      "fault = SW   # shorn write\n"
+      "runs = 250\n"
+      "seed = 99\n"
+      "stage = 3\n"
+      "grid = 32\n");
+  EXPECT_EQ(cfg.application, "qmc");
+  EXPECT_EQ(cfg.fault, "SW");
+  EXPECT_EQ(cfg.runs, 250u);
+  EXPECT_EQ(cfg.seed, 99u);
+  EXPECT_EQ(cfg.stage, 3);
+  EXPECT_EQ(cfg.extra.at("grid"), "32");
+}
+
+TEST(CampaignConfig, RejectsMalformedLines) {
+  EXPECT_THROW((void)exp::parse_campaign_config("not a key value"), std::invalid_argument);
+  EXPECT_THROW((void)exp::parse_campaign_config("[cell]\nfault = BF\n"), std::invalid_argument);
+  // Numbers parse whole or not at all: no sign wrap-around, no trailing junk.
+  for (const char* line : {"runs = -5", "runs = 12abc", "stage = 2x", "seed = -1",
+                           "runs = 0"}) {
+    EXPECT_THROW((void)exp::parse_campaign_config(line), std::invalid_argument) << line;
+  }
+  try {
+    (void)exp::parse_campaign_config("application = nyx\nruns = -5\n");
+    ADD_FAILURE() << "runs = -5 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "config line 2: runs must be a non-negative integer, got '-5'");
+  }
+}
+
+TEST(PlanConfig, BuildPlanRejectsMalformedApplicationExtras) {
+  for (const char* grid : {"abc", "-1", "12x"}) {
+    const auto config = exp::parse_plan_config(
+        std::string("application = nyx\n[cell]\nfault = BF\ngrid = ") + grid + "\n");
+    try {
+      (void)exp::build_plan(config);
+      ADD_FAILURE() << "grid = " << grid << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("grid"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + grid + "'"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(PlanConfig, BuildPlanDeduplicatesIdenticalApplications) {

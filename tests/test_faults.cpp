@@ -349,29 +349,6 @@ TEST(FaultingFs, ArmRejectsMediaModels) {
   }
 }
 
-// --- CampaignConfig ----------------------------------------------------------------
-
-TEST(CampaignConfig, ParsesKeysAndComments) {
-  const auto cfg = faults::parse_campaign_config(
-      "# campaign file\n"
-      "application = qmc\n"
-      "fault = SW   # shorn write\n"
-      "runs = 250\n"
-      "seed = 99\n"
-      "stage = 3\n"
-      "grid = 32\n");
-  EXPECT_EQ(cfg.application, "qmc");
-  EXPECT_EQ(cfg.fault, "SW");
-  EXPECT_EQ(cfg.runs, 250u);
-  EXPECT_EQ(cfg.seed, 99u);
-  EXPECT_EQ(cfg.stage, 3);
-  EXPECT_EQ(cfg.extra.at("grid"), "32");
-}
-
-TEST(CampaignConfig, RejectsMalformedLines) {
-  EXPECT_THROW(faults::parse_campaign_config("not a key value"), std::invalid_argument);
-}
-
 TEST(FaultGenerator, RunSeedsAreDistinctAndStable) {
   faults::CampaignConfig cfg;
   cfg.seed = 5;

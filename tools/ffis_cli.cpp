@@ -14,7 +14,7 @@
 //   ffis demo                     one-shot end-to-end demonstration
 //
 // Single-campaign config files (campaign/sweep/profile) are "key = value"
-// text (see faults::parse_campaign_config):
+// text (see exp::parse_campaign_config — a plan's defaults block alone):
 //
 //   application = nyx        # nyx | qmc | montage
 //   fault = BIT_FLIP@pwrite{width=2}
@@ -75,6 +75,7 @@
 #include "ffis/analysis/metadata_sweep.hpp"
 #include "ffis/analysis/stats.hpp"
 #include "ffis/apps/app_factory.hpp"
+#include "ffis/apps/nyx/nyx_app.hpp"
 #include "ffis/apps/nyx/plotfile.hpp"
 #include "ffis/core/checkpoint_store.hpp"
 #include "ffis/core/io_profiler.hpp"
@@ -83,6 +84,7 @@
 #include "ffis/exp/sink.hpp"
 #include "ffis/h5/reader.hpp"
 #include "ffis/h5/writer.hpp"
+#include "ffis/util/strfmt.hpp"
 #include "ffis/vfs/posix_fs.hpp"
 
 using namespace ffis;
@@ -189,7 +191,7 @@ std::optional<exp::CellResult> run_one_cell(const exp::ExperimentPlan& plan,
 }
 
 int cmd_campaign(const std::string& config_path) {
-  const auto config = faults::parse_campaign_config(slurp(config_path));
+  const auto config = exp::parse_campaign_config(slurp(config_path));
   const auto app = apps::make_application(config);
   const exp::ExperimentPlan plan = one_cell_plan(*app, config);
   const faults::FaultGenerator generator(config);
@@ -489,16 +491,13 @@ int cmd_worker(const std::string& target, const WorkerFlags& flags) {
 }
 
 int cmd_sweep(const std::string& config_path) {
-  auto config = faults::parse_campaign_config(slurp(config_path));
+  auto config = exp::parse_campaign_config(slurp(config_path));
   if (config.application != "nyx") {
     std::fprintf(stderr, "sweep currently targets the nyx plotfile\n");
     return 2;
   }
   const auto app = apps::make_application(config);
-  const std::size_t grid = config.extra.contains("grid")
-                               ? std::stoul(config.extra.at("grid"))
-                               : 64;
-  const auto layout = nyx_layout(grid);
+  const auto layout = nyx_layout(static_cast<const nyx::NyxApp&>(*app).config().field.n);
 
   analysis::MetadataSweepConfig sweep_config;
   sweep_config.target_path = "/plt00000.h5";
@@ -519,7 +518,7 @@ int cmd_sweep(const std::string& config_path) {
 }
 
 int cmd_profile(const std::string& config_path) {
-  const auto config = faults::parse_campaign_config(slurp(config_path));
+  const auto config = exp::parse_campaign_config(slurp(config_path));
   const auto app = apps::make_application(config);
   const auto signature = faults::parse_fault_signature(config.fault);
   const auto profile = core::IoProfiler::profile(*app, signature,
@@ -666,9 +665,13 @@ int main(int argc, char** argv) {
     if (command == "sweep" && argc == 3) return cmd_sweep(argv[2]);
     if (command == "profile" && argc == 3) return cmd_profile(argv[2]);
     if (command == "doctor" && (argc == 4 || argc == 6)) {
-      std::size_t grid = 64;
-      if (argc == 6 && std::string(argv[4]) == "--grid") grid = std::stoul(argv[5]);
-      return cmd_doctor(argv[2], argv[3], grid);
+      std::optional<std::uint64_t> grid = 64;
+      if (argc == 6 && std::string(argv[4]) == "--grid") grid = util::parse_u64(argv[5]);
+      if (!grid) {
+        throw std::invalid_argument(std::string("--grid must be a non-negative integer, got '") +
+                                    argv[5] + "'");
+      }
+      return cmd_doctor(argv[2], argv[3], static_cast<std::size_t>(*grid));
     }
     if (command == "demo") return cmd_demo();
   } catch (const std::exception& e) {
