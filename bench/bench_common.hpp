@@ -1,13 +1,6 @@
 #pragma once
-// Shared helpers for the reproduction harnesses.
-//
-// Sample sizes default to a few hundred runs per cell so the whole bench
-// suite finishes in minutes; set FFIS_RUNS=1000 to reproduce the paper's
-// full sample size (1-2 % error bars at 95 % confidence).
-//
-// Campaign grids are expressed as exp::ExperimentPlans and executed by
-// exp::Engine: one shared thread pool for every cell and one golden run per
-// application, streamed to the console as Figure-7-style rows.
+// Shared helpers for bench_perf_engine: the FFIS_RUNS / FFIS_SEED knobs, a
+// seeded plan builder, and the BENCH_*.json writer.
 
 #include <cstdio>
 #include <fstream>
@@ -17,7 +10,6 @@
 #include <string_view>
 #include <vector>
 
-#include "ffis/analysis/stats.hpp"
 #include "ffis/exp/engine.hpp"
 #include "ffis/exp/plan.hpp"
 #include "ffis/exp/sink.hpp"
@@ -25,55 +17,17 @@
 
 namespace ffis::bench {
 
-inline std::uint64_t runs_per_cell(std::uint64_t fallback = 200) {
-  const std::int64_t runs =
-      util::env_int("FFIS_RUNS", static_cast<std::int64_t>(fallback));
-  if (runs <= 0) {
-    throw std::invalid_argument("FFIS_RUNS must be a positive integer, got " +
-                                std::to_string(runs));
-  }
-  return static_cast<std::uint64_t>(runs);
+inline std::uint64_t runs_per_cell(std::uint64_t fallback) {
+  const std::uint64_t runs = util::env_u64("FFIS_RUNS", fallback);
+  if (runs == 0) throw std::invalid_argument("FFIS_RUNS must be a positive integer, got 0");
+  return runs;
 }
 
-inline std::uint64_t campaign_seed() {
-  const std::int64_t seed = util::env_int("FFIS_SEED", 42);
-  if (seed < 0) {
-    throw std::invalid_argument("FFIS_SEED must be non-negative, got " +
-                                std::to_string(seed));
-  }
-  return static_cast<std::uint64_t>(seed);
-}
-
-inline void print_header(const std::string& title, const std::string& paper_reference) {
-  std::printf("================================================================\n");
-  std::printf("%s\n", title.c_str());
-  std::printf("reproduces: %s\n", paper_reference.c_str());
-  std::printf("================================================================\n");
-}
-
-/// A PlanBuilder pre-seeded with the harness environment (FFIS_RUNS /
-/// FFIS_SEED).  Add cells, then hand the built plan to run_plan().
+/// A PlanBuilder seeded from the environment (FFIS_SEED, default 42).
 inline exp::PlanBuilder plan(std::uint64_t runs) {
   exp::PlanBuilder builder;
-  builder.runs(runs).seed(campaign_seed());
+  builder.runs(runs).seed(util::env_u64("FFIS_SEED", 42));
   return builder;
-}
-
-/// Executes the plan on the shared engine with a console table sink and
-/// returns the full report (per-cell tallies in plan order).  A failed cell
-/// throws after the table is printed, so scripted bench runs exit nonzero —
-/// matching the old behavior where a failed campaign escaped main().
-inline exp::ExperimentReport run_plan(const exp::ExperimentPlan& experiment_plan,
-                                      bool show_primitive_count = false) {
-  exp::ConsoleTableSink sink(stdout, show_primitive_count);
-  exp::Engine engine;
-  exp::ExperimentReport report = engine.run(experiment_plan, sink);
-  for (const auto& cell : report.cells) {
-    if (!cell.error.empty()) {
-      throw std::runtime_error("cell " + cell.cell.label + " failed: " + cell.error);
-    }
-  }
-  return report;
 }
 
 // --- JSON metric files (BENCH_*.json) ---------------------------------------

@@ -62,6 +62,7 @@
 #include "ffis/core/outcome.hpp"
 #include "ffis/dist/coordinator.hpp"
 #include "ffis/dist/worker.hpp"
+#include "ffis/paper/paper.hpp"
 #include "ffis/util/mapped_file.hpp"
 #include "ffis/vfs/snapshot_codec.hpp"
 
@@ -213,8 +214,8 @@ void assert_identical_tallies(const VariantResult& a, const VariantResult& b,
 int main(int argc, char** argv) {
   using namespace ffis;
 
-  bench::print_header(
-      "Engine throughput: checkpoint reuse + extent-diff classification",
+  paper::print_header(
+      stdout, "Engine throughput: checkpoint reuse + extent-diff classification",
       "harness performance (methodology §V: mount/unmount per run)");
 
   const std::uint64_t runs = bench::runs_per_cell(300);

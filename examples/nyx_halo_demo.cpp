@@ -32,16 +32,7 @@ int main() {
 
   // Plan the metadata layout (structural, no data needed) and corrupt the
   // Exponent Bias by -5: every decoded value scales by 2^5 = 32.
-  h5::H5File shape;
-  {
-    h5::Dataset ds;
-    ds.name = nyx::kDensityDatasetName;
-    const auto n = static_cast<std::uint64_t>(config.field.n);
-    ds.dims = {n, n, n};
-    ds.data.assign(n * n * n, 0.0);
-    shape.datasets.push_back(std::move(ds));
-  }
-  const h5::WriteInfo layout = h5::plan_layout(shape, config.h5_options);
+  const h5::WriteInfo layout = nyx::plan_plotfile_layout(config.field.n, config.h5_options);
   const std::string bias_field =
       "objectHeader[baryon_density].dataType.floatProperty.exponentBias";
   analysis::add_field_delta(fs, config.plotfile_path, layout.field_map, bias_field, -5);

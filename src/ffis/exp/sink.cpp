@@ -222,7 +222,17 @@ SinkRow to_sink_row(const CellResult& result) {
 
 void ConsoleTableSink::begin(const ExperimentPlan& plan) {
   (void)plan;
+  header();
+}
+
+void ConsoleTableSink::header() {
   std::fprintf(out_, "%s\n", analysis::outcome_row_header().c_str());
+}
+
+void ConsoleTableSink::replay(const ExperimentReport& report) {
+  header();
+  for (const auto& result : report.cells) cell(result);
+  end(report);
 }
 
 void ConsoleTableSink::cell(const CellResult& result) {

@@ -45,7 +45,13 @@ class ConsoleTableSink final : public ResultSink {
   void cell(const CellResult& result) override;
   void end(const ExperimentReport& report) override;
 
+  /// Prints a finished report as the streamed table: header, one row per
+  /// cell in plan order, trailer.
+  void replay(const ExperimentReport& report);
+
  private:
+  void header();
+
   std::FILE* out_;
   bool show_primitive_count_;
 };

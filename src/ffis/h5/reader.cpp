@@ -8,8 +8,6 @@ namespace ffis::h5 {
 
 namespace {
 
-constexpr std::uint64_t kUndefinedAddress = ~0ULL;
-
 /// Bounds-checked cursor over the file image.
 class Cursor {
  public:
@@ -216,7 +214,10 @@ Dataset read_object_header(util::ByteSpan image, std::uint64_t address,
     throw H5BoundsError("contiguous storage size " + std::to_string(layout.size) +
                         " smaller than dataset (" + std::to_string(need) + " bytes)");
   }
-  if (layout.address == kUndefinedAddress || layout.address + need > image.size()) {
+  // Compared without adding to the address: a corrupted address near 2^64
+  // (the undefined address ~0 included) would wrap the sum below the file
+  // size.
+  if (layout.address > image.size() || need > image.size() - layout.address) {
     throw H5BoundsError("raw data address " + std::to_string(layout.address) +
                         " + " + std::to_string(need) + " beyond end of file");
   }

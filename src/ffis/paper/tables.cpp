@@ -1,0 +1,318 @@
+// Tables I–IV.
+
+#include <algorithm>
+#include <cmath>
+
+#include "ffis/apps/montage/montage_app.hpp"
+#include "ffis/apps/nyx/halo_finder.hpp"
+#include "ffis/apps/qmc/qmc_app.hpp"
+#include "ffis/faults/fault_signature.hpp"
+#include "ffis/paper/support.hpp"
+#include "ffis/vfs/mem_fs.hpp"
+
+namespace ffis::paper {
+
+// --- Table I --------------------------------------------------------------------
+
+namespace {
+
+util::Bytes pattern(std::size_t n) {
+  util::Bytes buf(n);
+  for (std::size_t i = 0; i < n; ++i) buf[i] = static_cast<std::byte>(i & 0xff);
+  return buf;
+}
+
+WriteDemo demonstrate_write(const std::string& signature_text) {
+  const auto signature = faults::parse_fault_signature(signature_text);
+  vfs::MemFs backing;
+  faults::FaultingFs fi(backing);
+  fi.arm(signature, 0, /*seed=*/7);
+
+  const util::Bytes original = pattern(4096);
+  vfs::write_file(fi, "/block.bin", original);
+  return {signature.to_string(), fi.record(), original.size(),
+          vfs::read_file(backing, "/block.bin").size()};
+}
+
+ModeDemo demonstrate_mode(const std::string& signature_text) {
+  const auto signature = faults::parse_fault_signature(signature_text);
+  vfs::MemFs backing;
+  backing.mknod("/pre", 0600);
+  faults::FaultingFs fi(backing);
+  fi.arm(signature, 0, 11);
+  ModeDemo demo{signature_text, signature.primitive, std::nullopt};
+  if (signature.primitive == vfs::Primitive::Mknod) {
+    fi.mknod("/node", 0644);
+    if (backing.exists("/node")) demo.mode = backing.stat("/node").mode;
+  } else {
+    fi.chmod("/pre", 0755);
+    demo.mode = backing.stat("/pre").mode;
+  }
+  return demo;
+}
+
+}  // namespace
+
+FaultModels table1_fault_models(const Options&) {
+  FaultModels result;
+  for (const char* sig : {"BIT_FLIP@pwrite{width=2}",
+                          "SHORN_WRITE@pwrite{completed=7,tail=adjacent-data}",
+                          "SHORN_WRITE@pwrite{completed=3,tail=adjacent-data}",
+                          "DROPPED_WRITE@pwrite"}) {
+    result.writes.push_back(demonstrate_write(sig));
+  }
+  for (const char* sig : {"BIT_FLIP@mknod{width=2}", "SHORN_WRITE@chmod",
+                          "DROPPED_WRITE@mknod"}) {
+    result.modes.push_back(demonstrate_mode(sig));
+  }
+  return result;
+}
+
+void print_table1_fault_models(const FaultModels& result, std::FILE* out) {
+  std::fprintf(out, "\nfault model      examples of affected primitives   feature\n");
+  std::fprintf(out, "BIT_FLIP         pwrite, mknod, chmod              flip 2 consecutive bits\n");
+  std::fprintf(out, "SHORN_WRITE      pwrite, mknod, chmod              complete first 3/8 or 7/8 of each 4KB block (512B sectors)\n");
+  std::fprintf(out, "DROPPED_WRITE    pwrite, mknod, chmod              the write operation is ignored\n\n");
+
+  std::fprintf(out, "live demonstration on a 4 KB pwrite:\n");
+  for (const auto& demo : result.writes) {
+    const auto& record = demo.record;
+    std::fprintf(out, "%-62s", demo.signature.c_str());
+    std::fprintf(out, " corrupted %4zu / %4zu device bytes", record.corrupted_bytes,
+                 demo.written);
+    if (record.flipped_bit) std::fprintf(out, " (first bit %zu)", *record.flipped_bit);
+    if (record.shorn_from) std::fprintf(out, " (shorn from byte %zu)", *record.shorn_from);
+    if (record.dropped) {
+      std::fprintf(out, " (write ignored; device holds %zu bytes)", demo.on_device);
+    }
+    std::fprintf(out, "\n");
+  }
+
+  std::fprintf(out, "\nmknod / chmod hosting (mode-argument corruption):\n");
+  for (const auto& demo : result.modes) {
+    if (demo.primitive == vfs::Primitive::Mknod && !demo.mode) {
+      std::fprintf(out, "%-30s mode 0644 -> node never created\n", demo.signature.c_str());
+    } else if (demo.primitive == vfs::Primitive::Mknod) {
+      // The mode prints in decimal behind a literal 0.
+      std::fprintf(out, "%-30s mode 0644 -> 0%u\n", demo.signature.c_str(), *demo.mode);
+    } else {
+      std::fprintf(out, "%-30s mode 0755 -> 0%o\n", demo.signature.c_str(), *demo.mode);
+    }
+  }
+}
+
+// --- Table II -------------------------------------------------------------------
+
+std::vector<ApplicationRow> table2_applications(const Options&) {
+  return {
+      {"nyx", "Astrophysics", "AMR-style cosmological density field + FoF halo finder",
+       fault_free_traffic(nyx::NyxApp())},
+      {"qmcpack", "Quantum Chemistry", "Variational + Diffusion Monte Carlo for the He atom",
+       fault_free_traffic(qmc::QmcApp())},
+      {"montage", "Astronomy", "Astronomical image mosaic (project/diff/background/co-add)",
+       fault_free_traffic(montage::MontageApp())},
+  };
+}
+
+void print_table2_applications(const std::vector<ApplicationRow>& result, std::FILE* out) {
+  constexpr double kMiB = 1024.0 * 1024.0;
+  std::fprintf(out, "\npaper originals: Nyx 71.9MB/21K LoC, QMCPACK 381MB/403K LoC, "
+                    "Montage 126MB/31K LoC\nmini-app equivalents (measured):\n\n");
+  std::fprintf(out, "%-10s %-18s %10s %12s %14s %10s %10s   %s\n", "benchmark", "domain",
+               "dataset", "files", "writes", "written", "read", "method");
+  for (const auto& row : result) {
+    const IoTraffic& t = row.traffic;
+    std::fprintf(out,
+                 "%-10s %-18s %7.2f MB %6llu files %6llu pwrites %7.2f MB-W %7.2f MB-R   %s\n",
+                 row.name.c_str(), row.domain.c_str(),
+                 static_cast<double>(t.dataset_bytes) / kMiB,
+                 static_cast<unsigned long long>(t.files),
+                 static_cast<unsigned long long>(t.pwrites),
+                 static_cast<double>(t.bytes_written) / kMiB,
+                 static_cast<double>(t.bytes_read) / kMiB, row.method.c_str());
+  }
+}
+
+// --- Table III ------------------------------------------------------------------
+
+MetadataTable table3_metadata(const Options& options) {
+  nyx::NyxConfig config;
+  config.field.n = options.grid;
+  const nyx::NyxApp app(config);
+
+  MetadataTable result;
+  result.layout = nyx::plan_plotfile_layout(config.field.n, config.h5_options);
+  analysis::MetadataSweepConfig sweep_config;
+  sweep_config.target_path = config.plotfile_path;
+  sweep_config.metadata_bytes = result.layout.metadata_size;
+  sweep_config.seed = options.seed;
+  result.sweep = analysis::metadata_sweep(app, /*app_seed=*/1, sweep_config);
+  return result;
+}
+
+void print_table3_metadata(const MetadataTable& result, std::FILE* out) {
+  const h5::WriteInfo& layout = result.layout;
+  const auto& sweep = result.sweep;
+  std::fprintf(out, "\nmetadata bytes swept: %llu (one 2-bit flip per byte)\n\n",
+               static_cast<unsigned long long>(layout.metadata_size));
+  std::fprintf(out, "%-10s %8s %8s    paper\n", "class", "cases", "percent");
+  const auto row = [&](core::Outcome o, const char* paper) {
+    std::fprintf(out, "%-10s %8llu %7.1f%%    %s\n",
+                 std::string(core::outcome_name(o)).c_str(),
+                 static_cast<unsigned long long>(sweep.tally.count(o)),
+                 100.0 * sweep.tally.fraction(o), paper);
+  };
+  row(core::Outcome::Sdc, "4 (0.2%)");
+  row(core::Outcome::Benign, "2085 (85.7%)");
+  row(core::Outcome::Crash, "343 (14.1%)");
+  row(core::Outcome::Detected, "(folded into the above by the paper)");
+
+  // Example fields per class (Table III's right column).
+  std::fprintf(out, "\nexample metadata fields per class:\n");
+  const auto by_field = sweep.tally_by_field(layout.field_map);
+  for (const core::Outcome o :
+       {core::Outcome::Sdc, core::Outcome::Crash, core::Outcome::Benign}) {
+    std::vector<std::pair<std::string, std::uint64_t>> fields;
+    for (const auto& [name, tally] : by_field) {
+      if (tally.count(o) > 0) fields.emplace_back(name, tally.count(o));
+    }
+    std::sort(fields.begin(), fields.end(),
+              [](const auto& a, const auto& b) { return a.second > b.second; });
+    std::fprintf(out, "  %s:\n", std::string(core::outcome_name(o)).c_str());
+    for (std::size_t i = 0; i < std::min<std::size_t>(6, fields.size()); ++i) {
+      std::fprintf(out, "    %-64s %llu byte(s)\n", fields[i].first.c_str(),
+                   static_cast<unsigned long long>(fields[i].second));
+    }
+  }
+
+  // Byte budget by structural class (the benign-dominance explanation).
+  std::fprintf(out, "\nmetadata byte budget (why benign dominates):\n");
+  const std::uint64_t unused = layout.field_map.bytes_of_class(h5::FieldClass::Unused) +
+                               layout.field_map.bytes_of_class(h5::FieldClass::Reserved);
+  std::fprintf(out, "  reserved/unused bytes: %llu of %llu (%.1f%%; paper: B-tree nodes "
+                    "alone are 72%% of metadata at ~10%% occupancy)\n",
+               static_cast<unsigned long long>(unused),
+               static_cast<unsigned long long>(layout.metadata_size),
+               100.0 * static_cast<double>(unused) /
+                   static_cast<double>(layout.metadata_size));
+}
+
+// --- Table IV -------------------------------------------------------------------
+
+namespace {
+
+/// How the faulty catalog differs from the golden one: halo masses
+/// unchanged / scaled by a common factor / changed, and locations unchanged
+/// / shifted by a common displacement / changed.
+void compare(const nyx::HaloCatalog& golden, const nyx::HaloCatalog& faulty, SdcFieldRow& row) {
+  row.halos_golden = golden.halos.size();
+  row.halos_faulty = faulty.halos.size();
+  row.mean = faulty.mean_density;
+  row.mass = row.locations = "changed";
+  if (golden.halos.size() != faulty.halos.size() || golden.halos.empty()) return;
+
+  bool identical = true, scaled = true;
+  const double ratio0 = faulty.halos[0].mass / golden.halos[0].mass;
+  for (std::size_t i = 0; i < golden.halos.size(); ++i) {
+    const double ratio = faulty.halos[i].mass / golden.halos[i].mass;
+    if (faulty.halos[i].mass != golden.halos[i].mass) identical = false;
+    if (std::fabs(ratio - ratio0) > 1e-6 * std::fabs(ratio0)) scaled = false;
+  }
+  char buf[64];
+  if (identical) {
+    row.mass = "unchanged";
+  } else if (scaled) {
+    std::snprintf(buf, sizeof buf, "scaled x%.4g", ratio0);
+    row.mass = buf;
+  }
+
+  identical = true;
+  bool shifted = true;
+  const double dx = faulty.halos[0].cx - golden.halos[0].cx;
+  const double dy = faulty.halos[0].cy - golden.halos[0].cy;
+  const double dz = faulty.halos[0].cz - golden.halos[0].cz;
+  for (std::size_t i = 0; i < golden.halos.size(); ++i) {
+    const auto& g = golden.halos[i];
+    const auto& f = faulty.halos[i];
+    if (f.cx != g.cx || f.cy != g.cy || f.cz != g.cz) identical = false;
+    if (std::fabs(f.cx - g.cx - dx) > 1e-6 || std::fabs(f.cy - g.cy - dy) > 1e-6 ||
+        std::fabs(f.cz - g.cz - dz) > 1e-6) {
+      shifted = false;
+    }
+  }
+  if (identical) {
+    row.locations = "unchanged";
+  } else if (shifted) {
+    std::snprintf(buf, sizeof buf, "shifted (%.2f,%.2f,%.2f)", dx, dy, dz);
+    row.locations = buf;
+  }
+}
+
+}  // namespace
+
+SdcFields table4_sdc_fields(const Options& options) {
+  using Op = FieldFault::Op;
+  const NyxGolden golden(options.grid);
+  const auto golden_catalog = nyx::find_halos(golden.field(), golden.config.halo);
+
+  struct FieldCase {
+    const char* label;
+    const char* paper;
+    FieldFault fault;
+  };
+  const FieldCase cases[] = {
+      {"Mantissa Normalization (bit 5)",
+       "mass changed; 45% locations changed; halos +24%; avg -> 0.55",
+       {Op::FlipBit, kClassBitField, 5}},
+      {"Exponent Location", "mass changed; all locations changed; halos +20%; avg -> 1.04",
+       {Op::FlipBit, kExponentLocation, 0}},
+      {"Mantissa Location",
+       "mass changed; most locations changed; halos changed; avg 1.04-1.55",
+       {Op::Set, kMantissaLocation, 2}},
+      {"Mantissa Size", "mass changed; most locations changed; halos changed; avg 1.04-1.55",
+       {Op::FlipBit, kMantissaSize, 2}},
+      {"Exponent Bias", "mass scaled by power of two; locations unchanged; halos unchanged",
+       {Op::Add, kExponentBias, -12}},
+      {"Address of Raw Data (ARD)",
+       "mass unchanged; all locations shifted; halos unchanged; avg unchanged",
+       {Op::Add, kAddressOfRawData, -8 * static_cast<std::int64_t>(options.grid)}},
+  };
+
+  SdcFields result;
+  result.golden_halos = golden_catalog.halos.size();
+  result.golden_mean = golden_catalog.mean_density;
+  for (const auto& c : cases) {
+    vfs::MemFs fs;
+    golden.restore(fs, c.fault);
+    SdcFieldRow row;
+    row.label = c.label;
+    row.paper = c.paper;
+    try {
+      compare(golden_catalog, nyx::find_halos(golden.read(fs), golden.config.halo), row);
+    } catch (const std::exception&) {
+      row.crashed = true;
+    }
+    result.rows.push_back(std::move(row));
+  }
+  return result;
+}
+
+void print_table4_sdc_fields(const SdcFields& result, std::FILE* out) {
+  std::fprintf(out, "\ngolden: %zu halos, mean density %.6f\n\n", result.golden_halos,
+               result.golden_mean);
+  std::fprintf(out, "%-32s %-18s %-26s %9s %12s\n", "field", "halo mass", "halo locations",
+               "halos", "avg value");
+  for (const auto& row : result.rows) {
+    if (row.crashed) {
+      std::fprintf(out, "%-32s %s\n", row.label.c_str(),
+                   "(crashed — value rejected by the library)");
+    } else {
+      std::fprintf(out, "%-32s %-18s %-26s %4zu->%-4zu %12.4f\n", row.label.c_str(),
+                   row.mass.c_str(), row.locations.c_str(), row.halos_golden,
+                   row.halos_faulty, row.mean);
+    }
+    std::fprintf(out, "%-32s paper: %s\n", "", row.paper.c_str());
+  }
+}
+
+}  // namespace ffis::paper

@@ -1,6 +1,9 @@
 #include "ffis/util/env.hpp"
 
 #include <cstdlib>
+#include <stdexcept>
+
+#include "ffis/util/strfmt.hpp"
 
 namespace ffis::util {
 
@@ -10,22 +13,14 @@ std::optional<std::string> env_string(const std::string& name) {
   return std::string(value);
 }
 
-std::int64_t env_int(const std::string& name, std::int64_t fallback) {
+std::uint64_t env_u64(const std::string& name, std::uint64_t fallback) {
   const auto raw = env_string(name);
   if (!raw) return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(raw->c_str(), &end, 10);
-  if (end == raw->c_str() || *end != '\0') return fallback;
-  return parsed;
-}
-
-double env_double(const std::string& name, double fallback) {
-  const auto raw = env_string(name);
-  if (!raw) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(raw->c_str(), &end);
-  if (end == raw->c_str() || *end != '\0') return fallback;
-  return parsed;
+  const auto parsed = parse_u64(*raw);
+  if (!parsed) {
+    throw std::invalid_argument(name + " must be a non-negative integer, got '" + *raw + "'");
+  }
+  return *parsed;
 }
 
 }  // namespace ffis::util

@@ -141,13 +141,7 @@ class DoctorTest : public ::testing::Test {
     app_->run(ctx);
     golden_ = app_->analyze(fs_);
 
-    h5::H5File shape;
-    h5::Dataset ds;
-    ds.name = nyx::kDensityDatasetName;
-    ds.dims = {16, 16, 16};
-    ds.data.assign(16 * 16 * 16, 0.0);
-    shape.datasets.push_back(std::move(ds));
-    layout_ = h5::plan_layout(shape, config.h5_options);
+    layout_ = nyx::plan_plotfile_layout(config.field.n, config.h5_options);
     doctor_ = std::make_unique<analysis::Hdf5Doctor>(layout_, nyx::kDensityDatasetName);
   }
 
@@ -261,14 +255,7 @@ TEST(MetadataSweep, SmallNyxSweepHasPaperShape) {
   nyx::NyxConfig config;
   config.field.n = 16;
   nyx::NyxApp app(config);
-
-  h5::H5File shape;
-  h5::Dataset ds;
-  ds.name = nyx::kDensityDatasetName;
-  ds.dims = {16, 16, 16};
-  ds.data.assign(16 * 16 * 16, 0.0);
-  shape.datasets.push_back(std::move(ds));
-  const auto layout = h5::plan_layout(shape, config.h5_options);
+  const auto layout = nyx::plan_plotfile_layout(config.field.n, config.h5_options);
 
   analysis::MetadataSweepConfig sweep_config;
   sweep_config.target_path = config.plotfile_path;

@@ -627,6 +627,19 @@ TEST_F(ReaderCorruption, HeapLinkNameCrashesLookup) {
   EXPECT_THROW((void)h5::read_dataset(fs_, "/f.h5", "baryon_density"), h5::H5Exception);
 }
 
+TEST_F(ReaderCorruption, RawDataAddressBeforeFileStartCrashes) {
+  // address - 4096 wraps below zero; the bounds check must not wrap with it.
+  const auto* entry =
+      info_.field_map.find_by_name("objectHeader[baryon_density].layout.addressOfRawData");
+  ASSERT_NE(entry, nullptr);
+  util::Bytes corrupted = image_;
+  const std::uint64_t address = util::get_le(corrupted, entry->offset, 8);
+  ASSERT_LT(address, 4096u);
+  util::put_le_at(corrupted, entry->offset, address - 4096, 8);
+  vfs::write_file(fs_, "/f.h5", corrupted);
+  EXPECT_THROW((void)h5::read_h5(fs_, "/f.h5"), h5::H5BoundsError);
+}
+
 TEST_F(ReaderCorruption, TruncatedFileCrashes) {
   util::Bytes truncated(image_.begin(), image_.begin() + 64);
   vfs::write_file(fs_, "/f.h5", truncated);

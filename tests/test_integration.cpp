@@ -189,15 +189,7 @@ class MetadataEndToEnd : public ::testing::Test {
   void SetUp() override {
     config_ = small_nyx_config();
     app_ = std::make_unique<nyx::NyxApp>(config_);
-
-    h5::H5File shape;
-    h5::Dataset ds;
-    ds.name = nyx::kDensityDatasetName;
-    const auto n = static_cast<std::uint64_t>(config_.field.n);
-    ds.dims = {n, n, n};
-    ds.data.assign(n * n * n, 0.0);
-    shape.datasets.push_back(std::move(ds));
-    layout_ = h5::plan_layout(shape, config_.h5_options);
+    layout_ = nyx::plan_plotfile_layout(config_.field.n, config_.h5_options);
   }
 
   nyx::NyxConfig config_;

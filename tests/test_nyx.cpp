@@ -408,6 +408,31 @@ TEST(Plotfile, RoundtripPreservesField) {
   EXPECT_EQ(back.data(), field.data());
 }
 
+// Every caller that corrupts or repairs plotfile metadata locates it through
+// plan_plotfile_layout, so the plan must match what a write lays down.
+TEST(Plotfile, PlannedLayoutMatchesWrite) {
+  h5::WriteOptions custom;
+  custom.data_chunk_bytes = 4096;
+  custom.lock_file = false;
+  custom.btree_capacity = 40;
+  custom.reserved_tail_bytes = 24;
+  for (const h5::WriteOptions& options : {h5::WriteOptions{}, custom}) {
+    for (const std::size_t n : {8u, 16u, 33u}) {
+      SCOPED_TRACE("n = " + std::to_string(n));
+      FieldConfig config;
+      config.n = n;
+      vfs::MemFs fs;
+      const auto written =
+          nyx::write_plotfile(fs, "/plt.h5", nyx::generate_density_field(config), options);
+      const auto planned = nyx::plan_plotfile_layout(n, options);
+      EXPECT_EQ(planned.metadata_size, written.metadata_size);
+      EXPECT_EQ(planned.data_addresses, written.data_addresses);
+      EXPECT_EQ(planned.field_map.to_tsv(), written.field_map.to_tsv());
+      EXPECT_FALSE(planned.field_map.entries().empty());
+    }
+  }
+}
+
 TEST(Plotfile, NonCubicDatasetRejected) {
   vfs::MemFs fs;
   h5::H5File file;

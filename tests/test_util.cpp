@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "ffis/util/bytes.hpp"
 #include "ffis/util/chunking.hpp"
@@ -313,21 +315,31 @@ TEST(Strfmt, NegativeAndLargeNumbers) {
 
 // --- env ---------------------------------------------------------------------
 
-TEST(Env, IntFallbackAndParse) {
+TEST(Env, U64FallbackAndParse) {
   ::unsetenv("FFIS_TEST_ENV");
-  EXPECT_EQ(env_int("FFIS_TEST_ENV", 42), 42);
+  EXPECT_EQ(env_u64("FFIS_TEST_ENV", 42), 42u);
+  ::setenv("FFIS_TEST_ENV", "", 1);
+  EXPECT_EQ(env_u64("FFIS_TEST_ENV", 42), 42u);
   ::setenv("FFIS_TEST_ENV", "123", 1);
-  EXPECT_EQ(env_int("FFIS_TEST_ENV", 42), 123);
-  ::setenv("FFIS_TEST_ENV", "not-a-number", 1);
-  EXPECT_EQ(env_int("FFIS_TEST_ENV", 42), 42);
+  EXPECT_EQ(env_u64("FFIS_TEST_ENV", 42), 123u);
+  ::setenv("FFIS_TEST_ENV", "18446744073709551615", 1);
+  EXPECT_EQ(env_u64("FFIS_TEST_ENV", 42), UINT64_MAX);
   ::unsetenv("FFIS_TEST_ENV");
 }
 
-TEST(Env, DoubleParse) {
-  ::setenv("FFIS_TEST_ENV_D", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_double("FFIS_TEST_ENV_D", 0.0), 2.5);
-  ::unsetenv("FFIS_TEST_ENV_D");
-  EXPECT_DOUBLE_EQ(env_double("FFIS_TEST_ENV_D", 1.5), 1.5);
+TEST(Env, U64MalformedThrowsNamingVariableAndValue) {
+  for (const char* bad : {"not-a-number", "12x", "-1", " 7", "+7", "18446744073709551616"}) {
+    ::setenv("FFIS_TEST_ENV", bad, 1);
+    try {
+      (void)env_u64("FFIS_TEST_ENV", 42);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("FFIS_TEST_ENV"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+  ::unsetenv("FFIS_TEST_ENV");
 }
 
 TEST(Env, StringEmptyTreatedAsUnset) {

@@ -11,7 +11,14 @@
 //   ffis sweep    <config-file>   byte-wise HDF5 metadata sweep (Table III)
 //   ffis profile  <config-file>   fault-free I/O profile of an application
 //   ffis doctor   <dir> <file>    diagnose/repair an HDF5 file on disk
+//   ffis paper    <artifact>      reproduce one of the paper's tables,
+//                                 figures or ablations (ffis::paper);
+//                                 FFIS_RUNS, FFIS_SEED and FFIS_NYX_GRID
+//                                 override its sample size, seed and grid
 //   ffis demo                     one-shot end-to-end demonstration
+//
+// Numeric flags take unsigned decimal integers only; anything else (a
+// sign, trailing junk) prints usage and exits 2.
 //
 // Single-campaign config files (campaign/sweep/profile) are "key = value"
 // text (see exp::parse_campaign_config — a plan's defaults block alone):
@@ -66,6 +73,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ffis/analysis/hdf5_doctor.hpp"
@@ -82,8 +90,7 @@
 #include "ffis/exp/engine.hpp"
 #include "ffis/exp/plan_config.hpp"
 #include "ffis/exp/sink.hpp"
-#include "ffis/h5/reader.hpp"
-#include "ffis/h5/writer.hpp"
+#include "ffis/paper/paper.hpp"
 #include "ffis/util/strfmt.hpp"
 #include "ffis/vfs/posix_fs.hpp"
 
@@ -104,6 +111,7 @@ int usage() {
                "       ffis store gc <dir>\n"
                "       ffis <campaign|sweep|profile> <config-file>\n"
                "       ffis doctor <host-dir> </file.h5> [--grid N]\n"
+               "       ffis paper <artifact>\n"
                "       ffis demo\n"
                "\n"
                "plan runs a multi-cell experiment plan: defaults (runs, seed,\n"
@@ -137,7 +145,23 @@ int usage() {
                "journaled before exit.  --dry-run prints the work-unit table\n"
                "and exits.  Workers retry lost coordinators --retry times with\n"
                "exponential backoff starting at --retry-backoff ms.  See the\n"
-               "header of tools/ffis_cli.cpp or README.md for examples.\n");
+               "header of tools/ffis_cli.cpp or README.md for examples.\n"
+               "\n"
+               "`ffis paper` with no artifact lists the paper's artifacts.\n");
+  return 2;
+}
+
+int paper_usage() {
+  std::fprintf(stderr,
+               "usage: ffis paper <artifact>\n"
+               "\n"
+               "FFIS_RUNS (runs per campaign cell), FFIS_SEED and FFIS_NYX_GRID\n"
+               "override an artifact's defaults.  Artifacts:\n");
+  for (const auto& artifact : paper::artifacts()) {
+    std::fprintf(stderr, "  %-26.*s %.*s\n", static_cast<int>(artifact.name.size()),
+                 artifact.name.data(), static_cast<int>(artifact.title.size()),
+                 artifact.title.data());
+  }
   return 2;
 }
 
@@ -147,17 +171,6 @@ std::string slurp(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
-}
-
-h5::WriteInfo nyx_layout(std::size_t grid) {
-  h5::H5File shape;
-  h5::Dataset ds;
-  ds.name = nyx::kDensityDatasetName;
-  const auto n = static_cast<std::uint64_t>(grid);
-  ds.dims = {n, n, n};
-  ds.data.assign(n * n * n, 0.0);
-  shape.datasets.push_back(std::move(ds));
-  return h5::plan_layout(shape);
 }
 
 void print_run_progress(std::uint64_t done, std::uint64_t total) {
@@ -453,8 +466,8 @@ int cmd_worker(const std::string& target, const WorkerFlags& flags) {
     return 2;
   }
   const std::string host = target.substr(0, colon);
-  const int port = std::stoi(target.substr(colon + 1));
-  if (port <= 0 || port > 65535) {
+  const auto port = util::parse_u64(target.substr(colon + 1));
+  if (!port || *port == 0 || *port > 65535) {
     std::fprintf(stderr, "ffis worker: bad port in '%s'\n", target.c_str());
     return 2;
   }
@@ -472,7 +485,7 @@ int cmd_worker(const std::string& target, const WorkerFlags& flags) {
   for (const char c : options.name) seed = (seed ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
   options.retry_jitter_seed = seed;
   const auto stats =
-      dist::run_worker(host, static_cast<std::uint16_t>(port), options);
+      dist::run_worker(host, static_cast<std::uint16_t>(*port), options);
   if (!stats.reject_reason.empty()) {
     std::fprintf(stderr, "ffis worker: coordinator rejected the handshake: %s\n",
                  stats.reject_reason.c_str());
@@ -497,10 +510,11 @@ int cmd_sweep(const std::string& config_path) {
     return 2;
   }
   const auto app = apps::make_application(config);
-  const auto layout = nyx_layout(static_cast<const nyx::NyxApp&>(*app).config().field.n);
+  const nyx::NyxConfig& nyx_config = static_cast<const nyx::NyxApp&>(*app).config();
+  const auto layout = nyx::plan_plotfile_layout(nyx_config.field.n, nyx_config.h5_options);
 
   analysis::MetadataSweepConfig sweep_config;
-  sweep_config.target_path = "/plt00000.h5";
+  sweep_config.target_path = nyx_config.plotfile_path;
   sweep_config.metadata_bytes = layout.metadata_size;
   sweep_config.seed = config.seed;
   const auto sweep = analysis::metadata_sweep(*app, /*app_seed=*/config.seed ^ 0x5eedULL,
@@ -536,7 +550,7 @@ int cmd_profile(const std::string& config_path) {
 
 int cmd_doctor(const std::string& host_dir, const std::string& file, std::size_t grid) {
   vfs::PosixFs fs(host_dir);
-  const auto layout = nyx_layout(grid);
+  const auto layout = nyx::plan_plotfile_layout(grid);
   const analysis::Hdf5Doctor doctor(layout, nyx::kDensityDatasetName);
 
   auto diagnosis = doctor.diagnose(fs, file);
@@ -565,6 +579,13 @@ int cmd_demo() {
   if (!result) return 1;
   std::printf("demo: 50 DROPPED_WRITE injections into mini-Nyx (32^3 grid)\n%s\n",
               result->tally.to_string().c_str());
+  return 0;
+}
+
+int cmd_paper(const std::string& name) {
+  const paper::Artifact* artifact = paper::find_artifact(name);
+  if (artifact == nullptr) return paper_usage();
+  paper::reproduce(*artifact, paper::options_from_env(artifact->defaults), stdout);
   return 0;
 }
 
@@ -597,6 +618,15 @@ int cmd_store_gc(const std::string& dir) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
+  // Stores the value after a numeric flag in `out`; false (-> usage) unless
+  // it is an unsigned decimal integer in [min, max].
+  const auto numeric = [&](int& i, auto& out, std::uint64_t min = 0,
+                           std::uint64_t max = UINT64_MAX) {
+    const auto value = util::parse_u64(argv[++i]);
+    if (!value || *value < min || *value > max) return false;
+    out = static_cast<std::remove_reference_t<decltype(out)>>(*value);
+    return true;
+  };
   try {
     if (command == "plan" && argc >= 3) {
       PlanFlags flags;
@@ -605,20 +635,17 @@ int main(int argc, char** argv) {
         if (arg == "--checkpoint-dir" && i + 1 < argc) {
           flags.checkpoint_dir = argv[++i];
         } else if (arg == "--checkpoint-budget" && i + 1 < argc) {
-          flags.checkpoint_budget = std::stoull(argv[++i]);
+          if (!numeric(i, flags.checkpoint_budget)) return usage();
           flags.checkpoint_budget_set = true;
         } else if (arg == "--serve" && i + 1 < argc) {
-          const int port = std::stoi(argv[++i]);
-          if (port < 0 || port > 65535) return usage();
+          if (!numeric(i, flags.port, 0, 65535)) return usage();
           flags.serve = true;
-          flags.port = static_cast<std::uint16_t>(port);
         } else if (arg == "--workers" && i + 1 < argc) {
-          flags.workers = std::stoul(argv[++i]);
+          if (!numeric(i, flags.workers)) return usage();
         } else if (arg == "--unit-runs" && i + 1 < argc) {
-          flags.unit_runs = std::stoull(argv[++i]);
-          if (flags.unit_runs == 0) return usage();
+          if (!numeric(i, flags.unit_runs, 1)) return usage();
         } else if (arg == "--unit-timeout" && i + 1 < argc) {
-          flags.unit_timeout_ms = std::stoull(argv[++i]);
+          if (!numeric(i, flags.unit_timeout_ms)) return usage();
           flags.unit_timeout_set = true;
         } else if (arg == "--journal" && i + 1 < argc) {
           flags.journal_path = argv[++i];
@@ -639,7 +666,7 @@ int main(int argc, char** argv) {
       for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--threads" && i + 1 < argc) {
-          flags.threads = std::stoul(argv[++i]);
+          if (!numeric(i, flags.threads)) return usage();
         } else if (arg == "--checkpoint-dir" && i + 1 < argc) {
           flags.checkpoint_dir = argv[++i];
         } else if (arg == "--name" && i + 1 < argc) {
@@ -647,11 +674,9 @@ int main(int argc, char** argv) {
         } else if (arg == "--auth-token" && i + 1 < argc) {
           flags.auth_token = argv[++i];
         } else if (arg == "--retry" && i + 1 < argc) {
-          flags.retry_attempts = std::stoul(argv[++i]);
-          if (flags.retry_attempts == 0) return usage();
+          if (!numeric(i, flags.retry_attempts, 1)) return usage();
         } else if (arg == "--retry-backoff" && i + 1 < argc) {
-          flags.retry_backoff_ms = std::stoull(argv[++i]);
-          if (flags.retry_backoff_ms == 0) return usage();
+          if (!numeric(i, flags.retry_backoff_ms, 1)) return usage();
         } else {
           return usage();
         }
@@ -673,6 +698,7 @@ int main(int argc, char** argv) {
       }
       return cmd_doctor(argv[2], argv[3], static_cast<std::size_t>(*grid));
     }
+    if (command == "paper") return argc == 3 ? cmd_paper(argv[2]) : paper_usage();
     if (command == "demo") return cmd_demo();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ffis: %s\n", e.what());
