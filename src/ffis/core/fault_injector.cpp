@@ -174,11 +174,18 @@ std::uint64_t FaultInjector::primitive_count() const {
   return profile_.primitive_count;
 }
 
-RunResult FaultInjector::execute(std::uint64_t run_seed) const {
+RunDraw FaultInjector::draw(std::uint64_t run_seed) const {
   if (!prepared_) throw std::logic_error("FaultInjector::prepare() not called");
   util::Rng rng(run_seed);
-  const std::uint64_t instance = rng.uniform(profile_.primitive_count);
-  return execute_at(instance, rng());
+  RunDraw out;
+  out.instance = rng.uniform(profile_.primitive_count);
+  out.feature_seed = rng();
+  return out;
+}
+
+RunResult FaultInjector::execute(std::uint64_t run_seed) const {
+  const RunDraw d = draw(run_seed);
+  return execute_at(d.instance, d.feature_seed);
 }
 
 RunResult FaultInjector::execute_at(std::uint64_t target_instance,

@@ -46,6 +46,16 @@ struct RunResult {
   /// Which fleet member executed the run under a dist::Coordinator (ids are
   /// handed out at handshake time, starting at 1); 0 for local execution.
   std::uint32_t worker_id = 0;
+  /// Copied from an earlier run of the same instance whose fault drew no
+  /// feature instead of executing (exp::execute_run); only the timers and
+  /// arena counters are this run's own.
+  bool replayed = false;
+};
+
+/// What a run seed selects: the target instance and the fault's feature seed.
+struct RunDraw {
+  std::uint64_t instance = 0;
+  std::uint64_t feature_seed = 0;
 };
 
 class FaultInjector {
@@ -144,9 +154,12 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t primitive_count() const;
   [[nodiscard]] const faults::FaultSignature& signature() const noexcept { return signature_; }
 
-  /// One injection run, fully isolated (fresh in-memory backing store).
-  /// `run_seed` selects the instance and the fault's random features.
-  /// Thread-safe after prepare().
+  /// The instance and feature seed `run_seed` selects (uniform over the
+  /// profiled primitive count).  Thread-safe after prepare().
+  [[nodiscard]] RunDraw draw(std::uint64_t run_seed) const;
+
+  /// One injection run, fully isolated (fresh in-memory backing store):
+  /// execute_at(draw(run_seed)).  Thread-safe after prepare().
   [[nodiscard]] RunResult execute(std::uint64_t run_seed) const;
 
   /// Like execute() but with a caller-chosen instance (used by targeted and

@@ -21,7 +21,8 @@ using util::ByteSpan;
 using util::ByteWriter;
 
 constexpr std::string_view kSignature = "FFISJRNL";
-/// 2: records hold protocol-v5 RunRows.  A journal of another format fails
+/// 2: records hold RunRows (protocol v5 and later; a row written before v7
+/// decodes its `replayed` flag as 0).  A journal of another format fails
 /// the header comparison and the campaign starts over.
 constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8;

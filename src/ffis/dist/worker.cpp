@@ -215,7 +215,7 @@ void run_session(const std::string& host, std::uint16_t port,
     std::vector<core::RunResult> results(n);
     util::parallel_for(ctx.pool, static_cast<std::size_t>(n), [&](std::size_t i) {
       const std::uint64_t r = grant.run_begin + i;
-      results[i] = cell.injector->execute(cell.generator->run_seed(r));
+      results[i] = exp::execute_run(cell, r);
     });
 
     const bool abort_now = stats.units_completed == options.abort_after_units;

@@ -63,9 +63,9 @@ ExperimentReport Engine::run(const ExperimentPlan& plan, ResultSink& sink) {
     std::string error;
     if (!cancel_requested()) {
       try {
-        run = prepared[i].injector->execute(prepared[i].generator->run_seed(r));
+        run = execute_run(prepared[i], r);
       } catch (const std::exception& e) {
-        // execute() already converts application failures to Crash outcomes
+        // Execution already converts application failures to Crash outcomes
         // internally, so an exception here is harness infrastructure (e.g.
         // bad_alloc).  Surface it as a cell error, not as a science outcome.
         error = "run " + std::to_string(r) + " failed: " + e.what();

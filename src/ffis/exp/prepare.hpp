@@ -22,7 +22,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ffis/core/fault_injector.hpp"
@@ -37,14 +39,33 @@ class CheckpointStore;
 
 namespace ffis::exp {
 
-/// One prepared cell: its fault generator and injector (both null when
-/// `error` is set) plus the preparation facts a CellResult reports.
+/// The results of a cell's runs whose fault drew no feature, by instance.
+/// Such a run depends on its instance alone, so every later run drawing
+/// that instance copies the result instead of executing (execute_run).
+struct ReplayMemo {
+  /// Keep each result's analysis (EngineOptions::keep_details); otherwise
+  /// an entry is a few hundred bytes and the memo stays bounded by the
+  /// cell's distinct instances.
+  bool keep_analysis = false;
+  std::mutex mutex;
+  std::unordered_map<std::uint64_t, core::RunResult> runs;
+};
+
+/// One prepared cell: its fault generator, injector and replay memo (all
+/// null when `error` is set) plus the preparation facts a CellResult reports.
 struct PreparedCell : CellFacts {
   std::unique_ptr<faults::FaultGenerator> generator;
   std::unique_ptr<core::FaultInjector> injector;
+  std::unique_ptr<ReplayMemo> replay;
   /// An earlier plan cell owns this cell's checkpoint key, which resolved.
   bool checkpoint_cached = false;
 };
+
+/// Run `run` of a prepared cell: the injector's execute(run_seed), or a copy
+/// of an earlier feature-free run of the same instance with `replayed` set,
+/// its own timers and zero arena counters.  Thread-safe; racing runs of one
+/// instance may both execute (identically) and the first memo entry wins.
+[[nodiscard]] core::RunResult execute_run(PreparedCell& cell, std::uint64_t run);
 
 class CellPreparer {
  public:

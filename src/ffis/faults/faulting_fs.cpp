@@ -28,6 +28,7 @@ void FaultingFs::arm(const FaultSignature& signature, std::uint64_t target_insta
   }
   std::lock_guard lock(mutex_);
   signature_ = signature;
+  seed_ = seed;
   rng_ = util::Rng(seed);
   record_ = InjectionRecord{};
   record_.signature = signature;
@@ -40,7 +41,9 @@ void FaultingFs::disarm() noexcept { armed_.store(false, std::memory_order_relax
 
 InjectionRecord FaultingFs::record() const {
   std::lock_guard lock(mutex_);
-  return record_;
+  InjectionRecord out = record_;
+  out.features_drawn = fired() && rng_ != util::Rng(seed_);
+  return out;
 }
 
 bool FaultingFs::step(vfs::Primitive p) noexcept {

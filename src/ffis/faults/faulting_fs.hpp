@@ -37,6 +37,10 @@ struct InjectionRecord {
   std::optional<std::size_t> flipped_bit;
   std::optional<std::size_t> shorn_from;
   bool dropped = false;
+  /// The fault advanced its feature RNG (bit position, shorn split, garbage
+  /// bytes, victim sector).  When false the run depended on its instance
+  /// alone, so any feature seed would have reproduced it bit for bit.
+  bool features_drawn = false;
 };
 
 class FaultingFs final : public vfs::PassthroughFs {
@@ -108,8 +112,9 @@ class FaultingFs final : public vfs::PassthroughFs {
   std::atomic<bool> fired_{false};
   std::uint64_t target_instance_ = 0;
 
-  mutable std::mutex mutex_;  // guards signature_, rng_, record_
+  mutable std::mutex mutex_;  // guards signature_, seed_, rng_, record_
   FaultSignature signature_{};
+  std::uint64_t seed_ = 0;
   util::Rng rng_{};
   InjectionRecord record_{};
 };

@@ -64,6 +64,7 @@ InjectionRecord media_injection_record(const FaultSignature& signature,
   record.original_size = device.options().sector_bytes;
   record.corrupted_bytes = fired.corrupted_bytes;
   record.flipped_bit = fired.flipped_bit;
+  record.features_drawn = device.features_drawn();
   // A torn sector reads back like a shorn tail: stale bytes from the torn
   // point on.  Reuse the diagnostic field.
   if (fired.fault == vfs::MediaFault::TornSector) {

@@ -47,8 +47,10 @@ class Cursor {
   }
 
  private:
+  /// pos_ never passes the end of the image, so the remaining byte count
+  /// cannot underflow; comparing `need` against it cannot wrap.
   util::ByteSpan checked(std::size_t need) const {
-    if (pos_ + need > image_.size()) {
+    if (need > image_.size() - pos_) {
       throw H5BoundsError("read past end of file at offset " + std::to_string(pos_));
     }
     return image_;
@@ -278,7 +280,8 @@ H5File read_h5(util::ByteSpan image) {
   const std::uint64_t heap_data_size = hp.u64();
   hp.skip(8);  // free list head
   const std::uint64_t heap_data_address = hp.u64();
-  if (heap_data_address + heap_data_size > image.size()) {
+  if (heap_data_address > image.size() ||
+      heap_data_size > image.size() - heap_data_address) {
     throw H5BoundsError("heap data segment beyond end of file");
   }
 

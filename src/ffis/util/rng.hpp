@@ -60,6 +60,10 @@ class Rng {
   /// Advance and discard n outputs.
   void discard(std::uint64_t n) noexcept;
 
+  /// Equal states produce equal streams; comparing against a fresh Rng(seed)
+  /// tells whether anything was drawn since seeding.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
  private:
   std::array<std::uint64_t, 4> state_{};
   double spare_gaussian_ = 0.0;

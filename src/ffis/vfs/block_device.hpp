@@ -133,6 +133,11 @@ class BlockDevice {
 
   [[nodiscard]] bool fired() const noexcept { return fired_; }
   [[nodiscard]] const Record& record() const noexcept { return record_; }
+  /// The fired fault advanced its feature RNG (compared against a fresh
+  /// Rng of the armed seed, so every draw site counts without a table).
+  [[nodiscard]] bool features_drawn() const noexcept {
+    return fired_ && rng_ != util::Rng(spec_.seed);
+  }
 
   [[nodiscard]] bool has_faulted_sectors() const noexcept { return !faulted_.empty(); }
   [[nodiscard]] bool scrub_on_read() const noexcept { return options_.scrub_on_read; }

@@ -36,7 +36,10 @@
   RUN(execute_ms, double, Sum, run.execute_ms)                                \
   RUN(analyze_ms, double, Sum, run.analyze_ms)                                \
   /* Runs classified Benign straight from an empty extent diff. */            \
-  RUN(analyze_skipped, std::uint64_t, CountNonzero, run.analyze_skipped)
+  RUN(analyze_skipped, std::uint64_t, CountNonzero, run.analyze_skipped)      \
+  /* Runs copied from an earlier feature-free run of their instance; like */  \
+  /* the timers it depends on scheduling (threads, fleet units). */           \
+  RUN(runs_replayed, std::uint64_t, CountNonzero, run.replayed)
 
 namespace ffis::vfs {
 

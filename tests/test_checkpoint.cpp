@@ -295,14 +295,17 @@ TEST(EngineCheckpoint, PrefixExecutesOncePerCellGroup) {
   EXPECT_FALSE(report.cells[4].checkpoint_cached);
   EXPECT_FALSE(report.cells[5].checkpointed);
 
-  // Full executions: 1 golden + 1 whole-run profile + 6 whole-run injections.
+  // Full executions: 1 golden + 1 whole-run profile + 6 whole-run injections
+  // (BIT_FLIP draws a bit every run, so none of them replays).
+  EXPECT_EQ(report.cells[5].runs_replayed, 0u);
   EXPECT_EQ(app.full_runs(), 1u + 1u + 6u);
   // Prefixes: one per checkpoint build.
   EXPECT_EQ(app.prefix_runs(), 2u);
   // Resumes: 5 folded profiling passes + 2 diff-classification golden-tree
   // continuations (one per checkpoint BUILD — cells sharing a checkpoint
-  // share its golden tree) + 5 x 6 injection runs.
-  EXPECT_EQ(app.resume_runs(), 5u + 2u + 30u);
+  // share its golden tree) + 5 x 6 injection runs, less the runs replayed
+  // from an earlier feature-free run of their instance (DW, SHORN_WRITE).
+  EXPECT_EQ(app.resume_runs(), 5u + 2u + 30u - report.runs_replayed);
 }
 
 TEST(EngineCheckpoint, DiffClassificationOffSkipsGoldenTreeContinuations) {
@@ -319,8 +322,9 @@ TEST(EngineCheckpoint, DiffClassificationOffSkipsGoldenTreeContinuations) {
   const auto report = exp::Engine(options).run(builder.build());
   for (const auto& cell : report.cells) ASSERT_TRUE(cell.error.empty()) << cell.error;
   EXPECT_EQ(report.analyze_skipped, 0u);
-  // Resumes: 3 folded profiling passes + 3 x 6 injections, no extras.
-  EXPECT_EQ(app.resume_runs(), 3u + 18u);
+  // Resumes: 3 folded profiling passes + 3 x 6 injections, no extras, less
+  // the DW runs replayed.
+  EXPECT_EQ(app.resume_runs(), 3u + 18u - report.runs_replayed);
 }
 
 TEST(EngineCheckpoint, DisabledOptionFallsBackToFullRuns) {

@@ -265,14 +265,15 @@ DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_worke
 }
 
 /// Counter values that legitimately differ between two executions of one
-/// plan are dropped: the wall-time timers, and arena traffic (per-thread
-/// arenas warm up differently).  Every other table counter is compared.
+/// plan are dropped: the wall-time timers, arena traffic (per-thread arenas
+/// warm up differently) and runs_replayed (each fleet worker keeps its own
+/// replay memo).  Every other table counter is compared.
 std::vector<std::pair<std::string, double>> deterministic_counters(
     const exp::RunCounters& counters) {
   auto values = test_support::counter_values(counters);
   std::erase_if(values, [](const auto& entry) {
     return entry.first == "execute_ms" || entry.first == "analyze_ms" ||
-           entry.first.rfind("arena_", 0) == 0;
+           entry.first == "runs_replayed" || entry.first.rfind("arena_", 0) == 0;
   });
   return values;
 }
@@ -590,6 +591,10 @@ TEST(DistE2E, TwoWorkersMatchEngineTalliesBitForBit) {
   EXPECT_EQ(dist_run.report.workers_connected, 2u);
   EXPECT_EQ(dist_run.report.units_regranted, 0u);
   EXPECT_FALSE(dist_run.report.cancelled);
+  // Each worker replays repeated feature-free instances from its own memo,
+  // and RunRow carries the flag: the SW cell replays, the BF cell never.
+  EXPECT_GT(dist_run.report.cells[2].runs_replayed, 0u);
+  EXPECT_EQ(dist_run.report.cells[0].runs_replayed, 0u);
 
   // Together the workers executed the plan exactly once.  How the runs split
   // between them is a race: one worker may drain the plan before the other

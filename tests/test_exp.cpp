@@ -9,14 +9,20 @@
 #include <atomic>
 #include <bit>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <string_view>
+#include <tuple>
 
+#include "ffis/apps/montage/montage_app.hpp"
+#include "ffis/apps/nyx/nyx_app.hpp"
 #include "ffis/core/application.hpp"
 #include "ffis/core/fault_injector.hpp"
 #include "ffis/exp/collector.hpp"
 #include "ffis/exp/engine.hpp"
 #include "ffis/exp/plan.hpp"
 #include "ffis/exp/plan_config.hpp"
+#include "ffis/exp/prepare.hpp"
 #include "ffis/exp/sink.hpp"
 #include "ffis/faults/fault_generator.hpp"
 #include "ffis/util/rng.hpp"
@@ -240,8 +246,9 @@ TEST(Engine, GoldenCacheOneExecutionPerApp) {
   EXPECT_FALSE(report.cells[0].golden_cached);
   EXPECT_TRUE(report.cells[1].golden_cached);
   EXPECT_TRUE(report.cells[3].golden_cached);
-  // Total app executions: 1 golden + 4 profiling + 32 injection runs.
-  EXPECT_EQ(app.total_runs(), 1u + 4u + 32u);
+  // Total app executions: 1 golden + 4 profiling + 32 injection runs, less
+  // the runs replayed from an earlier feature-free run of their instance.
+  EXPECT_EQ(app.total_runs(), 1u + 4u + 32u - report.runs_replayed);
 }
 
 TEST(Engine, DistinctAppsAndSeedsGetDistinctGoldens) {
@@ -489,6 +496,118 @@ TEST(Engine, KeepDetailsRetainsPerRunResults) {
   for (std::size_t o = 0; o < core::kOutcomeCount; ++o) {
     EXPECT_EQ(from_details.count(static_cast<Outcome>(o)),
               report.cells[0].tally.count(static_cast<Outcome>(o)));
+  }
+}
+
+// --- Engine: run replay --------------------------------------------------------
+
+/// The fields of an injection record, comparable as one value.
+auto record_fields(const faults::InjectionRecord& r) {
+  return std::tuple(r.signature.to_string(), r.instance, r.offset, r.original_size,
+                    r.corrupted_bytes, r.flipped_bit, r.shorn_from, r.dropped,
+                    r.features_drawn);
+}
+
+/// Every FsStats counter but the per-thread arena traffic.
+std::vector<std::pair<std::string, std::uint64_t>> non_arena_stats(const vfs::FsStats& s) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  s.for_each([&](const char* name, std::uint64_t v) {
+    if (std::string_view(name).rfind("arena_", 0) != 0) out.emplace_back(name, v);
+  });
+  return out;
+}
+
+TEST(Engine, ReplayedRunsMatchDirectExecutionOnEveryModel) {
+  ToyApp toy;
+  SectorApp sectors;
+  montage::MontageConfig montage_config;
+  montage_config.scene.tile_x0 = {0, 37, 74};
+  montage_config.scene.tile_y0 = {0, 36};
+  const montage::MontageApp montage(montage_config);
+  nyx::NyxConfig nyx_config;
+  nyx_config.field.n = 16;
+  const nyx::NyxApp nyx(nyx_config);
+
+  auto builder = exp::PlanBuilder().runs(16).seed(9);
+  for (const char* fault :
+       {"BF", "SW", "SHORN_WRITE@pwrite{tail=stale}", "SHORN_WRITE@pwrite{tail=garbage}",
+        "DW", "IO_ERROR@pwrite"}) {
+    builder.cell(toy, fault);  // cells 0-5
+  }
+  for (const char* fault : {"TORN_SECTOR@pwrite", "LSE", "MW", "BIT_ROT@pwrite"}) {
+    builder.cell(sectors, fault);  // cells 6-9
+  }
+  // Cells 10-12 resume Montage from its stage-3 checkpoint; the read-side
+  // faults need an application that reads while it runs.
+  for (const char* fault : {"SW", "BIT_FLIP@pread", "DROPPED_WRITE@pread"}) {
+    builder.cell(montage, fault, 3);
+  }
+  builder.cell(nyx, "SW");  // cell 13
+  const auto plan = builder.build();
+
+  // The reference: each cell prepared the same way, every run executed
+  // directly from its seed, plus the replay count that seed sequence implies
+  // at one thread (every repeat of a feature-free instance).
+  exp::EngineOptions reference_options;
+  exp::CellPreparer preparer(plan, reference_options);
+  std::vector<std::vector<core::RunResult>> direct(plan.size());
+  std::vector<std::uint64_t> expected_replays(plan.size(), 0);
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    exp::PreparedCell cell = preparer.prepare(i);
+    ASSERT_TRUE(cell.error.empty()) << plan.cells()[i].label << ": " << cell.error;
+    std::set<std::uint64_t> seen_feature_free;
+    for (std::uint64_t r = 0; r < plan.cells()[i].runs; ++r) {
+      const std::uint64_t seed = cell.generator->run_seed(r);
+      direct[i].push_back(cell.injector->execute(seed));
+      if (direct[i].back().record.features_drawn) continue;
+      if (!seen_feature_free.insert(cell.injector->draw(seed).instance).second) {
+        ++expected_replays[i];
+      }
+    }
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    exp::EngineOptions options;
+    options.threads = threads;
+    options.keep_details = true;
+    const auto report = exp::Engine(options).run(plan);
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      const exp::CellResult& cell = report.cells[i];
+      SCOPED_TRACE(cell.cell.label + " at " + std::to_string(threads) + " threads");
+      ASSERT_TRUE(cell.error.empty()) << cell.error;
+      ASSERT_EQ(cell.details.size(), direct[i].size());
+      std::uint64_t replayed = 0;
+      for (std::size_t r = 0; r < direct[i].size(); ++r) {
+        const core::RunResult& got = cell.details[r];
+        const core::RunResult& want = direct[i][r];
+        EXPECT_EQ(got.outcome, want.outcome) << "run " << r;
+        EXPECT_EQ(got.fault_fired, want.fault_fired) << "run " << r;
+        EXPECT_EQ(record_fields(got.record), record_fields(want.record)) << "run " << r;
+        EXPECT_EQ(got.crash_reason, want.crash_reason) << "run " << r;
+        EXPECT_EQ(got.analyze_skipped, want.analyze_skipped) << "run " << r;
+        EXPECT_EQ(non_arena_stats(got.fs_stats), non_arena_stats(want.fs_stats))
+            << "run " << r;
+        if (got.replayed) ++replayed;
+      }
+      EXPECT_EQ(cell.runs_replayed, replayed);
+      if (threads == 1) {
+        EXPECT_EQ(cell.runs_replayed, expected_replays[i]);
+      } else {
+        // Racing threads may both execute an instance; never more replays.
+        EXPECT_LE(cell.runs_replayed, expected_replays[i]);
+      }
+    }
+    // Bit flips and media faults draw a feature every run; the feature-free
+    // models (shorn adjacent-data and stale tails, drops, I/O errors) repeat.
+    // MW (cell 8) is both: a misdirected write into a one-sector file has no
+    // victim sector to draw, so SectorApp's first write replays.
+    for (const std::size_t i : {0, 3, 6, 7, 9, 11}) {
+      EXPECT_EQ(report.cells[i].runs_replayed, 0u) << report.cells[i].cell.label;
+    }
+    for (const std::size_t i : {1, 2, 4, 5, 8, 10, 13}) {
+      EXPECT_GT(expected_replays[i], 0u) << report.cells[i].cell.label;
+    }
+    EXPECT_TRUE(report.cells[10].checkpointed);
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -13,6 +14,8 @@
 #include "ffis/faults/fault_model.hpp"
 #include "ffis/faults/fault_signature.hpp"
 #include "ffis/faults/faulting_fs.hpp"
+#include "ffis/faults/media_faults.hpp"
+#include "ffis/vfs/block_device.hpp"
 #include "ffis/vfs/mem_fs.hpp"
 
 namespace {
@@ -566,6 +569,96 @@ TEST(FaultingFs, SameSeedSameCorruption) {
   };
   EXPECT_EQ(run_once(5), run_once(5));
   EXPECT_NE(run_once(5), run_once(6));
+}
+
+// --- features_drawn ------------------------------------------------------------
+
+/// Fires `signature` on the first execution of its primitive over a 4 KiB
+/// file and a node, and returns the fired record's features_drawn.  Media
+/// models arm a 512-byte-sector device mounted after the file was written.
+bool fires_drawing_features(const std::string& signature) {
+  const FaultSignature sig = faults::parse_fault_signature(signature);
+  vfs::MemFs backing;
+  vfs::write_file(backing, "/f", pattern_buffer(4096));
+  backing.mknod("/m", 0600);
+  std::shared_ptr<vfs::BlockDevice> device;
+  faults::FaultingFs fi(backing);
+  if (faults::is_media_model(sig.model)) {
+    device = std::make_shared<vfs::BlockDevice>(faults::media_device_options(sig));
+    backing.set_media(device);
+    device->arm(faults::media_arm_spec(sig, 0, 7));
+  } else {
+    fi.arm(sig, 0, 7);
+  }
+  try {
+    util::Bytes buf(1024);
+    switch (sig.primitive) {
+      case Primitive::Pwrite:
+        (void)vfs::File(fi, "/f", OpenMode::ReadWrite).pwrite(pattern_buffer(1024), 0);
+        break;
+      case Primitive::Pread:
+        (void)vfs::File(fi, "/f", OpenMode::Read).pread(buf, 0);
+        break;
+      case Primitive::Mknod:
+        fi.mknod("/n", 0644);
+        break;
+      case Primitive::Chmod:
+        fi.chmod("/m", 0755);
+        break;
+      default:
+        ADD_FAILURE() << "no driver for " << signature;
+    }
+  } catch (const vfs::VfsError&) {
+    // IO_ERROR reports its fault; the record is still filled in.
+  }
+  const faults::InjectionRecord record =
+      device ? faults::media_injection_record(sig, *device) : fi.record();
+  EXPECT_TRUE(device ? device->fired() : fi.fired()) << signature;
+  return record.features_drawn;
+}
+
+TEST(FaultingFs, FeaturesDrawnTableCoversEveryModel) {
+  struct Case {
+    const char* signature;
+    bool drawn;
+  };
+  const Case cases[] = {
+      {"BIT_FLIP@pwrite", true},
+      {"BIT_FLIP@pread", true},
+      {"BIT_FLIP@mknod", true},
+      {"BIT_FLIP@chmod", true},
+      {"SHORN_WRITE@pwrite", false},
+      {"SHORN_WRITE@pwrite{tail=adjacent-data}", false},
+      {"SHORN_WRITE@pwrite{tail=stale}", false},
+      {"SHORN_WRITE@pwrite{tail=garbage}", true},
+      {"SHORN_WRITE@pread", false},
+      {"SHORN_WRITE@mknod", false},
+      {"SHORN_WRITE@chmod", false},
+      {"DROPPED_WRITE@pwrite", false},
+      {"DROPPED_WRITE@pread", false},
+      {"DROPPED_WRITE@mknod", false},
+      {"DROPPED_WRITE@chmod", false},
+      {"IO_ERROR@pwrite", false},
+      {"IO_ERROR@pread", false},
+      {"IO_ERROR@mknod", false},
+      {"IO_ERROR@chmod", false},
+      {"TORN_SECTOR@pwrite", true},
+      {"LATENT_SECTOR_ERROR@pwrite", true},
+      {"MISDIRECTED_WRITE@pwrite", true},
+      {"BIT_ROT@pwrite", true},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(fires_drawing_features(c.signature), c.drawn) << c.signature;
+  }
+}
+
+TEST(FaultingFs, UnfiredFaultDrewNoFeatures) {
+  vfs::MemFs backing;
+  faults::FaultingFs fi(backing);
+  fi.arm(faults::parse_fault_signature("BF"), 5, 7);
+  vfs::write_file(fi, "/f", pattern_buffer(64));
+  EXPECT_FALSE(fi.fired());
+  EXPECT_FALSE(fi.record().features_drawn);
 }
 
 }  // namespace

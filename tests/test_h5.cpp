@@ -640,6 +640,43 @@ TEST_F(ReaderCorruption, RawDataAddressBeforeFileStartCrashes) {
   EXPECT_THROW((void)h5::read_h5(fs_, "/f.h5"), h5::H5BoundsError);
 }
 
+TEST_F(ReaderCorruption, HeapAddressNearWrapCrashes) {
+  // address + size wraps past 2^64 to a small sum; the check must not wrap.
+  const auto* entry = info_.field_map.find_by_name("heap.dataSegmentAddress");
+  ASSERT_NE(entry, nullptr);
+  util::Bytes corrupted = image_;
+  util::put_le_at(corrupted, entry->offset, ~std::uint64_t{0}, 8);
+  vfs::write_file(fs_, "/f.h5", corrupted);
+  try {
+    (void)h5::read_h5(fs_, "/f.h5");
+    ADD_FAILURE() << "a heap segment at 2^64 - 1 was accepted";
+  } catch (const h5::H5BoundsError& e) {
+    EXPECT_NE(std::string(e.what()).find("heap data segment"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(ReaderCorruption, HugeSkipCrashes) {
+  // An undefined fill value of 2^32 - 1 bytes makes the cursor skip far past
+  // the end of the file.
+  const std::string oh = "objectHeader[baryon_density].fillValue.";
+  const auto* defined = info_.field_map.find_by_name(oh + "fillDefined");
+  const auto* size = info_.field_map.find_by_name(oh + "size");
+  ASSERT_NE(defined, nullptr);
+  ASSERT_NE(size, nullptr);
+  util::Bytes corrupted = image_;
+  util::put_le_at(corrupted, defined->offset, 0, 1);
+  util::put_le_at(corrupted, size->offset, 0xffffffffu, 4);
+  vfs::write_file(fs_, "/f.h5", corrupted);
+  try {
+    (void)h5::read_h5(fs_, "/f.h5");
+    ADD_FAILURE() << "a 4 GiB skip was accepted";
+  } catch (const h5::H5BoundsError& e) {
+    EXPECT_NE(std::string(e.what()).find("read past end of file"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(ReaderCorruption, TruncatedFileCrashes) {
   util::Bytes truncated(image_.begin(), image_.begin() + 64);
   vfs::write_file(fs_, "/f.h5", truncated);

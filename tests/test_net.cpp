@@ -265,6 +265,7 @@ TEST(Protocol, RunRowRoundTripsEveryTableCounter) {
   EXPECT_EQ(decoded.outcome, core::Outcome::Sdc);
   EXPECT_TRUE(decoded.fault_fired);
   EXPECT_FALSE(decoded.analyze_skipped);
+  EXPECT_FALSE(decoded.replayed);
   EXPECT_EQ(fs_values(decoded.fs_stats), fs_values(m.fs_stats));
   // Phase timers must round-trip bit-exactly (IEEE-754 pattern on the wire).
   EXPECT_EQ(decoded.execute_ms, 1.25);
@@ -311,6 +312,21 @@ TEST(Protocol, RunRowV5EncodingIsPinned) {
             "000000000000e03f" +  // analyze_ms = 0.5
                 hex(count) + counters);
   EXPECT_EQ(hex(count), "09000000");  // today's table: nine FsStats counters
+  // A row journaled before v7 has no replayed bit: it decodes as not replayed.
+  EXPECT_FALSE(dist::decode_run_row(dist::encode(m)).replayed);
+}
+
+TEST(Protocol, RunRowCarriesReplayedInFlagsBitTwo) {
+  dist::RunRow m;
+  m.replayed = true;
+  const util::Bytes encoded = dist::encode(m);
+  // tag, unit_id, cell_index, run_index, outcome, then the flags byte.
+  EXPECT_EQ(std::to_integer<unsigned>(encoded[1 + 8 + 4 + 8 + 1]), 4u);
+  const auto decoded = dist::decode_run_row(encoded);
+  EXPECT_TRUE(decoded.replayed);
+  EXPECT_FALSE(decoded.fault_fired);
+  EXPECT_FALSE(decoded.analyze_skipped);
+  EXPECT_TRUE(dist::to_run_result(decoded).replayed);
 }
 
 TEST(Protocol, RunRowCounterListToleratesLengthSkewButNotForgedCounts) {

@@ -3,8 +3,10 @@
 
     python3 tools/ci/compare_tallies.py SINGLE.csv FLEET.csv [LABEL:COLUMN ...]
 
-Rows match by `label` and compare on every column but the machine-dependent
-ones (EXCLUDE), so a new counter is checked without editing this.  Each
+Rows match by `label` and compare on every column but the machine- and
+scheduling-dependent ones (EXCLUDE: timers, arenas, cache tiers, and
+runs_replayed, which depends on how runs split across threads and fleet
+units), so a new counter is checked without editing this.  Each
 LABEL:COLUMN names a cell and a column that must be non-zero in SINGLE.csv.
 """
 
@@ -13,23 +15,28 @@ import fnmatch
 import sys
 
 EXCLUDE = ("label", "execute_ms", "analyze_ms", "worker_id", "arena_*",
-           "golden_cached", "checkpointed", "checkpoint_loaded")
+           "golden_cached", "checkpointed", "checkpoint_loaded", "runs_replayed")
 
 
-def tallies(path):
+def rows(path):
     with open(path, newline="") as f:
-        return {row["label"]: {k: v for k, v in row.items()
-                               if not any(fnmatch.fnmatch(k, p) for p in EXCLUDE)}
-                for row in csv.DictReader(f)}
+        return {row["label"]: row for row in csv.DictReader(f)}
+
+
+def tallies(by_label):
+    return {label: {k: v for k, v in row.items()
+                    if not any(fnmatch.fnmatch(k, p) for p in EXCLUDE)}
+            for label, row in by_label.items()}
 
 
 single_csv, fleet_csv, *nonzero = sys.argv[1:]
-single, fleet = tallies(single_csv), tallies(fleet_csv)
+single_rows = rows(single_csv)
+single, fleet = tallies(single_rows), tallies(rows(fleet_csv))
 if single != fleet:
     sys.exit(f"FAIL: {fleet_csv} diverges from {single_csv}\n"
              f"  single: {single}\n  fleet:  {fleet}")
 for spec in nonzero:
     label, column = spec.split(":", 1)
-    if int(single[label][column]) == 0:
+    if int(single_rows[label][column]) == 0:
         sys.exit(f"FAIL: {label} has {column} == 0 in {single_csv}")
 print(f"{fleet_csv} holds the tallies of {single_csv} bit for bit: {fleet}")
