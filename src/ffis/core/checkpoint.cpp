@@ -3,11 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "ffis/faults/faulting_fs.hpp"
-#include "ffis/faults/media_faults.hpp"
-#include "ffis/vfs/block_device.hpp"
-#include "ffis/vfs/counting_fs.hpp"
-
 namespace ffis::core {
 
 std::shared_ptr<const Checkpoint> Checkpoint::capture(const Application& app,
@@ -50,31 +45,9 @@ ProfileResult profile_resume(const Application& app, const Checkpoint& checkpoin
                              const faults::FaultSignature& signature,
                              std::uint64_t app_seed) {
   vfs::MemFs backing = checkpoint.fs().fork(vfs::MemFs::Concurrency::SingleThread);
-  vfs::CountingFs counting(backing);
-  faults::FaultingFs instrument(counting);
-  instrument.configure(signature);
-  std::shared_ptr<vfs::BlockDevice> device;
-  if (faults::is_media_model(signature.model)) {
-    // Media models count sector writes; mirror IoProfiler::profile.
-    device = std::make_shared<vfs::BlockDevice>(faults::media_device_options(signature));
-    backing.set_media(device);
-    instrument.gate_media(device.get());
-  }
-  // Stage-scoped counting starts gated off; enter_stage opens the window.
-  instrument.set_enabled(false);
-
-  RunContext ctx{.fs = instrument,
-                 .app_seed = app_seed,
-                 .instrumented_stage = checkpoint.stage(),
-                 .instrument = &instrument};
-  app.run_from(ctx, checkpoint.stage());
-
-  ProfileResult result;
-  result.primitive_count =
-      device != nullptr ? device->sector_writes() : instrument.executions();
-  result.bytes_written = counting.bytes_written();
-  result.bytes_read = counting.bytes_read();
-  return result;
+  return IoProfiler::profile_on(
+      backing, signature, app_seed, checkpoint.stage(),
+      [&](const RunContext& ctx) { app.run_from(ctx, checkpoint.stage()); });
 }
 
 }  // namespace ffis::core

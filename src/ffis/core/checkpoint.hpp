@@ -90,7 +90,8 @@ class Checkpoint {
 /// The checkpoint fold of IoProfiler::profile: executes the instrumented
 /// continuation (stages >= checkpoint.stage()) once on a fork and returns
 /// the dynamic execution count of signature.primitive within the
-/// instrumented stage.  bytes_written covers only the continuation.
+/// instrumented stage.  bytes_written and fs_stats cover only the
+/// continuation, exactly as a resumed injection run's counters do.
 [[nodiscard]] ProfileResult profile_resume(const Application& app,
                                            const Checkpoint& checkpoint,
                                            const faults::FaultSignature& signature,

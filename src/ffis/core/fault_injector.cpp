@@ -111,7 +111,8 @@ void FaultInjector::prepare_with_golden(std::shared_ptr<const AnalysisResult> go
   }
 
   // Profiling run: count target-primitive executions fault-free.
-  profile_ = IoProfiler::profile(app_, signature_, app_seed_, instrumented_stage_);
+  profile_ =
+      IoProfiler::profile(app_, signature_, app_seed_, instrumented_stage_, fs_options_);
   check_profile();
   prepared_ = true;
 }
@@ -189,7 +190,8 @@ RunResult FaultInjector::execute(std::uint64_t run_seed) const {
 }
 
 RunResult FaultInjector::execute_at(std::uint64_t target_instance,
-                                    std::uint64_t feature_seed) const {
+                                    std::uint64_t feature_seed,
+                                    vfs::FsDiff* diff_out) const {
   if (!prepared_) throw std::logic_error("FaultInjector::prepare() not called");
   RunResult result;
 
@@ -270,56 +272,97 @@ RunResult FaultInjector::execute_at(std::uint64_t target_instance,
                    profile_.primitive_count);
   }
 
-  // --- Classification --------------------------------------------------------
+  classify(backing, result, diff_out);
+  // Counters cover workload and classification; diff_tree itself issues no
+  // FileSystem-level reads, so an analyze_skipped run of a write-only
+  // workload reports bytes_read == 0.
+  finalize_stats();
+  return result;
+}
+
+std::optional<RunResult> FaultInjector::synthesize(const RunDraw& draw,
+                                                   vfs::FsDiff* diff_out) const {
+  if (!prepared_) throw std::logic_error("FaultInjector::prepare() not called");
+  const faults::WriteSite* site =
+      golden_tree_ != nullptr ? profile_.sites.unobserved(draw.instance) : nullptr;
+  if (site == nullptr) return std::nullopt;
+
+  // Nothing after the fault reads its range back, so the faulted run
+  // performs the profiling pass's operations and ends with the golden tree,
+  // except that the site holds the fault applied to the bytes the
+  // application meant to write there: the golden bytes, since no later
+  // operation rewrote, cut or moved them.
+  const auto execute_start = Clock::now();
+  RunResult result;
+  result.synthesized = true;
+  result.fault_fired = true;
+  faults::InjectionRecord& record = result.record;
+  record.signature = signature_;
+  record.instance = draw.instance;
+  record.offset = site->offset;
+  record.original_size = site->length;
+  vfs::MemFs tree = golden_tree_->fork(vfs::MemFs::Concurrency::SingleThread);
+  {
+    vfs::File file(tree, profile_.sites.paths[site->file], vfs::OpenMode::ReadWrite);
+    util::Bytes intended(site->length);
+    if (file.pread(intended, site->offset) != intended.size()) {
+      throw std::logic_error("FaultInjector: golden tree lacks the write site of instance " +
+                             std::to_string(draw.instance));
+    }
+    util::Rng rng(draw.feature_seed);
+    const faults::WriteMutation mut = faults::mutate_write(signature_, rng, intended, record);
+    record.features_drawn = rng != util::Rng(draw.feature_seed);
+    (void)file.pwrite(mut.data, site->offset);
+  }
+  result.execute_ms = ms_since(execute_start);
+
+  // Only classification counts as this run's own storage traffic.
+  const vfs::FsStats synthesis = tree.stats();
+  classify(tree, result, diff_out);
+  result.fs_stats = tree.stats();
+  result.fs_stats -= synthesis;
+  result.fs_stats += profile_.fs_stats;
+  result.fs_stats.arena_slabs_allocated = 0;
+  result.fs_stats.arena_bytes_recycled = 0;
+  return result;
+}
+
+void FaultInjector::classify(vfs::MemFs& tree, RunResult& result,
+                             vfs::FsDiff* diff_out) const {
   // Post-analysis reads go straight to the backing store; the fault has
   // already landed on the "device".  With diff classification the extent
   // diff runs first: an empty diff proves the tree bit-identical to the
   // golden output, so the Benign verdict needs no analysis (and no reads)
   // at all; a non-empty diff is analyzed over only the dirty ranges.
   const auto analyze_start = Clock::now();
-  bool classified = false;
   // The diff runs outside the Crash-conversion try: a diff_tree failure
   // (mismatched extent geometry) is harness misconfiguration, and recording
   // it as an application Crash would silently corrupt the tally — let it
   // propagate to the caller instead.
   std::optional<vfs::FsDiff> diff;
   if (diff_classification_ && golden_tree_ != nullptr) {
-    diff.emplace(backing.diff_tree(*golden_tree_));
+    diff.emplace(tree.diff_tree(*golden_tree_));
+    if (diff_out != nullptr) *diff_out = *diff;
   }
-  try {
-    if (diff.has_value()) {
-      if (diff->empty()) {
-        result.outcome = Outcome::Benign;
-        result.analyze_skipped = true;
-        classified = true;
-      } else {
-        result.analysis =
-            app_.analyze_dirty(backing, *diff, *golden_, golden_artifacts_.get());
-      }
-    } else {
-      result.analysis = app_.analyze(backing);
+  if (diff.has_value() && diff->empty()) {
+    result.outcome = Outcome::Benign;
+    result.analyze_skipped = true;
+  } else {
+    try {
+      result.analysis = diff.has_value() ? app_.analyze_dirty(tree, *diff, *golden_,
+                                                              golden_artifacts_.get())
+                                         : app_.analyze(tree);
+    } catch (const std::exception& e) {
+      result.outcome = Outcome::Crash;
+      result.crash_reason = e.what();
+      result.analyze_ms = ms_since(analyze_start);
+      return;
     }
-  } catch (const std::exception& e) {
-    result.outcome = Outcome::Crash;
-    result.crash_reason = e.what();
-    result.analyze_ms = ms_since(analyze_start);
-    finalize_stats();
-    return result;
-  }
-
-  if (!classified) {
-    if (result.analysis->comparison_blob == golden_->comparison_blob) {
-      result.outcome = Outcome::Benign;
-    } else {
-      result.outcome = app_.classify(*golden_, *result.analysis);
-    }
+    result.outcome = result.analysis->comparison_blob == golden_->comparison_blob
+                         ? Outcome::Benign
+                         : app_.classify(*golden_, *result.analysis);
   }
   result.analyze_ms = ms_since(analyze_start);
-  // Counters cover workload and classification; diff_tree itself issues no
-  // FileSystem-level reads, so an analyze_skipped run of a write-only
-  // workload reports bytes_read == 0.
-  finalize_stats();
-  return result;
 }
 
 }  // namespace ffis::core

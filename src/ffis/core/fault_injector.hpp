@@ -50,6 +50,10 @@ struct RunResult {
   /// feature instead of executing (exp::execute_run); only the timers and
   /// arena counters are this run's own.
   bool replayed = false;
+  /// Classified from the golden tree with the fault applied at its write
+  /// site instead of executed, because nothing in the run reads that site
+  /// back (FaultInjector::synthesize).
+  bool synthesized = false;
 };
 
 /// What a run seed selects: the target instance and the fault's feature seed.
@@ -163,15 +167,35 @@ class FaultInjector {
   [[nodiscard]] RunResult execute(std::uint64_t run_seed) const;
 
   /// Like execute() but with a caller-chosen instance (used by targeted and
-  /// ablation experiments).
+  /// ablation experiments).  `diff_out`, when given, receives the run tree's
+  /// diff against the golden tree (diff classification only).
   [[nodiscard]] RunResult execute_at(std::uint64_t target_instance,
-                                     std::uint64_t feature_seed) const;
+                                     std::uint64_t feature_seed,
+                                     vfs::FsDiff* diff_out = nullptr) const;
+
+  /// The run `draw` selects, without executing the application, when its
+  /// fault is synthesizable (faults::is_synthesizable) and the profiling
+  /// pass saw nothing observe the drawn instance's write site; otherwise
+  /// nullopt.  Forks the golden tree, applies the fault to the golden bytes
+  /// at the site (faults::mutate_write, with the draw's feature seed) and
+  /// classifies the result exactly as execute_at would.  Equal to
+  /// execute_at(draw.instance, draw.feature_seed) in every field but the
+  /// timers, the arena counters and `synthesized`; the execution-phase
+  /// storage counters come from the profiling pass.  Requires diff
+  /// classification.  Thread-safe after prepare().
+  [[nodiscard]] std::optional<RunResult> synthesize(const RunDraw& draw,
+                                                    vfs::FsDiff* diff_out = nullptr) const;
 
  private:
   void check_profile() const;  // throws when the primitive never executed
   void require_unprepared(const char* what) const;
   /// Derives golden_artifacts_ from golden_tree_ (forked for read access).
   void derive_artifacts();
+  /// Classifies a finished run's `tree` into `result`: the extent diff
+  /// against the golden tree, then analyze_dirty (or analyze), then the
+  /// golden comparison and the application's rule.  Sets analyze_ms; an
+  /// analysis exception makes the run a Crash.
+  void classify(vfs::MemFs& tree, RunResult& result, vfs::FsDiff* diff_out) const;
 
   const Application& app_;
   faults::FaultSignature signature_;

@@ -1,16 +1,28 @@
 #include "ffis/core/io_profiler.hpp"
 
+#include <optional>
+
 #include "ffis/faults/media_faults.hpp"
 #include "ffis/vfs/block_device.hpp"
 #include "ffis/vfs/counting_fs.hpp"
-#include "ffis/vfs/mem_fs.hpp"
 
 namespace ffis::core {
 
 ProfileResult IoProfiler::profile(const Application& app,
                                   const faults::FaultSignature& signature,
-                                  std::uint64_t app_seed, int instrumented_stage) {
-  vfs::MemFs backing(vfs::MemFs::Concurrency::SingleThread);  // run-private
+                                  std::uint64_t app_seed, int instrumented_stage,
+                                  const vfs::MemFs::Options& fs_options) {
+  vfs::MemFs::Options options = fs_options;
+  options.concurrency = vfs::MemFs::Concurrency::SingleThread;  // run-private
+  vfs::MemFs backing(std::move(options));
+  return profile_on(backing, signature, app_seed, instrumented_stage,
+                    [&](const RunContext& ctx) { app.run(ctx); });
+}
+
+ProfileResult IoProfiler::profile_on(vfs::MemFs& backing,
+                                     const faults::FaultSignature& signature,
+                                     std::uint64_t app_seed, int instrumented_stage,
+                                     const std::function<void(const RunContext&)>& run) {
   vfs::CountingFs counting(backing);
   faults::FaultingFs instrument(counting);
   instrument.configure(signature);
@@ -27,18 +39,22 @@ ProfileResult IoProfiler::profile(const Application& app,
     // enter_stage/leave_stage calls open the window.
     instrument.set_enabled(false);
   }
+  std::optional<faults::WriteObserver> observer;
+  if (faults::is_synthesizable(signature)) observer.emplace(instrument);
 
-  RunContext ctx{.fs = instrument,
+  RunContext ctx{.fs = observer ? static_cast<vfs::FileSystem&>(*observer) : instrument,
                  .app_seed = app_seed,
                  .instrumented_stage = instrumented_stage,
                  .instrument = &instrument};
-  app.run(ctx);
+  run(ctx);
 
   ProfileResult result;
   result.primitive_count =
       device != nullptr ? device->sector_writes() : instrument.executions();
   result.bytes_written = counting.bytes_written();
   result.bytes_read = counting.bytes_read();
+  result.fs_stats = backing.stats();
+  if (observer) result.sites = observer->take();
   return result;
 }
 

@@ -21,10 +21,10 @@ using util::ByteSpan;
 using util::ByteWriter;
 
 constexpr std::string_view kSignature = "FFISJRNL";
-/// 2: records hold RunRows (protocol v5 and later; a row written before v7
-/// decodes its `replayed` flag as 0).  A journal of another format fails
-/// the header comparison and the campaign starts over.
-constexpr std::uint32_t kFormatVersion = 2;
+/// 3: records hold RunRows that carry the `synthesized` flag (protocol v8);
+/// format 2 journals predate it.  A journal of another format fails the
+/// header comparison and the campaign starts over.
+constexpr std::uint32_t kFormatVersion = 3;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8;
 /// Far above any real record (a 16 Ki-run unit is ~1.5 MiB) while still
 /// rejecting a garbage length field before it sizes an allocation.

@@ -217,7 +217,7 @@ util::Bytes encode(const RunRow& m) {
   w.u64(m.run_index);
   w.u8(static_cast<std::uint8_t>(m.outcome));
   w.u8(static_cast<std::uint8_t>((m.fault_fired ? 1 : 0) | (m.analyze_skipped ? 2 : 0) |
-                                 (m.replayed ? 4 : 0)));
+                                 (m.replayed ? 4 : 0) | (m.synthesized ? 8 : 0)));
   w.f64(m.execute_ms);
   w.f64(m.analyze_ms);
   w.u32(static_cast<std::uint32_t>(vfs::FsStats::kCount));
@@ -241,6 +241,7 @@ RunRow decode_run_row(util::ByteSpan payload) {
   m.fault_fired = (flags & 1) != 0;
   m.analyze_skipped = (flags & 2) != 0;
   m.replayed = (flags & 4) != 0;
+  m.synthesized = (flags & 8) != 0;
   m.execute_ms = r.f64();
   m.analyze_ms = r.f64();
   const std::uint32_t count = r.u32();
@@ -265,6 +266,7 @@ RunRow to_run_row(const core::RunResult& run, std::uint64_t unit_id,
           .fault_fired = run.fault_fired,
           .analyze_skipped = run.analyze_skipped,
           .replayed = run.replayed,
+          .synthesized = run.synthesized,
           .fs_stats = run.fs_stats,
           .execute_ms = run.execute_ms,
           .analyze_ms = run.analyze_ms};
@@ -279,6 +281,7 @@ core::RunResult to_run_result(const RunRow& row) {
   run.analyze_ms = row.analyze_ms;
   run.analyze_skipped = row.analyze_skipped;
   run.replayed = row.replayed;
+  run.synthesized = row.synthesized;
   return run;
 }
 

@@ -46,8 +46,9 @@ namespace ffis::dist {
 /// during the handshake (version-skewed workers must not compute).  RunRow's
 /// storage counters travel as a counted list in run-counter table order
 /// (FFIS_RUN_COUNTERS), so appending a counter needs no bump.  v6 added
-/// HelloAck::checkpoint_budget, v7 RunRow's `replayed` flag.
-inline constexpr std::uint32_t kProtocolVersion = 7;
+/// HelloAck::checkpoint_budget, v7 RunRow's `replayed` flag, v8 its
+/// `synthesized` flag.
+inline constexpr std::uint32_t kProtocolVersion = 8;
 
 /// First field of every Hello; guards against a stray client that speaks
 /// some other protocol entirely.
@@ -145,6 +146,8 @@ struct RunRow {
   bool analyze_skipped = false;
   /// Flags bit 2; a row journaled before v7 decodes it as false.
   bool replayed = false;
+  /// Flags bit 3 (protocol v8, journal format 3).
+  bool synthesized = false;
   vfs::FsStats fs_stats{};
   double execute_ms = 0.0;
   double analyze_ms = 0.0;

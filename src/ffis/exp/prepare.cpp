@@ -270,6 +270,7 @@ PreparedCell CellPreparer::prepare(std::size_t index) {
 
 core::RunResult execute_run(PreparedCell& cell, std::uint64_t run) {
   const core::RunDraw draw = cell.injector->draw(cell.generator->run_seed(run));
+  if (auto synthesized = cell.injector->synthesize(draw)) return std::move(*synthesized);
   ReplayMemo& memo = *cell.replay;
   const auto start = std::chrono::steady_clock::now();
   {

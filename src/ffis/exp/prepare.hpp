@@ -61,10 +61,13 @@ struct PreparedCell : CellFacts {
   bool checkpoint_cached = false;
 };
 
-/// Run `run` of a prepared cell: the injector's execute(run_seed), or a copy
-/// of an earlier feature-free run of the same instance with `replayed` set,
-/// its own timers and zero arena counters.  Thread-safe; racing runs of one
-/// instance may both execute (identically) and the first memo entry wins.
+/// Run `run` of a prepared cell: synthesized from the golden tree when
+/// nothing reads the drawn instance's write back (FaultInjector::synthesize,
+/// a function of the plan alone); else a copy of an earlier feature-free run
+/// of the same instance with `replayed` set, its own timers and zero arena
+/// counters; else the injector's execute(run_seed).  Thread-safe; racing
+/// runs of one instance may both execute (identically) and the first memo
+/// entry wins.
 [[nodiscard]] core::RunResult execute_run(PreparedCell& cell, std::uint64_t run);
 
 class CellPreparer {

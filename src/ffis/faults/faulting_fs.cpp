@@ -6,6 +6,34 @@
 
 namespace ffis::faults {
 
+WriteMutation mutate_write(const FaultSignature& signature, util::Rng& rng,
+                           util::ByteSpan buf, InjectionRecord& record) {
+  WriteMutation mut;
+  switch (signature.model) {
+    case FaultModel::BitFlip:
+      mut = apply_bit_flip(signature.bit_flip, rng, buf);
+      break;
+    case FaultModel::ShornWrite:
+      mut = apply_shorn_write(signature.shorn, rng, buf);
+      break;
+    case FaultModel::DroppedWrite:
+      mut = apply_dropped_write();
+      break;
+    case FaultModel::IoError:
+    case FaultModel::TornSector:
+    case FaultModel::LatentSectorError:
+    case FaultModel::MisdirectedWrite:
+    case FaultModel::BitRot:
+      throw std::logic_error("mutate_write: " + std::string(fault_model_name(signature.model)) +
+                             " is not a silent pwrite fault");
+  }
+  record.flipped_bit = mut.flipped_bit;
+  record.shorn_from = mut.shorn_from;
+  record.dropped = mut.dropped;
+  record.corrupted_bytes = mut.dropped ? buf.size() : util::count_diff_bytes(buf, mut.data);
+  return mut;
+}
+
 void FaultingFs::configure(const FaultSignature& signature) {
   std::lock_guard lock(mutex_);
   signature_ = signature;
@@ -73,44 +101,20 @@ std::size_t FaultingFs::pwrite(vfs::FileHandle fh, util::ByteSpan buf, std::uint
   record_.instance = target_instance_;
   record_.offset = offset;
   record_.original_size = buf.size();
-
-  WriteMutation mut;
-  switch (signature_.model) {
-    case FaultModel::BitFlip:
-      mut = apply_bit_flip(signature_.bit_flip, rng_, buf);
-      break;
-    case FaultModel::ShornWrite:
-      mut = apply_shorn_write(signature_.shorn, rng_, buf);
-      break;
-    case FaultModel::DroppedWrite:
-      mut = apply_dropped_write();
-      break;
-    case FaultModel::IoError:
-      // Class (a): the failure is reported, not silent.
-      record_.corrupted_bytes = 0;
-      throw vfs::VfsError(vfs::VfsError::Code::IoError,
-                          "injected I/O error on pwrite (device failure detected)");
-    case FaultModel::TornSector:
-    case FaultModel::LatentSectorError:
-    case FaultModel::MisdirectedWrite:
-    case FaultModel::BitRot:
-      // Unreachable: arm() rejects media models.  Forward untouched.
-      return PassthroughFs::pwrite(fh, buf, offset);
+  if (signature_.model == FaultModel::IoError) {
+    // Class (a): the failure is reported, not silent.
+    record_.corrupted_bytes = 0;
+    throw vfs::VfsError(vfs::VfsError::Code::IoError,
+                        "injected I/O error on pwrite (device failure detected)");
   }
 
-  record_.flipped_bit = mut.flipped_bit;
-  record_.shorn_from = mut.shorn_from;
-  record_.dropped = mut.dropped;
-
+  const WriteMutation mut = mutate_write(signature_, rng_, buf, record_);
   if (mut.dropped) {
     // The write never reaches the device, yet the application sees success
     // for the full requested size.
-    record_.corrupted_bytes = buf.size();
     util::log_debug("DROPPED_WRITE at offset {} size {}", offset, buf.size());
     return buf.size();
   }
-
-  record_.corrupted_bytes = util::count_diff_bytes(buf, mut.data);
   util::ByteSpan forward(mut.data);
   if (mut.forward_only) forward = forward.first(*mut.forward_only);
   const std::size_t written = PassthroughFs::pwrite(fh, forward, offset);

@@ -43,6 +43,16 @@ struct InjectionRecord {
   bool features_drawn = false;
 };
 
+/// The silent syscall-level pwrite fault (BIT_FLIP, SHORN_WRITE,
+/// DROPPED_WRITE) applied to the buffer `buf` an application asked to
+/// write: returns the mutation plan and fills `record`'s mutation fields
+/// (flipped_bit, shorn_from, dropped, corrupted_bytes).  Features are drawn
+/// from `rng`.  FaultingFs::pwrite and the synthesis of unobserved runs
+/// (core::FaultInjector::synthesize) both corrupt writes through this one
+/// function.  Throws std::logic_error for any other model.
+[[nodiscard]] WriteMutation mutate_write(const FaultSignature& signature, util::Rng& rng,
+                                         util::ByteSpan buf, InjectionRecord& record);
+
 class FaultingFs final : public vfs::PassthroughFs {
  public:
   explicit FaultingFs(vfs::FileSystem& inner) noexcept : PassthroughFs(inner) {}

@@ -78,6 +78,22 @@ void write_text_file(FileSystem& fs, const std::string& path, std::string_view t
   write_file(fs, path, util::to_bytes(text));
 }
 
+std::string normalize_path(const std::string& path) {
+  if (path.empty() || path.front() != '/') {
+    throw VfsError(VfsError::Code::InvalidArgument, "path must be absolute: " + path);
+  }
+  std::string out = path;
+  // Collapse duplicate slashes and strip a trailing slash (except root).
+  std::size_t w = 1;
+  for (std::size_t r = 1; r < out.size(); ++r) {
+    if (out[r] == '/' && out[w - 1] == '/') continue;
+    out[w++] = out[r];
+  }
+  out.resize(w);
+  if (out.size() > 1 && out.back() == '/') out.pop_back();
+  return out;
+}
+
 std::string parent_path(const std::string& path) {
   const auto pos = path.find_last_of('/');
   if (pos == std::string::npos || pos == 0) return "/";

@@ -201,6 +201,11 @@ void write_file(FileSystem& fs, const std::string& path, util::ByteSpan data);
 /// Writes text content.
 void write_text_file(FileSystem& fs, const std::string& path, std::string_view text);
 
+/// The canonical spelling of an absolute path: duplicate slashes collapsed,
+/// a trailing slash dropped (except the root).  Throws InvalidArgument for
+/// a relative path.  MemFs keys its tree by this spelling.
+[[nodiscard]] std::string normalize_path(const std::string& path);
+
 /// Parent directory of a path ("/a/b/c" -> "/a/b", "/x" -> "/").
 [[nodiscard]] std::string parent_path(const std::string& path);
 

@@ -65,6 +65,8 @@ struct FileDiff {
   std::uint64_t size = 0;       ///< size in the diffed (run) tree
   /// Mode bits or file/directory kind differ (content ranges may be empty).
   bool metadata_changed = false;
+
+  bool operator==(const FileDiff&) const = default;
 };
 
 /// How one tree differs from a base tree (vfs::MemFs::diff_tree).
@@ -76,6 +78,8 @@ struct FsDiff {
   /// payload extents are pointer-identical.  Only fork-derived trees can
   /// witness this; unrelated trees report the pair as created + deleted.
   std::vector<std::pair<std::string, std::string>> renamed;
+
+  bool operator==(const FsDiff&) const = default;
 
   [[nodiscard]] bool empty() const noexcept {
     return changed.empty() && created.empty() && deleted.empty() && renamed.empty();

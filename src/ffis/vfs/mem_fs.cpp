@@ -85,21 +85,6 @@ void MemFs::set_media(std::shared_ptr<BlockDevice> device) {
   media_ = std::move(device);
 }
 
-std::string MemFs::normalize(const std::string& path) {
-  if (path.empty() || path.front() != '/') {
-    throw VfsError(VfsError::Code::InvalidArgument, "path must be absolute: " + path);
-  }
-  std::string out = path;
-  // Collapse duplicate slashes and strip a trailing slash (except root).
-  std::size_t w = 1;
-  for (std::size_t r = 1; r < out.size(); ++r) {
-    if (out[r] == '/' && out[w - 1] == '/') continue;
-    out[w++] = out[r];
-  }
-  out.resize(w);
-  if (out.size() > 1 && out.back() == '/') out.pop_back();
-  return out;
-}
 
 MemFs::Node& MemFs::node_at(const std::string& path) {
   auto it = nodes_.find(path);
@@ -122,7 +107,7 @@ void MemFs::check_parent(const std::string& path) const {
 }
 
 FileHandle MemFs::open(const std::string& raw_path, OpenMode mode) {
-  const std::string path = normalize(raw_path);
+  const std::string path = normalize_path(raw_path);
   Guard lock(maybe_mutex());
   auto it = nodes_.find(path);
   if (mode == OpenMode::Read) {
@@ -190,7 +175,7 @@ std::size_t MemFs::pwrite(FileHandle fh, util::ByteSpan buf, std::uint64_t offse
 }
 
 void MemFs::mknod(const std::string& raw_path, std::uint32_t mode) {
-  const std::string path = normalize(raw_path);
+  const std::string path = normalize_path(raw_path);
   Guard lock(maybe_mutex());
   if (nodes_.contains(path)) throw VfsError(VfsError::Code::AlreadyExists, path + " exists");
   check_parent(path);
@@ -200,13 +185,13 @@ void MemFs::mknod(const std::string& raw_path, std::uint32_t mode) {
 }
 
 void MemFs::chmod(const std::string& raw_path, std::uint32_t mode) {
-  const std::string path = normalize(raw_path);
+  const std::string path = normalize_path(raw_path);
   Guard lock(maybe_mutex());
   node_at(path).mode = mode;
 }
 
 void MemFs::truncate(const std::string& raw_path, std::uint64_t size) {
-  const std::string path = normalize(raw_path);
+  const std::string path = normalize_path(raw_path);
   Guard lock(maybe_mutex());
   Node& node = node_at(path);
   if (node.is_dir) throw VfsError(VfsError::Code::IsDirectory, path + " is a directory");
@@ -229,7 +214,7 @@ void MemFs::ftruncate(FileHandle fh, std::uint64_t size) {
 }
 
 void MemFs::unlink(const std::string& raw_path) {
-  const std::string path = normalize(raw_path);
+  const std::string path = normalize_path(raw_path);
   Guard lock(maybe_mutex());
   auto it = nodes_.find(path);
   if (it == nodes_.end()) throw VfsError(VfsError::Code::NotFound, "no such file: " + path);
@@ -238,7 +223,7 @@ void MemFs::unlink(const std::string& raw_path) {
 }
 
 void MemFs::mkdir(const std::string& raw_path) {
-  const std::string path = normalize(raw_path);
+  const std::string path = normalize_path(raw_path);
   Guard lock(maybe_mutex());
   if (nodes_.contains(path)) throw VfsError(VfsError::Code::AlreadyExists, path + " exists");
   check_parent(path);
@@ -249,8 +234,8 @@ void MemFs::mkdir(const std::string& raw_path) {
 }
 
 void MemFs::rename(const std::string& raw_from, const std::string& raw_to) {
-  const std::string from = normalize(raw_from);
-  const std::string to = normalize(raw_to);
+  const std::string from = normalize_path(raw_from);
+  const std::string to = normalize_path(raw_to);
   Guard lock(maybe_mutex());
   auto from_it = nodes_.find(from);
   if (from_it == nodes_.end()) {
@@ -307,20 +292,20 @@ void MemFs::rename(const std::string& raw_from, const std::string& raw_to) {
 }
 
 FileStat MemFs::stat(const std::string& raw_path) {
-  const std::string path = normalize(raw_path);
+  const std::string path = normalize_path(raw_path);
   Guard lock(maybe_mutex());
   const Node& node = node_at(path);
   return FileStat{node.data.size(), node.mode, node.is_dir};
 }
 
 bool MemFs::exists(const std::string& raw_path) {
-  const std::string path = normalize(raw_path);
+  const std::string path = normalize_path(raw_path);
   Guard lock(maybe_mutex());
   return nodes_.contains(path);
 }
 
 std::vector<std::string> MemFs::readdir(const std::string& raw_path) {
-  const std::string path = normalize(raw_path);
+  const std::string path = normalize_path(raw_path);
   Guard lock(maybe_mutex());
   const Node& node = node_at(path);
   if (!node.is_dir) throw VfsError(VfsError::Code::NotDirectory, path + " is not a directory");

@@ -225,8 +225,6 @@ class MemFs final : public FileSystem {
     return options;
   }
 
-  [[nodiscard]] static std::string normalize(const std::string& path);
-
   [[nodiscard]] std::mutex* maybe_mutex() const noexcept {
     return locking_ ? &mutex_ : nullptr;
   }

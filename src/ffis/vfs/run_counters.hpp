@@ -39,7 +39,10 @@
   RUN(analyze_skipped, std::uint64_t, CountNonzero, run.analyze_skipped)      \
   /* Runs copied from an earlier feature-free run of their instance; like */  \
   /* the timers it depends on scheduling (threads, fleet units). */           \
-  RUN(runs_replayed, std::uint64_t, CountNonzero, run.replayed)
+  RUN(runs_replayed, std::uint64_t, CountNonzero, run.replayed)               \
+  /* Runs whose corrupted write nothing reads back, classified from the */    \
+  /* golden tree instead of executed; a function of the plan alone. */        \
+  RUN(runs_synthesized, std::uint64_t, CountNonzero, run.synthesized)
 
 namespace ffis::vfs {
 
@@ -58,6 +61,20 @@ struct FsStats {
 #define FFIS_FS_ONE(name) +1
       FFIS_RUN_COUNTERS(FFIS_FS_ONE, FFIS_SKIP_RUN);
 #undef FFIS_FS_ONE
+
+  /// Entry-wise sum and difference (a run's counters over a phase).
+  FsStats& operator+=(const FsStats& other) {
+#define FFIS_FS_ADD(name) name += other.name;
+    FFIS_RUN_COUNTERS(FFIS_FS_ADD, FFIS_SKIP_RUN)
+#undef FFIS_FS_ADD
+    return *this;
+  }
+  FsStats& operator-=(const FsStats& other) {
+#define FFIS_FS_SUB(name) name -= other.name;
+    FFIS_RUN_COUNTERS(FFIS_FS_SUB, FFIS_SKIP_RUN)
+#undef FFIS_FS_SUB
+    return *this;
+  }
 
   /// Calls f(name, counter) for every member, in table order.
   template <class F>

@@ -43,4 +43,15 @@ inline std::vector<std::pair<std::string, double>> counter_values(
   return out;
 }
 
+/// (name, value) of every FsStats counter but the per-thread arena traffic,
+/// which depends on how each thread's arena warmed up.
+inline std::vector<std::pair<std::string, std::uint64_t>> non_arena_stats(
+    const vfs::FsStats& stats) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  stats.for_each([&](const char* name, std::uint64_t v) {
+    if (std::string(name).rfind("arena_", 0) != 0) out.emplace_back(name, v);
+  });
+  return out;
+}
+
 }  // namespace ffis::test_support

@@ -296,16 +296,22 @@ TEST(EngineCheckpoint, PrefixExecutesOncePerCellGroup) {
   EXPECT_FALSE(report.cells[5].checkpointed);
 
   // Full executions: 1 golden + 1 whole-run profile + 6 whole-run injections
-  // (BIT_FLIP draws a bit every run, so none of them replays).
+  // (BIT_FLIP draws a bit every run, so none of them replays), less the
+  // runs synthesized: the app never reads a write back, so every BIT_FLIP
+  // run is.
   EXPECT_EQ(report.cells[5].runs_replayed, 0u);
-  EXPECT_EQ(app.full_runs(), 1u + 1u + 6u);
+  EXPECT_EQ(report.cells[5].runs_synthesized, 6u);
+  EXPECT_EQ(app.full_runs(), 1u + 1u + 6u - report.cells[5].runs_synthesized);
   // Prefixes: one per checkpoint build.
   EXPECT_EQ(app.prefix_runs(), 2u);
   // Resumes: 5 folded profiling passes + 2 diff-classification golden-tree
   // continuations (one per checkpoint BUILD — cells sharing a checkpoint
   // share its golden tree) + 5 x 6 injection runs, less the runs replayed
-  // from an earlier feature-free run of their instance (DW, SHORN_WRITE).
-  EXPECT_EQ(app.resume_runs(), 5u + 2u + 30u - report.runs_replayed);
+  // from an earlier feature-free run of their instance (DW, SHORN_WRITE)
+  // and the checkpointed cells' synthesized runs (the BIT_FLIP cells).
+  EXPECT_EQ(report.cells[1].runs_synthesized + report.cells[2].runs_synthesized, 0u);
+  EXPECT_EQ(app.resume_runs(), 5u + 2u + 30u - report.runs_replayed -
+                                   (report.runs_synthesized - report.cells[5].runs_synthesized));
 }
 
 TEST(EngineCheckpoint, DiffClassificationOffSkipsGoldenTreeContinuations) {
@@ -322,6 +328,9 @@ TEST(EngineCheckpoint, DiffClassificationOffSkipsGoldenTreeContinuations) {
   const auto report = exp::Engine(options).run(builder.build());
   for (const auto& cell : report.cells) ASSERT_TRUE(cell.error.empty()) << cell.error;
   EXPECT_EQ(report.analyze_skipped, 0u);
+  // Synthesis classifies from the golden tree, so without one every BIT_FLIP
+  // run executes.
+  EXPECT_EQ(report.runs_synthesized, 0u);
   // Resumes: 3 folded profiling passes + 3 x 6 injections, no extras, less
   // the DW runs replayed.
   EXPECT_EQ(app.resume_runs(), 3u + 18u - report.runs_replayed);
@@ -333,8 +342,13 @@ TEST(EngineCheckpoint, DisabledOptionFallsBackToFullRuns) {
   builder.cell(app, "BF", 2);
   exp::EngineOptions options;
   options.use_checkpoints = false;
+  // Without a golden tree no run is synthesized, so every injection runs
+  // the application (the app never reads a write back: with diff
+  // classification on, all four would be synthesized).
+  options.use_diff_classification = false;
   const auto report = exp::Engine(options).run(builder.build());
   ASSERT_TRUE(report.cells[0].error.empty()) << report.cells[0].error;
+  EXPECT_EQ(report.cells[0].runs_synthesized, 0u);
   EXPECT_EQ(report.checkpoint_builds, 0u);
   EXPECT_FALSE(report.cells[0].checkpointed);
   EXPECT_EQ(app.prefix_runs(), 0u);
@@ -386,6 +400,15 @@ TEST(EngineCheckpoint, TalliesBitIdenticalToFullPathAcrossThreadCounts) {
     ASSERT_EQ(cell.runs_completed, kRuns);
   }
 
+  // The checkpointed execution this test compares needs runs that execute:
+  // Montage reads every stage-1..3 write back, so those cells synthesize
+  // nothing.  QMC reads back no write, so its BF cells are synthesized
+  // whole and its shorn-write cell carries the checkpointed QMC runs.
+  for (const std::size_t i : {0, 1, 2, 5}) {
+    EXPECT_EQ(reference.cells[i].runs_synthesized, 0u) << reference.cells[i].cell.label;
+  }
+  EXPECT_EQ(reference.cells[4].runs_synthesized, kRuns);
+
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     exp::EngineOptions options;
     options.threads = threads;
@@ -397,6 +420,9 @@ TEST(EngineCheckpoint, TalliesBitIdenticalToFullPathAcrossThreadCounts) {
       ASSERT_TRUE(report.cells[i].error.empty())
           << report.cells[i].cell.label << ": " << report.cells[i].error;
       EXPECT_EQ(report.cells[i].primitive_count, reference.cells[i].primitive_count)
+          << report.cells[i].cell.label;
+      // The folded profiling pass observes exactly what the full one does.
+      EXPECT_EQ(report.cells[i].runs_synthesized, reference.cells[i].runs_synthesized)
           << report.cells[i].cell.label;
       for (std::size_t o = 0; o < core::kOutcomeCount; ++o) {
         EXPECT_EQ(report.cells[i].tally.count(static_cast<Outcome>(o)),
@@ -491,6 +517,9 @@ TEST(DiffClassification, BenignRunPerformsZeroAnalysisPhaseReads) {
   const auto without_diff = exp::Engine(diff_off).run(make_plan());
   ASSERT_TRUE(with_diff.cells[0].error.empty()) << with_diff.cells[0].error;
   ASSERT_TRUE(without_diff.cells[0].error.empty()) << without_diff.cells[0].error;
+  // The unlink observes every write to the scratch file, so every run
+  // executes rather than being synthesized.
+  EXPECT_EQ(with_diff.cells[0].runs_synthesized, 0u);
 
   // Every run's fault lands in the scratch file that is unlinked before the
   // run ends, so every run is Benign — and with the diff the verdict needs

@@ -127,6 +127,36 @@ TEST(IoProfiler, CountIsDeterministic) {
   EXPECT_EQ(a.primitive_count, b.primitive_count);
 }
 
+TEST(IoProfiler, HonorsTheRunStoresExtentGeometry) {
+  // The pass's storage counters stand in for a synthesized run's execution
+  // phase, so they must come from a store with the runs' chunk size.
+  ToyApp app(4);
+  const auto bf = faults::parse_fault_signature("BF");
+  vfs::MemFs::Options small;
+  small.chunk_size = 16;
+  const auto fine = core::IoProfiler::profile(app, bf, 1, -1, small);
+  const auto coarse = core::IoProfiler::profile(app, bf, 1);
+  EXPECT_EQ(fine.fs_stats.chunks_allocated, 1u + 8u * 64u / 16u);  // header + data
+  EXPECT_EQ(coarse.fs_stats.chunks_allocated, 2u);
+  EXPECT_EQ(fine.primitive_count, coarse.primitive_count);
+
+  core::FaultInjector injector(app, bf);
+  injector.set_fs_options(small);
+  injector.prepare();
+  for (std::uint64_t seed = 1; seed <= 9; ++seed) {
+    const auto draw = injector.draw(seed);
+    const auto synthesized = injector.synthesize(draw);
+    ASSERT_TRUE(synthesized.has_value());  // the app never reads a write back
+    const auto executed = injector.execute_at(draw.instance, draw.feature_seed);
+    EXPECT_EQ(synthesized->outcome, executed.outcome);
+    EXPECT_EQ(synthesized->fs_stats.chunks_allocated, executed.fs_stats.chunks_allocated);
+    EXPECT_EQ(synthesized->fs_stats.chunk_detaches, executed.fs_stats.chunk_detaches);
+    EXPECT_EQ(synthesized->fs_stats.cow_bytes_copied, executed.fs_stats.cow_bytes_copied);
+    EXPECT_EQ(synthesized->fs_stats.pread_calls, executed.fs_stats.pread_calls);
+    EXPECT_EQ(synthesized->fs_stats.bytes_read, executed.fs_stats.bytes_read);
+  }
+}
+
 // --- FaultInjector --------------------------------------------------------------------
 
 TEST(FaultInjector, PrepareIsRequired) {

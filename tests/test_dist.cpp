@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "ffis/apps/montage/montage_app.hpp"
 #include "ffis/core/application.hpp"
 #include "ffis/dist/coordinator.hpp"
 #include "ffis/dist/journal.hpp"
@@ -30,6 +31,7 @@
 #include "ffis/dist/worker.hpp"
 #include "ffis/exp/engine.hpp"
 #include "ffis/exp/plan.hpp"
+#include "ffis/exp/prepare.hpp"
 #include "ffis/exp/sink.hpp"
 #include "ffis/net/faulty_socket.hpp"
 #include "ffis/net/framing.hpp"
@@ -267,7 +269,8 @@ DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_worke
 /// Counter values that legitimately differ between two executions of one
 /// plan are dropped: the wall-time timers, arena traffic (per-thread arenas
 /// warm up differently) and runs_replayed (each fleet worker keeps its own
-/// replay memo).  Every other table counter is compared.
+/// replay memo).  Every other table counter is compared, runs_synthesized
+/// included: it depends on the plan alone.
 std::vector<std::pair<std::string, double>> deterministic_counters(
     const exp::RunCounters& counters) {
   auto values = test_support::counter_values(counters);
@@ -595,6 +598,15 @@ TEST(DistE2E, TwoWorkersMatchEngineTalliesBitForBit) {
   // and RunRow carries the flag: the SW cell replays, the BF cell never.
   EXPECT_GT(dist_run.report.cells[2].runs_replayed, 0u);
   EXPECT_EQ(dist_run.report.cells[0].runs_replayed, 0u);
+  // The toy never reads a write back, so every BIT_FLIP run is synthesized,
+  // whichever thread or worker draws it; no other cell synthesizes.
+  // (deterministic_counters keeps runs_synthesized, so the report
+  // comparisons above cover it too.)
+  for (const auto* report : {&serial, &threaded, &dist_run.report}) {
+    EXPECT_EQ(report->cells[0].runs_synthesized, 48u);
+    EXPECT_EQ(report->cells[1].runs_synthesized, 0u);
+    EXPECT_EQ(report->cells[2].runs_synthesized, 0u);
+  }
 
   // Together the workers executed the plan exactly once.  How the runs split
   // between them is a race: one worker may drain the plan before the other
@@ -605,6 +617,69 @@ TEST(DistE2E, TwoWorkersMatchEngineTalliesBitForBit) {
     fleet_runs += w.runs_executed;
   }
   EXPECT_EQ(fleet_runs, plan.total_runs());
+}
+
+TEST(DistE2E, SynthesizedRunsMatchDirectExecutionAcrossTheFleet) {
+  ToyApp toy;
+  montage::MontageConfig montage_config;
+  montage_config.scene.tile_x0 = {0, 37, 74};
+  montage_config.scene.tile_y0 = {0, 36};
+  const montage::MontageApp montage(montage_config);
+  auto builder = exp::PlanBuilder().runs(12).seed(23);
+  for (const char* fault : {"BF", "SHORN_WRITE@pwrite{tail=garbage}", "DW"}) {
+    builder.cell(toy, fault);  // cells 0-2
+  }
+  builder.cell(montage, "BF", 3);  // cell 3: every instance observed
+  builder.cell(montage, "BF", 4);  // cell 4: a mix
+  const auto plan = builder.build();
+
+  // The reference: every run executed directly, and whether the injector
+  // would synthesize it.
+  exp::CellPreparer preparer(plan, exp::EngineOptions{});
+  std::vector<std::vector<core::RunResult>> direct(plan.size());
+  std::vector<std::vector<bool>> synthesizable(plan.size());
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    exp::PreparedCell cell = preparer.prepare(i);
+    ASSERT_TRUE(cell.error.empty()) << cell.error;
+    for (std::uint64_t r = 0; r < plan.cells()[i].runs; ++r) {
+      const std::uint64_t seed = cell.generator->run_seed(r);
+      direct[i].push_back(cell.injector->execute(seed));
+      synthesizable[i].push_back(cell.injector->synthesize(cell.injector->draw(seed)).has_value());
+    }
+  }
+
+  dist::CoordinatorOptions options;
+  options.unit_runs = 4;
+  options.engine.keep_details = true;
+  const auto fleet = run_distributed(plan, /*n_workers=*/2, options);
+  std::vector<std::uint64_t> synthesized(plan.size(), 0);
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const exp::CellResult& cell = fleet.report.cells[i];
+    SCOPED_TRACE(cell.cell.label);
+    ASSERT_EQ(cell.details.size(), direct[i].size());
+    std::uint64_t expected = 0;
+    for (std::size_t r = 0; r < direct[i].size(); ++r) {
+      SCOPED_TRACE("run " + std::to_string(r));
+      // A RunRow carries no record, analysis or crash text: compare the rest.
+      const core::RunResult& got = cell.details[r];
+      const core::RunResult& want = direct[i][r];
+      EXPECT_EQ(got.outcome, want.outcome);
+      EXPECT_EQ(got.fault_fired, want.fault_fired);
+      EXPECT_EQ(got.analyze_skipped, want.analyze_skipped);
+      EXPECT_EQ(test_support::non_arena_stats(got.fs_stats),
+                test_support::non_arena_stats(want.fs_stats));
+      EXPECT_EQ(got.synthesized, synthesizable[i][r]);
+      if (synthesizable[i][r]) ++expected;
+    }
+    EXPECT_EQ(cell.runs_synthesized, expected);
+    synthesized[i] = cell.runs_synthesized;
+  }
+  EXPECT_EQ(synthesized[0], 12u);
+  EXPECT_EQ(synthesized[1], 12u);
+  EXPECT_EQ(synthesized[2], 0u);
+  EXPECT_EQ(synthesized[3], 0u);
+  EXPECT_GT(synthesized[4], 0u);
+  EXPECT_LT(synthesized[4], 12u);
 }
 
 TEST(DistE2E, MediaFaultCellsTallyBitIdenticallyAcrossTheFleet) {
@@ -1090,7 +1165,7 @@ TEST(Journal, BumpedFormatVersionStartsOverCleanly) {
     // format must read as "not my header", not as garbled records.
     std::fstream f(journal, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.is_open());
-    const char future = 3;
+    const char future = 4;
     f.seekp(8);
     f.write(&future, 1);
   }
@@ -1100,14 +1175,13 @@ TEST(Journal, BumpedFormatVersionStartsOverCleanly) {
   EXPECT_EQ(resumed.report.units_replayed_from_journal, 0u);
 }
 
-TEST(Journal, FormatOneJournalStartsOverCleanly) {
-  // A journal written by a build before the counted-list RunRow: its header
-  // is intact and checksummed, but names format 1, so none of its records
-  // (v4 rows) may replay.
+/// Rewrites a partial journal's header to name an older `format` (intact and
+/// checksummed) and expects the resumed campaign to replay none of it.
+void expect_older_journal_format_starts_over(std::uint32_t format) {
   ToyApp a;
   const auto plan = make_journal_plan(a);
   const auto expected = exp::Engine().run(plan);
-  StoreDir dir("journal-format1");
+  StoreDir dir("journal-format" + std::to_string(format));
   stdfs::create_directories(dir.path());
   const std::string journal = dir.path() + "/campaign.jrnl";
   (void)run_partial_with_journal(plan, journal, 3);
@@ -1115,7 +1189,7 @@ TEST(Journal, FormatOneJournalStartsOverCleanly) {
     util::Bytes header;
     util::ByteWriter w(header);
     w.raw(util::to_bytes(std::string_view("FFISJRNL")));
-    w.u32(1);
+    w.u32(format);
     w.u64(dist::plan_fingerprint(plan));
     w.u64(4);  // unit_runs
     w.u64(util::fnv1a64(header));
@@ -1127,6 +1201,18 @@ TEST(Journal, FormatOneJournalStartsOverCleanly) {
   const auto resumed = resume_with_journal(plan, journal);
   expect_reports_identical(resumed.report, expected);
   EXPECT_EQ(resumed.report.units_replayed_from_journal, 0u);
+}
+
+TEST(Journal, FormatOneJournalStartsOverCleanly) {
+  // A journal written by a build before the counted-list RunRow: none of its
+  // records (v4 rows) may replay.
+  expect_older_journal_format_starts_over(1);
+}
+
+TEST(Journal, FormatTwoJournalStartsOverCleanly) {
+  // Format 2 rows predate the `synthesized` flag: replaying them would
+  // count every synthesized run as executed.
+  expect_older_journal_format_starts_over(2);
 }
 
 TEST(Journal, ReplaysEveryTableCounterOfAJournaledRow) {

@@ -16,6 +16,7 @@
 
 #include "ffis/apps/montage/montage_app.hpp"
 #include "ffis/apps/nyx/nyx_app.hpp"
+#include "ffis/apps/qmc/qmc_app.hpp"
 #include "ffis/core/application.hpp"
 #include "ffis/core/fault_injector.hpp"
 #include "ffis/exp/collector.hpp"
@@ -247,8 +248,14 @@ TEST(Engine, GoldenCacheOneExecutionPerApp) {
   EXPECT_TRUE(report.cells[1].golden_cached);
   EXPECT_TRUE(report.cells[3].golden_cached);
   // Total app executions: 1 golden + 4 profiling + 32 injection runs, less
-  // the runs replayed from an earlier feature-free run of their instance.
-  EXPECT_EQ(app.total_runs(), 1u + 4u + 32u - report.runs_replayed);
+  // the runs replayed from an earlier feature-free run of their instance and
+  // the runs synthesized from the golden tree (the BIT_FLIP cells: the app
+  // never reads a write back).
+  EXPECT_EQ(report.runs_synthesized,
+            report.cells[0].runs_synthesized + report.cells[3].runs_synthesized);
+  EXPECT_EQ(report.cells[0].runs_synthesized, 8u);
+  EXPECT_EQ(app.total_runs(),
+            1u + 4u + 32u - report.runs_replayed - report.runs_synthesized);
 }
 
 TEST(Engine, DistinctAppsAndSeedsGetDistinctGoldens) {
@@ -508,14 +515,7 @@ auto record_fields(const faults::InjectionRecord& r) {
                     r.features_drawn);
 }
 
-/// Every FsStats counter but the per-thread arena traffic.
-std::vector<std::pair<std::string, std::uint64_t>> non_arena_stats(const vfs::FsStats& s) {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  s.for_each([&](const char* name, std::uint64_t v) {
-    if (std::string_view(name).rfind("arena_", 0) != 0) out.emplace_back(name, v);
-  });
-  return out;
-}
+using test_support::non_arena_stats;
 
 TEST(Engine, ReplayedRunsMatchDirectExecutionOnEveryModel) {
   ToyApp toy;
@@ -609,6 +609,155 @@ TEST(Engine, ReplayedRunsMatchDirectExecutionOnEveryModel) {
     }
     EXPECT_TRUE(report.cells[10].checkpointed);
   }
+}
+
+// --- Engine: unobserved-fault synthesis ----------------------------------------
+
+/// An analysis as one comparable value (metrics by bit pattern, so NaNs of a
+/// corrupted run compare equal to themselves).
+auto analysis_fields(const std::optional<core::AnalysisResult>& a) {
+  std::vector<std::pair<std::string, std::uint64_t>> metrics;
+  if (a.has_value()) {
+    for (const auto& [name, v] : a->metrics) metrics.emplace_back(name, std::bit_cast<std::uint64_t>(v));
+  }
+  return std::tuple(a.has_value(), a ? a->comparison_blob : util::Bytes{},
+                    a ? a->report : std::string{}, metrics);
+}
+
+/// Expects `got` to equal the direct execution `want` in every field but
+/// the timers, the arena counters and the replayed/synthesized flags.
+void expect_same_run(const core::RunResult& got, const core::RunResult& want) {
+  EXPECT_EQ(got.outcome, want.outcome);
+  EXPECT_EQ(got.fault_fired, want.fault_fired);
+  EXPECT_EQ(record_fields(got.record), record_fields(want.record));
+  EXPECT_EQ(got.crash_reason, want.crash_reason);
+  EXPECT_EQ(analysis_fields(got.analysis), analysis_fields(want.analysis));
+  EXPECT_EQ(got.analyze_skipped, want.analyze_skipped);
+  EXPECT_EQ(non_arena_stats(got.fs_stats), non_arena_stats(want.fs_stats));
+}
+
+/// Runs `plan` through the engine at 1 and 4 threads (keep_details) and
+/// checks every run against direct FaultInjector::execute, and every run
+/// the injector synthesizes against execute_at of the same draw, FsDiff
+/// included.  Returns the per-cell synthesized counts.
+std::vector<std::uint64_t> expect_synthesis_matches_execution(const exp::ExperimentPlan& plan,
+                                                              exp::EngineOptions options) {
+  exp::CellPreparer preparer(plan, options);
+  std::vector<std::vector<core::RunResult>> direct(plan.size());
+  std::vector<std::uint64_t> expected(plan.size(), 0);
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    SCOPED_TRACE(plan.cells()[i].label);
+    exp::PreparedCell cell = preparer.prepare(i);
+    EXPECT_TRUE(cell.error.empty()) << cell.error;
+    if (!cell.error.empty()) return expected;
+    for (std::uint64_t r = 0; r < plan.cells()[i].runs; ++r) {
+      const std::uint64_t seed = cell.generator->run_seed(r);
+      direct[i].push_back(cell.injector->execute(seed));
+      const core::RunDraw draw = cell.injector->draw(seed);
+      vfs::FsDiff synthesized_diff;
+      const auto synthesized = cell.injector->synthesize(draw, &synthesized_diff);
+      if (!synthesized.has_value()) continue;
+      ++expected[i];
+      SCOPED_TRACE("run " + std::to_string(r) + ", instance " + std::to_string(draw.instance));
+      EXPECT_TRUE(synthesized->synthesized);
+      expect_same_run(*synthesized, direct[i].back());
+      vfs::FsDiff executed_diff;
+      (void)cell.injector->execute_at(draw.instance, draw.feature_seed, &executed_diff);
+      EXPECT_TRUE(synthesized_diff == executed_diff);
+    }
+  }
+
+  options.keep_details = true;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    options.threads = threads;
+    const auto report = exp::Engine(options).run(plan);
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      const exp::CellResult& cell = report.cells[i];
+      SCOPED_TRACE(cell.cell.label + " at " + std::to_string(threads) + " threads");
+      EXPECT_TRUE(cell.error.empty()) << cell.error;
+      EXPECT_EQ(cell.details.size(), direct[i].size());
+      if (cell.details.size() != direct[i].size()) continue;
+      std::uint64_t synthesized = 0;
+      for (std::size_t r = 0; r < direct[i].size(); ++r) {
+        SCOPED_TRACE("run " + std::to_string(r));
+        expect_same_run(cell.details[r], direct[i][r]);
+        if (cell.details[r].synthesized) ++synthesized;
+      }
+      // A function of the plan alone: exact at any thread count.
+      EXPECT_EQ(cell.runs_synthesized, synthesized);
+      EXPECT_EQ(cell.runs_synthesized, expected[i]);
+    }
+  }
+  return expected;
+}
+
+TEST(Engine, SynthesizedRunsMatchDirectExecutionOnEveryModel) {
+  ToyApp toy;
+  SectorApp sectors;
+  montage::MontageConfig montage_config;
+  montage_config.scene.tile_x0 = {0, 37, 74};
+  montage_config.scene.tile_y0 = {0, 36};
+  const montage::MontageApp montage(montage_config);
+  nyx::NyxConfig nyx_config;
+  nyx_config.field.n = 16;
+  nyx_config.timesteps = 2;
+  const nyx::NyxApp nyx(nyx_config);
+  const qmc::QmcApp qmc;
+
+  auto builder = exp::PlanBuilder().runs(12).seed(5);
+  for (const char* fault :
+       {"BF", "BIT_FLIP@pwrite{width=4}", "SW", "SHORN_WRITE@pwrite{tail=stale}",
+        "SHORN_WRITE@pwrite{tail=garbage,completed=3}", "DW", "IO_ERROR@pwrite"}) {
+    builder.cell(toy, fault);  // cells 0-6
+  }
+  for (const char* fault : {"TORN_SECTOR@pwrite", "LSE", "MW", "BIT_ROT@pwrite"}) {
+    builder.cell(sectors, fault);  // cells 7-10
+  }
+  for (const int stage : {3, 4}) {  // cells 11-16
+    for (const char* fault : {"BF", "SHORN_WRITE@pwrite{tail=garbage}", "BIT_FLIP@pread"}) {
+      builder.cell(montage, fault, stage);
+    }
+  }
+  builder.cell(nyx, "BF");                                 // cell 17: whole run
+  builder.cell(nyx, "SHORN_WRITE@pwrite{tail=garbage}", 2);  // cell 18
+  builder.cell(qmc, "BF", 2);                              // cell 19
+  builder.cell(qmc, "DW", 2);                              // cell 20
+  const auto plan = builder.build();
+
+  const auto synthesized = expect_synthesis_matches_execution(plan, exp::EngineOptions{});
+  ASSERT_EQ(synthesized.size(), plan.size());
+  // The toy never reads a write back: every silent write fault synthesizes.
+  EXPECT_EQ(synthesized[0], 12u);
+  EXPECT_EQ(synthesized[1], 12u);
+  EXPECT_EQ(synthesized[4], 12u);
+  // Montage's mAdd reads every stage-3 tile back; stage 4 writes most of
+  // its outputs after its last re-read; Nyx's later dump rewrites a slab
+  // of the first; QMC reads nothing back.
+  EXPECT_EQ(synthesized[11], 0u);
+  EXPECT_EQ(synthesized[12], 0u);
+  EXPECT_GT(synthesized[14], 0u);
+  EXPECT_GT(synthesized[15], 0u);
+  EXPECT_GT(synthesized[17], 0u);
+  EXPECT_GT(synthesized[18], 0u);
+  EXPECT_EQ(synthesized[19], 12u);
+  // Models synthesis leaves alone.
+  for (const std::size_t i : {2, 3, 5, 6, 7, 8, 9, 10, 13, 16, 20}) {
+    EXPECT_EQ(synthesized[i], 0u) << plan.cells()[i].label;
+  }
+}
+
+TEST(Engine, SynthesisUnderForcedBlockDeviceMatchesExecution) {
+  montage::MontageConfig montage_config;
+  montage_config.scene.tile_x0 = {0, 37, 74};
+  montage_config.scene.tile_y0 = {0, 36};
+  const montage::MontageApp montage(montage_config);
+  auto builder = exp::PlanBuilder().runs(12).seed(8);
+  builder.cell(montage, "BF", 4);
+  exp::EngineOptions options;
+  options.force_block_device = true;
+  const auto synthesized = expect_synthesis_matches_execution(builder.build(), options);
+  ASSERT_EQ(synthesized.size(), 1u);
+  EXPECT_GT(synthesized[0], 0u);
 }
 
 TEST(Engine, ProgressReachesTotalRuns) {

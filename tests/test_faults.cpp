@@ -9,12 +9,18 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "ffis/apps/montage/montage_app.hpp"
+#include "ffis/apps/nyx/nyx_app.hpp"
+#include "ffis/apps/qmc/qmc_app.hpp"
+#include "ffis/core/io_profiler.hpp"
 #include "ffis/faults/fault_generator.hpp"
 #include "ffis/faults/fault_model.hpp"
 #include "ffis/faults/fault_signature.hpp"
 #include "ffis/faults/faulting_fs.hpp"
 #include "ffis/faults/media_faults.hpp"
+#include "ffis/faults/write_observer.hpp"
 #include "ffis/vfs/block_device.hpp"
 #include "ffis/vfs/mem_fs.hpp"
 
@@ -659,6 +665,241 @@ TEST(FaultingFs, UnfiredFaultDrewNoFeatures) {
   vfs::write_file(fi, "/f", pattern_buffer(64));
   EXPECT_FALSE(fi.fired());
   EXPECT_FALSE(fi.record().features_drawn);
+}
+
+// --- WriteObserver -----------------------------------------------------------
+
+std::uint64_t unobserved_count(const faults::WriteSites& sites) {
+  return static_cast<std::uint64_t>(std::count_if(
+      sites.sites.begin(), sites.sites.end(), [](const auto& s) { return !s.observed; }));
+}
+
+/// A WriteObserver over an unarmed BIT_FLIP@pwrite FaultingFs on a MemFs:
+/// every pwrite through `fs` is an instance, in call order.
+struct ObservedFs {
+  vfs::MemFs backing;
+  faults::FaultingFs instrument{backing};
+  faults::WriteObserver fs{instrument};
+
+  ObservedFs() { instrument.configure(faults::parse_fault_signature("BF")); }
+
+  void write(vfs::FileHandle fh, std::uint64_t offset, std::size_t length) {
+    const util::Bytes data(length, std::byte{0x5a});
+    ASSERT_EQ(fs.pwrite(fh, data, offset), length);
+  }
+  void read(vfs::FileHandle fh, std::uint64_t offset, std::size_t length) {
+    util::Bytes buf(length);
+    (void)fs.pread(fh, buf, offset);
+  }
+  [[nodiscard]] bool observed(std::uint64_t instance) const {
+    EXPECT_LT(instance, fs.sites().sites.size());
+    return fs.sites().unobserved(instance) == nullptr;
+  }
+};
+
+TEST(WriteObserver, RecordsEachInstanceSite) {
+  ObservedFs o;
+  const auto fh = o.fs.open("//data/", vfs::OpenMode::Write);
+  o.write(fh, 0, 16);
+  o.write(fh, 16, 8);
+  o.write(fh, 8, 0);  // empty: nothing to synthesize, so it counts as observed
+  const faults::WriteSites& sites = o.fs.sites();
+  ASSERT_EQ(sites.sites.size(), 3u);
+  EXPECT_TRUE(o.observed(2));
+  EXPECT_EQ(sites.paths.at(sites.sites[1].file), "/data");  // normalized
+  EXPECT_EQ(sites.sites[1].offset, 16u);
+  EXPECT_EQ(sites.sites[1].length, 8u);
+  EXPECT_EQ(unobserved_count(sites), 2u);
+  EXPECT_EQ(o.instrument.executions(), 3u);
+}
+
+TEST(WriteObserver, OverlappingReadThroughTheSameHandleObserves) {
+  ObservedFs o;
+  const auto fh = o.fs.open("/f", vfs::OpenMode::ReadWrite);
+  o.write(fh, 0, 16);
+  o.write(fh, 16, 16);
+  o.read(fh, 20, 4);
+  EXPECT_FALSE(o.observed(0));
+  EXPECT_TRUE(o.observed(1));
+}
+
+TEST(WriteObserver, OverlappingReadThroughAReopenedHandleObserves) {
+  ObservedFs o;
+  auto fh = o.fs.open("/f", vfs::OpenMode::Write);
+  o.write(fh, 0, 16);
+  o.fs.close(fh);
+  fh = o.fs.open("/f", vfs::OpenMode::Read);
+  o.read(fh, 15, 1);  // the write's last byte
+  EXPECT_TRUE(o.observed(0));
+}
+
+TEST(WriteObserver, NonOverlappingReadDoesNotObserve) {
+  ObservedFs o;
+  const auto f = o.fs.open("/f", vfs::OpenMode::ReadWrite);
+  const auto g = o.fs.open("/g", vfs::OpenMode::ReadWrite);
+  o.write(f, 8, 8);
+  o.write(g, 0, 32);
+  o.read(f, 0, 8);    // ends where the write starts
+  o.read(f, 16, 16);  // starts where it ends (past EOF)
+  o.read(g, 8, 8);    // the same range of another file
+  EXPECT_FALSE(o.observed(0));
+  EXPECT_TRUE(o.observed(1));
+}
+
+TEST(WriteObserver, ReadBeforeTheInstanceDoesNotObserveIt) {
+  ObservedFs o;
+  const auto fh = o.fs.open("/f", vfs::OpenMode::ReadWrite);
+  o.write(fh, 0, 16);
+  o.read(fh, 0, 16);
+  o.write(fh, 0, 16);  // rewrites the range after it was read
+  EXPECT_TRUE(o.observed(0));
+  EXPECT_FALSE(o.observed(1));
+}
+
+TEST(WriteObserver, LaterOverlappingWriteObserves) {
+  ObservedFs o;
+  const auto fh = o.fs.open("/f", vfs::OpenMode::ReadWrite);
+  o.write(fh, 0, 16);
+  o.write(fh, 32, 16);
+  o.write(fh, 8, 16);  // overlaps instance 0 only
+  EXPECT_TRUE(o.observed(0));
+  EXPECT_FALSE(o.observed(1));
+  EXPECT_FALSE(o.observed(2));
+  // An uncounted write (instrumentation gated off) observes just the same.
+  o.instrument.set_enabled(false);
+  o.write(fh, 47, 1);
+  EXPECT_TRUE(o.observed(1));
+  EXPECT_EQ(o.fs.sites().sites.size(), 3u);
+}
+
+TEST(WriteObserver, TruncateAndFtruncateObserveTheRangeTheyCut) {
+  ObservedFs o;
+  const auto fh = o.fs.open("/f", vfs::OpenMode::ReadWrite);
+  o.write(fh, 0, 16);
+  o.write(fh, 16, 16);
+  o.fs.truncate("/f", 64);  // growing cuts nothing
+  EXPECT_FALSE(o.observed(0));
+  EXPECT_FALSE(o.observed(1));
+  o.fs.truncate("/f", 20);
+  EXPECT_FALSE(o.observed(0));
+  EXPECT_TRUE(o.observed(1));
+  o.fs.ftruncate(fh, 8);
+  EXPECT_TRUE(o.observed(0));
+}
+
+TEST(WriteObserver, TruncatingOpenObserves) {
+  ObservedFs o;
+  auto fh = o.fs.open("/f", vfs::OpenMode::Write);
+  o.write(fh, 0, 16);
+  o.fs.close(fh);
+  fh = o.fs.open("/f", vfs::OpenMode::ReadWrite);  // no truncation
+  EXPECT_FALSE(o.observed(0));
+  o.fs.close(fh);
+  (void)o.fs.open("/f", vfs::OpenMode::Write);
+  EXPECT_TRUE(o.observed(0));
+}
+
+TEST(WriteObserver, UnlinkObservesAndOrphansOpenHandles) {
+  ObservedFs o;
+  const auto fh = o.fs.open("/f", vfs::OpenMode::Write);
+  o.write(fh, 0, 16);
+  o.fs.unlink("/f");
+  EXPECT_TRUE(o.observed(0));
+  // A write through the still-open handle lands in no path of the tree.
+  o.write(fh, 32, 16);
+  EXPECT_TRUE(o.observed(1));
+  // A new file at the same path is a new site.
+  const auto again = o.fs.open("/f", vfs::OpenMode::Write);
+  o.write(again, 0, 16);
+  EXPECT_FALSE(o.observed(2));
+}
+
+TEST(WriteObserver, RenameObservesSourceAndTarget) {
+  ObservedFs o;
+  const auto a = o.fs.open("/a", vfs::OpenMode::Write);
+  const auto b = o.fs.open("/b", vfs::OpenMode::Write);
+  const auto c = o.fs.open("/c", vfs::OpenMode::Write);
+  o.write(a, 0, 16);
+  o.write(b, 0, 16);
+  o.write(c, 0, 16);
+  o.fs.rename("/a", "/moved");  // source
+  EXPECT_TRUE(o.observed(0));
+  o.fs.rename("/c", "/b");  // target replaced, source moved
+  EXPECT_TRUE(o.observed(1));
+  EXPECT_TRUE(o.observed(2));
+  // Handles follow their file: a's writes now land in /moved, while the
+  // handle on the replaced /b writes into no path.
+  o.write(a, 32, 16);
+  o.write(b, 32, 16);
+  const faults::WriteSites& sites = o.fs.sites();
+  EXPECT_FALSE(o.observed(3));
+  EXPECT_EQ(sites.paths.at(sites.sites[3].file), "/moved");
+  EXPECT_TRUE(o.observed(4));
+}
+
+TEST(WriteObserver, DirectoryRenameMovesEveryFileBelow) {
+  ObservedFs o;
+  o.fs.mkdir("/dir");
+  const auto fh = o.fs.open("/dir/x", vfs::OpenMode::Write);
+  const auto other = o.fs.open("/dirty", vfs::OpenMode::Write);
+  o.write(fh, 0, 16);
+  o.write(other, 0, 16);
+  o.fs.rename("/dir", "/dir2");
+  EXPECT_TRUE(o.observed(0));
+  EXPECT_FALSE(o.observed(1));  // a sibling sharing the name prefix
+  o.write(fh, 16, 16);
+  const faults::WriteSites& sites = o.fs.sites();
+  EXPECT_EQ(sites.paths.at(sites.sites[2].file), "/dir2/x");
+}
+
+TEST(WriteObserver, SynthesizableSignatures) {
+  for (const char* text : {"BF", "BIT_FLIP@pwrite{width=4}", "SHORN_WRITE@pwrite{tail=garbage}"}) {
+    EXPECT_TRUE(faults::is_synthesizable(faults::parse_fault_signature(text))) << text;
+  }
+  for (const char* text : {"SW", "SHORN_WRITE@pwrite{tail=stale}", "DW", "IO_ERROR@pwrite",
+                           "BIT_FLIP@pread", "BIT_FLIP@mknod", "TORN_SECTOR@pwrite", "LSE",
+                           "MW", "BIT_ROT@pwrite"}) {
+    EXPECT_FALSE(faults::is_synthesizable(faults::parse_fault_signature(text))) << text;
+  }
+}
+
+using InstanceCount = std::pair<std::uint64_t, std::uint64_t>;
+
+/// (instances, unobserved instances) of a BIT_FLIP@pwrite profile of `app`
+/// at `stage`, with the app seed a seed-42 plan cell uses.
+InstanceCount unobserved_instances(const core::Application& app,
+                                                             int stage) {
+  const auto profile = core::IoProfiler::profile(app, faults::parse_fault_signature("BF"),
+                                                 42 ^ 0x5eedULL, stage);
+  EXPECT_EQ(profile.sites.sites.size(), profile.primitive_count);
+  return {profile.primitive_count, unobserved_count(profile.sites)};
+}
+
+TEST(WriteObserver, PinsTheBenchmarkConfigurations) {
+  montage::MontageConfig dense;  // bench/suite's dense 6x3 mosaic
+  dense.scene.tile_x0 = {0, 24, 48, 72, 96, 120};
+  dense.scene.tile_y0 = {0, 24, 48};
+  const montage::MontageApp montage(dense);
+  // mAdd reads every corrected tile back; stage 4 writes the area map, the
+  // uncorrected mosaic, the preview and the statistics after its re-read.
+  EXPECT_EQ(unobserved_instances(montage, 3), (InstanceCount{144, 0}));
+  EXPECT_EQ(unobserved_instances(montage, 4), (InstanceCount{53, 36}));
+  EXPECT_EQ(unobserved_instances(qmc::QmcApp(), 2),
+            (InstanceCount{25, 25}));
+  nyx::NyxConfig nyx80;
+  nyx80.field.n = 80;
+  nyx80.timesteps = 2;
+  EXPECT_EQ(unobserved_instances(nyx::NyxApp(nyx80), 2),
+            (InstanceCount{4, 4}));
+  nyx::NyxConfig nyx96;
+  nyx96.field.n = 96;
+  nyx96.timesteps = 3;
+  EXPECT_EQ(unobserved_instances(nyx::NyxApp(nyx96), 3),
+            (InstanceCount{5, 5}));
+  // Signatures synthesis cannot use keep no table.
+  EXPECT_TRUE(core::IoProfiler::profile(qmc::QmcApp(), faults::parse_fault_signature("SW"),
+                                        1, 2)
+                  .sites.sites.empty());
 }
 
 }  // namespace

@@ -329,6 +329,20 @@ TEST(Protocol, RunRowCarriesReplayedInFlagsBitTwo) {
   EXPECT_TRUE(dist::to_run_result(decoded).replayed);
 }
 
+TEST(Protocol, RunRowCarriesSynthesizedInFlagsBitThree) {
+  dist::RunRow m;
+  m.synthesized = true;
+  const util::Bytes encoded = dist::encode(m);
+  EXPECT_EQ(std::to_integer<unsigned>(encoded[1 + 8 + 4 + 8 + 1]), 8u);
+  const auto decoded = dist::decode_run_row(encoded);
+  EXPECT_TRUE(decoded.synthesized);
+  EXPECT_FALSE(decoded.replayed);
+  EXPECT_TRUE(dist::to_run_result(decoded).synthesized);
+  core::RunResult run;
+  run.synthesized = true;
+  EXPECT_TRUE(dist::to_run_row(run, 1, 2, 3).synthesized);
+}
+
 TEST(Protocol, RunRowCounterListToleratesLengthSkewButNotForgedCounts) {
   dist::RunRow m;
   test_support::set_distinct_counters(m.fs_stats, /*base=*/1);

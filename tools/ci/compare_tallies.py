@@ -6,7 +6,8 @@
 Rows match by `label` and compare on every column but the machine- and
 scheduling-dependent ones (EXCLUDE: timers, arenas, cache tiers, and
 runs_replayed, which depends on how runs split across threads and fleet
-units), so a new counter is checked without editing this.  Each
+units), so a new counter is checked without editing this.  It compares
+runs_synthesized, which depends on the plan alone.  Each
 LABEL:COLUMN names a cell and a column that must be non-zero in SINGLE.csv.
 """
 
