@@ -175,13 +175,17 @@ std::uint64_t FaultInjector::primitive_count() const {
   return profile_.primitive_count;
 }
 
-RunDraw FaultInjector::draw(std::uint64_t run_seed) const {
-  if (!prepared_) throw std::logic_error("FaultInjector::prepare() not called");
+RunDraw draw(std::uint64_t run_seed, std::uint64_t primitive_count) {
   util::Rng rng(run_seed);
   RunDraw out;
-  out.instance = rng.uniform(profile_.primitive_count);
+  out.instance = rng.uniform(primitive_count);
   out.feature_seed = rng();
   return out;
+}
+
+RunDraw FaultInjector::draw(std::uint64_t run_seed) const {
+  if (!prepared_) throw std::logic_error("FaultInjector::prepare() not called");
+  return core::draw(run_seed, profile_.primitive_count);
 }
 
 RunResult FaultInjector::execute(std::uint64_t run_seed) const {

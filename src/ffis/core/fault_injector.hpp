@@ -46,9 +46,10 @@ struct RunResult {
   /// Which fleet member executed the run under a dist::Coordinator (ids are
   /// handed out at handshake time, starting at 1); 0 for local execution.
   std::uint32_t worker_id = 0;
-  /// Copied from an earlier run of the same instance whose fault drew no
-  /// feature instead of executing (exp::execute_run); only the timers and
-  /// arena counters are this run's own.
+  /// The run's fault drew no feature and a lower-index run of its cell draws
+  /// the same instance, so the run repeats that instance's result
+  /// (exp::CellCollector labels it; a filled copy has zero timers and arena
+  /// counters).
   bool replayed = false;
   /// Classified from the golden tree with the fault applied at its write
   /// site instead of executed, because nothing in the run reads that site
@@ -61,6 +62,12 @@ struct RunDraw {
   std::uint64_t instance = 0;
   std::uint64_t feature_seed = 0;
 };
+
+/// The draw of `run_seed`: an instance uniform over `primitive_count`
+/// dynamic executions of the target primitive (> 0), then the feature seed.
+/// A pure function, so a run's instance follows from the plan and the
+/// profiled count alone.
+[[nodiscard]] RunDraw draw(std::uint64_t run_seed, std::uint64_t primitive_count);
 
 class FaultInjector {
  public:
@@ -158,8 +165,7 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t primitive_count() const;
   [[nodiscard]] const faults::FaultSignature& signature() const noexcept { return signature_; }
 
-  /// The instance and feature seed `run_seed` selects (uniform over the
-  /// profiled primitive count).  Thread-safe after prepare().
+  /// core::draw(run_seed, primitive_count()).  Thread-safe after prepare().
   [[nodiscard]] RunDraw draw(std::uint64_t run_seed) const;
 
   /// One injection run, fully isolated (fresh in-memory backing store):

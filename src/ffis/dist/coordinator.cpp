@@ -314,7 +314,8 @@ bool Coordinator::land_row_locked(const RunRow& row, std::uint32_t worker_id) {
     return false;
   }
   // First wins: a re-granted unit reproduces byte-identical rows (seeds are
-  // pure functions of run index), so dropping duplicates loses nothing.
+  // pure functions of run index), so dropping duplicates loses nothing.  The
+  // collector labels replays; the row only says whether a feature was drawn.
   core::RunResult run = to_run_result(row);
   run.worker_id = worker_id;
   collector_->land(row.cell_index, row.run_index, std::move(run));
@@ -324,13 +325,14 @@ bool Coordinator::land_row_locked(const RunRow& row, std::uint32_t worker_id) {
 void Coordinator::replay_journal_locked() {
   const JournalReplay& replay = journal_->replayed();
   // Cell facts first (error cells must abandon their units before any unit
-  // record could race a finalize), then landed units.  Replay is tolerant:
-  // a record that passed its checksum but names out-of-plan indices (a
-  // hand-edited file) is skipped, never fatal, and never double-counted —
-  // occupied slots and non-Pending units reject duplicates exactly like the
-  // network path does.
+  // record could race a finalize), then landed units.  A journaled row lands
+  // like a live one, so a feature-free row fills its instance's open slots
+  // again.  Replay is tolerant: a record that passed its checksum but names
+  // out-of-plan indices or malformed facts (a hand-edited file) is skipped,
+  // never fatal, and never double-counted — occupied slots and non-Pending
+  // units reject duplicates exactly like the network path does.
   for (const CellInfo& info : replay.cell_infos) {
-    if (info.cell_index < plan_.size()) (void)land_info_locked(info, 0);
+    if (malformed_info_locked(info).empty()) (void)land_info_locked(info, 0);
   }
   for (const JournalReplay::Unit& unit : replay.units) {
     if (!scheduler_.mark_done(unit.unit_id)) continue;
@@ -345,7 +347,9 @@ void Coordinator::journal_unit_locked(std::uint64_t unit_id) {
   rows.reserve(static_cast<std::size_t>(unit.runs()));
   for (std::uint64_t r = unit.run_begin; r < unit.run_end; ++r) {
     // Lost races leave no trace to journal.  A finalized cell keeps its
-    // slots: its last UnitDone arrives after the row that finalized it.
+    // slots: its last UnitDone arrives after the row that finalized it.  A
+    // slot filled from another run of its instance journals as that run's
+    // feature-free row, which fills the same slots again on replay.
     const core::RunResult* run = collector_->landed(unit.cell_index, r);
     if (run == nullptr) continue;
     rows.emplace_back(run->worker_id, to_run_row(*run, unit_id, unit.cell_index, r));
@@ -353,11 +357,25 @@ void Coordinator::journal_unit_locked(std::uint64_t unit_id) {
   journal_->append_unit(unit_id, rows);
 }
 
+std::string Coordinator::malformed_info_locked(const CellInfo& info) {
+  const std::string cell = "CellInfo for cell " + std::to_string(info.cell_index);
+  if (info.cell_index >= plan_.size()) return cell + " is out of plan";
+  // Replay groups a cell's runs by the instances its primitive count draws,
+  // so a count the kept facts disagree with must never land.
+  if (!info.error.empty()) return {};
+  if (info.primitive_count == 0) return cell + " has no primitive count and no error";
+  const std::uint64_t kept = collector_->report().cells[info.cell_index].primitive_count;
+  if (kept != 0 && kept != info.primitive_count) {
+    return cell + " has primitive count " + std::to_string(info.primitive_count) +
+           ", but the cell's kept count is " + std::to_string(kept);
+  }
+  return {};
+}
+
 void Coordinator::on_cell_info(const CellInfo& info, std::uint32_t worker_id) {
   std::lock_guard lock(mutex_);
-  if (info.cell_index >= plan_.size()) {
-    throw net::NetError("CellInfo for out-of-plan cell " +
-                        std::to_string(info.cell_index));
+  if (const std::string problem = malformed_info_locked(info); !problem.empty()) {
+    throw net::NetError(problem);
   }
   // Journaled when it changed the cell: its first facts, or the error that
   // must keep a resumed campaign's cell abandoned even when another worker's

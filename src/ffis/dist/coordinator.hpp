@@ -4,8 +4,11 @@
 // The coordinator owns the plan.  It shards every cell into (cell, run-range)
 // work units (dist::shard_plan), listens on a TCP port, and hands units to
 // whichever worker asks next; workers stream back one RunRow per executed
-// injection run (in RunBatch frames) plus per-cell preparation facts
-// (CellInfo).  Rows and facts land in the engine's own exp::CellCollector,
+// or synthesized injection run (in RunBatch frames) plus per-cell
+// preparation facts (CellInfo).  A run a worker skipped because its instance
+// already executed feature-free sends no row: the collector fills its slot
+// from that execution's row, which arrives first on the same connection.
+// Rows and facts land in the engine's own exp::CellCollector,
 // live or replayed from the journal alike, so the merged report is
 // bit-identical to a single-process exp::Engine run of the same plan at the
 // same seeds, regardless of worker count, scheduling, or mid-campaign worker
@@ -119,6 +122,11 @@ class Coordinator {
   /// True when the handshake succeeded (worker admitted to the fleet).
   bool handshake(net::Socket& socket, std::uint32_t worker_id);
   void on_cell_info(const CellInfo& info, std::uint32_t worker_id);
+  /// Why `info` must not land — an out-of-plan cell, clean facts without a
+  /// primitive count, or a count that differs from the cell's kept one — or
+  /// empty.  Live, the reason drops the peer; in journal replay the record
+  /// is skipped.
+  [[nodiscard]] std::string malformed_info_locked(const CellInfo& info);
   /// Locked helpers.  The two land_* calls serve live frames and journal
   /// replay alike.  land_info_locked takes an in-plan cell and returns true
   /// when the facts changed it; land_row_locked returns false for a row

@@ -21,10 +21,12 @@ using util::ByteSpan;
 using util::ByteWriter;
 
 constexpr std::string_view kSignature = "FFISJRNL";
-/// 3: records hold RunRows that carry the `synthesized` flag (protocol v8);
-/// format 2 journals predate it.  A journal of another format fails the
-/// header comparison and the campaign starts over.
-constexpr std::uint32_t kFormatVersion = 3;
+/// 4: records hold RunRows whose flags bit 2 is `features_drawn` (protocol
+/// v9), from which replay re-derives the copies; format 3 rows carry
+/// `replayed` there instead, and format 2 rows lack `synthesized`.  A
+/// journal of another format fails the header comparison and the campaign
+/// starts over.
+constexpr std::uint32_t kFormatVersion = 4;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8;
 /// Far above any real record (a 16 Ki-run unit is ~1.5 MiB) while still
 /// rejecting a garbage length field before it sizes an allocation.

@@ -47,8 +47,8 @@ namespace ffis::dist {
 /// storage counters travel as a counted list in run-counter table order
 /// (FFIS_RUN_COUNTERS), so appending a counter needs no bump.  v6 added
 /// HelloAck::checkpoint_budget, v7 RunRow's `replayed` flag, v8 its
-/// `synthesized` flag.
-inline constexpr std::uint32_t kProtocolVersion = 8;
+/// `synthesized` flag, and v9 turned flags bit 2 into `features_drawn`.
+inline constexpr std::uint32_t kProtocolVersion = 9;
 
 /// First field of every Hello; guards against a stray client that speaks
 /// some other protocol entirely.
@@ -133,7 +133,9 @@ struct CellInfo : exp::CellFacts {
 };
 
 /// One executed injection run — exactly the fields the coordinator needs to
-/// rebuild CellResult tallies and sink rows bit-identically.  Deliberately
+/// rebuild CellResult tallies and sink rows bit-identically.  A run the
+/// worker skipped (its instance already executed feature-free in the same
+/// session) has no row.  Deliberately
 /// excludes the analysis blob and crash text (only keep_details consumers
 /// would see them, and they can be MiB-sized).  fs_stats travels as a counted
 /// u64 list in table order; missing counters decode as 0, unknown ones skip.
@@ -144,8 +146,10 @@ struct RunRow {
   core::Outcome outcome = core::Outcome::Benign;
   bool fault_fired = false;
   bool analyze_skipped = false;
-  /// Flags bit 2; a row journaled before v7 decodes it as false.
-  bool replayed = false;
+  /// Flags bit 2 (protocol v9, journal format 4): the run's fault drew a
+  /// feature.  When false the coordinator's collector fills every open slot
+  /// of the run's instance from this row and labels the replays itself.
+  bool features_drawn = false;
   /// Flags bit 3 (protocol v8, journal format 3).
   bool synthesized = false;
   vfs::FsStats fs_stats{};

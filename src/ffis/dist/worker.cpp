@@ -210,9 +210,12 @@ void run_session(const std::string& host, std::uint16_t port,
 
     // Execute the whole range into per-run slots, then stream in run order.
     // Seeds come from the generator exactly as the engine derives them, so
-    // these rows are bit-identical to a single-process run's.
+    // these rows are bit-identical to a single-process run's.  A skipped run
+    // sends no row: its instance's executed run set the cell's flag in this
+    // session, and that run's row left on this connection ahead of this
+    // unit's UnitDone, so the coordinator fills the skipped slot first.
     const std::uint64_t n = grant.run_end - grant.run_begin;
-    std::vector<core::RunResult> results(n);
+    std::vector<std::optional<core::RunResult>> results(n);
     util::parallel_for(ctx.pool, static_cast<std::size_t>(n), [&](std::size_t i) {
       const std::uint64_t r = grant.run_begin + i;
       results[i] = exp::execute_run(cell, r);
@@ -234,10 +237,10 @@ void run_session(const std::string& host, std::uint16_t port,
       batch.rows.clear();
     };
     for (std::uint64_t i = 0; i < send_count; ++i) {
+      if (!results[i]) continue;
       if (batch.rows.empty()) batch_started = std::chrono::steady_clock::now();
       batch.rows.push_back(
-          to_run_row(results[i], grant.unit_id, grant.cell_index, grant.run_begin + i));
-      ++stats.runs_executed;
+          to_run_row(*results[i], grant.unit_id, grant.cell_index, grant.run_begin + i));
       if (batch.rows.size() >= kRunBatchRows ||
           std::chrono::steady_clock::now() - batch_started >=
               std::chrono::milliseconds(kRunBatchFlushMs)) {
@@ -257,6 +260,7 @@ void run_session(const std::string& host, std::uint16_t port,
       io.send(done);
     }
     ++stats.units_completed;
+    stats.runs_executed += n;
   }
 }
 

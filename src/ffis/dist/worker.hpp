@@ -71,6 +71,9 @@ inline constexpr std::size_t kNeverAbort = static_cast<std::size_t>(-1);
 struct WorkerStats {
   std::uint32_t worker_id = 0;
   std::uint64_t units_completed = 0;
+  /// Every run of every unit the worker finished (sent UnitDone for),
+  /// executed, synthesized or skipped alike; a unit cut short by a lost
+  /// link or abort_after_units counts none.
   std::uint64_t runs_executed = 0;
   /// Non-empty when the coordinator rejected the handshake (version skew,
   /// wrong magic); the worker then executed nothing.

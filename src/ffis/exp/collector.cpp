@@ -40,6 +40,24 @@ bool CellCollector::land(std::size_t cell, std::uint64_t run, core::RunResult re
   CellSlots& c = open_slots(cell);
   if (c.final || c.state[run] != Slot::Open) return false;
   if (!keep_details_) result.analysis.reset();
+  const CellResult& out = report_.cells[cell];
+  if (c.instances.leader.empty() && c.has_facts && out.primitive_count > 0) {
+    c.instances = instance_runs(out.cell, out.primitive_count);
+  }
+  if (!c.instances.leader.empty() && !result.synthesized && !result.record.features_drawn) {
+    const std::uint64_t leader = c.instances.leader[run];
+    result.replayed = run != leader;
+    core::RunResult copy = result;
+    copy.execute_ms = copy.analyze_ms = 0.0;
+    copy.fs_stats.arena_slabs_allocated = copy.fs_stats.arena_bytes_recycled = 0;
+    for (std::uint64_t r = leader; r < out.cell.runs; r = c.instances.next[r]) {
+      if (c.state[r] != Slot::Open || r == run) continue;
+      c.runs[r] = copy;
+      c.runs[r].replayed = r != leader;
+      c.state[r] = Slot::Landed;
+      ++c.closed;
+    }
+  }
   c.runs[run] = std::move(result);
   close(cell, run, Slot::Landed);
   return true;

@@ -6,8 +6,17 @@
 // first run closes, so none are built ahead of the first run.  A run lands
 // in its slot first-wins (a re-granted unit reproduces byte-identical runs,
 // so the duplicate loses nothing), or is retired with no result (a
-// cancelled or failed task).  A
-// cell finalizes the moment its last slot closes, or at once when its
+// cancelled or failed task).
+//
+// Run replay is decided here, from the plan: once a cell's facts are in,
+// each run's instance leader follows from its seed and the primitive count,
+// and the runs of each instance are linked (instance_runs).  Landing a run whose fault drew no feature (and that
+// was not synthesized) fills every open slot of its instance with a copy —
+// zero timers and arena counters — so executors may skip such runs.  Every
+// slot of a feature-free instance but its leader's is labelled `replayed`,
+// whichever run landed first.
+//
+// A cell finalizes the moment its last slot closes, or at once when its
 // preparation facts carry an error; finalizing folds the landed runs through
 // CellResult::add_run in run order, so tallies and every counter are
 // bit-identical under any landing order, thread count or fleet.  Finished
@@ -43,7 +52,8 @@ class CellCollector {
   bool set_facts(std::size_t cell, const CellFacts& facts, std::uint32_t worker_id = 0);
 
   /// Lands one run first-wins (RunResult::worker_id names its contributor,
-  /// 0 = local).  Returns false, dropping `result`, when the slot is already
+  /// 0 = local), filling the open slots of its instance when it drew no
+  /// feature.  Returns false, dropping `result`, when the slot is already
   /// closed or the cell is final.
   bool land(std::size_t cell, std::uint64_t run, core::RunResult result);
 
@@ -68,6 +78,8 @@ class CellCollector {
   struct CellSlots {
     std::vector<core::RunResult> runs;
     std::vector<Slot> state;
+    /// Each run's instance leader and link; empty until the facts are in.
+    InstanceRuns instances;
     std::uint64_t closed = 0;
     bool has_facts = false;
     bool final = false;

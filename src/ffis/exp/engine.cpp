@@ -61,9 +61,12 @@ ExperimentReport Engine::run(const ExperimentPlan& plan, ResultSink& sink) {
     const auto [i, r] = tasks[t];
     std::optional<core::RunResult> run;
     std::string error;
+    bool skipped = false;
     if (!cancel_requested()) {
       try {
         run = execute_run(prepared[i], r);
+        // The run of its instance that executed fills this slot as it lands.
+        skipped = !run;
       } catch (const std::exception& e) {
         // Execution already converts application failures to Crash outcomes
         // internally, so an exception here is harness infrastructure (e.g.
@@ -73,6 +76,7 @@ ExperimentReport Engine::run(const ExperimentPlan& plan, ResultSink& sink) {
       const std::uint64_t d = done.fetch_add(1, std::memory_order_relaxed) + 1;
       if (options_.progress) options_.progress(d, tasks.size());
     }
+    if (skipped) return;
     std::lock_guard lock(emit_mutex);
     if (run) {
       collector.land(i, r, std::move(*run));

@@ -5,7 +5,11 @@
 #include <map>
 #include <stdexcept>
 #include <tuple>
+#include <unordered_map>
+#include <utility>
 
+#include "ffis/core/fault_injector.hpp"
+#include "ffis/faults/fault_generator.hpp"
 #include "ffis/faults/fault_signature.hpp"
 
 namespace ffis::exp {
@@ -24,6 +28,22 @@ std::string default_cell_label(const Cell& cell) {
   label += "-";
   label += cell.fault;
   return label;
+}
+
+InstanceRuns instance_runs(const Cell& cell, std::uint64_t primitive_count) {
+  InstanceRuns out{std::vector<std::uint64_t>(cell.runs),
+                   std::vector<std::uint64_t>(cell.runs, cell.runs)};
+  // Per instance drawn: its leader and its latest run so far.  Keyed by the
+  // runs' own instances, so a bogus primitive_count sizes nothing.
+  std::unordered_map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> seen;
+  for (std::uint64_t r = 0; r < cell.runs; ++r) {
+    const std::uint64_t instance =
+        core::draw(faults::run_seed(cell.seed, r), primitive_count).instance;
+    const auto [it, first] = seen.try_emplace(instance, r, r);
+    if (!first) out.next[std::exchange(it->second.second, r)] = r;
+    out.leader[r] = it->second.first;
+  }
+  return out;
 }
 
 PlanBuilder& PlanBuilder::runs(std::uint64_t n) {

@@ -27,8 +27,7 @@ namespace ffis::exp {
 
 /// One campaign cell: `runs` injections of `fault` into `app`, scoped to
 /// `stage` (-1 = whole run), seeded by `seed`: the application seed is
-/// `seed ^ 0x5eed` and the seed of run r is faults::FaultGenerator::run_seed(r)
-/// over `seed`.
+/// `seed ^ 0x5eed` and the seed of run r is faults::run_seed(seed, r).
 struct Cell {
   const core::Application* app = nullptr;  ///< non-owning; must outlive the run
   std::string fault;                       ///< fault signature text ("BF", "BIT_FLIP@pwrite{width=2}", ...)
@@ -116,5 +115,18 @@ class PlanBuilder {
 /// Default label: upper-cased application name, the stage number when one is
 /// set, then the fault text — e.g. "NYX-BF", "MONTAGE3-SHORN_WRITE@pwrite".
 [[nodiscard]] std::string default_cell_label(const Cell& cell);
+
+/// How the runs of `cell` group by the fault instance they draw (core::draw
+/// over the cell's profiled `primitive_count`).  Whether an instance's fault
+/// draws a feature depends on the instance alone, so these groups are what
+/// run replay (exp::CellCollector) fills and labels.
+struct InstanceRuns {
+  /// Per run: its instance's leader, the lowest-index run drawing it.
+  std::vector<std::uint64_t> leader;
+  /// Per run: the next run drawing the same instance, or `cell.runs` after
+  /// the last.
+  std::vector<std::uint64_t> next;
+};
+[[nodiscard]] InstanceRuns instance_runs(const Cell& cell, std::uint64_t primitive_count);
 
 }  // namespace ffis::exp

@@ -1,6 +1,5 @@
 #include "ffis/exp/prepare.hpp"
 
-#include <chrono>
 #include <map>
 #include <mutex>
 #include <tuple>
@@ -258,8 +257,7 @@ PreparedCell CellPreparer::prepare(std::size_t index) {
       out.injector->prepare_with_golden(gold.result, gold.tree);
     }
     out.primitive_count = out.injector->primitive_count();
-    out.replay = std::make_unique<ReplayMemo>();
-    out.replay->keep_analysis = options_.keep_details;
+    out.feature_free = std::vector<std::atomic<bool>>(out.primitive_count);
   } catch (const std::exception& e) {
     out.error = e.what();
     out.generator.reset();
@@ -268,33 +266,13 @@ PreparedCell CellPreparer::prepare(std::size_t index) {
   return out;
 }
 
-core::RunResult execute_run(PreparedCell& cell, std::uint64_t run) {
+std::optional<core::RunResult> execute_run(PreparedCell& cell, std::uint64_t run) {
   const core::RunDraw draw = cell.injector->draw(cell.generator->run_seed(run));
-  if (auto synthesized = cell.injector->synthesize(draw)) return std::move(*synthesized);
-  ReplayMemo& memo = *cell.replay;
-  const auto start = std::chrono::steady_clock::now();
-  {
-    std::unique_lock lock(memo.mutex);
-    if (const auto it = memo.runs.find(draw.instance); it != memo.runs.end()) {
-      core::RunResult result = it->second;
-      lock.unlock();
-      result.replayed = true;
-      result.fs_stats.arena_slabs_allocated = 0;
-      result.fs_stats.arena_bytes_recycled = 0;
-      result.execute_ms = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-      result.analyze_ms = 0.0;
-      return result;
-    }
-  }
+  if (auto synthesized = cell.injector->synthesize(draw)) return synthesized;
+  std::atomic<bool>& feature_free = cell.feature_free[draw.instance];
+  if (feature_free.load(std::memory_order_relaxed)) return std::nullopt;
   core::RunResult result = cell.injector->execute_at(draw.instance, draw.feature_seed);
-  if (!result.record.features_drawn) {
-    core::RunResult entry = result;
-    if (!memo.keep_analysis) entry.analysis.reset();
-    std::lock_guard lock(memo.mutex);
-    memo.runs.try_emplace(draw.instance, std::move(entry));
-  }
+  if (!result.record.features_drawn) feature_free.store(true, std::memory_order_relaxed);
   return result;
 }
 

@@ -19,12 +19,12 @@
 // "cached" once the key resolved — so they do not depend on which thread,
 // or which fleet worker, prepares a cell first.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ffis/core/fault_injector.hpp"
@@ -39,36 +39,28 @@ class CheckpointStore;
 
 namespace ffis::exp {
 
-/// The results of a cell's runs whose fault drew no feature, by instance.
-/// Such a run depends on its instance alone, so every later run drawing
-/// that instance copies the result instead of executing (execute_run).
-struct ReplayMemo {
-  /// Keep each result's analysis (EngineOptions::keep_details); otherwise
-  /// an entry is a few hundred bytes and the memo stays bounded by the
-  /// cell's distinct instances.
-  bool keep_analysis = false;
-  std::mutex mutex;
-  std::unordered_map<std::uint64_t, core::RunResult> runs;
-};
-
-/// One prepared cell: its fault generator, injector and replay memo (all
-/// null when `error` is set) plus the preparation facts a CellResult reports.
+/// One prepared cell: its fault generator and injector (both null when
+/// `error` is set) plus the preparation facts a CellResult reports.
 struct PreparedCell : CellFacts {
   std::unique_ptr<faults::FaultGenerator> generator;
   std::unique_ptr<core::FaultInjector> injector;
-  std::unique_ptr<ReplayMemo> replay;
+  /// Per fault instance (primitive_count of them): some run of the instance
+  /// executed here and drew no feature, so its other runs need not execute.
+  std::vector<std::atomic<bool>> feature_free;
   /// An earlier plan cell owns this cell's checkpoint key, which resolved.
   bool checkpoint_cached = false;
 };
 
 /// Run `run` of a prepared cell: synthesized from the golden tree when
 /// nothing reads the drawn instance's write back (FaultInjector::synthesize,
-/// a function of the plan alone); else a copy of an earlier feature-free run
-/// of the same instance with `replayed` set, its own timers and zero arena
-/// counters; else the injector's execute(run_seed).  Thread-safe; racing
-/// runs of one instance may both execute (identically) and the first memo
-/// entry wins.
-[[nodiscard]] core::RunResult execute_run(PreparedCell& cell, std::uint64_t run);
+/// a function of the plan alone); else nullopt — skipped — when a run of
+/// the same instance already executed on this cell and drew no feature;
+/// else the injector's execute(run_seed).  A skipped run has no result:
+/// its slot is filled when the executed run of its instance lands in the
+/// exp::CellCollector.  Thread-safe; racing runs of one instance may both
+/// execute (identically).
+[[nodiscard]] std::optional<core::RunResult> execute_run(PreparedCell& cell,
+                                                         std::uint64_t run);
 
 class CellPreparer {
  public:

@@ -24,6 +24,11 @@ struct CampaignConfig {
   std::map<std::string, std::string> extra;  ///< application-specific knobs
 };
 
+/// Seed of run `run_index` of a campaign seeded by `campaign_seed`: an
+/// independent stream per injection run.
+[[nodiscard]] std::uint64_t run_seed(std::uint64_t campaign_seed,
+                                     std::uint64_t run_index) noexcept;
+
 class FaultGenerator {
  public:
   explicit FaultGenerator(CampaignConfig config);
@@ -32,8 +37,10 @@ class FaultGenerator {
   [[nodiscard]] const FaultSignature& signature() const noexcept { return signature_; }
   [[nodiscard]] const CampaignConfig& config() const noexcept { return config_; }
 
-  /// Seed for run `i`: an independent stream per injection run.
-  [[nodiscard]] std::uint64_t run_seed(std::uint64_t run_index) const noexcept;
+  /// faults::run_seed over the campaign seed.
+  [[nodiscard]] std::uint64_t run_seed(std::uint64_t run_index) const noexcept {
+    return faults::run_seed(config_.seed, run_index);
+  }
 
  private:
   CampaignConfig config_;

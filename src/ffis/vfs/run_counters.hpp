@@ -37,8 +37,8 @@
   RUN(analyze_ms, double, Sum, run.analyze_ms)                                \
   /* Runs classified Benign straight from an empty extent diff. */            \
   RUN(analyze_skipped, std::uint64_t, CountNonzero, run.analyze_skipped)      \
-  /* Runs copied from an earlier feature-free run of their instance; like */  \
-  /* the timers it depends on scheduling (threads, fleet units). */           \
+  /* Feature-free runs that repeat a lower-index run's instance, which */     \
+  /* exp::CellCollector fills from one execution; a function of the plan. */  \
   RUN(runs_replayed, std::uint64_t, CountNonzero, run.replayed)               \
   /* Runs whose corrupted write nothing reads back, classified from the */    \
   /* golden tree instead of executed; a function of the plan alone. */        \

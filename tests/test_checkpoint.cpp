@@ -306,12 +306,16 @@ TEST(EngineCheckpoint, PrefixExecutesOncePerCellGroup) {
   EXPECT_EQ(app.prefix_runs(), 2u);
   // Resumes: 5 folded profiling passes + 2 diff-classification golden-tree
   // continuations (one per checkpoint BUILD — cells sharing a checkpoint
-  // share its golden tree) + 5 x 6 injection runs, less the runs replayed
-  // from an earlier feature-free run of their instance (DW, SHORN_WRITE)
+  // share its golden tree) + 5 x 6 injection runs, less the runs that repeat
+  // an earlier feature-free run of their instance (DW, SHORN_WRITE)
   // and the checkpointed cells' synthesized runs (the BIT_FLIP cells).
+  // Racing threads may both execute a repeated instance: at most one extra
+  // execution per replayed run, and no count changes.
   EXPECT_EQ(report.cells[1].runs_synthesized + report.cells[2].runs_synthesized, 0u);
-  EXPECT_EQ(app.resume_runs(), 5u + 2u + 30u - report.runs_replayed -
-                                   (report.runs_synthesized - report.cells[5].runs_synthesized));
+  const std::uint64_t resumed = 5u + 2u + 30u - report.runs_replayed -
+                                (report.runs_synthesized - report.cells[5].runs_synthesized);
+  EXPECT_GE(app.resume_runs(), resumed);
+  EXPECT_LE(app.resume_runs(), resumed + report.runs_replayed);
 }
 
 TEST(EngineCheckpoint, DiffClassificationOffSkipsGoldenTreeContinuations) {
@@ -332,8 +336,9 @@ TEST(EngineCheckpoint, DiffClassificationOffSkipsGoldenTreeContinuations) {
   // run executes.
   EXPECT_EQ(report.runs_synthesized, 0u);
   // Resumes: 3 folded profiling passes + 3 x 6 injections, no extras, less
-  // the DW runs replayed.
-  EXPECT_EQ(app.resume_runs(), 3u + 18u - report.runs_replayed);
+  // the DW runs that repeat an instance (plus any racing repeat, as above).
+  EXPECT_GE(app.resume_runs(), 3u + 18u - report.runs_replayed);
+  EXPECT_LE(app.resume_runs(), 3u + 18u);
 }
 
 TEST(EngineCheckpoint, DisabledOptionFallsBackToFullRuns) {

@@ -207,9 +207,46 @@ std::uint64_t directory_bytes(const std::string& dir) {
   return total;
 }
 
+/// Forwards to a socket and counts, per cell, the RunRows of every RunBatch
+/// frame sent through it.  The worker serializes its sends, so the frame
+/// parse needs no lock of its own.
+class RowCountingStream final : public net::Stream {
+ public:
+  RowCountingStream(net::Socket socket, std::vector<std::uint64_t>& rows)
+      : socket_(std::move(socket)), rows_(rows) {}
+
+  void send_all(util::ByteSpan data) override {
+    pending_.insert(pending_.end(), data.begin(), data.end());
+    for (;;) {
+      if (pending_.size() < 4) break;
+      std::uint32_t n = 0;
+      for (std::size_t i = 0; i < 4; ++i) n |= std::to_integer<std::uint32_t>(pending_[i]) << (8 * i);
+      if (pending_.size() < 4 + n) break;
+      const util::ByteSpan payload(pending_.data() + 4, n);
+      if (n > 0 && dist::peek_type(payload) == dist::MsgType::RunBatch) {
+        for (const dist::RunRow& row : dist::decode_run_batch(payload).rows) {
+          if (rows_.size() <= row.cell_index) rows_.resize(row.cell_index + 1);
+          ++rows_[row.cell_index];
+        }
+      }
+      pending_.erase(pending_.begin(), pending_.begin() + 4 + n);
+    }
+    socket_.send_all(data);
+  }
+  bool recv_exact(util::MutableByteSpan out) override { return socket_.recv_exact(out); }
+  void shutdown_both() noexcept override { socket_.shutdown_both(); }
+
+ private:
+  net::Socket socket_;
+  std::vector<std::uint64_t>& rows_;
+  util::Bytes pending_;
+};
+
 struct DistOutcome {
   exp::ExperimentReport report;
   std::vector<dist::WorkerStats> workers;
+  /// RunRows the fleet sent, by cell.
+  std::vector<std::uint64_t> rows_sent;
   /// what() of the exception a worker threw; empty when it returned.
   std::vector<std::string> worker_errors;
 };
@@ -230,6 +267,7 @@ DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_worke
   DistOutcome out;
   out.workers.resize(n_workers);
   out.worker_errors.resize(n_workers);
+  std::vector<std::vector<std::uint64_t>> rows_sent(n_workers);
   std::latch connected(static_cast<std::ptrdiff_t>(n_workers));
   std::vector<std::thread> fleet;
   fleet.reserve(n_workers);
@@ -243,9 +281,10 @@ DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_worke
       dist::WorkerOptions wo;
       wo.name = "test-worker-" + std::to_string(i);
       wo.plan = &plan;
-      wo.transport = [&arrive](net::Socket socket) -> std::unique_ptr<net::Stream> {
+      wo.transport = [&arrive, &rows = rows_sent[i]](
+                         net::Socket socket) -> std::unique_ptr<net::Stream> {
         arrive();
-        return std::make_unique<net::Socket>(std::move(socket));
+        return std::make_unique<RowCountingStream>(std::move(socket), rows);
       };
       try {
         out.workers[i] = dist::run_worker("127.0.0.1", port, wo);
@@ -258,7 +297,9 @@ DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_worke
   connected.wait();
   out.report = (sink != nullptr) ? coordinator.run(*sink) : coordinator.run();
   for (auto& t : fleet) t.join();
+  out.rows_sent.assign(plan.size(), 0);
   for (std::size_t i = 0; i < n_workers; ++i) {
+    for (std::size_t c = 0; c < rows_sent[i].size(); ++c) out.rows_sent[c] += rows_sent[i][c];
     if (!out.worker_errors[i].empty()) {
       ADD_FAILURE() << "worker " << i << " threw: " << out.worker_errors[i];
     }
@@ -267,16 +308,16 @@ DistOutcome run_distributed(const exp::ExperimentPlan& plan, std::size_t n_worke
 }
 
 /// Counter values that legitimately differ between two executions of one
-/// plan are dropped: the wall-time timers, arena traffic (per-thread arenas
-/// warm up differently) and runs_replayed (each fleet worker keeps its own
-/// replay memo).  Every other table counter is compared, runs_synthesized
-/// included: it depends on the plan alone.
+/// plan are dropped: the wall-time timers and arena traffic (per-thread
+/// arenas warm up differently).  Every other table counter is compared,
+/// runs_synthesized and runs_replayed included: they depend on the plan
+/// alone.
 std::vector<std::pair<std::string, double>> deterministic_counters(
     const exp::RunCounters& counters) {
   auto values = test_support::counter_values(counters);
   std::erase_if(values, [](const auto& entry) {
     return entry.first == "execute_ms" || entry.first == "analyze_ms" ||
-           entry.first == "runs_replayed" || entry.first.rfind("arena_", 0) == 0;
+           entry.first.rfind("arena_", 0) == 0;
   });
   return values;
 }
@@ -594,10 +635,16 @@ TEST(DistE2E, TwoWorkersMatchEngineTalliesBitForBit) {
   EXPECT_EQ(dist_run.report.workers_connected, 2u);
   EXPECT_EQ(dist_run.report.units_regranted, 0u);
   EXPECT_FALSE(dist_run.report.cancelled);
-  // Each worker replays repeated feature-free instances from its own memo,
-  // and RunRow carries the flag: the SW cell replays, the BF cell never.
+  // Replays are labelled from the plan (deterministic_counters compares
+  // them): the DW and SW cells replay, the BF cell never.
+  EXPECT_GT(dist_run.report.cells[1].runs_replayed, 0u);
   EXPECT_GT(dist_run.report.cells[2].runs_replayed, 0u);
   EXPECT_EQ(dist_run.report.cells[0].runs_replayed, 0u);
+  // A worker skips the repeats of an instance it already executed
+  // feature-free and sends no row for them; every BF run sends one.
+  EXPECT_EQ(dist_run.rows_sent[0], 48u);
+  EXPECT_LT(dist_run.rows_sent[1], 48u);
+  EXPECT_GE(dist_run.rows_sent[1], 48u - dist_run.report.cells[1].runs_replayed);
   // The toy never reads a write back, so every BIT_FLIP run is synthesized,
   // whichever thread or worker draws it; no other cell synthesizes.
   // (deterministic_counters keeps runs_synthesized, so the report
@@ -726,7 +773,10 @@ TEST(DistE2E, WorkerDeathMidUnitRegrantsWithoutDoubleCounting) {
                         .apps({&a})
                         .faults({"BF", "DW"})
                         .build();
-  const auto expected = exp::Engine().run(plan);
+  exp::EngineOptions serial;
+  serial.threads = 1;
+  const auto expected = exp::Engine(serial).run(plan);
+  ASSERT_GT(expected.cells[1].runs_replayed, 0u);
 
   dist::CoordinatorOptions options;
   options.unit_runs = 4;
@@ -762,6 +812,8 @@ TEST(DistE2E, WorkerDeathMidUnitRegrantsWithoutDoubleCounting) {
   serve.join();
 
   expect_reports_identical(report, expected);
+  // The re-grant changes who executes what, never which runs are replays.
+  EXPECT_EQ(report.cells[1].runs_replayed, expected.cells[1].runs_replayed);
   EXPECT_GE(report.units_regranted, 1u);
   EXPECT_EQ(report.workers_connected, 2u);
   EXPECT_FALSE(report.cancelled);
@@ -1033,7 +1085,10 @@ DistOutcome resume_with_journal(const exp::ExperimentPlan& plan,
 TEST(Journal, ResumeReplaysLandedUnitsAndNeverReExecutesThem) {
   ToyApp a;
   const auto plan = make_journal_plan(a);
-  const auto expected = exp::Engine().run(plan);
+  exp::EngineOptions serial;
+  serial.threads = 1;
+  const auto expected = exp::Engine(serial).run(plan);
+  ASSERT_GT(expected.cells[1].runs_replayed, 0u);
   StoreDir dir("journal-resume");
   stdfs::create_directories(dir.path());
   const std::string journal = dir.path() + "/campaign.jrnl";
@@ -1043,6 +1098,8 @@ TEST(Journal, ResumeReplaysLandedUnitsAndNeverReExecutesThem) {
 
   const auto resumed = resume_with_journal(plan, journal);
   expect_reports_identical(resumed.report, expected);
+  // Journaled rows fill their instances' slots again on replay.
+  EXPECT_EQ(resumed.report.cells[1].runs_replayed, expected.cells[1].runs_replayed);
   EXPECT_FALSE(resumed.report.cancelled);
   EXPECT_EQ(resumed.report.units_replayed_from_journal, 3u);
   // The landed units were never re-granted: the resuming worker executed
@@ -1165,7 +1222,7 @@ TEST(Journal, BumpedFormatVersionStartsOverCleanly) {
     // format must read as "not my header", not as garbled records.
     std::fstream f(journal, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.is_open());
-    const char future = 4;
+    const char future = 5;
     f.seekp(8);
     f.write(&future, 1);
   }
@@ -1213,6 +1270,12 @@ TEST(Journal, FormatTwoJournalStartsOverCleanly) {
   // Format 2 rows predate the `synthesized` flag: replaying them would
   // count every synthesized run as executed.
   expect_older_journal_format_starts_over(2);
+}
+
+TEST(Journal, FormatThreeJournalStartsOverCleanly) {
+  // Format 3 rows carry `replayed` in flags bit 2, where format 4 carries
+  // `features_drawn`: replaying them would fill slots from feature runs.
+  expect_older_journal_format_starts_over(3);
 }
 
 TEST(Journal, ReplaysEveryTableCounterOfAJournaledRow) {
@@ -1576,6 +1639,73 @@ TEST(Heartbeat, PingsKeepASlowWorkersGrantAlive) {
   for (const auto& cell : report.cells) {
     EXPECT_EQ(cell.runs_completed, cell.cell.runs);
   }
+}
+
+// --- CellInfo validation -----------------------------------------------------
+
+/// True when the coordinator dropped `socket`: the WorkRequest sent after a
+/// malformed CellInfo gets no reply.
+bool dropped_after_work_request(net::Socket& socket) {
+  try {
+    net::send_frame(socket, dist::encode(dist::WorkRequest{}));
+    return !net::recv_frame(socket).has_value();
+  } catch (const net::NetError&) {
+    return true;
+  }
+}
+
+/// Serves `plan`: a raw client takes a grant and sends `infos`, then a
+/// healthy worker finishes the plan.  Returns whether the raw client was
+/// dropped, and the report.
+std::pair<bool, exp::ExperimentReport> serve_with_cell_infos(
+    const exp::ExperimentPlan& plan, const std::vector<dist::CellInfo>& infos) {
+  dist::CoordinatorOptions options;
+  options.unit_runs = 4;
+  dist::Coordinator coordinator(plan, std::move(options));
+  const std::uint16_t port = coordinator.port();
+  exp::ExperimentReport report;
+  std::thread serve([&] { report = coordinator.run(); });
+  auto raw = raw_client_with_grant(port, "raw");
+  for (const dist::CellInfo& info : infos) net::send_frame(raw, dist::encode(info));
+  const bool dropped = dropped_after_work_request(raw);
+  raw.close();  // a peer that was not dropped must not keep its grant either
+  std::thread healthy([&] {
+    dist::WorkerOptions wo;
+    wo.name = "healthy";
+    wo.plan = &plan;
+    (void)dist::run_worker("127.0.0.1", port, wo);
+  });
+  healthy.join();
+  serve.join();
+  return {dropped, report};
+}
+
+TEST(CellInfoCheck, CleanFactsWithoutAPrimitiveCountDropThePeer) {
+  ToyApp a;
+  const auto plan = exp::PlanBuilder().runs(8).seed(4).apps({&a}).faults({"DW"}).build();
+  const auto expected = exp::Engine().run(plan);
+  dist::CellInfo info;  // no error, primitive_count 0
+  const auto [dropped, report] = serve_with_cell_infos(plan, {info});
+  EXPECT_TRUE(dropped);
+  // The malformed facts never landed: the healthy worker's count did.
+  expect_reports_identical(report, expected);
+  EXPECT_EQ(report.cells[0].primitive_count, expected.cells[0].primitive_count);
+}
+
+TEST(CellInfoCheck, ACountThatDiffersFromTheKeptOneDropsThePeer) {
+  ToyApp a;
+  const auto plan = exp::PlanBuilder().runs(8).seed(4).apps({&a}).faults({"DW"}).build();
+  const auto expected = exp::Engine().run(plan);
+  ASSERT_GT(expected.cells[0].primitive_count, 0u);
+  dist::CellInfo kept;
+  kept.primitive_count = expected.cells[0].primitive_count;
+  dist::CellInfo skewed = kept;
+  skewed.primitive_count += 1;
+  // The same facts again are accepted; only the skewed count is refused.
+  const auto [dropped, report] = serve_with_cell_infos(plan, {kept, kept, skewed});
+  EXPECT_TRUE(dropped);
+  expect_reports_identical(report, expected);
+  EXPECT_EQ(report.cells[0].primitive_count, kept.primitive_count);
 }
 
 // --- resilience: auth --------------------------------------------------------

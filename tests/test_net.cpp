@@ -265,7 +265,7 @@ TEST(Protocol, RunRowRoundTripsEveryTableCounter) {
   EXPECT_EQ(decoded.outcome, core::Outcome::Sdc);
   EXPECT_TRUE(decoded.fault_fired);
   EXPECT_FALSE(decoded.analyze_skipped);
-  EXPECT_FALSE(decoded.replayed);
+  EXPECT_FALSE(decoded.features_drawn);
   EXPECT_EQ(fs_values(decoded.fs_stats), fs_values(m.fs_stats));
   // Phase timers must round-trip bit-exactly (IEEE-754 pattern on the wire).
   EXPECT_EQ(decoded.execute_ms, 1.25);
@@ -312,21 +312,34 @@ TEST(Protocol, RunRowV5EncodingIsPinned) {
             "000000000000e03f" +  // analyze_ms = 0.5
                 hex(count) + counters);
   EXPECT_EQ(hex(count), "09000000");  // today's table: nine FsStats counters
-  // A row journaled before v7 has no replayed bit: it decodes as not replayed.
-  EXPECT_FALSE(dist::decode_run_row(dist::encode(m)).replayed);
+  // Bit 2 clear: the row's fault drew no feature, so it fills its instance.
+  EXPECT_FALSE(dist::decode_run_row(dist::encode(m)).features_drawn);
+
+  m.features_drawn = true;
+  m.synthesized = true;
+  EXPECT_EQ(hex(dist::encode(m)).substr(2 * (1 + 8 + 4 + 8 + 1), 2),
+            "0f");  // fault_fired | analyze_skipped | features_drawn | synthesized
 }
 
-TEST(Protocol, RunRowCarriesReplayedInFlagsBitTwo) {
+TEST(Protocol, RunRowCarriesFeaturesDrawnInFlagsBitTwo) {
   dist::RunRow m;
-  m.replayed = true;
+  m.features_drawn = true;
   const util::Bytes encoded = dist::encode(m);
   // tag, unit_id, cell_index, run_index, outcome, then the flags byte.
   EXPECT_EQ(std::to_integer<unsigned>(encoded[1 + 8 + 4 + 8 + 1]), 4u);
   const auto decoded = dist::decode_run_row(encoded);
-  EXPECT_TRUE(decoded.replayed);
+  EXPECT_TRUE(decoded.features_drawn);
   EXPECT_FALSE(decoded.fault_fired);
   EXPECT_FALSE(decoded.analyze_skipped);
-  EXPECT_TRUE(dist::to_run_result(decoded).replayed);
+  EXPECT_FALSE(decoded.synthesized);
+  // The record carries it both ways; `replayed` is the collector's to label.
+  const core::RunResult run = dist::to_run_result(decoded);
+  EXPECT_TRUE(run.record.features_drawn);
+  EXPECT_FALSE(run.replayed);
+  EXPECT_TRUE(dist::to_run_row(run).features_drawn);
+  core::RunResult replayed = run;
+  replayed.replayed = true;
+  EXPECT_EQ(dist::encode(dist::to_run_row(replayed)), encoded);
 }
 
 TEST(Protocol, RunRowCarriesSynthesizedInFlagsBitThree) {
@@ -336,7 +349,7 @@ TEST(Protocol, RunRowCarriesSynthesizedInFlagsBitThree) {
   EXPECT_EQ(std::to_integer<unsigned>(encoded[1 + 8 + 4 + 8 + 1]), 8u);
   const auto decoded = dist::decode_run_row(encoded);
   EXPECT_TRUE(decoded.synthesized);
-  EXPECT_FALSE(decoded.replayed);
+  EXPECT_FALSE(decoded.features_drawn);
   EXPECT_TRUE(dist::to_run_result(decoded).synthesized);
   core::RunResult run;
   run.synthesized = true;

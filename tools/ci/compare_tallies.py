@@ -4,10 +4,9 @@
     python3 tools/ci/compare_tallies.py SINGLE.csv FLEET.csv [LABEL:COLUMN ...]
 
 Rows match by `label` and compare on every column but the machine- and
-scheduling-dependent ones (EXCLUDE: timers, arenas, cache tiers, and
-runs_replayed, which depends on how runs split across threads and fleet
-units), so a new counter is checked without editing this.  It compares
-runs_synthesized, which depends on the plan alone.  Each
+scheduling-dependent ones (EXCLUDE: timers, arenas and cache tiers), so a
+new counter is checked without editing this.  It compares runs_synthesized
+and runs_replayed, which depend on the plan alone.  Each
 LABEL:COLUMN names a cell and a column that must be non-zero in SINGLE.csv.
 """
 
@@ -16,7 +15,7 @@ import fnmatch
 import sys
 
 EXCLUDE = ("label", "execute_ms", "analyze_ms", "worker_id", "arena_*",
-           "golden_cached", "checkpointed", "checkpoint_loaded", "runs_replayed")
+           "golden_cached", "checkpointed", "checkpoint_loaded")
 
 
 def rows(path):
