@@ -12,11 +12,16 @@
 // Three variants execute the identical plan in the same binary:
 //   baseline      — full re-execution, full re-analysis per run
 //   checkpointed  — COW fork + stage resume, full re-analysis per run
-//   diff-class    — COW fork + stage resume + extent-diff classification
-//                   (empty diff => Benign with no analysis; dirty diff =>
-//                   Application::analyze_dirty over only the dirty ranges)
-// All three must produce bit-identical tallies (asserted here, and
-// exhaustively in tests/test_checkpoint.cpp).
+//   diff-class    — the engine: COW fork + stage resume + extent-diff
+//                   classification (empty diff => Benign with no analysis;
+//                   dirty diff => Application::analyze_dirty over only the
+//                   dirty ranges), plus run replay and synthesis
+// The engine has one configuration, so the first two run each cell on
+// core::FaultInjectors with diff classification off (run_injector_variant),
+// on a thread pool of the engine's default width; they differ only in
+// prepare_with_golden vs prepare_with_checkpoint.  All three must produce
+// bit-identical tallies (asserted here; per run against exp::reference_run
+// in tests/test_checkpoint.cpp).
 //
 // A separate *analysis-dominated* section measures what diff classification
 // buys once checkpointing has removed execution cost: a 3-dump Nyx cell on a
@@ -45,12 +50,18 @@
 //       "persistent_store"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -62,8 +73,10 @@
 #include "ffis/core/outcome.hpp"
 #include "ffis/dist/coordinator.hpp"
 #include "ffis/dist/worker.hpp"
+#include "ffis/exp/prepare.hpp"
 #include "ffis/paper/paper.hpp"
 #include "ffis/util/mapped_file.hpp"
+#include "ffis/util/thread_pool.hpp"
 #include "ffis/vfs/snapshot_codec.hpp"
 
 namespace {
@@ -112,6 +125,104 @@ VariantResult run_variant(const ffis::exp::ExperimentPlan& plan,
       throw std::runtime_error("cell " + cell.cell.label + " failed: " + cell.error);
     }
   }
+  return out;
+}
+
+/// The plan's cells on core::FaultInjectors with diff classification off,
+/// folded per cell in run order.  Preparation and runs share one
+/// util::ThreadPool of the engine's default width.  Each (app, app_seed)
+/// executes one golden run.  `checkpointed` prepares every stage cell of a
+/// resumable app with prepare_with_checkpoint on one Checkpoint::capture
+/// per (app, app_seed, stage), so its runs fork and resume; otherwise every
+/// cell takes prepare_with_golden and its runs re-execute the whole app.
+VariantResult run_injector_variant(const ffis::exp::ExperimentPlan& plan,
+                                   bool checkpointed) {
+  using namespace ffis;
+  using GoldenKey = std::pair<const core::Application*, std::uint64_t>;
+  using CheckpointKey = std::tuple<const core::Application*, std::uint64_t, int>;
+  const auto start = Clock::now();
+  util::ThreadPool pool;
+  const auto& cells = plan.cells();
+  const auto resumable = [&](const exp::Cell& c) {
+    return checkpointed && c.stage >= 1 && c.app->stage_count() >= c.stage;
+  };
+
+  std::map<GoldenKey, std::shared_ptr<const core::AnalysisResult>> goldens;
+  std::map<CheckpointKey, std::shared_ptr<const core::Checkpoint>> checkpoints;
+  for (const exp::Cell& c : cells) {
+    goldens[{c.app, c.app_seed()}];
+    if (resumable(c)) checkpoints[{c.app, c.app_seed(), c.stage}];
+  }
+  std::vector<std::function<void()>> keys;
+  for (auto& [key, golden] : goldens) {
+    keys.emplace_back([&key, &golden] {
+      golden = std::make_shared<const core::AnalysisResult>(
+          core::FaultInjector::run_golden(*key.first, key.second));
+    });
+  }
+  for (auto& [key, checkpoint] : checkpoints) {
+    keys.emplace_back([&key, &checkpoint] {
+      const auto& [app, app_seed, stage] = key;
+      checkpoint = core::Checkpoint::capture(*app, app_seed, stage);
+    });
+  }
+  util::parallel_for(pool, keys.size(), [&](std::size_t k) { keys[k](); });
+
+  std::vector<faults::FaultGenerator> generators;
+  std::vector<std::unique_ptr<core::FaultInjector>> injectors(cells.size());
+  for (const exp::Cell& c : cells) generators.push_back(exp::fault_generator(c));
+  util::parallel_for(pool, cells.size(), [&](std::size_t i) {
+    const exp::Cell& c = cells[i];
+    auto injector = std::make_unique<core::FaultInjector>(
+        *c.app, generators[i].signature(), c.app_seed(), c.stage);
+    injector->set_diff_classification(false);
+    const auto& golden = goldens.at({c.app, c.app_seed()});
+    if (resumable(c)) {
+      injector->prepare_with_checkpoint(golden, checkpoints.at({c.app, c.app_seed(), c.stage}));
+    } else {
+      injector->prepare_with_golden(golden);
+    }
+    injectors[i] = std::move(injector);
+  });
+
+  std::vector<std::pair<std::size_t, std::uint64_t>> tasks;  // (cell, run)
+  std::vector<std::vector<core::RunResult>> runs(cells.size());
+  // A cell completes when its last run retires, whichever thread retires it.
+  std::vector<std::atomic<std::uint64_t>> runs_left(cells.size());
+  VariantResult out;
+  out.cell_completion_ms.resize(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    runs[i].resize(cells[i].runs);
+    runs_left[i] = cells[i].runs;
+    for (std::uint64_t r = 0; r < cells[i].runs; ++r) tasks.emplace_back(i, r);
+  }
+  util::parallel_for(pool, tasks.size(), [&](std::size_t t) {
+    const auto [i, r] = tasks[t];
+    runs[i][r] = injectors[i]->execute(generators[i].run_seed(r));
+    runs[i][r].analysis.reset();
+    if (runs_left[i].fetch_sub(1) == 1) out.cell_completion_ms[i] = ms_since(start);
+  });
+
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    exp::CellResult& cell = out.report.cells.emplace_back();
+    cell.index = i;
+    cell.cell = cells[i];
+    cell.primitive_count = injectors[i]->primitive_count();
+    cell.checkpointed = injectors[i]->checkpointed();
+    for (const core::RunResult& run : runs[i]) cell.add_run(run);
+    out.report.add_cell(cell);
+    if (cell.checkpointed) ++out.report.checkpoint_cache_hits;
+  }
+  out.report.golden_executions = goldens.size();
+  out.report.golden_cache_hits = cells.size() - goldens.size();
+  out.report.checkpoint_builds = checkpoints.size();
+  out.report.checkpoint_cache_hits -= checkpoints.size();
+  for (const auto& [key, checkpoint] : checkpoints) {
+    out.report.checkpoint_bytes += checkpoint->stored_bytes();
+    out.report.checkpoint_chunks += checkpoint->allocated_chunks();
+  }
+  out.wall_ms = ms_since(start);
+  out.runs_per_sec = static_cast<double>(out.report.total_runs) / (out.wall_ms / 1000.0);
   return out;
 }
 
@@ -256,18 +367,12 @@ int main(int argc, char** argv) {
   std::printf("%llu runs per cell, %zu cells (montage MT3/MT4, nyx dump-2, qmc DMC)\n\n",
               static_cast<unsigned long long>(runs), experiment_plan.size());
 
-  exp::EngineOptions baseline_options, checkpoint_options, diff_options;
-  baseline_options.use_checkpoints = false;
-  baseline_options.use_diff_classification = false;
-  checkpoint_options.use_checkpoints = true;
-  checkpoint_options.use_diff_classification = false;
-  diff_options.use_checkpoints = true;
-  diff_options.use_diff_classification = true;
+  const exp::EngineOptions diff_options;
 
   std::printf("-- baseline (full re-execution + full re-analysis per run) --\n");
-  const VariantResult baseline = run_variant(experiment_plan, baseline_options);
+  const VariantResult baseline = run_injector_variant(experiment_plan, false);
   std::printf("-- checkpointed (COW fork + stage resume) --\n");
-  const VariantResult checkpointed = run_variant(experiment_plan, checkpoint_options);
+  const VariantResult checkpointed = run_injector_variant(experiment_plan, true);
   std::printf("-- diff-classified (checkpoint + extent-diff outcomes) --\n");
   const VariantResult diffclass = run_variant(experiment_plan, diff_options);
 
@@ -325,7 +430,7 @@ int main(int argc, char** argv) {
 
   std::printf("\n-- analysis-dominated cell (nyx 96^3, stage 3 slab rewrite, "
               "%llu runs) --\n", static_cast<unsigned long long>(analysis_runs));
-  const VariantResult analysis_full = run_variant(analysis_plan, checkpoint_options);
+  const VariantResult analysis_full = run_injector_variant(analysis_plan, true);
   const VariantResult analysis_diff = run_variant(analysis_plan, diff_options);
   assert_identical_tallies(analysis_full, analysis_diff, "diff classification");
 

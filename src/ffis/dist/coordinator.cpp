@@ -190,8 +190,6 @@ bool Coordinator::handshake(net::Socket& socket, std::uint32_t worker_id) {
   ack.checkpoint_dir = options_.engine.checkpoint_dir;
   ack.chunk_size = options_.engine.fs_options.chunk_size;
   ack.checkpoint_budget = options_.engine.checkpoint_budget;
-  ack.use_checkpoints = options_.engine.use_checkpoints;
-  ack.use_diff_classification = options_.engine.use_diff_classification;
   ack.heartbeat_interval_ms = options_.heartbeat_interval_ms;
   const auto encoded = encode(ack);
   net::send_frame(socket, encoded);

@@ -86,8 +86,6 @@ util::Bytes encode(const HelloAck& m) {
   w.str(m.checkpoint_dir);
   w.u64(m.chunk_size);
   w.u64(m.checkpoint_budget);
-  w.u8(static_cast<std::uint8_t>((m.use_checkpoints ? 1 : 0) |
-                                 (m.use_diff_classification ? 2 : 0)));
   w.u64(m.heartbeat_interval_ms);
   return out;
 }
@@ -101,9 +99,6 @@ HelloAck decode_hello_ack(util::ByteSpan payload) {
   m.checkpoint_dir = r.str_bounded(kMaxPathBytes, "checkpoint_dir");
   m.chunk_size = r.u64();
   m.checkpoint_budget = r.u64();
-  const auto flags = r.u8();
-  m.use_checkpoints = (flags & 1) != 0;
-  m.use_diff_classification = (flags & 2) != 0;
   m.heartbeat_interval_ms = r.u64();
   r.expect_end();
   return m;

@@ -47,8 +47,9 @@ namespace ffis::dist {
 /// storage counters travel as a counted list in run-counter table order
 /// (FFIS_RUN_COUNTERS), so appending a counter needs no bump.  v6 added
 /// HelloAck::checkpoint_budget, v7 RunRow's `replayed` flag, v8 its
-/// `synthesized` flag, and v9 turned flags bit 2 into `features_drawn`.
-inline constexpr std::uint32_t kProtocolVersion = 9;
+/// `synthesized` flag, v9 turned flags bit 2 into `features_drawn`, and v10
+/// dropped HelloAck's engine-toggle flags byte.
+inline constexpr std::uint32_t kProtocolVersion = 10;
 
 /// First field of every Hello; guards against a stray client that speaks
 /// some other protocol entirely.
@@ -104,8 +105,6 @@ struct HelloAck {
   /// Size budget of every worker's store (EngineOptions::checkpoint_budget;
   /// 0 = unbounded): workers evict under the budget a local engine would.
   std::uint64_t checkpoint_budget = 0;
-  bool use_checkpoints = true;
-  bool use_diff_classification = true;
   /// Interval at which the worker must send Ping frames; 0 disables
   /// heartbeats.
   std::uint64_t heartbeat_interval_ms = 0;

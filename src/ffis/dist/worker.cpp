@@ -46,8 +46,6 @@ exp::EngineOptions engine_options_of(const HelloAck& ack, const WorkerOptions& o
                               ? options.checkpoint_dir_override
                               : ack.checkpoint_dir;
   engine.checkpoint_budget = ack.checkpoint_budget;
-  engine.use_checkpoints = ack.use_checkpoints;
-  engine.use_diff_classification = ack.use_diff_classification;
   if (ack.chunk_size > 0) {
     engine.fs_options.chunk_size = static_cast<std::size_t>(ack.chunk_size);
   }

@@ -96,4 +96,28 @@ ExperimentReport Engine::run(const ExperimentPlan& plan, ResultSink& sink) {
   return report;
 }
 
+ExperimentReport reference_run(const ExperimentPlan& plan) {
+  ExperimentReport report;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    CellResult& out = report.cells.emplace_back();
+    out.index = i;
+    out.cell = plan.cells()[i];
+    try {
+      const faults::FaultGenerator generator = fault_generator(out.cell);
+      core::FaultInjector injector(*out.cell.app, generator.signature(),
+                                   out.cell.app_seed(), out.cell.stage);
+      injector.set_diff_classification(false);
+      injector.prepare();
+      out.primitive_count = injector.primitive_count();
+      for (std::uint64_t r = 0; r < out.cell.runs; ++r) {
+        out.add_run(out.details.emplace_back(injector.execute(generator.run_seed(r))));
+      }
+    } catch (const std::exception& e) {
+      out.error = e.what();
+    }
+    report.add_cell(out);
+  }
+  return report;
+}
+
 }  // namespace ffis::exp

@@ -34,7 +34,7 @@
 // faults::FaultGenerator::run_seed(r) over the cell seed; results land in
 // the collector's per-run slots and are folded in run order — so tallies
 // are bit-identical to executing the runs sequentially on one FaultInjector
-// at the same seeds, regardless of the thread count.
+// at the same seeds (exp::reference_run), regardless of the thread count.
 
 #include <atomic>
 #include <cstdint>
@@ -62,8 +62,7 @@ struct EngineOptions {
   /// after capture otherwise, so a second process running the same plan
   /// executes zero fault-free prefix stages (ExperimentReport counts
   /// loads/persists).  Applications with an empty fingerprint always
-  /// re-execute.  Requires use_checkpoints for the checkpoint entries;
-  /// golden entries are loaded either way.
+  /// re-execute.
   std::string checkpoint_dir;
   /// Size budget for checkpoint_dir in bytes; 0 (the default) = unbounded.
   /// Over budget, the store evicts least-recently-used entries (LRU order is
@@ -73,21 +72,6 @@ struct EngineOptions {
   /// tight budget only costs rebuild work (ExperimentReport::store_*
   /// counters show the traffic).
   std::uint64_t checkpoint_budget = 0;
-  /// Checkpoint reuse: for a stage-instrumented cell of a stage-resumable
-  /// application, capture the fault-free prefix (stages < instrumented
-  /// stage) once per (app, app_seed, stage), then fork the copy-on-write
-  /// snapshot per injection run and resume at the instrumented stage — the
-  /// profiling pass folds into the capture as well.  Tallies are
-  /// bit-identical with the flag on or off; off exists for A/B benchmarks.
-  bool use_checkpoints = true;
-  /// Diff-driven outcome classification: each run's output tree is compared
-  /// to the golden tree by extent identity (vfs::MemFs::diff_tree); an empty
-  /// diff is Benign with no post-analysis at all, a non-empty diff goes to
-  /// Application::analyze_dirty over only the dirty ranges.  Golden trees
-  /// ride the golden-run cache; checkpointed cells grow theirs from the same
-  /// checkpoint the runs fork, so the prefix diffs by pointer equality.
-  /// Tallies are bit-identical with the flag on or off; off for A/B.
-  bool use_diff_classification = true;
   /// Mount a passive vfs::BlockDevice under syscall-level cells too
   /// (media-model cells always mount one).  The passive device is never
   /// armed, so it registers nothing: outcomes, diffs and tallies are
@@ -131,5 +115,14 @@ class Engine {
   EngineOptions options_;
   std::atomic<bool> cancel_{false};
 };
+
+/// The reference oracle the engine's fast paths are tested against: each
+/// cell in plan order on one core::FaultInjector with diff classification
+/// off, prepared by prepare() (its own golden and profiling runs), runs
+/// 0..n-1 executed in order with execute(run_seed(r)).  No checkpoint,
+/// store, golden cache, pool, replay or synthesis.  Every RunResult stays in
+/// CellResult::details, analysis included, so it is meant for test-sized
+/// plans.  A preparation failure lands in CellResult::error.
+[[nodiscard]] ExperimentReport reference_run(const ExperimentPlan& plan);
 
 }  // namespace ffis::exp

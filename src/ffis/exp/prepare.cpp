@@ -42,7 +42,7 @@ struct CellPreparer::CheckpointSlot {
   core::CheckpointStore::Lease lease;
   std::shared_ptr<const core::Checkpoint> checkpoint;  ///< null: classic path
   /// Golden output tree grown from this checkpoint, shared by every cell of
-  /// the key (diff classification only).
+  /// the key.
   std::shared_ptr<const vfs::MemFs> golden_tree;
   bool loaded = false;     ///< served from the persistent store, prefix never ran
   bool persisted = false;  ///< freshly written (or upgraded) in the store
@@ -72,7 +72,7 @@ CellPreparer::CellPreparer(const ExperimentPlan& plan, EngineOptions options)
     keys.golden = g->second;
     keys.shares_golden = !new_golden;
     bool owner = new_golden;
-    if (options_.use_checkpoints && c.stage >= 1 && c.app->stage_count() >= c.stage) {
+    if (c.stage >= 1 && c.app->stage_count() >= c.stage) {
       const auto [k, new_checkpoint] = checkpoint_index.emplace(
           CheckpointKey{c.app, c.app_seed(), c.stage}, checkpoint_index.size());
       keys.checkpoint = k->second;
@@ -95,10 +95,8 @@ CellPreparer::CellPreparer(const ExperimentPlan& plan, EngineOptions options)
     checkpoints_[k].golden = golden_index.at(GoldenKey{app, app_seed});
     checkpoints_[k].stage = stage;
   }
-  if (options_.use_diff_classification) {
-    for (const CellKeys& keys : cell_keys_) {
-      if (keys.checkpoint == kNoCheckpoint) goldens_[keys.golden].tree_needed = true;
-    }
+  for (const CellKeys& keys : cell_keys_) {
+    if (keys.checkpoint == kNoCheckpoint) goldens_[keys.golden].tree_needed = true;
   }
 }
 
@@ -166,7 +164,6 @@ void CellPreparer::resolve(CheckpointSlot& slot) {
   const core::Application& app = *gold.app;
   const std::uint64_t app_seed = gold.app_seed;
   const vfs::MemFs::Options& fs_options = options_.fs_options;
-  const bool diff = options_.use_diff_classification;
   const auto key = store_ ? core::CheckpointStore::Key::of(app, app_seed, slot.stage,
                                                            fs_options)
                           : core::CheckpointStore::Key{};
@@ -177,13 +174,13 @@ void CellPreparer::resolve(CheckpointSlot& slot) {
     // harmless — run_from recomputes lazily) and the golden output tree
     // still chunk-shared with the snapshot, so diff_tree keeps its
     // pointer-equality fast path on the warm path.
-    if (auto loaded = store_->load_checkpoint(key, fs_options, diff)) {
+    if (auto loaded = store_->load_checkpoint(key, fs_options)) {
       if (!loaded->app_state.empty()) (void)app.restore_state(app_seed, loaded->app_state);
       try {
-        if (diff && loaded->golden_tree == nullptr) {
-          // Entry saved with diff classification off: grow the tree from the
-          // loaded snapshot (suffix-only, no prefix stages) and write the
-          // upgraded entry back, so the next warm process skips even this.
+        if (loaded->golden_tree == nullptr) {
+          // Entry saved without a golden tree: grow the tree from the loaded
+          // snapshot (suffix-only, no prefix stages) and write the upgraded
+          // entry back, so the next warm process skips even this.
           loaded->golden_tree = loaded->checkpoint->grow_golden_tree(app, app_seed);
           slot.persisted = store_->save_checkpoint(key, *loaded->checkpoint,
                                                    loaded->golden_tree.get(),
@@ -200,11 +197,9 @@ void CellPreparer::resolve(CheckpointSlot& slot) {
   }
   try {
     auto checkpoint = core::Checkpoint::capture(app, app_seed, slot.stage, fs_options);
-    if (diff) {
-      // One golden output tree per checkpoint key, shared by all of the
-      // key's cells (the injector would otherwise grow one per cell).
-      slot.golden_tree = checkpoint->grow_golden_tree(app, app_seed);
-    }
+    // One golden output tree per checkpoint key, shared by all of the key's
+    // cells (the injector would otherwise grow one per cell).
+    slot.golden_tree = checkpoint->grow_golden_tree(app, app_seed);
     slot.checkpoint = std::move(checkpoint);
     if (store_ && store_->save_checkpoint(key, *slot.checkpoint, slot.golden_tree.get(),
                                           app_state(gold))) {
@@ -237,16 +232,9 @@ PreparedCell CellPreparer::prepare(std::size_t index) {
     }
   }
   try {
-    faults::CampaignConfig config;
-    config.application = cell.app->name();
-    config.fault = cell.fault;
-    config.runs = cell.runs;
-    config.seed = cell.seed;
-    config.stage = cell.stage;
-    out.generator = std::make_unique<faults::FaultGenerator>(std::move(config));
+    out.generator = std::make_unique<faults::FaultGenerator>(fault_generator(cell));
     out.injector = std::make_unique<core::FaultInjector>(
         *cell.app, out.generator->signature(), cell.app_seed(), cell.stage);
-    out.injector->set_diff_classification(options_.use_diff_classification);
     out.injector->set_fs_options(options_.fs_options);
     out.injector->set_force_block_device(options_.force_block_device);
     if (cp != nullptr) {
@@ -264,6 +252,16 @@ PreparedCell CellPreparer::prepare(std::size_t index) {
     out.injector.reset();
   }
   return out;
+}
+
+faults::FaultGenerator fault_generator(const Cell& cell) {
+  faults::CampaignConfig config;
+  config.application = cell.app->name();
+  config.fault = cell.fault;
+  config.runs = cell.runs;
+  config.seed = cell.seed;
+  config.stage = cell.stage;
+  return faults::FaultGenerator(std::move(config));
 }
 
 std::optional<core::RunResult> execute_run(PreparedCell& cell, std::uint64_t run) {

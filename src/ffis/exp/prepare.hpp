@@ -3,15 +3,15 @@
 // core::FaultInjector, shared by exp::Engine and dist::Worker.
 //
 // A cell needs the fault-free golden run of its (application, app_seed) and,
-// when it is stage-instrumented on a stage-resumable application (and
-// EngineOptions::use_checkpoints is on), the pre-fault checkpoint of its
-// (application, app_seed, stage).  Each such key is resolved exactly once
-// per preparer, in tier order: in-process cache -> leased entry of the
-// persistent store (EngineOptions::checkpoint_dir, bounded by
-// checkpoint_budget) -> execution, whose result is then published to the
-// store.  A checkpoint entry saved without a golden tree is upgraded in
-// place when diff classification is on: the tree is grown from the loaded
-// snapshot (suffix stages only) and the entry is written back.
+// when it is stage-instrumented on a stage-resumable application, the
+// pre-fault checkpoint of its (application, app_seed, stage).  Each such key
+// is resolved exactly once per preparer, in tier order: in-process cache ->
+// leased entry of the persistent store (EngineOptions::checkpoint_dir,
+// bounded by checkpoint_budget) -> execution, whose result is then
+// published to the store.  Every cell classifies by extent diff, so a
+// checkpoint entry saved without a golden tree (older stores hold such
+// entries) is upgraded in place: the tree is grown from the loaded snapshot
+// (suffix stages only) and the entry is written back.
 //
 // prepare() is safe to call from pool threads: concurrent cells of one key
 // wait for its single resolution.  Per-cell flags have plan-order meaning —
@@ -50,6 +50,9 @@ struct PreparedCell : CellFacts {
   /// An earlier plan cell owns this cell's checkpoint key, which resolved.
   bool checkpoint_cached = false;
 };
+
+/// The fault generator of `cell`: its parsed signature and run-seed stream.
+[[nodiscard]] faults::FaultGenerator fault_generator(const Cell& cell);
 
 /// Run `run` of a prepared cell: synthesized from the golden tree when
 /// nothing reads the drawn instance's write back (FaultInjector::synthesize,

@@ -1,15 +1,18 @@
 #pragma once
 // Helpers for the table-driven run-counter tests: they walk the run-counter
 // table (FFIS_RUN_COUNTERS), so a counter appended to the table is covered
-// by every round-trip test without editing it.
+// by every round-trip test without editing it.  Also the per-run values the
+// differential tests compare a fast path's runs by.
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "ffis/exp/result.hpp"
+#include "ffis/faults/faulting_fs.hpp"
 #include "ffis/vfs/run_counters.hpp"
 
 namespace ffis::test_support {
@@ -52,6 +55,13 @@ inline std::vector<std::pair<std::string, std::uint64_t>> non_arena_stats(
     if (std::string(name).rfind("arena_", 0) != 0) out.emplace_back(name, v);
   });
   return out;
+}
+
+/// An injection record as one comparable value.
+inline auto record_fields(const faults::InjectionRecord& r) {
+  return std::tuple(r.signature.to_string(), r.instance, r.offset, r.original_size,
+                    r.corrupted_bytes, r.flipped_bit, r.shorn_from, r.dropped,
+                    r.features_drawn);
 }
 
 }  // namespace ffis::test_support

@@ -1,9 +1,10 @@
 // Checkpoint-reuse tests: the stage-resume contract of each application
 // (run == run_prefix + run_from, bit-for-bit on the file tree), the
-// FaultInjector checkpoint path, and the headline equivalence guarantee —
-// the checkpointed engine produces bit-identical per-cell tallies to the
-// full-re-execution path at the same seeds, for stage-instrumented and
-// whole-run cells, at multiple thread counts.
+// FaultInjector checkpoint path, the reference oracle (exp::reference_run)
+// and the headline equivalence guarantee — the engine, checkpoints and diff
+// classification included, produces the oracle's per-run outcomes at the
+// same seeds, for stage-instrumented and whole-run cells, at multiple thread
+// counts.
 
 #include <gtest/gtest.h>
 
@@ -23,11 +24,13 @@
 #include "ffis/util/rng.hpp"
 #include "ffis/vfs/extent_store.hpp"
 #include "ffis/vfs/mem_fs.hpp"
+#include "counter_testing.hpp"
 
 namespace {
 
 using namespace ffis;
 using core::Outcome;
+using test_support::record_fields;
 
 // A stage-resumable toy: an ingest header plus two stages of seeded chunk
 // writes into separate files.  Counters expose how often each entry point
@@ -318,135 +321,58 @@ TEST(EngineCheckpoint, PrefixExecutesOncePerCellGroup) {
   EXPECT_LE(app.resume_runs(), resumed + report.runs_replayed);
 }
 
-TEST(EngineCheckpoint, DiffClassificationOffSkipsGoldenTreeContinuations) {
-  // With diff-driven classification disabled no golden output trees are
-  // grown: the resume arithmetic of PrefixExecutesOncePerCellGroup loses
-  // exactly the per-cell continuation term.
+// --- The reference oracle ----------------------------------------------------
+
+// Writes nothing, so it never executes any fault's target primitive.
+class SilentApp final : public core::Application {
+ public:
+  [[nodiscard]] std::string name() const override { return "silent"; }
+  void run(const core::RunContext&) const override {}
+  [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem&) const override { return {}; }
+  [[nodiscard]] Outcome classify(const core::AnalysisResult&,
+                                 const core::AnalysisResult&) const override {
+    return Outcome::Benign;
+  }
+};
+
+TEST(ReferenceRun, TakesNoFastPath) {
+  // The oracle's definition: each cell prepares on its own (one golden and
+  // one profiling run) and executes every run in full — no checkpoint, no
+  // replay of the feature-free DW runs, no synthesis of the BF runs nothing
+  // reads back, no diff.
   StagedToyApp app;
-  auto builder = exp::PlanBuilder().runs(6).seed(21);
+  const SilentApp silent;
+  constexpr std::uint64_t kRuns = 6;
+  auto builder = exp::PlanBuilder().runs(kRuns).seed(21);
   builder.cell(app, "BF", 2);
   builder.cell(app, "DW", 2);
-  builder.cell(app, "BF", 1);
-  exp::EngineOptions options;
-  options.use_diff_classification = false;
-  const auto report = exp::Engine(options).run(builder.build());
-  for (const auto& cell : report.cells) ASSERT_TRUE(cell.error.empty()) << cell.error;
-  EXPECT_EQ(report.analyze_skipped, 0u);
-  // Synthesis classifies from the golden tree, so without one every BIT_FLIP
-  // run executes.
-  EXPECT_EQ(report.runs_synthesized, 0u);
-  // Resumes: 3 folded profiling passes + 3 x 6 injections, no extras, less
-  // the DW runs that repeat an instance (plus any racing repeat, as above).
-  EXPECT_GE(app.resume_runs(), 3u + 18u - report.runs_replayed);
-  EXPECT_LE(app.resume_runs(), 3u + 18u);
-}
+  builder.cell(silent, "BF");
+  const auto report = exp::reference_run(builder.build());
 
-TEST(EngineCheckpoint, DisabledOptionFallsBackToFullRuns) {
-  StagedToyApp app;
-  auto builder = exp::PlanBuilder().runs(4).seed(3);
-  builder.cell(app, "BF", 2);
-  exp::EngineOptions options;
-  options.use_checkpoints = false;
-  // Without a golden tree no run is synthesized, so every injection runs
-  // the application (the app never reads a write back: with diff
-  // classification on, all four would be synthesized).
-  options.use_diff_classification = false;
-  const auto report = exp::Engine(options).run(builder.build());
-  ASSERT_TRUE(report.cells[0].error.empty()) << report.cells[0].error;
-  EXPECT_EQ(report.cells[0].runs_synthesized, 0u);
-  EXPECT_EQ(report.checkpoint_builds, 0u);
-  EXPECT_FALSE(report.cells[0].checkpointed);
+  ASSERT_EQ(report.cells.size(), 3u);
+  for (const std::size_t i : {0, 1}) {
+    const exp::CellResult& cell = report.cells[i];
+    ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
+    EXPECT_EQ(cell.runs_completed, kRuns);
+    EXPECT_FALSE(cell.checkpointed);
+    ASSERT_EQ(cell.details.size(), kRuns);
+    for (const core::RunResult& run : cell.details) {
+      EXPECT_FALSE(run.replayed || run.synthesized || run.analyze_skipped);
+      EXPECT_EQ(run.analysis.has_value(), run.outcome != Outcome::Crash);
+    }
+  }
+  EXPECT_EQ(app.full_runs(), 2 * (1 + 1 + kRuns));
   EXPECT_EQ(app.prefix_runs(), 0u);
   EXPECT_EQ(app.resume_runs(), 0u);
-  // 1 golden + 1 profile + 4 injection runs, all full.
-  EXPECT_EQ(app.full_runs(), 6u);
+  EXPECT_EQ(report.runs_replayed, 0u);
+  EXPECT_EQ(report.runs_synthesized, 0u);
+  EXPECT_EQ(report.analyze_skipped, 0u);
+  EXPECT_EQ(report.total_runs, 2 * kRuns);
+
+  EXPECT_NE(report.cells[2].error.find("never executed primitive"), std::string::npos)
+      << report.cells[2].error;
+  EXPECT_EQ(report.cells[2].tally.total(), 0u);
 }
-
-// --- Engine: the headline equivalence guarantee ------------------------------
-
-exp::ExperimentPlan mixed_plan(const core::Application& montage_app,
-                               const core::Application& qmc_app,
-                               const core::Application& nyx_app,
-                               const core::Application& toy_app,
-                               std::uint64_t runs, std::uint64_t seed) {
-  exp::PlanBuilder builder;
-  builder.runs(runs).seed(seed);
-  // Stage-instrumented cells...
-  builder.app(montage_app).fault("BF").stages(1, 4).product();
-  builder.cell(qmc_app, "BF", 1);
-  builder.cell(qmc_app, "SHORN_WRITE@pwrite", 2);
-  builder.cell(nyx_app, "BF", 1);
-  builder.cell(toy_app, "DW", 2);
-  // ...and whole-run cells through the same engine.
-  builder.cell(montage_app, "BF", -1);
-  builder.cell(qmc_app, "BF", -1);
-  builder.cell(nyx_app, "DW", -1);
-  return builder.build();
-}
-
-TEST(EngineCheckpoint, TalliesBitIdenticalToFullPathAcrossThreadCounts) {
-  const auto montage_app = small_montage();
-  const qmc::QmcApp qmc_app;
-  nyx::NyxConfig nyx_config;
-  nyx_config.field.n = 16;
-  const nyx::NyxApp nyx_app(nyx_config);
-  const StagedToyApp toy_app;
-
-  constexpr std::uint64_t kRuns = 24, kSeed = 1234;
-
-  // Reference: checkpointing off, single-threaded.
-  exp::EngineOptions reference_options;
-  reference_options.threads = 1;
-  reference_options.use_checkpoints = false;
-  const auto reference = exp::Engine(reference_options).run(
-      mixed_plan(montage_app, qmc_app, nyx_app, toy_app, kRuns, kSeed));
-  for (const auto& cell : reference.cells) {
-    ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
-    ASSERT_EQ(cell.runs_completed, kRuns);
-  }
-
-  // The checkpointed execution this test compares needs runs that execute:
-  // Montage reads every stage-1..3 write back, so those cells synthesize
-  // nothing.  QMC reads back no write, so its BF cells are synthesized
-  // whole and its shorn-write cell carries the checkpointed QMC runs.
-  for (const std::size_t i : {0, 1, 2, 5}) {
-    EXPECT_EQ(reference.cells[i].runs_synthesized, 0u) << reference.cells[i].cell.label;
-  }
-  EXPECT_EQ(reference.cells[4].runs_synthesized, kRuns);
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    exp::EngineOptions options;
-    options.threads = threads;
-    options.use_checkpoints = true;
-    const auto report = exp::Engine(options).run(
-        mixed_plan(montage_app, qmc_app, nyx_app, toy_app, kRuns, kSeed));
-    ASSERT_EQ(report.cells.size(), reference.cells.size());
-    for (std::size_t i = 0; i < report.cells.size(); ++i) {
-      ASSERT_TRUE(report.cells[i].error.empty())
-          << report.cells[i].cell.label << ": " << report.cells[i].error;
-      EXPECT_EQ(report.cells[i].primitive_count, reference.cells[i].primitive_count)
-          << report.cells[i].cell.label;
-      // The folded profiling pass observes exactly what the full one does.
-      EXPECT_EQ(report.cells[i].runs_synthesized, reference.cells[i].runs_synthesized)
-          << report.cells[i].cell.label;
-      for (std::size_t o = 0; o < core::kOutcomeCount; ++o) {
-        EXPECT_EQ(report.cells[i].tally.count(static_cast<Outcome>(o)),
-                  reference.cells[i].tally.count(static_cast<Outcome>(o)))
-            << report.cells[i].cell.label << " outcome " << o << " at "
-            << threads << " threads";
-      }
-    }
-    // Every stage-instrumented cell of a resumable app actually used the
-    // fast path (montage x4, qmc x2, nyx x1, toy x1).
-    std::size_t checkpointed_cells = 0;
-    for (const auto& cell : report.cells) {
-      if (cell.checkpointed) ++checkpointed_cells;
-    }
-    EXPECT_EQ(checkpointed_cells, 8u);
-    EXPECT_EQ(report.checkpoint_builds, 8u);  // all keys distinct here
-  }
-}
-
 
 // --- Diff-driven classification ----------------------------------------------
 
@@ -513,13 +439,10 @@ TEST(DiffClassification, BenignRunPerformsZeroAnalysisPhaseReads) {
     return builder.build();
   };
 
-  exp::EngineOptions diff_on, diff_off;
-  diff_on.keep_details = diff_off.keep_details = true;
-  diff_on.use_diff_classification = true;
-  diff_off.use_diff_classification = false;
-
-  const auto with_diff = exp::Engine(diff_on).run(make_plan());
-  const auto without_diff = exp::Engine(diff_off).run(make_plan());
+  exp::EngineOptions options;
+  options.keep_details = true;
+  const auto with_diff = exp::Engine(options).run(make_plan());
+  const auto without_diff = exp::reference_run(make_plan());
   ASSERT_TRUE(with_diff.cells[0].error.empty()) << with_diff.cells[0].error;
   ASSERT_TRUE(without_diff.cells[0].error.empty()) << without_diff.cells[0].error;
   // The unlink observes every write to the scratch file, so every run
@@ -541,7 +464,7 @@ TEST(DiffClassification, BenignRunPerformsZeroAnalysisPhaseReads) {
     EXPECT_EQ(run.fs_stats.bytes_read, 0u);
   }
 
-  // Control: the classic path reaches the same tally by actually reading.
+  // Control: the reference oracle reaches the same tally by actually reading.
   EXPECT_EQ(without_diff.cells[0].tally.count(Outcome::Benign), kRuns);
   EXPECT_EQ(without_diff.cells[0].analyze_skipped, 0u);
   for (const auto& run : without_diff.cells[0].details) {
@@ -550,7 +473,9 @@ TEST(DiffClassification, BenignRunPerformsZeroAnalysisPhaseReads) {
   }
 }
 
-TEST(DiffClassification, TalliesBitIdenticalOnVsOffAcrossThreadCounts) {
+// --- Engine vs the reference oracle: the headline equivalence guarantee ----
+
+TEST(ReferenceRun, EngineMatchesPerRunAcrossThreadCounts) {
   const auto montage_app = small_montage();
   const qmc::QmcApp qmc_app;
   nyx::NyxConfig nyx_config;
@@ -559,50 +484,74 @@ TEST(DiffClassification, TalliesBitIdenticalOnVsOffAcrossThreadCounts) {
   const StagedToyApp toy_app;
   const ScratchStageApp scratch_app;
 
-  constexpr std::uint64_t kRuns = 24, kSeed = 4321;
-  auto make_plan = [&] {
-    exp::PlanBuilder builder;
-    builder.runs(kRuns).seed(kSeed);
-    builder.app(montage_app).fault("BF").stages(1, 4).product();
-    builder.cell(qmc_app, "BF", 1);
-    builder.cell(qmc_app, "SHORN_WRITE@pwrite", 2);
-    builder.cell(nyx_app, "BF", 1);
-    builder.cell(toy_app, "DW", 2);
-    builder.cell(scratch_app, "BF", 2);  // guarantees analyze_skipped > 0
-    builder.cell(montage_app, "BF", -1);
-    builder.cell(qmc_app, "BF", -1);
-    builder.cell(nyx_app, "DW", -1);
-    return builder.build();
-  };
+  constexpr std::uint64_t kRuns = 24, kSeed = 1234;
+  exp::PlanBuilder builder;
+  builder.runs(kRuns).seed(kSeed);
+  // Stage-instrumented cells...
+  builder.app(montage_app).fault("BF").stages(1, 4).product();
+  builder.cell(qmc_app, "BF", 1);
+  builder.cell(qmc_app, "SHORN_WRITE@pwrite", 2);
+  builder.cell(nyx_app, "BF", 1);
+  builder.cell(toy_app, "DW", 2);
+  builder.cell(scratch_app, "BF", 2);  // guarantees analyze_skipped > 0
+  // ...and whole-run cells through the same engine.
+  builder.cell(montage_app, "BF", -1);
+  builder.cell(qmc_app, "BF", -1);
+  builder.cell(nyx_app, "DW", -1);
+  const auto plan = builder.build();
 
-  exp::EngineOptions reference_options;
-  reference_options.threads = 1;
-  reference_options.use_diff_classification = false;
-  const auto reference = exp::Engine(reference_options).run(make_plan());
+  const auto reference = exp::reference_run(plan);
   for (const auto& cell : reference.cells) {
     ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
-    ASSERT_EQ(cell.runs_completed, kRuns);
+    ASSERT_EQ(cell.details.size(), kRuns);
     EXPECT_EQ(cell.analyze_skipped, 0u);
   }
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     exp::EngineOptions options;
     options.threads = threads;
-    options.use_diff_classification = true;
-    const auto report = exp::Engine(options).run(make_plan());
+    options.keep_details = true;
+    const auto report = exp::Engine(options).run(plan);
     ASSERT_EQ(report.cells.size(), reference.cells.size());
     for (std::size_t i = 0; i < report.cells.size(); ++i) {
-      ASSERT_TRUE(report.cells[i].error.empty())
-          << report.cells[i].cell.label << ": " << report.cells[i].error;
-      for (std::size_t o = 0; o < core::kOutcomeCount; ++o) {
-        EXPECT_EQ(report.cells[i].tally.count(static_cast<Outcome>(o)),
-                  reference.cells[i].tally.count(static_cast<Outcome>(o)))
-            << report.cells[i].cell.label << " outcome " << o << " at "
-            << threads << " threads";
+      const exp::CellResult& cell = report.cells[i];
+      const exp::CellResult& want = reference.cells[i];
+      SCOPED_TRACE(cell.cell.label + " at " + std::to_string(threads) + " threads");
+      ASSERT_TRUE(cell.error.empty()) << cell.error;
+      // The folded profiling pass observes exactly what the full one does.
+      EXPECT_EQ(cell.primitive_count, want.primitive_count);
+      ASSERT_EQ(cell.details.size(), kRuns);
+      for (std::size_t r = 0; r < kRuns; ++r) {
+        const core::RunResult& run = cell.details[r];
+        const core::RunResult& ref = want.details[r];
+        EXPECT_EQ(run.outcome, ref.outcome) << "run " << r;
+        EXPECT_EQ(run.fault_fired, ref.fault_fired) << "run " << r;
+        EXPECT_EQ(record_fields(run.record), record_fields(ref.record)) << "run " << r;
+        EXPECT_EQ(run.crash_reason, ref.crash_reason) << "run " << r;
       }
     }
-    // The fast path genuinely fired (at minimum the scratch-stage cell skips
-    // all of its analyses), without perturbing a single outcome above.
+
+    // The checkpoint-folded profile finds exactly the write sites the full
+    // profile finds: every cell synthesizes the runs the uncheckpointed
+    // engine synthesized at this seed.  Montage reads every stage-1..3 write
+    // back, so those cells execute all their runs; QMC reads back no write,
+    // so its BF cells are synthesized whole and its shorn-write cell carries
+    // the checkpointed QMC runs.
+    const std::vector<std::uint64_t> synthesized = {0, 0, 0, 15, kRuns, 0, 19, 0, 0, 1, kRuns, 0};
+    ASSERT_EQ(report.cells.size(), synthesized.size());
+    for (std::size_t i = 0; i < synthesized.size(); ++i) {
+      EXPECT_EQ(report.cells[i].runs_synthesized, synthesized[i]) << report.cells[i].cell.label;
+    }
+    // Every stage-instrumented cell of a resumable app actually used the
+    // checkpoint path (montage x4, qmc x2, nyx x1, toy x1, scratch x1).
+    std::size_t checkpointed_cells = 0;
+    for (const auto& cell : report.cells) {
+      if (cell.checkpointed) ++checkpointed_cells;
+    }
+    EXPECT_EQ(checkpointed_cells, 9u);
+    EXPECT_EQ(report.checkpoint_builds, 9u);  // all keys distinct here
+    // The diff fast path genuinely fired (at minimum the scratch-stage cell
+    // skips all of its analyses), without perturbing a single outcome above.
     EXPECT_GE(report.analyze_skipped, kRuns);
   }
 }
@@ -645,15 +594,11 @@ TEST(DiffClassification, NyxDirtySlabSplicePreservesTalliesAndReadsLess) {
     return builder.build();
   };
 
-  exp::EngineOptions diff_on, diff_off;
-  diff_on.keep_details = diff_off.keep_details = true;
-  diff_on.fs_options.chunk_size = 1024;
-  diff_off.fs_options.chunk_size = 1024;
-  diff_on.use_diff_classification = true;
-  diff_off.use_diff_classification = false;
-
-  const auto with_diff = exp::Engine(diff_on).run(make_plan());
-  const auto without_diff = exp::Engine(diff_off).run(make_plan());
+  exp::EngineOptions options;
+  options.keep_details = true;
+  options.fs_options.chunk_size = 1024;
+  const auto with_diff = exp::Engine(options).run(make_plan());
+  const auto without_diff = exp::reference_run(make_plan());
   ASSERT_TRUE(with_diff.cells[0].error.empty()) << with_diff.cells[0].error;
   ASSERT_TRUE(without_diff.cells[0].error.empty()) << without_diff.cells[0].error;
 
@@ -694,11 +639,7 @@ TEST(DiffClassification, NyxSpliceTakesTheHeaderExtentAndMatchesFullAnalysisPerR
   };
   constexpr std::size_t kStageTwoCells = 2;
 
-  exp::EngineOptions reference_options;
-  reference_options.threads = 1;
-  reference_options.keep_details = true;
-  reference_options.use_diff_classification = false;
-  const auto reference = exp::Engine(reference_options).run(make_plan());
+  const auto reference = exp::reference_run(make_plan());
   std::uint64_t spliced_changes = 0, reference_crashes = 0;
   for (std::size_t c = 0; c < reference.cells.size(); ++c) {
     const auto& cell = reference.cells[c];
@@ -754,7 +695,7 @@ TEST(DiffClassification, QmcSpliceMatchesFullAnalysisPerRun) {
   // analyze_dirty re-parses only the lines holding them over the golden
   // index; a dropped chunk leaves a NUL hole (flagged, also spliced) and a
   // dropped header write takes the full parse and crashes.  Every run must
-  // match the full analysis of the diff-off reference.
+  // match the full analysis of the reference oracle.
   const qmc::QmcApp app;
 
   constexpr std::uint64_t kRuns = 48;
@@ -765,11 +706,7 @@ TEST(DiffClassification, QmcSpliceMatchesFullAnalysisPerRun) {
     return builder.build();
   };
 
-  exp::EngineOptions reference_options;
-  reference_options.threads = 1;
-  reference_options.keep_details = true;
-  reference_options.use_diff_classification = false;
-  const auto reference = exp::Engine(reference_options).run(make_plan());
+  const auto reference = exp::reference_run(make_plan());
   std::uint64_t changed = 0;
   for (const auto& cell : reference.cells) {
     ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
@@ -826,11 +763,8 @@ TEST(EngineCheckpoint, CowTrafficIsOChunkPerResumedRun) {
     return builder.build();
   };
 
-  exp::EngineOptions on, off;
-  on.use_checkpoints = true;
-  off.use_checkpoints = false;
-  const auto with_cp = exp::Engine(on).run(make_plan());
-  const auto without_cp = exp::Engine(off).run(make_plan());
+  const auto with_cp = exp::Engine().run(make_plan());
+  const auto without_cp = exp::reference_run(make_plan());
   ASSERT_TRUE(with_cp.cells[0].error.empty()) << with_cp.cells[0].error;
   ASSERT_TRUE(without_cp.cells[0].error.empty()) << without_cp.cells[0].error;
   ASSERT_TRUE(with_cp.cells[0].checkpointed);

@@ -1008,35 +1008,37 @@ TEST(EngineCheckpointStore, RestoresApplicationState) {
 }
 
 TEST(EngineCheckpointStore, TreelessEntryIsUpgradedOnceThenFullyWarm) {
-  // A store populated with diff classification OFF holds checkpoint entries
-  // without golden trees.  A diff-on engine must (a) still load them and
+  // Stores written before every cell classified by diff can hold checkpoint
+  // entries without golden trees.  The engine must (a) still load them and
   // grow the tree from the snapshot (suffix-only, no prefix), (b) write the
-  // upgraded entry back, so (c) the next diff-on process is fully warm.
+  // upgraded entry back, so (c) the next process is fully warm.
   const StoreDir dir("engine-upgrade");
   constexpr std::uint64_t kRuns = 8;
 
-  exp::EngineOptions off_options;
-  off_options.threads = 1;
-  off_options.checkpoint_dir = dir.path();
-  off_options.use_diff_classification = false;
   nyx::NyxApp cold_app(small_nyx_config());
-  const auto cold = exp::Engine(off_options).run(nyx_plan(cold_app, kRuns));
-  EXPECT_EQ(cold.checkpoints_persisted, 1u);
+  const auto plan = nyx_plan(cold_app, kRuns);
+  const std::uint64_t app_seed = plan.cells()[0].app_seed();
+  const core::CheckpointStore store(dir.path());
+  ASSERT_TRUE(store.save_checkpoint(core::CheckpointStore::Key::of(cold_app, app_seed, 2, {}),
+                                    *core::Checkpoint::capture(cold_app, app_seed, 2),
+                                    /*golden_tree=*/nullptr, cold_app.serialize_state(app_seed)));
+  const auto reference = exp::reference_run(plan);
 
-  exp::EngineOptions on_options = off_options;
-  on_options.use_diff_classification = true;
+  exp::EngineOptions options;
+  options.threads = 1;
+  options.checkpoint_dir = dir.path();
   nyx::NyxApp upgrade_app(small_nyx_config());
-  const auto upgraded = exp::Engine(on_options).run(nyx_plan(upgrade_app, kRuns));
+  const auto upgraded = exp::Engine(options).run(nyx_plan(upgrade_app, kRuns));
   EXPECT_EQ(upgraded.checkpoints_loaded, 1u);
   EXPECT_EQ(upgraded.checkpoint_builds, 0u);
   EXPECT_EQ(upgraded.checkpoints_persisted, 1u);  // the upgrade write-back
-  expect_equal_tallies(cold, upgraded);
+  expect_equal_tallies(reference, upgraded);
 
   nyx::NyxApp warm_app(small_nyx_config());
-  const auto warm = exp::Engine(on_options).run(nyx_plan(warm_app, kRuns));
+  const auto warm = exp::Engine(options).run(nyx_plan(warm_app, kRuns));
   EXPECT_EQ(warm.checkpoints_loaded, 1u);
   EXPECT_EQ(warm.checkpoints_persisted, 0u);  // nothing left to upgrade
-  expect_equal_tallies(cold, warm);
+  expect_equal_tallies(reference, warm);
 }
 
 TEST(EngineCheckpointStore, ConcurrentEnginesShareOneStoreDir) {

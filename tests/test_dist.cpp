@@ -24,6 +24,8 @@
 
 #include "ffis/apps/montage/montage_app.hpp"
 #include "ffis/core/application.hpp"
+#include "ffis/core/checkpoint.hpp"
+#include "ffis/core/checkpoint_store.hpp"
 #include "ffis/dist/coordinator.hpp"
 #include "ffis/dist/journal.hpp"
 #include "ffis/dist/protocol.hpp"
@@ -894,21 +896,23 @@ TEST(DistE2E, GoldenFailureReportsTheEngineError) {
 }
 
 TEST(DistE2E, FleetUpgradesTreelessCheckpointEntries) {
-  // A store filled with diff classification off holds checkpoint entries
-  // without golden trees.  A diff-on fleet must load them and grow each tree
-  // from the loaded snapshot, as the engine does, instead of treating the
-  // entry as a miss and re-running the prefix.
+  // Older stores can hold checkpoint entries without golden trees.  A fleet
+  // must load them and grow each tree from the loaded snapshot, as the
+  // engine does, instead of treating the entry as a miss and re-running the
+  // prefix.
   StoreDir store("upgrade");
   StagedToyApp app;
   auto builder = exp::PlanBuilder().runs(24).seed(19);
   builder.app(app).faults({"BF", "DW"}).stages(1, 2).product();
   const auto plan = builder.build();
 
-  exp::EngineOptions fill;
-  fill.checkpoint_dir = store.path();
-  fill.use_diff_classification = false;
-  const auto filled = exp::Engine(fill).run(plan);
-  ASSERT_GT(filled.checkpoints_persisted, 0u);
+  const std::uint64_t app_seed = plan.cells()[0].app_seed();
+  const core::CheckpointStore writer(store.path());
+  for (const int stage : {1, 2}) {
+    ASSERT_TRUE(writer.save_checkpoint(core::CheckpointStore::Key::of(app, app_seed, stage, {}),
+                                       *core::Checkpoint::capture(app, app_seed, stage),
+                                       /*golden_tree=*/nullptr, app.serialize_state(app_seed)));
+  }
 
   const auto expected = exp::Engine().run(plan);
   dist::CoordinatorOptions options;

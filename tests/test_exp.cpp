@@ -451,28 +451,15 @@ TEST(Engine, MultiCellRunMatchesSequentialPerCellInjection) {
 
   // Reference: the pre-engine behavior — one FaultInjector per cell, runs
   // executed sequentially with FaultGenerator's per-run seed stream.
+  const auto reference = exp::reference_run(plan);
   for (std::size_t i = 0; i < plan.cells().size(); ++i) {
-    const auto& cell = plan.cells()[i];
-    faults::CampaignConfig config;
-    config.application = cell.app->name();
-    config.fault = cell.fault;
-    config.runs = cell.runs;
-    config.seed = cell.seed;
-    config.stage = cell.stage;
-    faults::FaultGenerator generator(config);
-    core::FaultInjector injector(*cell.app, generator.signature(), cell.app_seed(),
-                                 cell.stage);
-    injector.prepare();
-    core::OutcomeTally expected;
-    for (std::uint64_t r = 0; r < runs; ++r) {
-      expected.add(injector.execute(generator.run_seed(r)).outcome);
-    }
+    ASSERT_TRUE(reference.cells[i].error.empty()) << reference.cells[i].error;
     for (std::size_t o = 0; o < core::kOutcomeCount; ++o) {
       EXPECT_EQ(report.cells[i].tally.count(static_cast<Outcome>(o)),
-                expected.count(static_cast<Outcome>(o)))
-          << "cell " << i << " (" << cell.label << ") outcome " << o;
+                reference.cells[i].tally.count(static_cast<Outcome>(o)))
+          << "cell " << i << " (" << plan.cells()[i].label << ") outcome " << o;
     }
-    EXPECT_EQ(report.cells[i].primitive_count, injector.primitive_count());
+    EXPECT_EQ(report.cells[i].primitive_count, reference.cells[i].primitive_count);
   }
 }
 
@@ -511,14 +498,8 @@ TEST(Engine, KeepDetailsRetainsPerRunResults) {
 
 // --- Engine: run replay --------------------------------------------------------
 
-/// The fields of an injection record, comparable as one value.
-auto record_fields(const faults::InjectionRecord& r) {
-  return std::tuple(r.signature.to_string(), r.instance, r.offset, r.original_size,
-                    r.corrupted_bytes, r.flipped_bit, r.shorn_from, r.dropped,
-                    r.features_drawn);
-}
-
 using test_support::non_arena_stats;
+using test_support::record_fields;
 
 TEST(Engine, ReplayedRunsMatchDirectExecutionOnEveryModel) {
   ToyApp toy;

@@ -173,8 +173,7 @@ TEST(Protocol, HelloAckRoundTrip) {
   m.checkpoint_dir = "/tmp/store";
   m.chunk_size = 4096;
   m.checkpoint_budget = 0x123456789aULL;
-  m.use_checkpoints = false;
-  m.use_diff_classification = true;
+  m.heartbeat_interval_ms = 250;
   const auto encoded = dist::encode(m);
   EXPECT_EQ(dist::peek_type(encoded), dist::MsgType::HelloAck);
   const auto decoded = dist::decode_hello_ack(encoded);
@@ -184,8 +183,7 @@ TEST(Protocol, HelloAckRoundTrip) {
   EXPECT_EQ(decoded.checkpoint_dir, "/tmp/store");
   EXPECT_EQ(decoded.chunk_size, 4096u);
   EXPECT_EQ(decoded.checkpoint_budget, 0x123456789aULL);
-  EXPECT_FALSE(decoded.use_checkpoints);
-  EXPECT_TRUE(decoded.use_diff_classification);
+  EXPECT_EQ(decoded.heartbeat_interval_ms, 250u);
 }
 
 TEST(Protocol, HelloRejectRoundTrip) {

@@ -141,6 +141,8 @@ int usage() {
                "same plan and journal replays finished work instead of\n"
                "re-executing it; --auth-token (or FFIS_AUTH_TOKEN) makes the\n"
                "handshake reject workers without the same shared secret.\n"
+               "These three flags need --serve or --workers, and\n"
+               "--block-device (local execution only) rejects both.\n"
                "SIGINT drains gracefully: in-flight units land and are\n"
                "journaled before exit.  --dry-run prints the work-unit table\n"
                "and exits.  Workers retry lost coordinators --retry times with\n"
@@ -342,6 +344,13 @@ pid_t fork_local_worker(std::uint16_t port, const exp::ExperimentPlan& plan,
 }
 
 int cmd_plan(const std::string& config_path, const PlanFlags& flags) {
+  const bool distributed = flags.serve || flags.workers > 0;
+  // A flag the chosen mode cannot honour is a usage error, not a no-op.
+  if (distributed ? flags.block_device
+                  : flags.unit_timeout_set || !flags.journal_path.empty() ||
+                        !flags.auth_token.empty()) {
+    return usage();
+  }
   const std::string config_text = slurp(config_path);
   auto plan_config = exp::parse_plan_config(config_text);
   if (!flags.checkpoint_dir.empty()) {
@@ -351,7 +360,6 @@ int cmd_plan(const std::string& config_path, const PlanFlags& flags) {
 
   if (flags.dry_run) return dry_run_plan(plan, flags.unit_runs);
 
-  const bool distributed = flags.serve || flags.workers > 0;
   std::printf("experiment plan: %zu cells, %llu total runs\n\n", plan.size(),
               static_cast<unsigned long long>(plan.total_runs()));
 
