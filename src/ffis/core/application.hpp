@@ -25,6 +25,17 @@
 
 namespace ffis::core {
 
+/// Told which stage is open: the profiling pass (core::IoProfiler) listens,
+/// to record which stage first observes each write site.
+class StageListener {
+ public:
+  virtual void enter_stage(int stage) = 0;
+  virtual void leave_stage(int stage) = 0;
+
+ protected:
+  ~StageListener() = default;
+};
+
 /// Per-run execution context handed to Application::run.
 struct RunContext {
   /// The mounted file system.  During injection runs this is a FaultingFs;
@@ -43,17 +54,22 @@ struct RunContext {
   /// The instrumentation layer, when one is stacked (null in golden runs).
   faults::FaultingFs* instrument = nullptr;
 
+  /// Told of every stage boundary (profiling passes only; null otherwise).
+  StageListener* stages = nullptr;
+
   /// Applications call this at stage boundaries; it gates instrumentation so
   /// faults land only in the configured stage.
   void enter_stage(int stage) const {
     if (instrument != nullptr && instrumented_stage > 0) {
       instrument->set_enabled(stage == instrumented_stage);
     }
+    if (stages != nullptr) stages->enter_stage(stage);
   }
-  void leave_stage(int /*stage*/) const {
+  void leave_stage(int stage) const {
     if (instrument != nullptr && instrumented_stage > 0) {
       instrument->set_enabled(false);
     }
+    if (stages != nullptr) stages->leave_stage(stage);
   }
 };
 

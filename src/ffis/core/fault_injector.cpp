@@ -119,7 +119,8 @@ void FaultInjector::prepare_with_golden(std::shared_ptr<const AnalysisResult> go
 
 void FaultInjector::prepare_with_checkpoint(std::shared_ptr<const AnalysisResult> golden,
                                             std::shared_ptr<const Checkpoint> checkpoint,
-                                            std::shared_ptr<const vfs::MemFs> golden_tree) {
+                                            std::shared_ptr<const vfs::MemFs> golden_tree,
+                                            const StageGoldens& later) {
   if (prepared_) return;
   if (!golden) throw std::invalid_argument("FaultInjector: null golden analysis");
   if (!checkpoint) throw std::invalid_argument("FaultInjector: null checkpoint");
@@ -150,6 +151,21 @@ void FaultInjector::prepare_with_checkpoint(std::shared_ptr<const AnalysisResult
   // the same gated primitive count as a full profiling run.
   profile_ = profile_resume(app_, *checkpoint_, signature_, app_seed_);
   check_profile();
+  if (later && diff_classification_) {
+    for (const faults::WriteSite& site : profile_.sites.sites) {
+      const int s = site.observed_in;
+      if (s <= instrumented_stage_ || s > app_.stage_count() || later_.count(s) != 0) continue;
+      StageGolden stage = later(s);
+      if (stage.checkpoint != nullptr &&
+          (stage.golden_tree == nullptr || stage.checkpoint->stage() != s ||
+           stage.checkpoint->fs().chunk_size() != fs_options_.chunk_size)) {
+        throw std::invalid_argument("FaultInjector: the golden state resolved for stage " +
+                                    std::to_string(s) +
+                                    " lacks its tree, or has another stage or geometry");
+      }
+      later_.emplace(s, std::move(stage));  // no checkpoint: runs observed in s execute
+    }
+  }
   prepared_ = true;
 }
 
@@ -276,7 +292,7 @@ RunResult FaultInjector::execute_at(std::uint64_t target_instance,
                    profile_.primitive_count);
   }
 
-  classify(backing, result, diff_out);
+  classify(backing, result, diff_out, golden_tree_.get());
   // Counters cover workload and classification; diff_tree itself issues no
   // FileSystem-level reads, so an analyze_skipped run of a write-only
   // workload reports bytes_read == 0.
@@ -287,52 +303,96 @@ RunResult FaultInjector::execute_at(std::uint64_t target_instance,
 std::optional<RunResult> FaultInjector::synthesize(const RunDraw& draw,
                                                    vfs::FsDiff* diff_out) const {
   if (!prepared_) throw std::logic_error("FaultInjector::prepare() not called");
-  const faults::WriteSite* site =
-      golden_tree_ != nullptr ? profile_.sites.unobserved(draw.instance) : nullptr;
-  if (site == nullptr) return std::nullopt;
+  if (golden_tree_ == nullptr || draw.instance >= profile_.sites.sites.size()) {
+    return std::nullopt;
+  }
+  const faults::WriteSite& site = profile_.sites.sites[draw.instance];
+  const StageGolden* later = nullptr;
+  if (site.observed()) {
+    const auto it = later_.find(site.observed_in);
+    if (it == later_.end() || it->second.checkpoint == nullptr) return std::nullopt;
+    later = &it->second;
+  }
 
-  // Nothing after the fault reads its range back, so the faulted run
-  // performs the profiling pass's operations and ends with the golden tree,
-  // except that the site holds the fault applied to the bytes the
-  // application meant to write there: the golden bytes, since no later
-  // operation rewrote, cut or moved them.
+  // Nothing reads the fault's range back before `later`'s stage opens (or
+  // ever), so until then the faulted run performs the profiling pass's
+  // operations, and its tree is the golden one except that the site holds
+  // the fault applied to the bytes the application meant to write there:
+  // the golden bytes, since no operation before the observer rewrote, cut
+  // or moved them.
   const auto execute_start = Clock::now();
   RunResult result;
-  result.synthesized = true;
   result.fault_fired = true;
   faults::InjectionRecord& record = result.record;
   record.signature = signature_;
   record.instance = draw.instance;
-  record.offset = site->offset;
-  record.original_size = site->length;
-  vfs::MemFs tree = golden_tree_->fork(vfs::MemFs::Concurrency::SingleThread);
-  {
-    vfs::File file(tree, profile_.sites.paths[site->file], vfs::OpenMode::ReadWrite);
-    util::Bytes intended(site->length);
-    if (file.pread(intended, site->offset) != intended.size()) {
-      throw std::logic_error("FaultInjector: golden tree lacks the write site of instance " +
-                             std::to_string(draw.instance));
+  record.offset = site.offset;
+  record.original_size = site.length;
+  // Returns the tree's counters after the mutation: its own traffic.
+  const auto apply_fault = [&](vfs::MemFs& tree) {
+    {
+      vfs::File file(tree, profile_.sites.paths[site.file], vfs::OpenMode::ReadWrite);
+      util::Bytes intended(site.length);
+      if (file.pread(intended, site.offset) != intended.size()) {
+        throw std::logic_error("FaultInjector: golden tree lacks the write site of instance " +
+                               std::to_string(draw.instance));
+      }
+      util::Rng rng(draw.feature_seed);
+      const faults::WriteMutation mut = faults::mutate_write(signature_, rng, intended, record);
+      record.features_drawn = rng != util::Rng(draw.feature_seed);
+      (void)file.pwrite(mut.data, site.offset);
     }
-    util::Rng rng(draw.feature_seed);
-    const faults::WriteMutation mut = faults::mutate_write(signature_, rng, intended, record);
-    record.features_drawn = rng != util::Rng(draw.feature_seed);
-    (void)file.pwrite(mut.data, site->offset);
+    return tree.stats();
+  };
+
+  if (later == nullptr) {
+    result.synthesized = true;
+    vfs::MemFs tree = golden_tree_->fork(vfs::MemFs::Concurrency::SingleThread);
+    const vfs::FsStats mutation = apply_fault(tree);
+    result.execute_ms = ms_since(execute_start);
+    classify(tree, result, diff_out, golden_tree_.get());
+    result.fs_stats = tree.stats();
+    result.fs_stats -= mutation;
+    result.fs_stats += profile_.fs_stats;
+    result.fs_stats.arena_slabs_allocated = 0;
+    result.fs_stats.arena_bytes_recycled = 0;
+    return result;
+  }
+
+  // Resume unarmed at the observing stage, exactly as execute_at resumes at
+  // the instrumented one (an application exception is a Crash).
+  result.resumed_late = true;
+  const Checkpoint& checkpoint = *later->checkpoint;
+  RunScratch::Lease lease =
+      RunScratch::current().acquire(&checkpoint, &checkpoint.fs(), fs_options_);
+  vfs::MemFs& backing = lease.fs();
+  const vfs::FsStats mutation = apply_fault(backing);
+  const auto finalize_stats = [&] {
+    result.fs_stats = backing.stats();
+    result.fs_stats -= mutation;
+    result.fs_stats += profile_.stage_entry_stats.at(checkpoint.stage());
+  };
+  const RunContext ctx{.fs = backing,
+                       .app_seed = app_seed_,
+                       .instrumented_stage = instrumented_stage_,
+                       .instrument = nullptr};
+  try {
+    app_.run_from(ctx, checkpoint.stage());
+  } catch (const std::exception& e) {
+    result.outcome = Outcome::Crash;
+    result.crash_reason = e.what();
+    result.execute_ms = ms_since(execute_start);
+    finalize_stats();
+    return result;
   }
   result.execute_ms = ms_since(execute_start);
-
-  // Only classification counts as this run's own storage traffic.
-  const vfs::FsStats synthesis = tree.stats();
-  classify(tree, result, diff_out);
-  result.fs_stats = tree.stats();
-  result.fs_stats -= synthesis;
-  result.fs_stats += profile_.fs_stats;
-  result.fs_stats.arena_slabs_allocated = 0;
-  result.fs_stats.arena_bytes_recycled = 0;
+  classify(backing, result, diff_out, later->golden_tree.get());
+  finalize_stats();
   return result;
 }
 
-void FaultInjector::classify(vfs::MemFs& tree, RunResult& result,
-                             vfs::FsDiff* diff_out) const {
+void FaultInjector::classify(vfs::MemFs& tree, RunResult& result, vfs::FsDiff* diff_out,
+                             const vfs::MemFs* golden_tree) const {
   // Post-analysis reads go straight to the backing store; the fault has
   // already landed on the "device".  With diff classification the extent
   // diff runs first: an empty diff proves the tree bit-identical to the
@@ -344,8 +404,8 @@ void FaultInjector::classify(vfs::MemFs& tree, RunResult& result,
   // it as an application Crash would silently corrupt the tally — let it
   // propagate to the caller instead.
   std::optional<vfs::FsDiff> diff;
-  if (diff_classification_ && golden_tree_ != nullptr) {
-    diff.emplace(tree.diff_tree(*golden_tree_));
+  if (golden_tree != nullptr) {
+    diff.emplace(tree.diff_tree(*golden_tree));
     if (diff_out != nullptr) *diff_out = *diff;
   }
   if (diff.has_value() && diff->empty()) {

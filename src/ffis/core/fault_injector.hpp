@@ -6,6 +6,8 @@
 // golden run.
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,6 +57,11 @@ struct RunResult {
   /// site instead of executed, because nothing in the run reads that site
   /// back (FaultInjector::synthesize).
   bool synthesized = false;
+  /// Resumed at the stage that first reads its write site back, from that
+  /// stage's golden checkpoint with the fault applied at the site, instead
+  /// of executed from the instrumented stage (FaultInjector::synthesize).
+  /// Disjoint from `synthesized`.
+  bool resumed_late = false;
 };
 
 /// What a run seed selects: the target instance and the fault's feature seed.
@@ -68,6 +75,17 @@ struct RunDraw {
 /// A pure function, so a run's instance follows from the plan and the
 /// profiled count alone.
 [[nodiscard]] RunDraw draw(std::uint64_t run_seed, std::uint64_t primitive_count);
+
+/// The golden state of an application when one of its stages opens: the
+/// stage's pre-fault checkpoint and the golden output tree grown from it.
+struct StageGolden {
+  std::shared_ptr<const Checkpoint> checkpoint;
+  std::shared_ptr<const vfs::MemFs> golden_tree;
+};
+
+/// Resolves the StageGolden of a stage after the instrumented one (both
+/// members null when it has none).
+using StageGoldens = std::function<StageGolden(int stage)>;
 
 class FaultInjector {
  public:
@@ -103,9 +121,16 @@ class FaultInjector {
   /// checkpoint key); when diff classification is on and none is supplied,
   /// the injector grows its own.  The checkpoint must have been captured
   /// with this injector's fs options (geometry is validated here).
+  ///
+  /// `later`, when given, is asked once for each later stage that first
+  /// observes some write site of the profile; synthesize() resumes those
+  /// sites' runs from its answer (none: they execute).  An answer with a
+  /// checkpoint must carry its golden tree, for that stage, in this
+  /// injector's geometry.
   void prepare_with_checkpoint(std::shared_ptr<const AnalysisResult> golden,
                                std::shared_ptr<const Checkpoint> checkpoint,
-                               std::shared_ptr<const vfs::MemFs> golden_tree = nullptr);
+                               std::shared_ptr<const vfs::MemFs> golden_tree = nullptr,
+                               const StageGoldens& later = {});
 
   /// True when execute() resumes from a pre-fault checkpoint.
   [[nodiscard]] bool checkpointed() const noexcept { return checkpoint_ != nullptr; }
@@ -179,16 +204,26 @@ class FaultInjector {
                                      std::uint64_t feature_seed,
                                      vfs::FsDiff* diff_out = nullptr) const;
 
-  /// The run `draw` selects, without executing the application, when its
-  /// fault is synthesizable (faults::is_synthesizable) and the profiling
-  /// pass saw nothing observe the drawn instance's write site; otherwise
-  /// nullopt.  Forks the golden tree, applies the fault to the golden bytes
-  /// at the site (faults::mutate_write, with the draw's feature seed) and
-  /// classifies the result exactly as execute_at would.  Equal to
-  /// execute_at(draw.instance, draw.feature_seed) in every field but the
-  /// timers, the arena counters and `synthesized`; the execution-phase
-  /// storage counters come from the profiling pass.  Requires diff
-  /// classification.  Thread-safe after prepare().
+  /// The run `draw` selects, without executing it from the instrumented
+  /// stage, when its fault is synthesizable (faults::is_synthesizable);
+  /// otherwise, or when the drawn instance's write site is observed in the
+  /// instrumented stage or outside any stage, nullopt.  Either way the fault
+  /// is applied to the golden bytes at the site (faults::mutate_write, with
+  /// the draw's feature seed):
+  ///
+  ///  * nothing observes the site: on a fork of the golden tree, which is
+  ///    then classified (`synthesized`);
+  ///  * a later stage s first observes it, and prepare_with_checkpoint's
+  ///    `later` supplied stage s: on a leased fork of the golden stage-s
+  ///    checkpoint, from which the application resumes unarmed at stage s
+  ///    before the tree is classified against the golden tree grown from
+  ///    that checkpoint (`resumed_late`).
+  ///
+  /// Equal to execute_at(draw.instance, draw.feature_seed) in every field
+  /// but the timers, the arena counters and those two flags.  The storage
+  /// counters of the work skipped come from the profiling pass: all of its
+  /// counters, or those at stage s's entry.  Requires diff classification.
+  /// Thread-safe after prepare().
   [[nodiscard]] std::optional<RunResult> synthesize(const RunDraw& draw,
                                                     vfs::FsDiff* diff_out = nullptr) const;
 
@@ -198,10 +233,12 @@ class FaultInjector {
   /// Derives golden_artifacts_ from golden_tree_ (forked for read access).
   void derive_artifacts();
   /// Classifies a finished run's `tree` into `result`: the extent diff
-  /// against the golden tree, then analyze_dirty (or analyze), then the
-  /// golden comparison and the application's rule.  Sets analyze_ms; an
-  /// analysis exception makes the run a Crash.
-  void classify(vfs::MemFs& tree, RunResult& result, vfs::FsDiff* diff_out) const;
+  /// against `golden_tree` (a golden output tree; null: no diff), then
+  /// analyze_dirty (or analyze), then the golden comparison and the
+  /// application's rule.  Sets analyze_ms; an analysis exception makes the
+  /// run a Crash.
+  void classify(vfs::MemFs& tree, RunResult& result, vfs::FsDiff* diff_out,
+                const vfs::MemFs* golden_tree) const;
 
   const Application& app_;
   faults::FaultSignature signature_;
@@ -222,6 +259,9 @@ class FaultInjector {
   std::shared_ptr<const GoldenArtifacts> golden_artifacts_;
   /// Pre-fault snapshot shared by every run (null = classic full-run path).
   std::shared_ptr<const Checkpoint> checkpoint_;
+  /// By stage: the golden state synthesize() resumes runs at, for each
+  /// later stage that first observes some write site.
+  std::map<int, StageGolden> later_;
   ProfileResult profile_{};
 };
 

@@ -8,6 +8,30 @@
 
 namespace ffis::core {
 
+namespace {
+
+/// Tells the write observer which stage is open and snapshots the backing
+/// store's counters as each stage opens.
+class SiteStages final : public StageListener {
+ public:
+  SiteStages(faults::WriteObserver& observer, const vfs::MemFs& backing,
+             std::map<int, vfs::FsStats>& entry_stats)
+      : observer_(observer), backing_(backing), entry_stats_(entry_stats) {}
+
+  void enter_stage(int stage) override {
+    observer_.set_stage(stage);
+    entry_stats_.try_emplace(stage, backing_.stats());
+  }
+  void leave_stage(int /*stage*/) override { observer_.set_stage(0); }
+
+ private:
+  faults::WriteObserver& observer_;
+  const vfs::MemFs& backing_;
+  std::map<int, vfs::FsStats>& entry_stats_;
+};
+
+}  // namespace
+
 ProfileResult IoProfiler::profile(const Application& app,
                                   const faults::FaultSignature& signature,
                                   std::uint64_t app_seed, int instrumented_stage,
@@ -39,16 +63,21 @@ ProfileResult IoProfiler::profile_on(vfs::MemFs& backing,
     // enter_stage/leave_stage calls open the window.
     instrument.set_enabled(false);
   }
+  ProfileResult result;
   std::optional<faults::WriteObserver> observer;
-  if (faults::is_synthesizable(signature)) observer.emplace(instrument);
+  std::optional<SiteStages> stages;
+  if (faults::is_synthesizable(signature)) {
+    observer.emplace(instrument);
+    stages.emplace(*observer, backing, result.stage_entry_stats);
+  }
 
   RunContext ctx{.fs = observer ? static_cast<vfs::FileSystem&>(*observer) : instrument,
                  .app_seed = app_seed,
                  .instrumented_stage = instrumented_stage,
-                 .instrument = &instrument};
+                 .instrument = &instrument,
+                 .stages = stages ? &*stages : nullptr};
   run(ctx);
 
-  ProfileResult result;
   result.primitive_count =
       device != nullptr ? device->sector_writes() : instrument.executions();
   result.bytes_written = counting.bytes_written();

@@ -4,12 +4,15 @@
 // count, which bounds the injector's uniform instance selection (R4).
 //
 // For a synthesizable signature (faults::is_synthesizable) the same pass
-// also records every instance's write site and whether the rest of the run
-// observes it (faults::WriteObserver), and its storage counters stand in for
-// the execution phase of every run it lets core::FaultInjector synthesize.
+// also records every instance's write site and the stage that first
+// observes it (faults::WriteObserver).  Its storage counters stand in for
+// the execution phase of every run core::FaultInjector synthesizes: all of
+// them for a site nothing observes, and those up to the entry of the
+// observing stage for a run resumed there.
 
 #include <cstdint>
 #include <functional>
+#include <map>
 
 #include "ffis/core/application.hpp"
 #include "ffis/faults/fault_signature.hpp"
@@ -34,6 +37,9 @@ struct ProfileResult {
   vfs::FsStats fs_stats{};
   /// Per-instance write sites; recorded only for synthesizable signatures.
   faults::WriteSites sites;
+  /// The backing store's counters when each stage opened (first entry),
+  /// by stage; recorded along with `sites`.
+  std::map<int, vfs::FsStats> stage_entry_stats;
 };
 
 class IoProfiler {

@@ -15,8 +15,13 @@ RunScratch::Lease RunScratch::acquire(const void* key, const vfs::MemFs* base,
   if (!arena_) arena_ = std::make_shared<vfs::ExtentArena>();
 
   Entry entry;
-  const auto pooled = std::find_if(pool_.begin(), pool_.end(),
-                                   [key](const Entry& e) { return e.key == key; });
+  // A base-less entry resets to its own pristine tree, so it serves only
+  // the geometry it was built with: a key can outlive its owner (an
+  // injector freed, and another built at its address with other options).
+  const auto pooled = std::find_if(pool_.begin(), pool_.end(), [&](const Entry& e) {
+    return e.key == key &&
+           (base != nullptr || e.pristine->chunk_size() == options.chunk_size);
+  });
   if (pooled != pool_.end()) {
     entry = std::move(*pooled);
     pool_.erase(pooled);

@@ -21,12 +21,13 @@ using util::ByteSpan;
 using util::ByteWriter;
 
 constexpr std::string_view kSignature = "FFISJRNL";
-/// 4: records hold RunRows whose flags bit 2 is `features_drawn` (protocol
-/// v9), from which replay re-derives the copies; format 3 rows carry
-/// `replayed` there instead, and format 2 rows lack `synthesized`.  A
+/// 5: records hold RunRows whose flags bit 4 is `resumed_late` (protocol
+/// v11) and bit 2 `features_drawn` (v9), from which replay re-derives the
+/// copies; format 4 rows lack `resumed_late`, format 3 rows carry
+/// `replayed` in bit 2 instead, and format 2 rows lack `synthesized`.  A
 /// journal of another format fails the header comparison and the campaign
 /// starts over.
-constexpr std::uint32_t kFormatVersion = 4;
+constexpr std::uint32_t kFormatVersion = 5;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8;
 /// Far above any real record (a 16 Ki-run unit is ~1.5 MiB) while still
 /// rejecting a garbage length field before it sizes an allocation.

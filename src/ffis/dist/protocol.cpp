@@ -212,7 +212,8 @@ util::Bytes encode(const RunRow& m) {
   w.u64(m.run_index);
   w.u8(static_cast<std::uint8_t>(m.outcome));
   w.u8(static_cast<std::uint8_t>((m.fault_fired ? 1 : 0) | (m.analyze_skipped ? 2 : 0) |
-                                 (m.features_drawn ? 4 : 0) | (m.synthesized ? 8 : 0)));
+                                 (m.features_drawn ? 4 : 0) | (m.synthesized ? 8 : 0) |
+                                 (m.resumed_late ? 16 : 0)));
   w.f64(m.execute_ms);
   w.f64(m.analyze_ms);
   w.u32(static_cast<std::uint32_t>(vfs::FsStats::kCount));
@@ -237,6 +238,7 @@ RunRow decode_run_row(util::ByteSpan payload) {
   m.analyze_skipped = (flags & 2) != 0;
   m.features_drawn = (flags & 4) != 0;
   m.synthesized = (flags & 8) != 0;
+  m.resumed_late = (flags & 16) != 0;
   m.execute_ms = r.f64();
   m.analyze_ms = r.f64();
   const std::uint32_t count = r.u32();
@@ -262,6 +264,7 @@ RunRow to_run_row(const core::RunResult& run, std::uint64_t unit_id,
           .analyze_skipped = run.analyze_skipped,
           .features_drawn = run.record.features_drawn,
           .synthesized = run.synthesized,
+          .resumed_late = run.resumed_late,
           .fs_stats = run.fs_stats,
           .execute_ms = run.execute_ms,
           .analyze_ms = run.analyze_ms};
@@ -277,6 +280,7 @@ core::RunResult to_run_result(const RunRow& row) {
   run.analyze_skipped = row.analyze_skipped;
   run.record.features_drawn = row.features_drawn;
   run.synthesized = row.synthesized;
+  run.resumed_late = row.resumed_late;
   return run;
 }
 

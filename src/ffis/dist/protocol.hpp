@@ -47,9 +47,10 @@ namespace ffis::dist {
 /// storage counters travel as a counted list in run-counter table order
 /// (FFIS_RUN_COUNTERS), so appending a counter needs no bump.  v6 added
 /// HelloAck::checkpoint_budget, v7 RunRow's `replayed` flag, v8 its
-/// `synthesized` flag, v9 turned flags bit 2 into `features_drawn`, and v10
-/// dropped HelloAck's engine-toggle flags byte.
-inline constexpr std::uint32_t kProtocolVersion = 10;
+/// `synthesized` flag, v9 turned flags bit 2 into `features_drawn`, v10
+/// dropped HelloAck's engine-toggle flags byte, and v11 added RunRow's
+/// `resumed_late` flag.
+inline constexpr std::uint32_t kProtocolVersion = 11;
 
 /// First field of every Hello; guards against a stray client that speaks
 /// some other protocol entirely.
@@ -151,6 +152,8 @@ struct RunRow {
   bool features_drawn = false;
   /// Flags bit 3 (protocol v8, journal format 3).
   bool synthesized = false;
+  /// Flags bit 4 (protocol v11, journal format 5).
+  bool resumed_late = false;
   vfs::FsStats fs_stats{};
   double execute_ms = 0.0;
   double analyze_ms = 0.0;

@@ -44,7 +44,7 @@ bool CellCollector::land(std::size_t cell, std::uint64_t run, core::RunResult re
   if (c.instances.leader.empty() && c.has_facts && out.primitive_count > 0) {
     c.instances = instance_runs(out.cell, out.primitive_count);
   }
-  if (!c.instances.leader.empty() && !result.synthesized && !result.record.features_drawn) {
+  if (!c.instances.leader.empty() && !result.record.features_drawn) {
     const std::uint64_t leader = c.instances.leader[run];
     result.replayed = run != leader;
     core::RunResult copy = result;
@@ -105,9 +105,13 @@ void CellCollector::finalize(std::size_t cell) {
   CellResult& out = report_.cells[cell];
   for (std::size_t r = 0; r < c.runs.size(); ++r) {
     if (c.state[r] != Slot::Landed) continue;
-    out.add_run(c.runs[r]);
-    if (c.runs[r].worker_id != 0) out.worker_ids.push_back(c.runs[r].worker_id);
-    if (keep_details_) out.details.push_back(c.runs[r]);
+    // A replay is only a replay.  Its slot keeps how its instance ran, so
+    // journaling it and landing the row again relabels the leader the same.
+    core::RunResult run = c.runs[r];
+    if (run.replayed) run.synthesized = run.resumed_late = false;
+    out.add_run(run);
+    if (run.worker_id != 0) out.worker_ids.push_back(run.worker_id);
+    if (keep_details_) out.details.push_back(std::move(run));
   }
   std::sort(out.worker_ids.begin(), out.worker_ids.end());
   out.worker_ids.erase(std::unique(out.worker_ids.begin(), out.worker_ids.end()),

@@ -10,11 +10,12 @@
 //
 // Run replay is decided here, from the plan: once a cell's facts are in,
 // each run's instance leader follows from its seed and the primitive count,
-// and the runs of each instance are linked (instance_runs).  Landing a run whose fault drew no feature (and that
-// was not synthesized) fills every open slot of its instance with a copy —
-// zero timers and arena counters — so executors may skip such runs.  Every
-// slot of a feature-free instance but its leader's is labelled `replayed`,
-// whichever run landed first.
+// and the runs of each instance are linked (instance_runs).  Landing a run
+// whose fault drew no feature — executed, synthesized or resumed late —
+// fills every open slot of its instance with a copy — zero timers and arena
+// counters — so executors may skip such runs.  Every slot of a feature-free
+// instance but its leader's is labelled `replayed`, whichever run landed
+// first, and folds as replayed only, never as synthesized or resumed late.
 //
 // A cell finalizes the moment its last slot closes, or at once when its
 // preparation facts carry an error; finalizing folds the landed runs through

@@ -7,6 +7,8 @@
 
 #include "ffis/core/checkpoint.hpp"
 #include "ffis/core/checkpoint_store.hpp"
+#include "ffis/faults/fault_signature.hpp"
+#include "ffis/faults/write_observer.hpp"
 
 namespace ffis::exp {
 
@@ -82,6 +84,23 @@ CellPreparer::CellPreparer(const ExperimentPlan& plan, EngineOptions options)
     (owner ? schedule_ : rest).push_back(i);
   }
   schedule_.insert(schedule_.end(), rest.begin(), rest.end());
+  // The later-stage keys, after every cell took its own: a key indexed here
+  // first is owned by no cell and changes no cell's facts.
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const Cell& c = cells[i];
+    CellKeys& keys = cell_keys_[i];
+    if (keys.checkpoint == kNoCheckpoint ||
+        !faults::is_synthesizable(faults::parse_fault_signature(c.fault))) {
+      continue;
+    }
+    for (int stage = c.stage + 1; stage <= c.app->stage_count(); ++stage) {
+      const auto k = checkpoint_index
+                         .emplace(CheckpointKey{c.app, c.app_seed(), stage},
+                                  checkpoint_index.size())
+                         .first;
+      keys.later.emplace_back(stage, k->second);
+    }
+  }
 
   // std::once_flag pins each slot in place: size the vectors once, never grow.
   goldens_ = std::vector<GoldenSlot>(golden_index.size());
@@ -238,7 +257,16 @@ PreparedCell CellPreparer::prepare(std::size_t index) {
     out.injector->set_fs_options(options_.fs_options);
     out.injector->set_force_block_device(options_.force_block_device);
     if (cp != nullptr) {
-      out.injector->prepare_with_checkpoint(gold.result, cp->checkpoint, cp->golden_tree);
+      const auto later = [&](int stage) {
+        for (const auto& [s, k] : keys.later) {
+          if (s != stage) continue;
+          const CheckpointSlot& slot = resolved_checkpoint(k);
+          return core::StageGolden{slot.checkpoint, slot.golden_tree};
+        }
+        return core::StageGolden{};
+      };
+      out.injector->prepare_with_checkpoint(gold.result, cp->checkpoint, cp->golden_tree,
+                                            later);
       out.checkpointed = true;
       out.checkpoint_loaded = cp->loaded;
     } else {
@@ -266,11 +294,11 @@ faults::FaultGenerator fault_generator(const Cell& cell) {
 
 std::optional<core::RunResult> execute_run(PreparedCell& cell, std::uint64_t run) {
   const core::RunDraw draw = cell.injector->draw(cell.generator->run_seed(run));
-  if (auto synthesized = cell.injector->synthesize(draw)) return synthesized;
   std::atomic<bool>& feature_free = cell.feature_free[draw.instance];
   if (feature_free.load(std::memory_order_relaxed)) return std::nullopt;
-  core::RunResult result = cell.injector->execute_at(draw.instance, draw.feature_seed);
-  if (!result.record.features_drawn) feature_free.store(true, std::memory_order_relaxed);
+  std::optional<core::RunResult> result = cell.injector->synthesize(draw);
+  if (!result) result = cell.injector->execute_at(draw.instance, draw.feature_seed);
+  if (!result->record.features_drawn) feature_free.store(true, std::memory_order_relaxed);
   return result;
 }
 

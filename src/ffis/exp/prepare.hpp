@@ -4,8 +4,13 @@
 //
 // A cell needs the fault-free golden run of its (application, app_seed) and,
 // when it is stage-instrumented on a stage-resumable application, the
-// pre-fault checkpoint of its (application, app_seed, stage).  Each such key
-// is resolved exactly once per preparer, in tier order: in-process cache ->
+// pre-fault checkpoint of its (application, app_seed, stage).  Such a cell
+// with a synthesizable fault may also need the checkpoints of the later
+// stages that first read its write sites back (the injector resumes those
+// runs there): their keys are indexed up front and resolved only when the
+// cell's profile asks for them, through the same slots, so a key some other
+// cell owns is shared, never captured twice.  Each key is resolved exactly
+// once per preparer, in tier order: in-process cache ->
 // leased entry of the persistent store (EngineOptions::checkpoint_dir,
 // bounded by checkpoint_budget) -> execution, whose result is then
 // published to the store.  Every cell classifies by extent diff, so a
@@ -54,14 +59,13 @@ struct PreparedCell : CellFacts {
 /// The fault generator of `cell`: its parsed signature and run-seed stream.
 [[nodiscard]] faults::FaultGenerator fault_generator(const Cell& cell);
 
-/// Run `run` of a prepared cell: synthesized from the golden tree when
-/// nothing reads the drawn instance's write back (FaultInjector::synthesize,
-/// a function of the plan alone); else nullopt — skipped — when a run of
-/// the same instance already executed on this cell and drew no feature;
-/// else the injector's execute(run_seed).  A skipped run has no result:
-/// its slot is filled when the executed run of its instance lands in the
-/// exp::CellCollector.  Thread-safe; racing runs of one instance may both
-/// execute (identically).
+/// Run `run` of a prepared cell: nullopt — skipped — when a run of the same
+/// instance already ran on this cell and drew no feature; else synthesized
+/// or resumed late when the injector can (FaultInjector::synthesize, a
+/// function of the plan alone); else the injector's execute(run_seed).  A
+/// skipped run has no result: its slot is filled when the run of its
+/// instance that ran lands in the exp::CellCollector.  Thread-safe; racing
+/// runs of one instance may both run (identically).
 [[nodiscard]] std::optional<core::RunResult> execute_run(PreparedCell& cell,
                                                          std::uint64_t run);
 
@@ -102,6 +106,9 @@ class CellPreparer {
     std::size_t checkpoint = kNoCheckpoint;
     bool shares_golden = false;      ///< an earlier cell owns the golden key
     bool shares_checkpoint = false;  ///< an earlier cell owns the checkpoint key
+    /// (stage, checkpoint slot) of each stage after the checkpoint's, for a
+    /// synthesizable fault.
+    std::vector<std::pair<int, std::size_t>> later;
   };
 
   GoldenSlot& resolved_golden(std::size_t g);

@@ -255,7 +255,8 @@ void ConsoleTableSink::end(const ExperimentReport& report) {
   std::fprintf(out_, "[%zu cells, %llu runs; %llu golden execution%s, %llu served "
                      "from cache; %llu checkpoint capture%s (%.1f MiB held), "
                      "%llu reused; %llu analys%s skipped by extent diff, %llu "
-                     "run%s replayed, %llu run%s synthesized%s]\n",
+                     "run%s replayed, %llu run%s synthesized, %llu run%s resumed "
+                     "late%s]\n",
                report.cells.size(), static_cast<unsigned long long>(report.total_runs),
                static_cast<unsigned long long>(report.golden_executions),
                report.golden_executions == 1 ? "" : "s",
@@ -270,6 +271,8 @@ void ConsoleTableSink::end(const ExperimentReport& report) {
                report.runs_replayed == 1 ? "" : "s",
                static_cast<unsigned long long>(report.runs_synthesized),
                report.runs_synthesized == 1 ? "" : "s",
+               static_cast<unsigned long long>(report.runs_resumed_late),
+               report.runs_resumed_late == 1 ? "" : "s",
                report.cancelled ? "; CANCELLED" : "");
   // Media-layer summary, only when a block device actually corrupted or
   // rejected something.  Splits the Detected tally by *how* the failure

@@ -8,8 +8,7 @@ namespace ffis::faults {
 bool is_synthesizable(const FaultSignature& signature) noexcept {
   if (signature.primitive != vfs::Primitive::Pwrite) return false;
   return signature.model == FaultModel::BitFlip ||
-         (signature.model == FaultModel::ShornWrite &&
-          signature.shorn.tail == ShornTail::Garbage);
+         (signature.model == FaultModel::ShornWrite && signature.shorn.tail != ShornTail::Stale);
 }
 
 std::uint32_t WriteObserver::intern(const std::string& normalized) {
@@ -37,7 +36,7 @@ void WriteObserver::observe(std::uint32_t file, std::uint64_t begin, std::uint64
   auto it = live.upper_bound(begin);
   if (it != live.begin() && std::prev(it)->second.end > begin) --it;
   while (it != live.end() && it->first < end) {
-    out_.sites[it->second.instance].observed = true;
+    out_.sites[it->second.instance].observed_in = stage_;
     it = live.erase(it);
   }
 }
@@ -90,7 +89,7 @@ std::size_t WriteObserver::pwrite(vfs::FileHandle fh, util::ByteSpan buf,
   out_.sites.push_back(WriteSite{.file = placed ? file : 0,
                                  .offset = offset,
                                  .length = buf.size(),
-                                 .observed = !placed});
+                                 .observed_in = placed ? WriteSite::kUnobserved : 0});
   if (placed) live_[file].emplace(offset, Live{.end = offset + buf.size(), .instance = instance});
   return written;
 }

@@ -1,14 +1,14 @@
 #pragma once
-// Write observation: which pwrite instances a run never reads back.
+// Write observation: which pwrite instances a run reads back, and when.
 //
-// A silent write fault (BIT_FLIP, or SHORN_WRITE with a garbage tail, on
-// pwrite) forwards a full-size buffer and reports full success.  A run that
-// faults instance i therefore performs exactly the fault-free run's
-// operations up to and including i, and keeps performing them for as long
-// as nothing *observes* the corrupted bytes.  The profiling pass stacks a
-// WriteObserver above its unarmed FaultingFs and records, for every counted
-// pwrite instance, its site (file, offset, length) and whether any later
-// operation observes it:
+// A silent write fault (BIT_FLIP, or SHORN_WRITE with a garbage or
+// adjacent-data tail, on pwrite) forwards a full-size buffer and reports full
+// success.  A run that faults instance i therefore performs exactly the
+// fault-free run's operations up to and including i, and keeps performing
+// them for as long as nothing *observes* the corrupted bytes.  The profiling
+// pass stacks a WriteObserver above its unarmed FaultingFs and records, for
+// every counted pwrite instance, its site (file, offset, length) and the
+// stage open when a later operation first observes it:
 //
 //   * a pread overlapping the range, through any handle on the file
 //     (reopens included);
@@ -19,9 +19,12 @@
 //     above it) as source or target.
 //
 // A run that faults an unobserved instance ends with the golden final tree
-// plus the fault applied to the golden bytes at the instance's site, which
-// is what core::FaultInjector::synthesize builds without executing the
-// application (docs/ARCHITECTURE.md, "Synthesis").
+// plus the fault applied to the golden bytes at the instance's site.  A run
+// whose instance is first observed while a later stage s is open is, when
+// stage s opens, the golden state at that boundary plus the same fault.
+// core::FaultInjector::synthesize builds the first without executing the
+// application, and resumes the second at stage s from the golden stage-s
+// checkpoint (docs/ARCHITECTURE.md, "Synthesis").
 
 #include <cstdint>
 #include <limits>
@@ -40,38 +43,39 @@ struct WriteSite {
   std::uint32_t file = 0;  ///< index into WriteSites::paths
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
-  /// A later operation read, rewrote, cut or moved the range (or the write
-  /// was empty, or went through a handle whose file was unlinked or
-  /// replaced): runs of this instance execute.
-  bool observed = false;
+  /// The stage open (RunContext::enter_stage) when a later operation first
+  /// read, rewrote, cut or moved the range; 0 when no stage was open, or
+  /// when the write was empty or went through a handle whose file was
+  /// unlinked or replaced; kUnobserved when nothing ever observed it.
+  int observed_in = kUnobserved;
+
+  static constexpr int kUnobserved = -1;
+  [[nodiscard]] bool observed() const noexcept { return observed_in != kUnobserved; }
 };
 
 /// The write sites of one profiling pass, indexed by instance.
 struct WriteSites {
   std::vector<std::string> paths;  ///< interned normalized paths
   std::vector<WriteSite> sites;    ///< one per counted pwrite, in instance order
-
-  /// The site of `instance` when nothing observed it, else null.
-  [[nodiscard]] const WriteSite* unobserved(std::uint64_t instance) const noexcept {
-    if (instance >= sites.size() || sites[instance].observed) return nullptr;
-    return &sites[instance];
-  }
 };
 
-/// The faults an unobserved instance can be synthesized for: BIT_FLIP@pwrite
-/// and SHORN_WRITE@pwrite with a garbage tail.  Both forward the whole
-/// buffer and report its full size, so the call itself is indistinguishable
-/// from a fault-free one.  (A stale tail forwards a prefix, an adjacent-data
-/// tail reads the buffer's own neighbourhood, DROPPED_WRITE and IO_ERROR
-/// are visible or leave the old bytes, read faults change what the run
-/// reads, and media models live below the file-system call boundary.)
+/// The faults a run can be synthesized for: BIT_FLIP@pwrite and
+/// SHORN_WRITE@pwrite with a garbage or adjacent-data tail.  Each forwards
+/// the whole buffer and reports its full size, so the call itself is
+/// indistinguishable from a fault-free one, and each mutation is a function
+/// of the buffer and the feature seed alone (an adjacent-data tail copies
+/// bytes from inside the buffer).  (A stale tail forwards a prefix,
+/// DROPPED_WRITE and IO_ERROR are visible or leave the old bytes, read
+/// faults change what the run reads, and media models live below the
+/// file-system call boundary.)
 [[nodiscard]] bool is_synthesizable(const FaultSignature& signature) noexcept;
 
 /// Profile-only decorator: stack it directly above the pass's FaultingFs
 /// (configured for a pwrite signature) and run the workload through it.
 /// A forwarded pwrite is instance k when it advanced `instrument`'s
 /// execution count from k.  Overlap checks cost O(log sites on the file)
-/// plus the sites they retire.
+/// plus the sites they retire.  The pass reports stage boundaries through
+/// set_stage.
 class WriteObserver final : public vfs::PassthroughFs {
  public:
   // The cast picks the forwarding constructor over PassthroughFs's copy
@@ -88,6 +92,10 @@ class WriteObserver final : public vfs::PassthroughFs {
   void ftruncate(vfs::FileHandle fh, std::uint64_t size) override;
   void unlink(const std::string& path) override;
   void rename(const std::string& from, const std::string& to) override;
+
+  /// Sets the stage open from now on (0: none), which later observations
+  /// record in WriteSite::observed_in.
+  void set_stage(int stage) noexcept { stage_ = stage; }
 
   /// The sites recorded so far.
   [[nodiscard]] const WriteSites& sites() const noexcept { return out_; }
@@ -124,6 +132,7 @@ class WriteObserver final : public vfs::PassthroughFs {
   /// a pwrite retires every site it overlaps before it becomes one.
   std::vector<std::map<std::uint64_t, Live>> live_;
   std::unordered_map<vfs::FileHandle, std::uint32_t> handles_;
+  int stage_ = 0;
 };
 
 }  // namespace ffis::faults

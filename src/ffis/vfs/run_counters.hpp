@@ -42,7 +42,10 @@
   RUN(runs_replayed, std::uint64_t, CountNonzero, run.replayed)               \
   /* Runs whose corrupted write nothing reads back, classified from the */    \
   /* golden tree instead of executed; a function of the plan alone. */        \
-  RUN(runs_synthesized, std::uint64_t, CountNonzero, run.synthesized)
+  RUN(runs_synthesized, std::uint64_t, CountNonzero, run.synthesized)         \
+  /* Runs whose corrupted write a later stage first reads back, resumed */    \
+  /* there from its golden checkpoint; a function of the plan alone. */       \
+  RUN(runs_resumed_late, std::uint64_t, CountNonzero, run.resumed_late)
 
 namespace ffis::vfs {
 

@@ -219,6 +219,12 @@ TEST(RunScratch, BaselessLeaseIsAFreshEmptyTree) {
     EXPECT_EQ(lease.fs().chunk_size(), 4096u);
     vfs::write_file(lease.fs(), "/leftover", bytes_of("scribble"));
   }
+  // A key reused with other options (its injector freed, another built at
+  // its address) gets their geometry, not the pooled store's.
+  options.chunk_size = 16;
+  auto lease = scratch.acquire(&key, nullptr, options);
+  EXPECT_EQ(lease.fs().chunk_size(), 16u);
+  EXPECT_EQ(lease.fs().total_bytes(), 0u);
 }
 
 TEST(RunScratch, DistinctKeysGetDistinctPooledStores) {

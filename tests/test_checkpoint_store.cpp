@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "ffis/apps/montage/montage_app.hpp"
 #include "ffis/apps/nyx/nyx_app.hpp"
 #include "ffis/core/checkpoint.hpp"
 #include "ffis/core/checkpoint_store.hpp"
@@ -1131,6 +1132,62 @@ TEST(EngineCheckpointStore, BudgetedStoreEvictsWithBitIdenticalTallies) {
   // Run B's store observed A's (now unleased) entries and evicted them.
   EXPECT_GT(b.store_evictions, 0u);
   EXPECT_GT(b.store_bytes_evicted, 0u);
+}
+
+TEST(EngineCheckpointStore, LaterStageKeyIsEvictedUnderATinyBudgetThenReloaded) {
+  // Stage-3 Montage cells resume their runs at stage 4, whose checkpoint key
+  // no cell owns: it still goes through the store like any other key.
+  const StoreDir dir("engine-later-stage");
+  montage::MontageConfig config;
+  config.scene.tile_x0 = {0, 37, 74};
+  config.scene.tile_y0 = {0, 36};
+  const auto plan_for = [](const core::Application& app, std::uint64_t seed) {
+    return exp::PlanBuilder().runs(8).seed(seed).app(app).faults({"BF", "SW"}).stage(3)
+        .product().build();
+  };
+  const auto expect_same_counts = [](const exp::ExperimentReport& got,
+                                     const exp::ExperimentReport& want) {
+    expect_equal_tallies(got, want);
+    for (std::size_t i = 0; i < want.cells.size(); ++i) {
+      EXPECT_EQ(got.cells[i].runs_resumed_late, want.cells[i].runs_resumed_late) << i;
+      EXPECT_EQ(got.cells[i].runs_replayed, want.cells[i].runs_replayed) << i;
+    }
+  };
+  exp::EngineOptions options;
+  options.threads = 2;
+  const montage::MontageApp ref_app(config);
+  const auto reference = exp::Engine(options).run(plan_for(ref_app, 42));
+  EXPECT_EQ(reference.cells[0].runs_resumed_late, 8u);
+  EXPECT_GT(reference.cells[1].runs_resumed_late, 0u);
+
+  options.checkpoint_dir = dir.path();
+  const auto run = [&](std::uint64_t seed, std::uint64_t budget) {
+    const montage::MontageApp app(config);  // cold in-memory caches
+    exp::EngineOptions run_options = options;
+    run_options.checkpoint_budget = budget;
+    return exp::Engine(run_options).run(plan_for(app, seed));
+  };
+  const auto cold = run(42, 0);
+  EXPECT_EQ(cold.checkpoint_builds, 2u);  // stages 3 and 4
+  EXPECT_EQ(cold.checkpoints_persisted, 2u);
+  expect_same_counts(cold, reference);
+  const auto warm = run(42, 0);
+  EXPECT_EQ(warm.checkpoint_builds, 0u);
+  EXPECT_EQ(warm.checkpoints_loaded, 2u);
+  expect_same_counts(warm, reference);
+
+  // Another campaign under a tiny budget evicts every entry it does not
+  // lease, the stage-4 key among them; the next run rebuilds it and the one
+  // after reloads it.
+  const auto other = run(43, 1);
+  EXPECT_GT(other.store_evictions, 0u);
+  const auto rebuilt = run(42, 0);
+  EXPECT_EQ(rebuilt.checkpoint_builds, 2u);
+  EXPECT_EQ(rebuilt.checkpoints_loaded, 0u);
+  expect_same_counts(rebuilt, reference);
+  const auto reloaded = run(42, 0);
+  EXPECT_EQ(reloaded.checkpoints_loaded, 2u);
+  expect_same_counts(reloaded, reference);
 }
 
 TEST(EngineCheckpointStore, ConcurrentEnginesUnderTightBudgetStayCorrect) {

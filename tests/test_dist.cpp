@@ -648,13 +648,14 @@ TEST(DistE2E, TwoWorkersMatchEngineTalliesBitForBit) {
   EXPECT_LT(dist_run.rows_sent[1], 48u);
   EXPECT_GE(dist_run.rows_sent[1], 48u - dist_run.report.cells[1].runs_replayed);
   // The toy never reads a write back, so every BIT_FLIP run is synthesized,
-  // whichever thread or worker draws it; no other cell synthesizes.
-  // (deterministic_counters keeps runs_synthesized, so the report
-  // comparisons above cover it too.)
+  // whichever thread or worker draws it, and so is one adjacent-data
+  // SHORN_WRITE run per instance (the rest replay); dropped writes are never
+  // synthesized.  (deterministic_counters keeps runs_synthesized, so the
+  // report comparisons above cover it too.)
   for (const auto* report : {&serial, &threaded, &dist_run.report}) {
     EXPECT_EQ(report->cells[0].runs_synthesized, 48u);
     EXPECT_EQ(report->cells[1].runs_synthesized, 0u);
-    EXPECT_EQ(report->cells[2].runs_synthesized, 0u);
+    EXPECT_EQ(report->cells[2].runs_synthesized + report->cells[2].runs_replayed, 48u);
   }
 
   // Together the workers executed the plan exactly once.  How the runs split
@@ -678,22 +679,33 @@ TEST(DistE2E, SynthesizedRunsMatchDirectExecutionAcrossTheFleet) {
   for (const char* fault : {"BF", "SHORN_WRITE@pwrite{tail=garbage}", "DW"}) {
     builder.cell(toy, fault);  // cells 0-2
   }
-  builder.cell(montage, "BF", 3);  // cell 3: every instance observed
+  builder.cell(montage, "BF", 3);  // cell 3: every instance read in stage 4
   builder.cell(montage, "BF", 4);  // cell 4: a mix
+  builder.cell(montage, "SW", 3);  // cell 5: feature-free, read in stage 4
   const auto plan = builder.build();
 
-  // The reference: every run executed directly, and whether the injector
-  // would synthesize it.
+  // The reference: every run executed directly, and how the injector would
+  // run it instead (a repeat of a feature-free instance is a replay,
+  // whichever of its runs ran).
   exp::CellPreparer preparer(plan, exp::EngineOptions{});
   std::vector<std::vector<core::RunResult>> direct(plan.size());
-  std::vector<std::vector<bool>> synthesizable(plan.size());
+  std::vector<std::vector<core::RunResult>> labels(plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i) {
     exp::PreparedCell cell = preparer.prepare(i);
     ASSERT_TRUE(cell.error.empty()) << cell.error;
+    std::set<std::uint64_t> seen;
     for (std::uint64_t r = 0; r < plan.cells()[i].runs; ++r) {
       const std::uint64_t seed = cell.generator->run_seed(r);
       direct[i].push_back(cell.injector->execute(seed));
-      synthesizable[i].push_back(cell.injector->synthesize(cell.injector->draw(seed)).has_value());
+      const core::RunDraw draw = cell.injector->draw(seed);
+      core::RunResult& label = labels[i].emplace_back();
+      label.replayed =
+          !seen.insert(draw.instance).second && !direct[i].back().record.features_drawn;
+      if (label.replayed) continue;
+      if (const auto run = cell.injector->synthesize(draw)) {
+        label.synthesized = run->synthesized;
+        label.resumed_late = run->resumed_late;
+      }
     }
   }
 
@@ -702,11 +714,13 @@ TEST(DistE2E, SynthesizedRunsMatchDirectExecutionAcrossTheFleet) {
   options.engine.keep_details = true;
   const auto fleet = run_distributed(plan, /*n_workers=*/2, options);
   std::vector<std::uint64_t> synthesized(plan.size(), 0);
+  std::vector<std::uint64_t> resumed_late(plan.size(), 0);
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const exp::CellResult& cell = fleet.report.cells[i];
     SCOPED_TRACE(cell.cell.label);
     ASSERT_EQ(cell.details.size(), direct[i].size());
-    std::uint64_t expected = 0;
+    std::uint64_t expected_synthesized = 0;
+    std::uint64_t expected_resumed_late = 0;
     for (std::size_t r = 0; r < direct[i].size(); ++r) {
       SCOPED_TRACE("run " + std::to_string(r));
       // A RunRow carries no record, analysis or crash text: compare the rest.
@@ -717,18 +731,24 @@ TEST(DistE2E, SynthesizedRunsMatchDirectExecutionAcrossTheFleet) {
       EXPECT_EQ(got.analyze_skipped, want.analyze_skipped);
       EXPECT_EQ(test_support::non_arena_stats(got.fs_stats),
                 test_support::non_arena_stats(want.fs_stats));
-      EXPECT_EQ(got.synthesized, synthesizable[i][r]);
-      if (synthesizable[i][r]) ++expected;
+      EXPECT_EQ(got.replayed, labels[i][r].replayed);
+      EXPECT_EQ(got.synthesized, labels[i][r].synthesized);
+      EXPECT_EQ(got.resumed_late, labels[i][r].resumed_late);
+      if (labels[i][r].synthesized) ++expected_synthesized;
+      if (labels[i][r].resumed_late) ++expected_resumed_late;
     }
-    EXPECT_EQ(cell.runs_synthesized, expected);
+    EXPECT_EQ(cell.runs_synthesized, expected_synthesized);
+    EXPECT_EQ(cell.runs_resumed_late, expected_resumed_late);
     synthesized[i] = cell.runs_synthesized;
+    resumed_late[i] = cell.runs_resumed_late;
   }
-  EXPECT_EQ(synthesized[0], 12u);
-  EXPECT_EQ(synthesized[1], 12u);
-  EXPECT_EQ(synthesized[2], 0u);
-  EXPECT_EQ(synthesized[3], 0u);
+  EXPECT_EQ(synthesized, (std::vector<std::uint64_t>{12, 12, 0, 0, synthesized[4], 0}));
   EXPECT_GT(synthesized[4], 0u);
   EXPECT_LT(synthesized[4], 12u);
+  EXPECT_EQ(resumed_late[3], 12u);
+  EXPECT_GT(resumed_late[5], 0u);
+  EXPECT_EQ(resumed_late[5] + fleet.report.cells[5].runs_replayed, 12u);
+  for (const std::size_t i : {0, 1, 2, 4}) EXPECT_EQ(resumed_late[i], 0u);
 }
 
 TEST(DistE2E, MediaFaultCellsTallyBitIdenticallyAcrossTheFleet) {
@@ -1226,7 +1246,7 @@ TEST(Journal, BumpedFormatVersionStartsOverCleanly) {
     // format must read as "not my header", not as garbled records.
     std::fstream f(journal, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.is_open());
-    const char future = 5;
+    const char future = 99;
     f.seekp(8);
     f.write(&future, 1);
   }
@@ -1280,6 +1300,12 @@ TEST(Journal, FormatThreeJournalStartsOverCleanly) {
   // Format 3 rows carry `replayed` in flags bit 2, where format 4 carries
   // `features_drawn`: replaying them would fill slots from feature runs.
   expect_older_journal_format_starts_over(3);
+}
+
+TEST(Journal, FormatFourJournalStartsOverCleanly) {
+  // Format 4 rows predate the `resumed_late` flag: replaying them would
+  // count every run resumed late as executed.
+  expect_older_journal_format_starts_over(4);
 }
 
 TEST(Journal, ReplaysEveryTableCounterOfAJournaledRow) {

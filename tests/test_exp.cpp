@@ -18,6 +18,7 @@
 #include "ffis/apps/nyx/nyx_app.hpp"
 #include "ffis/apps/qmc/qmc_app.hpp"
 #include "ffis/core/application.hpp"
+#include "ffis/core/checkpoint.hpp"
 #include "ffis/core/fault_injector.hpp"
 #include "ffis/exp/collector.hpp"
 #include "ffis/exp/engine.hpp"
@@ -137,6 +138,84 @@ class SilentApp final : public core::Application {
   }
 };
 
+// A three-stage application that reads stage-1 writes back in stages 2 and
+// 3, so stage-1 and stage-2 faults are first observed in a later stage.
+// Stage 3 checks the stage-1 header and throws on a corrupted one (a Crash
+// of a run resumed late).
+class LateReaderApp final : public core::Application {
+ public:
+  [[nodiscard]] std::string name() const override { return "late-reader"; }
+  [[nodiscard]] int stage_count() const override { return 3; }
+
+  void run(const core::RunContext& ctx) const override { run_from(ctx, 1); }
+  void run_prefix(const core::RunContext& ctx, int stage) const override {
+    for (int s = 1; s < stage; ++s) run_stage(ctx, s);
+  }
+  void run_from(const core::RunContext& ctx, int stage) const override {
+    for (int s = stage; s <= 3; ++s) run_stage(ctx, s);
+  }
+
+  [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem& fs) const override {
+    core::AnalysisResult result;
+    result.comparison_blob = vfs::read_file(fs, "/out");
+    result.metrics["first"] = static_cast<double>(result.comparison_blob.at(0));
+    return result;
+  }
+  [[nodiscard]] Outcome classify(const core::AnalysisResult&,
+                                 const core::AnalysisResult& faulty) const override {
+    return faulty.metric("first") < 128.0 ? Outcome::Sdc : Outcome::Detected;
+  }
+
+ private:
+  /// Chunks [first, first + count) of `path`, 64 bytes each.
+  static util::Bytes read_chunks(vfs::FileSystem& fs, const std::string& path,
+                                 std::uint64_t first, std::uint64_t count) {
+    util::Bytes out(count * 64);
+    vfs::File f(fs, path, vfs::OpenMode::Read);
+    (void)f.pread(out, first * 64);
+    return out;
+  }
+
+  void run_stage(const core::RunContext& ctx, int stage) const {
+    ctx.enter_stage(stage);
+    util::Rng rng(ctx.app_seed * 7 + static_cast<std::uint64_t>(stage));
+    util::Bytes chunk(64);
+    for (auto& b : chunk) b = static_cast<std::byte>(rng() & 0xff);
+    switch (stage) {
+      case 1: {
+        vfs::write_text_file(ctx.fs, "/header", "MAGIC");
+        vfs::File f(ctx.fs, "/data", vfs::OpenMode::Write);
+        for (std::uint64_t w = 0; w < 4; ++w) {
+          chunk[0] = static_cast<std::byte>(w);
+          (void)f.pwrite(chunk, w * 64);
+        }
+        break;
+      }
+      case 2: {
+        util::Bytes mixed = read_chunks(ctx.fs, "/data", 0, 2);  // chunks 0-1
+        for (std::size_t i = 0; i < chunk.size(); ++i) mixed[i] ^= chunk[i];
+        vfs::File f(ctx.fs, "/mixed", vfs::OpenMode::Write);
+        (void)f.pwrite(util::ByteSpan(mixed).subspan(0, 64), 0);
+        (void)f.pwrite(util::ByteSpan(mixed).subspan(64), 64);
+        break;
+      }
+      case 3: {
+        if (vfs::read_text_file(ctx.fs, "/header") != "MAGIC") {
+          throw std::runtime_error("late-reader: bad header");
+        }
+        util::Bytes out = read_chunks(ctx.fs, "/data", 2, 2);  // chunks 2-3
+        const util::Bytes mixed = vfs::read_file(ctx.fs, "/mixed");
+        out.insert(out.end(), mixed.begin(), mixed.end());
+        vfs::write_file(ctx.fs, "/out", out);
+        break;
+      }
+      default:
+        break;
+    }
+    ctx.leave_stage(stage);
+  }
+};
+
 // --- PlanBuilder -------------------------------------------------------------
 
 TEST(PlanBuilder, ProductBuildsFaultMajorGrid) {
@@ -249,13 +328,15 @@ TEST(Engine, GoldenCacheOneExecutionPerApp) {
   EXPECT_TRUE(report.cells[3].golden_cached);
   // Total app executions: 1 golden + 4 profiling + 32 injection runs, less
   // the runs that repeat an earlier feature-free run of their instance and
-  // the runs synthesized from the golden tree (the BIT_FLIP cells: the app
-  // never reads a write back).  Racing threads may both execute a repeated
-  // instance, which costs time but no count: at most one extra execution
-  // per replayed run.
-  EXPECT_EQ(report.runs_synthesized,
-            report.cells[0].runs_synthesized + report.cells[3].runs_synthesized);
+  // the runs synthesized from the golden tree (the app never reads a write
+  // back: every BIT_FLIP run, and one SHORN_WRITE run per instance).  Racing
+  // threads may both execute a repeated instance, which costs time but no
+  // count: at most one extra execution per replayed run.
+  EXPECT_EQ(report.runs_synthesized, report.cells[0].runs_synthesized +
+                                         report.cells[2].runs_synthesized +
+                                         report.cells[3].runs_synthesized);
   EXPECT_EQ(report.cells[0].runs_synthesized, 8u);
+  EXPECT_EQ(report.cells[2].runs_synthesized + report.cells[2].runs_replayed, 8u);
   const std::uint64_t executed = 1u + 4u + 32u - report.runs_replayed - report.runs_synthesized;
   EXPECT_GE(app.total_runs(), executed);
   EXPECT_LE(app.total_runs(), executed + report.runs_replayed);
@@ -627,34 +708,50 @@ void expect_same_run(const core::RunResult& got, const core::RunResult& want) {
   EXPECT_EQ(non_arena_stats(got.fs_stats), non_arena_stats(want.fs_stats));
 }
 
+/// Per cell: the runs the engine synthesizes and the runs it resumes late.
+struct SynthesisCounts {
+  std::uint64_t synthesized = 0;
+  std::uint64_t resumed_late = 0;
+  bool operator==(const SynthesisCounts&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const SynthesisCounts& c) {
+    return os << "{synthesized " << c.synthesized << ", resumed late " << c.resumed_late << "}";
+  }
+};
+
 /// Runs `plan` through the engine at 1 and 4 threads (keep_details) and
 /// checks every run against direct FaultInjector::execute, and every run
-/// the injector synthesizes against execute_at of the same draw, FsDiff
-/// included.  Returns the per-cell synthesized counts.
-std::vector<std::uint64_t> expect_synthesis_matches_execution(const exp::ExperimentPlan& plan,
-                                                              exp::EngineOptions options) {
+/// the injector synthesizes or resumes late against execute_at of the same
+/// draw, FsDiff included.  Returns the per-cell counts, which the engine
+/// must report exactly: a repeat of a feature-free instance counts as
+/// replayed only, whichever run of the instance ran.
+std::vector<SynthesisCounts> expect_synthesis_matches_execution(
+    const exp::ExperimentPlan& plan, exp::EngineOptions options) {
   exp::CellPreparer preparer(plan, options);
   std::vector<std::vector<core::RunResult>> direct(plan.size());
-  std::vector<std::uint64_t> expected(plan.size(), 0);
+  std::vector<SynthesisCounts> expected(plan.size());
   for (std::size_t i = 0; i < plan.size(); ++i) {
     SCOPED_TRACE(plan.cells()[i].label);
     exp::PreparedCell cell = preparer.prepare(i);
     EXPECT_TRUE(cell.error.empty()) << cell.error;
     if (!cell.error.empty()) return expected;
+    std::set<std::uint64_t> seen;
     for (std::uint64_t r = 0; r < plan.cells()[i].runs; ++r) {
       const std::uint64_t seed = cell.generator->run_seed(r);
       direct[i].push_back(cell.injector->execute(seed));
       const core::RunDraw draw = cell.injector->draw(seed);
+      const bool repeat =
+          !seen.insert(draw.instance).second && !direct[i].back().record.features_drawn;
       vfs::FsDiff synthesized_diff;
       const auto synthesized = cell.injector->synthesize(draw, &synthesized_diff);
       if (!synthesized.has_value()) continue;
-      ++expected[i];
       SCOPED_TRACE("run " + std::to_string(r) + ", instance " + std::to_string(draw.instance));
-      EXPECT_TRUE(synthesized->synthesized);
+      EXPECT_NE(synthesized->synthesized, synthesized->resumed_late);
       expect_same_run(*synthesized, direct[i].back());
       vfs::FsDiff executed_diff;
       (void)cell.injector->execute_at(draw.instance, draw.feature_seed, &executed_diff);
       EXPECT_TRUE(synthesized_diff == executed_diff);
+      if (repeat) continue;
+      ++(synthesized->synthesized ? expected[i].synthesized : expected[i].resumed_late);
     }
   }
 
@@ -668,15 +765,19 @@ std::vector<std::uint64_t> expect_synthesis_matches_execution(const exp::Experim
       EXPECT_TRUE(cell.error.empty()) << cell.error;
       EXPECT_EQ(cell.details.size(), direct[i].size());
       if (cell.details.size() != direct[i].size()) continue;
-      std::uint64_t synthesized = 0;
+      SynthesisCounts counted;
       for (std::size_t r = 0; r < direct[i].size(); ++r) {
         SCOPED_TRACE("run " + std::to_string(r));
-        expect_same_run(cell.details[r], direct[i][r]);
-        if (cell.details[r].synthesized) ++synthesized;
+        const core::RunResult& run = cell.details[r];
+        expect_same_run(run, direct[i][r]);
+        EXPECT_LE(int{run.replayed} + int{run.synthesized} + int{run.resumed_late}, 1);
+        if (run.synthesized) ++counted.synthesized;
+        if (run.resumed_late) ++counted.resumed_late;
       }
       // A function of the plan alone: exact at any thread count.
-      EXPECT_EQ(cell.runs_synthesized, synthesized);
-      EXPECT_EQ(cell.runs_synthesized, expected[i]);
+      EXPECT_EQ(cell.runs_synthesized, counted.synthesized);
+      EXPECT_EQ(cell.runs_resumed_late, counted.resumed_late);
+      EXPECT_EQ(counted, expected[i]);
     }
   }
   return expected;
@@ -715,26 +816,113 @@ TEST(Engine, SynthesizedRunsMatchDirectExecutionOnEveryModel) {
   builder.cell(qmc, "DW", 2);                              // cell 20
   const auto plan = builder.build();
 
-  const auto synthesized = expect_synthesis_matches_execution(plan, exp::EngineOptions{});
-  ASSERT_EQ(synthesized.size(), plan.size());
-  // The toy never reads a write back: every silent write fault synthesizes.
-  EXPECT_EQ(synthesized[0], 12u);
-  EXPECT_EQ(synthesized[1], 12u);
-  EXPECT_EQ(synthesized[4], 12u);
-  // Montage's mAdd reads every stage-3 tile back; stage 4 writes most of
-  // its outputs after its last re-read; Nyx's later dump rewrites a slab
-  // of the first; QMC reads nothing back.
-  EXPECT_EQ(synthesized[11], 0u);
-  EXPECT_EQ(synthesized[12], 0u);
-  EXPECT_GT(synthesized[14], 0u);
-  EXPECT_GT(synthesized[15], 0u);
-  EXPECT_GT(synthesized[17], 0u);
-  EXPECT_GT(synthesized[18], 0u);
-  EXPECT_EQ(synthesized[19], 12u);
-  // Models synthesis leaves alone.
-  for (const std::size_t i : {2, 3, 5, 6, 7, 8, 9, 10, 13, 16, 20}) {
-    EXPECT_EQ(synthesized[i], 0u) << plan.cells()[i].label;
+  const auto counts = expect_synthesis_matches_execution(plan, exp::EngineOptions{});
+  ASSERT_EQ(counts.size(), plan.size());
+  // The toy never reads a write back: every silent write fault synthesizes,
+  // the adjacent-data shorn write once per instance drawn (its repeats
+  // replay).
+  EXPECT_EQ(counts[0], (SynthesisCounts{12, 0}));
+  EXPECT_EQ(counts[1], (SynthesisCounts{12, 0}));
+  EXPECT_GT(counts[2].synthesized, 0u);
+  EXPECT_EQ(counts[4], (SynthesisCounts{12, 0}));
+  // Montage's mAdd reads every stage-3 tile back in stage 4, so those runs
+  // resume there; stage 4 writes most of its outputs after its last
+  // re-read; Nyx's later dump rewrites a slab of the first; QMC reads
+  // nothing back.
+  EXPECT_EQ(counts[11], (SynthesisCounts{0, 12}));
+  EXPECT_EQ(counts[12], (SynthesisCounts{0, 12}));
+  EXPECT_GT(counts[14].synthesized, 0u);
+  EXPECT_GT(counts[15].synthesized, 0u);
+  EXPECT_GT(counts[17].synthesized, 0u);
+  EXPECT_GT(counts[18].synthesized, 0u);
+  EXPECT_EQ(counts[19], (SynthesisCounts{12, 0}));
+  // Models synthesis leaves alone, and the last stage has no later one.
+  for (const std::size_t i : {3, 5, 6, 7, 8, 9, 10, 13, 16, 20}) {
+    EXPECT_EQ(counts[i], SynthesisCounts{}) << plan.cells()[i].label;
   }
+  for (const std::size_t i : {14, 15, 17, 18}) {
+    EXPECT_EQ(counts[i].resumed_late, 0u) << plan.cells()[i].label;
+  }
+}
+
+TEST(Engine, LateResumedRunsMatchDirectExecution) {
+  const LateReaderApp reader;
+  montage::MontageConfig montage_config;
+  montage_config.scene.tile_x0 = {0, 37, 74};
+  montage_config.scene.tile_y0 = {0, 36};
+  const montage::MontageApp montage(montage_config);
+
+  auto builder = exp::PlanBuilder().runs(12).seed(11);
+  for (const char* fault : {"BF", "SHORN_WRITE@pwrite{tail=garbage}", "SW",
+                            "SHORN_WRITE@pwrite{completed=8}"}) {
+    for (const int stage : {1, 2}) builder.cell(reader, fault, stage);  // cells 0-7
+  }
+  for (const int stage : {1, 2, 3}) {
+    for (const char* fault : {"BF", "SW"}) builder.cell(montage, fault, stage);  // cells 8-13
+  }
+  const auto plan = builder.build();
+
+  const auto counts = expect_synthesis_matches_execution(plan, exp::EngineOptions{});
+  ASSERT_EQ(counts.size(), plan.size());
+  // Stage 1 writes the header (read in stage 3) and four chunks (two read in
+  // stage 2, two in stage 3); stage 2 writes two chunks read in stage 3.  So
+  // every run of the reader resumes late, except that a feature-free shorn
+  // write resumes once per instance drawn (its repeats replay).  Montage's
+  // stage-1 and stage-3 writes are first read in a later stage; at this
+  // seed its stage-2 cells draw only writes stage 2 reads back itself.
+  const std::vector<SynthesisCounts> want = {
+      {0, 12}, {0, 12}, {0, 12}, {0, 12}, {0, 4},  {0, 2},  {0, 4},
+      {0, 2},  {0, 12}, {0, 10}, {0, 0},  {0, 0},  {0, 12}, {0, 10}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(counts[i], want[i]) << plan.cells()[i].label;
+  }
+
+  // Runs resumed late crash where the resumed stage rejects the header.
+  exp::EngineOptions options;
+  options.keep_details = true;
+  const auto report = exp::Engine(options).run(plan);
+  std::uint64_t late_crashes = 0;
+  for (const std::size_t i : {0, 2, 4}) {
+    for (const core::RunResult& run : report.cells[i].details) {
+      if (run.resumed_late && run.outcome == Outcome::Crash) {
+        EXPECT_EQ(run.crash_reason, "late-reader: bad header");
+        ++late_crashes;
+      }
+    }
+  }
+  EXPECT_GT(late_crashes, 0u);
+}
+
+TEST(FaultInjector, AsksForEachObservingStageOnceAndChecksTheAnswer) {
+  const LateReaderApp app;
+  const auto signature = faults::parse_fault_signature("BF");
+  const auto golden =
+      std::make_shared<const core::AnalysisResult>(core::FaultInjector::run_golden(app, 1));
+  const auto checkpoint = core::Checkpoint::capture(app, 1, 1);
+  const auto stage3 = core::Checkpoint::capture(app, 1, 3);
+
+  // No answer: every run executes.
+  std::vector<int> asked;
+  core::FaultInjector unanswered(app, signature, 1, 1);
+  unanswered.prepare_with_checkpoint(golden, checkpoint, nullptr, [&](int stage) {
+    asked.push_back(stage);
+    return core::StageGolden{};
+  });
+  // In instance order: the header, read in stage 3, then chunks 0-1, read
+  // in stage 2.
+  EXPECT_EQ(asked, (std::vector<int>{3, 2}));
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    EXPECT_FALSE(unanswered.synthesize(unanswered.draw(seed)).has_value());
+  }
+
+  // An answer for another stage is a configuration error.
+  core::FaultInjector misanswered(app, signature, 1, 1);
+  EXPECT_THROW(misanswered.prepare_with_checkpoint(
+                   golden, checkpoint, nullptr,
+                   [&](int) {
+                     return core::StageGolden{stage3, stage3->grow_golden_tree(app, 1)};
+                   }),
+               std::invalid_argument);
 }
 
 TEST(Engine, SynthesisUnderForcedBlockDeviceMatchesExecution) {
@@ -746,9 +934,9 @@ TEST(Engine, SynthesisUnderForcedBlockDeviceMatchesExecution) {
   builder.cell(montage, "BF", 4);
   exp::EngineOptions options;
   options.force_block_device = true;
-  const auto synthesized = expect_synthesis_matches_execution(builder.build(), options);
-  ASSERT_EQ(synthesized.size(), 1u);
-  EXPECT_GT(synthesized[0], 0u);
+  const auto counts = expect_synthesis_matches_execution(builder.build(), options);
+  ASSERT_EQ(counts.size(), 1u);
+  EXPECT_GT(counts[0].synthesized, 0u);
 }
 
 TEST(Engine, ProgressReachesTotalRuns) {
@@ -904,6 +1092,49 @@ TEST(CellCollector, FeatureFreeLandingFillsItsInstanceAndLabelsItsRepeats) {
   EXPECT_EQ(filled.runs_completed, 9u);
   EXPECT_EQ(report.cells[1].runs_replayed, 0u);
   EXPECT_EQ(report.cells[1].runs_completed, 9u);
+}
+
+TEST(CellCollector, FeatureFreeSynthesisCountsOnlyItsLeader) {
+  ToyApp app;
+  const auto plan = two_cell_plan(app, 9);
+  exp::CellFacts facts;
+  facts.primitive_count = 3;
+  const std::vector<std::uint64_t> leaders = exp::instance_runs(plan.cells()[0], 3).leader;
+  const std::set<std::uint64_t> instances(leaders.begin(), leaders.end());
+  RecordingSink sink;
+  exp::CellCollector collector(plan, sink, /*keep_details=*/true);
+  for (std::size_t c = 0; c < 2; ++c) collector.set_facts(c, facts);
+  // Highest run first, so a repeat lands before its leader and fills it.
+  for (std::uint64_t r = 9; r-- > 0;) {
+    core::RunResult run = synthetic_run(r);
+    run.record.features_drawn = false;
+    run.synthesized = true;  // cell 0
+    (void)collector.land(0, r, run);
+    run.synthesized = false;
+    run.resumed_late = true;  // cell 1
+    (void)collector.land(1, r, run);
+  }
+  for (std::uint64_t r = 0; r < 9; ++r) {
+    // A filled slot keeps how its instance ran (a journal row relabels the
+    // leader from it); the fold counts only the leader.
+    ASSERT_NE(collector.landed(0, r), nullptr);
+    EXPECT_TRUE(collector.landed(0, r)->synthesized) << "run " << r;
+  }
+  const exp::ExperimentReport report = collector.finish();
+  for (std::size_t c = 0; c < 2; ++c) {
+    const exp::CellResult& cell = report.cells[c];
+    SCOPED_TRACE(cell.cell.label);
+    ASSERT_EQ(cell.details.size(), 9u);
+    for (std::uint64_t r = 0; r < 9; ++r) {
+      const bool leader = leaders[r] == r;
+      EXPECT_EQ(cell.details[r].replayed, !leader) << "run " << r;
+      EXPECT_EQ(cell.details[r].synthesized, leader && c == 0) << "run " << r;
+      EXPECT_EQ(cell.details[r].resumed_late, leader && c == 1) << "run " << r;
+    }
+    EXPECT_EQ(cell.runs_replayed, 9u - instances.size());
+    EXPECT_EQ(c == 0 ? cell.runs_synthesized : cell.runs_resumed_late, instances.size());
+    EXPECT_EQ(c == 0 ? cell.runs_resumed_late : cell.runs_synthesized, 0u);
+  }
 }
 
 TEST(CellCollector, DuplicateLandingIsRejectedAndCountedOnce) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -671,7 +672,7 @@ TEST(FaultingFs, UnfiredFaultDrewNoFeatures) {
 
 std::uint64_t unobserved_count(const faults::WriteSites& sites) {
   return static_cast<std::uint64_t>(std::count_if(
-      sites.sites.begin(), sites.sites.end(), [](const auto& s) { return !s.observed; }));
+      sites.sites.begin(), sites.sites.end(), [](const auto& s) { return !s.observed(); }));
 }
 
 /// A WriteObserver over an unarmed BIT_FLIP@pwrite FaultingFs on a MemFs:
@@ -693,7 +694,7 @@ struct ObservedFs {
   }
   [[nodiscard]] bool observed(std::uint64_t instance) const {
     EXPECT_LT(instance, fs.sites().sites.size());
-    return fs.sites().unobserved(instance) == nullptr;
+    return instance >= fs.sites().sites.size() || fs.sites().sites[instance].observed();
   }
 };
 
@@ -852,27 +853,53 @@ TEST(WriteObserver, DirectoryRenameMovesEveryFileBelow) {
   EXPECT_EQ(sites.paths.at(sites.sites[2].file), "/dir2/x");
 }
 
+TEST(WriteObserver, RecordsTheStageOpenAtTheFirstObservation) {
+  ObservedFs o;
+  const auto fh = o.fs.open("/data", vfs::OpenMode::Write);
+  o.write(fh, 0, 8);
+  o.write(fh, 8, 8);
+  o.write(fh, 16, 8);
+  o.write(fh, 24, 8);
+  o.read(fh, 0, 4);  // no stage open
+  o.fs.set_stage(2);
+  o.read(fh, 8, 4);
+  o.fs.set_stage(3);
+  o.read(fh, 8, 16);  // only instance 2 is new
+  o.fs.set_stage(0);
+  const auto& sites = o.fs.sites().sites;
+  EXPECT_EQ(sites[0].observed_in, 0);
+  EXPECT_EQ(sites[1].observed_in, 2);
+  EXPECT_EQ(sites[2].observed_in, 3);
+  EXPECT_EQ(sites[3].observed_in, faults::WriteSite::kUnobserved);
+  EXPECT_FALSE(sites[3].observed());
+}
+
 TEST(WriteObserver, SynthesizableSignatures) {
-  for (const char* text : {"BF", "BIT_FLIP@pwrite{width=4}", "SHORN_WRITE@pwrite{tail=garbage}"}) {
+  for (const char* text :
+       {"BF", "BIT_FLIP@pwrite{width=4}", "SHORN_WRITE@pwrite{tail=garbage}", "SW",
+        "SHORN_WRITE@pwrite{tail=adjacent-data,completed=8}"}) {
     EXPECT_TRUE(faults::is_synthesizable(faults::parse_fault_signature(text))) << text;
   }
-  for (const char* text : {"SW", "SHORN_WRITE@pwrite{tail=stale}", "DW", "IO_ERROR@pwrite",
+  for (const char* text : {"SHORN_WRITE@pwrite{tail=stale}", "DW", "IO_ERROR@pwrite",
                            "BIT_FLIP@pread", "BIT_FLIP@mknod", "TORN_SECTOR@pwrite", "LSE",
                            "MW", "BIT_ROT@pwrite"}) {
     EXPECT_FALSE(faults::is_synthesizable(faults::parse_fault_signature(text))) << text;
   }
 }
 
-using InstanceCount = std::pair<std::uint64_t, std::uint64_t>;
+using StageCounts = std::map<int, std::uint64_t>;
+constexpr int kNone = faults::WriteSite::kUnobserved;
 
-/// (instances, unobserved instances) of a BIT_FLIP@pwrite profile of `app`
-/// at `stage`, with the app seed a seed-42 plan cell uses.
-InstanceCount unobserved_instances(const core::Application& app,
-                                                             int stage) {
+/// The instances of a BIT_FLIP@pwrite profile of `app` at `stage` by the
+/// stage that first observes them (kNone: nothing does), with the app seed
+/// a seed-42 plan cell uses.
+StageCounts observing_stages(const core::Application& app, int stage) {
   const auto profile = core::IoProfiler::profile(app, faults::parse_fault_signature("BF"),
                                                  42 ^ 0x5eedULL, stage);
   EXPECT_EQ(profile.sites.sites.size(), profile.primitive_count);
-  return {profile.primitive_count, unobserved_count(profile.sites)};
+  StageCounts out;
+  for (const auto& site : profile.sites.sites) ++out[site.observed_in];
+  return out;
 }
 
 TEST(WriteObserver, PinsTheBenchmarkConfigurations) {
@@ -880,26 +907,26 @@ TEST(WriteObserver, PinsTheBenchmarkConfigurations) {
   dense.scene.tile_x0 = {0, 24, 48, 72, 96, 120};
   dense.scene.tile_y0 = {0, 24, 48};
   const montage::MontageApp montage(dense);
-  // mAdd reads every corrected tile back; stage 4 writes the area map, the
-  // uncorrected mosaic, the preview and the statistics after its re-read.
-  EXPECT_EQ(unobserved_instances(montage, 3), (InstanceCount{144, 0}));
-  EXPECT_EQ(unobserved_instances(montage, 4), (InstanceCount{53, 36}));
-  EXPECT_EQ(unobserved_instances(qmc::QmcApp(), 2),
-            (InstanceCount{25, 25}));
+  // mAdd reads every corrected tile back, in stage 4 (so every stage-3 run
+  // resumes late); stage 4 writes the area map, the uncorrected mosaic, the
+  // preview and the statistics after its re-read, and re-reads the rest
+  // within stage 4 itself (those runs execute).
+  EXPECT_EQ(observing_stages(montage, 3), (StageCounts{{4, 144}}));
+  EXPECT_EQ(observing_stages(montage, 4), (StageCounts{{kNone, 36}, {4, 17}}));
+  EXPECT_EQ(observing_stages(qmc::QmcApp(), 2), (StageCounts{{kNone, 25}}));
   nyx::NyxConfig nyx80;
   nyx80.field.n = 80;
   nyx80.timesteps = 2;
-  EXPECT_EQ(unobserved_instances(nyx::NyxApp(nyx80), 2),
-            (InstanceCount{4, 4}));
+  EXPECT_EQ(observing_stages(nyx::NyxApp(nyx80), 2), (StageCounts{{kNone, 4}}));
   nyx::NyxConfig nyx96;
   nyx96.field.n = 96;
   nyx96.timesteps = 3;
-  EXPECT_EQ(unobserved_instances(nyx::NyxApp(nyx96), 3),
-            (InstanceCount{5, 5}));
+  EXPECT_EQ(observing_stages(nyx::NyxApp(nyx96), 3), (StageCounts{{kNone, 5}}));
   // Signatures synthesis cannot use keep no table.
-  EXPECT_TRUE(core::IoProfiler::profile(qmc::QmcApp(), faults::parse_fault_signature("SW"),
-                                        1, 2)
-                  .sites.sites.empty());
+  const auto dropped =
+      core::IoProfiler::profile(qmc::QmcApp(), faults::parse_fault_signature("DW"), 1, 2);
+  EXPECT_TRUE(dropped.sites.sites.empty());
+  EXPECT_TRUE(dropped.stage_entry_stats.empty());
 }
 
 }  // namespace

@@ -317,6 +317,8 @@ TEST(Protocol, RunRowV5EncodingIsPinned) {
   m.synthesized = true;
   EXPECT_EQ(hex(dist::encode(m)).substr(2 * (1 + 8 + 4 + 8 + 1), 2),
             "0f");  // fault_fired | analyze_skipped | features_drawn | synthesized
+  m.resumed_late = true;
+  EXPECT_EQ(hex(dist::encode(m)).substr(2 * (1 + 8 + 4 + 8 + 1), 2), "1f");
 }
 
 TEST(Protocol, RunRowCarriesFeaturesDrawnInFlagsBitTwo) {
@@ -352,6 +354,21 @@ TEST(Protocol, RunRowCarriesSynthesizedInFlagsBitThree) {
   core::RunResult run;
   run.synthesized = true;
   EXPECT_TRUE(dist::to_run_row(run, 1, 2, 3).synthesized);
+}
+
+TEST(Protocol, RunRowCarriesResumedLateInFlagsBitFour) {
+  dist::RunRow m;
+  m.resumed_late = true;
+  const util::Bytes encoded = dist::encode(m);
+  EXPECT_EQ(std::to_integer<unsigned>(encoded[1 + 8 + 4 + 8 + 1]), 16u);
+  const auto decoded = dist::decode_run_row(encoded);
+  EXPECT_TRUE(decoded.resumed_late);
+  EXPECT_FALSE(decoded.synthesized);
+  EXPECT_FALSE(decoded.features_drawn);
+  const core::RunResult run = dist::to_run_result(decoded);
+  EXPECT_TRUE(run.resumed_late);
+  EXPECT_FALSE(run.synthesized);
+  EXPECT_EQ(dist::encode(dist::to_run_row(run)), encoded);
 }
 
 TEST(Protocol, RunRowCounterListToleratesLengthSkewButNotForgedCounts) {

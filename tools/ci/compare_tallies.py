@@ -5,8 +5,8 @@
 
 Rows match by `label` and compare on every column but the machine- and
 scheduling-dependent ones (EXCLUDE: timers, arenas and cache tiers), so a
-new counter is checked without editing this.  It compares runs_synthesized
-and runs_replayed, which depend on the plan alone.  Each
+new counter is checked without editing this.  It compares runs_synthesized,
+runs_resumed_late and runs_replayed, which depend on the plan alone.  Each
 LABEL:COLUMN names a cell and a column that must be non-zero in SINGLE.csv.
 """
 

@@ -123,8 +123,9 @@ int usage() {
                "skips the fault-free prefix entirely.  --checkpoint-budget\n"
                "bounds the store: over budget, least-recently-used entries\n"
                "are evicted (never ones a running plan holds); tallies stay\n"
-               "bit-identical under any budget.  Warm entries decode through\n"
-               "a zero-copy read-only mmap.\n"
+               "bit-identical under any budget.  It needs a checkpoint dir,\n"
+               "or --serve (workers may bring their own).  Warm entries\n"
+               "decode through a zero-copy read-only mmap.\n"
                "`ffis store gc <dir>` runs an offline GC/compaction pass.\n"
                "\n"
                "--serve and/or --workers switch plan to distributed execution:\n"
@@ -141,8 +142,9 @@ int usage() {
                "same plan and journal replays finished work instead of\n"
                "re-executing it; --auth-token (or FFIS_AUTH_TOKEN) makes the\n"
                "handshake reject workers without the same shared secret.\n"
-               "These three flags need --serve or --workers, and\n"
-               "--block-device (local execution only) rejects both.\n"
+               "These three flags need --serve or --workers, --unit-runs\n"
+               "needs one of them or --dry-run, and --block-device (local\n"
+               "execution only) rejects both.\n"
                "SIGINT drains gracefully: in-flight units land and are\n"
                "journaled before exit.  --dry-run prints the work-unit table\n"
                "and exits.  Workers retry lost coordinators --retry times with\n"
@@ -241,6 +243,7 @@ struct PlanFlags {
   std::uint16_t port = 0;      ///< --serve PORT (0 = ephemeral)
   std::size_t workers = 0;     ///< local worker processes to fork
   std::uint64_t unit_runs = 32;
+  bool unit_runs_set = false;
   std::uint64_t unit_timeout_ms = 0;  ///< --unit-timeout (overrides config key)
   bool unit_timeout_set = false;
   std::string journal_path;    ///< --journal: resumable campaign journal
@@ -346,15 +349,22 @@ pid_t fork_local_worker(std::uint16_t port, const exp::ExperimentPlan& plan,
 int cmd_plan(const std::string& config_path, const PlanFlags& flags) {
   const bool distributed = flags.serve || flags.workers > 0;
   // A flag the chosen mode cannot honour is a usage error, not a no-op.
+  // Units shard a fleet's work, and a dry run prints them.
   if (distributed ? flags.block_device
                   : flags.unit_timeout_set || !flags.journal_path.empty() ||
-                        !flags.auth_token.empty()) {
+                        !flags.auth_token.empty() ||
+                        (flags.unit_runs_set && !flags.dry_run)) {
     return usage();
   }
   const std::string config_text = slurp(config_path);
   auto plan_config = exp::parse_plan_config(config_text);
   if (!flags.checkpoint_dir.empty()) {
     plan_config.checkpoint_dir = flags.checkpoint_dir;
+  }
+  // A budget bounds a checkpoint store.  Only workers of a served plan can
+  // bring their own (`ffis worker --checkpoint-dir`).
+  if (flags.checkpoint_budget_set && plan_config.checkpoint_dir.empty() && !flags.serve) {
+    return usage();
   }
   const auto plan = exp::build_plan(plan_config);
 
@@ -652,6 +662,7 @@ int main(int argc, char** argv) {
           if (!numeric(i, flags.workers)) return usage();
         } else if (arg == "--unit-runs" && i + 1 < argc) {
           if (!numeric(i, flags.unit_runs, 1)) return usage();
+          flags.unit_runs_set = true;
         } else if (arg == "--unit-timeout" && i + 1 < argc) {
           if (!numeric(i, flags.unit_timeout_ms)) return usage();
           flags.unit_timeout_set = true;
