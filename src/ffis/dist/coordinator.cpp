@@ -157,7 +157,7 @@ void Coordinator::accept_loop() {
 bool Coordinator::handshake(net::Socket& socket, std::uint32_t worker_id) {
   const auto frame = net::recv_frame(socket);
   if (!frame) return false;
-  const Hello hello = decode_hello(*frame);
+  const Hello hello = decode<Hello>(*frame);
   if (hello.magic != kProtocolMagic) {
     const auto reject = encode(HelloReject{"bad protocol magic"});
     net::send_frame(socket, reject);
@@ -258,10 +258,10 @@ void Coordinator::serve_connection(net::Socket& socket, std::uint32_t worker_id)
         break;
       }
       case MsgType::CellInfo:
-        on_cell_info(decode_cell_info(*frame), worker_id);
+        on_cell_info(decode<CellInfo>(*frame), worker_id);
         break;
       case MsgType::RunBatch: {
-        const RunBatch batch = decode_run_batch(*frame);
+        const RunBatch batch = decode<RunBatch>(*frame);
         std::lock_guard lock(mutex_);
         for (const RunRow& row : batch.rows) {
           if (!land_row_locked(row, worker_id)) {
@@ -273,7 +273,7 @@ void Coordinator::serve_connection(net::Socket& socket, std::uint32_t worker_id)
         break;
       }
       case MsgType::UnitDone: {
-        const UnitDone done = decode_unit_done(*frame);
+        const UnitDone done = decode<UnitDone>(*frame);
         std::lock_guard lock(mutex_);
         if (scheduler_.complete(done.unit_id, worker_id)) {
           if (journal_ != nullptr) journal_unit_locked(done.unit_id);
@@ -314,7 +314,7 @@ bool Coordinator::land_row_locked(const RunRow& row, std::uint32_t worker_id) {
   // First wins: a re-granted unit reproduces byte-identical rows (seeds are
   // pure functions of run index), so dropping duplicates loses nothing.  The
   // collector labels replays; the row only says whether a feature was drawn.
-  core::RunResult run = to_run_result(row);
+  core::RunResult run = row;
   run.worker_id = worker_id;
   collector_->land(row.cell_index, row.run_index, std::move(run));
   return true;
@@ -350,7 +350,7 @@ void Coordinator::journal_unit_locked(std::uint64_t unit_id) {
     // feature-free row, which fills the same slots again on replay.
     const core::RunResult* run = collector_->landed(unit.cell_index, r);
     if (run == nullptr) continue;
-    rows.emplace_back(run->worker_id, to_run_row(*run, unit_id, unit.cell_index, r));
+    rows.emplace_back(run->worker_id, RunRow{*run, unit_id, unit.cell_index, r});
   }
   journal_->append_unit(unit_id, rows);
 }

@@ -30,12 +30,11 @@ constexpr std::string_view kSignature = "FFISJRNL";
 constexpr std::uint32_t kFormatVersion = 5;
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8;
 /// Far above any real record (a 16 Ki-run unit is ~1.5 MiB) while still
-/// rejecting a garbage length field before it sizes an allocation.
+/// rejecting a garbage length field before it sizes an allocation.  A unit
+/// record's row count is bounded by what its payload could hold.
 constexpr std::size_t kMaxRecordBytes = 16 * 1024 * 1024;
-constexpr std::uint64_t kMaxRowsPerRecord = 1u << 20;
 
-constexpr std::uint8_t kKindCellInfo = 1;
-constexpr std::uint8_t kKindUnit = 2;
+constexpr std::uint8_t kKindCellInfo = 1;  // kind 2 is JournalReplay::Unit::kType
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("campaign journal: " + what + ": " +
@@ -56,27 +55,11 @@ Bytes encode_header(std::uint64_t plan_fingerprint, std::uint64_t unit_runs) {
 /// Parses one checksummed record payload into `replay`.  Throws on any
 /// structural problem — the caller treats it as the end of the valid prefix.
 void apply_record(ByteSpan payload, JournalReplay& replay) {
-  ByteReader r(payload);
-  const auto kind = r.u8();
-  if (kind == kKindCellInfo) {
-    replay.cell_infos.push_back(decode_cell_info(r.view(r.remaining())));
-    return;
+  if (ByteReader(payload).u8() == kKindCellInfo) {
+    replay.cell_infos.push_back(decode<CellInfo>(payload.subspan(1)));
+  } else {
+    replay.units.push_back(decode<JournalReplay::Unit>(payload));  // throws on another kind
   }
-  if (kind != kKindUnit) {
-    throw std::invalid_argument("unknown journal record kind " +
-                                std::to_string(kind));
-  }
-  JournalReplay::Unit unit;
-  unit.unit_id = r.u64();
-  const std::uint64_t n = r.u64_bounded(kMaxRowsPerRecord, "journal row count");
-  unit.rows.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint32_t worker_id = r.u32();
-    const Bytes row = r.blob();
-    unit.rows.emplace_back(worker_id, decode_run_row(row));
-  }
-  r.expect_end();
-  replay.units.push_back(std::move(unit));
 }
 
 }  // namespace
@@ -184,26 +167,15 @@ void CampaignJournal::append_record(util::ByteSpan payload) {
 }
 
 void CampaignJournal::append_cell_info(const CellInfo& info) {
-  Bytes payload;
-  ByteWriter w(payload);
-  w.u8(kKindCellInfo);
-  w.raw(encode(info));
+  Bytes payload = encode(info);
+  payload.insert(payload.begin(), std::byte{kKindCellInfo});
   append_record(payload);
 }
 
 void CampaignJournal::append_unit(
     std::uint64_t unit_id,
     const std::vector<std::pair<std::uint32_t, RunRow>>& rows) {
-  Bytes payload;
-  ByteWriter w(payload);
-  w.u8(kKindUnit);
-  w.u64(unit_id);
-  w.u64(rows.size());
-  for (const auto& [worker_id, row] : rows) {
-    w.u32(worker_id);
-    w.blob(encode(row));
-  }
-  append_record(payload);
+  append_record(encode(JournalReplay::Unit{unit_id, rows}));
 }
 
 }  // namespace ffis::dist

@@ -38,10 +38,19 @@ namespace ffis::dist {
 /// Everything recovered from a journal's valid prefix, plus how the file was
 /// disposed of (resumed / started over / tail dropped) for diagnostics.
 struct JournalReplay {
+  /// A unit record, declared like a wire frame (protocol.hpp) whose tag is
+  /// the record kind.
   struct Unit {
+    static constexpr std::uint8_t kType = 2;
     std::uint64_t unit_id = 0;
     /// (worker_id, row) in the order the rows were accepted.
     std::vector<std::pair<std::uint32_t, RunRow>> rows;
+
+    template <class M, class F>
+    static void fields(M& m, F& f) {
+      f(m.unit_id);
+      f.list(m.rows, CountWidth::u64);
+    }
   };
 
   std::vector<CellInfo> cell_infos;

@@ -27,10 +27,32 @@
 // between (CellInfo/RunBatch/UnitDone) needs no reply.  That keeps both ends
 // single-threaded per connection with blocking sockets and no state machine
 // beyond "current unit".
+//
+// Declaring a frame.  Each message struct names its tag (kType) and lists
+// its wire fields once, in order, in a static `fields(m, f)` template; one
+// encode() and one strict decode<Frame>() below are generated from that
+// list (the journal's unit record is declared the same way).  Each entry is
+// one call on the field codec `f` (WireWriter or WireReader):
+//
+//   f(x)                  u32 / u64 / f64 by the member's type
+//   f(s, max, "what")     u64-length-prefixed string, <= max bytes on decode
+//   f(outcome)            u8, out-of-range tags rejected on decode
+//   f(stats)              vfs::FsStats as a counted u64 list in table order
+//   f(frame)              a nested frame as a blob of its own encoding
+//   f.flags(a, b, ...)    one byte, bit i = i-th bool; unnamed bits rejected
+//   f.list(v, width)      count (u32 or u64), then each element as above
+//                         (a std::pair as its two members in order)
+//
+// Adding a field is one entry here plus its use; any change to the bytes
+// needs a kProtocolVersion bump (and a journal format bump for CellInfo and
+// RunRow, which the journal stores).
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ffis/core/fault_injector.hpp"
@@ -38,6 +60,7 @@
 #include "ffis/exp/plan.hpp"
 #include "ffis/exp/result.hpp"
 #include "ffis/util/bytes.hpp"
+#include "ffis/util/serialize.hpp"
 #include "ffis/vfs/extent_store.hpp"
 
 namespace ffis::dist {
@@ -56,6 +79,15 @@ inline constexpr std::uint32_t kProtocolVersion = 11;
 /// some other protocol entirely.
 inline constexpr std::uint32_t kProtocolMagic = 0x46464953;  // "SIFF" LE = "FFIS"
 
+/// Bounds for length-prefixed fields a peer controls.  Far above anything a
+/// healthy peer sends, far below anything that could stress the allocator.
+inline constexpr std::size_t kMaxNameBytes = 4096;
+inline constexpr std::size_t kMaxReasonBytes = 64 * 1024;
+inline constexpr std::size_t kMaxErrorBytes = 256 * 1024;
+inline constexpr std::size_t kMaxPlanTextBytes = 4 * 1024 * 1024;
+inline constexpr std::size_t kMaxPathBytes = 64 * 1024;
+inline constexpr std::size_t kMaxTokenBytes = 4096;
+
 enum class MsgType : std::uint8_t {
   Hello = 1,
   HelloAck,
@@ -71,7 +103,11 @@ enum class MsgType : std::uint8_t {
   RunBatch,
 };
 
+/// Width of a list's element count (WireWriter::list / WireReader::list).
+enum class CountWidth : std::uint8_t { u32, u64 };
+
 struct Hello {
+  static constexpr MsgType kType = MsgType::Hello;
   std::uint32_t magic = kProtocolMagic;
   std::uint32_t version = kProtocolVersion;
   std::string worker_name;
@@ -83,9 +119,23 @@ struct Hello {
   /// process (retry after a transport fault or a coordinator restart); feeds
   /// the coordinator's worker_reconnects counter.
   bool reconnect = false;
+
+  template <class M, class F>
+  static void fields(M& m, F& f) {
+    f(m.magic);
+    f(m.version);
+    // Decoding stops after magic + version when either differs from this
+    // build's: what follows is another protocol's layout, and the
+    // coordinator only needs the version to reject the peer by name.
+    if (f.stop_unless(m.magic == kProtocolMagic && m.version == kProtocolVersion)) return;
+    f(m.worker_name, kMaxNameBytes, "worker_name");
+    f(m.auth_token, kMaxTokenBytes, "auth_token");
+    f.flags(m.reconnect);
+  }
 };
 
 struct HelloAck {
+  static constexpr MsgType kType = MsgType::HelloAck;
   std::uint32_t worker_id = 0;
   /// Fingerprint of the coordinator's plan (plan_fingerprint below).  A
   /// worker running a locally-supplied plan verifies it matches before
@@ -109,19 +159,58 @@ struct HelloAck {
   /// Interval at which the worker must send Ping frames; 0 disables
   /// heartbeats.
   std::uint64_t heartbeat_interval_ms = 0;
+
+  template <class M, class F>
+  static void fields(M& m, F& f) {
+    f(m.worker_id);
+    f(m.plan_fingerprint);
+    f(m.plan_text, kMaxPlanTextBytes, "plan_text");
+    f(m.checkpoint_dir, kMaxPathBytes, "checkpoint_dir");
+    f(m.chunk_size);
+    f(m.checkpoint_budget);
+    f(m.heartbeat_interval_ms);
+  }
 };
 
 struct HelloReject {
+  static constexpr MsgType kType = MsgType::HelloReject;
   std::string reason;
+
+  template <class M, class F>
+  static void fields(M& m, F& f) {
+    f(m.reason, kMaxReasonBytes, "reason");
+  }
 };
 
-struct WorkRequest {};
+/// A frame that is its tag alone.
+template <MsgType kTag>
+struct TagOnly {
+  static constexpr MsgType kType = kTag;
+  template <class M, class F>
+  static void fields(M&, F&) {}
+};
+
+using WorkRequest = TagOnly<MsgType::WorkRequest>;
 
 struct WorkGrant {
+  static constexpr MsgType kType = MsgType::WorkGrant;
   std::uint64_t unit_id = 0;
   std::uint32_t cell_index = 0;
   std::uint64_t run_begin = 0;
   std::uint64_t run_end = 0;  ///< exclusive
+
+  template <class M, class F>
+  static void fields(M& m, F& f) {
+    f(m.unit_id);
+    f(m.cell_index);
+    f(m.run_begin);
+    f(m.run_end);
+    // An inverted range is malformed, not empty.
+    f.check(m.run_end >= m.run_begin, [&] {
+      return "malformed WorkGrant: run_end " + std::to_string(m.run_end) +
+             " < run_begin " + std::to_string(m.run_begin);
+    });
+  }
 };
 
 /// Per-cell preparation facts, sent once per cell by each worker before that
@@ -129,34 +218,48 @@ struct WorkGrant {
 /// `error` means the cell cannot run anywhere (prepare is deterministic) and
 /// its units are abandoned.
 struct CellInfo : exp::CellFacts {
+  static constexpr MsgType kType = MsgType::CellInfo;
   std::uint32_t cell_index = 0;
+
+  template <class M, class F>
+  static void fields(M& m, F& f) {
+    f(m.cell_index);
+    f(m.primitive_count);
+    f.flags(m.golden_cached, m.checkpointed, m.checkpoint_loaded);
+    f(m.error, kMaxErrorBytes, "cell error");
+  }
 };
 
-/// One executed injection run — exactly the fields the coordinator needs to
-/// rebuild CellResult tallies and sink rows bit-identically.  A run the
+/// One executed injection run: the run's RunResult and where it belongs.
+/// Only the fields the coordinator needs to rebuild CellResult tallies and
+/// sink rows bit-identically travel; the rest decode as defaults.  A run the
 /// worker skipped (its instance already executed feature-free in the same
 /// session) has no row.  Deliberately
 /// excludes the analysis blob and crash text (only keep_details consumers
 /// would see them, and they can be MiB-sized).  fs_stats travels as a counted
 /// u64 list in table order; missing counters decode as 0, unknown ones skip.
-struct RunRow {
+struct RunRow : core::RunResult {
+  static constexpr MsgType kType = MsgType::RunRow;
   std::uint64_t unit_id = 0;
   std::uint32_t cell_index = 0;
   std::uint64_t run_index = 0;
-  core::Outcome outcome = core::Outcome::Benign;
-  bool fault_fired = false;
-  bool analyze_skipped = false;
-  /// Flags bit 2 (protocol v9, journal format 4): the run's fault drew a
-  /// feature.  When false the coordinator's collector fills every open slot
-  /// of the run's instance from this row and labels the replays itself.
-  bool features_drawn = false;
-  /// Flags bit 3 (protocol v8, journal format 3).
-  bool synthesized = false;
-  /// Flags bit 4 (protocol v11, journal format 5).
-  bool resumed_late = false;
-  vfs::FsStats fs_stats{};
-  double execute_ms = 0.0;
-  double analyze_ms = 0.0;
+
+  template <class M, class F>
+  static void fields(M& m, F& f) {
+    f(m.unit_id);
+    f(m.cell_index);
+    f(m.run_index);
+    f(m.outcome);
+    // Bit 2 (protocol v9, journal format 4): the run's fault drew a feature.
+    // When clear the coordinator's collector fills every open slot of the
+    // run's instance from this row and labels the replays itself.  Bit 3
+    // arrived in protocol v8 (journal format 3), bit 4 in v11 (format 5).
+    f.flags(m.fault_fired, m.analyze_skipped, m.record.features_drawn, m.synthesized,
+            m.resumed_late);
+    f(m.execute_ms);
+    f(m.analyze_ms);
+    f(m.fs_stats);
+  }
 };
 
 /// Many RunRows in one frame.  Workers accumulate a unit's rows and
@@ -166,7 +269,16 @@ struct RunRow {
 /// a replayed journal row, so batching changes packaging only, never
 /// tallies.
 struct RunBatch {
+  static constexpr MsgType kType = MsgType::RunBatch;
   std::vector<RunRow> rows;
+
+  template <class M, class F>
+  static void fields(M& m, F& f) {
+    // Each row rides as a blob of its own RunRow frame, so a batch decodes
+    // every row exactly like a lone one: strictness, outcome range check
+    // and the counter list included.
+    f.list(m.rows, CountWidth::u32);
+  }
 };
 
 /// Worker-side flush thresholds for RunBatch: a batch goes out when it holds
@@ -176,57 +288,178 @@ inline constexpr std::size_t kRunBatchRows = 32;
 inline constexpr std::uint64_t kRunBatchFlushMs = 25;
 
 struct UnitDone {
+  static constexpr MsgType kType = MsgType::UnitDone;
   std::uint64_t unit_id = 0;
+
+  template <class M, class F>
+  static void fields(M& m, F& f) {
+    f(m.unit_id);
+  }
 };
 
-struct Shutdown {};
+using Shutdown = TagOnly<MsgType::Shutdown>;
 
 /// Liveness heartbeat.  The worker's heartbeat thread sends Ping on
 /// the shared connection (under the worker's send lock); the coordinator
 /// refreshes the staleness clock of that worker's granted units and answers
 /// Pong.  The worker's reply loop skips Pongs, so heartbeats piggyback on
 /// the existing strictly-alternating conversation without a second socket.
-struct Ping {};
+using Ping = TagOnly<MsgType::Ping>;
+using Pong = TagOnly<MsgType::Pong>;
 
-struct Pong {};
+/// Every frame, in tag order.
+using Frames = std::tuple<Hello, HelloAck, HelloReject, WorkRequest, WorkGrant, CellInfo,
+                          RunRow, UnitDone, Shutdown, Ping, Pong, RunBatch>;
+
+static_assert(
+    []<std::size_t... I>(std::index_sequence<I...>) {
+      return ((static_cast<std::size_t>(std::tuple_element_t<I, Frames>::kType) == I + 1) && ...);
+    }(std::make_index_sequence<std::tuple_size_v<Frames>>{}),
+    "Frames must list every MsgType in tag order");
+
+/// A frame, or any record that starts with a one-byte tag (the journal's
+/// unit record): kType plus fields().
+template <class T>
+concept WireFrame = requires { T::kType; };
 
 /// The type tag of an encoded message.  Throws std::out_of_range on an empty
 /// payload and std::invalid_argument on an unknown tag.
 [[nodiscard]] MsgType peek_type(util::ByteSpan payload);
 
-[[nodiscard]] util::Bytes encode(const Hello& m);
-[[nodiscard]] util::Bytes encode(const HelloAck& m);
-[[nodiscard]] util::Bytes encode(const HelloReject& m);
-[[nodiscard]] util::Bytes encode(const WorkRequest& m);
-[[nodiscard]] util::Bytes encode(const WorkGrant& m);
-[[nodiscard]] util::Bytes encode(const CellInfo& m);
-[[nodiscard]] util::Bytes encode(const RunRow& m);
-[[nodiscard]] util::Bytes encode(const RunBatch& m);
-[[nodiscard]] util::Bytes encode(const UnitDone& m);
-[[nodiscard]] util::Bytes encode(const Shutdown& m);
-[[nodiscard]] util::Bytes encode(const Ping& m);
-[[nodiscard]] util::Bytes encode(const Pong& m);
+template <WireFrame Frame>
+[[nodiscard]] util::Bytes encode(const Frame& m);
 
-// Strict decoders: the payload must carry the matching tag and nothing but
-// the message's fields.  Throw std::out_of_range (truncation / forged length
-// prefixes) or std::invalid_argument (wrong tag, out-of-range enum).
-// decode_hello stops after magic + version when either differs from this
-// build's, so the coordinator can reject any peer version by name.
-[[nodiscard]] Hello decode_hello(util::ByteSpan payload);
-[[nodiscard]] HelloAck decode_hello_ack(util::ByteSpan payload);
-[[nodiscard]] HelloReject decode_hello_reject(util::ByteSpan payload);
-[[nodiscard]] WorkGrant decode_work_grant(util::ByteSpan payload);
-[[nodiscard]] CellInfo decode_cell_info(util::ByteSpan payload);
-[[nodiscard]] RunRow decode_run_row(util::ByteSpan payload);
-[[nodiscard]] RunBatch decode_run_batch(util::ByteSpan payload);
-[[nodiscard]] UnitDone decode_unit_done(util::ByteSpan payload);
+// Strict decoder: the payload must carry the matching tag and nothing but
+// the message's fields.  Throws std::out_of_range (truncation / forged
+// length prefixes) or std::invalid_argument (wrong tag, out-of-range enum,
+// unnamed flag bits, a failed check).
+template <WireFrame Frame>
+[[nodiscard]] Frame decode(util::ByteSpan payload);
 
-/// A run's wire form and back.  The worker sends to_run_row; the coordinator
-/// lands to_run_result in its exp::CellCollector, exactly like a local
-/// engine, and journals a landed run through to_run_row again.
-[[nodiscard]] RunRow to_run_row(const core::RunResult& run, std::uint64_t unit_id = 0,
-                                std::uint32_t cell_index = 0, std::uint64_t run_index = 0);
-[[nodiscard]] core::RunResult to_run_result(const RunRow& row);
+/// Appends a record's fields (see "Declaring a frame") to `out`.
+class WireWriter {
+ public:
+  explicit WireWriter(util::Bytes& out) : w_(out) {}
+
+  void operator()(std::uint32_t v) { w_.u32(v); }
+  void operator()(std::uint64_t v) { w_.u64(v); }
+  void operator()(double v) { w_.f64(v); }
+  void operator()(const std::string& s, std::size_t /*max*/, const char* /*what*/) {
+    w_.str(s);
+  }
+  void operator()(core::Outcome o) { w_.u8(static_cast<std::uint8_t>(o)); }
+  void operator()(const vfs::FsStats& stats);
+  template <WireFrame Frame>
+  void operator()(const Frame& m) {
+    w_.blob(encode(m));
+  }
+  template <class A, class B>
+  void operator()(const std::pair<A, B>& p) {
+    (*this)(p.first);
+    (*this)(p.second);
+  }
+  template <class... Bits>
+  void flags(const Bits&... bits) {
+    static_assert(sizeof...(Bits) <= 8);
+    unsigned byte = 0, bit = 0;
+    ((byte |= (bits ? 1u : 0u) << bit++), ...);
+    w_.u8(static_cast<std::uint8_t>(byte));
+  }
+  template <class T>
+  void list(const std::vector<T>& items, CountWidth width) {
+    width == CountWidth::u32 ? w_.u32(static_cast<std::uint32_t>(items.size()))
+                             : w_.u64(items.size());
+    for (const T& item : items) (*this)(item);
+  }
+  /// Encoding writes every field, whatever the values.
+  bool stop_unless(bool) { return false; }
+  template <class Message>
+  void check(bool, Message&&) {}
+
+ private:
+  util::ByteWriter w_;
+};
+
+/// Reads a record's fields (see "Declaring a frame") strictly: every
+/// accessor throws on truncation, and finish() on trailing bytes.
+class WireReader {
+ public:
+  explicit WireReader(util::ByteSpan in) : r_(in) {}
+
+  void operator()(std::uint32_t& v) { v = r_.u32(); }
+  void operator()(std::uint64_t& v) { v = r_.u64(); }
+  void operator()(double& v) { v = r_.f64(); }
+  void operator()(std::string& s, std::size_t max, const char* what) {
+    s = r_.str_bounded(max, what);
+  }
+  void operator()(core::Outcome& o);
+  void operator()(vfs::FsStats& stats);
+  template <WireFrame Frame>
+  void operator()(Frame& m) {
+    m = decode<Frame>(r_.blob());
+  }
+  template <class A, class B>
+  void operator()(std::pair<A, B>& p) {
+    (*this)(p.first);
+    (*this)(p.second);
+  }
+  template <class... Bits>
+  void flags(Bits&... bits) {
+    const unsigned byte = flag_byte(sizeof...(Bits));
+    unsigned bit = 0;
+    ((bits = ((byte >> bit++) & 1u) != 0), ...);
+  }
+  template <class T>
+  void list(std::vector<T>& items, CountWidth width) {
+    // Grown per decoded element, never sized from the count: memory stays
+    // proportional to the bytes actually received.
+    for (std::size_t n = list_count(width); n > 0; --n) (*this)(items.emplace_back());
+  }
+  /// Ends the record early (finish() then accepts what is left) when
+  /// `known` is false; see Hello.
+  bool stop_unless(bool known) {
+    stopped_ = !known;
+    return stopped_;
+  }
+  template <class Message>
+  void check(bool ok, Message&& message) {
+    if (!ok) throw std::invalid_argument(message());
+  }
+  /// Throws std::invalid_argument unless the next byte is `expected`.
+  void tag(std::uint8_t expected);
+  void finish() const {
+    if (!stopped_) r_.expect_end();
+  }
+
+ private:
+  /// One flags byte with `named` bits; a set bit no field names throws.
+  unsigned flag_byte(std::size_t named);
+  /// A list's element count.  Every list element ends in a nested frame's
+  /// blob, so each costs at least its 8-byte length prefix: a forged count
+  /// throws before any element is read.
+  std::size_t list_count(CountWidth width);
+
+  util::ByteReader r_;
+  bool stopped_ = false;
+};
+
+template <WireFrame Frame>
+util::Bytes encode(const Frame& m) {
+  util::Bytes out{static_cast<std::byte>(Frame::kType)};
+  WireWriter f(out);
+  Frame::fields(m, f);
+  return out;
+}
+
+template <WireFrame Frame>
+Frame decode(util::ByteSpan payload) {
+  WireReader f(payload);
+  f.tag(static_cast<std::uint8_t>(Frame::kType));
+  Frame m;
+  Frame::fields(m, f);
+  f.finish();
+  return m;
+}
 
 /// Constant-time equality for shared secrets: examines every byte of both
 /// strings regardless of where they first differ, so response timing leaks

@@ -148,10 +148,10 @@ void run_session(const std::string& host, std::uint16_t port,
   const auto reply = io.recv_reply();
   if (!reply) throw net::NetError("coordinator closed during the handshake");
   if (peek_type(*reply) == MsgType::HelloReject) {
-    stats.reject_reason = decode_hello_reject(*reply).reason;
+    stats.reject_reason = decode<HelloReject>(*reply).reason;
     return;
   }
-  const HelloAck ack = decode_hello_ack(*reply);
+  const HelloAck ack = decode<HelloAck>(*reply);
   stats.worker_id = ack.worker_id;
   if (reconnect) ++stats.reconnects;
 
@@ -189,7 +189,7 @@ void run_session(const std::string& host, std::uint16_t port,
     const auto frame = io.recv_reply();
     if (!frame) throw net::NetError("coordinator closed while work was pending");
     if (peek_type(*frame) == MsgType::Shutdown) break;
-    const WorkGrant grant = decode_work_grant(*frame);
+    const WorkGrant grant = decode<WorkGrant>(*frame);
     if (grant.cell_index >= ctx.plan->size()) {
       throw std::runtime_error("granted a unit of out-of-plan cell " +
                                std::to_string(grant.cell_index));
@@ -238,7 +238,7 @@ void run_session(const std::string& host, std::uint16_t port,
       if (!results[i]) continue;
       if (batch.rows.empty()) batch_started = std::chrono::steady_clock::now();
       batch.rows.push_back(
-          to_run_row(*results[i], grant.unit_id, grant.cell_index, grant.run_begin + i));
+          {std::move(*results[i]), grant.unit_id, grant.cell_index, grant.run_begin + i});
       if (batch.rows.size() >= kRunBatchRows ||
           std::chrono::steady_clock::now() - batch_started >=
               std::chrono::milliseconds(kRunBatchFlushMs)) {

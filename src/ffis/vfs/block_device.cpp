@@ -164,7 +164,10 @@ void BlockDevice::inject(const std::shared_ptr<const void>& file, ExtentStore& s
     e.sector = sector;
     e.offset = sector * sb;
     e.expected_crc = expected;
-    faulted_.push_back(std::move(e));
+    const auto at = std::upper_bound(
+        faulted_.begin(), faulted_.end(), e.offset,
+        [](std::uint64_t offset, const Entry& x) { return offset < x.offset; });
+    faulted_.insert(at, std::move(e));
     ++stats.sectors_faulted;
   };
 

@@ -153,8 +153,10 @@ class BlockDevice {
                    ExtentArena* arena);
 
   /// The read path: verifies every registered sector of `file` overlapping
-  /// [offset, offset+len) when scrubbing is on.  Throws VfsError(IoError)
-  /// and bumps stats.crc_detected on a CRC mismatch or latent sector error.
+  /// [offset, offset+len) when scrubbing is on, in offset order.  Throws
+  /// VfsError(IoError) naming the lowest failing sector, and bumps
+  /// stats.crc_detected, on a CRC mismatch or latent sector error — so a
+  /// read names the same sector however the range is split into reads.
   /// No-op when the registry is empty (the clean fast path).
   void check_read(const void* file, const ExtentStore& store, std::uint64_t offset,
                   std::size_t len, FsStats& stats);
@@ -195,6 +197,7 @@ class BlockDevice {
   std::uint64_t sector_writes_ = 0;
   Record record_{};
   /// At most a couple of entries per run (one fault); linear scans win.
+  /// Ordered by offset, which is the order check_read verifies them in.
   std::vector<Entry> faulted_;
 };
 

@@ -226,7 +226,7 @@ class RowCountingStream final : public net::Stream {
       if (pending_.size() < 4 + n) break;
       const util::ByteSpan payload(pending_.data() + 4, n);
       if (n > 0 && dist::peek_type(payload) == dist::MsgType::RunBatch) {
-        for (const dist::RunRow& row : dist::decode_run_batch(payload).rows) {
+        for (const dist::RunRow& row : dist::decode<dist::RunBatch>(payload).rows) {
           if (rows_.size() <= row.cell_index) rows_.resize(row.cell_index + 1);
           ++rows_[row.cell_index];
         }
@@ -542,7 +542,7 @@ TEST(Handshake, VersionSkewIsRejected) {
     const auto reply = net::recv_frame(socket);
     ASSERT_TRUE(reply.has_value());
     ASSERT_EQ(dist::peek_type(*reply), dist::MsgType::HelloReject);
-    const auto reject = dist::decode_hello_reject(*reply);
+    const auto reject = dist::decode<dist::HelloReject>(*reply);
     EXPECT_NE(reject.reason.find("version"), std::string::npos);
   }
   {
@@ -555,7 +555,7 @@ TEST(Handshake, VersionSkewIsRejected) {
     const auto reply = net::recv_frame(socket);
     ASSERT_TRUE(reply.has_value());
     ASSERT_EQ(dist::peek_type(*reply), dist::MsgType::HelloReject);
-    const auto reject = dist::decode_hello_reject(*reply);
+    const auto reject = dist::decode<dist::HelloReject>(*reply);
     EXPECT_NE(reject.reason.find("protocol version mismatch"), std::string::npos);
     EXPECT_NE(reject.reason.find("worker speaks v4"), std::string::npos);
   }
@@ -1333,9 +1333,62 @@ TEST(Journal, ReplaysEveryTableCounterOfAJournaledRow) {
   EXPECT_EQ(got, want);
 }
 
+TEST(Journal, HeaderAndUnitRecordBytesArePinned) {
+  // A change to these bytes is a journal format change: it needs a
+  // kFormatVersion bump, or an old journal would replay garbled rows.
+  ASSERT_EQ(vfs::FsStats::kCount, 9u);  // today's run-counter table
+  StoreDir dir("journal-bytes");
+  stdfs::create_directories(dir.path());
+  const std::string path = dir.path() + "/j.jrnl";
+  dist::RunRow row;
+  row.unit_id = 2;
+  row.cell_index = 1;
+  row.run_index = 9;
+  row.outcome = Outcome::Sdc;
+  row.fault_fired = true;
+  row.execute_ms = 0.5;
+  {
+    dist::CampaignJournal j(path, /*plan_fingerprint=*/0x5eed, /*unit_runs=*/4);
+    j.append_unit(2, {{7u, row}});
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::string hex;
+  for (const unsigned char c : file) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xf];
+  }
+  EXPECT_EQ(hex,
+            "464649534a524e4c"   // signature "FFISJRNL"
+            "05000000"           // format 5
+            "ed5e000000000000"   // plan_fingerprint
+            "0400000000000000"   // unit_runs
+            "e573ce5195931dcd"   // fnv1a64 of the header so far
+            "90000000"           // record: payload length (144)
+            "02"                 //   kind: unit
+            "0200000000000000"   //   unit_id
+            "0100000000000000"   //   row count
+            "07000000"           //   worker_id
+            "7300000000000000"   //   RunRow blob length (115)
+            "07"                 //     RunRow tag
+            "0200000000000000"   //     unit_id
+            "01000000"           //     cell_index
+            "0900000000000000"   //     run_index
+            "02"                 //     outcome (Sdc)
+            "01"                 //     fault_fired
+            "000000000000e03f"   //     execute_ms = 0.5
+            "0000000000000000"   //     analyze_ms
+            "09000000"           //     counter count
+            "000000000000000000000000000000000000000000000000"
+            "000000000000000000000000000000000000000000000000"
+            "000000000000000000000000000000000000000000000000"  // nine zero counters
+            "f8d0d1f5b10952e7");  // fnv1a64 of the payload
+}
+
 TEST(RunCounterTable, CoordinatorFoldOverTheWireMatchesTheEngineFold) {
   // The engine folds RunResults directly; the coordinator folds what
-  // survives to_run_row -> encode -> decode -> to_run_result.  With every
+  // survives encode -> decode of its RunRow.  With every
   // counter distinct per run, both cells must agree entry for entry.
   exp::CellResult engine_cell, coordinator_cell;
   for (std::uint64_t r = 0; r < 4; ++r) {
@@ -1348,7 +1401,7 @@ TEST(RunCounterTable, CoordinatorFoldOverTheWireMatchesTheEngineFold) {
     test_support::set_distinct_counters(run.fs_stats, /*base=*/100 * r);
     engine_cell.add_run(run);
     coordinator_cell.add_run(
-        dist::to_run_result(dist::decode_run_row(dist::encode(dist::to_run_row(run)))));
+        dist::decode<dist::RunRow>(dist::encode(dist::RunRow{run})));
   }
   EXPECT_EQ(coordinator_cell.runs_completed, engine_cell.runs_completed);
   EXPECT_EQ(coordinator_cell.faults_not_fired, engine_cell.faults_not_fired);
@@ -1766,7 +1819,7 @@ TEST(Auth, WrongTokenIsRejectedBeforeAnyPlanTextIsSent) {
     const auto reply = net::recv_frame(socket);
     ASSERT_TRUE(reply.has_value());
     ASSERT_EQ(dist::peek_type(*reply), dist::MsgType::HelloReject);
-    EXPECT_EQ(dist::decode_hello_reject(*reply).reason, "auth token mismatch");
+    EXPECT_EQ(dist::decode<dist::HelloReject>(*reply).reason, "auth token mismatch");
     EXPECT_FALSE(net::recv_frame(socket).has_value());  // nothing follows
   }
   {

@@ -845,6 +845,42 @@ TEST(Engine, SynthesizedRunsMatchDirectExecutionOnEveryModel) {
   }
 }
 
+TEST(Engine, MediaRunsMatchTheReferenceOracleCrashTextIncluded) {
+  // A misdirected write faults its target sector and its victim.  The
+  // engine classifies from the dirty ranges (the lower one read first), the
+  // oracle reads the whole file in one pread; a read spanning both faulted
+  // sectors must name the same one either way.
+  nyx::NyxConfig config;
+  config.field.n = 80;
+  config.timesteps = 2;
+  const nyx::NyxApp nyx(config);
+  for (const std::uint64_t seed : {42u, 7u}) {
+    auto builder = exp::PlanBuilder().runs(64).seed(seed);
+    for (const char* fault : {"MW", "LSE", "BIT_ROT@pwrite{sector=512,scrub=on,width=1}"}) {
+      builder.cell(nyx, fault);
+    }
+    const auto plan = builder.build();
+    exp::EngineOptions options;
+    options.keep_details = true;
+    const auto report = exp::Engine(options).run(plan);
+    const auto reference = exp::reference_run(plan);
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      SCOPED_TRACE(plan.cells()[i].label + " at seed " + std::to_string(seed));
+      ASSERT_TRUE(report.cells[i].error.empty()) << report.cells[i].error;
+      ASSERT_EQ(report.cells[i].details.size(), reference.cells[i].details.size());
+      for (std::size_t r = 0; r < report.cells[i].details.size(); ++r) {
+        SCOPED_TRACE("run " + std::to_string(r));
+        const core::RunResult& got = report.cells[i].details[r];
+        const core::RunResult& want = reference.cells[i].details[r];
+        EXPECT_EQ(got.outcome, want.outcome);
+        EXPECT_EQ(got.fault_fired, want.fault_fired);
+        EXPECT_EQ(record_fields(got.record), record_fields(want.record));
+        EXPECT_EQ(got.crash_reason, want.crash_reason);
+      }
+    }
+  }
+}
+
 TEST(Engine, LateResumedRunsMatchDirectExecution) {
   const LateReaderApp reader;
   montage::MontageConfig montage_config;

@@ -13,6 +13,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -159,7 +161,7 @@ TEST(Protocol, HelloRoundTrip) {
   m.worker_name = "node-7";
   const auto encoded = dist::encode(m);
   EXPECT_EQ(dist::peek_type(encoded), dist::MsgType::Hello);
-  const auto decoded = dist::decode_hello(encoded);
+  const auto decoded = dist::decode<dist::Hello>(encoded);
   EXPECT_EQ(decoded.magic, dist::kProtocolMagic);
   EXPECT_EQ(decoded.version, dist::kProtocolVersion);
   EXPECT_EQ(decoded.worker_name, "node-7");
@@ -176,7 +178,7 @@ TEST(Protocol, HelloAckRoundTrip) {
   m.heartbeat_interval_ms = 250;
   const auto encoded = dist::encode(m);
   EXPECT_EQ(dist::peek_type(encoded), dist::MsgType::HelloAck);
-  const auto decoded = dist::decode_hello_ack(encoded);
+  const auto decoded = dist::decode<dist::HelloAck>(encoded);
   EXPECT_EQ(decoded.worker_id, 3u);
   EXPECT_EQ(decoded.plan_fingerprint, m.plan_fingerprint);
   EXPECT_EQ(decoded.plan_text, m.plan_text);
@@ -189,7 +191,7 @@ TEST(Protocol, HelloAckRoundTrip) {
 TEST(Protocol, HelloRejectRoundTrip) {
   const auto encoded = dist::encode(dist::HelloReject{"version skew"});
   EXPECT_EQ(dist::peek_type(encoded), dist::MsgType::HelloReject);
-  EXPECT_EQ(dist::decode_hello_reject(encoded).reason, "version skew");
+  EXPECT_EQ(dist::decode<dist::HelloReject>(encoded).reason, "version skew");
 }
 
 TEST(Protocol, WorkRequestAndShutdownAreTagOnly) {
@@ -208,7 +210,7 @@ TEST(Protocol, WorkGrantRoundTripAndInvertedRangeRejected) {
   m.run_begin = 96;
   m.run_end = 128;
   const auto encoded = dist::encode(m);
-  const auto decoded = dist::decode_work_grant(encoded);
+  const auto decoded = dist::decode<dist::WorkGrant>(encoded);
   EXPECT_EQ(decoded.unit_id, 17u);
   EXPECT_EQ(decoded.cell_index, 2u);
   EXPECT_EQ(decoded.run_begin, 96u);
@@ -217,7 +219,7 @@ TEST(Protocol, WorkGrantRoundTripAndInvertedRangeRejected) {
   dist::WorkGrant inverted = m;
   inverted.run_begin = 128;
   inverted.run_end = 96;
-  EXPECT_THROW((void)dist::decode_work_grant(dist::encode(inverted)),
+  EXPECT_THROW((void)dist::decode<dist::WorkGrant>(dist::encode(inverted)),
                std::invalid_argument);
 }
 
@@ -229,7 +231,7 @@ TEST(Protocol, CellInfoRoundTrip) {
   m.checkpointed = true;
   m.checkpoint_loaded = false;
   m.error = "the target primitive never executed";
-  const auto decoded = dist::decode_cell_info(dist::encode(m));
+  const auto decoded = dist::decode<dist::CellInfo>(dist::encode(m));
   EXPECT_EQ(decoded.cell_index, 5u);
   EXPECT_EQ(decoded.primitive_count, 1234u);
   EXPECT_TRUE(decoded.golden_cached);
@@ -256,14 +258,14 @@ TEST(Protocol, RunRowRoundTripsEveryTableCounter) {
   test_support::set_distinct_counters(m.fs_stats);
   m.execute_ms = 1.25;
   m.analyze_ms = 0.5;
-  const auto decoded = dist::decode_run_row(dist::encode(m));
+  const auto decoded = dist::decode<dist::RunRow>(dist::encode(m));
   EXPECT_EQ(decoded.unit_id, 9u);
   EXPECT_EQ(decoded.cell_index, 1u);
   EXPECT_EQ(decoded.run_index, 77u);
   EXPECT_EQ(decoded.outcome, core::Outcome::Sdc);
   EXPECT_TRUE(decoded.fault_fired);
   EXPECT_FALSE(decoded.analyze_skipped);
-  EXPECT_FALSE(decoded.features_drawn);
+  EXPECT_FALSE(decoded.record.features_drawn);
   EXPECT_EQ(fs_values(decoded.fs_stats), fs_values(m.fs_stats));
   // Phase timers must round-trip bit-exactly (IEEE-754 pattern on the wire).
   EXPECT_EQ(decoded.execute_ms, 1.25);
@@ -311,9 +313,9 @@ TEST(Protocol, RunRowV5EncodingIsPinned) {
                 hex(count) + counters);
   EXPECT_EQ(hex(count), "09000000");  // today's table: nine FsStats counters
   // Bit 2 clear: the row's fault drew no feature, so it fills its instance.
-  EXPECT_FALSE(dist::decode_run_row(dist::encode(m)).features_drawn);
+  EXPECT_FALSE(dist::decode<dist::RunRow>(dist::encode(m)).record.features_drawn);
 
-  m.features_drawn = true;
+  m.record.features_drawn = true;
   m.synthesized = true;
   EXPECT_EQ(hex(dist::encode(m)).substr(2 * (1 + 8 + 4 + 8 + 1), 2),
             "0f");  // fault_fired | analyze_skipped | features_drawn | synthesized
@@ -321,39 +323,247 @@ TEST(Protocol, RunRowV5EncodingIsPinned) {
   EXPECT_EQ(hex(dist::encode(m)).substr(2 * (1 + 8 + 4 + 8 + 1), 2), "1f");
 }
 
+/// One populated instance of every frame declaration, in tag order.
+dist::Frames sample_frames() {
+  dist::Hello hello;
+  hello.worker_name = "fuzzed-worker";
+  hello.auth_token = "secret";
+  hello.reconnect = true;
+  dist::HelloAck ack;
+  ack.worker_id = 1;
+  ack.plan_text = "runs = 4\n[cell]\nfault = BF\n";
+  ack.checkpoint_dir = "/tmp/ffis-store";
+  ack.heartbeat_interval_ms = 250;
+  dist::WorkGrant grant;
+  grant.unit_id = 3;
+  grant.cell_index = 1;
+  grant.run_begin = 32;
+  grant.run_end = 64;
+  dist::CellInfo info;
+  info.cell_index = 2;
+  info.checkpointed = true;
+  info.error = "prepare failed";
+  dist::RunRow row;
+  row.outcome = core::Outcome::Crash;
+  row.fault_fired = true;
+  row.resumed_late = true;
+  row.execute_ms = 3.5;
+  test_support::set_distinct_counters(row.fs_stats);
+  dist::RunBatch batch;
+  batch.rows = {row, dist::RunRow{}};
+  return {hello, ack, dist::HelloReject{"version skew"}, dist::WorkRequest{}, grant, info, row,
+          dist::UnitDone{7}, dist::Shutdown{}, dist::Ping{}, dist::Pong{}, batch};
+}
+
+TEST(Protocol, EveryFrameRoundTripsByteIdentically) {
+  const auto round_trips = [](const auto& frame) {
+    using Frame = std::decay_t<decltype(frame)>;
+    const util::Bytes encoded = dist::encode(frame);
+    EXPECT_EQ(dist::peek_type(encoded), Frame::kType);
+    EXPECT_EQ(dist::encode(dist::decode<Frame>(encoded)), encoded)
+        << "type tag " << static_cast<int>(Frame::kType);
+  };
+  std::apply([&](const auto&... frame) { (round_trips(frame), ...); }, sample_frames());
+}
+
+/// `encoded` with the byte at `at` replaced by `value`.
+util::Bytes with_byte(util::Bytes encoded, std::size_t at, unsigned value) {
+  encoded.at(at) = static_cast<std::byte>(value);
+  return encoded;
+}
+
+TEST(Protocol, HelloRejectsFlagBitsNoFieldNames) {
+  const auto encoded = dist::encode(std::get<dist::Hello>(sample_frames()));
+  const std::size_t flags_at = encoded.size() - 1;
+  EXPECT_TRUE(dist::decode<dist::Hello>(with_byte(encoded, flags_at, 0x01)).reconnect);
+  EXPECT_THROW((void)dist::decode<dist::Hello>(with_byte(encoded, flags_at, 0x02)),
+               std::invalid_argument);
+  EXPECT_THROW((void)dist::decode<dist::Hello>(with_byte(encoded, flags_at, 0x81)),
+               std::invalid_argument);
+}
+
+TEST(Protocol, CellInfoRejectsFlagBitsNoFieldNames) {
+  const auto encoded = dist::encode(std::get<dist::CellInfo>(sample_frames()));
+  const std::size_t flags_at = 1 + 4 + 8;  // tag, cell_index, primitive_count
+  EXPECT_TRUE(dist::decode<dist::CellInfo>(with_byte(encoded, flags_at, 0x07)).checkpoint_loaded);
+  EXPECT_THROW((void)dist::decode<dist::CellInfo>(with_byte(encoded, flags_at, 0x08)),
+               std::invalid_argument);
+}
+
+TEST(Protocol, RunRowRejectsFlagBitsNoFieldNames) {
+  const auto encoded = dist::encode(std::get<dist::RunRow>(sample_frames()));
+  const std::size_t flags_at = 1 + 8 + 4 + 8 + 1;  // tag, indices, outcome
+  EXPECT_TRUE(dist::decode<dist::RunRow>(with_byte(encoded, flags_at, 0x1f)).resumed_late);
+  EXPECT_THROW((void)dist::decode<dist::RunRow>(with_byte(encoded, flags_at, 0x20)),
+               std::invalid_argument);
+  EXPECT_THROW((void)dist::decode<dist::RunRow>(with_byte(encoded, flags_at, 0x80)),
+               std::invalid_argument);
+}
+
+// --- golden bytes of every frame ---------------------------------------------
+// A change to any of these is a wire-format change: it needs a
+// kProtocolVersion bump (and for CellInfo and RunRow, which the campaign
+// journal stores, a journal format bump).
+
+TEST(Protocol, HelloBytesArePinned) {
+  dist::Hello m;
+  m.worker_name = "w1";
+  m.auth_token = "tk";
+  m.reconnect = true;
+  EXPECT_EQ(hex(dist::encode(m)),
+            "01"                      // tag
+            "53494646"                // magic "FFIS"
+            "0b000000"                // version 11
+            "0200000000000000" "7731"  // worker_name "w1"
+            "0200000000000000" "746b"  // auth_token "tk"
+            "01");                    // flags: reconnect
+}
+
+TEST(Protocol, HelloAckBytesArePinned) {
+  dist::HelloAck m;
+  m.worker_id = 3;
+  m.plan_fingerprint = 0x0123456789abcdefULL;
+  m.plan_text = "p";
+  m.checkpoint_dir = "d";
+  m.chunk_size = 4096;
+  m.checkpoint_budget = 5;
+  m.heartbeat_interval_ms = 250;
+  EXPECT_EQ(hex(dist::encode(m)),
+            "02"                    // tag
+            "03000000"              // worker_id
+            "efcdab8967452301"      // plan_fingerprint
+            "0100000000000000" "70"  // plan_text "p"
+            "0100000000000000" "64"  // checkpoint_dir "d"
+            "0010000000000000"      // chunk_size
+            "0500000000000000"      // checkpoint_budget
+            "fa00000000000000");    // heartbeat_interval_ms
+}
+
+TEST(Protocol, HelloRejectBytesArePinned) {
+  EXPECT_EQ(hex(dist::encode(dist::HelloReject{"no"})),
+            "03"                      // tag
+            "0200000000000000" "6e6f");  // reason "no"
+}
+
+TEST(Protocol, TagOnlyFrameBytesArePinned) {
+  EXPECT_EQ(hex(dist::encode(dist::WorkRequest{})), "04");
+  EXPECT_EQ(hex(dist::encode(dist::Shutdown{})), "09");
+  EXPECT_EQ(hex(dist::encode(dist::Ping{})), "0a");
+  EXPECT_EQ(hex(dist::encode(dist::Pong{})), "0b");
+}
+
+TEST(Protocol, WorkGrantBytesArePinned) {
+  dist::WorkGrant m;
+  m.unit_id = 17;
+  m.cell_index = 2;
+  m.run_begin = 96;
+  m.run_end = 128;
+  EXPECT_EQ(hex(dist::encode(m)),
+            "05"                 // tag
+            "1100000000000000"   // unit_id
+            "02000000"           // cell_index
+            "6000000000000000"   // run_begin
+            "8000000000000000");  // run_end
+}
+
+TEST(Protocol, CellInfoBytesArePinned) {
+  dist::CellInfo m;
+  m.cell_index = 5;
+  m.primitive_count = 1234;
+  m.golden_cached = true;
+  m.checkpointed = false;
+  m.checkpoint_loaded = true;
+  m.error = "e";
+  EXPECT_EQ(hex(dist::encode(m)),
+            "06"                     // tag
+            "05000000"               // cell_index
+            "d204000000000000"       // primitive_count
+            "05"                     // flags: golden_cached | checkpoint_loaded
+            "0100000000000000" "65");  // error "e"
+}
+
+TEST(Protocol, RunBatchBytesArePinned) {
+  ASSERT_EQ(vfs::FsStats::kCount, 9u);  // today's run-counter table
+  dist::RunBatch batch;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    dist::RunRow row;
+    row.unit_id = 3;
+    row.cell_index = 1;
+    row.run_index = 10 + i;
+    row.outcome = i == 0 ? core::Outcome::Benign : core::Outcome::Crash;
+    row.fault_fired = i == 1;
+    row.analyze_skipped = i == 0;
+    row.synthesized = i == 0;
+    row.resumed_late = i == 1;
+    row.execute_ms = i == 0 ? 0.25 : 2.0;
+    test_support::set_distinct_counters(row.fs_stats, /*base=*/1 + 16 * i);
+    batch.rows.push_back(row);
+  }
+  // The nine counters base, base + 1, ... as u64s after their u32 count.
+  const auto counters = [](std::uint64_t base) {
+    util::Bytes out;
+    util::ByteWriter w(out);
+    w.u32(9);
+    for (std::uint64_t v = base; v < base + 9; ++v) w.u64(v);
+    return hex(out);
+  };
+  EXPECT_EQ(hex(dist::encode(batch)),
+            "0c"                  // tag
+            "02000000"            // row count
+            "7300000000000000"    // row 0: blob length (115)
+            "07"                  //   RunRow tag
+            "0300000000000000"    //   unit_id
+            "01000000"            //   cell_index
+            "0a00000000000000"    //   run_index
+            "00"                  //   outcome (Benign)
+            "0a"                  //   analyze_skipped | synthesized
+            "000000000000d03f"    //   execute_ms = 0.25
+            "0000000000000000" +  //   analyze_ms
+                counters(1) +
+                "7300000000000000"  // row 1: blob length (115)
+                "07"                //   RunRow tag
+                "0300000000000000"  //   unit_id
+                "01000000"          //   cell_index
+                "0b00000000000000"  //   run_index
+                "03"                //   outcome (Crash)
+                "11"                //   fault_fired | resumed_late
+                "0000000000000040"  //   execute_ms = 2.0
+                "0000000000000000" +  // analyze_ms
+                counters(17));
+}
+
+TEST(Protocol, UnitDoneBytesArePinned) {
+  EXPECT_EQ(hex(dist::encode(dist::UnitDone{41})),
+            "08"                 // tag
+            "2900000000000000");  // unit_id
+}
+
 TEST(Protocol, RunRowCarriesFeaturesDrawnInFlagsBitTwo) {
-  dist::RunRow m;
-  m.features_drawn = true;
-  const util::Bytes encoded = dist::encode(m);
+  core::RunResult run;
+  run.record.features_drawn = true;
+  const util::Bytes encoded = dist::encode(dist::RunRow{run});
   // tag, unit_id, cell_index, run_index, outcome, then the flags byte.
   EXPECT_EQ(std::to_integer<unsigned>(encoded[1 + 8 + 4 + 8 + 1]), 4u);
-  const auto decoded = dist::decode_run_row(encoded);
-  EXPECT_TRUE(decoded.features_drawn);
+  const auto decoded = dist::decode<dist::RunRow>(encoded);
+  EXPECT_TRUE(decoded.record.features_drawn);
   EXPECT_FALSE(decoded.fault_fired);
   EXPECT_FALSE(decoded.analyze_skipped);
   EXPECT_FALSE(decoded.synthesized);
-  // The record carries it both ways; `replayed` is the collector's to label.
-  const core::RunResult run = dist::to_run_result(decoded);
-  EXPECT_TRUE(run.record.features_drawn);
-  EXPECT_FALSE(run.replayed);
-  EXPECT_TRUE(dist::to_run_row(run).features_drawn);
-  core::RunResult replayed = run;
-  replayed.replayed = true;
-  EXPECT_EQ(dist::encode(dist::to_run_row(replayed)), encoded);
+  // `replayed` is the collector's to label: it never travels.
+  EXPECT_FALSE(decoded.replayed);
+  run.replayed = true;
+  EXPECT_EQ(dist::encode(dist::RunRow{run}), encoded);
 }
 
 TEST(Protocol, RunRowCarriesSynthesizedInFlagsBitThree) {
-  dist::RunRow m;
-  m.synthesized = true;
-  const util::Bytes encoded = dist::encode(m);
-  EXPECT_EQ(std::to_integer<unsigned>(encoded[1 + 8 + 4 + 8 + 1]), 8u);
-  const auto decoded = dist::decode_run_row(encoded);
-  EXPECT_TRUE(decoded.synthesized);
-  EXPECT_FALSE(decoded.features_drawn);
-  EXPECT_TRUE(dist::to_run_result(decoded).synthesized);
   core::RunResult run;
   run.synthesized = true;
-  EXPECT_TRUE(dist::to_run_row(run, 1, 2, 3).synthesized);
+  const util::Bytes encoded = dist::encode(dist::RunRow{run, 1, 2, 3});
+  EXPECT_EQ(std::to_integer<unsigned>(encoded[1 + 8 + 4 + 8 + 1]), 8u);
+  const auto decoded = dist::decode<dist::RunRow>(encoded);
+  EXPECT_TRUE(decoded.synthesized);
+  EXPECT_FALSE(decoded.record.features_drawn);
+  EXPECT_EQ(decoded.run_index, 3u);
 }
 
 TEST(Protocol, RunRowCarriesResumedLateInFlagsBitFour) {
@@ -361,14 +571,11 @@ TEST(Protocol, RunRowCarriesResumedLateInFlagsBitFour) {
   m.resumed_late = true;
   const util::Bytes encoded = dist::encode(m);
   EXPECT_EQ(std::to_integer<unsigned>(encoded[1 + 8 + 4 + 8 + 1]), 16u);
-  const auto decoded = dist::decode_run_row(encoded);
+  const auto decoded = dist::decode<dist::RunRow>(encoded);
   EXPECT_TRUE(decoded.resumed_late);
   EXPECT_FALSE(decoded.synthesized);
-  EXPECT_FALSE(decoded.features_drawn);
-  const core::RunResult run = dist::to_run_result(decoded);
-  EXPECT_TRUE(run.resumed_late);
-  EXPECT_FALSE(run.synthesized);
-  EXPECT_EQ(dist::encode(dist::to_run_row(run)), encoded);
+  EXPECT_FALSE(decoded.record.features_drawn);
+  EXPECT_EQ(dist::encode(decoded), encoded);
 }
 
 TEST(Protocol, RunRowCounterListToleratesLengthSkewButNotForgedCounts) {
@@ -381,7 +588,7 @@ TEST(Protocol, RunRowCounterListToleratesLengthSkewButNotForgedCounts) {
   // tail counters read as 0.
   util::Bytes shorter(full.begin(), full.end() - 16);
   shorter[count_at] = static_cast<std::byte>(vfs::FsStats::kCount - 2);
-  const auto short_row = dist::decode_run_row(shorter);
+  const auto short_row = dist::decode<dist::RunRow>(shorter);
   std::uint64_t expected = 1;
   short_row.fs_stats.for_each([&](const char* name, std::uint64_t v) {
     EXPECT_EQ(v, expected <= vfs::FsStats::kCount - 2 ? expected : 0u) << name;
@@ -392,13 +599,13 @@ TEST(Protocol, RunRowCounterListToleratesLengthSkewButNotForgedCounts) {
   util::Bytes longer = full;
   util::ByteWriter(longer).u64(0xfeed);
   longer[count_at] = static_cast<std::byte>(vfs::FsStats::kCount + 1);
-  EXPECT_EQ(fs_values(dist::decode_run_row(longer).fs_stats), fs_values(m.fs_stats));
+  EXPECT_EQ(fs_values(dist::decode<dist::RunRow>(longer).fs_stats), fs_values(m.fs_stats));
 
   // A count promising more counters than the payload holds is rejected
   // before a single counter is read.
   util::Bytes forged = full;
   forged[count_at + 3] = std::byte{0x7f};
-  EXPECT_THROW((void)dist::decode_run_row(forged), std::out_of_range);
+  EXPECT_THROW((void)dist::decode<dist::RunRow>(forged), std::out_of_range);
 }
 
 TEST(Protocol, RunBatchRoundTripsEveryRowThroughTheRowDecoder) {
@@ -415,7 +622,7 @@ TEST(Protocol, RunBatchRoundTripsEveryRowThroughTheRowDecoder) {
   }
   const auto encoded = dist::encode(batch);
   EXPECT_EQ(dist::peek_type(encoded), dist::MsgType::RunBatch);
-  const auto decoded = dist::decode_run_batch(encoded);
+  const auto decoded = dist::decode<dist::RunBatch>(encoded);
   ASSERT_EQ(decoded.rows.size(), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(decoded.rows[i].run_index, 10 + i);
@@ -426,7 +633,7 @@ TEST(Protocol, RunBatchRoundTripsEveryRowThroughTheRowDecoder) {
   }
   // An empty batch is legal (the worker never sends one, but the decoder
   // must not confuse "no rows" with truncation).
-  EXPECT_TRUE(dist::decode_run_batch(dist::encode(dist::RunBatch{})).rows.empty());
+  EXPECT_TRUE(dist::decode<dist::RunBatch>(dist::encode(dist::RunBatch{})).rows.empty());
 }
 
 TEST(Protocol, RunBatchRejectsForgedCountAndBadRows) {
@@ -436,13 +643,13 @@ TEST(Protocol, RunBatchRejectsForgedCountAndBadRows) {
   // Byte 1 is the low byte of the LE row count: forging 0xff promises more
   // rows than the payload could hold, which must throw before any loop runs.
   encoded[1] = std::byte{0xff};
-  EXPECT_THROW((void)dist::decode_run_batch(encoded), std::out_of_range);
+  EXPECT_THROW((void)dist::decode<dist::RunBatch>(encoded), std::out_of_range);
   // A row with an out-of-range outcome poisons the whole batch.
   auto bad_row = dist::encode(batch);
   // Offset: tag(1) + count(4) + blob length(8) + row tag(1) + unit_id(8) +
   // cell_index(4) + run_index(8) = the row's outcome byte.
   bad_row[1 + 4 + 8 + 1 + 8 + 4 + 8] = std::byte{0x7f};
-  EXPECT_THROW((void)dist::decode_run_batch(bad_row), std::invalid_argument);
+  EXPECT_THROW((void)dist::decode<dist::RunBatch>(bad_row), std::invalid_argument);
 }
 
 TEST(Protocol, RunRowRejectsOutOfRangeOutcome) {
@@ -451,11 +658,11 @@ TEST(Protocol, RunRowRejectsOutOfRangeOutcome) {
   // The outcome byte sits right after unit_id(8) + cell_index(4) +
   // run_index(8) + the tag byte.
   encoded[1 + 8 + 4 + 8] = std::byte{0x7f};
-  EXPECT_THROW((void)dist::decode_run_row(encoded), std::invalid_argument);
+  EXPECT_THROW((void)dist::decode<dist::RunRow>(encoded), std::invalid_argument);
 }
 
 TEST(Protocol, UnitDoneRoundTrip) {
-  EXPECT_EQ(dist::decode_unit_done(dist::encode(dist::UnitDone{41})).unit_id, 41u);
+  EXPECT_EQ(dist::decode<dist::UnitDone>(dist::encode(dist::UnitDone{41})).unit_id, 41u);
 }
 
 TEST(Protocol, HelloCarriesAuthTokenAndReconnect) {
@@ -463,7 +670,7 @@ TEST(Protocol, HelloCarriesAuthTokenAndReconnect) {
   m.worker_name = "node-9";
   m.auth_token = "fleet-secret";
   m.reconnect = true;
-  const auto decoded = dist::decode_hello(dist::encode(m));
+  const auto decoded = dist::decode<dist::Hello>(dist::encode(m));
   EXPECT_EQ(decoded.version, dist::kProtocolVersion);
   EXPECT_EQ(decoded.auth_token, "fleet-secret");
   EXPECT_TRUE(decoded.reconnect);
@@ -479,14 +686,14 @@ TEST(Protocol, OtherVersionHelloDecodesOnlyItsPrefix) {
   w.u32(dist::kProtocolMagic);
   w.u32(1);
   w.str("old-node");
-  const auto decoded = dist::decode_hello(v1);
+  const auto decoded = dist::decode<dist::Hello>(v1);
   EXPECT_EQ(decoded.magic, dist::kProtocolMagic);
   EXPECT_EQ(decoded.version, 1u);
   EXPECT_TRUE(decoded.worker_name.empty());
   // This build's Hello with trailing bytes is still malformed.
   auto padded = dist::encode(dist::Hello{});
   padded.push_back(std::byte{0});
-  EXPECT_THROW((void)dist::decode_hello(padded), std::out_of_range);
+  EXPECT_THROW((void)dist::decode<dist::Hello>(padded), std::out_of_range);
 }
 
 TEST(Protocol, HelloAckCarriesHeartbeatInterval) {
@@ -494,9 +701,9 @@ TEST(Protocol, HelloAckCarriesHeartbeatInterval) {
   m.worker_id = 2;
   m.heartbeat_interval_ms = 750;
   const auto encoded = dist::encode(m);
-  EXPECT_EQ(dist::decode_hello_ack(encoded).heartbeat_interval_ms, 750u);
+  EXPECT_EQ(dist::decode<dist::HelloAck>(encoded).heartbeat_interval_ms, 750u);
   const util::ByteSpan truncated(encoded.data(), encoded.size() - 8);
-  EXPECT_THROW((void)dist::decode_hello_ack(truncated), std::out_of_range);
+  EXPECT_THROW((void)dist::decode<dist::HelloAck>(truncated), std::out_of_range);
 }
 
 TEST(Protocol, PingPongRoundTripAsTagOnly) {
@@ -526,10 +733,10 @@ TEST(Protocol, PeekTypeRejectsEmptyAndUnknown) {
 
 TEST(Protocol, DecodersRejectWrongTagAndTrailingGarbage) {
   const auto hello = dist::encode(dist::Hello{});
-  EXPECT_THROW((void)dist::decode_work_grant(hello), std::invalid_argument);
+  EXPECT_THROW((void)dist::decode<dist::WorkGrant>(hello), std::invalid_argument);
   auto padded = dist::encode(dist::UnitDone{1});
   padded.push_back(std::byte{0});
-  EXPECT_THROW((void)dist::decode_unit_done(padded), std::out_of_range);
+  EXPECT_THROW((void)dist::decode<dist::UnitDone>(padded), std::out_of_range);
 }
 
 // --- FaultySocket ------------------------------------------------------------
@@ -653,46 +860,11 @@ void fuzz_decoder(const util::Bytes& valid,
 }
 
 TEST(ProtocolFuzz, MalformedFramesThrowNeverCrash) {
-  dist::Hello hello;
-  hello.worker_name = "fuzzed-worker";
-  fuzz_decoder(dist::encode(hello),
-               [](util::ByteSpan b) { (void)dist::decode_hello(b); });
-
-  dist::HelloAck ack;
-  ack.worker_id = 1;
-  ack.plan_text = "runs = 4\n[cell]\nfault = BF\n";
-  ack.checkpoint_dir = "/tmp/ffis-store";
-  fuzz_decoder(dist::encode(ack),
-               [](util::ByteSpan b) { (void)dist::decode_hello_ack(b); });
-
-  dist::WorkGrant grant;
-  grant.unit_id = 3;
-  grant.cell_index = 1;
-  grant.run_begin = 32;
-  grant.run_end = 64;
-  fuzz_decoder(dist::encode(grant),
-               [](util::ByteSpan b) { (void)dist::decode_work_grant(b); });
-
-  dist::CellInfo info;
-  info.cell_index = 2;
-  info.error = "prepare failed";
-  fuzz_decoder(dist::encode(info),
-               [](util::ByteSpan b) { (void)dist::decode_cell_info(b); });
-
-  dist::RunRow row;
-  row.outcome = core::Outcome::Crash;
-  row.execute_ms = 3.5;
-  fuzz_decoder(dist::encode(row),
-               [](util::ByteSpan b) { (void)dist::decode_run_row(b); });
-
-  dist::RunBatch batch;
-  batch.rows.push_back(row);
-  batch.rows.emplace_back();
-  fuzz_decoder(dist::encode(batch),
-               [](util::ByteSpan b) { (void)dist::decode_run_batch(b); });
-
-  fuzz_decoder(dist::encode(dist::UnitDone{7}),
-               [](util::ByteSpan b) { (void)dist::decode_unit_done(b); });
+  const auto fuzz = [](const auto& frame) {
+    using Frame = std::decay_t<decltype(frame)>;
+    fuzz_decoder(dist::encode(frame), [](util::ByteSpan b) { (void)dist::decode<Frame>(b); });
+  };
+  std::apply([&](const auto&... frame) { (fuzz(frame), ...); }, sample_frames());
 }
 
 }  // namespace

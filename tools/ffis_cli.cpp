@@ -1,16 +1,15 @@
 // ffis — command-line driver for the FFIS fault-injection framework.
 //
-// Subcommands:
-//   ffis plan     <config-file> [--checkpoint-dir DIR] [--serve PORT]
-//                 [--workers N] [--unit-runs N] [--dry-run]
-//                                 run a multi-cell experiment plan, locally
+// Subcommands (run `ffis` without arguments for each one's flags, which
+// usage() prints from the flag tables below):
+//   ffis plan     <config-file>   run a multi-cell experiment plan, locally
 //                                 or as a distributed coordinator
-//   ffis worker   <host:port> [--threads N] [--checkpoint-dir DIR] [--name S]
-//                                 execute work units for a remote coordinator
+//   ffis worker   <host:port>     execute work units for a remote coordinator
 //   ffis campaign <config-file>   run a single fault-injection campaign
 //   ffis sweep    <config-file>   byte-wise HDF5 metadata sweep (Table III)
 //   ffis profile  <config-file>   fault-free I/O profile of an application
 //   ffis doctor   <dir> <file>    diagnose/repair an HDF5 file on disk
+//   ffis store gc <dir>           offline GC/compaction of a checkpoint store
 //   ffis paper    <artifact>      reproduce one of the paper's tables,
 //                                 figures or ablations (ffis::paper);
 //                                 FFIS_RUNS, FFIS_SEED and FFIS_NYX_GRID
@@ -18,7 +17,8 @@
 //   ffis demo                     one-shot end-to-end demonstration
 //
 // Numeric flags take unsigned decimal integers only; anything else (a
-// sign, trailing junk) prints usage and exits 2.
+// sign, trailing junk), an unknown flag, or a flag the invocation's mode
+// cannot honour prints usage and exits 2.
 //
 // Single-campaign config files (campaign/sweep/profile) are "key = value"
 // text (see exp::parse_campaign_config — a plan's defaults block alone):
@@ -69,9 +69,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -98,21 +100,148 @@ using namespace ffis;
 
 namespace {
 
+// --- flag tables ---------------------------------------------------------------
+
+/// The modes a `plan` invocation runs in.  Each flag names the modes that
+/// honour it; a flag given in none of the invocation's modes is a usage
+/// error, not a no-op.  Other subcommands' flags keep kAnyMode.
+enum Mode : unsigned { kLocal = 1, kFleet = 2, kDryRun = 4, kAnyMode = 7 };
+
+/// One command-line flag of a subcommand's table.
+struct Flag {
+  const char* name;
+  /// The value's placeholder in usage(); nullptr for a switch.
+  const char* value;
+  /// Stores the value (nullptr for a switch); false when it is malformed.
+  std::function<bool(const char*)> set;
+  unsigned modes = kAnyMode;
+};
+
+/// Stores a flag's value in `out`: a switch as true, text as given, a
+/// number only when it is an unsigned decimal in [min, max] (false
+/// otherwise), into a u64 or an optional one.
+template <class T>
+std::function<bool(const char*)> into(T& out, std::uint64_t min = 0,
+                                      std::uint64_t max = UINT64_MAX) {
+  return [&out, min, max](const char* text) {
+    if constexpr (std::is_same_v<T, bool>) {
+      out = true;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      out = text;
+    } else {
+      const auto value = util::parse_u64(text);
+      if (!value || *value < min || *value > max) return false;
+      out = *value;
+    }
+    return true;
+  };
+}
+
+/// Parses argv[first..] against `table`, then checks every given flag
+/// against the invocation's modes (`modes`, read once all flags are
+/// stored).  False (-> usage) on an unknown flag, a missing or malformed
+/// value, or a flag no mode of the invocation honours.
+bool parse_flags(int argc, char** argv, int first, const std::vector<Flag>& table,
+                 const std::function<unsigned()>& modes = [] { return kAnyMode; }) {
+  std::vector<const Flag*> given;
+  for (int i = first; i < argc; ++i) {
+    const auto flag = std::find_if(table.begin(), table.end(), [&](const Flag& f) {
+      return std::string_view(argv[i]) == f.name;
+    });
+    if (flag == table.end() || (flag->value != nullptr && ++i >= argc)) return false;
+    if (!flag->set(flag->value != nullptr ? argv[i] : nullptr)) return false;
+    given.push_back(&*flag);
+  }
+  const unsigned mode = modes();
+  return std::all_of(given.begin(), given.end(),
+                     [&](const Flag* f) { return (f->modes & mode) != 0; });
+}
+
+struct PlanFlags {
+  std::string checkpoint_dir;  ///< overrides the config's checkpoint_dir
+  std::optional<std::uint64_t> checkpoint_budget;  ///< overrides the config key
+  std::optional<std::uint64_t> port;  ///< --serve PORT (0 = ephemeral): act as a coordinator
+  std::uint64_t workers = 0;   ///< local worker processes to fork
+  std::optional<std::uint64_t> unit_runs;  ///< work-unit size (default 32)
+  std::optional<std::uint64_t> unit_timeout_ms;  ///< overrides the config key
+  std::string journal_path;    ///< --journal: resumable campaign journal
+  std::string auth_token;      ///< --auth-token / FFIS_AUTH_TOKEN
+  /// --block-device: mount a passive vfs::BlockDevice under syscall-level
+  /// cells too (media cells always get one); tallies are bit-identical with
+  /// the flag on or off — it exists for A/B-ing the block layer's overhead.
+  bool block_device = false;
+  bool dry_run = false;        ///< print the work-unit table, execute nothing
+
+  [[nodiscard]] bool distributed() const { return port.has_value() || workers > 0; }
+  [[nodiscard]] unsigned modes() const {
+    return (distributed() ? kFleet : kLocal) | (dry_run ? kDryRun : 0);
+  }
+};
+
+std::vector<Flag> plan_flags(PlanFlags& f) {
+  return {
+      {"--checkpoint-dir", "DIR", into(f.checkpoint_dir)},
+      {"--checkpoint-budget", "BYTES", into(f.checkpoint_budget)},
+      {"--serve", "PORT", into(f.port, 0, 65535)},
+      {"--workers", "N", into(f.workers)},
+      // Units shard a fleet's work, and a dry run prints them.
+      {"--unit-runs", "N", into(f.unit_runs, 1), kFleet | kDryRun},
+      {"--unit-timeout", "MS", into(f.unit_timeout_ms), kFleet},
+      {"--journal", "PATH", into(f.journal_path), kFleet},
+      {"--auth-token", "TOK", into(f.auth_token), kFleet},
+      {"--block-device", nullptr, into(f.block_device), kLocal},
+      {"--dry-run", nullptr, into(f.dry_run)},
+  };
+}
+
+struct WorkerFlags {
+  std::uint64_t threads = 0;
+  std::string checkpoint_dir;
+  std::string name;
+  std::string auth_token;                ///< --auth-token / FFIS_AUTH_TOKEN
+  std::uint64_t retry_attempts = 1;      ///< --retry N (total attempts)
+  std::uint64_t retry_backoff_ms = 100;  ///< --retry-backoff MS (first delay)
+};
+
+std::vector<Flag> worker_flags(WorkerFlags& f) {
+  return {
+      {"--threads", "N", into(f.threads)},
+      {"--checkpoint-dir", "DIR", into(f.checkpoint_dir)},
+      {"--name", "NAME", into(f.name)},
+      {"--retry", "N", into(f.retry_attempts, 1)},
+      {"--retry-backoff", "MS", into(f.retry_backoff_ms, 1)},
+      {"--auth-token", "TOK", into(f.auth_token)},
+  };
+}
+
+std::vector<Flag> doctor_flags(std::uint64_t& grid) { return {{"--grid", "N", into(grid)}}; }
+
+/// One usage entry: `command` and its flag table, wrapped at 72 columns.
+std::string synopsis(const std::string& command, const std::vector<Flag>& table = {}) {
+  std::string out = "       " + command;
+  for (const Flag& flag : table) {
+    const std::string item = std::string(" [") + flag.name +
+                             (flag.value != nullptr ? std::string(" ") + flag.value : "") + "]";
+    // The current line's length; rfind's npos + 1 wraps to 0 on the first.
+    if (out.size() - (out.rfind('\n') + 1) + item.size() > 72) out += "\n" + std::string(16, ' ');
+    out += item;
+  }
+  return out + "\n";
+}
+
 int usage() {
+  PlanFlags plan;
+  WorkerFlags worker;
+  std::uint64_t grid = 0;
+  std::string commands = synopsis("ffis plan <config-file>", plan_flags(plan)) +
+                         synopsis("ffis worker <host:port>", worker_flags(worker)) +
+                         synopsis("ffis store gc <dir>") +
+                         synopsis("ffis <campaign|sweep|profile> <config-file>") +
+                         synopsis("ffis doctor <host-dir> </file.h5>", doctor_flags(grid)) +
+                         synopsis("ffis paper <artifact>") + synopsis("ffis demo");
+  commands.replace(0, 6, "usage:");
   std::fprintf(stderr,
-               "usage: ffis plan <config-file> [--checkpoint-dir DIR] [--serve PORT]\n"
-               "                 [--checkpoint-budget BYTES] [--workers N]\n"
-               "                 [--unit-runs N] [--unit-timeout MS]\n"
-               "                 [--journal PATH] [--auth-token TOK] [--block-device]\n"
-               "                 [--dry-run]\n"
-               "       ffis worker <host:port> [--threads N] [--checkpoint-dir DIR]\n"
-               "                 [--name NAME] [--retry N] [--retry-backoff MS]\n"
-               "                 [--auth-token TOK]\n"
-               "       ffis store gc <dir>\n"
-               "       ffis <campaign|sweep|profile> <config-file>\n"
-               "       ffis doctor <host-dir> </file.h5> [--grid N]\n"
-               "       ffis paper <artifact>\n"
-               "       ffis demo\n"
+               "%s"
                "\n"
                "plan runs a multi-cell experiment plan: defaults (runs, seed,\n"
                "threads, optional csv/jsonl output paths, optional\n"
@@ -151,7 +280,8 @@ int usage() {
                "exponential backoff starting at --retry-backoff ms.  See the\n"
                "header of tools/ffis_cli.cpp or README.md for examples.\n"
                "\n"
-               "`ffis paper` with no artifact lists the paper's artifacts.\n");
+               "`ffis paper` with no artifact lists the paper's artifacts.\n",
+               commands.c_str());
   return 2;
 }
 
@@ -234,26 +364,6 @@ int cmd_campaign(const std::string& config_path) {
   }
   return 0;
 }
-
-struct PlanFlags {
-  std::string checkpoint_dir;  ///< overrides the config's checkpoint_dir
-  std::uint64_t checkpoint_budget = 0;  ///< --checkpoint-budget BYTES
-  bool checkpoint_budget_set = false;   ///< flag overrides the config key
-  bool serve = false;          ///< act as a distributed coordinator
-  std::uint16_t port = 0;      ///< --serve PORT (0 = ephemeral)
-  std::size_t workers = 0;     ///< local worker processes to fork
-  std::uint64_t unit_runs = 32;
-  bool unit_runs_set = false;
-  std::uint64_t unit_timeout_ms = 0;  ///< --unit-timeout (overrides config key)
-  bool unit_timeout_set = false;
-  std::string journal_path;    ///< --journal: resumable campaign journal
-  std::string auth_token;      ///< --auth-token / FFIS_AUTH_TOKEN
-  /// --block-device: mount a passive vfs::BlockDevice under syscall-level
-  /// cells too (media cells always get one); tallies are bit-identical with
-  /// the flag on or off — it exists for A/B-ing the block layer's overhead.
-  bool block_device = false;
-  bool dry_run = false;        ///< print the work-unit table, execute nothing
-};
 
 /// Shared-secret token: the explicit flag wins, then FFIS_AUTH_TOKEN, then
 /// none.  Both `plan --serve` and `worker` resolve through here so setting
@@ -347,15 +457,6 @@ pid_t fork_local_worker(std::uint16_t port, const exp::ExperimentPlan& plan,
 }
 
 int cmd_plan(const std::string& config_path, const PlanFlags& flags) {
-  const bool distributed = flags.serve || flags.workers > 0;
-  // A flag the chosen mode cannot honour is a usage error, not a no-op.
-  // Units shard a fleet's work, and a dry run prints them.
-  if (distributed ? flags.block_device
-                  : flags.unit_timeout_set || !flags.journal_path.empty() ||
-                        !flags.auth_token.empty() ||
-                        (flags.unit_runs_set && !flags.dry_run)) {
-    return usage();
-  }
   const std::string config_text = slurp(config_path);
   auto plan_config = exp::parse_plan_config(config_text);
   if (!flags.checkpoint_dir.empty()) {
@@ -363,12 +464,13 @@ int cmd_plan(const std::string& config_path, const PlanFlags& flags) {
   }
   // A budget bounds a checkpoint store.  Only workers of a served plan can
   // bring their own (`ffis worker --checkpoint-dir`).
-  if (flags.checkpoint_budget_set && plan_config.checkpoint_dir.empty() && !flags.serve) {
+  if (flags.checkpoint_budget && plan_config.checkpoint_dir.empty() && !flags.port) {
     return usage();
   }
   const auto plan = exp::build_plan(plan_config);
 
-  if (flags.dry_run) return dry_run_plan(plan, flags.unit_runs);
+  const std::uint64_t unit_runs = flags.unit_runs.value_or(32);
+  if (flags.dry_run) return dry_run_plan(plan, unit_runs);
 
   std::printf("experiment plan: %zu cells, %llu total runs\n\n", plan.size(),
               static_cast<unsigned long long>(plan.total_runs()));
@@ -393,12 +495,13 @@ int cmd_plan(const std::string& config_path, const PlanFlags& flags) {
   }
 
   exp::ExperimentReport report;
-  if (distributed) {
+  const std::uint64_t checkpoint_budget =
+      flags.checkpoint_budget.value_or(plan_config.checkpoint_budget);
+  if (flags.distributed()) {
     dist::CoordinatorOptions options;
-    options.port = flags.port;
-    options.unit_runs = flags.unit_runs;
-    options.unit_timeout_ms =
-        flags.unit_timeout_set ? flags.unit_timeout_ms : plan_config.unit_timeout_ms;
+    options.port = static_cast<std::uint16_t>(flags.port.value_or(0));
+    options.unit_runs = unit_runs;
+    options.unit_timeout_ms = flags.unit_timeout_ms.value_or(plan_config.unit_timeout_ms);
     if (options.unit_timeout_ms > 0) {
       // Workers must prove liveness well inside the timeout window, or a
       // slow-but-alive worker would lose its grants to the stale sweep.
@@ -408,9 +511,7 @@ int cmd_plan(const std::string& config_path, const PlanFlags& flags) {
     options.auth_token = resolve_auth_token(flags.auth_token);
     options.plan_text = config_text;  // remote workers rebuild the plan from it
     options.engine.checkpoint_dir = plan_config.checkpoint_dir;
-    options.engine.checkpoint_budget = flags.checkpoint_budget_set
-                                           ? flags.checkpoint_budget
-                                           : plan_config.checkpoint_budget;
+    options.engine.checkpoint_budget = checkpoint_budget;
     dist::Coordinator coordinator(plan, options);
     SigintDrain drain(coordinator);
     std::printf("coordinator listening on port %u (%zu local workers)\n",
@@ -446,9 +547,7 @@ int cmd_plan(const std::string& config_path, const PlanFlags& flags) {
     exp::EngineOptions options;
     options.threads = plan_config.threads;
     options.checkpoint_dir = plan_config.checkpoint_dir;
-    options.checkpoint_budget = flags.checkpoint_budget_set
-                                    ? flags.checkpoint_budget
-                                    : plan_config.checkpoint_budget;
+    options.checkpoint_budget = checkpoint_budget;
     options.force_block_device = flags.block_device;
     options.progress = print_run_progress;
     exp::Engine engine(options);
@@ -466,15 +565,6 @@ int cmd_plan(const std::string& config_path, const PlanFlags& flags) {
   }
   return 0;
 }
-
-struct WorkerFlags {
-  std::size_t threads = 0;
-  std::string checkpoint_dir;
-  std::string name;
-  std::string auth_token;            ///< --auth-token / FFIS_AUTH_TOKEN
-  std::size_t retry_attempts = 1;    ///< --retry N (total attempts)
-  std::uint64_t retry_backoff_ms = 100;  ///< --retry-backoff MS (first delay)
-};
 
 int cmd_worker(const std::string& target, const WorkerFlags& flags) {
   const auto colon = target.rfind(':');
@@ -495,8 +585,8 @@ int cmd_worker(const std::string& target, const WorkerFlags& flags) {
   options.threads = flags.threads;
   options.checkpoint_dir_override = flags.checkpoint_dir;
   options.auth_token = resolve_auth_token(flags.auth_token);
-  options.retry_attempts = std::max<std::size_t>(1, flags.retry_attempts);
-  options.retry_backoff_ms = std::max<std::uint64_t>(1, flags.retry_backoff_ms);
+  options.retry_attempts = flags.retry_attempts;
+  options.retry_backoff_ms = flags.retry_backoff_ms;
   // A homogeneous fleet started from one script must not retry in lockstep;
   // mixing the worker name into the jitter seed spreads the reconnects out.
   std::uint64_t seed = 0xcbf29ce484222325ULL;
@@ -636,70 +726,17 @@ int cmd_store_gc(const std::string& dir) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  // Stores the value after a numeric flag in `out`; false (-> usage) unless
-  // it is an unsigned decimal integer in [min, max].
-  const auto numeric = [&](int& i, auto& out, std::uint64_t min = 0,
-                           std::uint64_t max = UINT64_MAX) {
-    const auto value = util::parse_u64(argv[++i]);
-    if (!value || *value < min || *value > max) return false;
-    out = static_cast<std::remove_reference_t<decltype(out)>>(*value);
-    return true;
-  };
   try {
     if (command == "plan" && argc >= 3) {
       PlanFlags flags;
-      for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--checkpoint-dir" && i + 1 < argc) {
-          flags.checkpoint_dir = argv[++i];
-        } else if (arg == "--checkpoint-budget" && i + 1 < argc) {
-          if (!numeric(i, flags.checkpoint_budget)) return usage();
-          flags.checkpoint_budget_set = true;
-        } else if (arg == "--serve" && i + 1 < argc) {
-          if (!numeric(i, flags.port, 0, 65535)) return usage();
-          flags.serve = true;
-        } else if (arg == "--workers" && i + 1 < argc) {
-          if (!numeric(i, flags.workers)) return usage();
-        } else if (arg == "--unit-runs" && i + 1 < argc) {
-          if (!numeric(i, flags.unit_runs, 1)) return usage();
-          flags.unit_runs_set = true;
-        } else if (arg == "--unit-timeout" && i + 1 < argc) {
-          if (!numeric(i, flags.unit_timeout_ms)) return usage();
-          flags.unit_timeout_set = true;
-        } else if (arg == "--journal" && i + 1 < argc) {
-          flags.journal_path = argv[++i];
-        } else if (arg == "--auth-token" && i + 1 < argc) {
-          flags.auth_token = argv[++i];
-        } else if (arg == "--block-device") {
-          flags.block_device = true;
-        } else if (arg == "--dry-run") {
-          flags.dry_run = true;
-        } else {
-          return usage();
-        }
+      if (!parse_flags(argc, argv, 3, plan_flags(flags), [&] { return flags.modes(); })) {
+        return usage();
       }
       return cmd_plan(argv[2], flags);
     }
     if (command == "worker" && argc >= 3) {
       WorkerFlags flags;
-      for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--threads" && i + 1 < argc) {
-          if (!numeric(i, flags.threads)) return usage();
-        } else if (arg == "--checkpoint-dir" && i + 1 < argc) {
-          flags.checkpoint_dir = argv[++i];
-        } else if (arg == "--name" && i + 1 < argc) {
-          flags.name = argv[++i];
-        } else if (arg == "--auth-token" && i + 1 < argc) {
-          flags.auth_token = argv[++i];
-        } else if (arg == "--retry" && i + 1 < argc) {
-          if (!numeric(i, flags.retry_attempts, 1)) return usage();
-        } else if (arg == "--retry-backoff" && i + 1 < argc) {
-          if (!numeric(i, flags.retry_backoff_ms, 1)) return usage();
-        } else {
-          return usage();
-        }
-      }
+      if (!parse_flags(argc, argv, 3, worker_flags(flags))) return usage();
       return cmd_worker(argv[2], flags);
     }
     if (command == "store" && argc == 4 && std::string(argv[2]) == "gc") {
@@ -708,17 +745,13 @@ int main(int argc, char** argv) {
     if (command == "campaign" && argc == 3) return cmd_campaign(argv[2]);
     if (command == "sweep" && argc == 3) return cmd_sweep(argv[2]);
     if (command == "profile" && argc == 3) return cmd_profile(argv[2]);
-    if (command == "doctor" && (argc == 4 || argc == 6)) {
-      std::optional<std::uint64_t> grid = 64;
-      if (argc == 6 && std::string(argv[4]) == "--grid") grid = util::parse_u64(argv[5]);
-      if (!grid) {
-        throw std::invalid_argument(std::string("--grid must be a non-negative integer, got '") +
-                                    argv[5] + "'");
-      }
-      return cmd_doctor(argv[2], argv[3], static_cast<std::size_t>(*grid));
+    if (command == "doctor" && argc >= 4) {
+      std::uint64_t grid = 64;
+      if (!parse_flags(argc, argv, 4, doctor_flags(grid))) return usage();
+      return cmd_doctor(argv[2], argv[3], static_cast<std::size_t>(grid));
     }
     if (command == "paper") return argc == 3 ? cmd_paper(argv[2]) : paper_usage();
-    if (command == "demo") return cmd_demo();
+    if (command == "demo") return parse_flags(argc, argv, 2, {}) ? cmd_demo() : usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ffis: %s\n", e.what());
     return 1;
