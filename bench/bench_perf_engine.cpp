@@ -627,7 +627,7 @@ int main(int argc, char** argv) {
     const auto cache_checkpoint = core::Checkpoint::capture(nyx, 42, 2);
     const auto cache_golden = cache_checkpoint->grow_golden_tree(nyx, 42);
     const auto cache_key = core::CheckpointStore::Key::of(nyx, 42, 2, {});
-    if (!writer.save_checkpoint(cache_key, *cache_checkpoint, cache_golden.get(),
+    if (!writer.save_checkpoint(cache_key, *cache_checkpoint, *cache_golden,
                                 nyx.serialize_state(42))) {
       std::fprintf(stderr, "FATAL: could not populate the store-cache bench entry\n");
       return 1;

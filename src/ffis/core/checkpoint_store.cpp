@@ -11,6 +11,7 @@
 #include <mutex>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -165,78 +166,68 @@ bool is_temp_name(const std::string& name) {
   return name.find(".tmp-") != std::string::npos;
 }
 
-// -- entry payload helpers ---------------------------------------------------
+// -- the entry codec ----------------------------------------------------------
+//
+// An entry file is a payload plus an 8-byte FNV-1a trailer.  The payload:
+//
+//   "FFCKPT" | u32 store version | u32 snapshot codec version | u8 kind
+//   | str app_name | str app_fingerprint | u64 app_seed | i32 stage
+//   | u64 chunk_size                                     (the key header)
+//   | golden:     blob comparison | str report | u64 n | n x (str, f64)
+//     checkpoint: blob app_state                         (the kind's metadata)
+//   | u8 has-trees, always 1 | blob snapshot             (the entry's trees)
+//
+// A golden entry's snapshot holds the golden output tree; a checkpoint
+// entry's holds the prefix snapshot, then the golden tree grown from it, so
+// their chunk sharing survives the round trip.  write_entry and parse_entry
+// are the only code that knows this layout.
 
-void write_analysis(util::ByteWriter& w, const AnalysisResult& analysis) {
-  w.blob(analysis.comparison_blob);
-  w.str(analysis.report);
-  w.u64(analysis.metrics.size());
-  for (const auto& [name, value] : analysis.metrics) {
-    w.str(name);
-    w.f64(value);
-  }
-}
+/// A parsed entry: the key its header names (stage -1 marks a golden
+/// entry), the kind's metadata, and a view of its snapshot blob.
+struct Entry {
+  CheckpointStore::Key key;
+  AnalysisResult analysis;   ///< golden entries only
+  util::ByteSpan app_state;  ///< checkpoint entries only
+  util::ByteSpan snapshot;
+};
 
-AnalysisResult read_analysis(util::ByteReader& r) {
-  AnalysisResult analysis;
-  analysis.comparison_blob = r.blob();
-  analysis.report = r.str();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::string name = r.str();
-    analysis.metrics[name] = r.f64();
-  }
-  return analysis;
-}
-
-/// Header fields every entry carries; load verifies them against the key so
-/// a filename-hash collision (or a hand-renamed file) can never smuggle a
-/// foreign entry in.
-void write_key_header(util::ByteWriter& w, const CheckpointStore::Key& key,
-                      std::uint8_t kind, int stage) {
+/// Encodes the entry for `key`: a golden entry (key.stage < 0) carries
+/// `*analysis`, a checkpoint entry `app_state`; `trees` become its snapshot.
+util::Bytes write_entry(const CheckpointStore::Key& key, const AnalysisResult* analysis,
+                        util::ByteSpan app_state, std::span<const vfs::MemFs* const> trees) {
+  const bool golden = key.stage < 0;
+  util::Bytes data;
+  util::ByteWriter w(data);
   util::put_signature(w.out(), kMagic);
   w.u32(CheckpointStore::kFormatVersion);
   w.u32(vfs::SnapshotCodec::kFormatVersion);
-  w.u8(kind);
+  w.u8(golden ? kKindGolden : kKindCheckpoint);
   w.str(key.app_name);
   w.str(key.app_fingerprint);
   w.u64(key.app_seed);
-  w.i32(stage);
+  w.i32(golden ? -1 : key.stage);
   w.u64(key.chunk_size);
+  if (golden) {
+    w.blob(analysis->comparison_blob);
+    w.str(analysis->report);
+    w.u64(analysis->metrics.size());
+    for (const auto& [name, value] : analysis->metrics) {
+      w.str(name);
+      w.f64(value);
+    }
+  } else {
+    w.blob(app_state);
+  }
+  w.u8(1);  // has trees: every entry carries them
+  w.blob(vfs::SnapshotCodec::encode(trees));
+  return data;
 }
 
-/// Parses and verifies the header; throws std::runtime_error on mismatch.
-void read_key_header(util::ByteReader& r, const CheckpointStore::Key& key,
-                     std::uint8_t kind, int stage) {
-  if (util::to_string(r.view(kMagic.size())) != kMagic) {
-    throw std::runtime_error("bad magic");
-  }
-  if (const auto v = r.u32(); v != CheckpointStore::kFormatVersion) {
-    throw std::runtime_error("store format version " + std::to_string(v));
-  }
-  if (const auto v = r.u32(); v != vfs::SnapshotCodec::kFormatVersion) {
-    throw std::runtime_error("snapshot codec version " + std::to_string(v));
-  }
-  if (r.u8() != kind) throw std::runtime_error("entry kind mismatch");
-  if (r.str() != key.app_name) throw std::runtime_error("application name mismatch");
-  if (r.str() != key.app_fingerprint) throw std::runtime_error("fingerprint mismatch");
-  if (r.u64() != key.app_seed) throw std::runtime_error("app_seed mismatch");
-  if (r.i32() != stage) throw std::runtime_error("stage mismatch");
-  if (r.u64() != key.chunk_size) throw std::runtime_error("chunk_size mismatch");
-}
-
-/// Structural (key-agnostic) view of an entry payload: where its snapshot
-/// blob sits.  GC uses this to compact entries it holds no Key for — it
-/// validates the framing (magic, versions, kind, field bounds, exact end)
-/// without being able to check the key fields against anything.  Throws for
-/// anything malformed.
-struct EntryLayout {
-  std::size_t blob_frame_offset = 0;  ///< offset of the blob's u64 length field
-  util::ByteSpan blob;                ///< the SnapshotCodec blob
-  bool has_blob = false;
-};
-
-EntryLayout parse_entry_layout(util::ByteSpan payload) {
+/// Parses an entry payload strictly: the magic, both versions, a kind that
+/// agrees with the stage, the has-trees byte and the exact end must all
+/// check out.  The snapshot blob is only framed here; decoding it validates
+/// its contents.  Throws std::exception for anything malformed.
+Entry parse_entry(util::ByteSpan payload) {
   util::ByteReader r{payload};
   if (util::to_string(r.view(kMagic.size())) != kMagic) {
     throw std::runtime_error("bad magic");
@@ -248,32 +239,43 @@ EntryLayout parse_entry_layout(util::ByteSpan payload) {
     throw std::runtime_error("snapshot codec version " + std::to_string(v));
   }
   const std::uint8_t kind = r.u8();
-  if (kind != kKindCheckpoint && kind != kKindGolden) {
-    throw std::runtime_error("unknown entry kind " + std::to_string(kind));
+  Entry entry;
+  entry.key.app_name = r.str();
+  entry.key.app_fingerprint = r.str();
+  entry.key.app_seed = r.u64();
+  entry.key.stage = r.i32();
+  entry.key.chunk_size = r.u64();
+  const bool golden = entry.key.stage < 0;
+  if (kind != (golden ? kKindGolden : kKindCheckpoint)) {
+    throw std::runtime_error("entry kind " + std::to_string(kind) + " at stage " +
+                             std::to_string(entry.key.stage));
   }
-  (void)r.str();  // app_name
-  (void)r.str();  // app_fingerprint
-  (void)r.u64();  // app_seed
-  (void)r.i32();  // stage
-  (void)r.u64();  // chunk_size
-  if (kind == kKindCheckpoint) {
-    (void)r.view(static_cast<std::size_t>(
-        r.u64_bounded(r.remaining(), "app_state")));  // app_state blob
-    (void)r.u8();                                     // has_golden_tree
-  } else {
-    AnalysisResult scratch = read_analysis(r);  // bounds-checked skip
-    (void)scratch;
-    if (r.u8() == 0) {  // treeless golden entry: no blob at all
-      r.expect_end();
-      return EntryLayout{};
+  if (golden) {
+    entry.analysis.comparison_blob = r.blob();
+    entry.analysis.report = r.str();
+    const std::uint64_t n = r.u64();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::string name = r.str();
+      entry.analysis.metrics[name] = r.f64();
     }
+  } else {
+    entry.app_state =
+        r.view(static_cast<std::size_t>(r.u64_bounded(r.remaining(), "app_state")));
   }
-  EntryLayout out;
-  out.blob_frame_offset = payload.size() - r.remaining();
-  out.blob = r.view(static_cast<std::size_t>(r.u64_bounded(r.remaining(), "snapshot")));
-  out.has_blob = true;
+  // Older builds wrote 0 here for an entry saved without its golden tree.
+  // Such an entry reads as a miss, and the rebuild overwrites it.
+  if (r.u8() != 1) throw std::runtime_error("entry carries no trees");
+  entry.snapshot =
+      r.view(static_cast<std::size_t>(r.u64_bounded(r.remaining(), "snapshot")));
   r.expect_end();
-  return out;
+  return entry;
+}
+
+/// Loads compare the header with the key they asked for, so a filename-hash
+/// collision (or a hand-renamed file) can never smuggle a foreign entry in.
+bool same_key(const CheckpointStore::Key& a, const CheckpointStore::Key& b) {
+  return std::tie(a.app_name, a.app_fingerprint, a.app_seed, a.stage, a.chunk_size) ==
+         std::tie(b.app_name, b.app_fingerprint, b.app_seed, b.stage, b.chunk_size);
 }
 
 // -- checked file IO ---------------------------------------------------------
@@ -457,7 +459,7 @@ CheckpointStore::GcResult gc_locked(CheckpointStoreState& st, const std::string&
 /// trigger an eviction on every subsequent write).  Leased entries and
 /// `keep` (the entry a save just published) are skipped.  If a full sweep
 /// still leaves the total over budget, everything left is pinned —
-/// compaction is the only remaining lever, so run a GC pass.
+/// dropping invalid entries is the only remaining lever, so run a GC pass.
 void evict_to_budget_locked(CheckpointStoreState& st, const std::string& dir,
                             std::uint64_t budget, const std::string* keep,
                             CheckpointStore::Stats& stats) {
@@ -481,14 +483,13 @@ void evict_to_budget_locked(CheckpointStoreState& st, const std::string& dir,
   if (st.total_bytes > budget) gc_locked(st, dir, stats);
 }
 
-/// The GC/compaction pass (see CheckpointStore::gc for the contract).  Every
-/// destructive step is either an unlink of a dispensable file or the same
-/// temp+rename publication a save uses, so a crash at any kill point leaves
-/// a valid store.
+/// The GC pass (see CheckpointStore::gc for the contract).  Its only
+/// destructive step is an unlink of a dispensable file, so a crash at any
+/// kill point leaves a valid store.
 CheckpointStore::GcResult gc_locked(CheckpointStoreState& st, const std::string& dir,
                                     CheckpointStore::Stats& stats) {
   CheckpointStore::GcResult res;
-  // Snapshot the listing first: the pass removes and renames entries.
+  // Snapshot the listing first: the pass removes entries.
   std::vector<std::string> names;
   {
     std::error_code ec;
@@ -514,37 +515,15 @@ CheckpointStore::GcResult gc_locked(CheckpointStoreState& st, const std::string&
     try {
       const auto data = read_checked(path);
       if (!data) continue;  // vanished underneath us
-      const EntryLayout layout = parse_entry_layout(data->payload);
-      const std::uint64_t old_file_bytes = data->payload.size() + 8;
-      if (layout.has_blob) {
-        if (const auto compacted = vfs::SnapshotCodec::compact(layout.blob)) {
-          util::Bytes rebuilt(data->payload.begin(),
-                              data->payload.begin() +
-                                  static_cast<std::ptrdiff_t>(layout.blob_frame_offset));
-          util::ByteWriter w(rebuilt);
-          w.blob(*compacted);
-          const std::uint64_t new_file_bytes = rebuilt.size() + 8;
-          if (new_file_bytes < old_file_bytes) {
-            kill_point("gc:rewrite");
-            if (write_checked(path, std::move(rebuilt))) {
-              res.entries_compacted += 1;
-              res.bytes_reclaimed += old_file_bytes - new_file_bytes;
-              note_saved_locked(st, name, new_file_bytes);
-            }
-          }
-        }
-      }
+      (void)parse_entry(data->payload);
       res.entries_kept += 1;
       // Re-sync the index: gc may be the first observer of another
       // process's entries.
-      std::error_code sec;
-      const auto size = fs::file_size(path, sec);
-      if (!sec) {
-        if (CheckpointStoreState::EntryNode* n = st.find(name)) {
-          st.set_bytes(n, size);
-        } else {
-          note_saved_locked(st, name, size);
-        }
+      const std::uint64_t size = data->payload.size() + 8;  // + checksum trailer
+      if (CheckpointStoreState::EntryNode* n = st.find(name)) {
+        st.set_bytes(n, size);
+      } else {
+        note_saved_locked(st, name, size);
       }
     } catch (const std::exception& e) {
       util::log_warn("checkpoint store: gc dropping {}: {}", path, e.what());
@@ -642,22 +621,10 @@ std::string CheckpointStore::entry_path(const Key& key) const {
       .string();
 }
 
-bool CheckpointStore::save_checkpoint(const Key& key, const Checkpoint& checkpoint,
-                                      const vfs::MemFs* golden_tree,
-                                      util::ByteSpan app_state) const {
-  if (key.app_fingerprint.empty() || key.stage < 0) return false;
-  util::Bytes data;
-  util::ByteWriter w(data);
-  write_key_header(w, key, kKindCheckpoint, key.stage);
-  w.blob(app_state);
-  w.u8(golden_tree != nullptr ? 1 : 0);
-  std::vector<const vfs::MemFs*> trees{&checkpoint.fs()};
-  if (golden_tree != nullptr) trees.push_back(golden_tree);
-  w.blob(vfs::SnapshotCodec::encode(
-      std::span<const vfs::MemFs* const>(trees.data(), trees.size())));
+bool CheckpointStore::publish(const Key& key, util::Bytes payload) const {
   const std::string path = entry_path(key);
-  const std::uint64_t file_bytes = data.size() + 8;  // + checksum trailer
-  if (!write_checked(path, std::move(data))) {
+  const std::uint64_t file_bytes = payload.size() + 8;  // + checksum trailer
+  if (!write_checked(path, std::move(payload))) {
     util::log_warn("checkpoint store: could not write {}", path);
     return false;
   }
@@ -666,84 +633,64 @@ bool CheckpointStore::save_checkpoint(const Key& key, const Checkpoint& checkpoi
   note_saved_locked(*state_, name, file_bytes);
   evict_to_budget_locked(*state_, dir_, options_.budget_bytes, &name, stats_);
   return true;
+}
+
+template <class Loaded, class Decode>
+std::optional<Loaded> CheckpointStore::load_entry(const Key& key, Decode decode) const {
+  const std::string path = entry_path(key);
+  try {
+    if (const auto data = read_checked(path)) {
+      Entry entry = parse_entry(data->payload);
+      if (!same_key(entry.key, key)) throw std::runtime_error("entry header names another key");
+      Loaded out = decode(entry, *data);
+      std::scoped_lock lock(state_->mutex);
+      stats_.hits += 1;
+      touch_locked(*state_, dir_, fs::path(path).filename().string());
+      return out;
+    }
+  } catch (const std::exception& e) {
+    util::log_warn("checkpoint store: rejecting {}: {}", path, e.what());
+  }
+  std::scoped_lock lock(state_->mutex);
+  stats_.misses += 1;
+  return std::nullopt;
+}
+
+bool CheckpointStore::save_checkpoint(const Key& key, const Checkpoint& checkpoint,
+                                      const vfs::MemFs& golden_tree,
+                                      util::ByteSpan app_state) const {
+  if (key.app_fingerprint.empty() || key.stage < 0) return false;
+  const vfs::MemFs* trees[] = {&checkpoint.fs(), &golden_tree};
+  return publish(key, write_entry(key, nullptr, app_state, trees));
 }
 
 std::optional<CheckpointStore::LoadedCheckpoint> CheckpointStore::load_checkpoint(
     const Key& key, const vfs::MemFs::Options& fs_options, bool want_golden_tree) const {
   if (key.app_fingerprint.empty() || key.stage < 0) return std::nullopt;
-  const std::string path = entry_path(key);
-  try {
-    const auto data = read_checked(path);
-    if (!data) {
-      std::scoped_lock lock(state_->mutex);
-      stats_.misses += 1;
-      return std::nullopt;
-    }
-    util::ByteReader r{data->payload};
-    read_key_header(r, key, kKindCheckpoint, key.stage);
-
+  return load_entry<LoadedCheckpoint>(key, [&](const Entry& entry, const CheckedData& data) {
     LoadedCheckpoint out;
-    out.app_state = r.blob();
-    const bool has_golden_tree = r.u8() != 0;
-    // View, not copy: the codec reads straight out of the file buffer (or
-    // the mapping, on the zero-copy path).
-    const util::ByteSpan snapshot = r.view(static_cast<std::size_t>(r.u64()));
-    r.expect_end();
-
-    std::shared_ptr<Checkpoint> checkpoint(
-        new Checkpoint(key.stage, frozen_options(fs_options)));
-    std::vector<vfs::MemFs*> targets{&checkpoint->fs_};
+    auto checkpoint =
+        std::shared_ptr<Checkpoint>(new Checkpoint(key.stage, frozen_options(fs_options)));
+    // A declined golden tree decodes as a null target: parsed over for
+    // framing, never materialized.
     std::shared_ptr<vfs::MemFs> golden_tree;
-    if (has_golden_tree) {
-      // A declined golden tree decodes as a null target: parsed over for
-      // framing, never materialized.
-      if (want_golden_tree) {
-        golden_tree =
-            std::shared_ptr<vfs::MemFs>(new vfs::MemFs(frozen_options(fs_options)));
-      }
-      targets.push_back(golden_tree.get());
-    }
-    decode_snapshot(*data, snapshot, targets);
+    if (want_golden_tree) golden_tree.reset(new vfs::MemFs(frozen_options(fs_options)));
+    vfs::MemFs* const targets[] = {&checkpoint->fs_, golden_tree.get()};
+    decode_snapshot(data, entry.snapshot, targets);
     out.checkpoint = std::move(checkpoint);
     out.golden_tree = std::move(golden_tree);
-    {
-      std::scoped_lock lock(state_->mutex);
-      stats_.hits += 1;
-      touch_locked(*state_, dir_, fs::path(path).filename().string());
-    }
+    out.app_state.assign(entry.app_state.begin(), entry.app_state.end());
     return out;
-  } catch (const std::exception& e) {
-    util::log_warn("checkpoint store: rejecting {}: {}", path, e.what());
-    std::scoped_lock lock(state_->mutex);
-    stats_.misses += 1;
-    return std::nullopt;
-  }
+  });
 }
 
 bool CheckpointStore::save_golden(const Key& key, const AnalysisResult& analysis,
-                                  const vfs::MemFs* tree) const {
+                                  const vfs::MemFs& tree) const {
   if (key.app_fingerprint.empty()) return false;
   Key golden_key = key;
   golden_key.stage = -1;
-  util::Bytes data;
-  util::ByteWriter w(data);
-  write_key_header(w, golden_key, kKindGolden, -1);
-  write_analysis(w, analysis);
-  w.u8(tree != nullptr ? 1 : 0);
-  if (tree != nullptr) {
-    w.blob(vfs::SnapshotCodec::encode(*tree));
-  }
-  const std::string path = entry_path(golden_key);
-  const std::uint64_t file_bytes = data.size() + 8;  // + checksum trailer
-  if (!write_checked(path, std::move(data))) {
-    util::log_warn("checkpoint store: could not write {}", path);
-    return false;
-  }
-  const std::string name = fs::path(path).filename().string();
-  std::scoped_lock lock(state_->mutex);
-  note_saved_locked(*state_, name, file_bytes);
-  evict_to_budget_locked(*state_, dir_, options_.budget_bytes, &name, stats_);
-  return true;
+  const vfs::MemFs* trees[] = {&tree};
+  return publish(golden_key, write_entry(golden_key, &analysis, {}, trees));
 }
 
 std::optional<CheckpointStore::LoadedGolden> CheckpointStore::load_golden(
@@ -751,47 +698,18 @@ std::optional<CheckpointStore::LoadedGolden> CheckpointStore::load_golden(
   if (key.app_fingerprint.empty()) return std::nullopt;
   Key golden_key = key;
   golden_key.stage = -1;
-  const std::string path = entry_path(golden_key);
-  try {
-    const auto data = read_checked(path);
-    if (!data) {
-      std::scoped_lock lock(state_->mutex);
-      stats_.misses += 1;
-      return std::nullopt;
-    }
-    util::ByteReader r{data->payload};
-    read_key_header(r, golden_key, kKindGolden, -1);
-
+  return load_entry<LoadedGolden>(golden_key, [&](Entry& entry, const CheckedData& data) {
     LoadedGolden out;
-    out.analysis = std::make_shared<const AnalysisResult>(read_analysis(r));
-    const bool has_tree = r.u8() != 0;
-    if (has_tree) {
-      // View, not copy — and when the caller declined the tree, the blob is
-      // only skipped over for framing validation, never materialized.
-      const util::ByteSpan snapshot = r.view(static_cast<std::size_t>(r.u64()));
-      r.expect_end();
-      if (want_tree) {
-        auto tree =
-            std::shared_ptr<vfs::MemFs>(new vfs::MemFs(frozen_options(fs_options)));
-        vfs::MemFs* target = tree.get();
-        decode_snapshot(*data, snapshot, std::span<vfs::MemFs* const>(&target, 1));
-        out.tree = std::move(tree);
-      }
-    } else {
-      r.expect_end();
-    }
-    {
-      std::scoped_lock lock(state_->mutex);
-      stats_.hits += 1;
-      touch_locked(*state_, dir_, fs::path(path).filename().string());
+    out.analysis = std::make_shared<const AnalysisResult>(std::move(entry.analysis));
+    // A declined tree is never decoded: the snapshot stays an unread view.
+    if (want_tree) {
+      auto tree = std::shared_ptr<vfs::MemFs>(new vfs::MemFs(frozen_options(fs_options)));
+      vfs::MemFs* const targets[] = {tree.get()};
+      decode_snapshot(data, entry.snapshot, targets);
+      out.tree = std::move(tree);
     }
     return out;
-  } catch (const std::exception& e) {
-    util::log_warn("checkpoint store: rejecting {}: {}", path, e.what());
-    std::scoped_lock lock(state_->mutex);
-    stats_.misses += 1;
-    return std::nullopt;
-  }
+  });
 }
 
 CheckpointStore::Lease CheckpointStore::lease(const Key& key) const {

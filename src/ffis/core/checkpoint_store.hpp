@@ -16,6 +16,10 @@
 //    vfs::SnapshotCodec blob, so their chunk sharing — and with it
 //    diff_tree's pointer-equality fast path — survives the round trip.
 //
+// Every entry carries its trees.  One writer and one strict parser in the
+// .cpp hold the byte layout of both kinds; saves, loads and gc() all go
+// through them.
+//
 // Cache-key semantics: an entry matches only if the application name,
 // Application::state_fingerprint(), app_seed, stage, base extent size, the
 // store format version AND the snapshot codec version all match.  An
@@ -28,8 +32,9 @@
 // into place (atomic on POSIX — concurrent engines sharing a directory
 // simply race to publish identical bytes), framed with a whole-file FNV-1a
 // checksum.  load() verifies the checksum and every key field before
-// decoding; corrupt, truncated, stale or version-skewed entries are logged
-// and reported as a miss, never thrown — callers rebuild and overwrite.
+// decoding; corrupt, truncated, stale or version-skewed entries (and
+// tree-less ones older builds wrote) are logged and reported as a miss,
+// never thrown — callers rebuild and overwrite.
 //
 // Bounded-cache behavior (Options::budget_bytes): the store maintains an
 // in-process LRU index over the directory — an intrusive list whose order
@@ -45,6 +50,8 @@
 // unlink of a published file — crash-safe by construction — and a budget
 // shared by *other processes* is enforced approximately: each process
 // evicts based on what it has observed (its scan plus its own traffic).
+// GC only unlinks: orphaned temp files and entries that fail to parse.  A
+// save is the only code that writes an entry file.
 //
 // Zero-copy decode: entries load through a read-only mmap and decoded
 // extents alias the mapping (ExtentStore::kMappedOwner —
@@ -85,7 +92,7 @@ class CheckpointStore {
     /// until the total is back under the low-water mark (budget minus
     /// budget/8 — hysteresis, so one hot save does not evict on every
     /// write).  If eviction alone cannot get under the budget (everything
-    /// left is leased), a GC/compaction pass runs automatically.
+    /// left is leased), a GC pass runs automatically.
     std::uint64_t budget_bytes = 0;
   };
 
@@ -99,12 +106,11 @@ class CheckpointStore {
     std::uint64_t gc_runs = 0;        ///< gc() passes (manual or automatic)
   };
 
-  /// What a gc() pass did.  bytes_reclaimed counts temp files, invalid
-  /// entries and compaction savings alike.
+  /// What a gc() pass did.  bytes_reclaimed counts the temp files and
+  /// invalid entries it unlinked.
   struct GcResult {
     std::uint64_t temp_files_removed = 0;     ///< orphaned *.tmp-* files
     std::uint64_t invalid_entries_removed = 0;///< corrupt/truncated/stale
-    std::uint64_t entries_compacted = 0;      ///< rewritten smaller
     std::uint64_t entries_kept = 0;           ///< valid entries surviving
     std::uint64_t bytes_reclaimed = 0;
     std::uint64_t bytes_after = 0;            ///< indexed total afterwards
@@ -158,7 +164,7 @@ class CheckpointStore {
   struct LoadedCheckpoint {
     std::shared_ptr<const Checkpoint> checkpoint;
     /// Golden output tree grown from the checkpoint, chunk-shared with it
-    /// (present iff the entry was saved with one).
+    /// (null iff the caller declined it).
     std::shared_ptr<const vfs::MemFs> golden_tree;
     /// The application's serialize_state blob (may be empty).
     util::Bytes app_state;
@@ -166,7 +172,7 @@ class CheckpointStore {
 
   struct LoadedGolden {
     std::shared_ptr<const AnalysisResult> analysis;
-    /// The golden run's final output tree (present iff saved with one).
+    /// The golden run's final output tree (null iff the caller declined it).
     std::shared_ptr<const vfs::MemFs> tree;
   };
 
@@ -174,45 +180,43 @@ class CheckpointStore {
   /// `fs_options` (geometry is validated; concurrency is forced to
   /// SingleThread — loaded snapshots are frozen, like captured ones).
   /// Pass want_golden_tree = false to skip materializing the entry's golden
-  /// tree (a multi-MiB decode) when classification will not diff against it
-  /// — e.g. with diff classification off; `golden_tree` is then null even
-  /// when the entry has one.  Returns nullopt on miss, corruption, or any
-  /// mismatch — never throws for bad files.
+  /// tree (a multi-MiB decode) when nothing will diff against it;
+  /// `golden_tree` is then null.  Returns nullopt on miss, corruption, or
+  /// any mismatch — never throws for bad files.
   [[nodiscard]] std::optional<LoadedCheckpoint> load_checkpoint(
       const Key& key, const vfs::MemFs::Options& fs_options,
       bool want_golden_tree = true) const;
 
-  /// Persists a checkpoint entry.  `golden_tree` may be null (saved without
-  /// diff classification).  Returns false (no file written) when the key is
-  /// unpersistable (empty fingerprint) or the write failed.
+  /// Persists a checkpoint entry: the snapshot, the golden tree grown from
+  /// it, and the app_state blob.  Returns false (no file written) when the
+  /// key is unpersistable (empty fingerprint) or the write failed.
   bool save_checkpoint(const Key& key, const Checkpoint& checkpoint,
-                       const vfs::MemFs* golden_tree, util::ByteSpan app_state) const;
+                       const vfs::MemFs& golden_tree, util::ByteSpan app_state) const;
 
   /// Loads the golden entry for `key` (key.stage is ignored).  Pass
   /// want_tree = false to skip materializing the output tree (a multi-MiB
   /// decode) when only the analysis is needed — e.g. for keys whose every
   /// cell diffs against a checkpoint-grown tree instead; `tree` is then
-  /// null even when the entry has one.
+  /// null.
   [[nodiscard]] std::optional<LoadedGolden> load_golden(
       const Key& key, const vfs::MemFs::Options& fs_options,
       bool want_tree = true) const;
 
-  /// Persists a golden entry; `tree` may be null.  Returns false when the
-  /// key is unpersistable or the write failed.
+  /// Persists a golden entry: the analysis and the golden output tree.
+  /// Returns false when the key is unpersistable or the write failed.
   bool save_golden(const Key& key, const AnalysisResult& analysis,
-                   const vfs::MemFs* tree) const;
+                   const vfs::MemFs& tree) const;
 
   /// Pins `key`'s entry against eviction for the Lease's lifetime.
   [[nodiscard]] Lease lease(const Key& key) const;
 
-  /// Store-wide GC/compaction: removes orphaned temp files (crashed or
-  /// interrupted writers), unlinks entries that fail the checksum or parse
-  /// (corrupt, truncated, version-skewed), and rewrites surviving entries
-  /// whose snapshot blob carries unreferenced chunks — via the same
-  /// temp-file + atomic-rename publication as every save, so a crash at
-  /// any point leaves a valid store (at worst a fresh orphan temp file for
-  /// the next pass).  Also runs automatically when eviction alone cannot
-  /// satisfy the budget, and is exposed as `ffis store gc <dir>`.
+  /// Store-wide GC: removes orphaned temp files (crashed or interrupted
+  /// writers) and unlinks entries that fail the checksum or the entry
+  /// parser (corrupt, truncated, version-skewed, tree-less).  It only
+  /// unlinks — valid entries are left byte for byte — so a crash at any
+  /// point leaves a valid store.  Also runs automatically when eviction
+  /// alone cannot satisfy the budget, and is exposed as `ffis store gc
+  /// <dir>`.
   GcResult gc() const;
 
   /// This instance's cache-traffic counters.
@@ -230,9 +234,9 @@ class CheckpointStore {
 
   /// Test-only: `hook` is invoked with a kill-point name immediately before
   /// each destructive or publishing filesystem step ("save:tmp",
-  /// "save:rename", "evict:unlink", "gc:remove-tmp", "gc:drop-invalid",
-  /// "gc:rewrite").  A hook that throws simulates a crash at that point —
-  /// the in-memory index may then be stale, so tests follow up with
+  /// "save:rename", "evict:unlink", "gc:remove-tmp", "gc:drop-invalid").  A
+  /// hook that throws simulates a crash at that point — the in-memory index
+  /// may then be stale, so tests follow up with
   /// reset_shared_state_for_testing() to model a process restart.  Pass
   /// nullptr to uninstall.  Not thread-safe against concurrent store use;
   /// install before starting work.
@@ -244,6 +248,16 @@ class CheckpointStore {
   static void reset_shared_state_for_testing();
 
  private:
+  /// Writes an encoded entry to `key`'s path (temp file + rename), indexes
+  /// it and enforces the budget.
+  bool publish(const Key& key, util::Bytes payload) const;
+  /// The body both loads share: reads, verifies and parses `key`'s entry,
+  /// checks its header against `key`, and hands the parsed entry and its
+  /// backing bytes to `decode`.  Counts the hit or the miss; a bad file is
+  /// logged and reads as a miss.  Defined in the .cpp, its only user.
+  template <class Loaded, class Decode>
+  std::optional<Loaded> load_entry(const Key& key, Decode decode) const;
+
   std::string dir_;
   Options options_;
   std::shared_ptr<CheckpointStoreState> state_;

@@ -47,7 +47,7 @@ struct CellPreparer::CheckpointSlot {
   /// the key.
   std::shared_ptr<const vfs::MemFs> golden_tree;
   bool loaded = false;     ///< served from the persistent store, prefix never ran
-  bool persisted = false;  ///< freshly written (or upgraded) in the store
+  bool persisted = false;  ///< freshly written to the persistent store
 };
 
 CellPreparer::CellPreparer(const ExperimentPlan& plan, EngineOptions options)
@@ -150,26 +150,21 @@ void CellPreparer::resolve(GoldenSlot& slot) {
     // until the preparer dies — eviction can never pull an entry out from
     // under a live cell, or out of a load-miss -> rebuild -> save window.
     slot.lease = store_->lease(key);
-    // An entry missing a tree this plan needs is a miss: falling back to
-    // it would cost an extra full run later, in prepare_with_golden.
     if (auto loaded = store_->load_golden(key, fs_options, slot.tree_needed)) {
-      if (!slot.tree_needed || loaded->tree != nullptr) {
-        slot.result = std::move(loaded->analysis);
-        slot.tree = std::move(loaded->tree);
-        slot.loaded = true;
-        return;
-      }
+      slot.result = std::move(loaded->analysis);
+      slot.tree = std::move(loaded->tree);
+      slot.loaded = true;
+      return;
     }
   }
   try {
     // With a store active, always retain the output tree: the golden run
     // materializes it for free, and persisting it is what lets a later
     // process diff-classify without ever executing the workload.
-    const bool retain_tree =
-        slot.tree_needed || (store_ != nullptr && !key.app_fingerprint.empty());
+    const bool retain_tree = slot.tree_needed || store_ != nullptr;
     slot.result = std::make_shared<const core::AnalysisResult>(core::FaultInjector::run_golden(
         *slot.app, slot.app_seed, retain_tree ? &slot.tree : nullptr, fs_options));
-    if (store_ && store_->save_golden(key, *slot.result, slot.tree.get())) {
+    if (store_ && store_->save_golden(key, *slot.result, *slot.tree)) {
       slot.persisted = true;
     }
     if (!slot.tree_needed) slot.tree.reset();
@@ -195,23 +190,10 @@ void CellPreparer::resolve(CheckpointSlot& slot) {
     // pointer-equality fast path on the warm path.
     if (auto loaded = store_->load_checkpoint(key, fs_options)) {
       if (!loaded->app_state.empty()) (void)app.restore_state(app_seed, loaded->app_state);
-      try {
-        if (loaded->golden_tree == nullptr) {
-          // Entry saved without a golden tree: grow the tree from the loaded
-          // snapshot (suffix-only, no prefix stages) and write the upgraded
-          // entry back, so the next warm process skips even this.
-          loaded->golden_tree = loaded->checkpoint->grow_golden_tree(app, app_seed);
-          slot.persisted = store_->save_checkpoint(key, *loaded->checkpoint,
-                                                   loaded->golden_tree.get(),
-                                                   app_state(gold));
-        }
-        slot.checkpoint = std::move(loaded->checkpoint);
-        slot.golden_tree = std::move(loaded->golden_tree);
-        slot.loaded = true;
-        return;
-      } catch (const std::exception&) {
-        // The upgrade failed: capture afresh below.
-      }
+      slot.checkpoint = std::move(loaded->checkpoint);
+      slot.golden_tree = std::move(loaded->golden_tree);
+      slot.loaded = true;
+      return;
     }
   }
   try {
@@ -220,7 +202,7 @@ void CellPreparer::resolve(CheckpointSlot& slot) {
     // cells (the injector would otherwise grow one per cell).
     slot.golden_tree = checkpoint->grow_golden_tree(app, app_seed);
     slot.checkpoint = std::move(checkpoint);
-    if (store_ && store_->save_checkpoint(key, *slot.checkpoint, slot.golden_tree.get(),
+    if (store_ && store_->save_checkpoint(key, *slot.checkpoint, *slot.golden_tree,
                                           app_state(gold))) {
       slot.persisted = true;
     }

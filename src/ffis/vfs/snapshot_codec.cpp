@@ -132,8 +132,9 @@ util::Bytes SnapshotCodec::encode(std::span<const MemFs* const> trees) {
 
 namespace {
 
-/// Parses the fixed header; leaves `r` positioned at the chunk table.
-std::pair<std::uint32_t, std::uint32_t> read_header(util::ByteReader& r) {
+/// Parses the fixed header and returns the tree count; leaves `r`
+/// positioned at the chunk table.
+std::uint32_t read_header(util::ByteReader& r) {
   try {
     const util::ByteSpan sig = r.view(kMagic.size());
     if (util::to_string(sig) != kMagic) bad("bad magic (not a snapshot blob)");
@@ -142,7 +143,7 @@ std::pair<std::uint32_t, std::uint32_t> read_header(util::ByteReader& r) {
       bad("unsupported format version " + std::to_string(version) + " (this build reads " +
           std::to_string(SnapshotCodec::kFormatVersion) + ")");
     }
-    return {version, r.u32()};
+    return r.u32();
   } catch (const std::out_of_range& e) {
     bad(e.what());
   }
@@ -150,17 +151,12 @@ std::pair<std::uint32_t, std::uint32_t> read_header(util::ByteReader& r) {
 
 }  // namespace
 
-std::size_t SnapshotCodec::tree_count(util::ByteSpan blob) {
-  util::ByteReader r(blob);
-  return read_header(r).second;
-}
-
 /// Shared body of the copying and zero-copy decode entry points; `backing`
 /// is null for the copying path.
 void SnapshotCodec::decode_impl(util::ByteSpan blob, std::span<MemFs* const> targets,
                                 const std::shared_ptr<const void>* backing) {
   util::ByteReader r(blob);
-  const std::uint32_t trees = read_header(r).second;
+  const std::uint32_t trees = read_header(r);
   if (trees != targets.size()) {
     bad("blob holds " + std::to_string(trees) + " trees, caller expects " +
         std::to_string(targets.size()));
@@ -310,104 +306,6 @@ void SnapshotCodec::decode(util::ByteSpan blob, std::span<MemFs* const> targets,
                            const std::shared_ptr<const void>& backing) {
   if (backing == nullptr) bad("zero-copy decode requires a backing keepalive");
   decode_impl(blob, targets, &backing);
-}
-
-std::optional<util::Bytes> SnapshotCodec::compact(util::ByteSpan blob) {
-  util::ByteReader r(blob);
-  const std::uint32_t trees = read_header(r).second;
-
-  // One parsed node record, retained so the rewrite below can re-emit the
-  // blob without a second parsing pass.
-  struct NodeRecLite {
-    std::string path;
-    bool is_dir = false;
-    std::uint32_t mode = 0;
-    std::uint64_t chunk_size = 0;
-    std::uint64_t size = 0;
-    std::vector<std::uint64_t> refs;
-  };
-
-  try {
-    const std::uint64_t chunk_count = r.u64();
-    if (chunk_count > r.remaining() / 9) bad("implausible chunk count");
-    std::vector<util::ByteSpan> chunks;
-    chunks.reserve(static_cast<std::size_t>(chunk_count));
-    for (std::uint64_t i = 0; i < chunk_count; ++i) {
-      const std::uint64_t len = r.u64();
-      if (len == 0) bad("chunk table entry " + std::to_string(i) + " is empty");
-      if (len > std::numeric_limits<std::uint32_t>::max()) {
-        bad("chunk table entry " + std::to_string(i) + " exceeds the extent limit");
-      }
-      chunks.push_back(r.view(static_cast<std::size_t>(len)));
-    }
-
-    std::vector<char> referenced(chunks.size(), 0);
-    std::vector<std::vector<NodeRecLite>> tree_nodes(trees);
-    for (std::uint32_t t = 0; t < trees; ++t) {
-      const std::uint64_t node_count = r.u64();
-      if (node_count > r.remaining()) bad("implausible node count");
-      tree_nodes[t].reserve(static_cast<std::size_t>(node_count));
-      for (std::uint64_t n = 0; n < node_count; ++n) {
-        NodeRecLite rec;
-        rec.path = r.str();
-        rec.is_dir = r.u8() != 0;
-        rec.mode = r.u32();
-        if (!rec.is_dir) {
-          rec.chunk_size = r.u64();
-          rec.size = r.u64();
-          const std::uint64_t slots = r.u64();
-          if (slots > r.remaining() / 8) bad(rec.path + " has implausible slot count");
-          rec.refs.reserve(static_cast<std::size_t>(slots));
-          for (std::uint64_t s = 0; s < slots; ++s) {
-            const std::uint64_t ref = r.u64();
-            if (ref > chunks.size()) bad(rec.path + " references a missing chunk");
-            if (ref != 0) referenced[static_cast<std::size_t>(ref - 1)] = 1;
-            rec.refs.push_back(ref);
-          }
-        }
-        tree_nodes[t].push_back(std::move(rec));
-      }
-    }
-    r.expect_end();
-
-    // Mark-and-sweep renumbering: survivors keep their relative order, so a
-    // compact round trip is byte-stable.
-    std::vector<std::uint64_t> remap(chunks.size(), 0);
-    std::uint64_t kept = 0;
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      if (referenced[i] != 0) remap[i] = ++kept;
-    }
-    if (kept == chunks.size()) return std::nullopt;  // nothing to drop
-
-    util::Bytes out;
-    util::ByteWriter w(out);
-    util::put_signature(out, kMagic);
-    w.u32(kFormatVersion);
-    w.u32(trees);
-    w.u64(kept);
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      if (referenced[i] != 0) w.blob(chunks[i]);
-    }
-    for (std::uint32_t t = 0; t < trees; ++t) {
-      w.u64(tree_nodes[t].size());
-      for (const NodeRecLite& rec : tree_nodes[t]) {
-        w.str(rec.path);
-        w.u8(rec.is_dir ? 1 : 0);
-        w.u32(rec.mode);
-        if (!rec.is_dir) {
-          w.u64(rec.chunk_size);
-          w.u64(rec.size);
-          w.u64(rec.refs.size());
-          for (const std::uint64_t ref : rec.refs) {
-            w.u64(ref == 0 ? 0 : remap[static_cast<std::size_t>(ref - 1)]);
-          }
-        }
-      }
-    }
-    return out;
-  } catch (const std::out_of_range& e) {
-    bad(e.what());
-  }
 }
 
 }  // namespace ffis::vfs

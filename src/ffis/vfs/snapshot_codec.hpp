@@ -29,7 +29,6 @@
 // instead of fabricating state.
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -46,6 +45,8 @@ class SnapshotCodec {
 
   /// Serializes `trees` (all must be quiescent — the usual frozen-snapshot
   /// contract) into one blob with a shared content-addressed chunk table.
+  /// The table holds only extents some slot references, so a blob is born
+  /// compact and stays so: nothing ever rewrites one.
   [[nodiscard]] static util::Bytes encode(std::span<const MemFs* const> trees);
 
   /// Convenience single-tree overload.
@@ -88,19 +89,6 @@ class SnapshotCodec {
   /// preserved exactly as in the copying path.
   static void decode(util::ByteSpan blob, std::span<MemFs* const> targets,
                      const std::shared_ptr<const void>& backing);
-
-  /// Structural compaction: parses `blob`, drops chunk-table entries that
-  /// no slot of any tree references, renumbers the survivors, and returns
-  /// the rewritten blob — or nullopt when every chunk is referenced (the
-  /// blob is already compact).  A pure byte-level transform: no MemFs is
-  /// materialized and no Options are consulted, so the checkpoint store's
-  /// GC can compact entries whose extent geometry it knows nothing about.  Throws VfsError(InvalidArgument) on malformed input.
-  [[nodiscard]] static std::optional<util::Bytes> compact(util::ByteSpan blob);
-
-  /// Number of trees in an encoded blob (header peek; full validation
-  /// happens in decode).  Throws VfsError(InvalidArgument) on malformed
-  /// input.
-  [[nodiscard]] static std::size_t tree_count(util::ByteSpan blob);
 
  private:
   /// Shared body of the copying and zero-copy decode overloads; `backing` is

@@ -1,11 +1,12 @@
 // Persistent checkpoint store tests: snapshot-codec round-trip bit-identity
-// (including chunk sharing, geometry validation, zero-copy decode
-// aliasing and structural compaction), store entry integrity (checksum /
-// truncation / version-bump rejection with silent rebuild), the bounded
-// cache tier (LRU eviction order, lease pinning, GC/compaction, kill-point
-// crash fuzzing), cold-vs-warm engine tally equality at multiple thread
-// counts, and concurrent engines sharing one store directory — including
-// under a budget tight enough to force continuous eviction.
+// (including chunk sharing, geometry validation and zero-copy decode
+// aliasing), pinned entry bytes, store entry integrity (checksum /
+// truncation / version-bump rejection with silent rebuild, seeded mutation
+// fuzzing of both entry kinds), the bounded cache tier (LRU eviction
+// order, lease pinning, GC, kill-point crash fuzzing), cold-vs-warm engine
+// tally equality at multiple thread counts, and concurrent engines sharing
+// one store directory — including under a budget tight enough to force
+// continuous eviction.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "ffis/core/checkpoint_store.hpp"
 #include "ffis/exp/engine.hpp"
 #include "ffis/exp/plan.hpp"
+#include "ffis/util/logging.hpp"
 #include "ffis/util/mapped_file.hpp"
 #include "ffis/util/rng.hpp"
 #include "ffis/util/serialize.hpp"
@@ -165,7 +168,6 @@ TEST(SnapshotCodec, RoundTripBitIdentity) {
   vfs::MemFs original(tree_options());
   populate_tree(original);
   const util::Bytes blob = vfs::SnapshotCodec::encode(original);
-  EXPECT_EQ(vfs::SnapshotCodec::tree_count(blob), 1u);
 
   vfs::MemFs decoded(tree_options());
   vfs::SnapshotCodec::decode(blob, decoded);
@@ -277,73 +279,7 @@ TEST(SnapshotCodec, TruncatedAndCorruptBlobsThrow) {
   EXPECT_THROW(vfs::SnapshotCodec::decode(blob, dirty), vfs::VfsError);
 }
 
-// --- snapshot codec: compaction and zero-copy decode -------------------------
-
-/// Hand-encodes a single-tree blob whose chunk table carries `dead_chunks`
-/// entries no slot references, followed by the one live 64-byte chunk of
-/// "/f".  The real encoder never emits unreferenced chunks, so compaction
-/// (and the store GC built on it) can only be exercised with a hand-built
-/// blob.  Putting the dead entries FIRST forces compact() to renumber the
-/// surviving reference, not just truncate the table.
-util::Bytes blob_with_dead_chunks(int dead_chunks) {
-  util::Bytes out;
-  util::ByteWriter w(out);
-  util::put_signature(w.out(), "FFSNAP");
-  w.u32(vfs::SnapshotCodec::kFormatVersion);
-  w.u32(1);  // one tree
-  w.u64(static_cast<std::uint64_t>(dead_chunks) + 1);
-  for (int i = 0; i < dead_chunks; ++i) {
-    const util::Bytes dead(48, static_cast<std::byte>(0xd0 + i));
-    w.blob(dead);
-  }
-  util::Bytes live(64);
-  for (std::size_t i = 0; i < live.size(); ++i) live[i] = static_cast<std::byte>(i * 3);
-  w.blob(live);
-  w.u64(2);  // two nodes
-  w.str("/");
-  w.u8(1);  // directory
-  w.u32(0755);
-  w.str("/f");
-  w.u8(0);  // file
-  w.u32(0644);
-  w.u64(64);  // extent size
-  w.u64(64);  // logical size
-  w.u64(1);   // one slot...
-  w.u64(static_cast<std::uint64_t>(dead_chunks) + 1);  // ...naming the LAST entry
-  return out;
-}
-
-vfs::MemFs::Options chunk64_options() {
-  vfs::MemFs::Options options;
-  options.chunk_size = 64;
-  return options;
-}
-
-TEST(SnapshotCodec, CompactDropsUnreferencedChunksAndRenumbers) {
-  const util::Bytes bloated = blob_with_dead_chunks(3);
-  vfs::MemFs direct(chunk64_options());
-  vfs::SnapshotCodec::decode(bloated, direct);  // sanity: the blob is valid
-
-  const auto compacted = vfs::SnapshotCodec::compact(bloated);
-  ASSERT_TRUE(compacted.has_value());
-  EXPECT_LT(compacted->size(), bloated.size());
-
-  vfs::MemFs from_compacted(chunk64_options());
-  vfs::SnapshotCodec::decode(*compacted, from_compacted);
-  expect_trees_identical(direct, from_compacted);
-  EXPECT_EQ(vfs::read_file(from_compacted, "/f"), vfs::read_file(direct, "/f"));
-
-  // Idempotent: the rewrite left nothing to drop.
-  EXPECT_FALSE(vfs::SnapshotCodec::compact(*compacted).has_value());
-}
-
-TEST(SnapshotCodec, CompactIsANoOpOnEncoderOutput) {
-  // The encoder only emits referenced chunks, so its blobs are born compact.
-  vfs::MemFs original(tree_options());
-  populate_tree(original);
-  EXPECT_FALSE(
-      vfs::SnapshotCodec::compact(vfs::SnapshotCodec::encode(original)).has_value());
-}
+// --- snapshot codec: zero-copy decode ----------------------------------------
 
 TEST(SnapshotCodec, ZeroCopyDecodePreservesSharingAndDiffs) {
   vfs::MemFs parent(tree_options());
@@ -450,8 +386,8 @@ TEST(CheckpointStore, CheckpointRoundTrip) {
   const auto checkpoint = core::Checkpoint::capture(app, seed, 2);
   const auto golden_tree = checkpoint->grow_golden_tree(app, seed);
   const util::Bytes state = app.serialize_state(seed);
-  ASSERT_TRUE(store.save_checkpoint(toy_key(app, seed, 2), *checkpoint,
-                                    golden_tree.get(), state));
+  ASSERT_TRUE(store.save_checkpoint(toy_key(app, seed, 2), *checkpoint, *golden_tree,
+                                    state));
 
   const auto loaded = store.load_checkpoint(toy_key(app, seed, 2), {});
   ASSERT_TRUE(loaded.has_value());
@@ -486,7 +422,7 @@ TEST(CheckpointStore, GoldenRoundTrip) {
   app.run(ctx);
   const core::AnalysisResult analysis = app.analyze(tree);
 
-  ASSERT_TRUE(store.save_golden(toy_key(app, 5, -1), analysis, &tree));
+  ASSERT_TRUE(store.save_golden(toy_key(app, 5, -1), analysis, tree));
   const auto loaded = store.load_golden(toy_key(app, 5, -1), {});
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->analysis->comparison_blob, analysis.comparison_blob);
@@ -494,6 +430,77 @@ TEST(CheckpointStore, GoldenRoundTrip) {
   EXPECT_EQ(loaded->analysis->metrics, analysis.metrics);
   ASSERT_NE(loaded->tree, nullptr);
   expect_trees_identical(*loaded->tree, tree);
+}
+
+util::Bytes read_file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string raw((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  return util::to_bytes(raw);
+}
+
+/// Writes `payload` to `path` sealed with its FNV-1a trailer, as the store
+/// frames every entry file.
+void write_sealed(const std::string& path, util::Bytes payload) {
+  const std::uint64_t checksum = util::fnv1a64(util::ByteSpan(payload));
+  util::ByteWriter(payload).u64(checksum);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size()));
+}
+
+/// Hand-writes the checkpoint entry an older build saved without a golden
+/// tree: has-trees byte 0 and a one-tree snapshot.
+void write_treeless_checkpoint_entry(const std::string& path,
+                                     const core::CheckpointStore::Key& key,
+                                     const core::Checkpoint& checkpoint,
+                                     util::ByteSpan app_state) {
+  util::Bytes payload;
+  util::ByteWriter w(payload);
+  util::put_signature(w.out(), "FFCKPT");
+  w.u32(core::CheckpointStore::kFormatVersion);
+  w.u32(vfs::SnapshotCodec::kFormatVersion);
+  w.u8(1);  // checkpoint entry
+  w.str(key.app_name);
+  w.str(key.app_fingerprint);
+  w.u64(key.app_seed);
+  w.i32(key.stage);
+  w.u64(key.chunk_size);
+  w.blob(app_state);
+  w.u8(0);  // no golden tree
+  w.blob(vfs::SnapshotCodec::encode(checkpoint.fs()));
+  write_sealed(path, std::move(payload));
+}
+
+TEST(CheckpointStore, EntryBytesArePinned) {
+  // One golden and one checkpoint entry, byte for byte (size plus FNV-1a of
+  // the whole file).  A change that moves any of these bytes strands every
+  // existing store, so it needs a kFormatVersion bump (the store's or the
+  // snapshot codec's) along with new pins.
+  const StoreDir dir("pinned-bytes");
+  const core::CheckpointStore store(dir.path());
+  const PersistableToyApp app;
+  constexpr std::uint64_t kSeed = 21;
+  const vfs::MemFs::Options options = tree_options();
+
+  vfs::MemFs tree(options);
+  core::RunContext ctx{.fs = tree, .app_seed = kSeed, .instrumented_stage = -1,
+                       .instrument = nullptr};
+  app.run(ctx);
+  const auto golden_key = toy_key(app, kSeed, -1, options);
+  ASSERT_TRUE(store.save_golden(golden_key, app.analyze(tree), tree));
+
+  const auto checkpoint = core::Checkpoint::capture(app, kSeed, 2, options);
+  const auto golden_tree = checkpoint->grow_golden_tree(app, kSeed);
+  const auto checkpoint_key = toy_key(app, kSeed, 2, options);
+  ASSERT_TRUE(store.save_checkpoint(checkpoint_key, *checkpoint, *golden_tree,
+                                    app.serialize_state(kSeed)));
+
+  const util::Bytes golden = read_file_bytes(store.entry_path(golden_key));
+  EXPECT_EQ(golden.size(), 995u);
+  EXPECT_EQ(util::fnv1a64(golden), 11128578009813692ull);
+  const util::Bytes checkpoint_entry = read_file_bytes(store.entry_path(checkpoint_key));
+  EXPECT_EQ(checkpoint_entry.size(), 931u);
+  EXPECT_EQ(util::fnv1a64(checkpoint_entry), 1089933634508706445ull);
 }
 
 TEST(CheckpointStore, UnpersistableApplicationIsSkipped) {
@@ -504,7 +511,7 @@ TEST(CheckpointStore, UnpersistableApplicationIsSkipped) {
   key.app_fingerprint.clear();  // what a default Application reports
 
   const auto checkpoint = core::Checkpoint::capture(app, 1, 2);
-  EXPECT_FALSE(store.save_checkpoint(key, *checkpoint, nullptr, {}));
+  EXPECT_FALSE(store.save_checkpoint(key, *checkpoint, *checkpoint->grow_golden_tree(app, 1), {}));
   EXPECT_FALSE(store.load_checkpoint(key, {}).has_value());
   EXPECT_TRUE(stdfs::is_empty(dir.path()));
 }
@@ -515,7 +522,8 @@ class CheckpointStoreCorruption : public ::testing::Test {
     dir_ = std::make_unique<StoreDir>("corruption");
     store_ = std::make_unique<core::CheckpointStore>(dir_->path());
     checkpoint_ = core::Checkpoint::capture(app_, kSeed, 2);
-    ASSERT_TRUE(store_->save_checkpoint(key(), *checkpoint_, nullptr,
+    golden_tree_ = checkpoint_->grow_golden_tree(app_, kSeed);
+    ASSERT_TRUE(store_->save_checkpoint(key(), *checkpoint_, *golden_tree_,
                                         app_.serialize_state(kSeed)));
     path_ = store_->entry_path(key());
     ASSERT_TRUE(stdfs::exists(path_));
@@ -523,11 +531,7 @@ class CheckpointStoreCorruption : public ::testing::Test {
 
   [[nodiscard]] core::CheckpointStore::Key key() const { return toy_key(app_, kSeed, 2); }
 
-  [[nodiscard]] util::Bytes read_entry() const {
-    std::ifstream in(path_, std::ios::binary);
-    std::string raw((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    return util::to_bytes(raw);
-  }
+  [[nodiscard]] util::Bytes read_entry() const { return read_file_bytes(path_); }
   void write_entry(const util::Bytes& data) const {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(data.data()),
@@ -538,7 +542,7 @@ class CheckpointStoreCorruption : public ::testing::Test {
   /// (save + load) over it.
   void expect_rejected_then_rebuilt() {
     EXPECT_FALSE(store_->load_checkpoint(key(), {}).has_value());
-    ASSERT_TRUE(store_->save_checkpoint(key(), *checkpoint_, nullptr,
+    ASSERT_TRUE(store_->save_checkpoint(key(), *checkpoint_, *golden_tree_,
                                         app_.serialize_state(kSeed)));
     const auto reloaded = store_->load_checkpoint(key(), {});
     ASSERT_TRUE(reloaded.has_value());
@@ -550,6 +554,7 @@ class CheckpointStoreCorruption : public ::testing::Test {
   std::unique_ptr<StoreDir> dir_;
   std::unique_ptr<core::CheckpointStore> store_;
   std::shared_ptr<const core::Checkpoint> checkpoint_;
+  std::shared_ptr<const vfs::MemFs> golden_tree_;
   std::string path_;
 };
 
@@ -588,47 +593,14 @@ TEST_F(CheckpointStoreCorruption, VersionBumpIsRejectedAndRebuilt) {
 
 // --- bounded cache tier: mmap decode, LRU eviction, leases, GC ---------------
 
-/// Saves one toy checkpoint entry (no golden tree) and returns its path.
+/// Saves one toy checkpoint entry and returns its path.
 std::string save_toy_entry(const core::CheckpointStore& store,
                            const PersistableToyApp& app, std::uint64_t seed) {
   const auto checkpoint = core::Checkpoint::capture(app, seed, 2);
-  EXPECT_TRUE(store.save_checkpoint(toy_key(app, seed, 2), *checkpoint, nullptr,
+  EXPECT_TRUE(store.save_checkpoint(toy_key(app, seed, 2), *checkpoint,
+                                    *checkpoint->grow_golden_tree(app, seed),
                                     app.serialize_state(seed)));
   return store.entry_path(toy_key(app, seed, 2));
-}
-
-/// Hand-writes a VALID golden entry for (app, seed) whose snapshot blob
-/// carries unreferenced chunks (see blob_with_dead_chunks) and returns its
-/// path.  GC must load it, compact the blob, and republish it smaller.
-std::string write_compactable_golden_entry(const core::CheckpointStore& store,
-                                           const PersistableToyApp& app,
-                                           std::uint64_t seed) {
-  const core::CheckpointStore::Key key = toy_key(app, seed, -1, chunk64_options());
-  util::Bytes payload;
-  util::ByteWriter w(payload);
-  util::put_signature(w.out(), "FFCKPT");
-  w.u32(core::CheckpointStore::kFormatVersion);
-  w.u32(vfs::SnapshotCodec::kFormatVersion);
-  w.u8(2);  // golden entry
-  w.str(key.app_name);
-  w.str(key.app_fingerprint);
-  w.u64(key.app_seed);
-  w.i32(-1);
-  w.u64(key.chunk_size);
-  w.blob(util::to_bytes("golden-comparison-blob"));  // analysis.comparison_blob
-  w.str("handmade");                                 // analysis.report
-  w.u64(1);                                          // one metric
-  w.str("bytes");
-  w.f64(64.0);
-  w.u8(1);  // has tree
-  w.blob(blob_with_dead_chunks(4));
-  w.u64(util::fnv1a64(payload));
-
-  const std::string path = store.entry_path(key);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-  return path;
 }
 
 TEST(CheckpointStore, EvictionAndGcNeverInvalidateALoadedEntry) {
@@ -719,45 +691,6 @@ TEST(CheckpointStore, LeasedEntriesAreNeverEvicted) {
   EXPECT_TRUE(stdfs::exists(path_c));  // the just-saved entry is never a victim
 }
 
-TEST(CheckpointStore, GcCompactsEntriesWithUnreferencedChunks) {
-  const StoreDir dir("gc-compaction");
-  const PersistableToyApp app;
-  const core::CheckpointStore store(dir.path());
-  const core::CheckpointStore::Key key = toy_key(app, 11, -1, chunk64_options());
-  const std::string path = write_compactable_golden_entry(store, app, 11);
-  const std::uint64_t before = stdfs::file_size(path);
-
-  // The bloated entry is valid and loads.
-  const auto bloated = store.load_golden(key, chunk64_options());
-  ASSERT_TRUE(bloated.has_value());
-  ASSERT_NE(bloated->tree, nullptr);
-
-  const auto gc = store.gc();
-  EXPECT_EQ(gc.temp_files_removed, 0u);
-  EXPECT_EQ(gc.invalid_entries_removed, 0u);
-  EXPECT_EQ(gc.entries_compacted, 1u);
-  EXPECT_EQ(gc.entries_kept, 1u);
-  const std::uint64_t after = stdfs::file_size(path);
-  EXPECT_LT(after, before);
-  // GC reads entries through the mapping; its accounting must still be
-  // exactly the file shrinkage.
-  EXPECT_EQ(gc.bytes_reclaimed, before - after);
-  EXPECT_EQ(store.stats().gc_runs, 1u);
-
-  // The rewritten entry still loads, bit-identical to the bloated one.
-  const auto reloaded = store.load_golden(key, chunk64_options());
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->analysis->report, "handmade");
-  EXPECT_EQ(reloaded->analysis->comparison_blob, bloated->analysis->comparison_blob);
-  ASSERT_NE(reloaded->tree, nullptr);
-  expect_trees_identical(*reloaded->tree, *bloated->tree);
-
-  // A second pass finds nothing left to reclaim.
-  const auto again = store.gc();
-  EXPECT_EQ(again.entries_compacted, 0u);
-  EXPECT_EQ(again.entries_kept, 1u);
-}
-
 TEST(CheckpointStore, GcSweepsTempFilesAndInvalidEntries) {
   const StoreDir dir("gc-sweep");
   const PersistableToyApp app;
@@ -798,7 +731,7 @@ struct TestCrash {
 /// A deterministic workload touching every kill point: a store opened over
 /// pre-seeded junk (orphan temp file, garbage entry), saves under a budget
 /// tight enough to force eviction on every save, a load, and a GC pass over
-/// refreshed junk plus a hand-built compactable entry.
+/// refreshed junk.
 void run_store_workload(const std::string& dir_path) {
   const PersistableToyApp app;
   stdfs::create_directories(dir_path);
@@ -813,7 +746,8 @@ void run_store_workload(const std::string& dir_path) {
   const core::CheckpointStore store(dir_path, options);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const auto checkpoint = core::Checkpoint::capture(app, seed, 2);
-    (void)store.save_checkpoint(toy_key(app, seed, 2), *checkpoint, nullptr,
+    (void)store.save_checkpoint(toy_key(app, seed, 2), *checkpoint,
+                                *checkpoint->grow_golden_tree(app, seed),
                                 app.serialize_state(seed));
   }
   (void)store.load_checkpoint(toy_key(app, 3, 2), {});
@@ -822,7 +756,6 @@ void run_store_workload(const std::string& dir_path) {
   // entry already) so the GC pass exercises every one of its kill points.
   drop_file("ptoy-s8-st2-aaaaaaaaaaaaaaaa.ffck.tmp-999-2", "orphaned partial write");
   drop_file("garbage-s2-st1-eeeeeeeeeeeeeeee.ffck", "still not a checkpoint");
-  write_compactable_golden_entry(store, app, 11);
   (void)store.gc();
 }
 
@@ -845,7 +778,8 @@ void expect_store_recovers(const std::string& dir_path) {
     EXPECT_EQ(entry.path().string().find(".tmp-"), std::string::npos) << entry.path();
   }
   const auto checkpoint = core::Checkpoint::capture(app, 50, 2);
-  ASSERT_TRUE(store.save_checkpoint(toy_key(app, 50, 2), *checkpoint, nullptr,
+  ASSERT_TRUE(store.save_checkpoint(toy_key(app, 50, 2), *checkpoint,
+                                    *checkpoint->grow_golden_tree(app, 50),
                                     app.serialize_state(50)));
   const auto reloaded = store.load_checkpoint(toy_key(app, 50, 2), {});
   ASSERT_TRUE(reloaded.has_value());
@@ -863,7 +797,7 @@ TEST(CheckpointStoreCrashFuzz, KilledAtEveryPointLeavesAValidStore) {
   }
   core::CheckpointStore::set_test_hook(nullptr);
   // The workload must cross every kind of kill point at least once: two
-  // per save (temp write, rename), eviction unlinks, and the three GC steps.
+  // per save (temp write, rename), eviction unlinks, and both GC steps.
   ASSERT_GE(total, 10);
 
   // Pass 2: replay the workload on a fresh directory, crashing at the nth
@@ -890,6 +824,278 @@ TEST(CheckpointStoreCrashFuzz, KilledAtEveryPointLeavesAValidStore) {
     expect_store_recovers(dir.path());
   }
   core::CheckpointStore::reset_shared_state_for_testing();
+}
+
+// --- entry mutation fuzz -----------------------------------------------------
+
+/// Offsets at which the snapshot blob's fields start, plus its end: the cut
+/// points the fuzzer truncates at, inserts at and forges u64 values over.
+std::vector<std::size_t> snapshot_cuts(util::ByteSpan blob) {
+  util::ByteReader r(blob);
+  std::vector<std::size_t> cuts;
+  const auto at = [&] { cuts.push_back(blob.size() - r.remaining()); };
+  at();
+  (void)r.view(6);  // magic
+  at();
+  (void)r.u32();  // version
+  at();
+  const std::uint32_t trees = r.u32();
+  at();
+  const std::uint64_t chunks = r.u64();
+  for (std::uint64_t i = 0; i < chunks; ++i) {
+    at();
+    (void)r.blob();
+  }
+  for (std::uint32_t t = 0; t < trees; ++t) {
+    at();
+    const std::uint64_t nodes = r.u64();
+    for (std::uint64_t n = 0; n < nodes; ++n) {
+      at();
+      (void)r.str();  // path
+      at();
+      const bool is_dir = r.u8() != 0;
+      at();
+      (void)r.u32();  // mode
+      if (is_dir) continue;
+      at();
+      (void)r.u64();  // extent size
+      at();
+      (void)r.u64();  // logical size
+      at();
+      const std::uint64_t slots = r.u64();
+      for (std::uint64_t i = 0; i < slots; ++i) {
+        at();
+        (void)r.u64();
+      }
+    }
+  }
+  at();
+  r.expect_end();
+  return cuts;
+}
+
+/// An entry payload split at its snapshot blob, with the cut points of the
+/// part before it (key header, metadata, has-trees byte, blob length).
+struct EntryParts {
+  util::Bytes head;  ///< everything before the snapshot blob's length field
+  util::Bytes snapshot;
+  std::vector<std::size_t> head_cuts;
+};
+
+EntryParts split_entry(util::ByteSpan payload) {
+  util::ByteReader r(payload);
+  EntryParts parts;
+  const auto at = [&] { parts.head_cuts.push_back(payload.size() - r.remaining()); };
+  at();
+  (void)r.view(6);  // magic
+  at();
+  (void)r.u32();  // store version
+  at();
+  (void)r.u32();  // codec version
+  at();
+  const bool golden = r.u8() == 2;
+  at();
+  (void)r.str();  // app_name
+  at();
+  (void)r.str();  // app_fingerprint
+  at();
+  (void)r.u64();  // app_seed
+  at();
+  (void)r.i32();  // stage
+  at();
+  (void)r.u64();  // chunk_size
+  at();
+  (void)r.blob();  // golden: comparison blob; checkpoint: app_state
+  if (golden) {
+    at();
+    (void)r.str();  // report
+    at();
+    const std::uint64_t metrics = r.u64();
+    for (std::uint64_t i = 0; i < metrics; ++i) {
+      at();
+      (void)r.str();
+      at();
+      (void)r.f64();
+    }
+  }
+  at();
+  (void)r.u8();  // has trees
+  const std::size_t head_size = payload.size() - r.remaining();
+  at();
+  const util::ByteSpan snapshot = r.view(static_cast<std::size_t>(r.u64()));
+  r.expect_end();
+  parts.head.assign(payload.begin(), payload.begin() + static_cast<std::ptrdiff_t>(head_size));
+  parts.snapshot.assign(snapshot.begin(), snapshot.end());
+  return parts;
+}
+
+util::Bytes join_entry(const util::Bytes& head, util::ByteSpan snapshot) {
+  util::Bytes payload = head;
+  util::ByteWriter(payload).blob(snapshot);
+  return payload;
+}
+
+struct Mutation {
+  std::string what;
+  util::Bytes bytes;
+};
+
+/// Seeded mutations of `valid`: bit flips anywhere, and at every cut point a
+/// truncation, a few inserted bytes, and forged u64 lengths/counts — edge
+/// values plus ones that exactly fit, or just overrun, the bytes left.
+std::vector<Mutation> mutate(const util::Bytes& valid, const std::vector<std::size_t>& cuts,
+                             util::Rng& rng) {
+  std::vector<Mutation> out;
+  for (int i = 0; i < 96; ++i) {
+    util::Bytes b = valid;
+    const std::size_t pos = rng.uniform(b.size());
+    const int bit = static_cast<int>(rng.uniform(8));
+    b[pos] ^= static_cast<std::byte>(1u << bit);
+    out.push_back({"flip bit " + std::to_string(bit) + " of byte " + std::to_string(pos),
+                   std::move(b)});
+  }
+  for (const std::size_t cut : cuts) {
+    if (cut < valid.size()) {
+      out.push_back({"truncate at " + std::to_string(cut),
+                     util::Bytes(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(cut))});
+    }
+    util::Bytes inserted = valid;
+    util::Bytes junk(1 + rng.uniform(8));
+    for (auto& x : junk) x = static_cast<std::byte>(rng() & 0xff);
+    inserted.insert(inserted.begin() + static_cast<std::ptrdiff_t>(cut), junk.begin(),
+                    junk.end());
+    out.push_back({"insert " + std::to_string(junk.size()) + " bytes at " + std::to_string(cut),
+                   std::move(inserted)});
+    if (cut + 8 > valid.size()) continue;
+    const std::uint64_t left = valid.size() - cut - 8;
+    for (const std::uint64_t forged :
+         {std::uint64_t{0}, std::uint64_t{1}, left, left + 1, std::uint64_t{0xffffffff},
+          std::uint64_t{1} << 32, std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+      util::Bytes b = valid;
+      util::put_le_at(b, cut, forged, 8);
+      out.push_back({"forge u64 " + std::to_string(forged) + " at " + std::to_string(cut),
+                     std::move(b)});
+    }
+  }
+  return out;
+}
+
+/// Writes one valid golden and one valid checkpoint entry for the toy app
+/// (64-byte extents), then feeds mutated copies of them to the store.
+class CheckpointStoreEntryFuzz : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kAppSeed = 21;
+
+  void SetUp() override {
+    previous_level_ = util::log_level();
+    util::set_log_level(util::LogLevel::Error);  // every rejection logs a warning
+    dir_ = std::make_unique<StoreDir>("entry-fuzz");
+    store_ = std::make_unique<core::CheckpointStore>(dir_->path());
+    vfs::MemFs tree(tree_options());
+    core::RunContext ctx{.fs = tree, .app_seed = kAppSeed, .instrumented_stage = -1,
+                         .instrument = nullptr};
+    app_.run(ctx);
+    ASSERT_TRUE(store_->save_golden(golden_key(), app_.analyze(tree), tree));
+    const auto checkpoint = core::Checkpoint::capture(app_, kAppSeed, 2, tree_options());
+    ASSERT_TRUE(store_->save_checkpoint(checkpoint_key(), *checkpoint,
+                                        *checkpoint->grow_golden_tree(app_, kAppSeed),
+                                        app_.serialize_state(kAppSeed)));
+    for (const auto& key : {golden_key(), checkpoint_key()}) {
+      const util::Bytes file = read_file_bytes(store_->entry_path(key));
+      valid_.emplace_back(file.begin(), file.end() - 8);  // drop the trailer
+    }
+  }
+  void TearDown() override { util::set_log_level(previous_level_); }
+
+  [[nodiscard]] core::CheckpointStore::Key golden_key() const {
+    return toy_key(app_, kAppSeed, -1, tree_options());
+  }
+  [[nodiscard]] core::CheckpointStore::Key checkpoint_key() const {
+    return toy_key(app_, kAppSeed, 2, tree_options());
+  }
+
+  /// Seals `payload` at both entry paths and runs every load variant and a
+  /// GC pass over it.  Each must return a miss or a well-formed load.
+  void expect_load_or_miss(const util::Bytes& payload) {
+    write_sealed(store_->entry_path(golden_key()), payload);
+    write_sealed(store_->entry_path(checkpoint_key()), payload);
+    for (const bool want : {true, false}) {
+      if (const auto golden = store_->load_golden(golden_key(), tree_options(), want)) {
+        ++hits_;
+        EXPECT_NE(golden->analysis, nullptr);
+        EXPECT_EQ(golden->tree != nullptr, want);
+      }
+      if (const auto loaded = store_->load_checkpoint(checkpoint_key(), tree_options(), want)) {
+        ++hits_;
+        EXPECT_NE(loaded->checkpoint, nullptr);
+        EXPECT_EQ(loaded->golden_tree != nullptr, want);
+      }
+    }
+    (void)store_->gc();
+  }
+
+  PersistableToyApp app_;
+  std::unique_ptr<StoreDir> dir_;
+  std::unique_ptr<core::CheckpointStore> store_;
+  std::vector<util::Bytes> valid_;  ///< golden, checkpoint payloads
+  std::uint64_t hits_ = 0;
+  util::LogLevel previous_level_ = util::LogLevel::Warn;
+};
+
+TEST_F(CheckpointStoreEntryFuzz, MutatedHeadersLoadOrMiss) {
+  constexpr std::uint64_t kFuzzSeed = 0xe17f;
+  SCOPED_TRACE("fuzz seed " + std::to_string(kFuzzSeed));
+  util::Rng rng(kFuzzSeed);
+  std::size_t mutations = 0;
+  for (const util::Bytes& valid : valid_) {
+    const EntryParts parts = split_entry(valid);
+    for (const Mutation& m : mutate(valid, parts.head_cuts, rng)) {
+      SCOPED_TRACE(m.what);
+      expect_load_or_miss(m.bytes);
+      ++mutations;
+    }
+  }
+  EXPECT_GT(mutations, 400u);
+  // The store still serves the valid entries afterwards.
+  const std::uint64_t before = hits_;
+  for (const util::Bytes& valid : valid_) expect_load_or_miss(valid);
+  EXPECT_EQ(hits_ - before, 4u);  // each entry at its own path, tree wanted and declined
+}
+
+TEST_F(CheckpointStoreEntryFuzz, MutatedSnapshotsDecodeOrThrowVfsError) {
+  constexpr std::uint64_t kFuzzSeed = 0x5a9;
+  SCOPED_TRACE("fuzz seed " + std::to_string(kFuzzSeed));
+  util::Rng rng(kFuzzSeed);
+  std::size_t mutations = 0;
+  for (std::size_t k = 0; k < valid_.size(); ++k) {
+    const EntryParts parts = split_entry(valid_[k]);
+    const std::size_t trees = k + 1;  // golden: the output tree; checkpoint: two
+    for (const Mutation& m : mutate(parts.snapshot, snapshot_cuts(parts.snapshot), rng)) {
+      SCOPED_TRACE(m.what);
+      const auto owned = std::make_shared<util::Bytes>(m.bytes);
+      for (const bool zero_copy : {false, true}) {
+        vfs::MemFs first(tree_options());
+        vfs::MemFs second(tree_options());
+        vfs::MemFs* all[] = {&first, &second};
+        const std::span<vfs::MemFs* const> targets(all, trees);
+        try {
+          if (zero_copy) {
+            vfs::SnapshotCodec::decode(util::ByteSpan(*owned), targets, owned);
+          } else {
+            vfs::SnapshotCodec::decode(m.bytes, targets);
+          }
+        } catch (const vfs::VfsError&) {
+          // malformed: the expected outcome for most mutations
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << (zero_copy ? "zero-copy" : "copying")
+                        << " decode threw a non-VfsError: " << e.what();
+        }
+      }
+      expect_load_or_miss(join_entry(parts.head, m.bytes));
+      ++mutations;
+    }
+  }
+  EXPECT_GT(mutations, 500u);
 }
 
 // --- engine integration ------------------------------------------------------
@@ -1008,37 +1214,43 @@ TEST(EngineCheckpointStore, RestoresApplicationState) {
   EXPECT_EQ(warm_app.restores(), 1u);
 }
 
-TEST(EngineCheckpointStore, TreelessEntryIsUpgradedOnceThenFullyWarm) {
-  // Stores written before every cell classified by diff can hold checkpoint
-  // entries without golden trees.  The engine must (a) still load them and
-  // grow the tree from the snapshot (suffix-only, no prefix), (b) write the
-  // upgraded entry back, so (c) the next process is fully warm.
-  const StoreDir dir("engine-upgrade");
+TEST(EngineCheckpointStore, TreelessEntryIsAMissAndIsOverwritten) {
+  // Older builds could save a checkpoint entry without its golden tree.
+  // Such an entry is a miss: the engine captures afresh, the save overwrites
+  // the entry at its path with one carrying both trees, and the next process
+  // is fully warm.  Tallies match the reference oracle throughout.
+  const StoreDir dir("engine-treeless");
   constexpr std::uint64_t kRuns = 8;
 
   nyx::NyxApp cold_app(small_nyx_config());
   const auto plan = nyx_plan(cold_app, kRuns);
   const std::uint64_t app_seed = plan.cells()[0].app_seed();
+  const auto key = core::CheckpointStore::Key::of(cold_app, app_seed, 2, {});
   const core::CheckpointStore store(dir.path());
-  ASSERT_TRUE(store.save_checkpoint(core::CheckpointStore::Key::of(cold_app, app_seed, 2, {}),
-                                    *core::Checkpoint::capture(cold_app, app_seed, 2),
-                                    /*golden_tree=*/nullptr, cold_app.serialize_state(app_seed)));
+  write_treeless_checkpoint_entry(store.entry_path(key), key,
+                                  *core::Checkpoint::capture(cold_app, app_seed, 2),
+                                  cold_app.serialize_state(app_seed));
   const auto reference = exp::reference_run(plan);
 
   exp::EngineOptions options;
   options.threads = 1;
   options.checkpoint_dir = dir.path();
-  nyx::NyxApp upgrade_app(small_nyx_config());
-  const auto upgraded = exp::Engine(options).run(nyx_plan(upgrade_app, kRuns));
-  EXPECT_EQ(upgraded.checkpoints_loaded, 1u);
-  EXPECT_EQ(upgraded.checkpoint_builds, 0u);
-  EXPECT_EQ(upgraded.checkpoints_persisted, 1u);  // the upgrade write-back
-  expect_equal_tallies(reference, upgraded);
+  nyx::NyxApp rebuild_app(small_nyx_config());
+  const auto rebuilt = exp::Engine(options).run(nyx_plan(rebuild_app, kRuns));
+  EXPECT_EQ(rebuilt.checkpoints_loaded, 0u);
+  EXPECT_EQ(rebuilt.checkpoint_builds, 1u);
+  EXPECT_EQ(rebuilt.checkpoints_persisted, 1u);
+  expect_equal_tallies(reference, rebuilt);
+  const auto overwritten = store.load_checkpoint(key, {});
+  ASSERT_TRUE(overwritten.has_value());
+  EXPECT_NE(overwritten->golden_tree, nullptr);
 
   nyx::NyxApp warm_app(small_nyx_config());
   const auto warm = exp::Engine(options).run(nyx_plan(warm_app, kRuns));
+  EXPECT_EQ(warm.golden_executions, 0u);
+  EXPECT_EQ(warm.checkpoint_builds, 0u);
   EXPECT_EQ(warm.checkpoints_loaded, 1u);
-  EXPECT_EQ(warm.checkpoints_persisted, 0u);  // nothing left to upgrade
+  EXPECT_EQ(warm.checkpoints_persisted, 0u);
   expect_equal_tallies(reference, warm);
 }
 

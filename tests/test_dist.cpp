@@ -915,40 +915,6 @@ TEST(DistE2E, GoldenFailureReportsTheEngineError) {
   EXPECT_EQ(dist_run.report.cells[1].tally.total(), 8u);
 }
 
-TEST(DistE2E, FleetUpgradesTreelessCheckpointEntries) {
-  // Older stores can hold checkpoint entries without golden trees.  A fleet
-  // must load them and grow each tree from the loaded snapshot, as the
-  // engine does, instead of treating the entry as a miss and re-running the
-  // prefix.
-  StoreDir store("upgrade");
-  StagedToyApp app;
-  auto builder = exp::PlanBuilder().runs(24).seed(19);
-  builder.app(app).faults({"BF", "DW"}).stages(1, 2).product();
-  const auto plan = builder.build();
-
-  const std::uint64_t app_seed = plan.cells()[0].app_seed();
-  const core::CheckpointStore writer(store.path());
-  for (const int stage : {1, 2}) {
-    ASSERT_TRUE(writer.save_checkpoint(core::CheckpointStore::Key::of(app, app_seed, stage, {}),
-                                       *core::Checkpoint::capture(app, app_seed, stage),
-                                       /*golden_tree=*/nullptr, app.serialize_state(app_seed)));
-  }
-
-  const auto expected = exp::Engine().run(plan);
-  dist::CoordinatorOptions options;
-  options.unit_runs = 6;
-  options.engine.checkpoint_dir = store.path();
-  const auto dist_run = run_distributed(plan, /*n_workers=*/2, options);
-
-  expect_reports_identical(dist_run.report, expected);
-  for (const auto& cell : dist_run.report.cells) {
-    if (cell.cell.stage < 1) continue;
-    SCOPED_TRACE(cell.cell.label);
-    EXPECT_TRUE(cell.checkpointed);
-    EXPECT_TRUE(cell.checkpoint_loaded);
-  }
-}
-
 TEST(DistE2E, FleetStoresHonorTheCheckpointBudget) {
   // A first campaign fills the store unbounded.  A second one with disjoint
   // keys runs on a fleet whose budget holds its own entries but not both

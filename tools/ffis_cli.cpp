@@ -9,7 +9,7 @@
 //   ffis sweep    <config-file>   byte-wise HDF5 metadata sweep (Table III)
 //   ffis profile  <config-file>   fault-free I/O profile of an application
 //   ffis doctor   <dir> <file>    diagnose/repair an HDF5 file on disk
-//   ffis store gc <dir>           offline GC/compaction of a checkpoint store
+//   ffis store gc <dir>           offline GC of an existing checkpoint store
 //   ffis paper    <artifact>      reproduce one of the paper's tables,
 //                                 figures or ablations (ffis::paper);
 //                                 FFIS_RUNS, FFIS_SEED and FFIS_NYX_GRID
@@ -68,6 +68,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -255,7 +256,8 @@ int usage() {
                "bit-identical under any budget.  It needs a checkpoint dir,\n"
                "or --serve (workers may bring their own).  Warm entries\n"
                "decode through a zero-copy read-only mmap.\n"
-               "`ffis store gc <dir>` runs an offline GC/compaction pass.\n"
+               "`ffis store gc <dir>` runs an offline GC pass over an existing\n"
+               "store: it unlinks orphaned temp files and invalid entries.\n"
                "\n"
                "--serve and/or --workers switch plan to distributed execution:\n"
                "the process becomes a coordinator that shards the plan into\n"
@@ -697,12 +699,17 @@ int cmd_paper(const std::string& name) {
   return 0;
 }
 
-/// `ffis store gc <dir>`: one offline GC/compaction pass over a checkpoint
-/// store directory — drops orphaned temp files and corrupt/stale entries,
-/// compacts entries carrying unreferenced snapshot chunks.  Safe to run
-/// while engines use the directory (every rewrite is temp + atomic rename;
-/// a concurrently mmap'd entry stays valid for its holder).
+/// `ffis store gc <dir>`: one offline GC pass over a checkpoint store
+/// directory — unlinks orphaned temp files and corrupt/stale entries, and
+/// leaves valid entries as they are.  Safe to run while engines use the
+/// directory (a concurrently mmap'd entry stays valid for its holder).  The
+/// directory must exist: opening a store creates it, and a mistyped path
+/// would otherwise report a clean, empty store.
 int cmd_store_gc(const std::string& dir) {
+  std::error_code ec;
+  if (!std::filesystem::is_directory(dir, ec)) {
+    throw std::runtime_error("no checkpoint store at " + dir);
+  }
   const core::CheckpointStore store(dir);
   const auto result = store.gc();
   std::printf("store gc %s:\n", dir.c_str());
@@ -710,8 +717,6 @@ int cmd_store_gc(const std::string& dir) {
               static_cast<unsigned long long>(result.temp_files_removed));
   std::printf("  invalid entries removed: %llu\n",
               static_cast<unsigned long long>(result.invalid_entries_removed));
-  std::printf("  entries compacted:       %llu\n",
-              static_cast<unsigned long long>(result.entries_compacted));
   std::printf("  entries kept:            %llu\n",
               static_cast<unsigned long long>(result.entries_kept));
   std::printf("  bytes reclaimed:         %llu\n",
