@@ -13,10 +13,9 @@
 // once per preparer, in tier order: in-process cache ->
 // leased entry of the persistent store (EngineOptions::checkpoint_dir,
 // bounded by checkpoint_budget) -> execution, whose result is then
-// published to the store.  Every cell classifies by extent diff, so a
-// checkpoint entry saved without a golden tree (older stores hold such
-// entries) is upgraded in place: the tree is grown from the loaded snapshot
-// (suffix stages only) and the entry is written back.
+// published to the store.  Every cell classifies by extent diff, so every
+// entry carries its golden tree: an entry without one (older stores may
+// hold such entries) reads as a miss, and the rebuild overwrites it.
 //
 // prepare() is safe to call from pool threads: concurrent cells of one key
 // wait for its single resolution.  Per-cell flags have plan-order meaning —

@@ -5,43 +5,9 @@
 
 namespace ffis::faults {
 
-std::string_view fault_model_name(FaultModel m) noexcept {
-  switch (m) {
-    case FaultModel::BitFlip: return "BIT_FLIP";
-    case FaultModel::ShornWrite: return "SHORN_WRITE";
-    case FaultModel::DroppedWrite: return "DROPPED_WRITE";
-    case FaultModel::IoError: return "IO_ERROR";
-    case FaultModel::TornSector: return "TORN_SECTOR";
-    case FaultModel::LatentSectorError: return "LATENT_SECTOR_ERROR";
-    case FaultModel::MisdirectedWrite: return "MISDIRECTED_WRITE";
-    case FaultModel::BitRot: return "BIT_ROT";
-  }
-  return "?";
-}
-
-FaultModel parse_fault_model(std::string_view name) {
-  if (name == "BIT_FLIP" || name == "bitflip" || name == "BF") return FaultModel::BitFlip;
-  if (name == "SHORN_WRITE" || name == "shorn" || name == "SW") return FaultModel::ShornWrite;
-  if (name == "DROPPED_WRITE" || name == "dropped" || name == "DW") return FaultModel::DroppedWrite;
-  if (name == "IO_ERROR" || name == "EIO" || name == "IE") return FaultModel::IoError;
-  if (name == "TORN_SECTOR" || name == "torn" || name == "TS") return FaultModel::TornSector;
-  if (name == "LATENT_SECTOR_ERROR" || name == "lse" || name == "LSE") {
-    return FaultModel::LatentSectorError;
-  }
-  if (name == "MISDIRECTED_WRITE" || name == "misdirected" || name == "MW") {
-    return FaultModel::MisdirectedWrite;
-  }
-  if (name == "BIT_ROT" || name == "bitrot" || name == "BR") return FaultModel::BitRot;
-  throw std::invalid_argument("unknown fault model: " + std::string(name));
-}
-
 std::string_view shorn_tail_name(ShornTail t) noexcept {
-  switch (t) {
-    case ShornTail::AdjacentData: return "adjacent-data";
-    case ShornTail::Garbage: return "garbage";
-    case ShornTail::Stale: return "stale";
-  }
-  return "?";
+  constexpr std::string_view kNames[] = {"adjacent-data", "garbage", "stale"};
+  return kNames[static_cast<std::size_t>(t)];
 }
 
 WriteMutation apply_bit_flip(const BitFlipSpec& spec, util::Rng& rng, util::ByteSpan buf) {

@@ -1,6 +1,6 @@
 #pragma once
-// The three SSD-partial-failure manifestations FFIS models (paper §III-B,
-// Table I):
+// The fault models FFIS injects.  The SSD partial failures of paper §III-B
+// (Table I) fire at the file-system call boundary (faults::FaultingFs):
 //
 //  * BIT_FLIP      — flip `width` (default 2) consecutive bits at a uniformly
 //                    random bit position in the write buffer.  Models silent
@@ -32,8 +32,13 @@
 //                           a successful write; per-sector CRCs catch it on
 //                           read when scrubbing is enabled.
 //
-// `apply_to_write` is a pure function from (spec, rng, buffer) to a mutation
-// plan, so fault behaviour is unit-testable independent of any file system.
+// Each model is declared once, as one row of the model table in
+// fault_signature.cpp: canonical name, short form, third spelling, layer
+// (for a media row, the vfs::MediaFault hosting it) and its feature keys,
+// the one list that both parses and renders its signature features.
+//
+// `apply_*` are pure functions from (spec, rng, buffer) to a mutation plan,
+// so fault behaviour is unit-testable independent of any file system.
 
 #include <cstdint>
 #include <optional>
@@ -56,10 +61,8 @@ enum class FaultModel : std::uint8_t {
   LatentSectorError,
   MisdirectedWrite,
   BitRot,
+  kCount  ///< number of models; not a model
 };
-
-[[nodiscard]] std::string_view fault_model_name(FaultModel m) noexcept;
-[[nodiscard]] FaultModel parse_fault_model(std::string_view name);
 
 /// How the "undefined" tail bytes of a shorn write are materialized.
 enum class ShornTail : std::uint8_t {

@@ -5,11 +5,21 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "ffis/faults/fault_model.hpp"
+#include "ffis/vfs/block_device.hpp"
 #include "ffis/vfs/file_system.hpp"
 
 namespace ffis::faults {
+
+/// Lookups in the model table (fault_signature.cpp).  parse_fault_model
+/// accepts any of a model's three spellings; media_fault_kind throws
+/// std::invalid_argument for syscall-level models.
+[[nodiscard]] std::string_view fault_model_name(FaultModel m) noexcept;
+[[nodiscard]] FaultModel parse_fault_model(std::string_view name);
+[[nodiscard]] bool is_media_model(FaultModel m) noexcept;
+[[nodiscard]] vfs::MediaFault media_fault_kind(FaultModel m);
 
 struct FaultSignature {
   FaultModel model = FaultModel::BitFlip;
@@ -26,8 +36,9 @@ struct FaultSignature {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Parses a signature from "MODEL@primitive{key=value,...}" or the short
-/// forms "BF", "SW", "DW" (defaulting to pwrite and paper parameters).
+/// Parses a signature from "MODEL@primitive{key=value,...}" or a bare model
+/// name such as "BF" (defaulting to pwrite and paper parameters); throws
+/// std::invalid_argument naming the offending token.
 [[nodiscard]] FaultSignature parse_fault_signature(const std::string& text);
 
 }  // namespace ffis::faults

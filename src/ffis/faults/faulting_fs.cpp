@@ -19,11 +19,7 @@ WriteMutation mutate_write(const FaultSignature& signature, util::Rng& rng,
     case FaultModel::DroppedWrite:
       mut = apply_dropped_write();
       break;
-    case FaultModel::IoError:
-    case FaultModel::TornSector:
-    case FaultModel::LatentSectorError:
-    case FaultModel::MisdirectedWrite:
-    case FaultModel::BitRot:
+    default:
       throw std::logic_error("mutate_write: " + std::string(fault_model_name(signature.model)) +
                              " is not a silent pwrite fault");
   }
@@ -41,18 +37,12 @@ void FaultingFs::configure(const FaultSignature& signature) {
 
 void FaultingFs::arm(const FaultSignature& signature, std::uint64_t target_instance,
                      std::uint64_t seed) {
-  switch (signature.model) {
-    case FaultModel::TornSector:
-    case FaultModel::LatentSectorError:
-    case FaultModel::MisdirectedWrite:
-    case FaultModel::BitRot:
-      // Media-level models inject beneath this decorator; arm the run's
-      // vfs::BlockDevice instead (core::FaultInjector does).
-      throw std::logic_error("FaultingFs: media-level model " +
-                             std::string(fault_model_name(signature.model)) +
-                             " cannot be armed at the syscall layer");
-    default:
-      break;
+  if (is_media_model(signature.model)) {
+    // Media-level models inject beneath this decorator; arm the run's
+    // vfs::BlockDevice instead (core::FaultInjector does).
+    throw std::logic_error("FaultingFs: media-level model " +
+                           std::string(fault_model_name(signature.model)) +
+                           " cannot be armed at the syscall layer");
   }
   std::lock_guard lock(mutex_);
   signature_ = signature;
@@ -126,20 +116,14 @@ std::size_t FaultingFs::pread(vfs::FileHandle fh, util::MutableByteSpan buf,
                               std::uint64_t offset) {
   if (!step(vfs::Primitive::Pread)) return PassthroughFs::pread(fh, buf, offset);
 
-  {
-    std::lock_guard error_lock(mutex_);
-    if (signature_.model == FaultModel::IoError) {
-      record_.instance = target_instance_;
-      record_.offset = offset;
-      throw vfs::VfsError(vfs::VfsError::Code::IoError,
-                          "injected I/O error on pread (uncorrectable bit corruption)");
-    }
-  }
-
-  const std::size_t got = PassthroughFs::pread(fh, buf, offset);
   std::lock_guard lock(mutex_);
   record_.instance = target_instance_;
   record_.offset = offset;
+  if (signature_.model == FaultModel::IoError) {
+    throw vfs::VfsError(vfs::VfsError::Code::IoError,
+                        "injected I/O error on pread (uncorrectable bit corruption)");
+  }
+  const std::size_t got = PassthroughFs::pread(fh, buf, offset);
   record_.original_size = got;
 
   switch (signature_.model) {
@@ -167,20 +151,16 @@ std::size_t FaultingFs::pread(vfs::FileHandle fh, util::MutableByteSpan buf,
       record_.corrupted_bytes = got;
       return 0;
     }
-    case FaultModel::IoError:
-      break;  // handled above, before the backing read
-    case FaultModel::TornSector:
-    case FaultModel::LatentSectorError:
-    case FaultModel::MisdirectedWrite:
-    case FaultModel::BitRot:
-      break;  // unreachable: arm() rejects media models
+    default:  // IO_ERROR threw before the backing read
+      return got;
   }
-  return got;
 }
 
-void FaultingFs::mknod(const std::string& path, std::uint32_t mode) {
-  if (!step(vfs::Primitive::Mknod)) return PassthroughFs::mknod(path, mode);
+std::optional<std::uint32_t> FaultingFs::corrupt_mode(std::string_view op,
+                                                     const std::string& path,
+                                                     std::uint32_t mode) {
   std::lock_guard lock(mutex_);
+  record_.instance = target_instance_;
   record_.original_size = sizeof mode;
   std::uint32_t corrupted = mode;
   switch (signature_.model) {
@@ -197,53 +177,31 @@ void FaultingFs::mknod(const std::string& path, std::uint32_t mode) {
       record_.shorn_from = 1;
       break;
     case FaultModel::DroppedWrite:
-      // Node creation silently skipped.
+      // The operation is silently skipped.
       record_.dropped = true;
-      return;
+      return std::nullopt;
     case FaultModel::IoError:
       throw vfs::VfsError(vfs::VfsError::Code::IoError,
-                          "injected I/O error on mknod: " + path);
-    case FaultModel::TornSector:
-    case FaultModel::LatentSectorError:
-    case FaultModel::MisdirectedWrite:
-    case FaultModel::BitRot:
-      break;  // unreachable: arm() rejects media models
+                          "injected I/O error on " + std::string(op) + ": " + path);
+    default:
+      break;
   }
   record_.corrupted_bytes = (corrupted == mode) ? 0 : 1;
-  PassthroughFs::mknod(path, corrupted);
+  return corrupted;
+}
+
+void FaultingFs::mknod(const std::string& path, std::uint32_t mode) {
+  if (!step(vfs::Primitive::Mknod)) return PassthroughFs::mknod(path, mode);
+  if (const auto corrupted = corrupt_mode("mknod", path, mode)) {
+    PassthroughFs::mknod(path, *corrupted);
+  }
 }
 
 void FaultingFs::chmod(const std::string& path, std::uint32_t mode) {
   if (!step(vfs::Primitive::Chmod)) return PassthroughFs::chmod(path, mode);
-  std::lock_guard lock(mutex_);
-  record_.original_size = sizeof mode;
-  std::uint32_t corrupted = mode;
-  switch (signature_.model) {
-    case FaultModel::BitFlip: {
-      const std::uint32_t bit = static_cast<std::uint32_t>(rng_.uniform(31));
-      const std::uint32_t mask = (signature_.bit_flip.width >= 2) ? (3u << bit) : (1u << bit);
-      corrupted ^= mask;
-      record_.flipped_bit = bit;
-      break;
-    }
-    case FaultModel::ShornWrite:
-      corrupted &= 0xff;
-      record_.shorn_from = 1;
-      break;
-    case FaultModel::DroppedWrite:
-      record_.dropped = true;
-      return;
-    case FaultModel::IoError:
-      throw vfs::VfsError(vfs::VfsError::Code::IoError,
-                          "injected I/O error on chmod: " + path);
-    case FaultModel::TornSector:
-    case FaultModel::LatentSectorError:
-    case FaultModel::MisdirectedWrite:
-    case FaultModel::BitRot:
-      break;  // unreachable: arm() rejects media models
+  if (const auto corrupted = corrupt_mode("chmod", path, mode)) {
+    PassthroughFs::chmod(path, *corrupted);
   }
-  record_.corrupted_bytes = (corrupted == mode) ? 0 : 1;
-  PassthroughFs::chmod(path, corrupted);
 }
 
 }  // namespace ffis::faults

@@ -19,6 +19,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "ffis/faults/fault_signature.hpp"
 #include "ffis/util/rng.hpp"
@@ -114,6 +115,11 @@ class FaultingFs final : public vfs::PassthroughFs {
  private:
   /// Returns true when this call is the armed target instance.
   bool step(vfs::Primitive p) noexcept;
+  /// The armed fault on the mode argument of mknod / chmod (`op`): returns
+  /// the mode to forward, nullopt when the call is dropped; throws for
+  /// IO_ERROR.
+  std::optional<std::uint32_t> corrupt_mode(std::string_view op, const std::string& path,
+                                            std::uint32_t mode);
 
   std::atomic<bool> enabled_{true};
   vfs::BlockDevice* media_gate_ = nullptr;  ///< see gate_media()

@@ -1,37 +1,6 @@
 #include "ffis/faults/media_faults.hpp"
 
-#include <stdexcept>
-#include <string>
-
 namespace ffis::faults {
-
-bool is_media_model(FaultModel m) noexcept {
-  switch (m) {
-    case FaultModel::TornSector:
-    case FaultModel::LatentSectorError:
-    case FaultModel::MisdirectedWrite:
-    case FaultModel::BitRot:
-      return true;
-    case FaultModel::BitFlip:
-    case FaultModel::ShornWrite:
-    case FaultModel::DroppedWrite:
-    case FaultModel::IoError:
-      return false;
-  }
-  return false;
-}
-
-vfs::MediaFault media_fault_kind(FaultModel m) {
-  switch (m) {
-    case FaultModel::TornSector: return vfs::MediaFault::TornSector;
-    case FaultModel::LatentSectorError: return vfs::MediaFault::LatentSectorError;
-    case FaultModel::MisdirectedWrite: return vfs::MediaFault::MisdirectedWrite;
-    case FaultModel::BitRot: return vfs::MediaFault::BitRot;
-    default:
-      throw std::invalid_argument(std::string(fault_model_name(m)) +
-                                  " is not a media-level fault model");
-  }
-}
 
 vfs::BlockDevice::Options media_device_options(const FaultSignature& signature) noexcept {
   vfs::BlockDevice::Options options;

@@ -20,7 +20,9 @@
 // `sector` is 512 or 4096; `scrub` toggles CRC verification on read (the
 // difference between a Detected outcome and letting the corruption flow to
 // the Sdc/Benign classifier); `width` (BIT_ROT only) is the number of
-// consecutive bits that decay.  Media models host on pwrite only — the
+// consecutive bits that decay; any other key is rejected.  Each model's row
+// of the model table (faults/fault_signature.cpp) names its keys and the
+// vfs::MediaFault hosting it.  Media models host on pwrite only — the
 // device sits beneath the data write path.
 
 #include <cstdint>
@@ -30,13 +32,6 @@
 #include "ffis/vfs/block_device.hpp"
 
 namespace ffis::faults {
-
-/// True for the four models injected beneath the write path.
-[[nodiscard]] bool is_media_model(FaultModel m) noexcept;
-
-/// The vfs-level fault kind for a media model; throws std::invalid_argument
-/// for syscall-level models.
-[[nodiscard]] vfs::MediaFault media_fault_kind(FaultModel m);
 
 /// Device geometry/scrub options for a signature (defaults for non-media
 /// signatures, e.g. the force-block-device A/B probe).

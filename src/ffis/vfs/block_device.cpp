@@ -39,16 +39,6 @@ std::uint32_t crc32(util::ByteSpan data) noexcept {
   return c ^ 0xFFFFFFFFu;
 }
 
-std::string_view media_fault_name(MediaFault f) noexcept {
-  switch (f) {
-    case MediaFault::TornSector: return "TORN_SECTOR";
-    case MediaFault::LatentSectorError: return "LATENT_SECTOR_ERROR";
-    case MediaFault::MisdirectedWrite: return "MISDIRECTED_WRITE";
-    case MediaFault::BitRot: return "BIT_ROT";
-  }
-  return "?";
-}
-
 BlockDevice::BlockDevice(Options options) : options_(options) {
   if (options_.sector_bytes != 512 && options_.sector_bytes != 4096) {
     throw std::invalid_argument("BlockDevice: sector_bytes must be 512 or 4096, got " +

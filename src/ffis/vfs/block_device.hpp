@@ -57,7 +57,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "ffis/util/bytes.hpp"
@@ -71,16 +70,14 @@ class ExtentArena;
 /// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) — the per-sector checksum.
 [[nodiscard]] std::uint32_t crc32(util::ByteSpan data) noexcept;
 
-/// The media-level failure modes the device can inject (vfs-level mirror of
-/// the faults::FaultModel media entries; faults/media_faults.hpp bridges).
+/// The media-level failure modes the device can inject; each media row of
+/// the faults::FaultModel table names the one that hosts it.
 enum class MediaFault : std::uint8_t {
   TornSector,        ///< the sector is only partially programmed
   LatentSectorError, ///< the sector becomes unreadable (EIO under scrub)
   MisdirectedWrite,  ///< the sector's data lands at the wrong sector
   BitRot,            ///< bits decay silently after a successful write
 };
-
-[[nodiscard]] std::string_view media_fault_name(MediaFault f) noexcept;
 
 class BlockDevice {
  public:

@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <initializer_list>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "ffis/apps/montage/montage_app.hpp"
 #include "ffis/apps/nyx/nyx_app.hpp"
@@ -22,6 +24,8 @@
 #include "ffis/faults/faulting_fs.hpp"
 #include "ffis/faults/media_faults.hpp"
 #include "ffis/faults/write_observer.hpp"
+#include "ffis/util/rng.hpp"
+#include "ffis/util/strfmt.hpp"
 #include "ffis/vfs/block_device.hpp"
 #include "ffis/vfs/mem_fs.hpp"
 
@@ -241,43 +245,92 @@ TEST(FaultSignature, ToStringIncludesModelPrimitiveFeatures) {
             "SHORN_WRITE@pwrite{completed=7/8,tail=adjacent-data,sector=512,block=4096}");
 }
 
-class SignatureRoundtrip : public ::testing::TestWithParam<const char*> {};
+/// (input, its exact canonical rendering).
+class SignatureRoundtrip
+    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
 
 TEST_P(SignatureRoundtrip, ParseThenRenderIsStable) {
-  const auto sig = faults::parse_fault_signature(GetParam());
+  const auto& [input, rendering] = GetParam();
+  const auto sig = faults::parse_fault_signature(input);
+  EXPECT_EQ(sig.to_string(), rendering);
   const auto again = faults::parse_fault_signature(sig.to_string());
   EXPECT_EQ(again.to_string(), sig.to_string());
 }
 
-INSTANTIATE_TEST_SUITE_P(Examples, SignatureRoundtrip,
-                         ::testing::Values("BF", "SW", "DW", "BIT_FLIP",
-                                           "BIT_FLIP@pwrite{width=4}",
-                                           "SHORN_WRITE@pwrite{completed=3,tail=garbage}",
-                                           "DROPPED_WRITE@mknod",
-                                           "BIT_FLIP@chmod{width=1}"));
+INSTANTIATE_TEST_SUITE_P(
+    Examples, SignatureRoundtrip,
+    ::testing::Values(
+        std::pair{"BF", "BIT_FLIP@pwrite{width=2}"},
+        std::pair{"SW",
+                  "SHORN_WRITE@pwrite{completed=7/8,tail=adjacent-data,sector=512,block=4096}"},
+        std::pair{"DW", "DROPPED_WRITE@pwrite"},
+        std::pair{"BIT_FLIP", "BIT_FLIP@pwrite{width=2}"},
+        std::pair{"BIT_FLIP@pwrite{width=4}", "BIT_FLIP@pwrite{width=4}"},
+        std::pair{"SHORN_WRITE@pwrite{completed=3,tail=garbage}",
+                  "SHORN_WRITE@pwrite{completed=3/8,tail=garbage,sector=512,block=4096}"},
+        std::pair{"DROPPED_WRITE@mknod", "DROPPED_WRITE@mknod"},
+        std::pair{"BIT_FLIP@chmod{width=1}", "BIT_FLIP@chmod{width=1}"}));
 
-INSTANTIATE_TEST_SUITE_P(MediaExamples, SignatureRoundtrip,
-                         ::testing::Values("TS", "LSE", "MW", "BR", "IE",
-                                           "TORN_SECTOR@pwrite{sector=4096,scrub=off}",
-                                           "LATENT_SECTOR_ERROR@pwrite{sector=4096}",
-                                           "MISDIRECTED_WRITE@pwrite{scrub=off}",
-                                           "BIT_ROT@pwrite{sector=512,scrub=on,width=3}"));
+INSTANTIATE_TEST_SUITE_P(
+    MediaExamples, SignatureRoundtrip,
+    ::testing::Values(
+        std::pair{"TS", "TORN_SECTOR@pwrite{sector=512,scrub=on}"},
+        std::pair{"LSE", "LATENT_SECTOR_ERROR@pwrite{sector=512,scrub=on}"},
+        std::pair{"MW", "MISDIRECTED_WRITE@pwrite{sector=512,scrub=on}"},
+        std::pair{"BR", "BIT_ROT@pwrite{sector=512,scrub=on,width=1}"},
+        std::pair{"IE", "IO_ERROR@pwrite"},
+        std::pair{"TORN_SECTOR@pwrite{sector=4096,scrub=off}",
+                  "TORN_SECTOR@pwrite{sector=4096,scrub=off}"},
+        std::pair{"LATENT_SECTOR_ERROR@pwrite{sector=4096}",
+                  "LATENT_SECTOR_ERROR@pwrite{sector=4096,scrub=on}"},
+        std::pair{"MISDIRECTED_WRITE@pwrite{scrub=off}",
+                  "MISDIRECTED_WRITE@pwrite{sector=512,scrub=off}"},
+        std::pair{"BIT_ROT@pwrite{sector=512,scrub=on,width=3}",
+                  "BIT_ROT@pwrite{sector=512,scrub=on,width=3}"}));
 
 TEST(FaultSignature, EveryModelRoundTripsThroughItsCanonicalName) {
-  // Property over the whole taxonomy: for all 8 models, the canonical name
-  // parses back to the model and the rendered signature is a fixed point of
-  // parse-then-render.
-  for (const auto model :
-       {FaultModel::BitFlip, FaultModel::ShornWrite, FaultModel::DroppedWrite,
-        FaultModel::IoError, FaultModel::TornSector, FaultModel::LatentSectorError,
-        FaultModel::MisdirectedWrite, FaultModel::BitRot}) {
-    const std::string name(faults::fault_model_name(model));
+  // Property over the whole taxonomy: for all 8 models, each of the three
+  // spellings (canonical name, short form, third spelling) parses to the
+  // model, the canonical name renders the pinned default signature, and
+  // that rendering is a fixed point of parse-then-render.
+  struct Row {
+    FaultModel model;
+    const char* spellings[3];
+    const char* rendering;
+  };
+  const Row rows[] = {
+      {FaultModel::BitFlip, {"BIT_FLIP", "BF", "bitflip"}, "BIT_FLIP@pwrite{width=2}"},
+      {FaultModel::ShornWrite,
+       {"SHORN_WRITE", "SW", "shorn"},
+       "SHORN_WRITE@pwrite{completed=7/8,tail=adjacent-data,sector=512,block=4096}"},
+      {FaultModel::DroppedWrite, {"DROPPED_WRITE", "DW", "dropped"}, "DROPPED_WRITE@pwrite"},
+      {FaultModel::IoError, {"IO_ERROR", "IE", "EIO"}, "IO_ERROR@pwrite"},
+      {FaultModel::TornSector,
+       {"TORN_SECTOR", "TS", "torn"},
+       "TORN_SECTOR@pwrite{sector=512,scrub=on}"},
+      {FaultModel::LatentSectorError,
+       {"LATENT_SECTOR_ERROR", "LSE", "lse"},
+       "LATENT_SECTOR_ERROR@pwrite{sector=512,scrub=on}"},
+      {FaultModel::MisdirectedWrite,
+       {"MISDIRECTED_WRITE", "MW", "misdirected"},
+       "MISDIRECTED_WRITE@pwrite{sector=512,scrub=on}"},
+      {FaultModel::BitRot,
+       {"BIT_ROT", "BR", "bitrot"},
+       "BIT_ROT@pwrite{sector=512,scrub=on,width=1}"},
+  };
+  for (const Row& row : rows) {
+    const std::string name(faults::fault_model_name(row.model));
+    EXPECT_EQ(name, row.spellings[0]);
+    for (const char* spelling : row.spellings) {
+      EXPECT_EQ(faults::parse_fault_model(spelling), row.model) << spelling;
+      EXPECT_EQ(faults::parse_fault_signature(spelling).to_string(), row.rendering) << spelling;
+    }
     const auto sig = faults::parse_fault_signature(name);
-    EXPECT_EQ(sig.model, model) << name;
+    EXPECT_EQ(sig.model, row.model) << name;
     EXPECT_EQ(sig.primitive, Primitive::Pwrite) << name;  // default host
     const auto again = faults::parse_fault_signature(sig.to_string());
     EXPECT_EQ(again.to_string(), sig.to_string()) << name;
-    EXPECT_EQ(again.model, model) << name;
+    EXPECT_EQ(again.model, row.model) << name;
   }
 }
 
@@ -336,6 +389,24 @@ TEST(FaultSignature, RejectionsNameTheOffendingToken) {
   expect_parse_error_mentions("TS@mknod", {"TORN_SECTOR", "mknod"});     // wrong host
   expect_parse_error_mentions("LSE@chmod", {"LATENT_SECTOR_ERROR", "chmod"});
   expect_parse_error_mentions("BR@pwrite{width}", {"width"});  // missing '='
+  // Shorn-write geometry that would divide by zero, loop forever or report
+  // more bytes than a read returned.
+  expect_parse_error_mentions("SW@pwrite{sector=0}", {"sector", "0"});
+  expect_parse_error_mentions("SW@pread{sector=0}", {"sector", "0"});
+  expect_parse_error_mentions("SW@pwrite{block=0}", {"block", "0"});
+  expect_parse_error_mentions("SW@pwrite{completed=0}", {"completed", "0"});
+  expect_parse_error_mentions("SW@pwrite{completed=9}", {"completed", "9"});
+  expect_parse_error_mentions("SW@pread{completed=9/8}", {"completed", "9/8"});
+  // Keys of the model's layer that the model itself never reads.
+  expect_parse_error_mentions("DW@pwrite{width=3}", {"width"});
+  expect_parse_error_mentions("BF@pwrite{tail=garbage}", {"tail"});
+  expect_parse_error_mentions("TS@pwrite{width=4}", {"width"});
+  expect_parse_error_mentions("IE@pwrite{sector=512}", {"sector"});
+  // Primitives FaultingFs does not intercept, and a primitive that is no
+  // primitive at all.
+  expect_parse_error_mentions("BF@open", {"BIT_FLIP", "open"});
+  expect_parse_error_mentions("DW@stat", {"DROPPED_WRITE", "stat"});
+  expect_parse_error_mentions("BF@bogus", {"bogus"});
 }
 
 TEST(FaultingFs, ArmRejectsMediaModels) {
@@ -580,11 +651,10 @@ TEST(FaultingFs, SameSeedSameCorruption) {
 
 // --- features_drawn ------------------------------------------------------------
 
-/// Fires `signature` on the first execution of its primitive over a 4 KiB
-/// file and a node, and returns the fired record's features_drawn.  Media
-/// models arm a 512-byte-sector device mounted after the file was written.
-bool fires_drawing_features(const std::string& signature) {
-  const FaultSignature sig = faults::parse_fault_signature(signature);
+/// Fires `sig` on the first execution of its primitive over a 4 KiB file
+/// and a node, and returns the fired record.  Media models arm a device of
+/// the signature's geometry, mounted after the file was written.
+faults::InjectionRecord fire_once(const FaultSignature& sig) {
   vfs::MemFs backing;
   vfs::write_file(backing, "/f", pattern_buffer(4096));
   backing.mknod("/m", 0600);
@@ -613,15 +683,17 @@ bool fires_drawing_features(const std::string& signature) {
         fi.chmod("/m", 0755);
         break;
       default:
-        ADD_FAILURE() << "no driver for " << signature;
+        ADD_FAILURE() << "no driver for " << sig.to_string();
     }
   } catch (const vfs::VfsError&) {
     // IO_ERROR reports its fault; the record is still filled in.
   }
-  const faults::InjectionRecord record =
-      device ? faults::media_injection_record(sig, *device) : fi.record();
-  EXPECT_TRUE(device ? device->fired() : fi.fired()) << signature;
-  return record.features_drawn;
+  EXPECT_TRUE(device ? device->fired() : fi.fired()) << sig.to_string();
+  return device ? faults::media_injection_record(sig, *device) : fi.record();
+}
+
+bool fires_drawing_features(const std::string& signature) {
+  return fire_once(faults::parse_fault_signature(signature)).features_drawn;
 }
 
 TEST(FaultingFs, FeaturesDrawnTableCoversEveryModel) {
@@ -666,6 +738,134 @@ TEST(FaultingFs, UnfiredFaultDrewNoFeatures) {
   vfs::write_file(fi, "/f", pattern_buffer(64));
   EXPECT_FALSE(fi.fired());
   EXPECT_FALSE(fi.record().features_drawn);
+}
+
+// --- FaultSignatureFuzz -------------------------------------------------------
+//
+// Signatures are untrusted input: they arrive in config files and in the
+// plan text a coordinator sends its workers.  Every input must either throw
+// std::invalid_argument or parse to a signature whose rendering is a fixed
+// point of parse-then-render and that fires once on a small MemFs.
+
+/// Returns whether `text` parsed.
+bool expect_rejected_or_fires(const std::string& text) {
+  FaultSignature sig;
+  try {
+    sig = faults::parse_fault_signature(text);
+  } catch (const std::invalid_argument&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "'" << text << "' threw a non-invalid_argument: " << e.what();
+    return false;
+  }
+  const std::string rendering = sig.to_string();
+  try {
+    const FaultSignature again = faults::parse_fault_signature(rendering);
+    EXPECT_EQ(again.to_string(), rendering) << text;
+    EXPECT_EQ(again.model, sig.model) << text;
+    EXPECT_EQ(again.primitive, sig.primitive) << text;
+    (void)fire_once(sig);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "'" << text << "' parsed as '" << rendering << "' then threw: " << e.what();
+  }
+  return true;
+}
+
+/// Valid signatures the mutations start from: every model's default
+/// rendering on each host primitive, plus non-default features.
+std::vector<std::string> fuzz_corpus() {
+  std::vector<std::string> corpus;
+  for (const char* model : {"BF", "SW", "DW", "IE", "TS", "LSE", "MW", "BR"}) {
+    for (const char* host : {"pwrite", "pread", "mknod", "chmod"}) {
+      try {
+        corpus.push_back(
+            faults::parse_fault_signature(std::string(model) + "@" + host).to_string());
+      } catch (const std::invalid_argument&) {
+        // Media models host on pwrite only.
+      }
+    }
+  }
+  for (const char* text : {"BIT_FLIP@pwrite{width=4}",
+                           "SHORN_WRITE@pread{completed=3/8,tail=stale,sector=4096,block=8192}",
+                           "SHORN_WRITE@pwrite{completed=1,tail=garbage,sector=1,block=1}",
+                           "BIT_ROT@pwrite{sector=4096,scrub=off,width=8}",
+                           "TORN_SECTOR@pwrite{sector=4096,scrub=off}"}) {
+    corpus.push_back(faults::parse_fault_signature(text).to_string());
+  }
+  return corpus;
+}
+
+constexpr const char* kFuzzKeys[] = {"width", "completed", "tail", "sector",
+                                     "block", "scrub",     "bogus"};
+constexpr const char* kFuzzValues[] = {
+    "0",    "1",          "7",          "8",   "9",  "511",  "512",   "4095",
+    "4096", "4294967295", "4294967296", "",    "junk", "-1", "7/8", "9/8",
+    "0/8",  "on",         "off",        "garbage", "stale", "adjacent-data"};
+
+TEST(FaultSignatureFuzz, EdgeValuesAtEveryFeature) {
+  std::size_t parsed = 0;
+  for (const char* model : {"BF", "SW", "DW", "IE", "TS", "LSE", "MW", "BR"}) {
+    for (const char* host : {"pwrite", "pread", "mknod", "chmod"}) {
+      for (const char* key : kFuzzKeys) {
+        for (const char* value : kFuzzValues) {
+          parsed += expect_rejected_or_fires(util::fmt("{}@{}", model, host) + "{" + key + "=" +
+                                             value + "}");
+        }
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0u);  // the edge values include valid ones for every key
+}
+
+TEST(FaultSignatureFuzz, MutatedSignaturesParseOrThrow) {
+  // Byte flips, truncations, edge values in place of a feature's value and
+  // spliced key=value items applied to valid signatures; each input's seed
+  // is traced.
+  const std::vector<std::string> corpus = fuzz_corpus();
+  constexpr std::uint64_t kInputs = 20000;
+  std::uint64_t parsed = 0;
+  for (std::uint64_t seed = 1; seed <= kInputs; ++seed) {
+    util::Rng rng(seed);
+    std::string text = corpus[rng.uniform(corpus.size())];
+    const std::uint64_t edits = 1 + rng.uniform(2);
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      const std::size_t pos = rng.uniform(text.size() + 1);
+      const char* value = kFuzzValues[rng.uniform(std::size(kFuzzValues))];
+      switch (rng.uniform(5)) {
+        case 0:  // byte flip
+          if (pos < text.size()) text[pos] = static_cast<char>(rng() & 0xff);
+          break;
+        case 1:  // truncation
+          text.resize(pos);
+          break;
+        case 2: {  // an existing feature's value replaced by an edge value
+          const std::size_t eq = text.find('=', pos);
+          if (eq == std::string::npos) break;
+          const std::size_t end = std::min(text.find_first_of(",}", eq), text.size());
+          text.replace(eq + 1, end - eq - 1, value);
+          break;
+        }
+        case 3: {  // a spliced item before the closing brace
+          const std::string item =
+              std::string(kFuzzKeys[rng.uniform(std::size(kFuzzKeys))]) + "=" + value;
+          if (text.size() >= 2 && text.back() == '}') {
+            text.insert(text.size() - 1, (text[text.size() - 2] == '{' ? "" : ",") + item);
+          } else {
+            text += "{" + item + "}";
+          }
+          break;
+        }
+        default:  // a structural character at a random position
+          text.insert(pos, 1, "@{}=,/"[rng.uniform(6)]);
+          break;
+      }
+    }
+    SCOPED_TRACE(util::fmt("seed {} input '{}'", seed, text));
+    parsed += expect_rejected_or_fires(text);
+  }
+  // Both outcomes occur, so the inputs probe the parser and the firing.
+  EXPECT_GT(parsed, kInputs / 20);
+  EXPECT_LT(parsed, kInputs - kInputs / 20);
 }
 
 // --- WriteObserver -----------------------------------------------------------
