@@ -21,12 +21,15 @@ using namespace ffis;
 namespace {
 
 // A tiny characterized application: checkpoints 1 KB of counter data in four
-// writes, then analyzes by reading the checkpoint back.
+// writes, then analyzes by reading the checkpoint back.  It declares no
+// stages (stage_count() stays 0), so run_stages does all its work in stage 0;
+// an application with stages brackets each with ctx.enter_stage/leave_stage
+// and gets checkpoint resume for free.
 class TinyApp final : public core::Application {
  public:
   [[nodiscard]] std::string name() const override { return "tiny"; }
 
-  void run(const core::RunContext& ctx) const override {
+  void run_stages(const core::RunContext& ctx, int /*first*/, int /*last*/) const override {
     vfs::File f(ctx.fs, "/checkpoint.bin", vfs::OpenMode::Write);
     util::Bytes chunk(256);
     for (std::uint64_t part = 0; part < 4; ++part) {

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "ffis/core/checkpoint.hpp"
 #include "ffis/util/rng.hpp"
 #include "ffis/util/thread_pool.hpp"
 #include "ffis/vfs/mem_fs.hpp"
@@ -37,9 +38,7 @@ MetadataSweepResult metadata_sweep(const core::Application& app, std::uint64_t a
 
   // Golden run: produce and snapshot the file tree, and the golden analysis.
   vfs::MemFs golden_fs;
-  core::RunContext ctx{.fs = golden_fs, .app_seed = app_seed, .instrumented_stage = -1,
-                       .instrument = nullptr};
-  app.run(ctx);
+  core::run_fault_free(app, app_seed, golden_fs, 0, app.stage_count());
   const core::AnalysisResult golden = app.analyze(golden_fs);
   const vfs::TreeSnapshot snapshot = vfs::snapshot_tree(golden_fs);
 

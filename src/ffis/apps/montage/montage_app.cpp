@@ -1,5 +1,6 @@
 #include "ffis/apps/montage/montage_app.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -29,12 +30,11 @@ std::shared_ptr<const MontageApp::Inputs> MontageApp::inputs(std::uint64_t seed)
   return cached_inputs_;
 }
 
-void MontageApp::run_range(const core::RunContext& ctx, bool ingest, int first,
-                           int last) const {
+void MontageApp::run_stages(const core::RunContext& ctx, int first, int last) const {
   const auto in = inputs(ctx.app_seed);
   const auto& paths = config_.paths;
 
-  if (ingest) {
+  if (first == 0) {
     // Ingest (stage 0: the paper does not instrument the raw-archive fetch).
     vfs::mkdirs(ctx.fs, paths.raw_dir);
     for (std::size_t k = 0; k < in->raw_tiles.size(); ++k) {
@@ -42,7 +42,7 @@ void MontageApp::run_range(const core::RunContext& ctx, bool ingest, int first,
     }
   }
 
-  for (int stage = first; stage <= last; ++stage) {
+  for (int stage = std::max(first, 1); stage <= last; ++stage) {
     ctx.enter_stage(stage);
     switch (stage) {
       case 1: stage1_project(ctx.fs, in->scene, paths, config_.stages); break;
@@ -53,22 +53,6 @@ void MontageApp::run_range(const core::RunContext& ctx, bool ingest, int first,
     }
     ctx.leave_stage(stage);
   }
-}
-
-void MontageApp::run(const core::RunContext& ctx) const { run_range(ctx, true, 1, 4); }
-
-void MontageApp::run_prefix(const core::RunContext& ctx, int stage) const {
-  if (stage < 1 || stage > stage_count()) {
-    throw std::invalid_argument("montage: no such stage " + std::to_string(stage));
-  }
-  run_range(ctx, true, 1, stage - 1);
-}
-
-void MontageApp::run_from(const core::RunContext& ctx, int stage) const {
-  if (stage < 1 || stage > stage_count()) {
-    throw std::invalid_argument("montage: no such stage " + std::to_string(stage));
-  }
-  run_range(ctx, false, stage, stage_count());
 }
 
 core::AnalysisResult MontageApp::analyze(vfs::FileSystem& fs) const {

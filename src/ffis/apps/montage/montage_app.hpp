@@ -1,10 +1,10 @@
 #pragma once
 // Mini-Montage as an FFIS-characterized application.
 //
-// run(): write the raw tiles (uninstrumented ingest), then execute the four
-//        instrumented stages, bracketing each with enter_stage/leave_stage so
-//        that a campaign configured for stage k (MT1..MT4 in Figure 7) plants
-//        its fault only in that stage's writes.
+// run_stages(): stage 0 writes the raw tiles (uninstrumented ingest); stages
+//        1-4 are the four instrumented pipeline steps, each bracketed with
+//        enter_stage/leave_stage so that a campaign configured for stage k
+//        (MT1..MT4 in Figure 7) plants its fault only in that stage's writes.
 // analyze(): read the preview image bytes (comparison blob) and the "min"
 //        statistic of the final step.
 // classify() (paper rule): min within [82.82, 82.83] -> SDC, else Detected;
@@ -33,10 +33,8 @@ class MontageApp final : public core::Application {
   explicit MontageApp(MontageConfig config = {});
 
   [[nodiscard]] std::string name() const override { return "montage"; }
-  void run(const core::RunContext& ctx) const override;
   [[nodiscard]] int stage_count() const override { return 4; }
-  void run_prefix(const core::RunContext& ctx, int stage) const override;
-  void run_from(const core::RunContext& ctx, int stage) const override;
+  void run_stages(const core::RunContext& ctx, int first, int last) const override;
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem& fs) const override;
   /// Short-circuits untouched end-of-pipeline artifacts: the analysis reads
   /// only the preview image and the statistics file, so when the extent diff
@@ -68,10 +66,6 @@ class MontageApp final : public core::Application {
   [[nodiscard]] std::shared_ptr<const Inputs> inputs(std::uint64_t seed) const;
 
  private:
-  /// Shared body of run/run_prefix/run_from: the raw-tile ingest when
-  /// `ingest`, then stages [first, last] bracketed with enter/leave_stage.
-  void run_range(const core::RunContext& ctx, bool ingest, int first, int last) const;
-
   MontageConfig config_;
   mutable std::mutex cache_mutex_;
   mutable std::uint64_t cached_seed_ = 0;

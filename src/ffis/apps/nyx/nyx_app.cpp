@@ -95,9 +95,12 @@ void NyxApp::update_slab(const core::RunContext& ctx, const DensityField& f, int
   file.fsync();
 }
 
-void NyxApp::run_range(const core::RunContext& ctx, int first, int last) const {
-  // Shared ownership keeps the field alive even if a concurrent cell with a
-  // different seed evicts the cache entry mid-run.
+void NyxApp::run_stages(const core::RunContext& ctx, int first, int last) const {
+  // Stage 0 is the field warm-up, done by every range: an empty prefix still
+  // fills the cache so per-run forks don't race to generate it (they would
+  // anyway serialize on cache_mutex_).  Shared ownership keeps the field
+  // alive even if a concurrent cell with a different seed evicts the cache
+  // entry mid-run.
   const std::shared_ptr<const DensityField> f = field(ctx.app_seed);
   if (first <= 1 && 1 <= last) {
     ctx.enter_stage(1);
@@ -109,27 +112,6 @@ void NyxApp::run_range(const core::RunContext& ctx, int first, int last) const {
     update_slab(ctx, *f, t);
     ctx.leave_stage(t);
   }
-}
-
-void NyxApp::run(const core::RunContext& ctx) const {
-  run_range(ctx, 1, config_.timesteps);
-}
-
-void NyxApp::run_prefix(const core::RunContext& ctx, int stage) const {
-  if (stage < 1 || stage > config_.timesteps) {
-    throw std::invalid_argument("nyx: no such stage " + std::to_string(stage));
-  }
-  // An empty prefix still warms the field cache so per-run forks don't race
-  // to generate it (they would anyway serialize on cache_mutex_).
-  (void)field(ctx.app_seed);
-  run_range(ctx, 1, stage - 1);
-}
-
-void NyxApp::run_from(const core::RunContext& ctx, int stage) const {
-  if (stage < 1 || stage > config_.timesteps) {
-    throw std::invalid_argument("nyx: no such stage " + std::to_string(stage));
-  }
-  run_range(ctx, stage, config_.timesteps);
 }
 
 core::AnalysisResult NyxApp::analysis_from_catalog(const HaloCatalog& catalog) const {

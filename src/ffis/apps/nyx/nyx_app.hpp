@@ -1,9 +1,10 @@
 #pragma once
 // Mini-Nyx as an FFIS-characterized application.
 //
-// run():     generate the baryon-density field (cached — the simulation is
-//            deterministic and the paper only perturbs the I/O path) and
-//            write the HDF5 plotfile through the instrumented file system.
+// run_stages(): generate the baryon-density field (stage 0; cached — the
+//            simulation is deterministic and the paper only perturbs the I/O
+//            path) and write the HDF5 plotfile through the instrumented file
+//            system (stage 1; later stages rewrite one slab each).
 // analyze(): read the plotfile back (HDF5 exceptions -> Crash) and run the
 //            halo finder; the comparison blob is the halo catalog text.
 // classify() (paper rule): output differs and no halo found -> Detected;
@@ -49,13 +50,11 @@ class NyxApp final : public core::Application {
   explicit NyxApp(NyxConfig config = {});
 
   [[nodiscard]] std::string name() const override { return "nyx"; }
-  void run(const core::RunContext& ctx) const override;
-  /// One stage per dump (NyxConfig::timesteps).  Nothing precedes stage 1
-  /// (the simulation is in-memory), so its prefix is empty; the prefix of a
-  /// later stage holds the full plotfile plus every earlier slab update.
+  /// One stage per dump (NyxConfig::timesteps).  Stage 0 only warms the
+  /// in-memory field, so the prefix of stage 1 writes nothing; the prefix of
+  /// a later stage holds the full plotfile plus every earlier slab update.
   [[nodiscard]] int stage_count() const override { return config_.timesteps; }
-  void run_prefix(const core::RunContext& ctx, int stage) const override;
-  void run_from(const core::RunContext& ctx, int stage) const override;
+  void run_stages(const core::RunContext& ctx, int first, int last) const override;
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem& fs) const override;
   /// Caches the decoded golden plotfile dataset (values + float format), the
   /// planned layout addresses, and the golden bytes outside the raw data (the
@@ -107,7 +106,6 @@ class NyxApp final : public core::Application {
  private:
   /// Shared tail of analyze / analyze_dirty: catalog -> report + metrics.
   [[nodiscard]] core::AnalysisResult analysis_from_catalog(const HaloCatalog& catalog) const;
-  void run_range(const core::RunContext& ctx, int first, int last) const;
   void update_slab(const core::RunContext& ctx, const DensityField& f, int t) const;
   /// Cumulative growth factor applied to slab `z` by dumps 2..up_to.
   [[nodiscard]] double slab_factor(std::size_t z, int up_to) const noexcept;

@@ -36,11 +36,10 @@ void QmcApp::render(Trace& t) const {
   t.dmc_text = render_scalar_file(t.dmc_rows, config_.io);
 }
 
-void QmcApp::run_range(const core::RunContext& ctx, bool ingest, int first,
-                       int last) const {
+void QmcApp::run_stages(const core::RunContext& ctx, int first, int last) const {
   const auto t = trace(ctx.app_seed);
 
-  if (ingest) {
+  if (first == 0) {
     // Input echo, written first like QMCPACK's <project>.cont.xml.
     const std::string xml = util::fmt(
         "<?xml version=\"1.0\"?>\n<simulation>\n"
@@ -63,22 +62,6 @@ void QmcApp::run_range(const core::RunContext& ctx, bool ingest, int first,
     write_scalar_text(ctx.fs, dmc_path(), t->dmc_text);
     ctx.leave_stage(2);
   }
-}
-
-void QmcApp::run(const core::RunContext& ctx) const { run_range(ctx, true, 1, 2); }
-
-void QmcApp::run_prefix(const core::RunContext& ctx, int stage) const {
-  if (stage < 1 || stage > stage_count()) {
-    throw std::invalid_argument("qmcpack: no such stage " + std::to_string(stage));
-  }
-  run_range(ctx, true, 1, stage - 1);
-}
-
-void QmcApp::run_from(const core::RunContext& ctx, int stage) const {
-  if (stage < 1 || stage > stage_count()) {
-    throw std::invalid_argument("qmcpack: no such stage " + std::to_string(stage));
-  }
-  run_range(ctx, false, stage, stage_count());
 }
 
 namespace {

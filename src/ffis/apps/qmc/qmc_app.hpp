@@ -1,8 +1,8 @@
 #pragma once
 // Mini-QMCPACK as an FFIS-characterized application.
 //
-// run():     VMC (He.s000.scalar.dat) then DMC (He.s001.scalar.dat), plus a
-//            small input-echo XML — all through the instrumented VFS.  The
+// run_stages(): a small input-echo XML, then VMC (He.s000.scalar.dat) and
+//            DMC (He.s001.scalar.dat) — all through the instrumented VFS.  The
 //            Monte Carlo trace is deterministic for a given seed and cached,
 //            since the paper perturbs only the I/O path; the cache holds
 //            each series rendered once, so a run only reissues its pwrites.
@@ -40,12 +40,10 @@ class QmcApp final : public core::Application {
   explicit QmcApp(QmcAppConfig config = {});
 
   [[nodiscard]] std::string name() const override { return "qmcpack"; }
-  void run(const core::RunContext& ctx) const override;
-  /// Stage 1 = the VMC series (s000), stage 2 = the DMC series (s001); the
-  /// input-echo XML is uninstrumented ingest, as in run().
+  /// Stage 0 = the input-echo XML (uninstrumented ingest), stage 1 = the
+  /// VMC series (s000), stage 2 = the DMC series (s001).
   [[nodiscard]] int stage_count() const override { return 2; }
-  void run_prefix(const core::RunContext& ctx, int stage) const override;
-  void run_from(const core::RunContext& ctx, int stage) const override;
+  void run_stages(const core::RunContext& ctx, int first, int last) const override;
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem& fs) const override;
   /// The golden s001 bytes with their per-line index (ScalarIndex), or
   /// null when the golden series cannot anchor a splice.
@@ -89,9 +87,6 @@ class QmcApp final : public core::Application {
   [[nodiscard]] std::shared_ptr<const Trace> trace(std::uint64_t seed) const;
 
  private:
-  /// Shared body of run/run_prefix/run_from: the XML echo when `ingest`,
-  /// then stages [first, last] bracketed with enter/leave_stage.
-  void run_range(const core::RunContext& ctx, bool ingest, int first, int last) const;
   /// Renders both series of `t` with the configured flush size.
   void render(Trace& t) const;
 

@@ -7,9 +7,9 @@
 // (2) run its post-analysis over the produced files; (3) classify a faulty
 // analysis against the golden one using its own domain rules (paper §IV-C).
 //
-// Implementations must be const-thread-compatible: `run`, `analyze` and
-// `classify` are const and may be called concurrently on the same instance
-// with distinct file systems (campaign runs execute in parallel).
+// Implementations must be const-thread-compatible: `run_stages`, `analyze`
+// and `classify` are const and may be called concurrently on the same
+// instance with distinct file systems (campaign runs execute in parallel).
 
 #include <cstdint>
 #include <map>
@@ -36,7 +36,7 @@ class StageListener {
   ~StageListener() = default;
 };
 
-/// Per-run execution context handed to Application::run.
+/// Per-run execution context handed to Application::run_stages.
 struct RunContext {
   /// The mounted file system.  During injection runs this is a FaultingFs;
   /// during golden runs it is the bare backing store.
@@ -111,44 +111,58 @@ class Application {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Executes the workload, writing outputs into ctx.fs.  Exceptions
-  /// propagate and the campaign records a Crash.
-  virtual void run(const RunContext& ctx) const = 0;
-
-  // --- Stage-resumable execution (checkpoint reuse) -------------------------
+  // --- Stages ----------------------------------------------------------------
   //
-  // A stage-resumable application splits run() at its enter_stage boundaries
-  // so the engine can execute the fault-free prefix once per campaign cell,
-  // snapshot the file system, and replay only the instrumented suffix per
-  // injection run.  The contract, for every k in [1, stage_count()]:
+  // An application declares its run once, as a sequence of stages: stage 0
+  // is the work before stage 1 (input ingest, warm-up; never instrumented),
+  // and stages 1..stage_count() are the ones the workload brackets with
+  // ctx.enter_stage/leave_stage.  Every pass the engine makes — the golden
+  // run, a checkpoint's fault-free prefix, the profiling pass, an injection
+  // run resumed from a checkpoint — is run_stages over some range of them.
+  // Ranges must compose: for every k in [1, stage_count()],
   //
   //     run(ctx)  ==  run_prefix(ctx, k); run_from(ctx, k)
   //
   // bit-for-bit on the resulting file tree (the workload is deterministic in
-  // ctx.app_seed; only the injected fault may differ between runs).
+  // ctx.app_seed; only the injected fault may differ between runs).  That
+  // lets the engine execute the fault-free prefix once per campaign cell,
+  // snapshot the file system, and replay only the instrumented suffix per
+  // injection run.
 
-  /// Number of checkpoint-resumable stages — the 1-based ids the workload
-  /// brackets with ctx.enter_stage/leave_stage.  0 (the default) means the
-  /// application has no stage structure; stage-scoped campaigns still run,
-  /// but cannot use checkpoint resume.
+  /// Number of checkpoint-resumable stages.  0 (the default) means the
+  /// application has no stage structure: it does all its work in stage 0,
+  /// and stage-scoped campaigns still run but cannot use checkpoint resume.
   [[nodiscard]] virtual int stage_count() const { return 0; }
 
-  /// Executes only the work before `stage` — input ingest plus stages
-  /// [1, stage-1] — leaving ctx.fs exactly as a full run leaves it the
-  /// moment enter_stage(stage) fires.  Called fault-free (no instrument).
-  virtual void run_prefix(const RunContext& ctx, int stage) const {
-    (void)ctx;
-    (void)stage;
-    throw std::logic_error(name() + " is not stage-resumable");
+  /// Executes stages [first, last] (0 <= first, last <= stage_count(); an
+  /// empty range does nothing), writing outputs into ctx.fs.  Exceptions
+  /// propagate and the campaign records a Crash.
+  virtual void run_stages(const RunContext& ctx, int first, int last) const = 0;
+
+  /// The whole workload: stages [0, stage_count()].
+  void run(const RunContext& ctx) const { run_stages(ctx, 0, stage_count()); }
+
+  /// The work before `stage` — stages [0, stage-1] — leaving ctx.fs exactly
+  /// as a full run leaves it the moment enter_stage(stage) fires.
+  void run_prefix(const RunContext& ctx, int stage) const {
+    run_stages(ctx, 0, resume_stage(stage) - 1);
   }
 
   /// Resumes at `stage` on a file system produced by run_prefix(ctx, stage):
-  /// executes stages [stage, stage_count()], bracketing each with
-  /// enter_stage/leave_stage as run() does.
-  virtual void run_from(const RunContext& ctx, int stage) const {
-    (void)ctx;
-    (void)stage;
-    throw std::logic_error(name() + " is not stage-resumable");
+  /// stages [stage, stage_count()].
+  void run_from(const RunContext& ctx, int stage) const {
+    run_stages(ctx, resume_stage(stage), stage_count());
+  }
+
+  /// `stage` when the application can be resumed there (1 <= stage <=
+  /// stage_count()); otherwise throws std::invalid_argument naming the
+  /// application and the stage.
+  [[nodiscard]] int resume_stage(int stage) const {
+    if (stage < 1 || stage > stage_count()) {
+      throw std::invalid_argument(name() + " has " + std::to_string(stage_count()) +
+                                  " resumable stages, none numbered " + std::to_string(stage));
+    }
+    return stage;
   }
 
   // --- Persistent checkpoints (core::CheckpointStore) -----------------------

@@ -7,30 +7,31 @@
 // workload is deterministic in app_seed and the fault cannot fire before the
 // instrumented stage.  A Checkpoint captures that prefix once on a MemFs;
 // each injection run then forks the snapshot in O(#files) (copy-on-write,
-// see vfs::MemFs::fork) and resumes at stage k via Application::run_from.
-//
-// The I/O-profiling pass folds into the same capture: profile_resume runs
-// the instrumented continuation once on a fork, which observes exactly the
-// primitive executions a full gated profiling run would (counting is gated
-// to the instrumented stage either way) at the cost of only the suffix.
+// see vfs::MemFs::fork) and resumes at stage k.  The I/O-profiling pass
+// folds into the same capture (IoProfiler::profile's `resume_from`).
 
 #include <cstdint>
 #include <memory>
 
 #include "ffis/core/application.hpp"
-#include "ffis/core/io_profiler.hpp"
-#include "ffis/faults/fault_signature.hpp"
 #include "ffis/vfs/mem_fs.hpp"
 
 namespace ffis::core {
 
+/// The fault-free pass every golden and checkpoint tree comes from: stages
+/// [first, last] of (app, app_seed), uninstrumented, on `fs` — a fresh store
+/// for the golden run and a checkpoint's prefix, a fork of the checkpoint
+/// for the golden tree grown from it.
+void run_fault_free(const Application& app, std::uint64_t app_seed, vfs::FileSystem& fs,
+                    int first, int last);
+
 class Checkpoint {
  public:
-  /// Runs the fault-free prefix (ingest + stages < `stage`) of (app,
-  /// app_seed) on a fresh MemFs and freezes the result.  Requires
-  /// 1 <= stage <= app.stage_count(); application exceptions propagate
-  /// (deterministic apps cannot crash fault-free, so a throw here is a
-  /// configuration error).  `fs_options` selects the snapshot's extent
+  /// Runs the fault-free prefix (stages [0, stage-1]) of (app, app_seed) on
+  /// a fresh MemFs and freezes the result.  Requires 1 <= stage <=
+  /// app.stage_count() (Application::resume_stage); application exceptions
+  /// propagate (deterministic apps cannot crash fault-free, so a throw here
+  /// is a configuration error).  `fs_options` selects the snapshot's extent
   /// geometry (concurrency is forced to SingleThread) — forks inherit it,
   /// and diff-driven classification requires golden and run trees to agree.
   [[nodiscard]] static std::shared_ptr<const Checkpoint> capture(
@@ -86,15 +87,5 @@ class Checkpoint {
   vfs::MemFs fs_;
   int stage_;
 };
-
-/// The checkpoint fold of IoProfiler::profile: executes the instrumented
-/// continuation (stages >= checkpoint.stage()) once on a fork and returns
-/// the dynamic execution count of signature.primitive within the
-/// instrumented stage.  bytes_written and fs_stats cover only the
-/// continuation, exactly as a resumed injection run's counters do.
-[[nodiscard]] ProfileResult profile_resume(const Application& app,
-                                           const Checkpoint& checkpoint,
-                                           const faults::FaultSignature& signature,
-                                           std::uint64_t app_seed);
 
 }  // namespace ffis::core

@@ -385,13 +385,6 @@ bool write_checked(const std::string& path, util::Bytes data) {
   return true;
 }
 
-vfs::MemFs::Options frozen_options(const vfs::MemFs::Options& fs_options) {
-  vfs::MemFs::Options options = fs_options;
-  // Loaded snapshots are frozen and fork-only, exactly like captured ones.
-  options.concurrency = vfs::MemFs::Concurrency::SingleThread;
-  return options;
-}
-
 // -- LRU index maintenance (all *_locked: caller holds state.mutex) ----------
 
 /// First open per process: rebuild the LRU order from entry mtimes, oldest
@@ -669,12 +662,13 @@ std::optional<CheckpointStore::LoadedCheckpoint> CheckpointStore::load_checkpoin
   if (key.app_fingerprint.empty() || key.stage < 0) return std::nullopt;
   return load_entry<LoadedCheckpoint>(key, [&](const Entry& entry, const CheckedData& data) {
     LoadedCheckpoint out;
-    auto checkpoint =
-        std::shared_ptr<Checkpoint>(new Checkpoint(key.stage, frozen_options(fs_options)));
+    // Loaded snapshots are frozen and fork-only, exactly like captured ones.
+    auto checkpoint = std::shared_ptr<Checkpoint>(
+        new Checkpoint(key.stage, vfs::MemFs::single_thread(fs_options)));
     // A declined golden tree decodes as a null target: parsed over for
     // framing, never materialized.
     std::shared_ptr<vfs::MemFs> golden_tree;
-    if (want_golden_tree) golden_tree.reset(new vfs::MemFs(frozen_options(fs_options)));
+    if (want_golden_tree) golden_tree.reset(new vfs::MemFs(vfs::MemFs::single_thread(fs_options)));
     vfs::MemFs* const targets[] = {&checkpoint->fs_, golden_tree.get()};
     decode_snapshot(data, entry.snapshot, targets);
     out.checkpoint = std::move(checkpoint);
@@ -703,7 +697,8 @@ std::optional<CheckpointStore::LoadedGolden> CheckpointStore::load_golden(
     out.analysis = std::make_shared<const AnalysisResult>(std::move(entry.analysis));
     // A declined tree is never decoded: the snapshot stays an unread view.
     if (want_tree) {
-      auto tree = std::shared_ptr<vfs::MemFs>(new vfs::MemFs(frozen_options(fs_options)));
+      auto tree =
+          std::shared_ptr<vfs::MemFs>(new vfs::MemFs(vfs::MemFs::single_thread(fs_options)));
       vfs::MemFs* const targets[] = {tree.get()};
       decode_snapshot(data, entry.snapshot, targets);
       out.tree = std::move(tree);

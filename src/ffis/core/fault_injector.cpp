@@ -21,6 +21,14 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
+/// The golden run's output tree, on a fresh store the run owns (unlocked).
+std::shared_ptr<vfs::MemFs> golden_output(const Application& app, std::uint64_t app_seed,
+                                          const vfs::MemFs::Options& options) {
+  auto tree = std::make_shared<vfs::MemFs>(vfs::MemFs::single_thread(options));
+  run_fault_free(app, app_seed, *tree, 0, app.stage_count());
+  return tree;
+}
+
 }  // namespace
 
 FaultInjector::FaultInjector(const Application& app, faults::FaultSignature signature,
@@ -52,23 +60,12 @@ void FaultInjector::set_force_block_device(bool on) {
   force_block_device_ = on;
 }
 
-AnalysisResult FaultInjector::run_golden(const Application& app, std::uint64_t app_seed) {
-  return run_golden(app, app_seed, nullptr, vfs::MemFs::Options{});
-}
-
 AnalysisResult FaultInjector::run_golden(const Application& app, std::uint64_t app_seed,
                                          std::shared_ptr<const vfs::MemFs>* tree_out,
                                          const vfs::MemFs::Options& fs_options) {
-  // Golden run: bare backing store (unlocked — the run owns it), no
-  // instrumentation.
-  vfs::MemFs::Options options = fs_options;
-  options.concurrency = vfs::MemFs::Concurrency::SingleThread;
-  auto golden_fs = std::make_shared<vfs::MemFs>(std::move(options));
-  RunContext ctx{.fs = *golden_fs, .app_seed = app_seed, .instrumented_stage = -1,
-                 .instrument = nullptr};
-  app.run(ctx);
-  AnalysisResult analysis = app.analyze(*golden_fs);
-  if (tree_out != nullptr) *tree_out = std::move(golden_fs);
+  std::shared_ptr<vfs::MemFs> tree = golden_output(app, app_seed, fs_options);
+  AnalysisResult analysis = app.analyze(*tree);
+  if (tree_out != nullptr) *tree_out = std::move(tree);
   return analysis;
 }
 
@@ -94,19 +91,10 @@ void FaultInjector::prepare_with_golden(std::shared_ptr<const AnalysisResult> go
   if (!golden) throw std::invalid_argument("FaultInjector: null golden analysis");
   golden_ = std::move(golden);
   if (diff_classification_) {
-    if (golden_tree) {
-      golden_tree_ = std::move(golden_tree);
-    } else {
-      // Nobody shared the golden tree; capture our own (the analysis is
-      // already known, the extra run only materializes the output tree).
-      vfs::MemFs::Options options = fs_options_;
-      options.concurrency = vfs::MemFs::Concurrency::SingleThread;
-      auto fs = std::make_shared<vfs::MemFs>(std::move(options));
-      RunContext ctx{.fs = *fs, .app_seed = app_seed_, .instrumented_stage = -1,
-                     .instrument = nullptr};
-      app_.run(ctx);
-      golden_tree_ = std::move(fs);
-    }
+    // Nobody shared the golden tree: capture our own (the analysis is
+    // already known, the extra run only materializes the output tree).
+    golden_tree_ = golden_tree ? std::move(golden_tree)
+                               : golden_output(app_, app_seed_, fs_options_);
     derive_artifacts();
   }
 
@@ -149,7 +137,8 @@ void FaultInjector::prepare_with_checkpoint(std::shared_ptr<const AnalysisResult
 
   // Folded profiling pass: one instrumented continuation on a fork observes
   // the same gated primitive count as a full profiling run.
-  profile_ = profile_resume(app_, *checkpoint_, signature_, app_seed_);
+  profile_ = IoProfiler::profile(app_, signature_, app_seed_, instrumented_stage_, fs_options_,
+                                 checkpoint_.get());
   check_profile();
   if (later && diff_classification_) {
     for (const faults::WriteSite& site : profile_.sites.sites) {
@@ -209,94 +198,96 @@ RunResult FaultInjector::execute(std::uint64_t run_seed) const {
   return execute_at(d.instance, d.feature_seed);
 }
 
+template <typename Stack>
+void FaultInjector::run_on(Stack& stack, RunResult& result, const Checkpoint* from,
+                           const vfs::MemFs* golden_tree, vfs::FsDiff* diff_out) const {
+  // "In each run, FFISFS would be mounted and unmounted": a fresh backing
+  // store and a fresh stack of layers per run.  The store is leased from the
+  // thread's RunScratch (arena extents, pooled node tables): with a
+  // checkpoint it is a copy-on-write fork of the fault-free prefix,
+  // otherwise an empty tree.  Either way this run owns it exclusively, so
+  // locking is off.  The lease lives to the end of this call — the stack
+  // copies fs_stats out before it returns.
+  const auto execute_start = Clock::now();
+  RunScratch::Lease lease = RunScratch::current().acquire(
+      from != nullptr ? static_cast<const void*>(from) : static_cast<const void*>(this),
+      from != nullptr ? &from->fs() : nullptr, fs_options_);
+  vfs::MemFs& backing = lease.fs();
+  faults::FaultingFs* const instrument = stack.mount(backing);
+  const RunContext ctx{
+      .fs = instrument != nullptr ? static_cast<vfs::FileSystem&>(*instrument) : backing,
+      .app_seed = app_seed_,
+      .instrumented_stage = instrumented_stage_,
+      .instrument = instrument};
+  try {
+    app_.run_stages(ctx, from != nullptr ? from->stage() : 0, app_.stage_count());
+  } catch (const std::exception& e) {
+    result.outcome = Outcome::Crash;
+    result.crash_reason = e.what();
+  }
+  result.execute_ms = ms_since(execute_start);
+  // Counters cover workload and classification; diff_tree itself issues no
+  // FileSystem-level reads, so an analyze_skipped run of a write-only
+  // workload reports bytes_read == 0.
+  if (result.outcome != Outcome::Crash) classify(backing, result, diff_out, golden_tree);
+  stack.finalize(backing, result);
+}
+
 RunResult FaultInjector::execute_at(std::uint64_t target_instance,
                                     std::uint64_t feature_seed,
                                     vfs::FsDiff* diff_out) const {
   if (!prepared_) throw std::logic_error("FaultInjector::prepare() not called");
-  RunResult result;
-
-  // "In each run, FFISFS would be mounted and unmounted": a fresh backing
-  // store and a fresh instrumentation layer per run.  The store is leased
-  // from the thread's RunScratch (arena extents, pooled node tables): with a
-  // checkpoint it is a copy-on-write fork of the fault-free prefix,
-  // otherwise an empty tree.  Either way this run owns it exclusively, so
-  // locking is off.  The lease lives to the end of this call — fs_stats is
-  // copied out before every return.
-  const auto execute_start = Clock::now();
-  RunScratch::Lease lease = RunScratch::current().acquire(
-      checkpoint_ ? static_cast<const void*>(checkpoint_.get()) : static_cast<const void*>(this),
-      checkpoint_ ? &checkpoint_->fs() : nullptr, fs_options_);
-  vfs::MemFs& backing = lease.fs();
   // Media-level cells mount a BlockDevice beneath the store and arm *it*
   // (target_instance then indexes sector writes); the FaultingFs stays
   // configured-but-unarmed, counting primitives and sharing its stage gate.
   // Syscall cells mount a passive device only under force_block_device —
   // never armed, so it is observationally inert.
-  const bool media = faults::is_media_model(signature_.model);
-  std::shared_ptr<vfs::BlockDevice> device;
-  if (media || force_block_device_) {
-    device = std::make_shared<vfs::BlockDevice>(faults::media_device_options(signature_));
-    backing.set_media(device);
-  }
-  faults::FaultingFs instrument(backing);
-  if (device != nullptr) instrument.gate_media(device.get());
-  if (media) {
-    instrument.configure(signature_);
-    device->arm(faults::media_arm_spec(signature_, target_instance, feature_seed));
-  } else {
-    instrument.arm(signature_, target_instance, feature_seed);
-  }
-  if (instrumented_stage_ > 0) instrument.set_enabled(false);
+  struct Armed {
+    const FaultInjector& self;
+    RunDraw draw;
+    bool media;
+    std::optional<faults::FaultingFs> instrument{};
+    std::shared_ptr<vfs::BlockDevice> device{};
 
-  // Copies the fired/record state out of whichever layer carried the fault.
-  const auto read_instrumentation = [&] {
-    if (media) {
-      result.fault_fired = device->fired();
-      result.record = faults::media_injection_record(signature_, *device);
-    } else {
-      result.fault_fired = instrument.fired();
-      result.record = instrument.record();
+    faults::FaultingFs* mount(vfs::MemFs& backing) {
+      instrument.emplace(backing);
+      if (media || self.force_block_device_) {
+        device = faults::mount_media_device(self.signature_, backing, *instrument);
+      }
+      if (media) {
+        instrument->configure(self.signature_);
+        device->arm(faults::media_arm_spec(self.signature_, draw.instance, draw.feature_seed));
+      } else {
+        instrument->arm(self.signature_, draw.instance, draw.feature_seed);
+      }
+      if (self.instrumented_stage_ > 0) instrument->set_enabled(false);
+      return &*instrument;
     }
-  };
-  // Copies the run's storage counters and applies the detection override: a
-  // run whose scrub rejected a sector (crc_detected > 0) surfaced the
-  // corruption to the user as an I/O error, so it is Detected no matter how
-  // the application ended — including when the EIO propagated as a crash.
-  const auto finalize_stats = [&] {
-    result.fs_stats = backing.stats();
-    if (result.fs_stats.crc_detected > 0) result.outcome = Outcome::Detected;
-  };
 
-  RunContext ctx{.fs = instrument,
-                 .app_seed = app_seed_,
-                 .instrumented_stage = instrumented_stage_,
-                 .instrument = &instrument};
-  try {
-    if (checkpoint_) {
-      app_.run_from(ctx, checkpoint_->stage());
-    } else {
-      app_.run(ctx);
+    // Copies the fired/record state out of whichever layer carried the
+    // fault, then the run's storage counters, and applies the detection
+    // override: a run whose scrub rejected a sector (crc_detected > 0)
+    // surfaced the corruption to the user as an I/O error, so it is
+    // Detected no matter how the application ended — including when the EIO
+    // propagated as a crash.
+    void finalize(const vfs::MemFs& backing, RunResult& result) const {
+      if (media) {
+        result.fault_fired = device->fired();
+        result.record = faults::media_injection_record(self.signature_, *device);
+      } else {
+        result.fault_fired = instrument->fired();
+        result.record = instrument->record();
+      }
+      if (!result.fault_fired && result.outcome != Outcome::Crash) {
+        util::log_warn("fault did not fire (instance {} of {})", draw.instance,
+                       self.profile_.primitive_count);
+      }
+      result.fs_stats = backing.stats();
+      if (result.fs_stats.crc_detected > 0) result.outcome = Outcome::Detected;
     }
-  } catch (const std::exception& e) {
-    result.outcome = Outcome::Crash;
-    read_instrumentation();
-    result.crash_reason = e.what();
-    result.execute_ms = ms_since(execute_start);
-    finalize_stats();
-    return result;
-  }
-  read_instrumentation();
-  result.execute_ms = ms_since(execute_start);
-  if (!result.fault_fired) {
-    util::log_warn("fault did not fire (instance {} of {})", target_instance,
-                   profile_.primitive_count);
-  }
-
-  classify(backing, result, diff_out, golden_tree_.get());
-  // Counters cover workload and classification; diff_tree itself issues no
-  // FileSystem-level reads, so an analyze_skipped run of a write-only
-  // workload reports bytes_read == 0.
-  finalize_stats();
+  } stack{*this, RunDraw{target_instance, feature_seed}, faults::is_media_model(signature_.model)};
+  RunResult result;
+  run_on(stack, result, checkpoint_.get(), golden_tree_.get(), diff_out);
   return result;
 }
 
@@ -320,7 +311,6 @@ std::optional<RunResult> FaultInjector::synthesize(const RunDraw& draw,
   // the fault applied to the bytes the application meant to write there:
   // the golden bytes, since no operation before the observer rewrote, cut
   // or moved them.
-  const auto execute_start = Clock::now();
   RunResult result;
   result.fault_fired = true;
   faults::InjectionRecord& record = result.record;
@@ -346,6 +336,7 @@ std::optional<RunResult> FaultInjector::synthesize(const RunDraw& draw,
   };
 
   if (later == nullptr) {
+    const auto execute_start = Clock::now();
     result.synthesized = true;
     vfs::MemFs tree = golden_tree_->fork(vfs::MemFs::Concurrency::SingleThread);
     const vfs::FsStats mutation = apply_fault(tree);
@@ -359,35 +350,27 @@ std::optional<RunResult> FaultInjector::synthesize(const RunDraw& draw,
     return result;
   }
 
-  // Resume unarmed at the observing stage, exactly as execute_at resumes at
-  // the instrumented one (an application exception is a Crash).
+  // Resume unarmed at the observing stage, from that stage's golden
+  // checkpoint with the fault applied to the leased fork.  The counters of
+  // the work skipped are the profiling pass's at the stage's entry.
+  struct Faulted {
+    const FaultInjector& self;
+    const decltype(apply_fault)& apply;
+    int stage;
+    vfs::FsStats mutation{};
+
+    faults::FaultingFs* mount(vfs::MemFs& backing) {
+      mutation = apply(backing);
+      return nullptr;  // the fault is in the tree; the resumed stages run unarmed
+    }
+    void finalize(const vfs::MemFs& backing, RunResult& result) const {
+      result.fs_stats = backing.stats();
+      result.fs_stats -= mutation;
+      result.fs_stats += self.profile_.stage_entry_stats.at(stage);
+    }
+  } stack{*this, apply_fault, later->checkpoint->stage()};
   result.resumed_late = true;
-  const Checkpoint& checkpoint = *later->checkpoint;
-  RunScratch::Lease lease =
-      RunScratch::current().acquire(&checkpoint, &checkpoint.fs(), fs_options_);
-  vfs::MemFs& backing = lease.fs();
-  const vfs::FsStats mutation = apply_fault(backing);
-  const auto finalize_stats = [&] {
-    result.fs_stats = backing.stats();
-    result.fs_stats -= mutation;
-    result.fs_stats += profile_.stage_entry_stats.at(checkpoint.stage());
-  };
-  const RunContext ctx{.fs = backing,
-                       .app_seed = app_seed_,
-                       .instrumented_stage = instrumented_stage_,
-                       .instrument = nullptr};
-  try {
-    app_.run_from(ctx, checkpoint.stage());
-  } catch (const std::exception& e) {
-    result.outcome = Outcome::Crash;
-    result.crash_reason = e.what();
-    result.execute_ms = ms_since(execute_start);
-    finalize_stats();
-    return result;
-  }
-  result.execute_ms = ms_since(execute_start);
-  classify(backing, result, diff_out, later->golden_tree.get());
-  finalize_stats();
+  run_on(stack, result, later->checkpoint.get(), later->golden_tree.get(), diff_out);
   return result;
 }
 

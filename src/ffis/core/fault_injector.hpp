@@ -173,18 +173,15 @@ class FaultInjector {
   [[nodiscard]] bool force_block_device() const noexcept { return force_block_device_; }
 
   /// Executes one golden (fault-free, uninstrumented) run of `app` on a
-  /// fresh in-memory store and returns its analysis.  prepare() uses this;
-  /// it is exposed so campaign drivers can share goldens across injectors.
-  [[nodiscard]] static AnalysisResult run_golden(const Application& app,
-                                                 std::uint64_t app_seed);
-
-  /// Like run_golden, additionally handing out the run's final output tree
-  /// (for sharing diff-classification golden trees the way analyses are
-  /// shared) and honoring custom backing-store options.
-  [[nodiscard]] static AnalysisResult run_golden(const Application& app,
-                                                 std::uint64_t app_seed,
-                                                 std::shared_ptr<const vfs::MemFs>* tree_out,
-                                                 const vfs::MemFs::Options& fs_options);
+  /// fresh in-memory store built with `fs_options` and returns its analysis.
+  /// prepare() uses this; it is exposed so campaign drivers can share
+  /// goldens across injectors.  `tree_out`, when given, receives the run's
+  /// final output tree (diff-classification golden trees are shared the way
+  /// analyses are).
+  [[nodiscard]] static AnalysisResult run_golden(
+      const Application& app, std::uint64_t app_seed,
+      std::shared_ptr<const vfs::MemFs>* tree_out = nullptr,
+      const vfs::MemFs::Options& fs_options = {});
 
   [[nodiscard]] const AnalysisResult& golden() const;
   [[nodiscard]] std::uint64_t primitive_count() const;
@@ -239,6 +236,17 @@ class FaultInjector {
   /// run a Crash.
   void classify(vfs::MemFs& tree, RunResult& result, vfs::FsDiff* diff_out,
                 const vfs::MemFs* golden_tree) const;
+  /// The one run body of execute_at and synthesize's late resume: leases a
+  /// store (a fork of `from`, or a fresh tree), mounts `stack` on it, runs
+  /// the application from `from`'s stage (stage 0 without one), records a
+  /// Crash in `result` when it throws and otherwise classifies the tree
+  /// against `golden_tree`.  The stack supplies the run's layers
+  /// (`mount(backing)` returns the instrumentation the application runs on,
+  /// or null for the bare store) and finalizes its counters
+  /// (`finalize(backing, result)`).
+  template <typename Stack>
+  void run_on(Stack& stack, RunResult& result, const Checkpoint* from,
+              const vfs::MemFs* golden_tree, vfs::FsDiff* diff_out) const;
 
   const Application& app_;
   faults::FaultSignature signature_;

@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "ffis/core/checkpoint.hpp"
 #include "ffis/faults/media_faults.hpp"
 #include "ffis/vfs/block_device.hpp"
 #include "ffis/vfs/counting_fs.hpp"
@@ -35,29 +36,20 @@ class SiteStages final : public StageListener {
 ProfileResult IoProfiler::profile(const Application& app,
                                   const faults::FaultSignature& signature,
                                   std::uint64_t app_seed, int instrumented_stage,
-                                  const vfs::MemFs::Options& fs_options) {
-  vfs::MemFs::Options options = fs_options;
-  options.concurrency = vfs::MemFs::Concurrency::SingleThread;  // run-private
-  vfs::MemFs backing(std::move(options));
-  return profile_on(backing, signature, app_seed, instrumented_stage,
-                    [&](const RunContext& ctx) { app.run(ctx); });
-}
-
-ProfileResult IoProfiler::profile_on(vfs::MemFs& backing,
-                                     const faults::FaultSignature& signature,
-                                     std::uint64_t app_seed, int instrumented_stage,
-                                     const std::function<void(const RunContext&)>& run) {
+                                  const vfs::MemFs::Options& fs_options,
+                                  const Checkpoint* resume_from) {
+  vfs::MemFs backing = resume_from != nullptr  // run-private either way
+                           ? resume_from->fs().fork(vfs::MemFs::Concurrency::SingleThread)
+                           : vfs::MemFs(vfs::MemFs::single_thread(fs_options));
   vfs::CountingFs counting(backing);
   faults::FaultingFs instrument(counting);
   instrument.configure(signature);
-  std::shared_ptr<vfs::BlockDevice> device;
-  if (faults::is_media_model(signature.model)) {
-    // Media models address sector writes, not primitive calls — attach an
-    // unarmed device so its counter sees exactly the injection run's stream.
-    device = std::make_shared<vfs::BlockDevice>(faults::media_device_options(signature));
-    backing.set_media(device);
-    instrument.gate_media(device.get());
-  }
+  // Media models address sector writes, not primitive calls — attach an
+  // unarmed device so its counter sees exactly the injection run's stream.
+  const std::shared_ptr<vfs::BlockDevice> device =
+      faults::is_media_model(signature.model)
+          ? faults::mount_media_device(signature, backing, instrument)
+          : nullptr;
   if (instrumented_stage > 0) {
     // Stage-scoped profiling starts gated off; the application's
     // enter_stage/leave_stage calls open the window.
@@ -76,7 +68,7 @@ ProfileResult IoProfiler::profile_on(vfs::MemFs& backing,
                  .instrumented_stage = instrumented_stage,
                  .instrument = &instrument,
                  .stages = stages ? &*stages : nullptr};
-  run(ctx);
+  app.run_stages(ctx, resume_from != nullptr ? resume_from->stage() : 0, app.stage_count());
 
   result.primitive_count =
       device != nullptr ? device->sector_writes() : instrument.executions();

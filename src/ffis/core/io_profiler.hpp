@@ -9,9 +9,13 @@
 // the execution phase of every run core::FaultInjector synthesizes: all of
 // them for a site nothing observes, and those up to the entry of the
 // observing stage for a run resumed there.
+//
+// A checkpointed cell folds the pass into its checkpoint: the instrumented
+// continuation runs once on a fork, which observes exactly the primitive
+// executions a full gated pass would (counting is gated to the
+// instrumented stage either way) at the cost of only the suffix.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 
 #include "ffis/core/application.hpp"
@@ -42,25 +46,25 @@ struct ProfileResult {
   std::map<int, vfs::FsStats> stage_entry_stats;
 };
 
+class Checkpoint;
+
 class IoProfiler {
  public:
-  /// Runs `app` once on a fresh in-memory file system (built with
-  /// `fs_options`, the geometry of the injection runs' stores) with an
-  /// unarmed FaultingFs configured for `signature`, and returns the
-  /// observed count.
+  /// Runs `app` once with an unarmed FaultingFs configured for `signature`
+  /// (plus a WriteObserver for synthesizable signatures, and an unarmed
+  /// BlockDevice for media models), and returns the observed count.  The
+  /// pass runs the whole application on a fresh in-memory file system built
+  /// with `fs_options` (the geometry of the injection runs' stores) or, given
+  /// `resume_from`, its stages >= resume_from->stage() on a fork of it — then
+  /// bytes_written and fs_stats cover only the continuation, exactly as a
+  /// resumed injection run's counters do, and `instrumented_stage` must be
+  /// the checkpoint's stage.
   [[nodiscard]] static ProfileResult profile(const Application& app,
                                              const faults::FaultSignature& signature,
                                              std::uint64_t app_seed,
                                              int instrumented_stage = -1,
-                                             const vfs::MemFs::Options& fs_options = {});
-
-  /// The pass itself, on a caller-supplied run-private `backing` store:
-  /// stacks the instrumentation (plus a WriteObserver for synthesizable
-  /// signatures, and an unarmed BlockDevice for media models) and calls
-  /// `run` with the context.  profile() and core::profile_resume share it.
-  [[nodiscard]] static ProfileResult profile_on(
-      vfs::MemFs& backing, const faults::FaultSignature& signature, std::uint64_t app_seed,
-      int instrumented_stage, const std::function<void(const RunContext&)>& run);
+                                             const vfs::MemFs::Options& fs_options = {},
+                                             const Checkpoint* resume_from = nullptr);
 };
 
 }  // namespace ffis::core

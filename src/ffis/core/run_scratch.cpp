@@ -35,8 +35,7 @@ RunScratch::Lease RunScratch::acquire(const void* key, const vfs::MemFs* base,
   if (base != nullptr) {
     entry.fs = base->fork_unique(vfs::MemFs::Concurrency::SingleThread, arena_);
   } else {
-    vfs::MemFs::Options run_options = options;
-    run_options.concurrency = vfs::MemFs::Concurrency::SingleThread;
+    vfs::MemFs::Options run_options = vfs::MemFs::single_thread(options);
     // The pristine twin is the reset target: never written, so it needs no
     // arena (and must not hold one — it outlives every epoch rewind).
     entry.pristine = std::make_unique<vfs::MemFs>(run_options);

@@ -130,10 +130,8 @@ std::size_t FaultingFs::pread(vfs::FileHandle fh, util::MutableByteSpan buf,
     case FaultModel::BitFlip: {
       if (got > 0) {
         const std::size_t bit = rng_.uniform(got * 8);
-        util::flip_bits(buf.first(got), bit, signature_.bit_flip.width);
+        record_.corrupted_bytes = util::flip_bits(buf.first(got), bit, signature_.bit_flip.width);
         record_.flipped_bit = bit;
-        record_.corrupted_bytes =
-            std::min<std::size_t>((bit % 8 + signature_.bit_flip.width + 7) / 8, got);
       }
       return got;
     }

@@ -11,6 +11,15 @@ vfs::BlockDevice::Options media_device_options(const FaultSignature& signature) 
   return options;
 }
 
+std::shared_ptr<vfs::BlockDevice> mount_media_device(const FaultSignature& signature,
+                                                     vfs::MemFs& backing,
+                                                     FaultingFs& instrument) {
+  auto device = std::make_shared<vfs::BlockDevice>(media_device_options(signature));
+  backing.set_media(device);
+  instrument.gate_media(device.get());
+  return device;
+}
+
 vfs::BlockDevice::ArmSpec media_arm_spec(const FaultSignature& signature,
                                          std::uint64_t target_instance,
                                          std::uint64_t feature_seed) {

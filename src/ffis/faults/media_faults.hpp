@@ -26,10 +26,12 @@
 // device sits beneath the data write path.
 
 #include <cstdint>
+#include <memory>
 
 #include "ffis/faults/fault_signature.hpp"
 #include "ffis/faults/faulting_fs.hpp"
 #include "ffis/vfs/block_device.hpp"
+#include "ffis/vfs/mem_fs.hpp"
 
 namespace ffis::faults {
 
@@ -37,6 +39,14 @@ namespace ffis::faults {
 /// signatures, e.g. the force-block-device A/B probe).
 [[nodiscard]] vfs::BlockDevice::Options media_device_options(
     const FaultSignature& signature) noexcept;
+
+/// Mounts an unarmed BlockDevice with `signature`'s options beneath
+/// `backing` and puts it under `instrument`'s stage gate, so the device
+/// counts exactly the sector writes of the instrumented window.  Returns the
+/// device (arm it for a media fault; leave it unarmed to count or to probe).
+std::shared_ptr<vfs::BlockDevice> mount_media_device(const FaultSignature& signature,
+                                                     vfs::MemFs& backing,
+                                                     FaultingFs& instrument);
 
 /// Arming parameters for the run's device: the uniform `target_instance`
 /// indexes sector writes, `feature_seed` drives the random features.

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "ffis/analysis/field_injector.hpp"
+#include "ffis/core/checkpoint.hpp"
 #include "ffis/exp/engine.hpp"
 #include "ffis/exp/sink.hpp"
 #include "ffis/vfs/counting_fs.hpp"
@@ -20,15 +21,10 @@ nyx::NyxConfig nyx_config(std::size_t grid) {
 
 }  // namespace
 
-void run_fault_free(const core::Application& app, vfs::FileSystem& fs) {
-  app.run(core::RunContext{.fs = fs, .app_seed = 1, .instrumented_stage = -1,
-                           .instrument = nullptr});
-}
-
 IoTraffic fault_free_traffic(const core::Application& app) {
   vfs::MemFs backing;
   vfs::CountingFs counting(backing);
-  run_fault_free(app, counting);
+  core::run_fault_free(app, 1, counting, 0, app.stage_count());
   IoTraffic traffic;
   traffic.dataset_bytes = backing.total_bytes();
   traffic.files = vfs::snapshot_tree(backing).size();
@@ -44,7 +40,7 @@ NyxGolden::NyxGolden(std::size_t grid)
       app(config),
       layout(nyx::plan_plotfile_layout(config.field.n, config.h5_options)) {
   vfs::MemFs fs;
-  run_fault_free(app, fs);
+  core::run_fault_free(app, 1, fs, 0, app.stage_count());
   snapshot_ = vfs::snapshot_tree(fs);
 }
 

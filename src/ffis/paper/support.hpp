@@ -1,6 +1,6 @@
 #pragma once
 // Helpers the paper artifacts share (internal to src/ffis/paper): the
-// fault-free golden run, the Nyx plotfile every metadata injection starts
+// fault-free traffic count, the Nyx plotfile every metadata injection starts
 // from, and the campaign runner/printer.
 
 #include <cstdint>
@@ -14,9 +14,6 @@
 #include "ffis/vfs/file_system.hpp"
 
 namespace ffis::paper {
-
-/// Runs the application fault-free, with app seed 1, on `fs`.
-void run_fault_free(const core::Application& app, vfs::FileSystem& fs);
 
 /// One fault-free run of `app`, counted.
 [[nodiscard]] IoTraffic fault_free_traffic(const core::Application& app);

@@ -88,13 +88,17 @@ void put_signature(Bytes& out, std::string_view sig) {
   for (char c : sig) out.push_back(static_cast<std::byte>(c));
 }
 
-void flip_bits(MutableByteSpan buf, std::size_t bit_offset, std::size_t count) {
+std::size_t flip_bits(MutableByteSpan buf, std::size_t bit_offset, std::size_t count) {
+  const std::size_t first = bit_offset / 8;
+  if (count == 0 || first >= buf.size()) return 0;
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t bit = bit_offset + i;
     const std::size_t byte = bit / 8;
-    if (byte >= buf.size()) return;
+    if (byte >= buf.size()) break;
     buf[byte] ^= static_cast<std::byte>(1u << (bit % 8));
   }
+  // Every byte the run touches has at least one of its bits flipped.
+  return std::min((bit_offset + count - 1) / 8, buf.size() - 1) - first + 1;
 }
 
 bool test_bit(ByteSpan buf, std::size_t bit_offset) {

@@ -48,8 +48,9 @@ void put_signature(Bytes& out, std::string_view sig);
 
 /// Flips `count` consecutive bits starting at absolute bit position
 /// `bit_offset` (bit 0 = LSB of byte 0). Bits past the end of the buffer are
-/// ignored (mirrors a device corrupting the final partial byte).
-void flip_bits(MutableByteSpan buf, std::size_t bit_offset, std::size_t count);
+/// ignored (mirrors a device corrupting the final partial byte).  Returns the
+/// number of bytes the flip changed.
+std::size_t flip_bits(MutableByteSpan buf, std::size_t bit_offset, std::size_t count);
 
 /// Tests the bit at absolute position `bit_offset`.
 [[nodiscard]] bool test_bit(ByteSpan buf, std::size_t bit_offset);

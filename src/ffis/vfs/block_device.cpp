@@ -254,11 +254,10 @@ void BlockDevice::inject(const std::shared_ptr<const void>& file, ExtentStore& s
       const std::size_t stored = static_cast<std::size_t>(
           std::min<std::uint64_t>(sb, store.size() - sec_off));
       const std::size_t bit = static_cast<std::size_t>(rng_.uniform(stored * 8));
-      util::flip_bits(util::MutableByteSpan(sector.data(), stored), bit,
-                      spec_.rot_width);
+      record_.corrupted_bytes =
+          util::flip_bits(util::MutableByteSpan(sector.data(), stored), bit, spec_.rot_width);
       store.write(sec_off, util::ByteSpan(sector.data(), stored), stats, arena);
       record_.flipped_bit = bit;
-      record_.corrupted_bytes = (spec_.rot_width + 7) / 8;
       register_entry(MediaFault::BitRot, target_sector, intended_crc);
       break;
     }

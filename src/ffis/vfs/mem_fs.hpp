@@ -73,6 +73,13 @@ class MemFs final : public FileSystem {
   explicit MemFs(Concurrency mode) : MemFs(make_mode_options(mode)) {}
   explicit MemFs(Options options);
 
+  /// `options` with locking off, for a tree one thread owns (a run's store)
+  /// or that is frozen once built (checkpoints, golden trees).
+  [[nodiscard]] static Options single_thread(Options options) {
+    options.concurrency = Concurrency::SingleThread;
+    return options;
+  }
+
   /// O(#files) copy-on-write snapshot: the fork gets its own node table (so
   /// metadata changes, renames, creates and unlinks are isolated both ways)
   /// but shares every payload extent with the parent until one side writes.

@@ -323,6 +323,28 @@ TEST(BlockDevice, BitRotFlipsExactlyWidthConsecutiveBits) {
   }
 }
 
+TEST(BlockDevice, BitRotRecordsTheBytesItChanged) {
+  // corrupted_bytes counts the bytes the rot changed, whatever the width:
+  // never more than the sector holds, and never wrapped to zero.
+  for (const std::size_t stored : {std::size_t{512}, std::size_t{300}}) {
+    for (const std::uint32_t width : {1u, 3u, 8u, 9u, 100000u, 4294967295u}) {
+      for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        Rig rig({.sector_bytes = 512});
+        rig.device.arm({.fault = MediaFault::BitRot,
+                        .target_sector_write = 0,
+                        .seed = seed,
+                        .rot_width = width});
+        const auto buf = pattern(stored);
+        rig.write(0, buf);
+        ASSERT_TRUE(rig.device.fired());
+        EXPECT_EQ(rig.device.record().corrupted_bytes,
+                  util::count_diff_bytes(buf, store_contents(rig.store)))
+            << "stored=" << stored << " width=" << width << " seed=" << seed;
+      }
+    }
+  }
+}
+
 TEST(BlockDevice, ScrubOffRoutesCorruptionToTheApplication) {
   Rig rig({.sector_bytes = 512, .scrub_on_read = false});
   rig.device.arm({.fault = MediaFault::BitRot, .target_sector_write = 0, .seed = 13});

@@ -8,8 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <ostream>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "ffis/apps/montage/montage_app.hpp"
@@ -25,6 +29,7 @@
 #include "ffis/vfs/extent_store.hpp"
 #include "ffis/vfs/mem_fs.hpp"
 #include "counter_testing.hpp"
+#include "write_recording.hpp"
 
 namespace {
 
@@ -42,22 +47,13 @@ class StagedToyApp final : public core::Application {
   [[nodiscard]] std::string name() const override { return "staged-toy"; }
   [[nodiscard]] int stage_count() const override { return 2; }
 
-  void run(const core::RunContext& ctx) const override {
-    full_runs_.fetch_add(1, std::memory_order_relaxed);
-    do_ingest(ctx);
-    do_stage(ctx, 1);
-    do_stage(ctx, 2);
-  }
-
-  void run_prefix(const core::RunContext& ctx, int stage) const override {
-    prefix_runs_.fetch_add(1, std::memory_order_relaxed);
-    do_ingest(ctx);
-    for (int s = 1; s < stage; ++s) do_stage(ctx, s);
-  }
-
-  void run_from(const core::RunContext& ctx, int stage) const override {
-    resume_runs_.fetch_add(1, std::memory_order_relaxed);
-    for (int s = stage; s <= 2; ++s) do_stage(ctx, s);
+  void run_stages(const core::RunContext& ctx, int first, int last) const override {
+    // Counted by the entry point the range stands for: run, run_prefix or
+    // run_from.
+    auto& passes = first > 0 ? resume_runs_ : last < stage_count() ? prefix_runs_ : full_runs_;
+    passes.fetch_add(1, std::memory_order_relaxed);
+    if (first == 0) do_ingest(ctx);
+    for (int s = std::max(first, 1); s <= last; ++s) do_stage(ctx, s);
   }
 
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem& fs) const override {
@@ -159,16 +155,127 @@ TEST(StageResume, MultiDumpNyxPrefixPlusResumeEqualsRun) {
   expect_same_tree(nyx::NyxApp(config), 15);
 }
 
-TEST(StageResume, OutOfRangeStageThrows) {
-  const auto app = small_montage();
+// --- Every application: stage checks and pinned read streams ---------------
+
+/// The pread stream of a run: how many calls, and an FNV-1a over their
+/// (offset, length) pairs.
+struct ReadPin {
+  std::size_t count = 0;
+  std::uint64_t digest = 0;
+
+  friend bool operator==(const ReadPin&, const ReadPin&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const ReadPin& p) {
+    return os << "{" << p.count << ", 0x" << std::hex << p.digest << std::dec << "ULL}";
+  }
+};
+
+ReadPin read_pin(const std::vector<test_support::ReadRecord>& reads) {
+  std::uint64_t digest = util::fnv1a64({});
+  for (const auto& r : reads) {
+    for (const std::uint64_t v : {r.offset, r.length}) {
+      digest = util::fnv1a64(std::as_bytes(std::span(&v, 1)), digest);
+    }
+  }
+  return ReadPin{reads.size(), digest};
+}
+
+struct AppCase {
+  std::string name;
+  std::unique_ptr<const core::Application> (*make)();
+  std::uint64_t app_seed;
+  /// The fault-free pread stream of a full run ([0]) and of run_from(k)
+  /// after run_prefix(k) ([k]).  Read-fault campaigns count these calls, so
+  /// they pin instance selection the way the write-sequence pins do.  Only
+  /// Montage reads while it runs; the others pin that they never do.
+  std::vector<ReadPin> reads;
+};
+
+void PrintTo(const AppCase& c, std::ostream* os) { *os << c.name; }
+
+std::unique_ptr<const core::Application> small_nyx(int timesteps) {
+  nyx::NyxConfig config;
+  config.field.n = 16;
+  config.timesteps = timesteps;
+  return std::make_unique<const nyx::NyxApp>(config);
+}
+
+const AppCase kAppCases[] = {
+    {"montage",
+     +[]() -> std::unique_ptr<const core::Application> {
+       // `new` from the prvalue: MontageApp owns a mutex, so it cannot move.
+       return std::unique_ptr<const core::Application>(new montage::MontageApp(small_montage()));
+     },
+     11,
+     {{57, 0x1cae2abc04640552ULL},
+      {57, 0x1cae2abc04640552ULL},
+      {51, 0xa97c693a098173d2ULL},
+      {38, 0x6e43fd7f3da68fd9ULL},
+      {25, 0xf4ad61d267dc340aULL}}},
+    {"qmc",
+     +[]() -> std::unique_ptr<const core::Application> {
+       return std::make_unique<const qmc::QmcApp>();
+     },
+     12,
+     {{0, 0xcbf29ce484222325ULL}, {0, 0xcbf29ce484222325ULL}, {0, 0xcbf29ce484222325ULL}}},
+    {"nyx1", +[] { return small_nyx(1); }, 13, {{0, 0xcbf29ce484222325ULL}, {0, 0xcbf29ce484222325ULL}}},
+    {"nyx3", +[] { return small_nyx(3); }, 15, {{0, 0xcbf29ce484222325ULL}, {0, 0xcbf29ce484222325ULL}, {0, 0xcbf29ce484222325ULL}, {0, 0xcbf29ce484222325ULL}}},
+    {"staged_toy",
+     +[]() -> std::unique_ptr<const core::Application> {
+       return std::make_unique<const StagedToyApp>();
+     },
+     14,
+     {{0, 0xcbf29ce484222325ULL}, {0, 0xcbf29ce484222325ULL}, {0, 0xcbf29ce484222325ULL}}},
+};
+
+class AppStages : public testing::TestWithParam<AppCase> {};
+
+TEST_P(AppStages, OutOfRangeStageThrows) {
+  const auto app = GetParam().make();
   vfs::MemFs fs;
   core::RunContext ctx{.fs = fs, .app_seed = 1, .instrumented_stage = -1,
                        .instrument = nullptr};
-  EXPECT_THROW(app.run_prefix(ctx, 0), std::invalid_argument);
-  EXPECT_THROW(app.run_prefix(ctx, 5), std::invalid_argument);
-  EXPECT_THROW(app.run_from(ctx, 0), std::invalid_argument);
-  EXPECT_THROW(app.run_from(ctx, 5), std::invalid_argument);
+  for (const int stage : {0, app->stage_count() + 1}) {
+    for (const bool prefix : {true, false}) {
+      try {
+        prefix ? app->run_prefix(ctx, stage) : app->run_from(ctx, stage);
+        ADD_FAILURE() << (prefix ? "run_prefix" : "run_from") << " accepted stage " << stage;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(app->name()), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(stage)), std::string::npos) << what;
+      }
+    }
+  }
 }
+
+TEST_P(AppStages, ReadStreamIsPinned) {
+  const AppCase& c = GetParam();
+  const auto app = c.make();
+  const auto context = [&](vfs::FileSystem& fs) {
+    return core::RunContext{.fs = fs, .app_seed = c.app_seed, .instrumented_stage = -1,
+                            .instrument = nullptr};
+  };
+  std::vector<ReadPin> pins;
+  {
+    vfs::MemFs backing;
+    test_support::RecordingFs recording(backing);
+    app->run(context(recording));
+    pins.push_back(read_pin(recording.reads()));
+  }
+  for (int stage = 1; stage <= app->stage_count(); ++stage) {
+    vfs::MemFs backing;
+    app->run_prefix(context(backing), stage);
+    test_support::RecordingFs recording(backing);
+    app->run_from(context(recording), stage);
+    pins.push_back(read_pin(recording.reads()));
+  }
+  EXPECT_EQ(pins, c.reads);
+}
+
+INSTANTIATE_TEST_SUITE_P(StageResume, AppStages, testing::ValuesIn(kAppCases),
+                         [](const testing::TestParamInfo<AppCase>& info) {
+                           return info.param.name;
+                         });
 
 TEST(StageResume, DefaultApplicationIsNotResumable) {
   // An Application that overrides nothing reports stage_count() == 0 and
@@ -176,7 +283,7 @@ TEST(StageResume, DefaultApplicationIsNotResumable) {
   class Plain final : public core::Application {
    public:
     [[nodiscard]] std::string name() const override { return "plain"; }
-    void run(const core::RunContext&) const override {}
+    void run_stages(const core::RunContext&, int, int) const override {}
     [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem&) const override { return {}; }
     [[nodiscard]] Outcome classify(const core::AnalysisResult&,
                                    const core::AnalysisResult&) const override {
@@ -329,7 +436,7 @@ TEST(EngineCheckpoint, PrefixExecutesOncePerCellGroup) {
 class SilentApp final : public core::Application {
  public:
   [[nodiscard]] std::string name() const override { return "silent"; }
-  void run(const core::RunContext&) const override {}
+  void run_stages(const core::RunContext&, int, int) const override {}
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem&) const override { return {}; }
   [[nodiscard]] Outcome classify(const core::AnalysisResult&,
                                  const core::AnalysisResult&) const override {
@@ -389,24 +496,14 @@ class ScratchStageApp final : public core::Application {
   [[nodiscard]] std::string name() const override { return "scratch-stage"; }
   [[nodiscard]] int stage_count() const override { return 2; }
 
-  void run(const core::RunContext& ctx) const override {
-    run_prefix(ctx, 2);
-    run_from(ctx, 2);
-  }
-  void run_prefix(const core::RunContext& ctx, int stage) const override {
-    vfs::write_text_file(ctx.fs, "/out", "RESULT 42\n");
-    if (stage > 1) {
+  void run_stages(const core::RunContext& ctx, int first, int last) const override {
+    if (first == 0) vfs::write_text_file(ctx.fs, "/out", "RESULT 42\n");
+    if (first <= 1 && 1 <= last) {
       ctx.enter_stage(1);
       vfs::write_text_file(ctx.fs, "/stage1", "intermediate");
       ctx.leave_stage(1);
     }
-  }
-  void run_from(const core::RunContext& ctx, int stage) const override {
-    if (stage <= 1) {
-      ctx.enter_stage(1);
-      vfs::write_text_file(ctx.fs, "/stage1", "intermediate");
-      ctx.leave_stage(1);
-    }
+    if (last < 2) return;
     ctx.enter_stage(2);
     {
       vfs::File f(ctx.fs, "/scratch", vfs::OpenMode::Write);

@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -69,16 +70,9 @@ class PersistableToyApp final : public core::Application {
   [[nodiscard]] std::string name() const override { return "ptoy"; }
   [[nodiscard]] int stage_count() const override { return 2; }
 
-  void run(const core::RunContext& ctx) const override {
-    run_prefix(ctx, 2);
-    run_from(ctx, 2);
-  }
-  void run_prefix(const core::RunContext& ctx, int stage) const override {
-    vfs::write_text_file(ctx.fs, "/header", "MAGIC");
-    for (int s = 1; s < stage; ++s) do_stage(ctx, s);
-  }
-  void run_from(const core::RunContext& ctx, int stage) const override {
-    for (int s = stage; s <= 2; ++s) do_stage(ctx, s);
+  void run_stages(const core::RunContext& ctx, int first, int last) const override {
+    if (first == 0) vfs::write_text_file(ctx.fs, "/header", "MAGIC");
+    for (int s = std::max(first, 1); s <= last; ++s) do_stage(ctx, s);
   }
 
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem& fs) const override {

@@ -26,7 +26,7 @@ class ToyApp final : public core::Application {
 
   [[nodiscard]] std::string name() const override { return "toy"; }
 
-  void run(const core::RunContext& ctx) const override {
+  void run_stages(const core::RunContext& ctx, int, int) const override {
     vfs::write_text_file(ctx.fs, "/header", "MAGIC");
     vfs::File f(ctx.fs, "/data", vfs::OpenMode::Write);
     util::Rng rng(ctx.app_seed);

@@ -59,7 +59,7 @@ class ToyApp final : public core::Application {
  public:
   [[nodiscard]] std::string name() const override { return "toy"; }
 
-  void run(const core::RunContext& ctx) const override {
+  void run_stages(const core::RunContext& ctx, int, int) const override {
     vfs::write_text_file(ctx.fs, "/header", "MAGIC");
     vfs::File f(ctx.fs, "/data", vfs::OpenMode::Write);
     util::Rng rng(ctx.app_seed);
@@ -98,16 +98,9 @@ class StagedToyApp final : public core::Application {
   [[nodiscard]] std::string name() const override { return "stoy"; }
   [[nodiscard]] int stage_count() const override { return 2; }
 
-  void run(const core::RunContext& ctx) const override {
-    run_prefix(ctx, 2);
-    run_from(ctx, 2);
-  }
-  void run_prefix(const core::RunContext& ctx, int stage) const override {
-    vfs::write_text_file(ctx.fs, "/header", "MAGIC");
-    for (int s = 1; s < stage; ++s) do_stage(ctx, s);
-  }
-  void run_from(const core::RunContext& ctx, int stage) const override {
-    for (int s = stage; s <= 2; ++s) do_stage(ctx, s);
+  void run_stages(const core::RunContext& ctx, int first, int last) const override {
+    if (first == 0) vfs::write_text_file(ctx.fs, "/header", "MAGIC");
+    for (int s = std::max(first, 1); s <= last; ++s) do_stage(ctx, s);
   }
 
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem& fs) const override {
@@ -157,7 +150,7 @@ class StagedToyApp final : public core::Application {
 class SilentApp final : public core::Application {
  public:
   [[nodiscard]] std::string name() const override { return "silent"; }
-  void run(const core::RunContext&) const override {}
+  void run_stages(const core::RunContext&, int, int) const override {}
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem&) const override {
     return {};
   }
@@ -171,7 +164,7 @@ class SilentApp final : public core::Application {
 class BoomApp final : public core::Application {
  public:
   [[nodiscard]] std::string name() const override { return "boom"; }
-  void run(const core::RunContext&) const override { throw std::runtime_error("boom"); }
+  void run_stages(const core::RunContext&, int, int) const override { throw std::runtime_error("boom"); }
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem&) const override {
     return {};
   }

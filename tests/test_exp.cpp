@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <memory>
@@ -45,7 +46,7 @@ class ToyApp final : public core::Application {
 
   [[nodiscard]] std::string name() const override { return "toy"; }
 
-  void run(const core::RunContext& ctx) const override {
+  void run_stages(const core::RunContext& ctx, int, int) const override {
     if (ctx.instrument == nullptr) golden_runs_.fetch_add(1, std::memory_order_relaxed);
     total_runs_.fetch_add(1, std::memory_order_relaxed);
     vfs::write_text_file(ctx.fs, "/header", "MAGIC");
@@ -101,7 +102,7 @@ class SectorApp final : public core::Application {
  public:
   [[nodiscard]] std::string name() const override { return "sectorapp"; }
 
-  void run(const core::RunContext& ctx) const override {
+  void run_stages(const core::RunContext& ctx, int, int) const override {
     vfs::File f(ctx.fs, "/blocks", vfs::OpenMode::Write);
     util::Rng rng(ctx.app_seed);
     for (std::uint64_t sector = 0; sector < 4; ++sector) {
@@ -128,7 +129,7 @@ class SectorApp final : public core::Application {
 class SilentApp final : public core::Application {
  public:
   [[nodiscard]] std::string name() const override { return "silent"; }
-  void run(const core::RunContext&) const override {}
+  void run_stages(const core::RunContext&, int, int) const override {}
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem&) const override {
     return {};
   }
@@ -147,12 +148,8 @@ class LateReaderApp final : public core::Application {
   [[nodiscard]] std::string name() const override { return "late-reader"; }
   [[nodiscard]] int stage_count() const override { return 3; }
 
-  void run(const core::RunContext& ctx) const override { run_from(ctx, 1); }
-  void run_prefix(const core::RunContext& ctx, int stage) const override {
-    for (int s = 1; s < stage; ++s) run_stage(ctx, s);
-  }
-  void run_from(const core::RunContext& ctx, int stage) const override {
-    for (int s = stage; s <= 3; ++s) run_stage(ctx, s);
+  void run_stages(const core::RunContext& ctx, int first, int last) const override {
+    for (int s = std::max(first, 1); s <= last; ++s) run_stage(ctx, s);
   }
 
   [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem& fs) const override {

@@ -586,6 +586,25 @@ TEST(FaultingFs, PreadBitFlipCorruptsReturnedData) {
   EXPECT_EQ(vfs::read_file(backing, "/f"), pattern_buffer(256));
 }
 
+TEST(FaultingFs, PreadBitFlipRecordsTheBytesItChanged) {
+  // corrupted_bytes counts the bytes the flip changed: a run that starts
+  // late in a byte, or one wider than what is left of the read, is clamped
+  // at the read's end rather than counted past it.
+  vfs::MemFs backing;
+  vfs::write_file(backing, "/f", pattern_buffer(10));
+  for (const std::uint32_t width : {1u, 2u, 7u, 8u, 9u, 17u, 80u, 100000u, 4294967295u}) {
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      faults::FaultingFs fi(backing);
+      fi.arm(faults::parse_fault_signature("BIT_FLIP@pread{width=" + std::to_string(width) + "}"),
+             0, seed);
+      const util::Bytes got = vfs::read_file(fi, "/f");
+      ASSERT_TRUE(fi.fired());
+      EXPECT_EQ(fi.record().corrupted_bytes, util::count_diff_bytes(pattern_buffer(10), got))
+          << "width=" << width << " seed=" << seed;
+    }
+  }
+}
+
 TEST(FaultingFs, PreadDroppedReturnsNothing) {
   vfs::MemFs backing;
   vfs::write_file(backing, "/f", pattern_buffer(64));

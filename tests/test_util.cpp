@@ -217,7 +217,8 @@ class FlipBits : public ::testing::TestWithParam<std::pair<std::size_t, std::siz
 TEST_P(FlipBits, FlipsExactlyRequestedBits) {
   const auto [offset, count] = GetParam();
   Bytes buf(8, std::byte{0});
-  flip_bits(buf, offset, count);
+  const std::size_t changed = flip_bits(buf, offset, count);
+  EXPECT_EQ(changed, count_diff_bytes(Bytes(8, std::byte{0}), buf));
   std::size_t set = 0;
   for (std::size_t bit = 0; bit < 64; ++bit) {
     if (test_bit(buf, bit)) {

@@ -1,9 +1,10 @@
 #pragma once
-// A recording FileSystem decorator for write-sequence pins: it captures the
-// (offset, length, FNV-1a of the bytes) of every pwrite that passes through,
-// in order, so a test can assert that a writer lays down exactly the same
-// I/O stream — the sequence instance selection and every FsStats counter
-// depend on.
+// A recording FileSystem decorator for write- and read-sequence pins: it
+// captures the (offset, length, FNV-1a of the bytes) of every pwrite and the
+// (offset, length) of every pread that passes through, in order, so a test
+// can assert that an application lays down exactly the same I/O stream —
+// the sequence instance selection (pwrite and pread faults alike) and every
+// FsStats counter depend on.
 
 #include <cstdint>
 #include <ostream>
@@ -26,6 +27,16 @@ struct WriteRecord {
   }
 };
 
+struct ReadRecord {
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;  ///< the length asked for, not the bytes returned
+
+  friend bool operator==(const ReadRecord&, const ReadRecord&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const ReadRecord& r) {
+    return os << "{" << r.offset << ", " << r.length << "}";
+  }
+};
+
 class RecordingFs : public vfs::PassthroughFs {
  public:
   using PassthroughFs::PassthroughFs;
@@ -35,10 +46,18 @@ class RecordingFs : public vfs::PassthroughFs {
     return PassthroughFs::pwrite(fh, buf, offset);
   }
 
+  std::size_t pread(vfs::FileHandle fh, util::MutableByteSpan buf,
+                    std::uint64_t offset) override {
+    reads_.push_back(ReadRecord{offset, buf.size()});
+    return PassthroughFs::pread(fh, buf, offset);
+  }
+
   [[nodiscard]] const std::vector<WriteRecord>& writes() const noexcept { return writes_; }
+  [[nodiscard]] const std::vector<ReadRecord>& reads() const noexcept { return reads_; }
 
  private:
   std::vector<WriteRecord> writes_;
+  std::vector<ReadRecord> reads_;
 };
 
 }  // namespace ffis::test_support
