@@ -46,57 +46,87 @@ void for_each_piece(std::span<const double> base, std::span<const FieldPatch> pa
   fn(at, base.subspan(at));
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 // Per-cell state of the component growth.
 constexpr std::uint8_t kCandidate = 1;
 constexpr std::uint8_t kVisited = 2;
 
-/// Sets marks[i] = kCandidate for each values[i] above `threshold` and below
-/// +inf (NaN fails both comparisons); returns how many it marked.  Candidates
-/// are rare, so blocks of 16 values are first tested two lanes at a time with
-/// the GCC/Clang vector extension (SSE2 on x86-64, plain scalar code on a
-/// target without vectors), and only a block with a hit is marked one by one
-/// with the same comparisons.
-std::uint64_t mark_candidates(std::span<const double> values, double threshold,
-                              std::uint8_t* marks) noexcept {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  using f64x2 = double __attribute__((vector_size(16)));
-  using mask2 = decltype(f64x2{} > f64x2{});  // two 64-bit lanes, all ones = true
-  constexpr std::size_t kBlock = 16;
+/// The candidate rule: finite and above the threshold (NaN fails both).
+bool is_candidate(double value, double threshold) noexcept {
+  return value > threshold && value < kInf;
+}
+
+// Rare values are found 16 at a time: a block is copied into eight
+// two-lane vectors of the GCC/Clang vector extension (SSE2 on x86-64, plain
+// scalar code on a target without vectors), and only a block with a hit is
+// looked at one value at a time.
+using f64x2 = double __attribute__((vector_size(16)));
+using mask2 = decltype(f64x2{} > f64x2{});  // two 64-bit lanes, all ones = true
+constexpr std::size_t kScanBlock = 16;
+
+/// Whether test(pair) holds in some lane of the kScanBlock values at v.
+template <typename Test>
+bool block_hits(const double* v, Test&& test) noexcept {
+  f64x2 pairs[kScanBlock / 2];
+  std::memcpy(pairs, v, sizeof pairs);
+  mask2 hit = {0, 0};
+  for (const f64x2& pair : pairs) hit |= test(pair);
+  return (hit[0] | hit[1]) != 0;
+}
+
+/// Calls fn(i) for each i with values[i] > floor (never for NaN), in index
+/// order.
+template <typename Fn>
+void for_each_above(std::span<const double> values, double floor, Fn&& fn) {
   const double* const v = values.data();
-  std::uint64_t count = 0;
-  const auto mark = [&](std::size_t begin, std::size_t end) {
+  const auto visit = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      if (v[i] > threshold && v[i] < kInf) {
-        marks[i] = kCandidate;
-        ++count;
-      }
+      if (v[i] > floor) fn(i);
     }
   };
-
-  const f64x2 low = {threshold, threshold};
-  const f64x2 high = {kInf, kInf};
+  const f64x2 low = {floor, floor};
   std::size_t block = 0;
-  for (; block + kBlock <= values.size(); block += kBlock) {
-    mask2 hit = {0, 0};
-    for (std::size_t i = 0; i < kBlock; i += 2) {
-      f64x2 pair;
-      std::memcpy(&pair, v + block + i, sizeof pair);
-      hit |= (pair > low) & (pair < high);
+  for (; block + kScanBlock <= values.size(); block += kScanBlock) {
+    if (block_hits(v + block, [&](f64x2 pair) { return pair > low; })) {
+      visit(block, block + kScanBlock);
     }
-    if ((hit[0] | hit[1]) != 0) mark(block, block + kBlock);
   }
-  mark(block, values.size());
+  visit(block, values.size());
+}
+
+/// True when some value is below `bound` (NaN never is).
+bool any_below(std::span<const double> values, double bound) noexcept {
+  const double* const v = values.data();
+  const f64x2 high = {bound, bound};
+  std::size_t block = 0;
+  for (; block + kScanBlock <= values.size(); block += kScanBlock) {
+    if (block_hits(v + block, [&](f64x2 pair) { return pair < high; })) return true;
+  }
+  return std::any_of(v + block, v + values.size(), [&](double x) { return x < bound; });
+}
+
+/// Sets marks[i] = kCandidate for each candidate values[i]; returns how
+/// many it marked.
+std::uint64_t mark_candidates(std::span<const double> values, double threshold,
+                              std::uint8_t* marks) noexcept {
+  std::uint64_t count = 0;
+  for_each_above(values, threshold, [&](std::size_t i) {
+    if (values[i] < kInf) {
+      marks[i] = kCandidate;
+      ++count;
+    }
+  });
   return count;
 }
 
-}  // namespace
-
-HaloCatalog find_halos(std::size_t n, std::span<const double> base,
-                       std::span<const FieldPatch> patches, const HaloFinderConfig& config) {
-  const std::size_t total = base.size();
-  if (total != n * n * n) {
+void check_field(std::size_t n, std::span<const double> base) {
+  if (base.size() != n * n * n) {
     throw std::invalid_argument("find_halos: base size does not match n^3");
   }
+}
+
+void check_patches(std::size_t total, std::span<const FieldPatch> patches) {
   std::size_t next_free = 0;
   for (const FieldPatch& p : patches) {
     if (p.first < next_free || p.first > total || p.values.size() > total - p.first) {
@@ -104,107 +134,469 @@ HaloCatalog find_halos(std::size_t n, std::span<const double> base,
     }
     next_free = p.first + p.values.size();
   }
+}
 
-  HaloCatalog catalog;
-  long double sum = 0.0L;
-  for_each_piece(base, patches, [&](std::size_t, std::span<const double> values) {
-    sum = accumulate_density(sum, values);
-  });
+/// The patch value of element `idx`, or null when no patch covers it.
+const double* patched_value(std::span<const FieldPatch> patches, std::size_t idx) noexcept {
+  const auto after =
+      std::upper_bound(patches.begin(), patches.end(), idx,
+                       [](std::size_t i, const FieldPatch& p) { return i < p.first; });
+  if (after == patches.begin()) return nullptr;
+  const FieldPatch& p = *std::prev(after);
+  return idx - p.first < p.values.size() ? &p.values[idx - p.first] : nullptr;
+}
+
+/// The value of element `idx` of the patched field.
+double value_at(std::span<const double> base, std::span<const FieldPatch> patches,
+                std::size_t idx) noexcept {
+  const double* patched = patched_value(patches, idx);
+  return patched != nullptr ? *patched : base[idx];
+}
+
+/// Sets the mean and threshold from the field's long-double sum.
+void set_mean(HaloCatalog& catalog, long double sum, std::size_t total,
+              const HaloFinderConfig& config) noexcept {
   catalog.mean_density = static_cast<double>(sum / static_cast<long double>(total));
   catalog.threshold = config.threshold_factor * catalog.mean_density;
-  // A non-finite mean (overflowed or NaN-poisoned data) yields a threshold no
-  // cell can satisfy; the catalog comes out empty, which the application
-  // classifies as Detected ("no halo found").
-  if (!std::isfinite(catalog.threshold)) return catalog;
+}
 
-  // One threshold scan marks the candidates: finite and above the threshold.
-  const double threshold = catalog.threshold;
-  std::vector<std::uint8_t> state(total, 0);
-  for_each_piece(base, patches, [&](std::size_t first, std::span<const double> values) {
-    catalog.candidate_cells += mark_candidates(values, threshold, state.data() + first);
-  });
+// Stack entries carry their coordinates, so a cell costs no index division,
+// packed 21 bits each (a field of n^3 doubles with n >= 2^21 could not be
+// allocated), so a component spanning the grid stacks 8 bytes per pending
+// cell.
+struct Cell {
+  static constexpr unsigned kBits = 21;
+  static constexpr std::uint64_t kMask = (std::uint64_t{1} << kBits) - 1;
+  std::uint64_t packed;
+  Cell(std::size_t x, std::size_t y, std::size_t z) noexcept
+      : packed(x | y << kBits | static_cast<std::uint64_t>(z) << (2 * kBits)) {}
+  [[nodiscard]] std::size_t x() const noexcept { return packed & kMask; }
+  [[nodiscard]] std::size_t y() const noexcept { return packed >> kBits & kMask; }
+  [[nodiscard]] std::size_t z() const noexcept { return packed >> (2 * kBits); }
+};
 
-  const auto value_at = [&](std::size_t idx) {
-    const auto after = std::upper_bound(
-        patches.begin(), patches.end(), idx,
-        [](std::size_t i, const FieldPatch& p) { return i < p.first; });
-    if (after != patches.begin()) {
-      const FieldPatch& p = *std::prev(after);
-      if (idx - p.first < p.values.size()) return p.values[idx - p.first];
-    }
-    return base[idx];
-  };
-
-  // 6-connected component growth (friends-of-friends at linking length 1),
-  // seeded from the unvisited candidates in ascending index order.  memchr
-  // finds the next seed, so the non-candidate cells cost a byte compare each.
-  // Stack entries carry their coordinates, so a cell costs no index division.
-  struct Cell {
-    std::uint32_t x, y, z;
-  };
+/// Calls fn(nidx, nx, ny, nz) for each 6-neighbour inside the n^3 grid of
+/// cell idx = (x, y, z), in the order -x, +x, -y, +y, -z, +z.
+template <typename Fn>
+void for_each_neighbour(std::size_t n, std::size_t idx, std::size_t x, std::size_t y,
+                        std::size_t z, Fn&& fn) {
   const std::size_t plane = n * n;
-  const std::uint8_t* const state_begin = state.data();
-  // Each candidate is pushed at most once, so the stack never reallocates.
-  std::vector<Cell> stack;
-  stack.reserve(static_cast<std::size_t>(catalog.candidate_cells));
-  for (std::size_t start = 0; start < total; ++start) {
-    const void* seed = std::memchr(state_begin + start, kCandidate, total - start);
-    if (seed == nullptr) break;
-    start = static_cast<std::size_t>(static_cast<const std::uint8_t*>(seed) - state_begin);
-    state[start] = kVisited;
-    stack.assign(1, Cell{static_cast<std::uint32_t>(start % n),
-                         static_cast<std::uint32_t>(start / n % n),
-                         static_cast<std::uint32_t>(start / plane)});
+  if (x > 0) fn(idx - 1, x - 1, y, z);
+  if (x + 1 < n) fn(idx + 1, x + 1, y, z);
+  if (y > 0) fn(idx - n, x, y - 1, z);
+  if (y + 1 < n) fn(idx + n, x, y + 1, z);
+  if (z > 0) fn(idx - plane, x, y, z - 1);
+  if (z + 1 < n) fn(idx + plane, x, y, z + 1);
+}
 
-    double sx = 0.0, sy = 0.0, sz = 0.0, mass = 0.0;
-    std::uint64_t cells = 0;
-    while (!stack.empty()) {
-      const auto [x, y, z] = stack.back();
-      stack.pop_back();
-      const std::size_t idx = (z * n + y) * n + x;
-      sx += static_cast<double>(x);
-      sy += static_cast<double>(y);
-      sz += static_cast<double>(z);
-      mass += value_at(idx);
-      ++cells;
+/// Grows the 6-connected component (friends-of-friends at linking length 1)
+/// of `seed`, which the caller has already claimed: pops the stack's last
+/// cell, adds it to the sums, then offers its neighbours in the order -x,
+/// +x, -y, +y, -z, +z to claim(idx), which returns true for an unclaimed
+/// candidate and claims it.  on_cell(idx) sees each popped cell.  The mass is
+/// summed in pop order, so one seed and one candidate set give one mass bit
+/// for bit, however the caller stores the set.
+template <typename Claim, typename ValueAt, typename OnCell>
+Halo grow(std::size_t n, std::size_t seed, std::vector<Cell>& stack, Claim&& claim,
+          ValueAt&& value, OnCell&& on_cell) {
+  const std::size_t plane = n * n;
+  stack.assign(1, Cell(seed % n, seed / n % n, seed / plane));
+  double sx = 0.0, sy = 0.0, sz = 0.0, mass = 0.0;
+  std::uint64_t cells = 0;
+  while (!stack.empty()) {
+    const Cell top = stack.back();
+    stack.pop_back();
+    const std::size_t x = top.x(), y = top.y(), z = top.z();
+    const std::size_t idx = (z * n + y) * n + x;
+    sx += static_cast<double>(x);
+    sy += static_cast<double>(y);
+    sz += static_cast<double>(z);
+    mass += value(idx);
+    ++cells;
+    on_cell(idx);
 
-      const auto visit = [&](std::size_t nidx, std::uint32_t nx, std::uint32_t ny,
-                             std::uint32_t nz) {
-        if (state[nidx] == kCandidate) {
-          state[nidx] = kVisited;
-          stack.push_back({nx, ny, nz});
-        }
-      };
-      if (x > 0) visit(idx - 1, x - 1, y, z);
-      if (x + 1 < n) visit(idx + 1, x + 1, y, z);
-      if (y > 0) visit(idx - n, x, y - 1, z);
-      if (y + 1 < n) visit(idx + n, x, y + 1, z);
-      if (z > 0) visit(idx - plane, x, y, z - 1);
-      if (z + 1 < n) visit(idx + plane, x, y, z + 1);
-    }
-
-    if (cells >= config.min_cells) {
-      Halo halo;
-      halo.cells = cells;
-      halo.mass = mass;
-      halo.cx = sx / static_cast<double>(cells);
-      halo.cy = sy / static_cast<double>(cells);
-      halo.cz = sz / static_cast<double>(cells);
-      catalog.halos.push_back(halo);
-    }
+    for_each_neighbour(n, idx, x, y, z,
+                       [&](std::size_t nidx, std::size_t nx, std::size_t ny, std::size_t nz) {
+                         if (claim(nidx)) stack.emplace_back(nx, ny, nz);
+                       });
   }
 
-  std::sort(catalog.halos.begin(), catalog.halos.end(), [](const Halo& a, const Halo& b) {
+  Halo halo;
+  halo.cells = cells;
+  halo.mass = mass;
+  halo.cx = sx / static_cast<double>(cells);
+  halo.cy = sy / static_cast<double>(cells);
+  halo.cz = sz / static_cast<double>(cells);
+  return halo;
+}
+
+/// Grows the components of the candidate set `cells` (ascending) over that
+/// sparse set, each from its lowest unclaimed cell: the seeds, pops and
+/// neighbour order of the full finder's scan over the same candidates.
+/// Calls done(seed, halo) per component.
+template <typename ValueAt, typename OnCell, typename Done>
+void grow_sparse(std::size_t n, std::span<const std::size_t> cells, ValueAt&& value,
+                 OnCell&& on_cell, Done&& done) {
+  std::vector<std::uint8_t> claimed(cells.size(), 0);
+  const auto claim = [&](std::size_t idx) {
+    const auto at = std::lower_bound(cells.begin(), cells.end(), idx);
+    if (at == cells.end() || *at != idx) return false;
+    std::uint8_t& c = claimed[static_cast<std::size_t>(at - cells.begin())];
+    if (c != 0) return false;
+    c = 1;
+    return true;
+  };
+  std::vector<Cell> stack;
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    if (claimed[k] != 0) continue;
+    claimed[k] = 1;
+    done(cells[k], grow(n, cells[k], stack, claim, value, on_cell));
+  }
+}
+
+/// The catalog order: mass descending, then position.  Fed the halos in
+/// seed order, std::sort gives one output for one input, ties included.
+void sort_halos(std::vector<Halo>& halos) {
+  std::sort(halos.begin(), halos.end(), [](const Halo& a, const Halo& b) {
     if (a.mass != b.mass) return a.mass > b.mass;
     if (a.cz != b.cz) return a.cz < b.cz;
     if (a.cy != b.cy) return a.cy < b.cy;
     return a.cx < b.cx;
   });
+}
+
+/// The full finder after the mean: one threshold scan marks the candidates,
+/// then every component is grown from its lowest cell.
+void scan_and_grow(std::size_t n, std::span<const double> base,
+                   std::span<const FieldPatch> patches, const HaloFinderConfig& config,
+                   HaloCatalog& catalog) {
+  const double threshold = catalog.threshold;
+  std::vector<std::uint8_t> state(base.size(), 0);
+  for_each_piece(base, patches, [&](std::size_t first, std::span<const double> values) {
+    catalog.candidate_cells += mark_candidates(values, threshold, state.data() + first);
+  });
+  // Each component grows from its lowest cell: memchr finds the next
+  // unclaimed candidate, so a non-candidate cell costs a byte compare.  Each
+  // candidate is pushed at most once, so the stack never reallocates.
+  std::vector<Cell> stack;
+  stack.reserve(static_cast<std::size_t>(catalog.candidate_cells));
+  const std::uint8_t* const state_begin = state.data();
+  const auto claim = [&](std::size_t idx) {
+    if (state[idx] != kCandidate) return false;
+    state[idx] = kVisited;
+    return true;
+  };
+  for (std::size_t start = 0; start < state.size(); ++start) {
+    const void* seed = std::memchr(state_begin + start, kCandidate, state.size() - start);
+    if (seed == nullptr) break;
+    start = static_cast<std::size_t>(static_cast<const std::uint8_t*>(seed) - state_begin);
+    state[start] = kVisited;
+    const Halo halo = grow(
+        n, start, stack, claim, [&](std::size_t idx) { return value_at(base, patches, idx); },
+        [](std::size_t) {});
+    if (halo.cells >= config.min_cells) catalog.halos.push_back(halo);
+  }
+  sort_halos(catalog.halos);
+}
+
+}  // namespace
+
+HaloCatalog find_halos(std::size_t n, std::span<const double> base,
+                       std::span<const FieldPatch> patches, const HaloFinderConfig& config) {
+  check_field(n, base);
+  check_patches(base.size(), patches);
+  HaloCatalog catalog;
+  long double sum = 0.0L;
+  for_each_piece(base, patches, [&](std::size_t, std::span<const double> values) {
+    sum = accumulate_density(sum, values);
+  });
+  set_mean(catalog, sum, base.size(), config);
+  // A non-finite mean (overflowed or NaN-poisoned data) yields a threshold no
+  // cell can satisfy; the catalog comes out empty, which the application
+  // classifies as Detected ("no halo found").
+  if (std::isfinite(catalog.threshold)) scan_and_grow(n, base, patches, config, catalog);
   return catalog;
 }
 
 HaloCatalog find_halos(const DensityField& field, const HaloFinderConfig& config) {
   return find_halos(field.n(), field.data(), {}, config);
+}
+
+// --- HaloIndex -----------------------------------------------------------------
+
+namespace {
+
+/// 2 ulp of the long-double binade [2^E, 2^(E+1)) is 2^E times this.
+constexpr long double kTwoUlpScale = [] {
+  long double scale = 1.0L;
+  for (int i = 2; i < std::numeric_limits<long double>::digits; ++i) scale /= 2;
+  return scale;
+}();
+
+}  // namespace
+
+HaloIndex::HaloIndex(std::size_t n, std::span<const double> base, const HaloFinderConfig& config)
+    : n_(n), config_(config), band_floor_(kInf) {
+  check_field(n, base);
+  const std::size_t total = base.size();
+
+  // The running sum at each block start, folded exactly as find_halos folds
+  // it.  A block can be carried when its values are finite and >= 0 (so the
+  // golden running sum only grows inside it) and its start and end sums
+  // share one binade [2^E, 2^(E+1)) whose 2 ulp is a normal number.
+  const std::size_t blocks = (total + kBlock - 1) / kBlock;
+  sums_.reserve(blocks + 1);
+  binade_.reserve(blocks);
+  long double sum = 0.0L;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::span<const double> values =
+        base.subspan(b * kBlock, std::min(kBlock, total - b * kBlock));
+    sums_.push_back(sum);
+    const long double start = sum;
+    sum = accumulate_density(sum, values);
+    // A long-double sum of doubles cannot overflow, so it is finite exactly
+    // when every value is.
+    long double binade = 0.0L;
+    if (start > 0.0L && std::isfinite(sum) && !any_below(values, 0.0)) {
+      const long double low = std::ldexp(1.0L, std::ilogb(start));
+      if (sum < 2.0L * low && std::isnormal(low * kTwoUlpScale)) binade = low;
+    }
+    binade_.push_back(binade);
+  }
+  sums_.push_back(sum);
+  all_finite_ = std::isfinite(sum);
+  set_mean(golden_, sum, total, config_);
+  const double threshold = golden_.threshold;
+  if (!std::isfinite(threshold)) return;
+
+  // One scan sorts every cell above the band's floor into candidate or band.
+  const double floor = threshold > 0.0 ? threshold / 2.0 : kInf;
+  for_each_above(base, floor, [&](std::size_t i) {
+    const double v = base[i];
+    if (is_candidate(v, threshold)) {
+      candidates_.push_back(i);
+      rising_.push_back({v, i});
+    } else if (v <= threshold) {
+      band_.push_back({v, i});
+    }
+  });
+  golden_.candidate_cells = candidates_.size();
+
+  // The golden components, grown as find_halos grows them.
+  members_.reserve(candidates_.size());
+  component_of_.resize(candidates_.size());
+  grow_sparse(
+      n, candidates_, [&](std::size_t idx) { return base[idx]; },
+      [&](std::size_t idx) {
+        members_.push_back(idx);
+        const auto at = std::lower_bound(candidates_.begin(), candidates_.end(), idx);
+        component_of_[static_cast<std::size_t>(at - candidates_.begin())] = components_.size();
+      },
+      [&](std::size_t seed, const Halo& halo) {
+        const std::size_t first = members_.size() - static_cast<std::size_t>(halo.cells);
+        if (halo.cells >= config_.min_cells) {
+          halo_components_.push_back(components_.size());
+          golden_.halos.push_back(halo);
+        }
+        components_.push_back({seed, first, halo});
+      });
+  sort_halos(golden_.halos);
+
+  const auto by_value = [](const Ranked& a, const Ranked& b) {
+    return a.value != b.value ? a.value < b.value : a.cell < b.cell;
+  };
+  std::sort(rising_.begin(), rising_.end(), by_value);
+  std::sort(band_.begin(), band_.end(),
+            [&](const Ranked& a, const Ranked& b) { return by_value(b, a); });
+  band_floor_ = floor;
+}
+
+std::size_t HaloIndex::component_of(std::size_t cell) const {
+  const auto at = std::lower_bound(candidates_.begin(), candidates_.end(), cell);
+  return component_of_[static_cast<std::size_t>(at - candidates_.begin())];
+}
+
+long double HaloIndex::step_clean_block(long double sum, std::size_t b,
+                                        std::span<const double> base) const {
+  // Carry: the golden sums of the block stay in [low, 2 low), where adding
+  // rounds to the grid of ulp u with ties to even multiples of u.  If the
+  // faulty sum starts in that binade, differs from the golden one by d, a
+  // multiple of 2u, and the golden end sum plus d is in the binade too, then
+  // every exact intermediate sum, golden and faulty, lies in the binade (the
+  // values are >= 0) and they differ by d.  Rounding on that grid commutes
+  // with a shift by an even multiple of u, so each faulty partial sum is the
+  // golden one plus d, and the block ends at sums_[b + 1] + d exactly.
+  const long double low = binade_[b];
+  if (low > 0.0L && low <= sum && sum < 2.0L * low) {
+    const long double d = sum - sums_[b];  // exact: both lie in one binade
+    const long double steps = d / (low * kTwoUlpScale);
+    const long double shifted = sums_[b + 1] + d;
+    if (steps == std::trunc(steps) && low <= shifted && shifted < 2.0L * low) return shifted;
+  }
+  const std::size_t first = b * kBlock;
+  return accumulate_density(sum, base.subspan(first, std::min(kBlock, base.size() - first)));
+}
+
+long double HaloIndex::sum(std::span<const double> base,
+                           std::span<const FieldPatch> patches) const {
+  if (patches.empty()) return sums_.back();
+  const std::size_t total = base.size();
+  const auto block_end = [&](std::size_t i) {
+    return std::min(total, (i + kBlock - 1) / kBlock * kBlock);
+  };
+  // The fold resumes at the block of the first patch.  `at` is the element
+  // the running sum has reached; it is block-aligned except after the last
+  // element.
+  std::size_t at = patches.front().first / kBlock * kBlock;
+  long double running = sums_[at / kBlock];
+  std::size_t next = 0;  // the first patch not folded yet
+  while (at < total) {
+    if (next == patches.size()) {
+      // Past the last patch every element is golden: once the sum equals the
+      // golden running sum it ends equal to the golden total, and a NaN or
+      // infinite sum stays what it is over finite values.
+      if (running == sums_[at / kBlock]) return sums_.back();
+      if (!std::isfinite(running) && all_finite_) return running;
+    } else if (patches[next].first < at + kBlock) {
+      // Fold explicitly from here to the end of the block holding the patch's
+      // last element, through every patch that starts before that end.
+      std::size_t end = at;
+      do {
+        const FieldPatch& p = patches[next++];
+        running = accumulate_density(running, base.subspan(at, p.first - at));
+        running = accumulate_density(running, p.values);
+        at = p.first + p.values.size();
+        end = std::max(end, block_end(std::max(at, p.first + 1)));
+      } while (next < patches.size() && patches[next].first < end);
+      running = accumulate_density(running, base.subspan(at, end - at));
+      at = end;
+      continue;
+    }
+    running = step_clean_block(running, at / kBlock, base);
+    at = std::min(total, at + kBlock);
+  }
+  return running;
+}
+
+HaloCatalog HaloIndex::find_halos(std::span<const double> base,
+                                  std::span<const FieldPatch> patches) const {
+  check_field(n_, base);
+  check_patches(base.size(), patches);
+  HaloCatalog catalog;
+  set_mean(catalog, sum(base, patches), base.size(), config_);
+  const double threshold = catalog.threshold;
+  catalog.path = HaloFinderPath::Incremental;
+  if (!std::isfinite(threshold)) return catalog;  // no cell can be a candidate
+  if (!(threshold >= band_floor_)) {
+    // Cells below the band could flip (a mean driven negative makes every
+    // cell a candidate): take the full finder's scan.
+    catalog.path = HaloFinderPath::Full;
+    scan_and_grow(n_, base, patches, config_, catalog);
+    return catalog;
+  }
+
+  // Candidates under the new threshold.  An unpatched cell keeps its golden
+  // status unless its value lies between the two thresholds: a golden
+  // candidate at or below a raised threshold leaves, a band cell above a
+  // lowered one joins.  A patched cell takes its status from its new value.
+  // `count` first counts the golden values under the new threshold, then
+  // trades each patched cell's golden value for its new one.
+  const double golden_threshold = golden_.threshold;
+  std::uint64_t count = golden_.candidate_cells;
+  std::vector<std::size_t> joined;   // non-golden candidates that now are
+  std::vector<std::size_t> touched;  // golden components to regrow
+  const std::size_t n = n_;
+  const auto touch_neighbours = [&](std::size_t idx) {
+    for_each_neighbour(n, idx, idx % n, idx / n % n, idx / (n * n),
+                       [&](std::size_t nidx, std::size_t, std::size_t, std::size_t) {
+                         if (is_candidate(base[nidx], golden_threshold)) {
+                           touched.push_back(component_of(nidx));
+                         }
+                       });
+  };
+  if (threshold > golden_threshold) {
+    for (const Ranked& r : rising_) {
+      if (r.value > threshold) break;
+      --count;
+      if (patched_value(patches, r.cell) == nullptr) touched.push_back(component_of(r.cell));
+    }
+  } else if (threshold < golden_threshold) {
+    for (const Ranked& r : band_) {
+      if (!(r.value > threshold)) break;
+      ++count;
+      if (patched_value(patches, r.cell) == nullptr) {
+        joined.push_back(r.cell);
+        touch_neighbours(r.cell);
+      }
+    }
+  }
+  for (const FieldPatch& p : patches) {
+    for (std::size_t k = 0; k < p.values.size(); ++k) {
+      const std::size_t idx = p.first + k;
+      const double golden = base[idx];
+      const bool was = is_candidate(golden, golden_threshold);
+      const bool is = is_candidate(p.values[k], threshold);
+      count += static_cast<std::uint64_t>(is);
+      count -= static_cast<std::uint64_t>(is_candidate(golden, threshold));
+      if (was) {
+        touched.push_back(component_of(idx));
+      } else if (is) {
+        joined.push_back(idx);
+        touch_neighbours(idx);
+      }
+    }
+  }
+  catalog.candidate_cells = count;
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+
+  if (touched.empty() && joined.empty()) {
+    catalog.halos = golden_.halos;
+    return catalog;
+  }
+
+  // A golden component that neither contains nor touches a changed cell is
+  // still a whole component with the same cells, the same values and the
+  // same lowest cell; the full finder grows it from that seed in the same
+  // pop and neighbour order, so its halo is the golden one bit for bit.
+  // The rest of the candidates — the surviving cells of the touched
+  // components plus the joined cells — is closed under adjacency (a
+  // neighbour in an untouched component would have touched it) and is
+  // regrown here, each component from its lowest cell, over that sparse set.
+  std::vector<std::size_t> dirty = std::move(joined);
+  for (const std::size_t c : touched) {
+    const std::size_t end =
+        c + 1 < components_.size() ? components_[c + 1].first_member : members_.size();
+    for (std::size_t m = components_[c].first_member; m < end; ++m) {
+      if (is_candidate(value_at(base, patches, members_[m]), threshold)) {
+        dirty.push_back(members_[m]);
+      }
+    }
+  }
+  std::sort(dirty.begin(), dirty.end());
+  // Halos enter the sort in seed order, as the full finder pushes them, so
+  // std::sort yields the same sequence.
+  std::size_t golden_next = 0;  // into halo_components_
+  const auto push_golden_before = [&](std::size_t seed) {
+    for (; golden_next < halo_components_.size(); ++golden_next) {
+      const std::size_t c = halo_components_[golden_next];
+      if (components_[c].seed >= seed) break;
+      if (!std::binary_search(touched.begin(), touched.end(), c)) {
+        catalog.halos.push_back(components_[c].halo);
+      }
+    }
+  };
+  grow_sparse(
+      n, dirty, [&](std::size_t idx) { return value_at(base, patches, idx); },
+      [](std::size_t) {},
+      [&](std::size_t seed, const Halo& halo) {
+        if (halo.cells < config_.min_cells) return;
+        push_golden_before(seed);
+        catalog.halos.push_back(halo);
+      });
+  push_golden_before(base.size());
+  sort_halos(catalog.halos);
+  return catalog;
 }
 
 }  // namespace ffis::nyx

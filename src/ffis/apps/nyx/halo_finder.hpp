@@ -29,11 +29,19 @@ struct HaloFinderConfig {
   std::uint64_t min_cells = 8;      ///< minimum component size to form a halo
 };
 
+/// Which computation produced a catalog.  Both give the same catalog bit
+/// for bit, so the path is neither rendered nor compared.
+enum class HaloFinderPath : std::uint8_t {
+  Full,         ///< threshold scan and component growth over the whole field
+  Incremental,  ///< HaloIndex::find_halos: golden facts plus the patched cells
+};
+
 struct HaloCatalog {
   std::vector<Halo> halos;          ///< sorted: mass desc, then position
   double mean_density = 0.0;
   double threshold = 0.0;
   std::uint64_t candidate_cells = 0;
+  HaloFinderPath path = HaloFinderPath::Full;
 
   /// Deterministic text rendering (positions %.6f, mass %.6e) — the
   /// comparison artifact for outcome classification.
@@ -56,10 +64,11 @@ struct FieldPatch {
 /// same element order, so a caller can splice a few re-read elements over a
 /// cached field without copying it.
 ///
-/// Cost: two streaming passes over the field (the long-double mean, then
-/// one threshold scan that marks the candidates in a one-byte-per-cell state
-/// array), a memchr over that array for the component seeds, and component
-/// growth proportional to the number of candidates.
+/// Cost: O(field) — the long-double mean folds every element, one threshold
+/// scan marks the candidates in a one-byte-per-cell state array, a memchr
+/// over that array finds the component seeds, and component growth is
+/// proportional to the number of candidates.  HaloIndex::find_halos gives
+/// the same catalog at a cost proportional to the patches.
 [[nodiscard]] HaloCatalog find_halos(std::size_t n, std::span<const double> base,
                                      std::span<const FieldPatch> patches,
                                      const HaloFinderConfig& config = {});
@@ -67,5 +76,86 @@ struct FieldPatch {
 /// find_halos over `field` with no patches.
 [[nodiscard]] HaloCatalog find_halos(const DensityField& field,
                                      const HaloFinderConfig& config = {});
+
+/// What find_halos learns about one unpatched field, kept so that the same
+/// field with a few patches spliced over it is analyzed in time proportional
+/// to the patches, not to the field.  Built once, by the fold and one
+/// threshold scan of the field; holds O(blocks + candidates + band) entries,
+/// never a per-cell array.
+///
+///  - The running long-double sum at every kBlock-th element, and per block
+///    the binade the golden running sum stays in, if it stays in one.
+///  - The golden candidates, each with its component, and per component its
+///    seed (lowest index), cells and halo sums.
+///  - The candidates sorted by value, and the non-candidates of the band
+///    (threshold / 2, threshold] sorted by value: the cells a moved
+///    threshold can flip.
+class HaloIndex {
+ public:
+  static constexpr std::size_t kBlock = 4096;
+
+  /// Indexes the n^3 field `base`; throws std::invalid_argument when its
+  /// size is not n^3.
+  HaloIndex(std::size_t n, std::span<const double> base, const HaloFinderConfig& config = {});
+
+  /// find_halos(n, base, patches, config) bit for bit, where `base` must be
+  /// the field this index was built from.  Patches are checked as there.
+  ///
+  /// The sum resumes at the block of the first patch and folds each patched
+  /// block explicitly; a clean block is carried across as a shift of its
+  /// golden end sum when rounding provably commutes with that shift, and the
+  /// fold stops as soon as the sum equals the golden one or is NaN or
+  /// infinite.  The candidates are
+  /// the golden ones with the cells between the old and new threshold
+  /// flipped and the patched cells judged by their new values; only the
+  /// components that contain or touch such a cell are regrown.  A threshold
+  /// below band_floor() takes the full finder's scan (path Full).
+  [[nodiscard]] HaloCatalog find_halos(std::span<const double> base,
+                                       std::span<const FieldPatch> patches) const;
+
+  /// The long-double sum of the patched field, bit-identical to folding it
+  /// in element order (accumulate_density) as find_halos does.
+  [[nodiscard]] long double sum(std::span<const double> base,
+                                std::span<const FieldPatch> patches) const;
+
+  /// The catalog of the unpatched field.
+  [[nodiscard]] const HaloCatalog& golden() const noexcept { return golden_; }
+  /// The lowest threshold the incremental path handles; below it the band
+  /// does not list every cell that could flip.  +inf when the golden
+  /// threshold is not a positive finite number.
+  [[nodiscard]] double band_floor() const noexcept { return band_floor_; }
+
+ private:
+  /// The running sum after block b, given the sum `sum` before it.
+  [[nodiscard]] long double step_clean_block(long double sum, std::size_t b,
+                                             std::span<const double> base) const;
+  /// Index into components_ of the golden candidate `cell`.
+  [[nodiscard]] std::size_t component_of(std::size_t cell) const;
+
+  struct Component {
+    std::size_t seed = 0;          ///< lowest cell index, where growth starts
+    std::size_t first_member = 0;  ///< into members_; the next entry's ends it
+    Halo halo;                     ///< sums of the golden traversal
+  };
+  struct Ranked {
+    double value;
+    std::size_t cell;
+  };
+
+  std::size_t n_;
+  HaloFinderConfig config_;
+  HaloCatalog golden_;
+  std::vector<long double> sums_;    ///< sums_[b]: elements [0, b * kBlock); last = total
+  std::vector<long double> binade_;  ///< 2^E, or 0 when block b cannot be carried
+  bool all_finite_ = true;           ///< no NaN or infinity in the field
+  std::vector<std::size_t> candidates_;      ///< ascending
+  std::vector<std::size_t> component_of_;    ///< per candidates_ entry
+  std::vector<Component> components_;        ///< in seed order
+  std::vector<std::size_t> members_;         ///< cells, grouped by component
+  std::vector<std::size_t> halo_components_; ///< components with >= min_cells, in seed order
+  std::vector<Ranked> rising_;               ///< candidates, value ascending
+  std::vector<Ranked> band_;                 ///< band cells, value descending
+  double band_floor_;
+};
 
 }  // namespace ffis::nyx

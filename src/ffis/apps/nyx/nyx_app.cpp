@@ -1,6 +1,7 @@
 #include "ffis/apps/nyx/nyx_app.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -143,6 +144,7 @@ struct NyxGoldenArtifacts final : core::GoldenArtifacts {
   std::uint64_t file_size = 0;  ///< planned (== golden) total file size
   util::Bytes head;             ///< golden bytes [0, data_begin)
   util::Bytes tail;             ///< golden bytes [data_end, file_size)
+  std::optional<HaloIndex> halos;  ///< over dataset.data, for the spliced runs
 };
 
 /// True when the bytes of `window` (file offsets [begin, begin + size))
@@ -188,6 +190,7 @@ std::shared_ptr<const core::GoldenArtifacts> NyxApp::golden_artifacts(
       file.pread(artifacts->tail, range.end) != artifacts->tail.size()) {
     throw h5::H5Exception("golden plotfile is shorter than its planned layout");
   }
+  artifacts->halos.emplace(config_.field.n, artifacts->dataset.data, config_.halo);
   return artifacts;
 }
 
@@ -216,7 +219,9 @@ core::AnalysisResult NyxApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDif
   // shared with the header, say) must equal the golden bytes; its elements
   // are decoded into this run's patch buffer.  Element decode is positionally
   // independent, so the golden field with these patches spliced over it is
-  // bit-identical to a full read — at O(dirty bytes) I/O and no field copy.
+  // bit-identical to a full read — at O(dirty bytes) I/O and no field copy —
+  // and the golden HaloIndex finds its halos in time proportional to the
+  // patches, bit-identical to find_halos on the full read.
   const std::size_t element = art->dataset.format.size_bytes;
   std::size_t bound = 0;  // elements the ranges can touch: `decoded` never reallocates
   for (const vfs::ByteRange& r : fd->ranges) {
@@ -256,8 +261,9 @@ core::AnalysisResult NyxApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDif
     patches.push_back({first, values});
     next_free = last;
   }
-  return analysis_from_catalog(
-      find_halos(config_.field.n, art->dataset.data, patches, config_.halo));
+  const HaloCatalog catalog = art->halos->find_halos(art->dataset.data, patches);
+  spliced_[static_cast<std::size_t>(catalog.path)].fetch_add(1, std::memory_order_relaxed);
+  return analysis_from_catalog(catalog);
 }
 
 core::Outcome NyxApp::classify(const core::AnalysisResult& /*golden*/,

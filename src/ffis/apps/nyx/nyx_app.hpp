@@ -12,6 +12,8 @@
 //            method enabled, any |mean - 1| beyond tolerance is Detected
 //            first (this is the improvement evaluated in Figure 7's note).
 
+#include <array>
+#include <atomic>
 #include <memory>
 #include <mutex>
 
@@ -59,11 +61,11 @@ class NyxApp final : public core::Application {
   /// Caches the decoded golden plotfile dataset (values + float format), the
   /// planned layout addresses, and the golden bytes outside the raw data (the
   /// HDF5 header and anything after the data), so analyze_dirty can splice
-  /// instead of re-reading.  Per-chunk/per-slab *partial sums* are
-  /// deliberately not cached: updating a golden sum by the dirty slabs' delta
-  /// changes the floating-point summation order, which would break the
-  /// bit-identical outcome guarantee — caching the data itself is both safe
-  /// and strictly more useful.
+  /// instead of re-reading; and a HaloIndex of the golden values (block
+  /// running sums, components, the threshold band), so the spliced field's
+  /// catalog costs O(patches + a few blocks).  The index keeps the element
+  /// order of the sum: a block's sum is carried only where rounding provably
+  /// commutes with the shift, so the catalog stays bit-identical.
   [[nodiscard]] std::shared_ptr<const core::GoldenArtifacts> golden_artifacts(
       vfs::FileSystem& golden_fs, const core::AnalysisResult& golden) const override;
   /// Diff-driven analysis: plotfile untouched → the golden analysis verbatim
@@ -71,8 +73,9 @@ class NyxApp final : public core::Application {
   /// (widened to whole elements); the part of a range outside the raw data
   /// must equal the cached golden bytes (extents are coarser than the header,
   /// so a rewritten first slab shares its dirty extent with it), and the
-  /// decoded elements are spliced over the cached golden field as
-  /// find_halos patches — no copy of the field.  A differing byte outside
+  /// decoded elements go as patches to the golden HaloIndex — no copy of the
+  /// field, and no pass over it unless the threshold falls below the index's
+  /// band (HaloIndex::find_halos).  A differing byte outside
   /// the raw data, a size change, or a metadata/path change → full
   /// analyze(), so corrupted-metadata crashes and ARD shifts behave
   /// identically.
@@ -103,6 +106,12 @@ class NyxApp final : public core::Application {
   /// may use distinct seeds).
   [[nodiscard]] std::shared_ptr<const DensityField> field(std::uint64_t seed) const;
 
+  /// How many analyze_dirty catalogs came from each HaloFinderPath of the
+  /// golden HaloIndex since construction; tests pin the incremental share.
+  [[nodiscard]] std::uint64_t spliced_analyses(HaloFinderPath path) const noexcept {
+    return spliced_[static_cast<std::size_t>(path)].load(std::memory_order_relaxed);
+  }
+
  private:
   /// Shared tail of analyze / analyze_dirty: catalog -> report + metrics.
   [[nodiscard]] core::AnalysisResult analysis_from_catalog(const HaloCatalog& catalog) const;
@@ -120,6 +129,7 @@ class NyxApp final : public core::Application {
   mutable std::shared_ptr<const DensityField> cached_field_;
   mutable std::uint64_t cached_data_address_ = 0;
   mutable bool layout_cached_ = false;
+  mutable std::array<std::atomic<std::uint64_t>, 2> spliced_{};  ///< per HaloFinderPath
 };
 
 }  // namespace ffis::nyx

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -18,6 +19,7 @@
 
 #include "ffis/apps/montage/montage_app.hpp"
 #include "ffis/apps/nyx/nyx_app.hpp"
+#include "ffis/apps/nyx/plotfile.hpp"
 #include "ffis/apps/qmc/qmc_app.hpp"
 #include "ffis/core/application.hpp"
 #include "ffis/core/checkpoint.hpp"
@@ -719,6 +721,20 @@ TEST(DiffClassification, NyxDirtySlabSplicePreservesTalliesAndReadsLess) {
   EXPECT_LT(diff_reads * 4, full_reads);
 }
 
+/// The metrics a spliced Nyx analysis must reproduce bit for bit: the
+/// average-value detector reads mean_density, and the rest summarize the
+/// catalog.  Returns whether both runs reached analysis.
+bool expect_same_nyx_metrics(const core::RunResult& run, const core::RunResult& ref,
+                             const std::string& where) {
+  if (!run.analysis || !ref.analysis) return false;
+  for (const char* name : {"mean_density", "candidate_cells", "total_mass", "halo_count"}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(run.analysis->metric(name)),
+              std::bit_cast<std::uint64_t>(ref.analysis->metric(name)))
+        << where << " " << name;
+  }
+  return true;
+}
+
 TEST(DiffClassification, NyxSpliceTakesTheHeaderExtentAndMatchesFullAnalysisPerRun) {
   // 2-dump Nyx instrumented at stage 2 rewrites slab z=0, whose 8 KiB of
   // raw data follow the HDF5 header inside 64 KiB extent 0: every dirty
@@ -780,6 +796,7 @@ TEST(DiffClassification, NyxSpliceTakesTheHeaderExtentAndMatchesFullAnalysisPerR
           EXPECT_EQ(run.analysis->report, ref.analysis->report)
               << cell.cell.label << " run " << r;
         }
+        expect_same_nyx_metrics(run, ref, cell.cell.label + " run " + std::to_string(r));
         if (c < kStageTwoCells) {
           // Spliced: at most the one dirty extent is read, not the file.
           EXPECT_LE(run.fs_stats.bytes_read, vfs::ExtentStore::kDefaultChunkSize)
@@ -789,6 +806,130 @@ TEST(DiffClassification, NyxSpliceTakesTheHeaderExtentAndMatchesFullAnalysisPerR
         }
       }
     }
+  }
+}
+
+TEST(DiffClassification, NyxSpliceMatchesReferenceMetricsUnderEveryModel) {
+  // A 3-dump BF cell at stage 3 (slab z=1), the media models over a whole
+  // 2-dump run (multi-sector, zeroed and misdirected patches), and a 1-dump
+  // BF cell with the average-value detector, which classifies by the
+  // mean_density metric.  Every run's outcome, catalog and metrics must match
+  // the reference oracle's full analysis bit for bit, at 1 and 4 threads.
+  const auto nyx_app = [](int timesteps, bool detector) {
+    nyx::NyxConfig config;
+    config.field.n = 32;
+    config.timesteps = timesteps;
+    config.use_average_value_detector = detector;
+    return std::make_shared<const nyx::NyxApp>(config);
+  };
+  const auto three_dumps = nyx_app(3, false);
+  const auto two_dumps = nyx_app(2, false);
+  const auto detector = nyx_app(1, true);
+
+  constexpr std::uint64_t kRuns = 32;
+  auto make_plan = [&] {
+    exp::PlanBuilder builder;
+    builder.runs(kRuns).seed(77);
+    builder.cell(*three_dumps, "BF", 3);
+    builder.app(*two_dumps)
+        .faults({"BIT_ROT@pwrite{sector=512,scrub=on,width=1}",
+                 "TORN_SECTOR@pwrite{sector=4096,scrub=off}", "LSE", "MW"})
+        .product();
+    builder.cell(*detector, "BF", 1);
+    return builder.build();
+  };
+
+  const auto reference = exp::reference_run(make_plan());
+  std::uint64_t changed = 0;
+  for (const auto& cell : reference.cells) {
+    ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
+    changed += kRuns - cell.tally.count(Outcome::Benign);
+  }
+  ASSERT_GT(changed, 0u);
+  EXPECT_GT(reference.cells.back().tally.count(Outcome::Detected), 0u);  // the detector fired
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    exp::EngineOptions options;
+    options.threads = threads;
+    options.keep_details = true;
+    const auto report = exp::Engine(options).run(make_plan());
+    ASSERT_EQ(report.cells.size(), reference.cells.size());
+    for (std::size_t c = 0; c < report.cells.size(); ++c) {
+      const auto& cell = report.cells[c];
+      const auto& want = reference.cells[c];
+      ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
+      ASSERT_EQ(cell.details.size(), kRuns);
+      for (std::size_t r = 0; r < kRuns; ++r) {
+        const std::string where =
+            cell.cell.label + " run " + std::to_string(r) + " at " + std::to_string(threads);
+        const core::RunResult& run = cell.details[r];
+        const core::RunResult& ref = want.details[r];
+        EXPECT_EQ(run.outcome, ref.outcome) << where;
+        EXPECT_EQ(run.crash_reason, ref.crash_reason) << where;
+        if (run.analysis && ref.analysis) {
+          EXPECT_EQ(run.analysis->report, ref.analysis->report) << where;
+        }
+        expect_same_nyx_metrics(run, ref, where);
+      }
+    }
+  }
+  // Each app's spliced runs went through the golden index's incremental path.
+  for (const auto& app : {three_dumps, two_dumps, detector}) {
+    EXPECT_GT(app->spliced_analyses(nyx::HaloFinderPath::Incremental), 0u)
+        << app->config().timesteps << " dumps";
+  }
+}
+
+TEST(DiffClassification, NyxSplicePathShareOnBenchShapedCells) {
+  // The bench's nyx-classify BF cells: 80^3 with two dumps at stage 2 and
+  // 96^3 with three dumps at stage 3, seed 42.  Every run is spliced, and the
+  // golden index must take its incremental path on every run except those
+  // whose threshold falls below its band (a flip that drives the mean below
+  // half the golden one); those, and only those, take the full finder.
+  const auto nyx_app = [](std::size_t n, int timesteps) {
+    nyx::NyxConfig config;
+    config.field.n = n;
+    config.timesteps = timesteps;
+    return std::make_shared<const nyx::NyxApp>(config);
+  };
+  const auto small = nyx_app(80, 2);
+  const auto large = nyx_app(96, 3);
+  constexpr std::uint64_t kRuns = 400;
+  exp::PlanBuilder builder;
+  builder.runs(kRuns).seed(42);
+  builder.cell(*small, "BF", 2);
+  builder.cell(*large, "BF", 3);
+  exp::EngineOptions options;
+  options.threads = 4;
+  options.keep_details = true;
+  const auto report = exp::Engine(options).run(builder.build());
+
+  ASSERT_EQ(report.cells.size(), 2u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    const auto& cell = report.cells[c];
+    const nyx::NyxApp& app = c == 0 ? *small : *large;
+    ASSERT_TRUE(cell.error.empty()) << cell.cell.label << ": " << cell.error;
+
+    // The band floor of the golden field, as the index builds it.
+    vfs::MemFs golden_fs;
+    core::run_fault_free(app, cell.cell.app_seed(), golden_fs, 0, app.stage_count());
+    const nyx::DensityField golden = nyx::read_plotfile(golden_fs, app.config().plotfile_path);
+    const nyx::HaloIndex index(golden.n(), golden.data(), app.config().halo);
+
+    std::uint64_t analyzed = 0, below_band = 0;
+    for (const core::RunResult& run : cell.details) {
+      if (!run.analysis) continue;
+      ++analyzed;
+      const double threshold =
+          app.config().halo.threshold_factor * run.analysis->metric("mean_density");
+      if (threshold < index.band_floor()) ++below_band;
+    }
+    const std::uint64_t incremental = app.spliced_analyses(nyx::HaloFinderPath::Incremental);
+    EXPECT_EQ(analyzed, kRuns) << cell.cell.label;
+    EXPECT_EQ(app.spliced_analyses(nyx::HaloFinderPath::Full), below_band) << cell.cell.label;
+    EXPECT_EQ(incremental + below_band, analyzed) << cell.cell.label;
+    // Measured at seed 42: 389 of 400 runs at 80^3 and 392 of 400 at 96^3.
+    EXPECT_GE(incremental, c == 0 ? 389u : 392u) << cell.cell.label;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -302,7 +303,7 @@ std::pair<std::size_t, std::size_t> corrupt(std::vector<double>& values, std::si
 }
 
 void expect_same_catalog(const nyx::HaloCatalog& got, const nyx::HaloCatalog& want,
-                         std::uint64_t seed) {
+                         const std::string& seed) {
   EXPECT_EQ(got.to_text(), want.to_text()) << "seed " << seed;
   EXPECT_EQ(got.candidate_cells, want.candidate_cells) << "seed " << seed;
   EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean_density),
@@ -343,7 +344,7 @@ TEST(HaloFinderDifferential, SparseFinderMatchesDenseReferenceOnCorruptedFields)
       }
 
       const nyx::HaloCatalog want = dense_find_halos(faulty);
-      expect_same_catalog(nyx::find_halos(faulty), want, seed);
+      expect_same_catalog(nyx::find_halos(faulty), want, std::to_string(seed));
       // A negative mean puts the threshold below every cell but the
       // corrupted ones: one component spans the grid, faces included.
       const std::size_t total = clean.size();
@@ -371,11 +372,254 @@ TEST(HaloFinderDifferential, SparseFinderMatchesDenseReferenceOnCorruptedFields)
         patches.push_back(
             {begin, std::span<const double>(faulty.data()).subspan(begin, end - begin)});
       }
-      expect_same_catalog(nyx::find_halos(n, clean.data(), patches), want, seed);
+      expect_same_catalog(nyx::find_halos(n, clean.data(), patches), want, std::to_string(seed));
     }
   }
   // The sweep reached the regime where (nearly) every cell is a candidate.
   EXPECT_GT(negative_means, 0u);
+}
+
+/// Replacement runs over a field: sorted by first element, disjoint.
+using Splice = std::vector<std::pair<std::size_t, std::vector<double>>>;
+
+/// A golden field, its index, and a scratch copy to materialize patches in.
+struct IndexedField {
+  explicit IndexedField(DensityField field)
+      : clean(std::move(field)), index(clean.n(), clean.data()), scratch(clean) {}
+  DensityField clean;
+  nyx::HaloIndex index;
+  DensityField scratch;  ///< equals `clean` between checks
+};
+
+/// Checks one patched field three ways — the golden index, the full finder
+/// over the same patches, and the dense reference on the materialized field —
+/// and returns the path the index took.
+nyx::HaloFinderPath expect_index_matches(IndexedField& f, const Splice& splice,
+                                         const std::string& what) {
+  std::vector<nyx::FieldPatch> patches;
+  const auto at = [&](std::size_t i) {
+    return f.scratch.data().begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  for (const auto& [first, values] : splice) {
+    patches.push_back({first, values});
+    std::copy(values.begin(), values.end(), at(first));
+  }
+  const nyx::HaloCatalog want = dense_find_halos(f.scratch);
+  // The carried sum is exact in long double, below what the double mean
+  // shows.
+  const long double folded = nyx::accumulate_density(0.0L, f.scratch.data());
+  const long double carried = f.index.sum(f.clean.data(), patches);
+  EXPECT_TRUE((std::isnan(folded) && std::isnan(carried)) ||
+              (folded == carried && std::signbit(folded) == std::signbit(carried)))
+      << what << ": carried " << static_cast<double>(carried) << " folded "
+      << static_cast<double>(folded);
+  for (const auto& [first, values] : splice) {
+    std::copy_n(f.clean.data().begin() + static_cast<std::ptrdiff_t>(first), values.size(),
+                at(first));
+  }
+  expect_same_catalog(nyx::find_halos(f.clean.n(), f.clean.data(), patches), want, what);
+  const nyx::HaloCatalog got = f.index.find_halos(f.clean.data(), patches);
+  expect_same_catalog(got, want, what);
+  return got.path;
+}
+
+/// The splice that flips bits [offset, offset + width) of element `cell`,
+/// counting on into the next element as a pwrite's bit run does.
+Splice flip_splice(const DensityField& field, std::size_t cell, unsigned offset, unsigned width) {
+  const std::size_t last = std::min(field.size() - 1, cell + (offset + width - 1) / 64);
+  std::vector<double> values(field.data().begin() + static_cast<std::ptrdiff_t>(cell),
+                             field.data().begin() + static_cast<std::ptrdiff_t>(last + 1));
+  for (unsigned bit = offset; bit < offset + width && bit / 64 < values.size(); ++bit) {
+    double& v = values[bit / 64];
+    v = std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) ^ (std::uint64_t{1} << (bit % 64)));
+  }
+  return {{cell, std::move(values)}};
+}
+
+/// The cells the index is most likely to get wrong: the first and last
+/// element, both sides of the first block boundary, the element where the
+/// golden running sum enters the binade of its last power of two, and the
+/// densest cell, inside a golden halo.
+std::vector<std::size_t> probe_cells(const DensityField& field) {
+  constexpr std::size_t kBlock = nyx::HaloIndex::kBlock;
+  std::vector<std::size_t> cells = {0, kBlock - 1, kBlock, field.size() - 1};
+  long double sum = 0.0L;
+  std::size_t crossing = 0;
+  for (std::size_t i = 0; i < field.size(); ++i) {
+    const long double next = sum + field.data()[i];
+    if (sum > 0.0L && std::ilogb(next) != std::ilogb(sum)) crossing = i;
+    sum = next;
+  }
+  cells.push_back(crossing);
+  const auto& values = field.data();
+  cells.push_back(
+      static_cast<std::size_t>(std::max_element(values.begin(), values.end()) - values.begin()));
+  return cells;
+}
+
+/// Bit flips of width 1, 2 and 4 at every offset of the probe cells
+/// [first, last) of an n^3 field: the index must give the full finder's
+/// catalog bit for bit, and the dense reference's, and stay incremental on
+/// >= 95 % of them.
+void expect_index_matches_every_flip(std::size_t n, std::size_t first, std::size_t last) {
+  FieldConfig config;
+  config.n = n;
+  config.seed = 11;
+  IndexedField f(nyx::generate_density_field(config));
+  expect_same_catalog(f.index.golden(), nyx::find_halos(f.clean), "golden");
+  ASSERT_GT(f.index.golden().halos.size(), 0u);
+  std::size_t runs = 0, incremental = 0;
+  const std::vector<std::size_t> cells = probe_cells(f.clean);
+  for (std::size_t c = first; c < last; ++c) {
+    const std::size_t cell = cells[c];
+    for (const unsigned width : {1u, 2u, 4u}) {
+      for (unsigned offset = 0; offset < 64; ++offset) {
+        const std::string what = "cell " + std::to_string(cell) + " bits " +
+                                 std::to_string(offset) + "+" + std::to_string(width);
+        ++runs;
+        if (expect_index_matches(f, flip_splice(f.clean, cell, offset, width), what) ==
+            nyx::HaloFinderPath::Incremental) {
+          ++incremental;
+        }
+      }
+    }
+  }
+  // Only a flip that drives the mean below half the golden one (the sign
+  // bit with the top exponent bit) leaves the band.
+  EXPECT_GE(incremental * 20, runs * 19) << incremental << " of " << runs;
+}
+
+TEST(HaloFinderDifferential, CarriedSumRefusesAnOddShiftOnTies) {
+  // Every value is 1 + 1.5 ulp of the second block's running sums, so every
+  // addition there is a tie.  A faulty sum an odd number of ulps off the
+  // golden one then rounds the other way, so the carry must refuse it and
+  // fold; an even shift carries.  Flips of every bit of the last cells of
+  // the first block give both.
+  constexpr std::size_t n = 17;  // 4913 cells: a full block and a partial one
+  IndexedField f(DensityField(n, std::vector<double>(n * n * n, 1.0 + 0x3p-52)));
+  for (const std::size_t cell : {std::size_t{4000}, std::size_t{4094}, std::size_t{4095}}) {
+    for (const unsigned width : {1u, 2u}) {
+      for (unsigned offset = 0; offset < 64; ++offset) {
+        (void)expect_index_matches(f, flip_splice(f.clean, cell, offset, width),
+                                   "cell " + std::to_string(cell) + " bits " +
+                                       std::to_string(offset) + "+" + std::to_string(width));
+      }
+    }
+  }
+}
+
+// n = 33 has 9 blocks, the last one partial; n = 48 has 27.  The probe
+// cells are split so that each test stays short in a sanitizer build.
+TEST(HaloFinderDifferential, IndexMatchesFullFinderOnEveryFlipAtN33Cells0To2) {
+  expect_index_matches_every_flip(33, 0, 3);
+}
+
+TEST(HaloFinderDifferential, IndexMatchesFullFinderOnEveryFlipAtN33Cells3To5) {
+  expect_index_matches_every_flip(33, 3, 6);
+}
+
+TEST(HaloFinderDifferential, IndexMatchesFullFinderOnEveryFlipAtN48Cells0To1) {
+  expect_index_matches_every_flip(48, 0, 2);
+}
+
+TEST(HaloFinderDifferential, IndexMatchesFullFinderOnEveryFlipAtN48Cells2To3) {
+  expect_index_matches_every_flip(48, 2, 4);
+}
+
+TEST(HaloFinderDifferential, IndexMatchesFullFinderOnEveryFlipAtN48Cells4To5) {
+  expect_index_matches_every_flip(48, 4, 6);
+}
+
+/// Special values at the probe cells, multi-patch and zeroed runs, and a
+/// mean moved up, down within the band, and down past it, on an n^3 field.
+void expect_index_matches_values_runs_and_moved_thresholds(std::size_t n) {
+  FieldConfig config;
+  config.n = n;
+  config.seed = 12;
+  IndexedField f(nyx::generate_density_field(config));
+  const DensityField& clean = f.clean;
+  const nyx::HaloIndex& index = f.index;
+  const std::size_t total = clean.size();
+  const std::string field = "n " + std::to_string(n);
+  std::size_t runs = 0, incremental = 0;
+  const auto check = [&](const Splice& splice, const std::string& what) {
+    ++runs;
+    const nyx::HaloFinderPath path = expect_index_matches(f, splice, what);
+    if (path == nyx::HaloFinderPath::Incremental) ++incremental;
+    return path;
+  };
+
+  // Special values at each probe cell.  Past a NaN or infinity every x87
+  // addition of the reference folds takes a slow path, so at n = 48 the
+  // non-finite values go only to the cells in the second half.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const std::size_t cell : probe_cells(clean)) {
+    for (const double v : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, -1e6, 1e300}) {
+      if (n > 33 && !std::isfinite(v) && cell < total / 2) continue;
+      check({{cell, {v}}},
+            field + " cell " + std::to_string(cell) + " value " + std::to_string(v));
+    }
+  }
+
+  // Several patches at once, and zeroed runs (a dropped or torn write).
+  util::Rng rng(n);
+  for (int trial = 0; trial < 40; ++trial) {
+    Splice splice;
+    std::size_t at = 0;
+    const std::size_t patches = 1 + static_cast<std::size_t>(rng.uniform(4));
+    for (std::size_t p = 0; p < patches && at < total; ++p) {
+      const std::size_t first =
+          at + static_cast<std::size_t>(rng.uniform((total - at) / 2 + 1));
+      const std::size_t longest = trial % 2 == 0 ? 4 : 2 * n * n;
+      const std::size_t length =
+          std::min(total - first, 1 + static_cast<std::size_t>(rng.uniform(longest)));
+      const auto from = clean.data().begin() + static_cast<std::ptrdiff_t>(first);
+      std::vector<double> values(from, from + static_cast<std::ptrdiff_t>(length));
+      if (trial % 2 == 0) {
+        for (double& v : values) {
+          const auto bit = static_cast<unsigned>(rng.uniform(62));
+          v = std::bit_cast<double>(std::bit_cast<std::uint64_t>(v) ^ (std::uint64_t{3} << bit));
+        }
+      } else {
+        std::fill(values.begin(), values.end(), 0.0);
+      }
+      splice.emplace_back(first, std::move(values));
+      at = first + length + 1;
+    }
+    check(splice, field + " trial " + std::to_string(trial));
+  }
+
+  // One cell moves the mean: up by half (golden candidates leave), down
+  // to 70 % (band cells join), and down to 40 %, below the band's floor of
+  // half the golden threshold, where the full finder's scan must run.
+  const double golden_sum = index.golden().mean_density * static_cast<double>(total);
+  const std::size_t cell = total / 2;
+  const double golden = clean.data()[cell];
+  const auto moved = [&](double share) {
+    return Splice{{cell, {golden + (share - 1.0) * golden_sum}}};
+  };
+  check(moved(1.5), field + " mean x1.5");
+  EXPECT_EQ(check(moved(0.7), field + " mean x0.7"), nyx::HaloFinderPath::Incremental);
+  EXPECT_EQ(check(moved(0.4), field + " mean x0.4"), nyx::HaloFinderPath::Full);
+  // The lowered threshold really did add band cells, and the raised one
+  // really did drop golden candidates.
+  const Splice lowered = moved(0.7), raised = moved(1.5);
+  const std::vector<nyx::FieldPatch> down = {{cell, lowered[0].second}};
+  const std::vector<nyx::FieldPatch> up = {{cell, raised[0].second}};
+  EXPECT_GT(index.find_halos(clean.data(), down).candidate_cells,
+            index.golden().candidate_cells);
+  EXPECT_LT(index.find_halos(clean.data(), up).candidate_cells,
+            index.golden().candidate_cells);
+  // Only the -1e6 values and the x0.4 mean leave the band.
+  EXPECT_GE(incremental * 20, runs * 17) << incremental << " of " << runs;
+}
+
+TEST(HaloFinderDifferential, IndexMatchesFullFinderOnValuesRunsAndMovedThresholdsAtN33) {
+  expect_index_matches_values_runs_and_moved_thresholds(33);
+}
+
+TEST(HaloFinderDifferential, IndexMatchesFullFinderOnValuesRunsAndMovedThresholdsAtN48) {
+  expect_index_matches_values_runs_and_moved_thresholds(48);
 }
 
 TEST(HaloFinderDifferential, PatchesMustBeSortedDisjointAndInside) {
@@ -392,6 +636,12 @@ TEST(HaloFinderDifferential, PatchesMustBeSortedDisjointAndInside) {
   const std::vector<nyx::FieldPatch> touching = {{0, four}, {4, four}, {508, four}};
   EXPECT_EQ(nyx::find_halos(8, field.data(), touching).to_text(),
             nyx::find_halos(field).to_text());
+  const nyx::HaloIndex index(8, field.data());
+  EXPECT_THROW((void)index.find_halos(field.data(), overlapping), std::invalid_argument);
+  EXPECT_THROW((void)index.find_halos(field.data(), beyond), std::invalid_argument);
+  EXPECT_THROW((void)index.find_halos(std::span(field.data()).first(500), {}),
+               std::invalid_argument);
+  EXPECT_EQ(index.find_halos(field.data(), touching).to_text(), nyx::find_halos(field).to_text());
 }
 
 // --- plotfile I/O -----------------------------------------------------------------
