@@ -5,8 +5,9 @@
 // density exceeds 81.66x the mean density of the whole dataset; (2) a halo
 // is a 6-connected component of candidates with at least `min_cells` cells.
 // For each halo the finder reports position (cell centroid), cell count and
-// mass (sum of member densities) — the NVB_integral-style output whose
-// bit-wise comparison defines the Benign class.
+// mass (sum of member densities, in double, in ascending cell-index order, so
+// that it depends only on the halo's cells) — the NVB_integral-style output
+// whose bit-wise comparison defines the Benign class.
 
 #include <cstddef>
 #include <cstdint>
@@ -34,6 +35,8 @@ struct HaloFinderConfig {
 enum class HaloFinderPath : std::uint8_t {
   Full,         ///< threshold scan and component growth over the whole field
   Incremental,  ///< HaloIndex::find_halos: golden facts plus the patched cells
+  Spanning,     ///< HaloIndex::find_halos: every cell but a few patched ones is
+                ///< a candidate, and one component spans the grid
 };
 
 struct HaloCatalog {
@@ -66,9 +69,10 @@ struct FieldPatch {
 ///
 /// Cost: O(field) — the long-double mean folds every element, one threshold
 /// scan marks the candidates in a one-byte-per-cell state array, a memchr
-/// over that array finds the component seeds, and component growth is
-/// proportional to the number of candidates.  HaloIndex::find_halos gives
-/// the same catalog at a cost proportional to the patches.
+/// over that array finds the component seeds, component growth is
+/// proportional to the number of candidates, and each halo's cells are put
+/// in index order for its mass.  HaloIndex::find_halos gives the same
+/// catalog at a cost proportional to the patches.
 [[nodiscard]] HaloCatalog find_halos(std::size_t n, std::span<const double> base,
                                      std::span<const FieldPatch> patches,
                                      const HaloFinderConfig& config = {});
@@ -79,12 +83,14 @@ struct FieldPatch {
 
 /// What find_halos learns about one unpatched field, kept so that the same
 /// field with a few patches spliced over it is analyzed in time proportional
-/// to the patches, not to the field.  Built once, by the fold and one
+/// to the patches, not to the field.  Built once, by the folds and one
 /// threshold scan of the field; holds O(blocks + candidates + band) entries,
 /// never a per-cell array.
 ///
-///  - The running long-double sum at every kBlock-th element, and per block
-///    the binade the golden running sum stays in, if it stays in one.
+///  - The running sums at every kBlock-th element, in long double (the
+///    mean) and in double (the mass of a component of every cell), per
+///    block the binade each golden running sum stays in, if it stays in
+///    one, and a bound on its largest value.
 ///  - The golden candidates, each with its component, and per component its
 ///    seed (lowest index), cells and halo sums.
 ///  - The candidates sorted by value, and the non-candidates of the band
@@ -102,14 +108,20 @@ class HaloIndex {
   /// the field this index was built from.  Patches are checked as there.
   ///
   /// The sum resumes at the block of the first patch and folds each patched
-  /// block explicitly; a clean block is carried across as a shift of its
-  /// golden end sum when rounding provably commutes with that shift, and the
+  /// block explicitly.  A clean block is skipped when all its values lie
+  /// below a quarter of the sum's ulp, or carried across as a shift of its
+  /// golden end sum when rounding provably commutes with that shift; the
   /// fold stops as soon as the sum equals the golden one or is NaN or
-  /// infinite.  The candidates are
-  /// the golden ones with the cells between the old and new threshold
-  /// flipped and the patched cells judged by their new values; only the
-  /// components that contain or touch such a cell are regrown.  A threshold
-  /// below band_floor() takes the full finder's scan (path Full).
+  /// infinite.  The candidates are the golden ones with the cells between
+  /// the old and new threshold flipped and the patched cells judged by their
+  /// new values; only the components that contain or touch such a cell are
+  /// regrown.  A negative threshold over golden values that are all finite
+  /// and >= 0 (path Spanning) leaves the patched cells that fail it as the only
+  /// non-candidates; while they are fewer than n^(2/3), bounded floods
+  /// around them find the small components they enclose, and the rest is
+  /// one component whose mass is the golden double fold with those cells
+  /// spliced out.  Any other threshold below band_floor() takes the full
+  /// finder's scan (path Full).
   [[nodiscard]] HaloCatalog find_halos(std::span<const double> base,
                                        std::span<const FieldPatch> patches) const;
 
@@ -118,7 +130,7 @@ class HaloIndex {
   [[nodiscard]] long double sum(std::span<const double> base,
                                 std::span<const FieldPatch> patches) const;
 
-  /// The catalog of the unpatched field.
+  /// The catalog of the unpatched field, as find_halos gives it.
   [[nodiscard]] const HaloCatalog& golden() const noexcept { return golden_; }
   /// The lowest threshold the incremental path handles; below it the band
   /// does not list every cell that could flip.  +inf when the golden
@@ -126,9 +138,28 @@ class HaloIndex {
   [[nodiscard]] double band_floor() const noexcept { return band_floor_; }
 
  private:
-  /// The running sum after block b, given the sum `sum` before it.
-  [[nodiscard]] long double step_clean_block(long double sum, std::size_t b,
-                                             std::span<const double> base) const;
+  /// Golden running sums in the accumulator type `Sum`.
+  template <typename Sum>
+  struct BlockSums {
+    std::vector<Sum> at;      ///< at[b]: elements [0, b * kBlock); last = total
+    std::vector<Sum> binade;  ///< 2^E, or 0 when block b cannot be carried
+  };
+
+  /// The fold of the patched field in `Sum`, bit-identical to folding it in
+  /// element order; `sums` holds the golden field's.
+  template <typename Sum>
+  [[nodiscard]] Sum fold(const BlockSums<Sum>& sums, std::span<const double> base,
+                         std::span<const FieldPatch> patches) const;
+  /// The running sum after golden block b, given the sum `sum` before it.
+  template <typename Sum>
+  [[nodiscard]] Sum step_clean_block(const BlockSums<Sum>& sums, Sum sum, std::size_t b,
+                                     std::span<const double> base) const;
+  /// Fills `catalog` (mean and threshold set) when every golden cell is a
+  /// candidate; false, `catalog` untouched, when too many patched cells fail
+  /// the threshold to prove the components.
+  [[nodiscard]] bool find_spanning(std::span<const double> base,
+                                   std::span<const FieldPatch> patches,
+                                   HaloCatalog& catalog) const;
   /// Index into components_ of the golden candidate `cell`.
   [[nodiscard]] std::size_t component_of(std::size_t cell) const;
 
@@ -145,9 +176,11 @@ class HaloIndex {
   std::size_t n_;
   HaloFinderConfig config_;
   HaloCatalog golden_;
-  std::vector<long double> sums_;    ///< sums_[b]: elements [0, b * kBlock); last = total
-  std::vector<long double> binade_;  ///< 2^E, or 0 when block b cannot be carried
-  bool all_finite_ = true;           ///< no NaN or infinity in the field
+  BlockSums<long double> density_;  ///< the mean's fold
+  BlockSums<double> mass_;           ///< the mass fold of every cell
+  std::vector<long double> block_bound_;  ///< >= each value of block b; +inf unless all are >= 0
+  bool all_finite_ = true;                ///< no NaN or infinity in the field
+  bool nonnegative_ = true;               ///< every value finite and >= 0
   std::vector<std::size_t> candidates_;      ///< ascending
   std::vector<std::size_t> component_of_;    ///< per candidates_ entry
   std::vector<Component> components_;        ///< in seed order

@@ -289,7 +289,7 @@ constexpr std::string_view kStateTag = "nyx-state/1";
 std::string NyxApp::state_fingerprint() const {
   const FieldConfig& f = config_.field;
   const HaloFinderConfig& h = config_.halo;
-  return "nyx/1;n=" + std::to_string(f.n) + ";halos=" + std::to_string(f.halo_count) +
+  return "nyx/2;n=" + std::to_string(f.n) + ";halos=" + std::to_string(f.halo_count) +
          ";sig=" + util::hexf(f.sigma_min) + "," + util::hexf(f.sigma_max) +
          ";amp=" + util::hexf(f.amplitude_min) + "," + util::hexf(f.amplitude_max) +
          ";logn=" + util::hexf(f.lognormal_sigma) + ";thr=" + util::hexf(h.threshold_factor) +

@@ -64,8 +64,9 @@ class NyxApp final : public core::Application {
   /// instead of re-reading; and a HaloIndex of the golden values (block
   /// running sums, components, the threshold band), so the spliced field's
   /// catalog costs O(patches + a few blocks).  The index keeps the element
-  /// order of the sum: a block's sum is carried only where rounding provably
-  /// commutes with the shift, so the catalog stays bit-identical.
+  /// order of the mean's and the masses' sums: a block's sum is skipped or
+  /// carried only where rounding provably leaves it unchanged or commutes
+  /// with the shift, so the catalog stays bit-identical.
   [[nodiscard]] std::shared_ptr<const core::GoldenArtifacts> golden_artifacts(
       vfs::FileSystem& golden_fs, const core::AnalysisResult& golden) const override;
   /// Diff-driven analysis: plotfile untouched → the golden analysis verbatim
@@ -75,8 +76,10 @@ class NyxApp final : public core::Application {
   /// so a rewritten first slab shares its dirty extent with it), and the
   /// decoded elements go as patches to the golden HaloIndex — no copy of the
   /// field, and no pass over it unless the threshold falls below the index's
-  /// band (HaloIndex::find_halos).  A differing byte outside
-  /// the raw data, a size change, or a metadata/path change → full
+  /// band without falling below every golden value, or more patched cells
+  /// fail it than the spanning path can prove (HaloIndex::find_halos).  A
+  /// differing byte outside the raw data, a size change, or a metadata/path
+  /// change → full
   /// analyze(), so corrupted-metadata crashes and ARD shifts behave
   /// identically.
   [[nodiscard]] core::AnalysisResult analyze_dirty(
@@ -129,7 +132,7 @@ class NyxApp final : public core::Application {
   mutable std::shared_ptr<const DensityField> cached_field_;
   mutable std::uint64_t cached_data_address_ = 0;
   mutable bool layout_cached_ = false;
-  mutable std::array<std::atomic<std::uint64_t>, 2> spliced_{};  ///< per HaloFinderPath
+  mutable std::array<std::atomic<std::uint64_t>, 3> spliced_{};  ///< per HaloFinderPath
 };
 
 }  // namespace ffis::nyx

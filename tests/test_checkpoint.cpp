@@ -884,8 +884,9 @@ TEST(DiffClassification, NyxSplicePathShareOnBenchShapedCells) {
   // The bench's nyx-classify BF cells: 80^3 with two dumps at stage 2 and
   // 96^3 with three dumps at stage 3, seed 42.  Every run is spliced, and the
   // golden index must take its incremental path on every run except those
-  // whose threshold falls below its band (a flip that drives the mean below
-  // half the golden one); those, and only those, take the full finder.
+  // whose threshold falls below its band (a flip that drives the mean
+  // negative); those, and only those, take its spanning path, and none takes
+  // the full finder.
   const auto nyx_app = [](std::size_t n, int timesteps) {
     nyx::NyxConfig config;
     config.field.n = n;
@@ -926,7 +927,9 @@ TEST(DiffClassification, NyxSplicePathShareOnBenchShapedCells) {
     }
     const std::uint64_t incremental = app.spliced_analyses(nyx::HaloFinderPath::Incremental);
     EXPECT_EQ(analyzed, kRuns) << cell.cell.label;
-    EXPECT_EQ(app.spliced_analyses(nyx::HaloFinderPath::Full), below_band) << cell.cell.label;
+    EXPECT_EQ(app.spliced_analyses(nyx::HaloFinderPath::Spanning), below_band)
+        << cell.cell.label;
+    EXPECT_EQ(app.spliced_analyses(nyx::HaloFinderPath::Full), 0u) << cell.cell.label;
     EXPECT_EQ(incremental + below_band, analyzed) << cell.cell.label;
     // Measured at seed 42: 389 of 400 runs at 80^3 and 392 of 400 at 96^3.
     EXPECT_GE(incremental, c == 0 ? 389u : 392u) << cell.cell.label;

@@ -194,8 +194,9 @@ TEST(HaloFinder, CatalogTextIsStableAndParsable) {
 
 /// The dense halo finder the sparse one replaced, kept only as the reference
 /// it must match bit for bit: a candidate array and a visited array of one
-/// byte per cell, seeds found by rescanning every index, and an index stack
-/// whose entries are decoded back into coordinates.
+/// byte per cell, seeds found by rescanning every index, an index stack
+/// whose entries are decoded back into coordinates, and each halo's mass
+/// summed over its cells sorted by index.
 nyx::HaloCatalog dense_find_halos(const DensityField& field,
                                   const HaloFinderConfig& config = {}) {
   const std::size_t n = field.n();
@@ -224,6 +225,7 @@ nyx::HaloCatalog dense_find_halos(const DensityField& field,
 
     double sx = 0.0, sy = 0.0, sz = 0.0, mass = 0.0;
     std::uint64_t cells = 0;
+    std::vector<std::size_t> members;
     while (!stack.empty()) {
       const std::size_t idx = stack.back();
       stack.pop_back();
@@ -233,7 +235,7 @@ nyx::HaloCatalog dense_find_halos(const DensityField& field,
       sx += static_cast<double>(x);
       sy += static_cast<double>(y);
       sz += static_cast<double>(z);
-      mass += field.data()[idx];
+      members.push_back(idx);
       ++cells;
 
       const auto visit = [&](std::size_t nx, std::size_t ny, std::size_t nz) {
@@ -252,6 +254,8 @@ nyx::HaloCatalog dense_find_halos(const DensityField& field,
     }
 
     if (cells >= config.min_cells) {
+      std::sort(members.begin(), members.end());
+      for (const std::size_t idx : members) mass += field.data()[idx];
       nyx::Halo halo;
       halo.cells = cells;
       halo.mass = mass;
@@ -459,8 +463,8 @@ std::vector<std::size_t> probe_cells(const DensityField& field) {
 
 /// Bit flips of width 1, 2 and 4 at every offset of the probe cells
 /// [first, last) of an n^3 field: the index must give the full finder's
-/// catalog bit for bit, and the dense reference's, and stay incremental on
-/// >= 95 % of them.
+/// catalog bit for bit, and the dense reference's, stay incremental on
+/// >= 95 % of them, and never take the full finder's scan.
 void expect_index_matches_every_flip(std::size_t n, std::size_t first, std::size_t last) {
   FieldConfig config;
   config.n = n;
@@ -468,7 +472,7 @@ void expect_index_matches_every_flip(std::size_t n, std::size_t first, std::size
   IndexedField f(nyx::generate_density_field(config));
   expect_same_catalog(f.index.golden(), nyx::find_halos(f.clean), "golden");
   ASSERT_GT(f.index.golden().halos.size(), 0u);
-  std::size_t runs = 0, incremental = 0;
+  std::size_t runs = 0, incremental = 0, full = 0;
   const std::vector<std::size_t> cells = probe_cells(f.clean);
   for (std::size_t c = first; c < last; ++c) {
     const std::size_t cell = cells[c];
@@ -477,16 +481,18 @@ void expect_index_matches_every_flip(std::size_t n, std::size_t first, std::size
         const std::string what = "cell " + std::to_string(cell) + " bits " +
                                  std::to_string(offset) + "+" + std::to_string(width);
         ++runs;
-        if (expect_index_matches(f, flip_splice(f.clean, cell, offset, width), what) ==
-            nyx::HaloFinderPath::Incremental) {
-          ++incremental;
-        }
+        const nyx::HaloFinderPath path =
+            expect_index_matches(f, flip_splice(f.clean, cell, offset, width), what);
+        if (path == nyx::HaloFinderPath::Incremental) ++incremental;
+        if (path == nyx::HaloFinderPath::Full) ++full;
       }
     }
   }
-  // Only a flip that drives the mean below half the golden one (the sign
-  // bit with the top exponent bit) leaves the band.
+  // Only a flip that drives the mean negative (the sign bit with the top
+  // exponent bit of a value below 1) leaves the band, and it leaves one
+  // hole in a grid of candidates: the spanning path.
   EXPECT_GE(incremental * 20, runs * 19) << incremental << " of " << runs;
+  EXPECT_EQ(full, 0u) << runs << " runs";
 }
 
 TEST(HaloFinderDifferential, CarriedSumRefusesAnOddShiftOnTies) {
@@ -505,6 +511,22 @@ TEST(HaloFinderDifferential, CarriedSumRefusesAnOddShiftOnTies) {
                                        std::to_string(offset) + "+" + std::to_string(width));
       }
     }
+  }
+}
+
+TEST(HaloFinderDifferential, CarriedSumSkipsOnlyBlocksBelowAQuarterUlp) {
+  // A first block of ones and a second block of zeros but one 100.  A huge
+  // negative first cell makes the ones vanish into the sum, and the second
+  // block may be skipped only when 100 is below a quarter of the sum's ulp:
+  // at -(2^70 + 2^20) the ulp is 128 and adding 100 moves the sum, at -2^80
+  // it is 2^17 and the sum stays.
+  constexpr std::size_t n = 17;  // 4913 cells: a full block and a partial one
+  std::vector<double> values(n * n * n, 0.0);
+  std::fill_n(values.begin(), nyx::HaloIndex::kBlock, 1.0);
+  values[nyx::HaloIndex::kBlock + 300] = 100.0;
+  IndexedField f(DensityField(n, std::move(values)));
+  for (const double v : {-0x1p70 - 0x1p20, -0x1p80, -0x1p64}) {
+    (void)expect_index_matches(f, {{0, {v}}}, "first cell " + std::to_string(v));
   }
 }
 
@@ -556,8 +578,11 @@ void expect_index_matches_values_runs_and_moved_thresholds(std::size_t n) {
   for (const std::size_t cell : probe_cells(clean)) {
     for (const double v : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, -1e6, 1e300}) {
       if (n > 33 && !std::isfinite(v) && cell < total / 2) continue;
-      check({{cell, {v}}},
-            field + " cell " + std::to_string(cell) + " value " + std::to_string(v));
+      const nyx::HaloFinderPath path =
+          check({{cell, {v}}},
+                field + " cell " + std::to_string(cell) + " value " + std::to_string(v));
+      // -1e6 outweighs the field: the mean goes negative around one hole.
+      if (v == -1e6) EXPECT_EQ(path, nyx::HaloFinderPath::Spanning) << cell;
     }
   }
 
@@ -591,7 +616,8 @@ void expect_index_matches_values_runs_and_moved_thresholds(std::size_t n) {
 
   // One cell moves the mean: up by half (golden candidates leave), down
   // to 70 % (band cells join), and down to 40 %, below the band's floor of
-  // half the golden threshold, where the full finder's scan must run.
+  // half the golden threshold but above the least golden value, where the
+  // full finder's scan must run.
   const double golden_sum = index.golden().mean_density * static_cast<double>(total);
   const std::size_t cell = total / 2;
   const double golden = clean.data()[cell];
@@ -620,6 +646,103 @@ TEST(HaloFinderDifferential, IndexMatchesFullFinderOnValuesRunsAndMovedThreshold
 
 TEST(HaloFinderDifferential, IndexMatchesFullFinderOnValuesRunsAndMovedThresholdsAtN48) {
   expect_index_matches_values_runs_and_moved_thresholds(48);
+}
+
+TEST(HaloFinderDifferential, SpanningPathMatchesFullFinderAroundEnclosedCells) {
+  // Cells of -1e6 drive the mean negative, so every other cell is a
+  // candidate and they are the only holes.  Holes at the first and the last
+  // cell, and holes that enclose a corner cell, an interior cell, an
+  // interior pair and a corner cube of min_cells cells (a halo of its own);
+  // with patched candidates inside the cube and in the spanning component.
+  // Past the proof's bound (k^3 < n^2: 13 holes at n = 48, not 14) the
+  // full finder runs.
+  constexpr std::size_t n = 48;
+  FieldConfig config;
+  config.n = n;
+  config.seed = 13;
+  IndexedField f(nyx::generate_density_field(config));
+  const auto at = [](std::size_t x, std::size_t y, std::size_t z) { return (z * n + y) * n + x; };
+  const auto neighbours_of = [&](std::vector<std::size_t> inside) {
+    std::vector<std::size_t> holes;
+    for (const std::size_t c : inside) {
+      const std::size_t x = c % n, y = c / n % n, z = c / (n * n);
+      for (const std::size_t m : {x > 0 ? c - 1 : c, x + 1 < n ? c + 1 : c, y > 0 ? c - n : c,
+                                  y + 1 < n ? c + n : c, z > 0 ? c - n * n : c,
+                                  z + 1 < n ? c + n * n : c}) {
+        if (std::find(inside.begin(), inside.end(), m) == inside.end()) holes.push_back(m);
+      }
+    }
+    return holes;
+  };
+  // One single-cell patch per changed cell: -1e6 for each hole, `extra`
+  // values for candidates.
+  const auto splice_of = [](std::vector<std::size_t> holes,
+                            std::vector<std::pair<std::size_t, double>> extra = {}) {
+    for (const std::size_t h : holes) extra.emplace_back(h, -1e6);
+    std::sort(extra.begin(), extra.end());
+    extra.erase(std::unique(extra.begin(), extra.end(),
+                            [](const auto& a, const auto& b) { return a.first == b.first; }),
+                extra.end());
+    Splice splice;
+    for (const auto& [cell, value] : extra) splice.push_back({cell, {value}});
+    return splice;
+  };
+  std::vector<std::size_t> cube;
+  for (std::size_t z = n - 2; z < n; ++z) {
+    for (std::size_t y = n - 2; y < n; ++y) {
+      for (std::size_t x = n - 2; x < n; ++x) cube.push_back(at(x, y, z));
+    }
+  }
+  std::vector<std::size_t> scattered;
+  for (std::size_t i = 0; i < 14; ++i) scattered.push_back(at(3 * i + 1, 2 * i + 5, i + 20));
+
+  const std::vector<std::pair<std::string, Splice>> spanning = {
+      {"first cell", splice_of({0})},
+      {"last cell and cell 1", splice_of({1, n * n * n - 1})},
+      {"corner cell", splice_of(neighbours_of({0}))},
+      {"interior cell", splice_of(neighbours_of({at(9, 9, 9)}), {{at(20, 20, 20), 1e3}})},
+      {"interior pair", splice_of(neighbours_of({at(9, 9, 9), at(10, 9, 9)}))},
+      {"corner cube", splice_of(neighbours_of(cube), {{cube[3], 7.5}, {at(5, 5, 5), 3.0}})},
+      {"13 scattered", splice_of({scattered.begin(), scattered.end() - 1})},
+  };
+  for (const auto& [what, splice] : spanning) {
+    EXPECT_EQ(expect_index_matches(f, splice, what), nyx::HaloFinderPath::Spanning) << what;
+  }
+  EXPECT_EQ(expect_index_matches(f, splice_of(scattered), "14 scattered"),
+            nyx::HaloFinderPath::Full);
+
+  // The enclosed cube is a halo beside the spanning component.
+  std::vector<nyx::FieldPatch> patches;
+  for (const auto& [first, values] : spanning[5].second) patches.push_back({first, values});
+  const nyx::HaloCatalog cubed = f.index.find_halos(f.clean.data(), patches);
+  ASSERT_EQ(cubed.halos.size(), 2u);
+  EXPECT_EQ(cubed.halos[1].cells, 8u);
+  EXPECT_EQ(cubed.halos[0].cells, n * n * n - 12 - 8);
+
+  // With min_cells = 1 every enclosed component is a halo too, and enters
+  // the catalog in seed order beside the spanning one.
+  nyx::HaloFinderConfig single;
+  single.min_cells = 1;
+  const nyx::HaloIndex singles(n, f.clean.data(), single);
+  for (const auto& [what, splice] : spanning) {
+    std::vector<nyx::FieldPatch> spliced;
+    for (const auto& [first, values] : splice) spliced.push_back({first, values});
+    const nyx::HaloCatalog got = singles.find_halos(f.clean.data(), spliced);
+    EXPECT_EQ(got.path, nyx::HaloFinderPath::Spanning) << what;
+    expect_same_catalog(got, nyx::find_halos(n, f.clean.data(), spliced, single),
+                        what + ", min_cells 1");
+  }
+
+  // A golden field whose own mean is negative has no band below its
+  // threshold; its golden catalog is still the full finder's, and patched
+  // copies of it take the full finder's scan.
+  DensityField negative = f.clean;
+  negative.data()[at(7, 7, 7)] = -1e6;
+  IndexedField g(std::move(negative));
+  expect_same_catalog(g.index.golden(), dense_find_halos(g.clean), "negative golden");
+  EXPECT_EQ(g.index.golden().halos.size(), 1u);
+  EXPECT_EQ(expect_index_matches(g, splice_of({at(3, 4, 5)}), "negative golden, hole"),
+            nyx::HaloFinderPath::Full);
 }
 
 TEST(HaloFinderDifferential, PatchesMustBeSortedDisjointAndInside) {
