@@ -5,30 +5,72 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
-#include "ffis/util/serialize.hpp"
 #include "ffis/util/strfmt.hpp"
 
 namespace ffis::montage {
 
-MontageApp::MontageApp(MontageConfig config) : config_(std::move(config)) {}
+namespace {
 
-std::shared_ptr<const MontageApp::Inputs> MontageApp::inputs(std::uint64_t seed) const {
-  std::lock_guard lock(cache_mutex_);
-  if (!cached_inputs_ || cached_seed_ != seed) {
-    SceneConfig sc = config_.scene;
-    sc.seed = seed;
-    auto in = std::make_shared<Inputs>(Inputs{Scene(sc), {}});
-    in->raw_tiles.reserve(in->scene.config().tile_count());
-    for (std::size_t k = 0; k < in->scene.config().tile_count(); ++k) {
-      in->raw_tiles.push_back(in->scene.make_raw_tile(k));
-    }
-    cached_inputs_ = std::move(in);
-    cached_seed_ = seed;
-  }
-  return cached_inputs_;
+Scene scene_for(const SceneConfig& config, std::uint64_t seed) {
+  SceneConfig sc = config;
+  sc.seed = seed;
+  return Scene(sc);
 }
+
+std::string hexf_list(const std::vector<double>& values) {
+  std::string out;
+  for (const double v : values) {
+    if (!out.empty()) out += ',';
+    out += util::hexf(v);
+  }
+  return out;
+}
+
+}  // namespace
+
+// The inputs persist as the raw tiles' bit-exact pixels.  The Scene rebuild
+// is cheap (a few hundred RNG draws); the tiles — truth_at evaluated per
+// pixel — are what the blob actually saves.
+MontageApp::MontageApp(MontageConfig config)
+    : config_(std::move(config)),
+      cached_inputs_(
+          "montage-state/1",
+          [this](std::uint64_t seed) {
+            Inputs in{scene_for(config_.scene, seed), {}};
+            for (std::size_t k = 0; k < config_.scene.tile_count(); ++k) {
+              in.raw_tiles.push_back(in.scene.make_raw_tile(k));
+            }
+            return in;
+          },
+          [](const Inputs& in, util::ByteWriter& w) {
+            w.u64(in.raw_tiles.size());
+            for (const Image& tile : in.raw_tiles) {
+              w.u64(tile.width);
+              w.u64(tile.height);
+              w.f64(tile.x0);
+              w.f64(tile.y0);
+              for (const double px : tile.pixels) w.f64(px);
+            }
+          },
+          [this](std::uint64_t seed, util::ByteReader& r) {
+            Inputs in{scene_for(config_.scene, seed), {}};
+            const std::size_t size = config_.scene.tile_size;
+            if (r.u64() != config_.scene.tile_count()) throw std::invalid_argument("tile count");
+            for (std::size_t k = 0; k < config_.scene.tile_count(); ++k) {
+              const auto width = static_cast<std::size_t>(r.u64());
+              const auto height = static_cast<std::size_t>(r.u64());
+              const double x0 = r.f64();
+              const double y0 = r.f64();
+              // A raw tile is exactly tile_size x tile_size; checking each side
+              // also keeps width * height from wrapping.
+              if (width != size || height != size) throw std::invalid_argument("tile size");
+              Image tile(width, height, x0, y0);
+              for (double& px : tile.pixels) px = r.f64();
+              in.raw_tiles.push_back(std::move(tile));
+            }
+            return in;
+          }) {}
 
 void MontageApp::run_stages(const core::RunContext& ctx, int first, int last) const {
   const auto in = inputs(ctx.app_seed);
@@ -81,7 +123,7 @@ core::AnalysisResult MontageApp::analyze_dirty(vfs::FileSystem& fs, const vfs::F
                                                const core::GoldenArtifacts* /*artifacts*/) const {
   const auto& paths = config_.paths;
   if (!diff.touches(paths.preview()) && !diff.touches(paths.statistics())) {
-    return golden;
+    return golden.via(core::AnalysisPath::Spliced);
   }
   return analyze(fs);
 }
@@ -95,21 +137,6 @@ core::Outcome MontageApp::classify(const core::AnalysisResult& /*golden*/,
   }
   return core::Outcome::Detected;
 }
-
-namespace {
-
-std::string hexf_list(const std::vector<double>& values) {
-  std::string out;
-  for (const double v : values) {
-    if (!out.empty()) out += ',';
-    out += util::hexf(v);
-  }
-  return out;
-}
-
-constexpr std::string_view kStateTag = "montage-state/1";
-
-}  // namespace
 
 std::string MontageApp::state_fingerprint() const {
   const SceneConfig& s = config_.scene;
@@ -130,67 +157,6 @@ std::string MontageApp::state_fingerprint() const {
          ";gate=" + util::hexf(st.fit_gradient_gate) +
          ";fits=" + std::to_string(st.fits_io.data_chunk_bytes) +
          ";sdc=" + util::hexf(config_.sdc_window_low) + "," + util::hexf(config_.sdc_window_high);
-}
-
-util::Bytes MontageApp::serialize_state(std::uint64_t app_seed) const {
-  const std::shared_ptr<const Inputs> in = inputs(app_seed);
-  util::Bytes out;
-  util::ByteWriter w(out);
-  w.str(kStateTag);
-  w.u64(app_seed);
-  w.u64(in->raw_tiles.size());
-  for (const Image& tile : in->raw_tiles) {
-    w.u64(tile.width);
-    w.u64(tile.height);
-    w.f64(tile.x0);
-    w.f64(tile.y0);
-    for (const double px : tile.pixels) w.f64(px);
-  }
-  return out;
-}
-
-bool MontageApp::restore_state(std::uint64_t app_seed, util::ByteSpan state) const {
-  {
-    // Two checkpoint entries of one (app, seed) carry identical blobs;
-    // decoding the second would only overwrite an identical cache.
-    std::lock_guard lock(cache_mutex_);
-    if (cached_inputs_ && cached_seed_ == app_seed) return true;
-  }
-  try {
-    util::ByteReader r(state);
-    if (r.str() != kStateTag) return false;
-    if (r.u64() != app_seed) return false;
-    // The Scene rebuild is cheap (a few hundred RNG draws); the tiles —
-    // truth_at evaluated per pixel — are what the blob actually saves.
-    SceneConfig sc = config_.scene;
-    sc.seed = app_seed;
-    auto in = std::make_shared<Inputs>(Inputs{Scene(sc), {}});
-    const std::uint64_t tiles = r.u64();
-    if (tiles != in->scene.config().tile_count()) return false;
-    in->raw_tiles.reserve(static_cast<std::size_t>(tiles));
-    for (std::uint64_t k = 0; k < tiles; ++k) {
-      const auto width = static_cast<std::size_t>(r.u64());
-      const auto height = static_cast<std::size_t>(r.u64());
-      const double x0 = r.f64();
-      const double y0 = r.f64();
-      // A raw tile is exactly tile_size x tile_size (Scene::make_raw_tile);
-      // anything else is a foreign or corrupt blob.  Checking the sides
-      // individually also keeps the width*height arithmetic unwrappable.
-      if (width != config_.scene.tile_size || height != config_.scene.tile_size) {
-        return false;
-      }
-      Image tile(width, height, x0, y0);
-      for (double& px : tile.pixels) px = r.f64();
-      in->raw_tiles.push_back(std::move(tile));
-    }
-    r.expect_end();
-    std::lock_guard lock(cache_mutex_);
-    cached_inputs_ = std::move(in);
-    cached_seed_ = app_seed;
-    return true;
-  } catch (const std::exception&) {
-    return false;  // truncated or foreign blob: recompute lazily instead
-  }
 }
 
 }  // namespace ffis::montage

@@ -11,12 +11,12 @@
 //        missing/corrupted files crash earlier and are recorded as Crash.
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "ffis/apps/montage/scene.hpp"
 #include "ffis/apps/montage/stages.hpp"
 #include "ffis/core/application.hpp"
+#include "ffis/core/seed_cache.hpp"
 
 namespace ffis::montage {
 
@@ -51,10 +51,14 @@ class MontageApp final : public core::Application {
   /// Scene geometry and synthesis parameters, pipeline paths, stage options
   /// and the SDC window.
   [[nodiscard]] std::string state_fingerprint() const override;
-  /// Serializes the rendered raw tiles for `app_seed` (the expensive half of
-  /// the input cache; the Scene itself is rebuilt cheaply from the config).
-  [[nodiscard]] util::Bytes serialize_state(std::uint64_t app_seed) const override;
-  bool restore_state(std::uint64_t app_seed, util::ByteSpan state) const override;
+  /// The rendered raw tiles for `app_seed` (the expensive half of the
+  /// inputs; the Scene itself is rebuilt cheaply from the config).
+  [[nodiscard]] util::Bytes serialize_state(std::uint64_t app_seed) const override {
+    return cached_inputs_.serialize(app_seed);
+  }
+  bool restore_state(std::uint64_t app_seed, util::ByteSpan state) const override {
+    return cached_inputs_.restore(app_seed, state);
+  }
 
   [[nodiscard]] const MontageConfig& config() const noexcept { return config_; }
 
@@ -63,13 +67,13 @@ class MontageApp final : public core::Application {
     Scene scene;
     std::vector<Image> raw_tiles;
   };
-  [[nodiscard]] std::shared_ptr<const Inputs> inputs(std::uint64_t seed) const;
+  [[nodiscard]] std::shared_ptr<const Inputs> inputs(std::uint64_t seed) const {
+    return cached_inputs_.get(seed);
+  }
 
  private:
   MontageConfig config_;
-  mutable std::mutex cache_mutex_;
-  mutable std::uint64_t cached_seed_ = 0;
-  mutable std::shared_ptr<const Inputs> cached_inputs_;
+  core::SeedCache<Inputs> cached_inputs_;
 };
 
 }  // namespace ffis::montage

@@ -14,7 +14,18 @@ DensityField::DensityField(std::size_t n, std::vector<double> data)
 }
 
 long double accumulate_density(long double sum, std::span<const double> values) noexcept {
-  for (const double v : values) sum += v;
+  constexpr std::size_t kStride = 256;  // values folded between checks of the sum
+  std::size_t at = 0;
+  while (at < values.size() && std::isfinite(sum)) {
+    const std::size_t end = std::min(values.size(), at + kStride);
+    for (; at < end; ++at) sum += values[at];
+  }
+  // A NaN or an infinity keeps its bits over finite values, so only the
+  // non-finite values left can change the sum.  Skipping the others spares
+  // x87 its slow path on such operands (~27 ms a fold at 48^3, not 0.14 ms).
+  for (; at < values.size(); ++at) {
+    if (!std::isfinite(values[at])) sum += values[at];
+  }
   return sum;
 }
 

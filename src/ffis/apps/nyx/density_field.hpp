@@ -67,7 +67,8 @@ class DensityField {
 /// normalized mean at 1 to ~1e-16 even for large grids.  Folding consecutive
 /// pieces of a field through one running sum gives the whole-field sum bit
 /// for bit; find_halos relies on that to take the mean of a field whose
-/// dirty elements are spliced in from patches.
+/// dirty elements are spliced in from patches.  Once the sum is NaN or
+/// infinite only the non-finite values are added, with the same result.
 [[nodiscard]] long double accumulate_density(long double sum,
                                              std::span<const double> values) noexcept;
 

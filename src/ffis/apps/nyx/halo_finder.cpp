@@ -559,15 +559,15 @@ HaloCatalog HaloIndex::find_halos(std::span<const double> base,
   HaloCatalog catalog;
   set_mean(catalog, sum(base, patches), base.size(), config_);
   const double threshold = catalog.threshold;
-  catalog.path = HaloFinderPath::Incremental;
+  catalog.path = core::AnalysisPath::SplicedIncremental;
   if (!std::isfinite(threshold)) return catalog;  // no cell can be a candidate
   if (!(threshold >= band_floor_)) {
     // Cells below the band could flip.  When every golden cell is a
     // candidate (a mean driven negative), the patched ones decide the
     // components; otherwise take the full finder's scan.
-    catalog.path = HaloFinderPath::Spanning;
+    catalog.path = core::AnalysisPath::SplicedSpanning;
     if (threshold < 0.0 && nonnegative_ && find_spanning(base, patches, catalog)) return catalog;
-    catalog.path = HaloFinderPath::Full;
+    catalog.path = core::AnalysisPath::Spliced;
     scan_and_grow(n_, base, patches, config_, catalog);
     return catalog;
   }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "ffis/apps/nyx/density_field.hpp"
+#include "ffis/core/outcome.hpp"
 
 namespace ffis::nyx {
 
@@ -30,21 +31,15 @@ struct HaloFinderConfig {
   std::uint64_t min_cells = 8;      ///< minimum component size to form a halo
 };
 
-/// Which computation produced a catalog.  Both give the same catalog bit
-/// for bit, so the path is neither rendered nor compared.
-enum class HaloFinderPath : std::uint8_t {
-  Full,         ///< threshold scan and component growth over the whole field
-  Incremental,  ///< HaloIndex::find_halos: golden facts plus the patched cells
-  Spanning,     ///< HaloIndex::find_halos: every cell but a few patched ones is
-                ///< a candidate, and one component spans the grid
-};
-
 struct HaloCatalog {
   std::vector<Halo> halos;          ///< sorted: mass desc, then position
   double mean_density = 0.0;
   double threshold = 0.0;
   std::uint64_t candidate_cells = 0;
-  HaloFinderPath path = HaloFinderPath::Full;
+  /// FullRead from find_halos; HaloIndex::find_halos sets SplicedIncremental
+  /// (golden facts plus the patched cells), SplicedSpanning (one component
+  /// spans all but a few patched cells) or Spliced (the full scan).
+  core::AnalysisPath path = core::AnalysisPath::FullRead;
 
   /// Deterministic text rendering (positions %.6f, mass %.6e) — the
   /// comparison artifact for outcome classification.

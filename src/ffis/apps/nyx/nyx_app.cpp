@@ -1,25 +1,45 @@
 #include "ffis/apps/nyx/nyx_app.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
 #include <string>
 
-#include <algorithm>
-
-#include <cstdio>
-#include <string_view>
-
 #include "ffis/apps/nyx/plotfile.hpp"
 #include "ffis/h5/float_codec.hpp"
 #include "ffis/h5/reader.hpp"
 #include "ffis/h5/writer.hpp"
-#include "ffis/util/serialize.hpp"
 #include "ffis/util/strfmt.hpp"
 
 namespace ffis::nyx {
 
-NyxApp::NyxApp(NyxConfig config) : config_(std::move(config)) {
+// The field persists as its bit-exact binary64 values.
+NyxApp::NyxApp(NyxConfig config)
+    : config_(std::move(config)),
+      plot_data_address_(config_.timesteps >= 2 ? plan_plotfile_layout(config_.field.n,
+                                                                        config_.h5_options)
+                                                      .data_addresses.at(0)
+                                                : 0),
+      cached_field_(
+          "nyx-state/1",
+          [this](std::uint64_t seed) {
+            FieldConfig fc = config_.field;
+            fc.seed = seed;
+            return generate_density_field(fc);
+          },
+          [](const DensityField& f, util::ByteWriter& w) {
+            w.u64(f.n());
+            util::Bytes scratch;
+            w.blob(h5::raw_view(f.data(), h5::FloatFormat{}, scratch));
+          },
+          [this](std::uint64_t, util::ByteReader& r) {
+            const std::uint64_t n = r.u64();
+            if (n != config_.field.n) throw std::invalid_argument("grid size");
+            const util::Bytes raw = r.blob();
+            return DensityField(static_cast<std::size_t>(n),
+                                h5::decode_array(raw, n * n * n, h5::FloatFormat{}));
+          }) {
   if (config_.timesteps < 1) {
     throw std::invalid_argument("nyx: timesteps must be >= 1, got " +
                                 std::to_string(config_.timesteps));
@@ -34,29 +54,6 @@ NyxApp::NyxApp(NyxConfig config) : config_(std::move(config)) {
         "nyx: the average-value detector assumes mean density 1, which "
         "timesteps >= 2 slab growth violates; disable one of them");
   }
-}
-
-std::shared_ptr<const DensityField> NyxApp::field(std::uint64_t seed) const {
-  std::lock_guard lock(cache_mutex_);
-  if (!cached_field_ || cached_seed_ != seed) {
-    FieldConfig fc = config_.field;
-    fc.seed = seed;
-    cached_field_ = std::make_shared<const DensityField>(generate_density_field(fc));
-    cached_seed_ = seed;
-  }
-  return cached_field_;
-}
-
-std::uint64_t NyxApp::plot_data_address() const {
-  std::lock_guard lock(cache_mutex_);
-  if (!layout_cached_) {
-    // The raw-data address depends only on the metadata layout (dataset
-    // name, dims, write options) — never on the values.
-    cached_data_address_ =
-        plan_plotfile_layout(config_.field.n, config_.h5_options).data_addresses.at(0);
-    layout_cached_ = true;
-  }
-  return cached_data_address_;
 }
 
 double NyxApp::slab_factor(std::size_t z, int up_to) const noexcept {
@@ -85,7 +82,7 @@ void NyxApp::update_slab(const core::RunContext& ctx, const DensityField& f, int
   util::Bytes scratch;
   const util::ByteSpan raw = h5::raw_view(slab, h5::FloatFormat{}, scratch);
   const std::uint64_t address =
-      plot_data_address() + static_cast<std::uint64_t>(z * plane) * sizeof(double);
+      plot_data_address_ + static_cast<std::uint64_t>(z * plane) * sizeof(double);
 
   // In-place rewrite of just this slab, sliced like the writer's raw-data
   // protocol so uniform instance selection has spread within the stage.
@@ -99,7 +96,7 @@ void NyxApp::update_slab(const core::RunContext& ctx, const DensityField& f, int
 void NyxApp::run_stages(const core::RunContext& ctx, int first, int last) const {
   // Stage 0 is the field warm-up, done by every range: an empty prefix still
   // fills the cache so per-run forks don't race to generate it (they would
-  // anyway serialize on cache_mutex_).  Shared ownership keeps the field
+  // anyway serialize on the cache's lock).  Shared ownership keeps the field
   // alive even if a concurrent cell with a different seed evicts the cache
   // entry mid-run.
   const std::shared_ptr<const DensityField> f = field(ctx.app_seed);
@@ -117,6 +114,7 @@ void NyxApp::run_stages(const core::RunContext& ctx, int first, int last) const 
 
 core::AnalysisResult NyxApp::analysis_from_catalog(const HaloCatalog& catalog) const {
   core::AnalysisResult result;
+  result.path = catalog.path;
   result.report = catalog.to_text();
   result.comparison_blob = util::to_bytes(result.report);
   result.metrics["halo_count"] = static_cast<double>(catalog.halos.size());
@@ -200,7 +198,7 @@ core::AnalysisResult NyxApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDif
   const std::string& path = config_.plotfile_path;
   // The analysis depends only on the plotfile; a diff that never touches it
   // (a leaked .lock marker, a stray file) analyzes exactly like the golden.
-  if (!diff.touches(path)) return golden;
+  if (!diff.touches(path)) return golden.via(core::AnalysisPath::Spliced);
 
   const auto* art = dynamic_cast<const NyxGoldenArtifacts*>(artifacts);
   const vfs::FileDiff* fd = diff.find(path);
@@ -261,9 +259,7 @@ core::AnalysisResult NyxApp::analyze_dirty(vfs::FileSystem& fs, const vfs::FsDif
     patches.push_back({first, values});
     next_free = last;
   }
-  const HaloCatalog catalog = art->halos->find_halos(art->dataset.data, patches);
-  spliced_[static_cast<std::size_t>(catalog.path)].fetch_add(1, std::memory_order_relaxed);
-  return analysis_from_catalog(catalog);
+  return analysis_from_catalog(art->halos->find_halos(art->dataset.data, patches));
 }
 
 core::Outcome NyxApp::classify(const core::AnalysisResult& /*golden*/,
@@ -280,12 +276,6 @@ core::Outcome NyxApp::classify(const core::AnalysisResult& /*golden*/,
   return core::Outcome::Sdc;
 }
 
-namespace {
-
-constexpr std::string_view kStateTag = "nyx-state/1";
-
-}  // namespace
-
 std::string NyxApp::state_fingerprint() const {
   const FieldConfig& f = config_.field;
   const HaloFinderConfig& h = config_.halo;
@@ -298,45 +288,6 @@ std::string NyxApp::state_fingerprint() const {
          ";t=" + std::to_string(config_.timesteps) + ";growth=" + util::hexf(config_.slab_growth) +
          ";avg=" + (config_.use_average_value_detector ? "1" : "0") + "," +
          util::hexf(config_.average_value_tolerance);
-}
-
-util::Bytes NyxApp::serialize_state(std::uint64_t app_seed) const {
-  const std::shared_ptr<const DensityField> f = field(app_seed);
-  util::Bytes out;
-  util::ByteWriter w(out);
-  w.str(kStateTag);
-  w.u64(app_seed);
-  w.u64(f->n());
-  util::Bytes scratch;
-  w.blob(h5::raw_view(f->data(), h5::FloatFormat{}, scratch));
-  return out;
-}
-
-bool NyxApp::restore_state(std::uint64_t app_seed, util::ByteSpan state) const {
-  {
-    // Two checkpoint entries of one (app, seed) carry identical blobs;
-    // decoding the second would only overwrite an identical cache.
-    std::lock_guard lock(cache_mutex_);
-    if (cached_field_ && cached_seed_ == app_seed) return true;
-  }
-  try {
-    util::ByteReader r(state);
-    if (r.str() != kStateTag) return false;
-    if (r.u64() != app_seed) return false;
-    const std::uint64_t n = r.u64();
-    if (n != config_.field.n) return false;
-    const util::Bytes raw = r.blob();
-    r.expect_end();
-    std::vector<double> values = h5::decode_array(raw, n * n * n, h5::FloatFormat{});
-    auto restored = std::make_shared<const DensityField>(static_cast<std::size_t>(n),
-                                                         std::move(values));
-    std::lock_guard lock(cache_mutex_);
-    cached_field_ = std::move(restored);
-    cached_seed_ = app_seed;
-    return true;
-  } catch (const std::exception&) {
-    return false;  // truncated or foreign blob: recompute lazily instead
-  }
 }
 
 }  // namespace ffis::nyx

@@ -12,14 +12,12 @@
 //            method enabled, any |mean - 1| beyond tolerance is Detected
 //            first (this is the improvement evaluated in Figure 7's note).
 
-#include <array>
-#include <atomic>
 #include <memory>
-#include <mutex>
 
 #include "ffis/apps/nyx/density_field.hpp"
 #include "ffis/apps/nyx/halo_finder.hpp"
 #include "ffis/core/application.hpp"
+#include "ffis/core/seed_cache.hpp"
 #include "ffis/h5/writer.hpp"
 
 namespace ffis::nyx {
@@ -94,45 +92,36 @@ class NyxApp final : public core::Application {
   /// (via h5::options_fingerprint), path, timesteps/slab growth, and the
   /// average-value detector settings.
   [[nodiscard]] std::string state_fingerprint() const override;
-  /// Serializes the cached density field for `app_seed` (values encoded via
-  /// the h5 float codec, bit-exact for IEEE doubles) so a warm process skips
-  /// field generation entirely.
-  [[nodiscard]] util::Bytes serialize_state(std::uint64_t app_seed) const override;
-  bool restore_state(std::uint64_t app_seed, util::ByteSpan state) const override;
+  /// The density field for `app_seed` (values encoded via the h5 float
+  /// codec, bit-exact for IEEE doubles), so a warm process skips field
+  /// generation entirely.
+  [[nodiscard]] util::Bytes serialize_state(std::uint64_t app_seed) const override {
+    return cached_field_.serialize(app_seed);
+  }
+  bool restore_state(std::uint64_t app_seed, util::ByteSpan state) const override {
+    return cached_field_.restore(app_seed, state);
+  }
 
   [[nodiscard]] const NyxConfig& config() const noexcept { return config_; }
 
-  /// The cached field for the given seed (generated on first use).  Returns
-  /// shared ownership: the cache holds a single entry, so a field() call
-  /// with a different seed evicts the previous one — callers keep their
-  /// field alive through the returned pointer (concurrent cells of one plan
-  /// may use distinct seeds).
-  [[nodiscard]] std::shared_ptr<const DensityField> field(std::uint64_t seed) const;
-
-  /// How many analyze_dirty catalogs came from each HaloFinderPath of the
-  /// golden HaloIndex since construction; tests pin the incremental share.
-  [[nodiscard]] std::uint64_t spliced_analyses(HaloFinderPath path) const noexcept {
-    return spliced_[static_cast<std::size_t>(path)].load(std::memory_order_relaxed);
+  /// The field for the given seed, generated on first use (core::SeedCache:
+  /// one seed at a time, callers hold theirs through the returned pointer).
+  [[nodiscard]] std::shared_ptr<const DensityField> field(std::uint64_t seed) const {
+    return cached_field_.get(seed);
   }
 
  private:
-  /// Shared tail of analyze / analyze_dirty: catalog -> report + metrics.
+  /// Shared tail of analyze / analyze_dirty: catalog -> report, metrics, path.
   [[nodiscard]] core::AnalysisResult analysis_from_catalog(const HaloCatalog& catalog) const;
   void update_slab(const core::RunContext& ctx, const DensityField& f, int t) const;
   /// Cumulative growth factor applied to slab `z` by dumps 2..up_to.
   [[nodiscard]] double slab_factor(std::size_t z, int up_to) const noexcept;
-  /// Byte offset of the density dataset's raw data within the plotfile.
-  /// Depends only on the dataset name/dims and the write options, so it is
-  /// computed (via h5::plan_layout) once and cached.
-  [[nodiscard]] std::uint64_t plot_data_address() const;
 
   NyxConfig config_;
-  mutable std::mutex cache_mutex_;
-  mutable std::uint64_t cached_seed_ = 0;
-  mutable std::shared_ptr<const DensityField> cached_field_;
-  mutable std::uint64_t cached_data_address_ = 0;
-  mutable bool layout_cached_ = false;
-  mutable std::array<std::atomic<std::uint64_t>, 3> spliced_{};  ///< per HaloFinderPath
+  /// Where the density dataset's raw data starts in the plotfile, for slab
+  /// updates (0 with one dump).  It depends on the config, not the values.
+  const std::uint64_t plot_data_address_;
+  core::SeedCache<DensityField> cached_field_;
 };
 
 }  // namespace ffis::nyx

@@ -15,12 +15,12 @@
 //            hole) is likewise Detected.
 
 #include <memory>
-#include <mutex>
 
 #include "ffis/apps/qmc/dmc.hpp"
 #include "ffis/apps/qmc/qmca.hpp"
 #include "ffis/apps/qmc/scalar_io.hpp"
 #include "ffis/core/application.hpp"
+#include "ffis/core/seed_cache.hpp"
 
 namespace ffis::qmc {
 
@@ -66,10 +66,14 @@ class QmcApp final : public core::Application {
   /// Wavefunction, VMC/DMC series parameters, I/O flush size, QMCA window,
   /// output prefix and the SDC energy window.
   [[nodiscard]] std::string state_fingerprint() const override;
-  /// Serializes the cached Monte Carlo trace for `app_seed` (bit-exact
-  /// doubles) so a warm process skips the VMC + DMC simulation.
-  [[nodiscard]] util::Bytes serialize_state(std::uint64_t app_seed) const override;
-  bool restore_state(std::uint64_t app_seed, util::ByteSpan state) const override;
+  /// The Monte Carlo trace for `app_seed` (bit-exact doubles), so a warm
+  /// process skips the VMC + DMC simulation.
+  [[nodiscard]] util::Bytes serialize_state(std::uint64_t app_seed) const override {
+    return cached_trace_.serialize(app_seed);
+  }
+  bool restore_state(std::uint64_t app_seed, util::ByteSpan state) const override {
+    return cached_trace_.restore(app_seed, state);
+  }
 
   [[nodiscard]] const QmcAppConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::string vmc_path() const { return config_.prefix + ".s000.scalar.dat"; }
@@ -84,16 +88,13 @@ class QmcApp final : public core::Application {
     ScalarText vmc_text;
     ScalarText dmc_text;
   };
-  [[nodiscard]] std::shared_ptr<const Trace> trace(std::uint64_t seed) const;
+  [[nodiscard]] std::shared_ptr<const Trace> trace(std::uint64_t seed) const {
+    return cached_trace_.get(seed);
+  }
 
  private:
-  /// Renders both series of `t` with the configured flush size.
-  void render(Trace& t) const;
-
   QmcAppConfig config_;
-  mutable std::mutex cache_mutex_;
-  mutable std::uint64_t cached_seed_ = 0;
-  mutable std::shared_ptr<const Trace> cached_trace_;
+  core::SeedCache<Trace> cached_trace_;
 };
 
 }  // namespace ffis::qmc

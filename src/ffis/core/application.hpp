@@ -10,6 +10,8 @@
 // Implementations must be const-thread-compatible: `run_stages`, `analyze`
 // and `classify` are const and may be called concurrently on the same
 // instance with distinct file systems (campaign runs execute in parallel).
+// An application's only mutable member is its per-seed input cache
+// (core::SeedCache).
 
 #include <cstdint>
 #include <map>
@@ -86,6 +88,15 @@ struct AnalysisResult {
   /// Named scalar metrics ("energy", "min", "halo_count", "mean_density"...)
   /// used by the Detected/SDC boundary rules.
   std::map<std::string, double> metrics;
+
+  AnalysisPath path = AnalysisPath::FullRead;
+
+  /// A copy of this analysis reached by `how` (a golden analysis reused).
+  [[nodiscard]] AnalysisResult via(AnalysisPath how) const {
+    AnalysisResult copy = *this;
+    copy.path = how;
+    return copy;
+  }
 
   [[nodiscard]] double metric(const std::string& name) const {
     const auto it = metrics.find(name);
@@ -184,22 +195,21 @@ class Application {
   /// bump it when the workload's byte behavior changes incompatibly.
   [[nodiscard]] virtual std::string state_fingerprint() const { return {}; }
 
-  /// Serializes the deterministic in-memory state a resumed run would
-  /// otherwise recompute for `app_seed` (cached fields, Monte Carlo traces,
-  /// rendered input tiles).  Stored alongside the checkpoint snapshot and
-  /// handed back through restore_state in a later process.  The empty
-  /// default means "nothing to persist" — resuming still works, the caches
-  /// just refill lazily (the re-execute fallback).
+  /// Serializes the per-seed inputs a resumed run would otherwise recompute
+  /// for `app_seed` (a density field, a Monte Carlo trace, rendered tiles):
+  /// stored alongside the checkpoint snapshot and handed back through
+  /// restore_state in a later process.  The empty default means "nothing to
+  /// persist"; the inputs are then built lazily.  An application with a
+  /// core::SeedCache delegates both hooks to it.
   [[nodiscard]] virtual util::Bytes serialize_state(std::uint64_t app_seed) const {
     (void)app_seed;
     return {};
   }
 
-  /// Primes this instance's caches from a serialize_state blob.  Returns
-  /// false when the blob is empty or unusable (unknown layout, wrong seed or
-  /// dimensions — e.g. written by an older build); callers treat false as
-  /// "recompute lazily", never as an error, so implementations must validate
-  /// rather than trust the bytes.
+  /// Installs this instance's per-seed inputs from a serialize_state blob.
+  /// True when `app_seed` is already cached; false, with the cache unchanged,
+  /// when the blob is empty or unusable (wrong tag, seed or size, truncated
+  /// or trailing bytes); callers treat false as "build lazily".
   virtual bool restore_state(std::uint64_t app_seed, util::ByteSpan state) const {
     (void)app_seed;
     (void)state;
@@ -226,11 +236,11 @@ class Application {
 
   /// Derives reusable artifacts from the golden run, called at most once per
   /// campaign cell with the golden output tree (`golden_fs`) and analysis.
-  /// The same pointer is then passed to every analyze_dirty call.  Note:
-  /// incremental *statistics* (e.g. updating a golden sum by the dirty
-  /// slabs' delta) are deliberately out of contract — floating-point
-  /// summation order changes the rounding, breaking the bit-identical
-  /// guarantee; cache *data* (decoded fields, raw bytes) instead.
+  /// The same pointer is then passed to every analyze_dirty call.  Results
+  /// stay bit-identical, so an incremental *statistic* (a golden sum updated
+  /// by the dirty slabs' delta) is allowed only where rounding provably
+  /// commutes, as in Nyx's HaloIndex; otherwise cache *data* (decoded
+  /// fields, raw bytes).
   [[nodiscard]] virtual std::shared_ptr<const GoldenArtifacts> golden_artifacts(
       vfs::FileSystem& golden_fs, const AnalysisResult& golden) const {
     (void)golden_fs;

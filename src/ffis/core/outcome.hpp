@@ -26,6 +26,15 @@ inline constexpr std::size_t kOutcomeCount = static_cast<std::size_t>(Outcome::k
 [[nodiscard]] std::string_view outcome_name(Outcome o) noexcept;
 [[nodiscard]] Outcome parse_outcome(std::string_view name);
 
+/// How a run's analysis was computed.  Every path gives the same analysis bit
+/// for bit, so the path is not compared, persisted or sent over the wire.
+enum class AnalysisPath : std::uint8_t {
+  FullRead,            ///< analyze(): the outputs read and analyzed in full
+  Spliced,             ///< analyze_dirty(): the golden analysis plus the diff
+  SplicedIncremental,  ///< spliced, statistics carried from golden running sums
+  SplicedSpanning,     ///< spliced, one component spans all but patched cells
+};
+
 /// Tally of outcomes over a campaign.
 class OutcomeTally {
  public:

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -848,6 +849,7 @@ TEST(DiffClassification, NyxSpliceMatchesReferenceMetricsUnderEveryModel) {
   ASSERT_GT(changed, 0u);
   EXPECT_GT(reference.cells.back().tally.count(Outcome::Detected), 0u);  // the detector fired
 
+  std::map<const core::Application*, std::uint64_t> incremental;  // per app
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     exp::EngineOptions options;
     options.threads = threads;
@@ -869,14 +871,16 @@ TEST(DiffClassification, NyxSpliceMatchesReferenceMetricsUnderEveryModel) {
         if (run.analysis && ref.analysis) {
           EXPECT_EQ(run.analysis->report, ref.analysis->report) << where;
         }
+        if (run.analysis && run.analysis->path == core::AnalysisPath::SplicedIncremental) {
+          ++incremental[cell.cell.app];
+        }
         expect_same_nyx_metrics(run, ref, where);
       }
     }
   }
   // Each app's spliced runs went through the golden index's incremental path.
   for (const auto& app : {three_dumps, two_dumps, detector}) {
-    EXPECT_GT(app->spliced_analyses(nyx::HaloFinderPath::Incremental), 0u)
-        << app->config().timesteps << " dumps";
+    EXPECT_GT(incremental[app.get()], 0u) << app->config().timesteps << " dumps";
   }
 }
 
@@ -918,18 +922,21 @@ TEST(DiffClassification, NyxSplicePathShareOnBenchShapedCells) {
     const nyx::HaloIndex index(golden.n(), golden.data(), app.config().halo);
 
     std::uint64_t analyzed = 0, below_band = 0;
+    std::map<core::AnalysisPath, std::uint64_t> paths;
     for (const core::RunResult& run : cell.details) {
       if (!run.analysis) continue;
       ++analyzed;
+      ++paths[run.analysis->path];
       const double threshold =
           app.config().halo.threshold_factor * run.analysis->metric("mean_density");
       if (threshold < index.band_floor()) ++below_band;
     }
-    const std::uint64_t incremental = app.spliced_analyses(nyx::HaloFinderPath::Incremental);
+    const std::uint64_t incremental = paths[core::AnalysisPath::SplicedIncremental];
     EXPECT_EQ(analyzed, kRuns) << cell.cell.label;
-    EXPECT_EQ(app.spliced_analyses(nyx::HaloFinderPath::Spanning), below_band)
-        << cell.cell.label;
-    EXPECT_EQ(app.spliced_analyses(nyx::HaloFinderPath::Full), 0u) << cell.cell.label;
+    EXPECT_EQ(paths[core::AnalysisPath::SplicedSpanning], below_band) << cell.cell.label;
+    // The full finder over the spliced field, and the full read.
+    EXPECT_EQ(paths[core::AnalysisPath::Spliced], 0u) << cell.cell.label;
+    EXPECT_EQ(paths[core::AnalysisPath::FullRead], 0u) << cell.cell.label;
     EXPECT_EQ(incremental + below_band, analyzed) << cell.cell.label;
     // Measured at seed 42: 389 of 400 runs at 80^3 and 392 of 400 at 96^3.
     EXPECT_GE(incremental, c == 0 ? 389u : 392u) << cell.cell.label;
@@ -962,6 +969,7 @@ TEST(DiffClassification, QmcSpliceMatchesFullAnalysisPerRun) {
   }
   ASSERT_GT(changed, 0u);  // the faults really change s001
 
+  std::map<core::AnalysisPath, std::uint64_t> paths;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     exp::EngineOptions options;
     options.threads = threads;
@@ -985,10 +993,14 @@ TEST(DiffClassification, QmcSpliceMatchesFullAnalysisPerRun) {
           EXPECT_EQ(run.analysis->report, ref.analysis->report) << cell.cell.label << " run " << r;
           EXPECT_EQ(run.analysis->metrics, ref.analysis->metrics)
               << cell.cell.label << " run " << r;
+          // The oracle, with diff classification off, reads every run in full.
+          EXPECT_EQ(ref.analysis->path, core::AnalysisPath::FullRead);
+          ++paths[run.analysis->path];
         }
       }
     }
   }
+  EXPECT_GT(paths[core::AnalysisPath::Spliced], 0u);  // QMCA re-parsed only changed lines
 }
 
 TEST(EngineCheckpoint, CowTrafficIsOChunkPerResumedRun) {

@@ -26,8 +26,10 @@
 
 #include "ffis/apps/montage/montage_app.hpp"
 #include "ffis/apps/nyx/nyx_app.hpp"
+#include "ffis/apps/qmc/qmc_app.hpp"
 #include "ffis/core/checkpoint.hpp"
 #include "ffis/core/checkpoint_store.hpp"
+#include "ffis/core/seed_cache.hpp"
 #include "ffis/exp/engine.hpp"
 #include "ffis/exp/plan.hpp"
 #include "ffis/util/logging.hpp"
@@ -64,7 +66,9 @@ class StoreDir {
   std::string path_;
 };
 
-/// A fast stage-resumable application that opts into persistence.
+/// A fast stage-resumable application that opts into persistence.  Its
+/// per-seed input is the base of its stage generators; the state blob frames
+/// it with no payload (it is cheap to derive) and restores() counts decodes.
 class PersistableToyApp final : public core::Application {
  public:
   [[nodiscard]] std::string name() const override { return "ptoy"; }
@@ -89,28 +93,17 @@ class PersistableToyApp final : public core::Application {
 
   [[nodiscard]] std::string state_fingerprint() const override { return "ptoy/1"; }
   [[nodiscard]] util::Bytes serialize_state(std::uint64_t app_seed) const override {
-    util::Bytes out;
-    util::ByteWriter w(out);
-    w.str("ptoy-state");
-    w.u64(app_seed);
-    return out;
+    return cached_base_.serialize(app_seed);
   }
   bool restore_state(std::uint64_t app_seed, util::ByteSpan state) const override {
-    try {
-      util::ByteReader r(state);
-      if (r.str() != "ptoy-state" || r.u64() != app_seed) return false;
-      restores_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    } catch (const std::exception&) {
-      return false;
-    }
+    return cached_base_.restore(app_seed, state);
   }
   [[nodiscard]] std::uint64_t restores() const { return restores_.load(); }
 
  private:
   void do_stage(const core::RunContext& ctx, int stage) const {
     ctx.enter_stage(stage);
-    util::Rng rng(ctx.app_seed * 131 + static_cast<std::uint64_t>(stage));
+    util::Rng rng(*cached_base_.get(ctx.app_seed) + static_cast<std::uint64_t>(stage));
     vfs::File f(ctx.fs, std::string("/stage") + std::to_string(stage),
                 vfs::OpenMode::Write);
     util::Bytes chunk(192);
@@ -120,6 +113,13 @@ class PersistableToyApp final : public core::Application {
   }
 
   mutable std::atomic<std::uint64_t> restores_{0};
+  core::SeedCache<std::uint64_t> cached_base_{
+      "ptoy-state", [](std::uint64_t seed) { return seed * 131; },
+      [](std::uint64_t, util::ByteWriter&) {},
+      [this](std::uint64_t seed, util::ByteReader&) {
+        restores_.fetch_add(1, std::memory_order_relaxed);
+        return seed * 131;
+      }};
 };
 
 /// A representative tree: directories, an empty file, a sparse file with a
@@ -1432,6 +1432,188 @@ TEST(EngineCheckpointStore, ConcurrentEnginesUnderTightBudgetStayCorrect) {
     for (const auto& report : reports) {
       expect_equal_tallies(reference, report);
     }
+  }
+}
+
+// --- core::SeedCache -------------------------------------------------------------
+
+TEST(SeedCache, BlobIsTagSeedPayload) {
+  const core::SeedCache<std::uint64_t> cache(
+      "t", [](std::uint64_t seed) { return seed + 1; },
+      [](std::uint64_t value, util::ByteWriter& w) { w.u64(value); },
+      [](std::uint64_t, util::ByteReader& r) { return r.u64(); });
+  util::Bytes want;
+  util::ByteWriter w(want);
+  w.str("t");
+  w.u64(3);
+  w.u64(4);
+  EXPECT_EQ(cache.serialize(3), want);
+
+  const core::SeedCache<std::uint64_t> restored(
+      "t", [](std::uint64_t) -> std::uint64_t { throw std::logic_error("built"); },
+      [](std::uint64_t, util::ByteWriter&) {},
+      [](std::uint64_t, util::ByteReader& r) { return r.u64(); });
+  ASSERT_TRUE(restored.restore(3, want));
+  EXPECT_EQ(*restored.get(3), 4u);
+}
+
+TEST(SeedCache, InterleavedSeedsEachGetTheirOwnValueBuiltOncePerEviction) {
+  // Threads interleave get() on two seeds.  Each caller must see its own
+  // seed's value, and a build happens only when the other seed holds the
+  // entry: consecutive builds alternate seeds.  Builds run under the cache's
+  // lock, so the log needs none of its own.
+  struct Value {
+    std::uint64_t seed;
+  };
+  std::vector<std::uint64_t> builds;
+  const core::SeedCache<Value> cache(
+      "two-seeds",
+      [&builds](std::uint64_t seed) {
+        builds.push_back(seed);
+        return Value{seed};
+      },
+      [](const Value&, util::ByteWriter&) {}, [](std::uint64_t seed, util::ByteReader&) {
+        return Value{seed};
+      });
+  constexpr std::uint64_t kSeeds[] = {3, 8};
+  constexpr int kThreads = 4;
+  constexpr int kGets = 2000;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kGets; ++i) {
+        // Runs of a few gets per seed, so both hits and evictions happen.
+        const std::uint64_t seed = kSeeds[((i / (t + 2)) + t) % 2];
+        if (cache.get(seed)->seed != seed) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  ASSERT_GE(builds.size(), 2u);
+  EXPECT_LT(builds.size(), std::size_t{kThreads} * kGets);
+  for (std::size_t b = 1; b < builds.size(); ++b) {
+    EXPECT_NE(builds[b], builds[b - 1]) << "build " << b << " rebuilt a cached seed";
+  }
+}
+
+// --- application state blobs ---------------------------------------------------
+
+/// One application's serialize_state / restore_state, seen through its
+/// per-seed input cache.
+struct StateCase {
+  std::string name;
+  std::function<std::unique_ptr<const core::Application>()> make;
+  /// The address of the cached input for a seed (built on a miss).  The same
+  /// address before and after a call proves the call left the entry alone.
+  std::function<const void*(const core::Application&, std::uint64_t)> input;
+  /// serialize_state(kStateSeed) of `make()`: size and FNV-1a.  Stores hold
+  /// these bytes, so a change that moves them strands every saved entry.
+  std::size_t pinned_size;
+  std::uint64_t pinned_fnv;
+};
+
+constexpr std::uint64_t kStateSeed = 5;
+
+std::vector<StateCase> state_cases() {
+  montage::MontageConfig montage_config;
+  montage_config.scene.tile_size = 8;
+  montage_config.scene.tile_x0 = {0, 6};
+  montage_config.scene.tile_y0 = {0};
+  montage_config.scene.star_count = 2;
+  montage_config.scene.dark_spot_x = montage_config.scene.dark_spot_y = 100.0;
+  nyx::NyxConfig nyx_config;
+  nyx_config.field.n = 8;
+  qmc::QmcAppConfig qmc_config;
+  qmc_config.vmc.walkers = qmc_config.dmc.target_walkers = 16;
+  qmc_config.vmc.steps = qmc_config.dmc.steps = 12;
+  qmc_config.vmc.warmup_steps = qmc_config.dmc.warmup_steps = 4;
+  return {
+      {"montage", [=] { return std::make_unique<const montage::MontageApp>(montage_config); },
+       [](const core::Application& app, std::uint64_t seed) -> const void* {
+         return dynamic_cast<const montage::MontageApp&>(app).inputs(seed).get();
+       },
+       1127u, 11172745983040288235ull},
+      {"nyx", [=] { return std::make_unique<const nyx::NyxApp>(nyx_config); },
+       [](const core::Application& app, std::uint64_t seed) -> const void* {
+         return dynamic_cast<const nyx::NyxApp&>(app).field(seed).get();
+       },
+       4139u, 8585705659974095677ull},
+      {"qmc", [=] { return std::make_unique<const qmc::QmcApp>(qmc_config); },
+       [](const core::Application& app, std::uint64_t seed) -> const void* {
+         return dynamic_cast<const qmc::QmcApp&>(app).trace(seed).get();
+       },
+       819u, 17007300032838916224ull},
+  };
+}
+
+TEST(AppState, BlobBytesArePinned) {
+  for (const StateCase& c : state_cases()) {
+    const util::Bytes blob = c.make()->serialize_state(kStateSeed);
+    EXPECT_EQ(blob.size(), c.pinned_size) << c.name;
+    EXPECT_EQ(util::fnv1a64(blob), c.pinned_fnv) << c.name;
+  }
+}
+
+TEST(AppState, RoundTripInstallsTheDecodedInput) {
+  for (const StateCase& c : state_cases()) {
+    const util::Bytes blob = c.make()->serialize_state(kStateSeed);
+    const auto app = c.make();
+    ASSERT_TRUE(app->restore_state(kStateSeed, blob)) << c.name;
+    const void* restored = c.input(*app, kStateSeed);
+    // Re-encoding the restored input gives the blob back, without a rebuild.
+    EXPECT_EQ(app->serialize_state(kStateSeed), blob) << c.name;
+    EXPECT_EQ(c.input(*app, kStateSeed), restored) << c.name;
+    // A second restore of the cached seed is a no-op that succeeds.
+    EXPECT_TRUE(app->restore_state(kStateSeed, {})) << c.name;
+    EXPECT_EQ(c.input(*app, kStateSeed), restored) << c.name;
+  }
+}
+
+TEST(AppState, DamagedBlobsFailAndLeaveTheCachedSeed) {
+  constexpr std::uint64_t kCached = 11;
+  for (const StateCase& c : state_cases()) {
+    const auto app = c.make();
+    const util::Bytes blob = c.make()->serialize_state(kStateSeed);
+    const void* cached = c.input(*app, kCached);
+    const auto expect_rejected = [&](util::ByteSpan bad, std::uint64_t seed,
+                                     const std::string& what) {
+      EXPECT_FALSE(app->restore_state(seed, bad)) << c.name << ": " << what;
+      EXPECT_EQ(c.input(*app, kCached), cached) << c.name << ": " << what;
+    };
+
+    for (std::size_t length = 0; length < blob.size(); ++length) {
+      expect_rejected(util::ByteSpan(blob).first(length), kStateSeed,
+                      "truncated to " + std::to_string(length));
+    }
+    util::Bytes longer = blob;
+    longer.push_back(std::byte{0});
+    expect_rejected(longer, kStateSeed, "a trailing byte");
+    util::Bytes wrong_tag = blob;
+    wrong_tag[8] ^= std::byte{0x20};  // the tag's first character
+    expect_rejected(wrong_tag, kStateSeed, "wrong tag");
+    expect_rejected(blob, kStateSeed + 1, "wrong seed");
+    // Every payload opens with a u64 size (tiles, grid side, VMC rows).
+    util::ByteReader header(blob);
+    const std::size_t size_at = 8 + header.str().size() + 8;
+    util::Bytes wrong_size = blob;
+    wrong_size[size_at] = static_cast<std::byte>(static_cast<std::uint8_t>(wrong_size[size_at]) + 1);
+    expect_rejected(wrong_size, kStateSeed, "wrong size");
+  }
+}
+
+TEST(AppState, RestoringAnotherSeedReplacesTheCachedOne) {
+  constexpr std::uint64_t kCached = 11;
+  for (const StateCase& c : state_cases()) {
+    const auto app = c.make();
+    const util::Bytes blob = c.make()->serialize_state(kStateSeed);
+    const void* cached = c.input(*app, kCached);
+    ASSERT_TRUE(app->restore_state(kStateSeed, blob)) << c.name;
+    const void* restored = c.input(*app, kStateSeed);
+    EXPECT_NE(restored, cached) << c.name;
+    EXPECT_EQ(app->serialize_state(kStateSeed), blob) << c.name;
+    EXPECT_EQ(c.input(*app, kStateSeed), restored) << c.name;
   }
 }
 

@@ -26,6 +26,7 @@
 #include "ffis/core/application.hpp"
 #include "ffis/core/checkpoint.hpp"
 #include "ffis/core/checkpoint_store.hpp"
+#include "ffis/core/seed_cache.hpp"
 #include "ffis/dist/coordinator.hpp"
 #include "ffis/dist/journal.hpp"
 #include "ffis/dist/protocol.hpp"
@@ -117,25 +118,16 @@ class StagedToyApp final : public core::Application {
 
   [[nodiscard]] std::string state_fingerprint() const override { return "stoy/1"; }
   [[nodiscard]] util::Bytes serialize_state(std::uint64_t app_seed) const override {
-    util::Bytes out;
-    util::ByteWriter w(out);
-    w.str("stoy-state");
-    w.u64(app_seed);
-    return out;
+    return cached_base_.serialize(app_seed);
   }
   bool restore_state(std::uint64_t app_seed, util::ByteSpan state) const override {
-    try {
-      util::ByteReader r(state);
-      return r.str() == "stoy-state" && r.u64() == app_seed;
-    } catch (const std::exception&) {
-      return false;
-    }
+    return cached_base_.restore(app_seed, state);
   }
 
  private:
   void do_stage(const core::RunContext& ctx, int stage) const {
     ctx.enter_stage(stage);
-    util::Rng rng(ctx.app_seed * 131 + static_cast<std::uint64_t>(stage));
+    util::Rng rng(*cached_base_.get(ctx.app_seed) + static_cast<std::uint64_t>(stage));
     vfs::File f(ctx.fs, std::string("/stage") + std::to_string(stage),
                 vfs::OpenMode::Write);
     util::Bytes chunk(192);
@@ -143,6 +135,13 @@ class StagedToyApp final : public core::Application {
     (void)f.pwrite(chunk, 0);
     ctx.leave_stage(stage);
   }
+
+  /// The base of the stage generators: framed with no payload, since it is
+  /// cheap to derive.
+  core::SeedCache<std::uint64_t> cached_base_{
+      "stoy-state", [](std::uint64_t seed) { return seed * 131; },
+      [](std::uint64_t, util::ByteWriter&) {},
+      [](std::uint64_t seed, util::ByteReader&) { return seed * 131; }};
 };
 
 /// Performs no I/O, so every fault signature fails to profile and every cell

@@ -383,6 +383,9 @@ TEST(HaloFinderDifferential, SparseFinderMatchesDenseReferenceOnCorruptedFields)
   EXPECT_GT(negative_means, 0u);
 }
 
+/// The index's fallback to the full finder's scan over the spliced field.
+constexpr core::AnalysisPath kFullScan = core::AnalysisPath::Spliced;
+
 /// Replacement runs over a field: sorted by first element, disjoint.
 using Splice = std::vector<std::pair<std::size_t, std::vector<double>>>;
 
@@ -398,8 +401,8 @@ struct IndexedField {
 /// Checks one patched field three ways — the golden index, the full finder
 /// over the same patches, and the dense reference on the materialized field —
 /// and returns the path the index took.
-nyx::HaloFinderPath expect_index_matches(IndexedField& f, const Splice& splice,
-                                         const std::string& what) {
+core::AnalysisPath expect_index_matches(IndexedField& f, const Splice& splice,
+                                        const std::string& what) {
   std::vector<nyx::FieldPatch> patches;
   const auto at = [&](std::size_t i) {
     return f.scratch.data().begin() + static_cast<std::ptrdiff_t>(i);
@@ -481,10 +484,10 @@ void expect_index_matches_every_flip(std::size_t n, std::size_t first, std::size
         const std::string what = "cell " + std::to_string(cell) + " bits " +
                                  std::to_string(offset) + "+" + std::to_string(width);
         ++runs;
-        const nyx::HaloFinderPath path =
+        const core::AnalysisPath path =
             expect_index_matches(f, flip_splice(f.clean, cell, offset, width), what);
-        if (path == nyx::HaloFinderPath::Incremental) ++incremental;
-        if (path == nyx::HaloFinderPath::Full) ++full;
+        if (path == core::AnalysisPath::SplicedIncremental) ++incremental;
+        if (path == kFullScan) ++full;
       }
     }
   }
@@ -493,6 +496,53 @@ void expect_index_matches_every_flip(std::size_t n, std::size_t first, std::size
   // hole in a grid of candidates: the spanning path.
   EXPECT_GE(incremental * 20, runs * 19) << incremental << " of " << runs;
   EXPECT_EQ(full, 0u) << runs << " runs";
+}
+
+TEST(HaloFinderDifferential, NonFiniteMeanKeepsThePlainFoldsBits) {
+  // Once the mean's running sum is NaN or infinite, accumulate_density adds
+  // only the non-finite values left.  The mean must keep the bits of the
+  // plain element-order fold, NaN payload included, with the values in the
+  // field and spliced over it as patches (and through the index).
+  constexpr std::size_t n = 16;  // 4096 cells: 16 strides of the fold
+  FieldConfig config;
+  config.n = n;
+  config.seed = 9;
+  const DensityField clean = nyx::generate_density_field(config);
+  const std::size_t total = clean.size(), mid = total / 2 + 3, last = total - 1;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan_a = std::bit_cast<double>(std::uint64_t{0x7ff8000000000123});
+  const double nan_b = std::bit_cast<double>(std::uint64_t{0xfff80000000abc00});
+  using Values = std::vector<std::pair<std::size_t, double>>;
+  std::vector<Values> cases;
+  for (const double v : {nan_a, nan_b, inf, -inf}) {
+    for (const std::size_t at : {std::size_t{0}, mid, last}) cases.push_back({{at, v}});
+  }
+  cases.push_back({{10, nan_a}, {mid, nan_b}});
+  cases.push_back({{10, nan_b}, {mid, nan_a}});
+  cases.push_back({{10, inf}, {mid, -inf}});
+  cases.push_back({{255, -inf}, {256, inf}});
+  cases.push_back({{10, inf}, {last, nan_a}});
+
+  const nyx::HaloIndex index(n, clean.data(), {});
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const Values& c : cases) {
+    std::string what = "values";
+    std::vector<double> values = clean.data();
+    std::vector<nyx::FieldPatch> patches;
+    for (const auto& [at, v] : c) {
+      what += " " + std::to_string(v) + "@" + std::to_string(at);
+      values[at] = v;
+      patches.push_back({at, std::span(&values[at], 1)});
+    }
+    long double plain = 0.0L;
+    for (const double v : values) plain += v;
+    const std::uint64_t want =
+        bits(static_cast<double>(plain / static_cast<long double>(total)));
+    EXPECT_FALSE(std::isfinite(plain)) << what;
+    EXPECT_EQ(bits(nyx::find_halos(n, values, {}, {}).mean_density), want) << what;
+    EXPECT_EQ(bits(nyx::find_halos(n, clean.data(), patches, {}).mean_density), want) << what;
+    EXPECT_EQ(bits(index.find_halos(clean.data(), patches).mean_density), want) << what;
+  }
 }
 
 TEST(HaloFinderDifferential, CarriedSumRefusesAnOddShiftOnTies) {
@@ -566,23 +616,22 @@ void expect_index_matches_values_runs_and_moved_thresholds(std::size_t n) {
   std::size_t runs = 0, incremental = 0;
   const auto check = [&](const Splice& splice, const std::string& what) {
     ++runs;
-    const nyx::HaloFinderPath path = expect_index_matches(f, splice, what);
-    if (path == nyx::HaloFinderPath::Incremental) ++incremental;
+    const core::AnalysisPath path = expect_index_matches(f, splice, what);
+    if (path == core::AnalysisPath::SplicedIncremental) ++incremental;
     return path;
   };
 
-  // Special values at each probe cell.  Past a NaN or infinity every x87
-  // addition of the reference folds takes a slow path, so at n = 48 the
-  // non-finite values go only to the cells in the second half.
+  // Special values at each probe cell.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const std::size_t cell : probe_cells(clean)) {
     for (const double v : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf, -1e6, 1e300}) {
-      if (n > 33 && !std::isfinite(v) && cell < total / 2) continue;
-      const nyx::HaloFinderPath path =
+      const core::AnalysisPath path =
           check({{cell, {v}}},
                 field + " cell " + std::to_string(cell) + " value " + std::to_string(v));
       // -1e6 outweighs the field: the mean goes negative around one hole.
-      if (v == -1e6) EXPECT_EQ(path, nyx::HaloFinderPath::Spanning) << cell;
+      if (v == -1e6) {
+        EXPECT_EQ(path, core::AnalysisPath::SplicedSpanning) << cell;
+      }
     }
   }
 
@@ -625,8 +674,8 @@ void expect_index_matches_values_runs_and_moved_thresholds(std::size_t n) {
     return Splice{{cell, {golden + (share - 1.0) * golden_sum}}};
   };
   check(moved(1.5), field + " mean x1.5");
-  EXPECT_EQ(check(moved(0.7), field + " mean x0.7"), nyx::HaloFinderPath::Incremental);
-  EXPECT_EQ(check(moved(0.4), field + " mean x0.4"), nyx::HaloFinderPath::Full);
+  EXPECT_EQ(check(moved(0.7), field + " mean x0.7"), core::AnalysisPath::SplicedIncremental);
+  EXPECT_EQ(check(moved(0.4), field + " mean x0.4"), kFullScan);
   // The lowered threshold really did add band cells, and the raised one
   // really did drop golden candidates.
   const Splice lowered = moved(0.7), raised = moved(1.5);
@@ -706,10 +755,10 @@ TEST(HaloFinderDifferential, SpanningPathMatchesFullFinderAroundEnclosedCells) {
       {"13 scattered", splice_of({scattered.begin(), scattered.end() - 1})},
   };
   for (const auto& [what, splice] : spanning) {
-    EXPECT_EQ(expect_index_matches(f, splice, what), nyx::HaloFinderPath::Spanning) << what;
+    EXPECT_EQ(expect_index_matches(f, splice, what), core::AnalysisPath::SplicedSpanning) << what;
   }
   EXPECT_EQ(expect_index_matches(f, splice_of(scattered), "14 scattered"),
-            nyx::HaloFinderPath::Full);
+            kFullScan);
 
   // The enclosed cube is a halo beside the spanning component.
   std::vector<nyx::FieldPatch> patches;
@@ -728,7 +777,7 @@ TEST(HaloFinderDifferential, SpanningPathMatchesFullFinderAroundEnclosedCells) {
     std::vector<nyx::FieldPatch> spliced;
     for (const auto& [first, values] : splice) spliced.push_back({first, values});
     const nyx::HaloCatalog got = singles.find_halos(f.clean.data(), spliced);
-    EXPECT_EQ(got.path, nyx::HaloFinderPath::Spanning) << what;
+    EXPECT_EQ(got.path, core::AnalysisPath::SplicedSpanning) << what;
     expect_same_catalog(got, nyx::find_halos(n, f.clean.data(), spliced, single),
                         what + ", min_cells 1");
   }
@@ -742,7 +791,7 @@ TEST(HaloFinderDifferential, SpanningPathMatchesFullFinderAroundEnclosedCells) {
   expect_same_catalog(g.index.golden(), dense_find_halos(g.clean), "negative golden");
   EXPECT_EQ(g.index.golden().halos.size(), 1u);
   EXPECT_EQ(expect_index_matches(g, splice_of({at(3, 4, 5)}), "negative golden, hole"),
-            nyx::HaloFinderPath::Full);
+            kFullScan);
 }
 
 TEST(HaloFinderDifferential, PatchesMustBeSortedDisjointAndInside) {
