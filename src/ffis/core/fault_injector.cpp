@@ -21,6 +21,19 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
+/// A synthesized run's storage counters: the profiling pass's for the
+/// execution it skipped, plus the tree's own less `mutation` (the fault's
+/// write-back, which no executed run performs), with no arena traffic.
+vfs::FsStats synthesized_stats(const vfs::FsStats& pass, const vfs::MemFs& tree,
+                               const vfs::FsStats& mutation) {
+  vfs::FsStats stats = tree.stats();
+  stats -= mutation;
+  stats += pass;
+  stats.arena_slabs_allocated = 0;
+  stats.arena_bytes_recycled = 0;
+  return stats;
+}
+
 /// The golden run's output tree, on a fresh store the run owns (unlocked).
 std::shared_ptr<vfs::MemFs> golden_output(const Application& app, std::uint64_t app_seed,
                                           const vfs::MemFs::Options& options) {
@@ -294,6 +307,9 @@ RunResult FaultInjector::execute_at(std::uint64_t target_instance,
 std::optional<RunResult> FaultInjector::synthesize(const RunDraw& draw,
                                                    vfs::FsDiff* diff_out) const {
   if (!prepared_) throw std::logic_error("FaultInjector::prepare() not called");
+  if (golden_tree_ != nullptr && faults::is_media_model(signature_.model)) {
+    return synthesize_sector(draw, diff_out);
+  }
   if (golden_tree_ == nullptr || draw.instance >= profile_.sites.sites.size()) {
     return std::nullopt;
   }
@@ -342,11 +358,7 @@ std::optional<RunResult> FaultInjector::synthesize(const RunDraw& draw,
     const vfs::FsStats mutation = apply_fault(tree);
     result.execute_ms = ms_since(execute_start);
     classify(tree, result, diff_out, golden_tree_.get());
-    result.fs_stats = tree.stats();
-    result.fs_stats -= mutation;
-    result.fs_stats += profile_.fs_stats;
-    result.fs_stats.arena_slabs_allocated = 0;
-    result.fs_stats.arena_bytes_recycled = 0;
+    result.fs_stats = synthesized_stats(profile_.fs_stats, tree, mutation);
     return result;
   }
 
@@ -371,6 +383,81 @@ std::optional<RunResult> FaultInjector::synthesize(const RunDraw& draw,
   } stack{*this, apply_fault, later->checkpoint->stage()};
   result.resumed_late = true;
   run_on(stack, result, later->checkpoint.get(), later->golden_tree.get(), diff_out);
+  return result;
+}
+
+std::optional<RunResult> FaultInjector::synthesize_sector(const RunDraw& draw,
+                                                          vfs::FsDiff* diff_out) const {
+  const faults::SectorSites& sectors = profile_.sites.sectors;
+  const std::optional<faults::SectorSite> site = sectors.site(draw.instance);
+  const std::uint64_t sb = sectors.sector_bytes;
+  const std::uint64_t chunk = sectors.extent_bytes;
+  if (!site || chunk != golden_tree_->chunk_size() || chunk % sb != 0 ||
+      sectors.observed_after(site->file, site->sector, site->clock)) {
+    return std::nullopt;
+  }
+  // A torn or misdirected slice keeps its pre-write content, known only for
+  // a hole (zero).  The run's extent counters match the pass's only if the
+  // faulted write still touches the slice's extent outside the slice, as
+  // the clean write does, or the store already owned that extent.
+  const vfs::MediaFault kind = faults::media_fault_kind(signature_.model);
+  const bool skips_slice =
+      kind == vfs::MediaFault::TornSector || kind == vfs::MediaFault::MisdirectedWrite;
+  const std::uint64_t extent = site->slice_begin / chunk;
+  if (skips_slice &&
+      (!site->hole ||
+       (std::max(site->write_begin, extent * chunk) >= site->slice_begin &&
+        std::min(site->write_end, (extent + 1) * chunk) <= site->slice_end &&
+        !sectors.owned_at(site->file, extent, site->clock - 1)))) {
+    return std::nullopt;
+  }
+
+  RunResult result;
+  const auto execute_start = Clock::now();
+  vfs::MemFs tree = golden_tree_->fork(vfs::MemFs::Concurrency::SingleThread);
+  const std::string& path = profile_.sites.paths[site->file];
+  // A skipped slice at the end of the file leaves the run's file shorter
+  // until a later write extends it past the slice; none did when the golden
+  // size is still the size right after the write.
+  if (skips_slice && site->slice_end == site->size_after &&
+      tree.stat(path).size <= site->size_after) {
+    return std::nullopt;
+  }
+  // Replay the fault on the golden bytes through a device on the fork, so
+  // the fork's registry holds exactly the entries the executed run's device
+  // holds, and scrub-on-read rejects the classification's reads alike.
+  const auto device = std::make_shared<vfs::BlockDevice>(faults::media_device_options(signature_));
+  vfs::BlockDevice::ArmSpec spec = faults::media_arm_spec(signature_, 0, draw.feature_seed);
+  spec.settled_size = site->size_after;
+  {
+    vfs::File file(tree, path, vfs::OpenMode::ReadWrite);
+    util::Bytes slice(site->slice_end - site->slice_begin);
+    if (file.pread(slice, site->slice_begin) != slice.size()) {
+      throw std::logic_error("FaultInjector: golden tree lacks the sector site of instance " +
+                             std::to_string(draw.instance));
+    }
+    tree.set_media(device);
+    device->arm(spec);
+    (void)file.pwrite(slice, site->slice_begin);
+  }
+  vfs::FsStats mutation = tree.stats();
+  // A misdirected write's victim must be unobserved too, and its extent
+  // owned by the store, so that the stray landing costs no extent counter.
+  if (const std::optional<std::uint64_t> victim = device->record().misdirected_to;
+      victim && mutation.sectors_faulted > 1 &&
+      (sectors.observed_after(site->file, *victim, site->clock) ||
+       !sectors.owned_at(site->file, *victim * sb / chunk, site->clock))) {
+    return std::nullopt;
+  }
+  mutation.sectors_faulted = 0;  // the faulted sectors are the run's own
+  result.execute_ms = ms_since(execute_start);
+  result.synthesized = true;
+  classify(tree, result, diff_out, golden_tree_.get());
+  result.fault_fired = true;
+  result.record = faults::media_injection_record(signature_, *device);
+  result.record.instance = draw.instance;  // the device counted the replay alone
+  result.fs_stats = synthesized_stats(profile_.fs_stats, tree, mutation);
+  if (result.fs_stats.crc_detected > 0) result.outcome = Outcome::Detected;  // as execute_at
   return result;
 }
 

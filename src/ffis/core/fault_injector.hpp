@@ -216,6 +216,13 @@ class FaultInjector {
   ///    before the tree is classified against the golden tree grown from
   ///    that checkpoint (`resumed_late`).
   ///
+  /// For a media model the site is the drawn sector-write instance's sector.
+  /// When nothing observes it after the write (nor a misdirected write's
+  /// victim), the fault is replayed by a vfs::BlockDevice on a fork of the
+  /// golden tree, which is then classified through that device
+  /// (`synthesized`); cases the replay cannot reproduce execute
+  /// (docs/ARCHITECTURE.md, "Synthesis").
+  ///
   /// Equal to execute_at(draw.instance, draw.feature_seed) in every field
   /// but the timers, the arena counters and those two flags.  The storage
   /// counters of the work skipped come from the profiling pass: all of its
@@ -226,6 +233,10 @@ class FaultInjector {
 
  private:
   void check_profile() const;  // throws when the primitive never executed
+  /// synthesize() for a media model: the draw's sector-write instance,
+  /// replayed on a fork of the golden tree when nothing observes its sector.
+  [[nodiscard]] std::optional<RunResult> synthesize_sector(const RunDraw& draw,
+                                                           vfs::FsDiff* diff_out) const;
   void require_unprepared(const char* what) const;
   /// Derives golden_artifacts_ from golden_tree_ (forked for read access).
   void derive_artifacts();

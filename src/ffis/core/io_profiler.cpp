@@ -59,7 +59,7 @@ ProfileResult IoProfiler::profile(const Application& app,
   std::optional<faults::WriteObserver> observer;
   std::optional<SiteStages> stages;
   if (faults::is_synthesizable(signature)) {
-    observer.emplace(instrument);
+    observer.emplace(instrument, device.get(), backing.chunk_size());
     stages.emplace(*observer, backing, result.stage_entry_stats);
   }
 

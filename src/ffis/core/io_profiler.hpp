@@ -5,10 +5,11 @@
 //
 // For a synthesizable signature (faults::is_synthesizable) the same pass
 // also records every instance's write site and the stage that first
-// observes it (faults::WriteObserver).  Its storage counters stand in for
-// the execution phase of every run core::FaultInjector synthesizes: all of
-// them for a site nothing observes, and those up to the entry of the
-// observing stage for a run resumed there.
+// observes it, or for a media model every sector-write instance's sector
+// site and when each sector was last observed (faults::WriteObserver).  Its
+// storage counters stand in for the execution phase of every run
+// core::FaultInjector synthesizes: all of them for a site nothing observes,
+// and those up to the entry of the observing stage for a run resumed there.
 //
 // A checkpointed cell folds the pass into its checkpoint: the instrumented
 // continuation runs once on a fork, which observes exactly the primitive
@@ -39,7 +40,8 @@ struct ProfileResult {
   /// are the execution-phase counters of any run whose fault nothing
   /// observes.
   vfs::FsStats fs_stats{};
-  /// Per-instance write sites; recorded only for synthesizable signatures.
+  /// Per-instance write (or, for media models, sector) sites; recorded only
+  /// for synthesizable signatures.
   faults::WriteSites sites;
   /// The backing store's counters when each stage opened (first entry),
   /// by stage; recorded along with `sites`.

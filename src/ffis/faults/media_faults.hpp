@@ -24,6 +24,15 @@
 // of the model table (faults/fault_signature.cpp) names its keys and the
 // vfs::MediaFault hosting it.  Media models host on pwrite only — the
 // device sits beneath the data write path.
+//
+// Synthesis: the profiling pass records a sector site per sector-write
+// instance (faults::WriteObserver).  A run whose sector nothing observes
+// after the write is not executed: core::FaultInjector::synthesize arms a
+// device on a fork of the golden tree with the recorded file size
+// (vfs::BlockDevice::ArmSpec::settled_size), rewrites the slice through
+// it, so BlockDevice::inject replays the fault and seeds the registry, and
+// classifies the fork through that device (docs/ARCHITECTURE.md,
+// "Synthesis").
 
 #include <cstdint>
 #include <memory>

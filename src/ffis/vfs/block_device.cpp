@@ -124,12 +124,15 @@ void BlockDevice::apply_write(const std::shared_ptr<const void>& file, ExtentSto
     reconcile_overlaps(file.get(), store, offset, buf.size());
     return;
   }
-  inject(file, store, offset, buf, target_sector, stats, arena);
+  inject(file, store, offset, buf, target_sector,
+         spec_.settled_size.value_or(std::max<std::uint64_t>(store.size(), offset + buf.size())),
+         stats, arena);
 }
 
 void BlockDevice::inject(const std::shared_ptr<const void>& file, ExtentStore& store,
                          std::uint64_t offset, util::ByteSpan buf,
-                         std::uint64_t target_sector, FsStats& stats, ExtentArena* arena) {
+                         std::uint64_t target_sector, std::uint64_t new_size,
+                         FsStats& stats, ExtentArena* arena) {
   fired_ = true;
   const std::uint64_t sb = options_.sector_bytes;
   const std::uint64_t sec_off = target_sector * sb;
@@ -169,22 +172,41 @@ void BlockDevice::inject(const std::shared_ptr<const void>& file, ExtentStore& s
   std::memcpy(intended.data() + (slice_begin - sec_off),
               buf.data() + (slice_begin - offset), static_cast<std::size_t>(slice_len));
   const std::uint32_t intended_crc = crc32(util::ByteSpan(intended.data(), sb));
+  // Bytes of the target sector the file holds once the write completes.
+  const std::size_t stored =
+      static_cast<std::size_t>(std::min<std::uint64_t>(sb, new_size - sec_off));
+
+  // Lands the write, or all of it but [skip_begin, skip_end), which keeps
+  // its pre-write content.  A settled store holds the write already, and
+  // the skipped range was a hole before it, so it is zeroed instead.
+  const bool settled = spec_.settled_size.has_value();
+  const auto write_all = [&] {
+    if (!settled) store.write(offset, buf, stats, arena);
+  };
+  const auto write_around = [&](std::uint64_t skip_begin, std::uint64_t skip_end) {
+    if (settled) {
+      const std::array<std::byte, kMaxSectorBytes> zeros{};
+      store.write(skip_begin,
+                  util::ByteSpan(zeros.data(), static_cast<std::size_t>(skip_end - skip_begin)),
+                  stats, arena);
+      return;
+    }
+    if (skip_begin > offset) {
+      store.write(offset, buf.first(static_cast<std::size_t>(skip_begin - offset)), stats,
+                  arena);
+    }
+    if (offset + buf.size() > skip_end) {
+      store.write(skip_end, buf.subspan(static_cast<std::size_t>(skip_end - offset)), stats,
+                  arena);
+    }
+  };
 
   switch (spec_.fault) {
     case MediaFault::TornSector: {
       // The device programs only the first `keep` bytes of the slice; the
       // rest of the sector retains stale media content (or stays a hole).
       const std::uint64_t keep = rng_.uniform(slice_len);  // at least 1 byte lost
-      const std::uint64_t torn_at = slice_begin + keep;
-      if (torn_at > offset) {
-        store.write(offset, buf.first(static_cast<std::size_t>(torn_at - offset)),
-                    stats, arena);
-      }
-      if (offset + buf.size() > slice_end) {
-        store.write(slice_end,
-                    buf.subspan(static_cast<std::size_t>(slice_end - offset)), stats,
-                    arena);
-      }
+      write_around(slice_begin + keep, slice_end);
       record_.corrupted_bytes = static_cast<std::size_t>(slice_len - keep);
       register_entry(MediaFault::TornSector, target_sector, intended_crc);
       break;
@@ -193,11 +215,9 @@ void BlockDevice::inject(const std::shared_ptr<const void>& file, ExtentStore& s
       // The write completes, then the sector decays unreadable; its media
       // content is unrecoverable garbage.  Under scrub a read reports EIO;
       // without scrub the garbage flows to the application.
-      store.write(offset, buf, stats, arena);
+      write_all();
       std::array<std::byte, kMaxSectorBytes> garbled;
       read_sector(store, sec_off, garbled.data());
-      const std::size_t stored = static_cast<std::size_t>(
-          std::min<std::uint64_t>(sb, store.size() - sec_off));
       for (std::size_t i = 0; i < stored; ++i) {
         garbled[i] = static_cast<std::byte>(rng_() & 0xff);
       }
@@ -207,19 +227,9 @@ void BlockDevice::inject(const std::shared_ptr<const void>& file, ExtentStore& s
       break;
     }
     case MediaFault::MisdirectedWrite: {
-      const std::uint64_t new_size =
-          std::max<std::uint64_t>(store.size(), offset + buf.size());
       const std::uint64_t total_sectors = (new_size + sb - 1) / sb;
       // Everything outside the slice lands where it should.
-      if (slice_begin > offset) {
-        store.write(offset, buf.first(static_cast<std::size_t>(slice_begin - offset)),
-                    stats, arena);
-      }
-      if (offset + buf.size() > slice_end) {
-        store.write(slice_end,
-                    buf.subspan(static_cast<std::size_t>(slice_end - offset)), stats,
-                    arena);
-      }
+      write_around(slice_begin, slice_end);
       record_.corrupted_bytes = static_cast<std::size_t>(slice_len);
       register_entry(MediaFault::MisdirectedWrite, target_sector, intended_crc);
       if (total_sectors > 1) {
@@ -248,11 +258,9 @@ void BlockDevice::inject(const std::shared_ptr<const void>& file, ExtentStore& s
       break;
     }
     case MediaFault::BitRot: {
-      store.write(offset, buf, stats, arena);
+      write_all();
       std::array<std::byte, kMaxSectorBytes> sector;
       read_sector(store, sec_off, sector.data());
-      const std::size_t stored = static_cast<std::size_t>(
-          std::min<std::uint64_t>(sb, store.size() - sec_off));
       const std::size_t bit = static_cast<std::size_t>(rng_.uniform(stored * 8));
       record_.corrupted_bytes =
           util::flip_bits(util::MutableByteSpan(sector.data(), stored), bit, spec_.rot_width);

@@ -98,6 +98,13 @@ class BlockDevice {
     std::uint64_t seed = 0;
     /// BIT_ROT: consecutive bits flipped.
     std::uint32_t rot_width = 1;
+    /// Set to replay the fault on a tree that already holds the armed
+    /// write, whose slice was a hole before it (the synthesis of a run whose
+    /// sector nothing observes, core::FaultInjector::synthesize): the file's
+    /// size right after that write, which stands in for the store's size.
+    /// The fault then zeroes what the device would have left unprogrammed
+    /// instead of writing around it; everything else is the same code.
+    std::optional<std::uint64_t> settled_size;
   };
 
   /// Diagnostics of the fired fault (feeds faults::InjectionRecord).
@@ -181,9 +188,11 @@ class BlockDevice {
   /// clean write or landing.
   void reconcile_overlaps(const void* file, const ExtentStore& store,
                           std::uint64_t offset, std::uint64_t len);
+  /// Fires the armed fault at `target_sector` of the write `buf` at
+  /// `offset`, which leaves the file `new_size` bytes long.
   void inject(const std::shared_ptr<const void>& file, ExtentStore& store,
               std::uint64_t offset, util::ByteSpan buf, std::uint64_t target_sector,
-              FsStats& stats, ExtentArena* arena);
+              std::uint64_t new_size, FsStats& stats, ExtentArena* arena);
 
   Options options_;
   bool enabled_ = true;

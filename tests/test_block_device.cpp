@@ -1,7 +1,9 @@
 // Block-device layer tests: CRC invariants, per-model media-fault semantics,
 // the faulted-sector registry life cycle (heal / launder / remap / truncate),
-// scrub gating, and differential fuzzers asserting that an unarmed device is
-// byte-invisible against a flat reference model at both sector sizes.
+// scrub gating, differential fuzzers asserting that an unarmed device is
+// byte-invisible against a flat reference model at both sector sizes, and
+// the synthesis of unobserved media faults (FaultInjector::synthesize)
+// checked against execution at every sector site of two workloads.
 //
 // The fuzzers follow the repo's seeded-LCG idiom (see test_vfs_fuzz.cpp):
 // fixed seeds, platform-independent generator, so every failure is
@@ -11,10 +13,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "ffis/apps/nyx/nyx_app.hpp"
+#include "ffis/core/application.hpp"
+#include "ffis/core/checkpoint.hpp"
+#include "ffis/core/fault_injector.hpp"
 #include "ffis/faults/fault_signature.hpp"
 #include "ffis/faults/media_faults.hpp"
 #include "ffis/util/bytes.hpp"
@@ -22,6 +30,7 @@
 #include "ffis/vfs/extent_store.hpp"
 #include "ffis/vfs/file_system.hpp"
 #include "ffis/vfs/mem_fs.hpp"
+#include "counter_testing.hpp"
 
 namespace {
 
@@ -579,6 +588,189 @@ TEST(BlockDeviceFuzz, ArmedDeviceHoldsRegistryInvariants) {
         EXPECT_EQ(rig.stats.sectors_faulted, 0u);
       }
     }
+  }
+}
+
+// --- Synthesis of unobserved media faults ---------------------------------------
+
+// A two-stage workload over every shape a sector site can take: unaligned
+// partial sectors, appends that extend a file at its end, sparse writes
+// past EOF (holes inside a sector, extents never written), read-backs, a
+// cut that drops extents and writes over and past it, a write placed by a
+// stat of a file whose end sits mid-sector, a write that extends a file
+// past an earlier write's last slice, and a rename.  The analysis reads
+// every file, so a fault anywhere reaches it.
+class SectorSiteApp final : public core::Application {
+ public:
+  [[nodiscard]] std::string name() const override { return "sectorsites"; }
+  [[nodiscard]] int stage_count() const override { return 2; }
+
+  void run_stages(const core::RunContext& ctx, int first, int last) const override {
+    for (int stage = first; stage <= last; ++stage) {
+      if (stage == 0) {
+        vfs::write_file(ctx.fs, "/input", pattern(900, 9));
+        continue;
+      }
+      ctx.enter_stage(stage);
+      if (stage == 1) stage_one(ctx.fs);
+      if (stage == 2) stage_two(ctx.fs);
+      ctx.leave_stage(stage);
+    }
+  }
+
+  [[nodiscard]] core::AnalysisResult analyze(vfs::FileSystem& fs) const override {
+    core::AnalysisResult result;
+    for (const char* path : {"/a", "/b", "/c", "/d", "/f", "/g"}) {
+      const util::Bytes data = vfs::read_file(fs, path);
+      result.comparison_blob.insert(result.comparison_blob.end(), data.begin(), data.end());
+    }
+    return result;
+  }
+
+  [[nodiscard]] core::Outcome classify(const core::AnalysisResult&,
+                                       const core::AnalysisResult&) const override {
+    return core::Outcome::Sdc;
+  }
+
+ private:
+  static void stage_one(vfs::FileSystem& fs) {
+    vfs::File a(fs, "/a", vfs::OpenMode::Write);
+    (void)a.pwrite(pattern(700, 1), 0);
+    (void)a.pwrite(pattern(300, 2), 700);
+    (void)a.pwrite(pattern(5000, 3), 1000);
+    (void)a.pwrite(pattern(200, 4), 6100);
+    (void)a.pwrite(pattern(64, 5), 20000);
+    (void)a.pwrite(pattern(600, 5), 20064);
+    util::Bytes back(200);
+    (void)a.pread(back, 100);
+    vfs::File b(fs, "/b", vfs::OpenMode::Write);
+    (void)b.pwrite(pattern(9000, 6), 0);
+    b.ftruncate(1500);
+    (void)b.pwrite(pattern(1000, 7), 1200);
+    (void)b.pwrite(pattern(600, 8), 9000);
+    (void)b.pwrite(pattern(10, 8), 20000);
+    vfs::File c(fs, "/c", vfs::OpenMode::Write);
+    (void)c.pwrite(pattern(3 * 4096 + 17, 10), 0);
+  }
+
+  static void stage_two(vfs::FileSystem& fs) {
+    vfs::File c(fs, "/c", vfs::OpenMode::ReadWrite);
+    (void)c.pwrite(pattern(100, 11), 3 * 4096 + 17);
+    vfs::File d(fs, "/d", vfs::OpenMode::Write);
+    (void)d.pwrite(pattern(5000, 12), 0);
+    (void)d.pwrite(pattern(600, 13), fs.stat("/d").size + 4096);  // past where it ends
+    vfs::File g(fs, "/g", vfs::OpenMode::Write);
+    (void)g.pwrite(pattern(9000, 15), 0);
+    {
+      vfs::File e(fs, "/e", vfs::OpenMode::Write);
+      (void)e.pwrite(pattern(5000, 14), 0);
+    }
+    fs.rename("/e", "/f");
+    vfs::File a(fs, "/a", vfs::OpenMode::ReadWrite);
+    util::Bytes back(10);
+    (void)a.pread(back, 6150);
+    (void)a.pwrite(pattern(600, 16), 20664);
+  }
+};
+
+/// Expects the synthesized run `got` to equal the executed run `want` in
+/// every field but the timers, the arena counters and the synthesized flag.
+void expect_same_media_run(const core::RunResult& got, const core::RunResult& want) {
+  EXPECT_EQ(got.outcome, want.outcome);
+  EXPECT_EQ(got.fault_fired, want.fault_fired);
+  EXPECT_EQ(got.crash_reason, want.crash_reason);
+  EXPECT_EQ(test_support::record_fields(got.record), test_support::record_fields(want.record));
+  EXPECT_EQ(got.analyze_skipped, want.analyze_skipped);
+  EXPECT_EQ(got.analysis.has_value(), want.analysis.has_value());
+  if (got.analysis && want.analysis) {
+    EXPECT_EQ(got.analysis->comparison_blob, want.analysis->comparison_blob);
+  }
+  EXPECT_EQ(test_support::non_arena_stats(got.fs_stats),
+            test_support::non_arena_stats(want.fs_stats));
+}
+
+/// Every sector-write instance of `injector`'s profile under each of
+/// `seeds`: a run synthesize() handles must equal execute_at of the same
+/// draw, FsDiff included.  Returns the runs synthesized.
+std::uint64_t expect_media_synthesis_matches_execution(
+    const core::FaultInjector& injector, std::initializer_list<std::uint64_t> seeds) {
+  std::uint64_t synthesized = 0;
+  for (std::uint64_t k = 0; k < injector.primitive_count(); ++k) {
+    for (const std::uint64_t seed : seeds) {
+      vfs::FsDiff synthesized_diff;
+      const auto got = injector.synthesize(core::RunDraw{k, seed}, &synthesized_diff);
+      if (!got) continue;
+      SCOPED_TRACE("instance " + std::to_string(k) + ", feature seed " + std::to_string(seed));
+      EXPECT_TRUE(got->synthesized);
+      ++synthesized;
+      vfs::FsDiff executed_diff;
+      const core::RunResult want = injector.execute_at(k, seed, &executed_diff);
+      expect_same_media_run(*got, want);
+      EXPECT_TRUE(synthesized_diff == executed_diff);
+    }
+  }
+  return synthesized;
+}
+
+std::vector<std::string> media_signatures() {
+  std::vector<std::string> out;
+  for (const char* model : {"TORN_SECTOR", "LATENT_SECTOR_ERROR", "MISDIRECTED_WRITE", "BIT_ROT"}) {
+    for (const char* sector : {"512", "4096"}) {
+      for (const char* scrub : {"on", "off"}) {
+        out.push_back(std::string(model) + "@pwrite{sector=" + sector + ",scrub=" + scrub + "}");
+      }
+    }
+  }
+  return out;
+}
+
+TEST(MediaSynthesis, EverySectorSiteOfTheToyMatchesExecution) {
+  // The whole run, and stage 2 resumed from its checkpoint (extents shared
+  // with the snapshot), at the default extent size and at 4 KiB, where a
+  // slice's extent often holds nothing else of its write (and, with 4 KiB
+  // sectors, never does, so no torn or misdirected run synthesizes there).
+  const SectorSiteApp app;
+  constexpr std::uint64_t kAppSeed = 3;
+  std::map<std::string, std::uint64_t> whole_runs, resumed_runs;  // by signature
+  for (const std::size_t chunk : {vfs::ExtentStore::kDefaultChunkSize, std::size_t{4096}}) {
+    vfs::MemFs::Options fs_options;
+    fs_options.chunk_size = chunk;
+    std::shared_ptr<const vfs::MemFs> golden_tree;
+    const auto golden = std::make_shared<const core::AnalysisResult>(
+        core::FaultInjector::run_golden(app, kAppSeed, &golden_tree, fs_options));
+    const auto checkpoint = core::Checkpoint::capture(app, kAppSeed, 2, fs_options);
+    for (const std::string& signature : media_signatures()) {
+      SCOPED_TRACE(signature + ", extents of " + std::to_string(chunk));
+      const auto parsed = faults::parse_fault_signature(signature);
+      core::FaultInjector whole(app, parsed, kAppSeed);
+      whole.set_fs_options(fs_options);
+      whole.prepare_with_golden(golden, golden_tree);
+      core::FaultInjector resumed(app, parsed, kAppSeed, 2);
+      resumed.set_fs_options(fs_options);
+      resumed.prepare_with_checkpoint(golden, checkpoint);
+      whole_runs[signature] += expect_media_synthesis_matches_execution(whole, {1, 2, 3, 4});
+      resumed_runs[signature] += expect_media_synthesis_matches_execution(resumed, {1, 2, 3, 4});
+    }
+  }
+  for (const std::string& signature : media_signatures()) {
+    EXPECT_GT(whole_runs[signature], 0u) << signature;
+    EXPECT_GT(resumed_runs[signature], 0u) << signature;
+  }
+}
+
+TEST(MediaSynthesis, EverySectorSiteOfASmallNyxMatchesExecution) {
+  // Two dumps: stage 2 rewrites slab z=0 in place, so those sectors are
+  // observed and execute; the rest of the plotfile is read only by the
+  // analysis.
+  nyx::NyxConfig config;
+  config.field.n = 16;
+  config.timesteps = 2;
+  const nyx::NyxApp app(config);
+  for (const std::string& signature : media_signatures()) {
+    SCOPED_TRACE(signature);
+    core::FaultInjector injector(app, faults::parse_fault_signature(signature), 1);
+    injector.prepare();
+    EXPECT_GT(expect_media_synthesis_matches_execution(injector, {5, 6}), 0u);
   }
 }
 

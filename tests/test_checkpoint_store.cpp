@@ -273,6 +273,35 @@ TEST(SnapshotCodec, TruncatedAndCorruptBlobsThrow) {
   EXPECT_THROW(vfs::SnapshotCodec::decode(blob, dirty), vfs::VfsError);
 }
 
+TEST(SnapshotCodec, DecliningATreeDecodesTheOtherAsTheFullDecodeDoes) {
+  // A checkpoint-like tree and a golden tree grown from it, which shares
+  // its extents and adds one of its own.
+  vfs::MemFs checkpoint(tree_options());
+  populate_tree(checkpoint);
+  vfs::write_text_file(checkpoint, "/twin", "hello world");  // /dir/hello's bytes
+  vfs::MemFs golden = checkpoint.fork();
+  vfs::write_text_file(golden, "/output", "the golden tree's own extent");
+  const vfs::MemFs* trees[] = {&checkpoint, &golden};
+  const util::Bytes blob = vfs::SnapshotCodec::encode(trees);
+
+  vfs::MemFs full_first(tree_options()), full_second(tree_options()), first(tree_options());
+  vfs::MemFs* both[] = {&full_first, &full_second};
+  vfs::SnapshotCodec::decode(blob, both);
+  vfs::MemFs* only_first[] = {&first, nullptr};
+  vfs::SnapshotCodec::decode(blob, only_first);
+
+  expect_trees_identical(first, full_first);
+  expect_trees_identical(first, checkpoint);
+  EXPECT_EQ(first.allocated_chunks(), full_first.allocated_chunks());
+  EXPECT_EQ(first.stored_bytes(), full_first.stored_bytes());
+  // Its extents share exactly as those of the tree decoded alone (/twin and
+  // /dir/hello hold one), and none is left shared with the declined tree.
+  vfs::MemFs alone(tree_options());
+  vfs::SnapshotCodec::decode(vfs::SnapshotCodec::encode(checkpoint), alone);
+  EXPECT_EQ(first.cow_shared_bytes(), alone.cow_shared_bytes());
+  EXPECT_GT(first.cow_shared_bytes(), 0u);
+}
+
 // --- snapshot codec: zero-copy decode ----------------------------------------
 
 TEST(SnapshotCodec, ZeroCopyDecodePreservesSharingAndDiffs) {

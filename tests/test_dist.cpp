@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "ffis/apps/montage/montage_app.hpp"
+#include "ffis/apps/nyx/nyx_app.hpp"
 #include "ffis/core/application.hpp"
 #include "ffis/core/checkpoint.hpp"
 #include "ffis/core/checkpoint_store.hpp"
@@ -777,6 +778,52 @@ TEST(DistE2E, MediaFaultCellsTallyBitIdenticallyAcrossTheFleet) {
   EXPECT_GT(torn.sectors_faulted, 0u);
   EXPECT_EQ(torn.crc_detected, 0u);
   EXPECT_EQ(torn.detected_crc, 0u);
+}
+
+TEST(DistE2E, MediaScrubShapedPlanSynthesizesAcrossTheFleet) {
+  // The bench's media-scrub plan on two workers: each run, synthesized or
+  // executed on whichever worker, equals the reference oracle's execution,
+  // and each cell synthesizes the count a local engine does at this seed.
+  nyx::NyxConfig config;
+  config.field.n = 80;
+  config.timesteps = 2;
+  const nyx::NyxApp nyx(config);
+  constexpr std::uint64_t kRuns = 200;
+  const auto plan = exp::PlanBuilder()
+                        .runs(kRuns)
+                        .seed(42)
+                        .app(nyx)
+                        .faults({"BIT_ROT@pwrite{sector=512,scrub=on,width=1}",
+                                 "TORN_SECTOR@pwrite{sector=4096,scrub=off}", "LSE", "MW"})
+                        .product()
+                        .build();
+  const auto reference = exp::reference_run(plan);
+
+  dist::CoordinatorOptions options;
+  options.unit_runs = 25;
+  options.engine.keep_details = true;
+  const auto fleet = run_distributed(plan, /*n_workers=*/2, options);
+  const std::vector<std::uint64_t> synthesized = {190, 157, 190, 177};  // measured at seed 42
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const exp::CellResult& cell = fleet.report.cells[i];
+    SCOPED_TRACE(cell.cell.label);
+    ASSERT_TRUE(cell.error.empty()) << cell.error;
+    ASSERT_EQ(cell.details.size(), kRuns);
+    std::uint64_t counted = 0;
+    for (std::size_t r = 0; r < kRuns; ++r) {
+      SCOPED_TRACE("run " + std::to_string(r));
+      // A RunRow carries no record or crash text: compare the rest.
+      const core::RunResult& got = cell.details[r];
+      const core::RunResult& want = reference.cells[i].details[r];
+      EXPECT_EQ(got.outcome, want.outcome);
+      EXPECT_EQ(got.fault_fired, want.fault_fired);
+      EXPECT_EQ(got.fs_stats.sectors_faulted, want.fs_stats.sectors_faulted);
+      EXPECT_EQ(got.fs_stats.crc_detected, want.fs_stats.crc_detected);
+      if (got.synthesized) ++counted;
+    }
+    EXPECT_EQ(cell.runs_synthesized, counted);
+    EXPECT_EQ(cell.runs_synthesized, synthesized[i]);
+  }
 }
 
 TEST(DistE2E, WorkerDeathMidUnitRegrantsWithoutDoubleCounting) {

@@ -833,8 +833,16 @@ TEST(Engine, SynthesizedRunsMatchDirectExecutionOnEveryModel) {
   EXPECT_GT(counts[17].synthesized, 0u);
   EXPECT_GT(counts[18].synthesized, 0u);
   EXPECT_EQ(counts[19], (SynthesisCounts{12, 0}));
+  // SectorApp writes four 512 B sectors once each and reads none back.  A
+  // rotted or unreadable sector always synthesizes; a torn or misdirected
+  // one only in the middle two: the first is the first write into its
+  // extent, and the last, torn, would leave the file short.
+  EXPECT_EQ(counts[7], (SynthesisCounts{7, 0}));
+  EXPECT_EQ(counts[8], (SynthesisCounts{12, 0}));
+  EXPECT_EQ(counts[9], (SynthesisCounts{7, 0}));
+  EXPECT_EQ(counts[10], (SynthesisCounts{12, 0}));
   // Models synthesis leaves alone, and the last stage has no later one.
-  for (const std::size_t i : {3, 5, 6, 7, 8, 9, 10, 13, 16, 20}) {
+  for (const std::size_t i : {3, 5, 6, 13, 16, 20}) {
     EXPECT_EQ(counts[i], SynthesisCounts{}) << plan.cells()[i].label;
   }
   for (const std::size_t i : {14, 15, 17, 18}) {
@@ -874,6 +882,65 @@ TEST(Engine, MediaRunsMatchTheReferenceOracleCrashTextIncluded) {
         EXPECT_EQ(record_fields(got.record), record_fields(want.record));
         EXPECT_EQ(got.crash_reason, want.crash_reason);
       }
+    }
+  }
+}
+
+/// The bench's media-scrub plan: Nyx 80^3 with two dumps under the four
+/// media signatures, `runs` per cell.
+exp::ExperimentPlan media_scrub_plan(const nyx::NyxApp& nyx, std::uint64_t runs) {
+  return exp::PlanBuilder()
+      .runs(runs)
+      .seed(42)
+      .app(nyx)
+      .faults({"BIT_ROT@pwrite{sector=512,scrub=on,width=1}",
+               "TORN_SECTOR@pwrite{sector=4096,scrub=off}", "LSE", "MW"})
+      .product()
+      .build();
+}
+
+TEST(Engine, MediaScrubShapedPlanSynthesizesAndMatchesTheOracle) {
+  // Nyx reads nothing back while it runs, so a media fault's sector is
+  // observed only by the second dump's rewrite of slab z=0 (or, for a torn
+  // or misdirected slice, by its position); every other run is synthesized
+  // from the golden tree.  Each run must still equal the reference oracle's
+  // execution, at 1 and 4 threads, and the synthesized count is a function
+  // of the plan.
+  nyx::NyxConfig config;
+  config.field.n = 80;
+  config.timesteps = 2;
+  const nyx::NyxApp nyx(config);
+  constexpr std::uint64_t kRuns = 200;
+  const auto plan = media_scrub_plan(nyx, kRuns);
+  const auto reference = exp::reference_run(plan);
+  // Measured at seed 42: BIT_ROT, TORN_SECTOR{4096}, LSE, MW.
+  const std::vector<std::uint64_t> synthesized = {190, 157, 190, 177};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    exp::EngineOptions options;
+    options.threads = threads;
+    options.keep_details = true;
+    const auto report = exp::Engine(options).run(plan);
+    ASSERT_EQ(report.cells.size(), synthesized.size());
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      const exp::CellResult& cell = report.cells[i];
+      SCOPED_TRACE(cell.cell.label + " at " + std::to_string(threads) + " threads");
+      ASSERT_TRUE(cell.error.empty()) << cell.error;
+      ASSERT_EQ(cell.details.size(), kRuns);
+      std::uint64_t counted = 0;
+      for (std::size_t r = 0; r < kRuns; ++r) {
+        SCOPED_TRACE("run " + std::to_string(r));
+        const core::RunResult& got = cell.details[r];
+        const core::RunResult& want = reference.cells[i].details[r];
+        EXPECT_EQ(got.outcome, want.outcome);
+        EXPECT_EQ(got.fault_fired, want.fault_fired);
+        EXPECT_EQ(record_fields(got.record), record_fields(want.record));
+        EXPECT_EQ(got.crash_reason, want.crash_reason);
+        EXPECT_EQ(got.fs_stats.sectors_faulted, want.fs_stats.sectors_faulted);
+        EXPECT_EQ(got.fs_stats.crc_detected, want.fs_stats.crc_detected);
+        if (got.synthesized) ++counted;
+      }
+      EXPECT_EQ(cell.runs_synthesized, counted);
+      EXPECT_EQ(cell.runs_synthesized, synthesized[i]);
     }
   }
 }
