@@ -425,10 +425,12 @@ std::optional<RunResult> FaultInjector::synthesize_sector(const RunDraw& draw,
   }
   // Replay the fault on the golden bytes through a device on the fork, so
   // the fork's registry holds exactly the entries the executed run's device
-  // holds, and scrub-on-read rejects the classification's reads alike.
+  // holds, and scrub-on-read rejects the classification's reads alike.  The
+  // slice first gets back its pre-write content: zero for a hole, and
+  // immaterial otherwise (BIT_ROT and LSE land the whole slice).
   const auto device = std::make_shared<vfs::BlockDevice>(faults::media_device_options(signature_));
   vfs::BlockDevice::ArmSpec spec = faults::media_arm_spec(signature_, 0, draw.feature_seed);
-  spec.settled_size = site->size_after;
+  spec.size_after = site->size_after;
   {
     vfs::File file(tree, path, vfs::OpenMode::ReadWrite);
     util::Bytes slice(site->slice_end - site->slice_begin);
@@ -436,6 +438,7 @@ std::optional<RunResult> FaultInjector::synthesize_sector(const RunDraw& draw,
       throw std::logic_error("FaultInjector: golden tree lacks the sector site of instance " +
                              std::to_string(draw.instance));
     }
+    (void)file.pwrite(util::Bytes(slice.size()), site->slice_begin);
     tree.set_media(device);
     device->arm(spec);
     (void)file.pwrite(slice, site->slice_begin);

@@ -202,7 +202,8 @@ class FaultInjector {
                                      vfs::FsDiff* diff_out = nullptr) const;
 
   /// The run `draw` selects, without executing it from the instrumented
-  /// stage, when its fault is synthesizable (faults::is_synthesizable);
+  /// stage, when its fault is synthesizable (faults::is_synthesizable, or a
+  /// media model as below);
   /// otherwise, or when the drawn instance's write site is observed in the
   /// instrumented stage or outside any stage, nullopt.  Either way the fault
   /// is applied to the golden bytes at the site (faults::mutate_write, with

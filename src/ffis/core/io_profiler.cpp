@@ -58,7 +58,7 @@ ProfileResult IoProfiler::profile(const Application& app,
   ProfileResult result;
   std::optional<faults::WriteObserver> observer;
   std::optional<SiteStages> stages;
-  if (faults::is_synthesizable(signature)) {
+  if (faults::is_synthesizable(signature) || device != nullptr) {
     observer.emplace(instrument, device.get(), backing.chunk_size());
     stages.emplace(*observer, backing, result.stage_entry_stats);
   }

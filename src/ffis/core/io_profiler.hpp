@@ -5,7 +5,7 @@
 //
 // For a synthesizable signature (faults::is_synthesizable) the same pass
 // also records every instance's write site and the stage that first
-// observes it, or for a media model every sector-write instance's sector
+// observes it, and for a media model every sector-write instance's sector
 // site and when each sector was last observed (faults::WriteObserver).  Its
 // storage counters stand in for the execution phase of every run
 // core::FaultInjector synthesizes: all of them for a site nothing observes,
@@ -41,7 +41,7 @@ struct ProfileResult {
   /// observes.
   vfs::FsStats fs_stats{};
   /// Per-instance write (or, for media models, sector) sites; recorded only
-  /// for synthesizable signatures.
+  /// for synthesizable signatures and media models.
   faults::WriteSites sites;
   /// The backing store's counters when each stage opened (first entry),
   /// by stage; recorded along with `sites`.

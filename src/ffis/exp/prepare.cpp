@@ -85,14 +85,12 @@ CellPreparer::CellPreparer(const ExperimentPlan& plan, EngineOptions options)
   }
   schedule_.insert(schedule_.end(), rest.begin(), rest.end());
   // The later-stage keys, after every cell took its own: a key indexed here
-  // first is owned by no cell and changes no cell's facts.  A media cell's
-  // sector sites resume no later stage.
+  // first is owned by no cell and changes no cell's facts.
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
     CellKeys& keys = cell_keys_[i];
-    const faults::FaultSignature signature = faults::parse_fault_signature(c.fault);
-    if (keys.checkpoint == kNoCheckpoint || !faults::is_synthesizable(signature) ||
-        faults::is_media_model(signature.model)) {
+    if (keys.checkpoint == kNoCheckpoint ||
+        !faults::is_synthesizable(faults::parse_fault_signature(c.fault))) {
       continue;
     }
     for (int stage = c.stage + 1; stage <= c.app->stage_count(); ++stage) {

@@ -29,10 +29,10 @@
 // instance (faults::WriteObserver).  A run whose sector nothing observes
 // after the write is not executed: core::FaultInjector::synthesize arms a
 // device on a fork of the golden tree with the recorded file size
-// (vfs::BlockDevice::ArmSpec::settled_size), rewrites the slice through
-// it, so BlockDevice::inject replays the fault and seeds the registry, and
-// classifies the fork through that device (docs/ARCHITECTURE.md,
-// "Synthesis").
+// (vfs::BlockDevice::ArmSpec::size_after), zeroes the slice and rewrites
+// it through the device, so BlockDevice::inject replays the fault and
+// seeds the registry, and classifies the fork through that device
+// (docs/ARCHITECTURE.md, "Synthesis").
 
 #include <cstdint>
 #include <memory>

@@ -9,7 +9,7 @@ namespace ffis::faults {
 
 bool is_synthesizable(const FaultSignature& signature) noexcept {
   if (signature.primitive != vfs::Primitive::Pwrite) return false;
-  return signature.model == FaultModel::BitFlip || is_media_model(signature.model) ||
+  return signature.model == FaultModel::BitFlip ||
          (signature.model == FaultModel::ShornWrite && signature.shorn.tail != ShornTail::Stale);
 }
 

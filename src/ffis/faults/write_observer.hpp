@@ -142,17 +142,17 @@ struct WriteSites {
   SectorSites sectors;             ///< media models only
 };
 
-/// The faults a run can be synthesized for.  BIT_FLIP@pwrite and
-/// SHORN_WRITE@pwrite with a garbage or adjacent-data tail forward the whole
-/// buffer and report its full size, so the call itself is
-/// indistinguishable from a fault-free one, and each mutation is a function
-/// of the buffer and the feature seed alone (an adjacent-data tail copies
-/// bytes from inside the buffer).  The media models fault one sector below
-/// a pwrite that succeeds in full, and each is a function of the written
-/// slice, the slice's pre-write content, the file's size and the feature
-/// seed; their sites are sectors.  (A stale tail forwards a prefix,
-/// DROPPED_WRITE and IO_ERROR are visible or leave the old bytes, and read
-/// faults change what the run reads.)
+/// The faults a run can be synthesized for from its write site, or resumed
+/// for at the stage that observes it: BIT_FLIP@pwrite and SHORN_WRITE@pwrite
+/// with a garbage or adjacent-data tail.  Each forwards the whole buffer and
+/// reports its full size, so the call itself is indistinguishable from a
+/// fault-free one, and each mutation is a function of the buffer and the
+/// feature seed alone (an adjacent-data tail copies bytes from inside the
+/// buffer).  (A stale tail forwards a prefix, DROPPED_WRITE and IO_ERROR are
+/// visible or leave the old bytes, and read faults change what the run
+/// reads.)  The media models fault one sector below a pwrite that succeeds
+/// in full; they are synthesized from sector sites instead, which the
+/// observer records given the pass's media device.
 [[nodiscard]] bool is_synthesizable(const FaultSignature& signature) noexcept;
 
 /// Profile-only decorator: stack it directly above the pass's FaultingFs

@@ -125,7 +125,7 @@ void BlockDevice::apply_write(const std::shared_ptr<const void>& file, ExtentSto
     return;
   }
   inject(file, store, offset, buf, target_sector,
-         spec_.settled_size.value_or(std::max<std::uint64_t>(store.size(), offset + buf.size())),
+         spec_.size_after.value_or(std::max<std::uint64_t>(store.size(), offset + buf.size())),
          stats, arena);
 }
 
@@ -176,21 +176,9 @@ void BlockDevice::inject(const std::shared_ptr<const void>& file, ExtentStore& s
   const std::size_t stored =
       static_cast<std::size_t>(std::min<std::uint64_t>(sb, new_size - sec_off));
 
-  // Lands the write, or all of it but [skip_begin, skip_end), which keeps
-  // its pre-write content.  A settled store holds the write already, and
-  // the skipped range was a hole before it, so it is zeroed instead.
-  const bool settled = spec_.settled_size.has_value();
-  const auto write_all = [&] {
-    if (!settled) store.write(offset, buf, stats, arena);
-  };
+  // Lands all of the write but [skip_begin, skip_end), which keeps its
+  // pre-write content.
   const auto write_around = [&](std::uint64_t skip_begin, std::uint64_t skip_end) {
-    if (settled) {
-      const std::array<std::byte, kMaxSectorBytes> zeros{};
-      store.write(skip_begin,
-                  util::ByteSpan(zeros.data(), static_cast<std::size_t>(skip_end - skip_begin)),
-                  stats, arena);
-      return;
-    }
     if (skip_begin > offset) {
       store.write(offset, buf.first(static_cast<std::size_t>(skip_begin - offset)), stats,
                   arena);
@@ -215,7 +203,7 @@ void BlockDevice::inject(const std::shared_ptr<const void>& file, ExtentStore& s
       // The write completes, then the sector decays unreadable; its media
       // content is unrecoverable garbage.  Under scrub a read reports EIO;
       // without scrub the garbage flows to the application.
-      write_all();
+      store.write(offset, buf, stats, arena);
       std::array<std::byte, kMaxSectorBytes> garbled;
       read_sector(store, sec_off, garbled.data());
       for (std::size_t i = 0; i < stored; ++i) {
@@ -258,7 +246,7 @@ void BlockDevice::inject(const std::shared_ptr<const void>& file, ExtentStore& s
       break;
     }
     case MediaFault::BitRot: {
-      write_all();
+      store.write(offset, buf, stats, arena);
       std::array<std::byte, kMaxSectorBytes> sector;
       read_sector(store, sec_off, sector.data());
       const std::size_t bit = static_cast<std::size_t>(rng_.uniform(stored * 8));

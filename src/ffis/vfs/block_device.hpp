@@ -98,13 +98,10 @@ class BlockDevice {
     std::uint64_t seed = 0;
     /// BIT_ROT: consecutive bits flipped.
     std::uint32_t rot_width = 1;
-    /// Set to replay the fault on a tree that already holds the armed
-    /// write, whose slice was a hole before it (the synthesis of a run whose
-    /// sector nothing observes, core::FaultInjector::synthesize): the file's
-    /// size right after that write, which stands in for the store's size.
-    /// The fault then zeroes what the device would have left unprogrammed
-    /// instead of writing around it; everything else is the same code.
-    std::optional<std::uint64_t> settled_size;
+    /// The file's size right after the armed write, when the store's size
+    /// is not it: a run synthesized from the golden tree replays the write's
+    /// slice on a file that later writes grew (core::FaultInjector::synthesize).
+    std::optional<std::uint64_t> size_after;
   };
 
   /// Diagnostics of the fired fault (feeds faults::InjectionRecord).

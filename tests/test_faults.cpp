@@ -1096,12 +1096,12 @@ TEST(WriteObserver, RecordsTheStageOpenAtTheFirstObservation) {
 TEST(WriteObserver, SynthesizableSignatures) {
   for (const char* text :
        {"BF", "BIT_FLIP@pwrite{width=4}", "SHORN_WRITE@pwrite{tail=garbage}", "SW",
-        "SHORN_WRITE@pwrite{tail=adjacent-data,completed=8}", "TORN_SECTOR@pwrite", "LSE",
-        "MW", "BIT_ROT@pwrite{sector=4096,scrub=off}"}) {
+        "SHORN_WRITE@pwrite{tail=adjacent-data,completed=8}"}) {
     EXPECT_TRUE(faults::is_synthesizable(faults::parse_fault_signature(text))) << text;
   }
   for (const char* text : {"SHORN_WRITE@pwrite{tail=stale}", "DW", "IO_ERROR@pwrite",
-                           "BIT_FLIP@pread", "BIT_FLIP@mknod"}) {
+                           "BIT_FLIP@pread", "BIT_FLIP@mknod", "TORN_SECTOR@pwrite", "LSE",
+                           "MW", "BIT_ROT@pwrite"}) {
     EXPECT_FALSE(faults::is_synthesizable(faults::parse_fault_signature(text))) << text;
   }
 }
