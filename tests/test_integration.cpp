@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "ffis/analysis/field_injector.hpp"
@@ -17,6 +19,7 @@
 #include "ffis/exp/engine.hpp"
 #include "ffis/exp/plan.hpp"
 #include "ffis/h5/writer.hpp"
+#include "ffis/util/serialize.hpp"
 #include "ffis/vfs/mem_fs.hpp"
 
 namespace {
@@ -205,6 +208,16 @@ TEST_F(MetadataEndToEnd, SweepReproducesTableThreeShape) {
   // Pinned at seed 1 before the A/B retirements: 2424 metadata bytes.
   ASSERT_EQ(sweep.cases.size(), 2424u);
   expect_tally(sweep.tally, {2229, 5, 3, 187});
+  // Every case's (offset, outcome, crash_reason), so no case can move to
+  // another byte or change its crash message under an unchanged tally.
+  std::uint64_t digest = util::fnv1a64({});
+  for (const auto& c : sweep.cases) {
+    const std::uint64_t head[] = {c.offset, static_cast<std::uint64_t>(c.outcome),
+                                  c.crash_reason.size()};
+    digest = util::fnv1a64(std::as_bytes(std::span(head)), digest);
+    digest = util::fnv1a64(std::as_bytes(std::span(c.crash_reason)), digest);
+  }
+  EXPECT_EQ(digest, 0x9ab68f46d12cb8c1ULL) << std::hex << digest;
 
   // Table III: benign 85.7%, crash 14.1%, SDC 0.2%.
   EXPECT_GT(sweep.tally.fraction(Outcome::Benign), 0.75);
