@@ -42,8 +42,8 @@ int main() {
               static_cast<std::size_t>(faulty.metric("halo_count")),
               faulty.metric("mean_density"),
               faulty.metric("mean_density") / golden.metric("mean_density"));
-  std::printf("classification: %s\n",
-              std::string(core::outcome_name(app.classify(golden, faulty))).c_str());
+  const core::Outcome outcome = core::classify_outcome(app, golden, faulty);
+  std::printf("classification: %s\n", std::string(core::outcome_name(outcome)).c_str());
 
   // The doctor spots the power-of-two mean and repairs the bias.
   analysis::Hdf5Doctor doctor(layout, nyx::kDensityDatasetName);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ffis/analysis/field_injector.hpp"
 #include "ffis/h5/reader.hpp"
 #include "ffis/util/strfmt.hpp"
 
@@ -29,22 +30,22 @@ Hdf5Doctor::Hdf5Doctor(h5::WriteInfo layout, std::string dataset, double expecte
       expected_mean_(expected_mean),
       mean_tolerance_(mean_tolerance) {}
 
-const h5::FieldEntry& Hdf5Doctor::field_entry(const std::string& suffix) const {
-  const std::string name = "objectHeader[" + dataset_ + "]." + suffix;
-  const h5::FieldEntry* entry = layout_.field_map.find_by_name(name);
-  if (entry == nullptr) {
+std::string Hdf5Doctor::field_name(const std::string& suffix) const {
+  std::string name = "objectHeader[" + dataset_ + "]." + suffix;
+  if (layout_.field_map.find_by_name(name) == nullptr) {
     throw h5::H5FormatError("doctor: layout has no field named " + name);
   }
-  return *entry;
+  return name;
+}
+
+std::uint64_t Hdf5Doctor::read_field(vfs::FileSystem& fs, const std::string& path,
+                                     const std::string& suffix) const {
+  return read_field_value(fs, path, layout_.field_map, field_name(suffix));
 }
 
 Hdf5Doctor::FloatFields Hdf5Doctor::read_fields(vfs::FileSystem& fs,
                                                 const std::string& path) const {
-  const util::Bytes image = vfs::read_file(fs, path);
-  const auto get = [&](const std::string& suffix) -> std::uint64_t {
-    const h5::FieldEntry& e = field_entry(suffix);
-    return util::get_le(image, e.offset, e.length);
-  };
+  const auto get = [&](const std::string& suffix) { return read_field(fs, path, suffix); };
   FloatFields f{};
   f.bit_precision = get("dataType.floatProperty.bitPrecision");
   f.exponent_location = get("dataType.floatProperty.exponentLocation");
@@ -138,11 +139,10 @@ Diagnosis Hdf5Doctor::diagnose(vfs::FileSystem& fs, const std::string& path) con
 
 void Hdf5Doctor::patch_field(vfs::FileSystem& fs, const std::string& path,
                              const std::string& suffix, std::uint64_t value) const {
-  const h5::FieldEntry& e = field_entry(suffix);
-  util::Bytes bytes;
-  util::put_le(bytes, value, e.length);
-  vfs::File file(fs, path, vfs::OpenMode::ReadWrite);
-  if (file.pwrite(bytes, e.offset) != bytes.size()) {
+  const std::string name = field_name(suffix);
+  try {
+    set_field_value(fs, path, layout_.field_map, name, value);
+  } catch (const std::out_of_range&) {  // a short pwrite
     throw h5::H5Exception("doctor: failed to patch " + suffix);
   }
 }
@@ -174,9 +174,7 @@ bool Hdf5Doctor::correct(vfs::FileSystem& fs, const std::string& path,
       patch_field(fs, path, "dataType.floatProperty.mantissaSize", f.exponent_location);
       return true;
     case FaultyField::MantissaNormalization: {
-      const h5::FieldEntry& e = field_entry("dataType.classBitField0");
-      const util::Bytes image = vfs::read_file(fs, path);
-      std::uint64_t bitfield = util::get_le(image, e.offset, e.length);
+      std::uint64_t bitfield = read_field(fs, path, "dataType.classBitField0");
       bitfield = (bitfield & ~0x30ULL) |
                  (static_cast<std::uint64_t>(h5::MantissaNorm::MsbImplied) << 4);
       patch_field(fs, path, "dataType.classBitField0", bitfield);

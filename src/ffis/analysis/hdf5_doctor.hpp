@@ -88,7 +88,11 @@ class Hdf5Doctor {
         mantissa_size, exponent_bias, normalization, ard;
   };
   [[nodiscard]] FloatFields read_fields(vfs::FileSystem& fs, const std::string& path) const;
-  [[nodiscard]] const h5::FieldEntry& field_entry(const std::string& suffix) const;
+  /// The dataset's field `suffix`, by its full name in the layout (throws
+  /// h5::H5FormatError when the layout has none).
+  [[nodiscard]] std::string field_name(const std::string& suffix) const;
+  [[nodiscard]] std::uint64_t read_field(vfs::FileSystem& fs, const std::string& path,
+                                         const std::string& suffix) const;
   void patch_field(vfs::FileSystem& fs, const std::string& path, const std::string& suffix,
                    std::uint64_t value) const;
 

@@ -6,15 +6,14 @@
 // fwrite and till the end of the buffer byte-by-byte".  Because the raw data
 // region is untouched by that write, corrupting byte k of the metadata write
 // is equivalent to corrupting byte k of the final file's metadata block —
-// which is what this sweep does, replaying a snapshot of the golden run's
-// file tree into a fresh file system per case instead of re-running the
-// producing application ~2400 times.
+// which is what this sweep does, on a copy-on-write fork of the golden run's
+// output tree per case instead of re-running the producing application ~2400
+// times.
 //
-// Per case: restore the golden tree, flip `flip_width` consecutive bits at a
-// seeded position inside the target byte, run the application's
-// post-analysis, and classify (Benign: bit-wise identical comparison
-// artifact; Crash: the analysis threw; otherwise the application's
-// Detected/SDC rule).
+// Per case: fork the golden tree, flip two consecutive bits at a seeded
+// position inside the target byte (corrupt_metadata_byte), run the
+// application's post-analysis, and classify it by core::classify_outcome
+// (Crash when the analysis threw).
 
 #include <cstdint>
 #include <map>
@@ -24,15 +23,14 @@
 #include "ffis/core/application.hpp"
 #include "ffis/core/outcome.hpp"
 #include "ffis/h5/field_map.hpp"
+#include "ffis/vfs/file_system.hpp"
 
 namespace ffis::analysis {
 
 struct MetadataSweepConfig {
   std::string target_path;            ///< the HDF5 file within the app's tree
   std::uint64_t metadata_bytes = 0;   ///< sweep range [0, metadata_bytes)
-  std::uint32_t flip_width = 2;       ///< consecutive bits per injection
   std::uint64_t seed = 0x5eed;
-  std::size_t threads = 0;            ///< 0 = hardware concurrency
 };
 
 struct ByteCase {
@@ -53,8 +51,15 @@ struct MetadataSweepResult {
       const h5::FieldMap& map) const;
 };
 
-/// Runs the sweep.  `app` must already be deterministic for `app_seed`; the
-/// golden run is executed once internally.
+/// The sweep's fault at `offset` of `config.target_path` in `fs`: two
+/// consecutive bits, at a position within the byte seeded by config.seed and
+/// the offset, flipped in place.
+void corrupt_metadata_byte(vfs::FileSystem& fs, const MetadataSweepConfig& config,
+                           std::uint64_t offset);
+
+/// Runs the sweep on every hardware thread.  `app` must already be
+/// deterministic for `app_seed`; the golden run is executed once internally
+/// (core::FaultInjector::run_golden).
 [[nodiscard]] MetadataSweepResult metadata_sweep(const core::Application& app,
                                                  std::uint64_t app_seed,
                                                  const MetadataSweepConfig& config);

@@ -265,9 +265,19 @@ class Application {
 
   /// Domain classification rule.  The Benign bit-wise test has already been
   /// handled by the caller when comparison blobs match; this is consulted
-  /// only when they differ.
+  /// only when they differ.  Callers go through core::classify_outcome.
   [[nodiscard]] virtual Outcome classify(const AnalysisResult& golden,
                                          const AnalysisResult& faulty) const = 0;
 };
+
+/// The outcome rule of a run whose post-analysis completed: Benign when its
+/// comparison blob is bit-wise identical to the golden run's, otherwise the
+/// application's Detected/SDC rule.
+[[nodiscard]] inline Outcome classify_outcome(const Application& app,
+                                              const AnalysisResult& golden,
+                                              const AnalysisResult& faulty) {
+  return faulty.comparison_blob == golden.comparison_blob ? Outcome::Benign
+                                                          : app.classify(golden, faulty);
+}
 
 }  // namespace ffis::core

@@ -495,9 +495,7 @@ void FaultInjector::classify(vfs::MemFs& tree, RunResult& result, vfs::FsDiff* d
       result.analyze_ms = ms_since(analyze_start);
       return;
     }
-    result.outcome = result.analysis->comparison_blob == golden_->comparison_blob
-                         ? Outcome::Benign
-                         : app_.classify(*golden_, *result.analysis);
+    result.outcome = classify_outcome(app_, *golden_, *result.analysis);
   }
   result.analyze_ms = ms_since(analyze_start);
 }

@@ -17,6 +17,7 @@
 #include "ffis/exp/prepare.hpp"
 #include "ffis/net/framing.hpp"
 #include "ffis/net/socket.hpp"
+#include "ffis/util/rng.hpp"
 #include "ffis/util/thread_pool.hpp"
 
 namespace ffis::dist {
@@ -114,14 +115,6 @@ class HeartbeatThread {
   bool stop_ = false;
   std::thread thread_;
 };
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 /// One full coordinator session: connect, handshake, serve until Shutdown.
 /// Returns normally on a terminal outcome (Shutdown, rejection, simulated
@@ -291,7 +284,7 @@ WorkerStats run_worker(const std::string& host, std::uint16_t port,
     // mismatches as std::runtime_error) is terminal: retrying an
     // incompatible fleet cannot succeed.
     const std::uint64_t sleep_ms =
-        backoff / 2 + splitmix64(jitter_state) % (backoff / 2 + 1);
+        backoff / 2 + util::splitmix64(jitter_state) % (backoff / 2 + 1);
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     backoff = std::min(backoff * 2, backoff_max);
   }

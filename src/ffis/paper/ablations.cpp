@@ -5,7 +5,6 @@
 #include "ffis/apps/nyx/power_spectrum.hpp"
 #include "ffis/apps/qmc/qmc_app.hpp"
 #include "ffis/paper/support.hpp"
-#include "ffis/vfs/mem_fs.hpp"
 
 namespace ffis::paper {
 
@@ -111,9 +110,6 @@ std::vector<DoctorRow> ablation_doctor(const Options& options) {
   using Op = FieldFault::Op;
   const NyxGolden golden(options.grid);
   const analysis::Hdf5Doctor doctor(golden.layout, nyx::kDensityDatasetName);
-  vfs::MemFs golden_fs;
-  golden.restore(golden_fs);
-  const auto golden_analysis = golden.app.analyze(golden_fs);
 
   const std::pair<const char*, FieldFault> cases[] = {
       {"Exponent Bias (-12)", {Op::Add, kExponentBias, -12}},
@@ -128,24 +124,20 @@ std::vector<DoctorRow> ablation_doctor(const Options& options) {
 
   std::vector<DoctorRow> rows;
   for (const auto& [label, fault] : cases) {
-    vfs::MemFs fs;
-    golden.restore(fs, fault);
+    const auto fs = golden.restore(fault);
     DoctorRow row;
     row.label = label;
     try {
-      const auto faulty = golden.app.analyze(fs);
-      row.without_doctor =
-          (faulty.comparison_blob == golden_analysis.comparison_blob)
-              ? "benign"
-              : std::string(core::outcome_name(golden.app.classify(golden_analysis, faulty)));
+      row.without_doctor = core::outcome_name(
+          core::classify_outcome(golden.app, golden.analysis(), golden.app.analyze(*fs)));
     } catch (const std::exception&) {
-      row.without_doctor = "crash";
+      row.without_doctor = core::outcome_name(core::Outcome::Crash);
     }
 
-    row.diagnosis = doctor.diagnose_and_correct(fs, golden.config.plotfile_path).field;
+    row.diagnosis = doctor.diagnose_and_correct(*fs, golden.config.plotfile_path).field;
     try {
-      const auto fixed = golden.app.analyze(fs);
-      row.with_doctor = (fixed.comparison_blob == golden_analysis.comparison_blob)
+      const auto fixed = golden.app.analyze(*fs);
+      row.with_doctor = (fixed.comparison_blob == golden.analysis().comparison_blob)
                             ? "restored (bit-exact)"
                             : "still corrupted";
     } catch (const std::exception&) {
@@ -193,12 +185,11 @@ PostAnalysis ablation_post_analysis(const Options&) {
   result.golden_halos = golden_halos.halos.size();
   result.shells = golden_spectrum.k.size();
   for (const auto& [label, fault] : cases) {
-    vfs::MemFs fs;
-    golden.restore(fs, fault);
+    const auto fs = golden.restore(fault);
     PostAnalysisRow row;
     row.label = label;
     try {
-      const auto field = golden.read(fs);
+      const auto field = golden.read(*fs);
       const auto halos = nyx::find_halos(field, golden.config.halo);
       row.halos_identical = halos.to_text() == golden_halos.to_text();
       row.halos = halos.halos.size();

@@ -9,7 +9,6 @@
 #include "ffis/apps/qmc/qmc_app.hpp"
 #include "ffis/core/fault_injector.hpp"
 #include "ffis/paper/support.hpp"
-#include "ffis/vfs/mem_fs.hpp"
 
 namespace ffis::paper {
 
@@ -37,16 +36,13 @@ SdcVisualization fig5_visualization(const Options& options) {
   SdcVisualization result;
 
   // (b) Exponent Bias fault: bias -= 12 -> every value x 2^12 = 4096.
-  vfs::MemFs bias_fs;
-  golden.restore(bias_fs, {Op::Add, kExponentBias, -12});
-  const auto bias_field = golden.read(bias_fs);
+  const auto bias_field = golden.read(*golden.restore({Op::Add, kExponentBias, -12}));
   result.scale_factor = bias_field.mean() / original.mean();
 
   // (c) ARD fault: address -= one grid row -> data shifted by n cells.
   result.shift_cells = static_cast<std::int64_t>(options.grid);
-  vfs::MemFs ard_fs;
-  golden.restore(ard_fs, {Op::Add, kAddressOfRawData, -8 * result.shift_cells});
-  const auto ard_field = golden.read(ard_fs);
+  const auto ard_field =
+      golden.read(*golden.restore({Op::Add, kAddressOfRawData, -8 * result.shift_cells}));
   const auto shift = static_cast<std::size_t>(result.shift_cells);
   for (std::size_t i = shift; i < original.size(); ++i) {
     ++result.shifted_total;
@@ -114,9 +110,8 @@ HaloCells fig6_halo_cells(const Options& options) {
   const auto& halo = golden_catalog.halos.front();
 
   // Faulty Mantissa Size (bit flip), as in the paper's example.
-  vfs::MemFs faulty_fs;
-  golden.restore(faulty_fs, {FieldFault::Op::FlipBit, kMantissaSize, 2});
-  const auto faulty = golden.read(faulty_fs);
+  const auto faulty =
+      golden.read(*golden.restore({FieldFault::Op::FlipBit, kMantissaSize, 2}));
   const auto faulty_catalog = nyx::find_halos(faulty, golden.config.halo);
 
   HaloCells result;

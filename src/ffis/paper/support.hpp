@@ -5,13 +5,14 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "ffis/apps/nyx/nyx_app.hpp"
 #include "ffis/apps/nyx/plotfile.hpp"
 #include "ffis/exp/plan.hpp"
 #include "ffis/paper/paper.hpp"
-#include "ffis/vfs/file_system.hpp"
+#include "ffis/vfs/mem_fs.hpp"
 
 namespace ffis::paper {
 
@@ -35,27 +36,30 @@ inline constexpr const char* kMantissaSize = "dataType.floatProperty.mantissaSiz
 inline constexpr const char* kAddressOfRawData = "layout.addressOfRawData";
 
 /// A fault-free Nyx plotfile on an n^3 grid, with its planned layout: the
-/// starting point of every metadata-injection artifact.
+/// starting point of every metadata-injection artifact.  The golden tree and
+/// its analysis come from core::FaultInjector::run_golden; every case starts
+/// from a copy-on-write fork of the tree.
 class NyxGolden {
  public:
   explicit NyxGolden(std::size_t grid);
 
-  /// The golden tree restored into `fs`.
-  void restore(vfs::FileSystem& fs) const { vfs::restore_tree(fs, snapshot_); }
-  /// The golden tree restored into `fs`, then corrupted by `fault`.
-  void restore(vfs::FileSystem& fs, const FieldFault& fault) const;
+  /// A fork of the golden tree, corrupted by `fault`.
+  [[nodiscard]] std::unique_ptr<vfs::MemFs> restore(const FieldFault& fault) const;
   /// The golden baryon-density field.
   [[nodiscard]] nyx::DensityField field() const;
   [[nodiscard]] nyx::DensityField read(vfs::FileSystem& fs) const {
     return nyx::read_plotfile(fs, config.plotfile_path);
   }
+  /// The golden post-analysis.
+  [[nodiscard]] const core::AnalysisResult& analysis() const { return analysis_; }
 
   const nyx::NyxConfig config;
   const nyx::NyxApp app;
   const h5::WriteInfo layout;
 
  private:
-  vfs::TreeSnapshot snapshot_;
+  std::shared_ptr<const vfs::MemFs> tree_;
+  core::AnalysisResult analysis_;  ///< fills tree_, so declared after it
 };
 
 /// A plan builder at the options' sample size and seed.

@@ -282,13 +282,12 @@ SdcFields table4_sdc_fields(const Options& options) {
   result.golden_halos = golden_catalog.halos.size();
   result.golden_mean = golden_catalog.mean_density;
   for (const auto& c : cases) {
-    vfs::MemFs fs;
-    golden.restore(fs, c.fault);
+    const auto fs = golden.restore(c.fault);
     SdcFieldRow row;
     row.label = c.label;
     row.paper = c.paper;
     try {
-      compare(golden_catalog, nyx::find_halos(golden.read(fs), golden.config.halo), row);
+      compare(golden_catalog, nyx::find_halos(golden.read(*fs), golden.config.halo), row);
     } catch (const std::exception&) {
       row.crashed = true;
     }

@@ -107,30 +107,4 @@ void mkdirs(FileSystem& fs, const std::string& path) {
   fs.mkdir(path);
 }
 
-namespace {
-void snapshot_into(FileSystem& fs, const std::string& dir, TreeSnapshot& out) {
-  for (const auto& name : fs.readdir(dir)) {
-    const std::string path = (dir == "/") ? "/" + name : dir + "/" + name;
-    if (fs.stat(path).is_dir) {
-      snapshot_into(fs, path, out);
-    } else {
-      out.emplace_back(path, read_file(fs, path));
-    }
-  }
-}
-}  // namespace
-
-TreeSnapshot snapshot_tree(FileSystem& fs, const std::string& root) {
-  TreeSnapshot out;
-  snapshot_into(fs, root, out);
-  return out;
-}
-
-void restore_tree(FileSystem& fs, const TreeSnapshot& snapshot) {
-  for (const auto& [path, bytes] : snapshot) {
-    mkdirs(fs, parent_path(path));
-    write_file(fs, path, bytes);
-  }
-}
-
 }  // namespace ffis::vfs

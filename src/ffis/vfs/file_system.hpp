@@ -212,14 +212,4 @@ void write_text_file(FileSystem& fs, const std::string& path, std::string_view t
 /// Creates all missing directories along the path (like mkdir -p).
 void mkdirs(FileSystem& fs, const std::string& path);
 
-/// A saved copy of every regular file under `root`, keyed by absolute path.
-/// Used by sweep experiments to replay a golden file tree into many fresh
-/// file systems without re-running the producing application.
-using TreeSnapshot = std::vector<std::pair<std::string, util::Bytes>>;
-
-[[nodiscard]] TreeSnapshot snapshot_tree(FileSystem& fs, const std::string& root = "/");
-
-/// Restores a snapshot into `fs`, creating directories as needed.
-void restore_tree(FileSystem& fs, const TreeSnapshot& snapshot);
-
 }  // namespace ffis::vfs

@@ -122,8 +122,7 @@ void expect_same_tree(const core::Application& app, std::uint64_t app_seed) {
   core::RunContext whole_ctx{.fs = whole, .app_seed = app_seed,
                              .instrumented_stage = -1, .instrument = nullptr};
   app.run(whole_ctx);
-  const auto expected = vfs::snapshot_tree(whole);
-  ASSERT_FALSE(expected.empty());
+  ASSERT_GT(whole.total_bytes(), 0u);
 
   for (int stage = 1; stage <= app.stage_count(); ++stage) {
     vfs::MemFs split;
@@ -131,8 +130,11 @@ void expect_same_tree(const core::Application& app, std::uint64_t app_seed) {
                          .instrumented_stage = -1, .instrument = nullptr};
     app.run_prefix(ctx, stage);
     app.run_from(ctx, stage);
-    EXPECT_EQ(vfs::snapshot_tree(split), expected)
-        << app.name() << " stage " << stage << " resume diverges from run()";
+    const vfs::FsDiff diff = split.diff_tree(whole);
+    EXPECT_TRUE(diff.empty()) << app.name() << " stage " << stage
+                              << " resume diverges from run(): " << diff.changed.size()
+                              << " changed, " << diff.created.size() << " created, "
+                              << diff.deleted.size() << " deleted";
   }
 }
 

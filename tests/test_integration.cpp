@@ -16,6 +16,7 @@
 #include "ffis/apps/nyx/nyx_app.hpp"
 #include "ffis/apps/nyx/plotfile.hpp"
 #include "ffis/apps/qmc/qmc_app.hpp"
+#include "ffis/core/fault_injector.hpp"
 #include "ffis/exp/engine.hpp"
 #include "ffis/exp/plan.hpp"
 #include "ffis/h5/writer.hpp"
@@ -252,26 +253,16 @@ TEST_F(MetadataEndToEnd, DoctorNeutralizesSweepSdcCases) {
   const auto sweep = analysis::metadata_sweep(*app_, 1, sweep_config);
 
   // Re-run each SDC byte case and let the doctor repair the file first.
-  vfs::MemFs golden_fs;
-  core::RunContext ctx{.fs = golden_fs, .app_seed = 1, .instrumented_stage = -1,
-                       .instrument = nullptr};
-  app_->run(ctx);
-  const auto golden = app_->analyze(golden_fs);
-  const auto snapshot = vfs::snapshot_tree(golden_fs);
-  const util::Bytes golden_file = vfs::read_file(golden_fs, config_.plotfile_path);
+  std::shared_ptr<const vfs::MemFs> golden_tree;
+  const auto golden = core::FaultInjector::run_golden(*app_, 1, &golden_tree);
   const analysis::Hdf5Doctor doctor(layout_, nyx::kDensityDatasetName);
 
   std::size_t sdc_cases = 0, repaired = 0;
   for (const auto& byte_case : sweep.cases) {
     if (byte_case.outcome != Outcome::Sdc) continue;
     ++sdc_cases;
-    vfs::MemFs fs;
-    vfs::restore_tree(fs, snapshot);
-    util::Bytes corrupted = golden_file;
-    util::Rng rng(sweep_config.seed ^ (byte_case.offset * 0x9e3779b97f4a7c15ULL));
-    const std::size_t bit = byte_case.offset * 8 + rng.uniform(7);
-    util::flip_bits(corrupted, bit, 2);
-    vfs::write_file(fs, config_.plotfile_path, corrupted);
+    vfs::MemFs fs = golden_tree->fork(vfs::MemFs::Concurrency::SingleThread);
+    analysis::corrupt_metadata_byte(fs, sweep_config, byte_case.offset);
 
     (void)doctor.diagnose_and_correct(fs, config_.plotfile_path);
     try {

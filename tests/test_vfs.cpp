@@ -313,21 +313,6 @@ TEST_P(BackendTest, RelativePathsRejected) {
   EXPECT_THROW(fs().open("relative", OpenMode::Write), VfsError);
 }
 
-TEST_P(BackendTest, SnapshotRestoreRoundtrip) {
-  vfs::mkdirs(fs(), "/a/b");
-  vfs::write_file(fs(), "/top", bytes_of("1"));
-  vfs::write_file(fs(), "/a/mid", bytes_of("22"));
-  vfs::write_file(fs(), "/a/b/deep", bytes_of("333"));
-  const auto snapshot = vfs::snapshot_tree(fs());
-  EXPECT_EQ(snapshot.size(), 3u);
-
-  vfs::MemFs fresh;
-  vfs::restore_tree(fresh, snapshot);
-  EXPECT_EQ(vfs::read_text_file(fresh, "/top"), "1");
-  EXPECT_EQ(vfs::read_text_file(fresh, "/a/mid"), "22");
-  EXPECT_EQ(vfs::read_text_file(fresh, "/a/b/deep"), "333");
-}
-
 // --- MemFs specifics -----------------------------------------------------------
 
 TEST(MemFs, NormalizesDuplicateSlashes) {
