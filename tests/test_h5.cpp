@@ -9,11 +9,13 @@
 #include <limits>
 #include <type_traits>
 
+#include "ffis/apps/nyx/plotfile.hpp"
 #include "ffis/h5/field_map.hpp"
 #include "ffis/h5/float_codec.hpp"
 #include "ffis/h5/reader.hpp"
 #include "ffis/h5/writer.hpp"
 #include "ffis/util/rng.hpp"
+#include "ffis/util/serialize.hpp"
 #include "ffis/vfs/counting_fs.hpp"
 #include "ffis/vfs/mem_fs.hpp"
 #include "write_recording.hpp"
@@ -443,10 +445,9 @@ TEST(Writer, RejectsInvalidStructures) {
   EXPECT_THROW((void)h5::write_h5(fs, "/f.h5", unnamed), h5::H5FormatError);
 }
 
-TEST(WriterSequence, MixedFormatWritesArePinned) {
-  // One canonical dataset (written from the values' own bytes), one with the
-  // byte-order bit flipped and one binary32-shaped (both encoded per element),
-  // in 1000-byte slices that straddle element boundaries.
+/// One canonical dataset (written from the values' own bytes), one with the
+/// byte-order bit flipped and one binary32-shaped (both encoded per element).
+h5::H5File mixed_format_file() {
   h5::H5File file;
   h5::Dataset canonical;
   canonical.name = "canonical";
@@ -471,6 +472,12 @@ TEST(WriterSequence, MixedFormatWritesArePinned) {
     ds->data[0] = -0.0;
     file.datasets.push_back(*ds);
   }
+  return file;
+}
+
+TEST(WriterSequence, MixedFormatWritesArePinned) {
+  // The three datasets in 1000-byte slices that straddle element boundaries.
+  const h5::H5File file = mixed_format_file();
   vfs::MemFs backing;
   test_support::RecordingFs recording(backing);
   h5::WriteOptions options;
@@ -557,6 +564,89 @@ TEST(FieldMap, TsvRendering) {
   const std::string tsv = plan.field_map.to_tsv();
   EXPECT_NE(tsv.find("offset\tlength\tclass\tname"), std::string::npos);
   EXPECT_NE(tsv.find("btree.signature"), std::string::npos);
+}
+
+// --- layout pins ---------------------------------------------------------------------
+// Every byte the writer lays down, every field-map entry and every reader
+// verdict on a corrupted byte is pinned by digest, so a change to how the
+// layout is declared cannot move any of them silently.
+
+/// FNV-1a of `words` followed by the bytes of `text`, chained onto `digest`.
+std::uint64_t fold(std::uint64_t digest, std::initializer_list<std::uint64_t> words,
+                   std::string_view text = {}) {
+  digest = util::fnv1a64(std::as_bytes(std::span(words.begin(), words.size())), digest);
+  return util::fnv1a64(std::as_bytes(std::span(text)), digest);
+}
+
+std::uint64_t layout_digest(const h5::WriteInfo& info) {
+  std::uint64_t digest = fold(util::fnv1a64({}), {info.metadata_size, info.file_size});
+  for (const std::uint64_t address : info.data_addresses) digest = fold(digest, {address});
+  for (const auto& e : info.field_map.entries()) {
+    digest = fold(digest, {e.offset, e.length, static_cast<std::uint64_t>(e.cls), e.name.size()},
+                  e.name);
+  }
+  return digest;
+}
+
+TEST(LayoutPin, FieldMapsArePinned) {
+  h5::WriteOptions custom;
+  custom.data_chunk_bytes = 4096;
+  custom.lock_file = false;
+  custom.btree_capacity = 40;
+  custom.reserved_tail_bytes = 24;
+  EXPECT_EQ(layout_digest(nyx::plan_plotfile_layout(64)), 0x8764cf92bb258206ULL);
+  EXPECT_EQ(layout_digest(nyx::plan_plotfile_layout(64, custom)), 0xd1870e06a8c2db82ULL);
+  EXPECT_EQ(layout_digest(h5::plan_layout(mixed_format_file())), 0xb9db1c0498b5384eULL);
+}
+
+/// The most-derived H5 exception class `e` belongs to.
+std::string_view exception_kind(const std::exception& e) {
+  if (dynamic_cast<const h5::H5SignatureError*>(&e)) return "H5SignatureError";
+  if (dynamic_cast<const h5::H5VersionError*>(&e)) return "H5VersionError";
+  if (dynamic_cast<const h5::H5BoundsError*>(&e)) return "H5BoundsError";
+  if (dynamic_cast<const h5::H5NotFoundError*>(&e)) return "H5NotFoundError";
+  if (dynamic_cast<const h5::H5FormatError*>(&e)) return "H5FormatError";
+  if (dynamic_cast<const h5::H5Exception*>(&e)) return "H5Exception";
+  return "std::exception";
+}
+
+TEST(LayoutPin, ReaderByteFlipsArePinned) {
+  // Every metadata byte of the three-dataset file inverted in turn: the
+  // symbol-table loop runs three entries, one dataset is big-endian and one
+  // binary32, so each structure and each datatype branch is read corrupted.
+  vfs::MemFs fs;
+  const auto info = h5::write_h5(fs, "/f.h5", mixed_format_file());
+  const util::Bytes image = vfs::read_file(fs, "/f.h5");
+  std::uint64_t digest = util::fnv1a64({});
+  std::size_t parsed = 0;
+  for (std::uint64_t offset = 0; offset < info.metadata_size; ++offset) {
+    util::Bytes corrupted = image;
+    corrupted[offset] ^= std::byte{0xff};
+    try {
+      const h5::H5File file = h5::read_h5(util::ByteSpan(corrupted));
+      ++parsed;
+      digest = fold(digest, {offset}, "ok");
+      for (const auto& ds : file.datasets) {
+        const auto& f = ds.format;
+        digest = fold(digest, {ds.name.size()}, ds.name);
+        for (const std::uint64_t d : ds.dims) digest = fold(digest, {d});
+        digest = fold(digest, {f.size_bytes, f.bit_offset, f.bit_precision, f.exponent_location,
+                               f.exponent_size, f.mantissa_location, f.mantissa_size,
+                               f.exponent_bias, f.sign_location,
+                               static_cast<std::uint64_t>(f.normalization),
+                               static_cast<std::uint64_t>(f.big_endian),
+                               std::bit_cast<std::uint64_t>(ds.fill_value), ds.data.size()});
+        digest = util::fnv1a64(std::as_bytes(std::span(ds.data)), digest);
+      }
+    } catch (const std::exception& e) {
+      const std::string_view what = e.what();
+      digest = fold(digest, {offset}, exception_kind(e));
+      digest = fold(digest, {what.size()}, what);
+    }
+  }
+  EXPECT_EQ(info.metadata_size, 2672u);
+  EXPECT_EQ(parsed, 2366u);
+  EXPECT_EQ(digest, 0x4beef4467a7b23f4ULL) << std::hex << digest;
 }
 
 // --- reader validation (crash modelling) ---------------------------------------------
