@@ -1,7 +1,9 @@
 #include "ffis/apps/montage/fits.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "ffis/util/bytes.hpp"
 
@@ -38,6 +40,18 @@ double parse_numeric_card(const std::string& header, const std::string& key) {
     }
   }
   throw FitsError("missing mandatory card: " + key);
+}
+
+/// The card's value as a T.  A non-finite value, or one whose integer part
+/// T cannot hold, is rejected before the cast (which would be undefined).
+template <class T>
+T parse_integer_card(const std::string& header, const std::string& key) {
+  const double value = std::trunc(parse_numeric_card(header, key));
+  const double bound = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(value >= -bound && value < bound)) {
+    throw FitsError("value of card " + key + " is not a representable integer");
+  }
+  return static_cast<T>(value);
 }
 
 }  // namespace
@@ -88,12 +102,12 @@ Image read_fits(vfs::FileSystem& fs, const std::string& path) {
   if (header.substr(0, 8) != "SIMPLE  " || header.find('T', 10) >= 30) {
     throw FitsError("not a FITS file (SIMPLE card missing): " + path);
   }
-  const auto bitpix = static_cast<int>(parse_numeric_card(header, "BITPIX"));
+  const auto bitpix = parse_integer_card<int>(header, "BITPIX");
   if (bitpix != -64) throw FitsError("unsupported BITPIX: " + std::to_string(bitpix));
-  const auto naxis = static_cast<int>(parse_numeric_card(header, "NAXIS"));
+  const auto naxis = parse_integer_card<int>(header, "NAXIS");
   if (naxis != 2) throw FitsError("unsupported NAXIS: " + std::to_string(naxis));
-  const auto w = static_cast<long long>(parse_numeric_card(header, "NAXIS1"));
-  const auto h = static_cast<long long>(parse_numeric_card(header, "NAXIS2"));
+  const auto w = parse_integer_card<long long>(header, "NAXIS1");
+  const auto h = parse_integer_card<long long>(header, "NAXIS2");
   if (w <= 0 || h <= 0 || w > 65536 || h > 65536) {
     throw FitsError("implausible image dimensions " + std::to_string(w) + "x" +
                     std::to_string(h));

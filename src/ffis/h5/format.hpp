@@ -15,6 +15,8 @@
 // Layout convention: all metadata packs into one contiguous block at file
 // offset 0, followed by raw dataset data — so the first dataset's ARD equals
 // the metadata size, the invariant the paper's ARD auto-correction exploits.
+// Each structure's fields, widths and reader checks are declared once, in
+// layout.hpp; this header holds the public types and constants.
 
 #include <cstdint>
 #include <stdexcept>

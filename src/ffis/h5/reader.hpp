@@ -2,9 +2,10 @@
 // Mini-HDF5 reader.
 //
 // Parses the cascading metadata (superblock → root group B-tree → symbol
-// table → object headers) and decodes raw data *through* the floating-point
-// datatype message.  Validation mirrors the HDF5 library's behaviour under
-// the paper's metadata faults:
+// table → object headers), each structure through its declaration in
+// layout.hpp (fields and checks), and decodes raw data *through* the
+// floating-point datatype message.  Validation mirrors the HDF5 library's
+// behaviour under the paper's metadata faults:
 //
 //  * signatures, version numbers, structure sizes and addresses are checked
 //    and throw H5*Error — these are the paper's Crash fields (Table III);

@@ -7,7 +7,8 @@
 // penultimate write), finally updates the superblock end-of-file address and
 // unlocks.  All metadata lives at file offset 0, immediately followed by raw
 // data, so the first dataset's Address of Raw Data equals the metadata block
-// size — the invariant the ARD auto-correction uses.
+// size — the invariant the ARD auto-correction uses.  The block is packed
+// from the structure declarations in layout.hpp, which also size it.
 
 #include <cstdint>
 #include <span>

@@ -443,6 +443,17 @@ TEST(Writer, RejectsInvalidStructures) {
   ds.name.clear();
   unnamed.datasets.push_back(ds);
   EXPECT_THROW((void)h5::write_h5(fs, "/f.h5", unnamed), h5::H5FormatError);
+
+  // A B-tree node needs a slot for its one child; a symbol-table node one
+  // per dataset.
+  h5::WriteOptions no_btree_slots;
+  no_btree_slots.btree_capacity = 0;
+  h5::WriteOptions no_snod_slots;
+  no_snod_slots.snod_capacity = 0;
+  for (const auto& options : {no_btree_slots, no_snod_slots}) {
+    EXPECT_THROW((void)h5::plan_layout(small_file(), options), h5::H5FormatError);
+    EXPECT_THROW((void)h5::write_h5(fs, "/f.h5", small_file(), options), h5::H5FormatError);
+  }
 }
 
 /// One canonical dataset (written from the values' own bytes), one with the

@@ -137,10 +137,28 @@ TEST(Fits, ImplausibleDimensionsRejected) {
   const std::string header(reinterpret_cast<const char*>(raw.data()), 2880);
   const auto pos = header.find("NAXIS1");
   ASSERT_NE(pos, std::string::npos);
-  raw[pos + 10 + 19] = std::byte{'9'};
-  raw[pos + 10] = std::byte{'-'};
-  vfs::write_file(fs, "/bad.fits", raw);
+  auto negative = raw;
+  negative[pos + 10 + 19] = std::byte{'9'};
+  negative[pos + 10] = std::byte{'-'};
+  vfs::write_file(fs, "/bad.fits", negative);
   EXPECT_THROW((void)montage::read_fits(fs, "/bad.fits"), montage::FitsError);
+
+  // Values no integer holds are rejected by name before any cast.
+  for (const std::string value : {"1e300", "-1e300", "inf", "nan"}) {
+    SCOPED_TRACE(value);
+    auto patched = raw;
+    const std::string field = std::string(20 - value.size(), ' ') + value;
+    for (std::size_t i = 0; i < field.size(); ++i) {
+      patched[pos + 10 + i] = static_cast<std::byte>(field[i]);
+    }
+    vfs::write_file(fs, "/bad.fits", patched);
+    try {
+      (void)montage::read_fits(fs, "/bad.fits");
+      ADD_FAILURE() << "accepted NAXIS1 = " << value;
+    } catch (const montage::FitsError& e) {
+      EXPECT_NE(std::string(e.what()).find("NAXIS1"), std::string::npos) << e.what();
+    }
+  }
 }
 
 // --- Scene ------------------------------------------------------------------------
